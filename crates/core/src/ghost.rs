@@ -88,9 +88,12 @@ impl GhostDirectory {
 /// pair `(old, new)` goes to every distinct owner of a ghost component
 /// adjacent to `old` in `cg` (after the relabel was applied locally, `old`
 /// endpoints have already been renamed to `new`, so adjacency is probed via
-/// `new`).
+/// `new`, which is resident here).
 ///
-/// Returns `nranks` buckets (the own-rank bucket stays empty).
+/// Returns `nranks` buckets (the own-rank bucket stays empty). A bucket
+/// lists, in the order the edge sweep first meets each renamed component
+/// next to one of that owner's ghosts, all of the component's pairs — each
+/// exactly once.
 pub fn relabel_buckets(
     cg: &CGraph,
     relabels: &[(CompId, CompId)],
@@ -102,32 +105,48 @@ pub fn relabel_buckets(
     if relabels.is_empty() {
         return buckets;
     }
-    // new id -> list of old ids that became it.
-    let mut renames_into: HashMap<CompId, Vec<CompId>> = HashMap::new();
-    for &(old, new) in relabels {
-        renames_into.entry(new).or_default().push(old);
+    // Group the pairs by the component they merged into (stable: a group
+    // keeps the callers' order), and point each renamed-into resident slot
+    // at its group.
+    let mut by_new = relabels.to_vec();
+    by_new.sort_by_key(|&(_, new)| new);
+    let mut group_start: Vec<u32> = Vec::new();
+    let mut group_of_slot = vec![u32::MAX; cg.num_resident()];
+    for (i, &(_, new)) in by_new.iter().enumerate() {
+        if i == 0 || by_new[i - 1].1 != new {
+            debug_assert!(cg.is_resident(new), "renamed into non-resident {new}");
+            if let Some(slot) = cg.slot_of(new) {
+                group_of_slot[slot as usize] = group_start.len() as u32;
+            }
+            group_start.push(i as u32);
+        }
     }
-    // For every edge touching a renamed component, the ghost endpoint's
-    // owner needs all (old, new) pairs of that component.
-    let mut seen: std::collections::HashSet<(u32, CompId, CompId)> =
-        std::collections::HashSet::new();
-    for e in cg.iter_edges() {
-        for (this_end, other_end) in [(e.a, e.b), (e.b, e.a)] {
-            let Some(olds) = renames_into.get(&this_end) else {
+    group_start.push(by_new.len() as u32);
+
+    // For every edge joining a renamed component to a ghost, the ghost's
+    // owner needs the component's whole group, once: `sent` marks the
+    // (group, owner) combinations already served.
+    let mut sent = vec![false; (group_start.len() - 1) * nranks];
+    let (ca, cb) = cg.endpoint_cols();
+    for (&a, &b) in ca.iter().zip(cb) {
+        let (sa, sb) = (cg.slot_of(a), cg.slot_of(b));
+        for (mine, other, ghost) in [(sa, sb, b), (sb, sa, a)] {
+            // A resident neighbour lives here and was renamed locally.
+            let (Some(slot), None) = (mine, other) else {
                 continue;
             };
-            if cg.is_resident(other_end) {
-                continue; // neighbour lives here: already renamed locally
-            }
-            let owner = dir.owner(other_end);
-            if owner as usize == my_rank {
+            let group = group_of_slot[slot as usize];
+            if group == u32::MAX {
                 continue;
             }
-            for &old in olds {
-                if seen.insert((owner, old, this_end)) {
-                    buckets[owner as usize].push((old, this_end));
-                }
+            let owner = dir.owner(ghost) as usize;
+            if owner == my_rank
+                || std::mem::replace(&mut sent[group as usize * nranks + owner], true)
+            {
+                continue;
             }
+            let (lo, hi) = (group_start[group as usize], group_start[group as usize + 1]);
+            buckets[owner].extend_from_slice(&by_new[lo as usize..hi as usize]);
         }
     }
     buckets

@@ -3,7 +3,10 @@
 
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::CompId;
-use mnd_kernels::reduce::{apply_ghost_parents_with, ghost_parent_message, reduce_holding_with};
+use mnd_kernels::reduce::{
+    apply_ghost_parents_with, ghost_parent_message, ghost_parents_are_chain_free,
+    reduce_holding_with,
+};
 use mnd_wire::PackedPairs;
 
 use crate::ghost::relabel_buckets;
@@ -50,12 +53,16 @@ impl Phase for MergeParts {
                 comm.alltoallv_phased_with(buckets, cx.runner.ghost_phase_size, exchange_mode(cfg))
             };
             cx.dir.apply_relabels(&relabel);
-            for pairs in &received {
-                if !pairs.is_empty() {
-                    apply_ghost_parents_with(&mut cx.cg, &policy, pairs);
-                    cx.dir.apply_relabels(pairs);
-                }
-            }
+            // One relabel sweep for the pairs of every sender: a rank
+            // renames only its own residents, so pairs from different
+            // senders neither collide nor chain.
+            let pairs = received.concat();
+            debug_assert!(
+                ghost_parents_are_chain_free(&pairs),
+                "ghost parents of different senders collide or chain"
+            );
+            apply_ghost_parents_with(&mut cx.cg, &policy, &pairs);
+            cx.dir.apply_relabels(&pairs);
 
             // Reduce: self-edge removal + multi-edge removal, in place.
             let stats = reduce_holding_with(&mut cx.cg, &policy);

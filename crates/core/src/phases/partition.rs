@@ -86,14 +86,19 @@ impl Phase for Partition {
             // is performed for its (phased) communication cost, like the
             // paper's.
             let mut buckets: Vec<Vec<CompId>> = (0..p).map(|_| Vec::new()).collect();
-            for e in cx.cg.iter_edges() {
-                for (mine, ghost) in [(e.a, e.b), (e.b, e.a)] {
-                    if cx.cg.is_resident(mine) && !cx.cg.is_resident(ghost) {
-                        let owner = cx.dir.owner(ghost) as usize;
-                        if owner != me {
-                            buckets[owner].push(mine);
-                        }
-                    }
+            let (ca, cb) = cx.cg.endpoint_cols();
+            for (&a, &b) in ca.iter().zip(cb) {
+                // A cut edge has exactly one resident end.
+                let (mine, ghost) = match (cx.cg.is_resident(a), cx.cg.is_resident(b)) {
+                    (true, false) => (a, b),
+                    (false, true) => (b, a),
+                    _ => continue,
+                };
+                let owner = cx.dir.owner(ghost) as usize;
+                // Rows arrive grouped by vertex: skipping an immediate
+                // repeat keeps the buckets near their deduplicated size.
+                if owner != me && buckets[owner].last() != Some(&mine) {
+                    buckets[owner].push(mine);
                 }
             }
             for b in &mut buckets {

@@ -108,12 +108,11 @@ impl MndMstRunner {
     /// thread panicking is re-raised with its rank id).
     pub fn run(&self, el: &EdgeList) -> MndMstReport {
         assert!(self.nranks >= 1);
-        let csr = Arc::new(CsrGraph::from_edge_list(el));
-        let el_arc = Arc::new(el.clone());
+        let csr = CsrGraph::from_edge_list(el);
         let network = self.platform.network.scaled(self.config.sim_scale);
         let cluster = Cluster::new(self.nranks, network).with_fault_hook(self.faults.clone());
 
-        let outcomes = cluster.run(|comm| self.rank_main(comm, &csr, &el_arc));
+        let outcomes = cluster.run(|comm| self.rank_main(comm, &csr, el));
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;

@@ -128,19 +128,19 @@ pub fn choose_segment_with(
     if n < 2 {
         return Vec::new();
     }
-    let resident: Vec<CompId> = cg.resident().to_vec();
-    let frozen: std::collections::HashSet<CompId> = cg.frozen().iter().copied().collect();
+    let frozen = cg.frozen_marks();
     let edge_bytes = std::mem::size_of::<CEdge>() as u64;
     let id_bytes = std::mem::size_of::<CompId>() as u64;
     let weights: Vec<u64> = cg
         .incident_counts_with(policy)
         .iter()
-        .zip(&resident)
-        .map(|(&cnt, c)| {
-            let mark = if frozen.contains(c) { id_bytes } else { 0 };
+        .zip(&frozen)
+        .map(|(&cnt, &is_frozen)| {
+            let mark = if is_frozen { id_bytes } else { 0 };
             id_bytes + cnt * edge_bytes + mark
         })
         .collect();
+    let resident = cg.resident();
     let total: u64 = weights.iter().sum();
     let target = (total / 2).min(max_bytes).max(1);
 

@@ -152,12 +152,13 @@ pub fn ind_comp(
     // its data-driven worklist is seeded from the device-border components
     // only — so its first sweep is charged for the frozen-incident
     // fraction of edges, not the whole residual.
-    let frozen: std::collections::HashSet<CompId> = cg.frozen().iter().copied().collect();
+    let frozen = cg.frozen_marks();
+    let is_frozen = |c: CompId| cg.slot_of(c).is_some_and(|slot| frozen[slot as usize]);
     let frozen_fraction = if cg.num_edges() == 0 {
         0.0
     } else {
         cg.iter_edges()
-            .filter(|e| frozen.contains(&e.a) || frozen.contains(&e.b))
+            .filter(|e| is_frozen(e.a) || is_frozen(e.b))
             .count() as f64
             / cg.num_edges() as f64
     };
@@ -187,21 +188,16 @@ pub fn ind_comp(
 /// column reduction above the policy crossover — instead of rebuilding a
 /// hash map per call.
 fn gpu_share_components(cg: &mut CGraph, cpu_fraction: f64, policy: &KernelPolicy) -> Vec<CompId> {
-    let resident: Vec<CompId> = cg.resident().to_vec();
     let counts = cg.incident_counts_with(policy);
     let total: u64 = counts.iter().sum();
     let gpu_target = (total as f64 * (1.0 - cpu_fraction)).round() as u64;
     let mut acc = 0u64;
-    let mut take = Vec::new();
-    for i in (0..resident.len()).rev() {
-        if acc >= gpu_target {
-            break;
-        }
-        acc += counts[i];
-        take.push(resident[i]);
+    let mut cut = counts.len();
+    while cut > 0 && acc < gpu_target {
+        cut -= 1;
+        acc += counts[cut];
     }
-    take.sort_unstable();
-    take
+    cg.resident()[cut..].to_vec()
 }
 
 /// Intra-node `mergeParts`: applies each device's component renames to the

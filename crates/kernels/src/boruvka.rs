@@ -110,10 +110,7 @@ pub fn local_boruvka_with(
         );
     }
 
-    let resident: Vec<CompId> = cg.resident().to_vec();
-    let n = resident.len();
-    // Local dense index per resident component.
-    let index_of = |c: CompId| -> Option<u32> { resident.binary_search(&c).ok().map(|i| i as u32) };
+    let n = cg.num_resident();
 
     // The election mode is fixed per invocation (the DSU flavour must not
     // switch mid-run): lock-free when the policy routes elections through
@@ -129,38 +126,34 @@ pub fn local_boruvka_with(
     // Lock-free election scratch: allocated once here, reset per round (the
     // drain swaps every hit slot back to NONE_KEY; winners are refilled).
     let mut lf_scratch = lockfree.then(|| LockFreeElection::new(n));
-    let mut frozen = vec![false; n];
     // Freeze marks surviving from a previous invocation stay sticky.
-    for f in cg.frozen() {
-        if let Some(i) = index_of(*f) {
-            frozen[i as usize] = true;
-        }
-    }
+    let mut frozen = cg.frozen_marks();
+
+    // Every endpoint is resolved to its resident slot exactly once, here;
+    // the rounds below work on slots only.
+    let (ca, cb) = cg.endpoint_cols();
+    let mut worklist: Vec<CEdgeLocal> = ca
+        .iter()
+        .zip(cb)
+        .zip(cg.orig_col())
+        .map(|((&a, &b), &orig)| CEdgeLocal {
+            a: cg.slot_of(a),
+            b: cg.slot_of(b),
+            orig,
+        })
+        .collect();
 
     // BorderVertex: freeze every component touching the border up front.
     if excp == ExcpCond::BorderVertex {
-        for e in cg.iter_edges() {
-            let a_res = index_of(e.a);
-            let b_res = index_of(e.b);
-            if a_res.is_none() || b_res.is_none() {
-                if let Some(i) = a_res.or(b_res) {
-                    frozen[i as usize] = true;
-                }
+        for e in &worklist {
+            if let (Some(i), None) | (None, Some(i)) = (e.a, e.b) {
+                frozen[i as usize] = true;
             }
         }
     }
 
     let mut msf_edges: Vec<WEdge> = Vec::new();
     let mut work = WorkProfile::default();
-    // Data-driven worklist: only edges that can still matter are rescanned.
-    let mut worklist: Vec<CEdgeLocal> = cg
-        .iter_edges()
-        .map(|e| CEdgeLocal {
-            a: index_of(e.a),
-            b: index_of(e.b),
-            orig: e.orig,
-        })
-        .collect();
 
     let mut prev_cost: Option<u64> = None;
     loop {
@@ -288,31 +281,23 @@ pub fn local_boruvka_with(
 
     // --- Commit the contraction to the holding ---------------------------
     // New id of a resident component = smallest member id = resident[root].
+    let resident = cg.resident();
     let mut relabel = Vec::new();
-    let mut new_resident = Vec::with_capacity(n);
     let mut new_frozen = Vec::new();
     for i in 0..n as u32 {
         let root = dsu.find(i);
         let new_id = resident[root as usize];
-        if root == i {
-            new_resident.push(new_id);
-            if frozen[i as usize] {
-                new_frozen.push(new_id);
-            }
+        if root == i && frozen[i as usize] {
+            new_frozen.push(new_id);
         }
         if new_id != resident[i as usize] {
             relabel.push((resident[i as usize], new_id));
         }
     }
     // dsu is path-compressed by the loop above; a const find suffices.
-    let resident_ref = &resident;
     let dsu_ref = &dsu;
-    cg.relabel_with(policy, |c| match resident_ref.binary_search(&c) {
-        Ok(i) => resident_ref[dsu_ref.find_const(i as u32) as usize],
-        Err(_) => c,
-    });
+    cg.contract_slots(policy, |i| dsu_ref.find_const(i));
     cg.remove_self_edges_with(policy);
-    cg.set_resident(new_resident);
     cg.set_frozen(new_frozen);
 
     LocalOutput {

@@ -15,12 +15,30 @@
 //! (`ea`, `eb`, `eorig`) instead of a `Vec<CEdge>`. The reduce passes
 //! (relabel, self/multi-edge removal, dedup) are the hot path of every
 //! merge level and sweep the columns linearly; SoA keeps those sweeps
-//! compact and lets them run fully in place — sorting goes through a
-//! reusable index-permutation scratch buffer, and removal compacts with a
-//! write cursor, so no pass allocates a new edge vector. [`CEdge`] remains
-//! the *view* type: [`CGraph::edge`], [`CGraph::iter_edges`] and
-//! [`CGraph::edges_vec`] materialize rows on demand for callers that want
-//! the old AoS shape.
+//! compact and lets them run fully in place, so no pass allocates a new
+//! edge vector. [`CEdge`] remains the *view* type: [`CGraph::edge`],
+//! [`CGraph::iter_edges`] and [`CGraph::edges_vec`] materialize rows on
+//! demand for callers that want the old AoS shape.
+//!
+//! Two pieces of derived state ride along with the columns, neither part
+//! of a holding's identity:
+//!
+//! * **The resolver.** Every per-edge sweep has to ask "is this endpoint
+//!   resident, and in which slot?". The holding answers in O(1) through a
+//!   [`SlotLookup`] over the resident id range ([`CGraph::slot_of`],
+//!   [`CGraph::is_resident`]), rebuilt by exactly the mutators that change
+//!   the resident column — [`CGraph::set_resident`], [`CGraph::relabel`],
+//!   [`CGraph::contract_slots`], [`CGraph::absorb`],
+//!   [`CGraph::split_off`] — so a sweep resolves each endpoint once and
+//!   never searches.
+//! * **The table of minimums.** Multi-edge removal and boundary-copy dedup
+//!   are the paper's "hash table of minimums" (§3.3): one linear pass over
+//!   an open-addressing table of row indexes (`index_table`) keeps
+//!   the minimal row per key, a write cursor compacts the losers away, and
+//!   canonical `(w, u, v)` order is restored by sorting contiguous row
+//!   records — skipped when the survivors are already in order, which
+//!   relabels and compactions preserve. The table and the keep flags are
+//!   reusable scratch.
 //!
 //! An edge may connect a resident component to a *non-resident* one (the
 //! paper's ghost component); such edges are exactly the ones the exception
@@ -40,6 +58,7 @@ use mnd_graph::{CsrGraph, EdgeList};
 use mnd_wire::Wire;
 use rayon::prelude::*;
 
+use crate::index_table::{self, pair_key};
 use crate::lockfree::{as_atomic_u64, SlotLookup};
 use crate::policy::{KernelClass, KernelPolicy, ParVariant};
 
@@ -124,9 +143,6 @@ impl std::fmt::Debug for CEdge {
     }
 }
 
-/// Sentinel marking an already-placed slot during in-place permutation.
-const PLACED: u32 = u32::MAX;
-
 /// A processor's current holding: resident components and the edges it
 /// knows about (SoA columns).
 #[derive(Clone, Debug, Default)]
@@ -142,11 +158,18 @@ pub struct CGraph {
     /// Components frozen by a previous `indComp` invocation (sticky across
     /// stages until a relabel merges them away or they move processors).
     frozen: Vec<CompId>,
-    /// Reusable index buffer for in-place sorts; never part of identity.
-    scratch: Vec<u32>,
+    /// id → resident-slot resolver over `resident`, rebuilt by every
+    /// mutator that changes that column; never part of identity.
+    lookup: SlotLookup,
     /// Reusable per-resident incident-count column (see
     /// [`CGraph::incident_counts_with`]); never part of identity.
     counts: Vec<u64>,
+    /// Reusable open-addressing table of row indexes for the
+    /// table-of-minimums reductions; never part of identity.
+    table: Vec<u32>,
+    /// Reusable flag column: per-row keep flags of a reduction, per-slot
+    /// marks of a split; never part of identity.
+    flags: Vec<bool>,
 }
 
 impl PartialEq for CGraph {
@@ -159,10 +182,54 @@ impl PartialEq for CGraph {
     }
 }
 
+/// Applies `map` to every endpoint of the two columns, chunked across
+/// rayon workers when the policy says the holding is big enough. Rows are
+/// independent, so any chunking produces the sequential result.
+fn remap_rows(
+    ea: &mut [CompId],
+    eb: &mut [CompId],
+    policy: &KernelPolicy,
+    map: impl Fn(CompId) -> CompId + Sync,
+) {
+    let remap = |ca: &mut [CompId], cb: &mut [CompId]| {
+        for (a, b) in ca.iter_mut().zip(cb.iter_mut()) {
+            let na = map(*a);
+            let nb = map(*b);
+            // Keep the per-row canonical a <= b invariant.
+            if na <= nb {
+                *a = na;
+                *b = nb;
+            } else {
+                *a = nb;
+                *b = na;
+            }
+        }
+    };
+    if policy.use_par_for(KernelClass::Relabel, ea.len()) {
+        let chunk = policy.chunk_rows.max(1);
+        let pairs: Vec<(&mut [CompId], &mut [CompId])> =
+            ea.chunks_mut(chunk).zip(eb.chunks_mut(chunk)).collect();
+        pairs.into_par_iter().for_each(|(ca, cb)| remap(ca, cb));
+    } else {
+        remap(ea, eb);
+    }
+}
+
 impl CGraph {
     /// Empty holding.
     pub fn new() -> Self {
         CGraph::default()
+    }
+
+    /// An edgeless holding over a sorted, deduplicated resident column.
+    fn with_resident(resident: Vec<CompId>) -> Self {
+        debug_assert!(resident.windows(2).all(|w| w[0] < w[1]));
+        let mut cg = CGraph {
+            resident,
+            ..CGraph::default()
+        };
+        cg.lookup.rebuild(&cg.resident);
+        cg
     }
 
     /// Builds the level-0 holding for a partition of the input graph:
@@ -170,10 +237,7 @@ impl CGraph {
     /// touching the range (cut edges included, held by the inside endpoint;
     /// internal edges held once).
     pub fn from_partition(g: &CsrGraph, range: VertexRange) -> Self {
-        let mut cg = CGraph {
-            resident: range.iter().collect(),
-            ..CGraph::default()
-        };
+        let mut cg = CGraph::with_resident(range.iter().collect());
         for e in g.edges_touching_range(range.start, range.end) {
             cg.push_edge(CEdge::new(e.u, e.v, e));
         }
@@ -183,10 +247,7 @@ impl CGraph {
     /// Builds a whole-graph holding (single-device execution): all vertices
     /// resident, all edges held.
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let mut cg = CGraph {
-            resident: (0..el.num_vertices()).collect(),
-            ..CGraph::default()
-        };
+        let mut cg = CGraph::with_resident((0..el.num_vertices()).collect());
         for e in el.edges() {
             cg.push_edge(CEdge::new(e.u, e.v, *e));
         }
@@ -196,12 +257,8 @@ impl CGraph {
     /// Constructs from parts (used by segment transfer). `resident` must be
     /// sorted and deduplicated.
     pub fn from_parts(resident: Vec<CompId>, edges: Vec<CEdge>, frozen: Vec<CompId>) -> Self {
-        debug_assert!(resident.windows(2).all(|w| w[0] < w[1]));
-        let mut cg = CGraph {
-            resident,
-            frozen,
-            ..CGraph::default()
-        };
+        let mut cg = CGraph::with_resident(resident);
+        cg.frozen = frozen;
         cg.ea.reserve(edges.len());
         cg.eb.reserve(edges.len());
         cg.eorig.reserve(edges.len());
@@ -281,6 +338,18 @@ impl CGraph {
         &self.frozen
     }
 
+    /// The freeze marks as a per-slot column: `marks[i]` iff
+    /// `resident()[i]` is frozen.
+    pub fn frozen_marks(&self) -> Vec<bool> {
+        let mut marks = vec![false; self.resident.len()];
+        for &f in &self.frozen {
+            if let Some(slot) = self.slot_of(f) {
+                marks[slot as usize] = true;
+            }
+        }
+        marks
+    }
+
     /// Replaces the frozen set (kernels call this after an invocation).
     pub fn set_frozen(&mut self, mut frozen: Vec<CompId>) {
         frozen.sort_unstable();
@@ -295,10 +364,17 @@ impl CGraph {
         self.frozen.clear();
     }
 
+    /// The resident slot of component `c` (`resident()[slot] == c`), `None`
+    /// for a ghost. O(1) through the holding's resolver.
+    #[inline]
+    pub fn slot_of(&self, c: CompId) -> Option<u32> {
+        self.lookup.get(&self.resident, c)
+    }
+
     /// True if `c` is resident here.
     #[inline]
     pub fn is_resident(&self, c: CompId) -> bool {
-        self.resident.binary_search(&c).is_ok()
+        self.slot_of(c).is_some()
     }
 
     /// True if the holding has no resident components and no edges.
@@ -321,6 +397,7 @@ impl CGraph {
         resident.sort_unstable();
         resident.dedup();
         self.resident = resident;
+        self.lookup.rebuild(&self.resident);
     }
 
     /// Applies a component renaming to **all** edge endpoints. `map` returns
@@ -331,82 +408,63 @@ impl CGraph {
     }
 
     /// As [`CGraph::relabel`], with the endpoint sweep chunked across rayon
-    /// workers when the policy says the holding is big enough. Rows are
-    /// independent, so any chunking produces the sequential result.
+    /// workers when the policy says the holding is big enough.
     pub fn relabel_with(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
-        let remap_rows = |ca: &mut [CompId], cb: &mut [CompId]| {
-            for (a, b) in ca.iter_mut().zip(cb.iter_mut()) {
-                let na = map(*a);
-                let nb = map(*b);
-                // Keep the per-row canonical a <= b invariant.
-                if na <= nb {
-                    *a = na;
-                    *b = nb;
-                } else {
-                    *a = nb;
-                    *b = na;
-                }
-            }
-        };
-        if policy.use_par_for(KernelClass::Relabel, self.ea.len()) {
-            let chunk = policy.chunk_rows.max(1);
-            let pairs: Vec<(&mut [CompId], &mut [CompId])> = self
-                .ea
-                .chunks_mut(chunk)
-                .zip(self.eb.chunks_mut(chunk))
-                .collect();
-            pairs
-                .into_par_iter()
-                .for_each(|(ca, cb)| remap_rows(ca, cb));
-        } else {
-            remap_rows(&mut self.ea, &mut self.eb);
-        }
-        for r in &mut self.resident {
-            *r = map(*r);
-        }
-        self.resident.sort_unstable();
-        self.resident.dedup();
-        for f in &mut self.frozen {
-            *f = map(*f);
-        }
-        self.frozen.sort_unstable();
-        self.frozen.dedup();
+        remap_rows(&mut self.ea, &mut self.eb, policy, &map);
+        let mut resident = std::mem::take(&mut self.resident);
+        resident.iter_mut().for_each(|r| *r = map(*r));
+        self.set_resident(resident);
+        let mut frozen = std::mem::take(&mut self.frozen);
+        frozen.iter_mut().for_each(|f| *f = map(*f));
+        self.set_frozen(frozen);
     }
 
-    /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
-    /// order. Below the policy's crossover this is the allocation-free
-    /// write-cursor sweep; above it the predicate is evaluated over row
-    /// chunks on rayon workers first and the (memory-bound) compaction
-    /// follows the precomputed flags, so any chunking yields the
-    /// sequential result.
-    fn retain_rows_with(
-        &mut self,
-        policy: &KernelPolicy,
-        keep: impl Fn(&Self, usize) -> bool + Sync,
-    ) {
-        let n = self.ea.len();
-        if policy.use_par_for(KernelClass::Reduce, n) {
-            let this: &Self = self;
-            let flags: Vec<Vec<bool>> = policy
-                .chunk_ranges(n)
-                .into_par_iter()
-                .map(|(lo, hi)| (lo..hi).map(|i| keep(this, i)).collect())
-                .collect();
-            let mut w = 0usize;
-            let mut flat = flags.iter().flatten();
-            for i in 0..n {
-                if *flat.next().expect("one flag per row") {
-                    if w != i {
-                        self.ea[w] = self.ea[i];
-                        self.eb[w] = self.eb[i];
-                        self.eorig[w] = self.eorig[i];
-                    }
-                    w += 1;
-                }
+    /// Renames only **ghost** endpoints (ids not resident here) through
+    /// `map` — the receiving half of the ghost-parent protocol. Resident
+    /// ids, the resident column and the freeze marks are untouched by
+    /// construction, so nothing is re-sorted and the resolver stays valid.
+    pub fn relabel_ghosts(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
+        let (lookup, resident) = (&self.lookup, &self.resident);
+        remap_rows(&mut self.ea, &mut self.eb, policy, |c| {
+            if lookup.get(resident, c).is_some() {
+                c
+            } else {
+                map(c)
             }
-            self.truncate_rows(w);
-            return;
-        }
+        });
+    }
+
+    /// Contracts resident components by slot: the component in slot `i`
+    /// merges into the one in slot `root_of(i)` and takes its id
+    /// (`root_of` must be idempotent — roots map to themselves). Resident
+    /// endpoints are renamed, ghost endpoints are left alone, the resident
+    /// column keeps exactly the root slots and freeze marks follow their
+    /// components. Self edges the contraction creates stay in place for
+    /// [`CGraph::remove_self_edges`].
+    pub fn contract_slots(&mut self, policy: &KernelPolicy, root_of: impl Fn(u32) -> u32 + Sync) {
+        let (lookup, resident) = (&self.lookup, &self.resident);
+        let new_id = |c: CompId| match lookup.get(resident, c) {
+            Some(slot) => resident[root_of(slot) as usize],
+            None => c,
+        };
+        remap_rows(&mut self.ea, &mut self.eb, policy, new_id);
+        self.frozen.iter_mut().for_each(|f| *f = new_id(*f));
+        self.frozen.sort_unstable();
+        self.frozen.dedup();
+        // A subsequence of a sorted column is sorted: no re-sort.
+        let mut slot = 0u32;
+        self.resident.retain(|_| {
+            let is_root = root_of(slot) == slot;
+            slot += 1;
+            is_root
+        });
+        self.lookup.rebuild(&self.resident);
+    }
+
+    /// Order-preserving write-cursor compaction: keeps row `i` iff
+    /// `keep(i)`, called once per row in ascending order.
+    fn compact_rows(&mut self, mut keep: impl FnMut(&Self, usize) -> bool) {
+        let n = self.ea.len();
         let mut w = 0usize;
         for i in 0..n {
             if keep(self, i) {
@@ -418,7 +476,40 @@ impl CGraph {
                 w += 1;
             }
         }
-        self.truncate_rows(w);
+        self.ea.truncate(w);
+        self.eb.truncate(w);
+        self.eorig.truncate(w);
+    }
+
+    /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
+    /// order. Below the policy's crossover this is the allocation-free
+    /// write-cursor sweep; above it the predicate is evaluated over row
+    /// chunks on rayon workers into the reusable flag column first and the
+    /// (memory-bound) compaction follows the flags, so any chunking yields
+    /// the sequential result.
+    fn retain_rows_with(
+        &mut self,
+        policy: &KernelPolicy,
+        keep: impl Fn(&Self, usize) -> bool + Sync,
+    ) {
+        let n = self.ea.len();
+        if !policy.use_par_for(KernelClass::Reduce, n) {
+            self.compact_rows(keep);
+            return;
+        }
+        let mut flags = std::mem::take(&mut self.flags);
+        flags.clear();
+        flags.resize(n, false);
+        let chunk = policy.chunk_rows.max(1);
+        let this: &Self = self;
+        let chunks: Vec<(usize, &mut [bool])> = flags.chunks_mut(chunk).enumerate().collect();
+        chunks.into_par_iter().for_each(|(k, part)| {
+            for (j, flag) in part.iter_mut().enumerate() {
+                *flag = keep(this, k * chunk + j);
+            }
+        });
+        self.compact_rows(|_, i| flags[i]);
+        self.flags = flags;
     }
 
     /// Keeps exactly the rows whose flag is `true` (one flag per current
@@ -428,67 +519,7 @@ impl CGraph {
     /// write-cursor path.
     pub fn retain_edge_rows(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.num_edges(), "one flag per edge row");
-        self.retain_rows_with(&KernelPolicy::default(), |_, i| keep[i]);
-    }
-
-    /// Drops every row past `w` from the three columns.
-    fn truncate_rows(&mut self, w: usize) {
-        self.ea.truncate(w);
-        self.eb.truncate(w);
-        self.eorig.truncate(w);
-    }
-
-    /// Applies permutation `perm` (result row `i` = current row `perm[i]`)
-    /// to all three columns in place by cycle-walking; `perm` is consumed
-    /// (overwritten with [`PLACED`] marks).
-    fn apply_perm(&mut self, perm: &mut [u32]) {
-        let n = perm.len();
-        for start in 0..n {
-            if perm[start] == PLACED || perm[start] as usize == start {
-                continue;
-            }
-            let (ta, tb, torig) = (self.ea[start], self.eb[start], self.eorig[start]);
-            let mut dst = start;
-            loop {
-                let src = perm[dst] as usize;
-                perm[dst] = PLACED;
-                if src == start {
-                    self.ea[dst] = ta;
-                    self.eb[dst] = tb;
-                    self.eorig[dst] = torig;
-                    break;
-                }
-                self.ea[dst] = self.ea[src];
-                self.eb[dst] = self.eb[src];
-                self.eorig[dst] = self.eorig[src];
-                dst = src;
-            }
-        }
-    }
-
-    /// Sorts the edge rows by `key` without allocating a row vector: an
-    /// index permutation is built in the reusable scratch buffer, sorted
-    /// (sequentially or, above the policy crossover, with the rayon
-    /// chunk-sort-and-merge), and applied across the columns by
-    /// cycle-walking. The sort key is made injective by appending the row
-    /// index, so the permutation — and therefore the row order — is the
-    /// same whichever path ran.
-    fn sort_rows_by_key<K: Ord + Send>(
-        &mut self,
-        policy: &KernelPolicy,
-        key: impl Fn(&Self, usize) -> K + Sync,
-    ) {
-        let n = self.ea.len();
-        let mut perm = std::mem::take(&mut self.scratch);
-        perm.clear();
-        perm.extend(0..n as u32);
-        if policy.use_par_for(KernelClass::Reduce, n) {
-            perm.par_sort_unstable_by_key(|&i| (key(self, i as usize), i));
-        } else {
-            perm.sort_unstable_by_key(|&i| (key(self, i as usize), i));
-        }
-        self.apply_perm(&mut perm);
-        self.scratch = perm;
+        self.compact_rows(|_, i| keep[i]);
     }
 
     /// Removes self edges (endpoints in the same component) — the paper's
@@ -502,67 +533,128 @@ impl CGraph {
         self.retain_rows_with(policy, |cg, i| cg.ea[i] != cg.eb[i]);
     }
 
+    /// The table of minimums: one linear pass that keeps, per `key`, the
+    /// single row no other row of that key `beats` (`beats(cg, i, j)` is a
+    /// strict order on rows of equal key; the earlier row survives a tie),
+    /// then compacts the losers away in place, order preserved. The table
+    /// holds row indexes only — keys are read back from the columns — and
+    /// lives with the keep flags in the holding's reusable scratch.
+    fn keep_minima(
+        &mut self,
+        key: impl Fn(&Self, usize) -> u64,
+        beats: impl Fn(&Self, usize, usize) -> bool,
+    ) {
+        let n = self.ea.len();
+        let mut table = std::mem::take(&mut self.table);
+        let mut flags = std::mem::take(&mut self.flags);
+        index_table::reset(&mut table, n);
+        flags.clear();
+        flags.resize(n, true);
+        for i in 0..n {
+            let k = key(self, i);
+            let pos = index_table::probe(&table, k, |j| key(self, j as usize) == k);
+            let held = table[pos];
+            if held == index_table::EMPTY {
+                table[pos] = i as u32;
+            } else if beats(self, i, held as usize) {
+                table[pos] = i as u32;
+                flags[held as usize] = false;
+            } else {
+                flags[i] = false;
+            }
+        }
+        self.compact_rows(|_, i| flags[i]);
+        self.table = table;
+        self.flags = flags;
+    }
+
     /// Keeps only the lightest edge between every component pair — the
-    /// paper's `removeMultiEdges` (§3.3). In place: rows are co-sorted by
-    /// `(a, b, orig key)` through the index scratch, each `(a, b)` run is
-    /// compacted to its first (= lightest) row, then canonical order is
-    /// restored. Equivalent to the hash-table-of-minimums the paper
-    /// describes, without the table.
+    /// paper's `removeMultiEdges` (§3.3), as the paper's table of
+    /// minimums keyed on `(a, b)`: the survivor of a pair is its row
+    /// minimal under `(orig key, row)`. Rows end in canonical order.
     pub fn remove_multi_edges(&mut self) {
         self.remove_multi_edges_with(&KernelPolicy::default());
     }
 
-    /// Policy-aware [`CGraph::remove_multi_edges`].
+    /// Policy-aware [`CGraph::remove_multi_edges`] (the policy governs the
+    /// canonical-order restore; the table pass is one sequential sweep).
     pub fn remove_multi_edges_with(&mut self, policy: &KernelPolicy) {
         debug_assert!(
             self.ea.iter().zip(&self.eb).all(|(a, b)| a != b),
             "run remove_self_edges first"
         );
-        self.sort_rows_by_key(policy, |cg, i| (cg.ea[i], cg.eb[i], cg.eorig[i].key()));
-        self.retain_rows_with(policy, |cg, i| {
-            i == 0 || cg.ea[i] != cg.ea[i - 1] || cg.eb[i] != cg.eb[i - 1]
-        });
+        self.keep_minima(
+            |cg, i| pair_key(cg.ea[i], cg.eb[i]),
+            |cg, i, j| cg.eorig[i].key() < cg.eorig[j].key(),
+        );
         self.sort_edges_with(policy);
     }
 
     /// Removes duplicate holdings of the *same original edge* (arises when
     /// a moved segment recombines with a holding that kept a boundary copy).
-    /// In place, same sort-compact-restore scheme as multi-edge removal.
+    /// The table of minimums keyed on `(orig.u, orig.v)`: of the copies of
+    /// one original edge the row minimal under `(a, b, row)` survives. Rows
+    /// end in canonical order.
     pub fn dedup_edges(&mut self) {
         self.dedup_edges_with(&KernelPolicy::default());
     }
 
     /// Policy-aware [`CGraph::dedup_edges`].
     pub fn dedup_edges_with(&mut self, policy: &KernelPolicy) {
-        self.sort_rows_by_key(policy, |cg, i| {
-            (cg.eorig[i].u, cg.eorig[i].v, cg.ea[i], cg.eb[i])
-        });
-        self.retain_rows_with(policy, |cg, i| {
-            i == 0 || cg.eorig[i].u != cg.eorig[i - 1].u || cg.eorig[i].v != cg.eorig[i - 1].v
-        });
+        self.keep_minima(
+            |cg, i| pair_key(cg.eorig[i].u, cg.eorig[i].v),
+            |cg, i, j| (cg.ea[i], cg.eb[i]) < (cg.ea[j], cg.eb[j]),
+        );
         self.sort_edges_with(policy);
     }
 
-    /// Canonical deterministic edge order (by original-edge key).
+    /// Canonical deterministic edge order: by original-edge key
+    /// `(w, u, v)`, rows standing for the same original edge by their
+    /// component endpoints — a total order on row content, so the result
+    /// does not depend on the order the rows arrived in.
     pub fn sort_edges(&mut self) {
         self.sort_edges_with(&KernelPolicy::default());
     }
 
-    /// Policy-aware [`CGraph::sort_edges`].
+    /// Policy-aware [`CGraph::sort_edges`]. Relabels and compactions keep
+    /// rows in `(w, u, v)` order, so most calls find nothing to do and
+    /// return after one comparison sweep. Otherwise the rows are copied
+    /// into contiguous records, sorted there (on rayon workers above the
+    /// policy crossover) and written back — no index permutation gathering
+    /// three columns per comparison.
     pub fn sort_edges_with(&mut self, policy: &KernelPolicy) {
-        self.sort_rows_by_key(policy, |cg, i| cg.eorig[i].key());
+        let n = self.ea.len();
+        let record = |i: usize| {
+            let o = self.eorig[i];
+            (o.w, o.u, o.v, self.ea[i], self.eb[i])
+        };
+        if (1..n).all(|i| record(i - 1) <= record(i)) {
+            return;
+        }
+        let mut records: Vec<(u32, VertexId, VertexId, CompId, CompId)> =
+            (0..n).map(record).collect();
+        if policy.use_par_for(KernelClass::Reduce, n) {
+            records.par_sort_unstable_by_key(|&r| r);
+        } else {
+            records.sort_unstable();
+        }
+        for (i, (w, u, v, a, b)) in records.into_iter().enumerate() {
+            self.ea[i] = a;
+            self.eb[i] = b;
+            self.eorig[i] = WEdge { u, v, w };
+        }
     }
 
     /// Per-resident-component incident-edge counts (slot `i` counts edges
     /// touching `resident()[i]`; a self edge counts twice, matching a
     /// per-endpoint tally). The column lives in reusable scratch so the
     /// repeated callers — device splitting, skew estimation, segment
-    /// choice — stop rebuilding a hash map per call. Above the `Count`
+    /// choice — stop rebuilding a hash map per call, and every path
+    /// resolves slots through the holding's resolver. Above the `Count`
     /// crossover the tally follows the policy's count variant: lock-free
-    /// `fetch_add`s straight into the scratch column (viewed atomically,
-    /// slots resolved through the dense [`SlotLookup`]) or the chunked
-    /// reduction whose per-chunk partial counts are summed in chunk order.
-    /// Additions commute, so every path is byte-identical.
+    /// `fetch_add`s straight into the scratch column (viewed atomically)
+    /// or the chunked reduction whose per-chunk partial counts are summed
+    /// in chunk order. Additions commute, so every path is byte-identical.
     pub fn incident_counts_with(&mut self, policy: &KernelPolicy) -> &[u64] {
         let n = self.resident.len();
         let rows = self.ea.len();
@@ -572,8 +664,8 @@ impl CGraph {
         let tally = |range: (usize, usize), counts: &mut [u64]| {
             for i in range.0..range.1 {
                 for c in [self.ea[i], self.eb[i]] {
-                    if let Ok(slot) = self.resident.binary_search(&c) {
-                        counts[slot] += 1;
+                    if let Some(slot) = self.slot_of(c) {
+                        counts[slot as usize] += 1;
                     }
                 }
             }
@@ -581,7 +673,6 @@ impl CGraph {
         if policy.use_par_for(KernelClass::Count, rows) {
             match policy.variant_for(KernelClass::Count) {
                 ParVariant::LockFree => {
-                    let lookup = SlotLookup::new(&self.resident);
                     let slots = as_atomic_u64(&mut counts);
                     policy
                         .chunk_ranges(rows)
@@ -589,7 +680,7 @@ impl CGraph {
                         .for_each(|(lo, hi)| {
                             for i in lo..hi {
                                 for c in [self.ea[i], self.eb[i]] {
-                                    if let Some(slot) = lookup.get(c) {
+                                    if let Some(slot) = self.slot_of(c) {
                                         slots[slot as usize]
                                             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                     }
@@ -629,16 +720,16 @@ impl CGraph {
     /// Absorbs another holding: unions resident sets, concatenates edges,
     /// dedups same-original edges, merges freeze marks.
     pub fn absorb(&mut self, other: CGraph) {
-        self.resident.extend(other.resident);
-        self.resident.sort_unstable();
-        self.resident.dedup();
+        let mut resident = std::mem::take(&mut self.resident);
+        resident.extend(other.resident);
+        self.set_resident(resident);
         self.ea.extend(other.ea);
         self.eb.extend(other.eb);
         self.eorig.extend(other.eorig);
         self.dedup_edges();
-        self.frozen.extend(other.frozen);
-        self.frozen.sort_unstable();
-        self.frozen.dedup();
+        let mut frozen = std::mem::take(&mut self.frozen);
+        frozen.extend(other.frozen);
+        self.set_frozen(frozen);
     }
 
     /// Splits off the components in `take` (must be a subset of resident)
@@ -646,63 +737,62 @@ impl CGraph {
     /// (one endpoint in `take`, one resident endpoint remaining) are
     /// **copied** to the new holding and retained here; edges with a
     /// non-resident endpoint in `take`'s perspective follow the same rule.
+    ///
+    /// # Panics
+    ///
+    /// If `take` names a component that is not resident.
     pub fn split_off(&mut self, take: &[CompId]) -> CGraph {
-        let take_set: std::collections::HashSet<CompId> = take.iter().copied().collect();
-        debug_assert!(take.iter().all(|c| self.is_resident(*c)), "take ⊄ resident");
+        // Per-slot membership marks: an endpoint resolves to its slot once
+        // and the slot answers both "resident?" and "moving?".
+        let mut taken = std::mem::take(&mut self.flags);
+        taken.clear();
+        taken.resize(self.resident.len(), false);
+        for &c in take {
+            let slot = self.slot_of(c).expect("take ⊄ resident");
+            taken[slot as usize] = true;
+        }
+        let moving = |slot: Option<u32>| slot.is_some_and(|s| taken[s as usize]);
 
         let mut moved = CGraph::new();
         // Single sweep: rows moving to the segment are pushed to `moved`,
         // rows staying are compacted in place with a write cursor.
-        let n = self.ea.len();
-        let mut w = 0usize;
-        for i in 0..n {
-            let (a, b) = (self.ea[i], self.eb[i]);
-            let a_in = take_set.contains(&a);
-            let b_in = take_set.contains(&b);
-            let (goes, stays) = match (a_in, b_in) {
+        self.compact_rows(|cg, i| {
+            let (sa, sb) = (cg.slot_of(cg.ea[i]), cg.slot_of(cg.eb[i]));
+            let (goes, stays) = match (moving(sa), moving(sb)) {
                 (true, true) => (true, false),
                 (false, false) => (false, true),
-                _ => {
-                    // Boundary edge: the mover always needs it; the holder
-                    // keeps a copy only if its side of the edge remains
-                    // resident (otherwise the edge is pure ghost-to-ghost
-                    // here and would only waste memory).
-                    let stay_end = if a_in { b } else { a };
-                    (true, self.is_resident(stay_end))
-                }
+                // Boundary edge: the mover always needs it; the holder
+                // keeps a copy only if its side of the edge remains
+                // resident (otherwise the edge is pure ghost-to-ghost
+                // here and would only waste memory).
+                (a_moves, _) => (true, if a_moves { sb } else { sa }.is_some()),
             };
             if goes {
-                moved.push_edge(CEdge {
-                    a,
-                    b,
-                    orig: self.eorig[i],
-                });
+                moved.push_edge(cg.edge(i));
             }
-            if stays {
-                if w != i {
-                    self.ea[w] = self.ea[i];
-                    self.eb[w] = self.eb[i];
-                    self.eorig[w] = self.eorig[i];
-                }
-                w += 1;
+            stays
+        });
+
+        for f in std::mem::take(&mut self.frozen) {
+            if moving(self.slot_of(f)) {
+                moved.frozen.push(f);
+            } else {
+                self.frozen.push(f);
             }
         }
-        self.ea.truncate(w);
-        self.eb.truncate(w);
-        self.eorig.truncate(w);
-
-        let mut new_resident: Vec<CompId> = take.to_vec();
-        new_resident.sort_unstable();
-        new_resident.dedup();
-        moved.resident = new_resident;
-        self.resident.retain(|c| !take_set.contains(c));
-        moved.frozen = self
-            .frozen
-            .iter()
-            .copied()
-            .filter(|c| take_set.contains(c))
-            .collect();
-        self.frozen.retain(|c| !take_set.contains(c));
+        // Both sides keep their slots' relative order: still sorted.
+        let mut slot = 0usize;
+        self.resident.retain(|&c| {
+            let goes = taken[slot];
+            slot += 1;
+            if goes {
+                moved.resident.push(c);
+            }
+            !goes
+        });
+        self.lookup.rebuild(&self.resident);
+        moved.lookup.rebuild(&moved.resident);
+        self.flags = taken;
         moved
     }
 
@@ -741,10 +831,86 @@ impl CGraph {
     }
 }
 
+/// The sort-compact-restore reductions the table of minimums replaced,
+/// kept as the reference the proptests compare it against: co-sort the rows
+/// by `(key, order)` through an index permutation, keep the first row of
+/// every key run, restore canonical order with a second permutation sort.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Sentinel marking an already-placed slot during in-place permutation.
+    const PLACED: u32 = u32::MAX;
+
+    impl CGraph {
+        /// Applies permutation `perm` (result row `i` = current row
+        /// `perm[i]`) to all three columns in place by cycle-walking.
+        fn apply_perm(&mut self, perm: &mut [u32]) {
+            for start in 0..perm.len() {
+                if perm[start] == PLACED || perm[start] as usize == start {
+                    continue;
+                }
+                let held = self.edge(start);
+                let mut dst = start;
+                loop {
+                    let src = perm[dst] as usize;
+                    perm[dst] = PLACED;
+                    let row = if src == start { held } else { self.edge(src) };
+                    self.ea[dst] = row.a;
+                    self.eb[dst] = row.b;
+                    self.eorig[dst] = row.orig;
+                    if src == start {
+                        break;
+                    }
+                    dst = src;
+                }
+            }
+        }
+
+        /// Sorts the rows by `(key, row index)` — injective, so the
+        /// permutation is unique — via an index permutation.
+        pub(super) fn sort_rows_by_key<K: Ord>(&mut self, key: impl Fn(&Self, usize) -> K) {
+            let mut perm: Vec<u32> = (0..self.ea.len() as u32).collect();
+            perm.sort_unstable_by_key(|&i| (key(self, i as usize), i));
+            self.apply_perm(&mut perm);
+        }
+
+        pub(super) fn reference_remove_multi_edges(&mut self) {
+            self.sort_rows_by_key(|cg, i| (cg.ea[i], cg.eb[i], cg.eorig[i].key()));
+            self.compact_rows(|cg, i| {
+                i == 0 || cg.ea[i] != cg.ea[i - 1] || cg.eb[i] != cg.eb[i - 1]
+            });
+            self.sort_rows_by_key(|cg, i| cg.eorig[i].key());
+        }
+
+        pub(super) fn reference_dedup_edges(&mut self) {
+            self.sort_rows_by_key(|cg, i| (cg.eorig[i].u, cg.eorig[i].v, cg.ea[i], cg.eb[i]));
+            self.compact_rows(|cg, i| {
+                i == 0 || cg.eorig[i].u != cg.eorig[i - 1].u || cg.eorig[i].v != cg.eorig[i - 1].v
+            });
+            self.sort_rows_by_key(|cg, i| cg.eorig[i].key());
+        }
+
+        pub(super) fn reference_absorb(&mut self, other: CGraph) {
+            let mut resident = other.resident;
+            resident.extend_from_slice(&self.resident);
+            self.set_resident(resident);
+            self.ea.extend(other.ea);
+            self.eb.extend(other.eb);
+            self.eorig.extend(other.eorig);
+            self.reference_dedup_edges();
+            let mut frozen = other.frozen;
+            frozen.extend_from_slice(&self.frozen);
+            self.set_frozen(frozen);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mnd_graph::gen;
+    use proptest::prelude::*;
 
     fn path4() -> CsrGraph {
         CsrGraph::from_edge_list(&gen::path(4, 1))
@@ -795,21 +961,24 @@ mod tests {
     }
 
     #[test]
-    fn in_place_sort_matches_aos_sort() {
-        // The permutation sort over SoA columns must order rows exactly as
-        // sorting the materialized CEdge vector would.
+    fn record_sort_matches_aos_sort_and_skips_sorted_rows() {
+        // Sorting the SoA columns through contiguous records must order
+        // rows exactly as sorting the materialized CEdge vector would.
         let el = gen::gnm(60, 300, 17);
         let mut cg = CGraph::from_edge_list(&el);
         let mut rows = cg.edges_vec();
-        cg.sort_rows_by_key(&KernelPolicy::default(), |cg, i| {
-            (cg.eb[i], cg.ea[i], cg.eorig[i].key())
-        });
-        rows.sort_unstable_by_key(|e| (e.b, e.a, e.key()));
-        assert_eq!(cg.edges_vec(), rows);
-        // And the scratch buffer is reused across calls, not regrown.
-        let cap = cg.scratch.capacity();
+        rows.reverse();
+        let mut cg_rev = CGraph::from_parts(cg.resident().to_vec(), rows.clone(), vec![]);
         cg.sort_edges();
-        assert_eq!(cg.scratch.capacity(), cap);
+        cg_rev.sort_edges();
+        rows.sort_unstable_by_key(|e| (e.key(), e.a, e.b));
+        assert_eq!(cg.edges_vec(), rows);
+        assert_eq!(cg_rev.edges_vec(), rows);
+        // The order is total on row content: the reference's stable
+        // permutation sort agrees wherever original edges are unique.
+        let mut by_perm = CGraph::from_edge_list(&el);
+        by_perm.sort_rows_by_key(|cg, i| cg.eorig[i].key());
+        assert_eq!(by_perm, cg);
     }
 
     #[test]
@@ -867,5 +1036,191 @@ mod tests {
     fn cedge_wire_bytes_is_packed_row_size() {
         let e = CEdge::new(0, 1, WEdge::new(0, 1, 1));
         assert_eq!(e.wire_bytes(), std::mem::size_of::<CEdge>() as u64);
+    }
+    /// A holding over few components and few original endpoints: repeated
+    /// `(a, b)` pairs, equal-weight ties, duplicated original edges, rows in
+    /// arrival (non-canonical) order. `spread` stretches the id space so
+    /// sparse resident sets take the resolver's binary-search fallback.
+    fn messy_holding(raw: &[(u32, u32, u32, u32, u32)], comps: u32, spread: u32) -> CGraph {
+        let edges = raw
+            .iter()
+            .map(|&(a, b, u, v, w)| {
+                CEdge::new(
+                    (a % comps) * spread,
+                    (b % comps) * spread,
+                    WEdge::new(u, v, w),
+                )
+            })
+            .collect();
+        CGraph::from_parts((0..comps).map(|c| c * spread).collect(), edges, vec![])
+    }
+
+    fn arb_rows(max_rows: usize) -> impl Strategy<Value = Vec<(u32, u32, u32, u32, u32)>> {
+        proptest::collection::vec(
+            (0u32..64, 0u32..64, 0u32..12, 0u32..12, 1u32..4),
+            0..max_rows,
+        )
+    }
+
+    fn assert_resolver_matches_binary_search(cg: &CGraph) {
+        let probes = cg
+            .resident
+            .iter()
+            .flat_map(|&c| [c, c.wrapping_add(1), c.wrapping_sub(1)])
+            .chain([0, 1, 4999, 5000, u32::MAX]);
+        for c in probes {
+            assert_eq!(
+                cg.slot_of(c),
+                cg.resident.binary_search(&c).ok().map(|i| i as u32),
+                "component {c} in {:?}",
+                cg.resident
+            );
+            assert_eq!(cg.is_resident(c), cg.resident.binary_search(&c).is_ok());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_of_minima_equals_sort_reference_for_multi_edges(
+            raw in arb_rows(300),
+            comps in 2u32..10,
+        ) {
+            let mut cg = messy_holding(&raw, comps, 1);
+            cg.remove_self_edges();
+            let mut expect = cg.clone();
+            expect.reference_remove_multi_edges();
+            cg.remove_multi_edges();
+            prop_assert_eq!(cg.edges_vec(), expect.edges_vec());
+            // Reusing the scratch on the reduced holding changes nothing.
+            cg.remove_multi_edges();
+            prop_assert_eq!(cg.edges_vec(), expect.edges_vec());
+        }
+
+        #[test]
+        fn table_of_minima_equals_sort_reference_for_dedup(
+            raw in arb_rows(300),
+            comps in 1u32..10,
+        ) {
+            let mut cg = messy_holding(&raw, comps, 1);
+            let mut expect = cg.clone();
+            expect.reference_dedup_edges();
+            cg.dedup_edges();
+            prop_assert_eq!(cg.edges_vec(), expect.edges_vec());
+        }
+
+        #[test]
+        fn absorb_equals_sort_reference(
+            mine in arb_rows(200),
+            theirs in arb_rows(200),
+            comps in 2u32..10,
+            spread_pick in 0u8..2,
+        ) {
+            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let mut cg = messy_holding(&mine, comps, spread);
+            // The other holding overlaps in original edges (boundary
+            // copies) but owns a shifted component range.
+            let mut other = messy_holding(&theirs, comps, spread);
+            other.relabel(|c| c + 3 * spread);
+            other.set_frozen(other.resident.iter().copied().take(2).collect());
+            let mut expect = cg.clone();
+            expect.reference_absorb(other.clone());
+            cg.absorb(other);
+            prop_assert_eq!(&cg, &expect);
+            assert_resolver_matches_binary_search(&cg);
+        }
+
+        #[test]
+        fn resolver_equals_binary_search_after_every_mutator(
+            raw in arb_rows(150),
+            comps in 2u32..12,
+            spread_pick in 0u8..2,
+            ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 1..12),
+        ) {
+            // spread 5000 makes every resident set sparse (range > 4× len
+            // and > 1024): the binary-search fallback answers.
+            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let mut cg = messy_holding(&raw, comps, spread);
+            assert_resolver_matches_binary_search(&cg);
+            for (op, x, y) in ops {
+                let n = cg.num_resident() as u32;
+                match op {
+                    0 if n > 0 => {
+                        let (from, to) = (cg.resident[(x % n) as usize], cg.resident[(y % n) as usize]);
+                        cg.relabel(|c| if c == from { to } else { c });
+                    }
+                    1 => {
+                        let mut other = messy_holding(&raw, comps, spread);
+                        other.relabel(|c| c + (x % 4) * spread);
+                        cg.absorb(other);
+                    }
+                    2 if n > 1 => {
+                        let take: Vec<CompId> = cg.resident.iter().copied().filter(|c| (c / spread + x) % 3 == 0).collect();
+                        let seg = cg.split_off(&take);
+                        assert_resolver_matches_binary_search(&seg);
+                        prop_assert_eq!(seg.resident(), &take[..]);
+                    }
+                    3 => {
+                        let resident: Vec<CompId> = (0..(x % 20)).map(|i| (i * 7 + y) * spread).collect();
+                        cg.set_resident(resident);
+                    }
+                    4 if n > 0 => {
+                        // Pair up neighbouring slots, roots at even slots.
+                        cg.contract_slots(&KernelPolicy::default(), |i| i - i % 2);
+                    }
+                    _ => {}
+                }
+                assert_resolver_matches_binary_search(&cg);
+            }
+        }
+    }
+
+    #[test]
+    fn contract_slots_equals_relabel_by_id() {
+        let el = gen::gnm(40, 160, 5);
+        let g = CsrGraph::from_edge_list(&el);
+        // A partition, so ghost endpoints exist and must be left alone.
+        let mut by_slot = CGraph::from_partition(&g, VertexRange { start: 10, end: 30 });
+        by_slot.set_frozen(vec![11, 14, 29]);
+        let mut by_id = by_slot.clone();
+        let resident = by_slot.resident().to_vec();
+        by_slot.contract_slots(&KernelPolicy::default(), |i| i - i % 4);
+        by_id.relabel(|c| match resident.binary_search(&c) {
+            Ok(i) => resident[i - i % 4],
+            Err(_) => c,
+        });
+        assert_eq!(by_slot, by_id);
+        assert_resolver_matches_binary_search(&by_slot);
+    }
+
+    #[test]
+    fn relabel_ghosts_never_touches_resident_ids() {
+        let mut cg = CGraph::from_parts(
+            vec![0, 1],
+            vec![
+                CEdge::new(0, 7, WEdge::new(0, 7, 1)),
+                CEdge::new(0, 1, WEdge::new(0, 1, 2)),
+            ],
+            vec![1],
+        );
+        cg.relabel_ghosts(&KernelPolicy::default(), |c| c + 100);
+        assert_eq!(cg.resident(), &[0, 1]);
+        assert_eq!(cg.frozen(), &[1]);
+        assert_eq!(cg.edge(0), CEdge::new(0, 107, WEdge::new(0, 7, 1)));
+        assert_eq!(cg.edge(1), CEdge::new(0, 1, WEdge::new(0, 1, 2)));
+    }
+
+    #[test]
+    fn reduction_scratch_is_reused_not_regrown() {
+        let mut cg = CGraph::from_edge_list(&gen::gnm(60, 300, 17));
+        cg.relabel(|c| c / 4 * 4);
+        cg.remove_self_edges();
+        cg.remove_multi_edges();
+        let (table_cap, flags_cap) = (cg.table.capacity(), cg.flags.capacity());
+        cg.dedup_edges();
+        cg.remove_multi_edges();
+        assert_eq!(cg.table.capacity(), table_cap);
+        assert_eq!(cg.flags.capacity(), flags_cap);
     }
 }

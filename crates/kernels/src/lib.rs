@@ -31,6 +31,7 @@ pub mod contraction;
 pub mod dsu;
 pub mod filter;
 pub mod filter_kruskal;
+mod index_table;
 pub mod lockfree;
 pub mod msf;
 pub mod oracle;

@@ -77,51 +77,56 @@ fn precedes(a: u64, b: u64, orig_of: &impl Fn(u32) -> WEdge) -> bool {
     (orig_of(ra), ra) < (orig_of(rb), rb)
 }
 
-/// Resident-slot lookup for the lock-free sweeps. The sequential kernels
-/// binary-search `resident` per endpoint (~17 branchy probes at 10⁵
-/// components); holdings keep their resident ids nearly contiguous (level-0
-/// partitions are vertex ranges), so a direct-index table over the id range
-/// answers in O(1). Sparse id ranges fall back to the binary search.
-pub struct SlotLookup<'a> {
-    resident: &'a [CompId],
-    /// `(lowest id, table)`: `table[c - lowest]` is the slot of component
-    /// `c`, `u32::MAX` when `c` is not resident.
-    dense: Option<(CompId, Vec<u32>)>,
+/// The holding's id→slot resolver: answers "which resident slot is
+/// component `c`?" in O(1). Holdings keep their resident ids nearly
+/// contiguous (level-0 partitions are vertex ranges), so a direct-index
+/// table over the id range replaces the ~17 branchy probes a binary search
+/// pays per endpoint at 10⁵ components. Sparse id ranges (the few survivors
+/// of a deep merge) fall back to the binary search, which is then short.
+///
+/// Owned by [`crate::cgraph::CGraph`], which rebuilds it wherever the
+/// resident column changes; the table allocation is reused across
+/// rebuilds.
+#[derive(Clone, Debug, Default)]
+pub struct SlotLookup {
+    /// Lowest resident id — the base of `table`.
+    lo: CompId,
+    /// `table[c - lo]` is the slot of component `c`, `u32::MAX` when `c` is
+    /// not resident. Empty in sparse mode.
+    table: Vec<u32>,
 }
 
-impl<'a> SlotLookup<'a> {
-    /// Builds the lookup over a sorted resident column. Densifies when the
-    /// id range is within 4× of the resident count (with a floor so tiny
-    /// holdings always densify); beyond that the table would thrash cache
-    /// for no probe savings.
-    pub fn new(resident: &'a [CompId]) -> Self {
-        let dense = match (resident.first(), resident.last()) {
-            (Some(&lo), Some(&hi)) => {
-                let range = (hi - lo) as usize + 1;
-                if range <= resident.len().saturating_mul(4).max(1024) {
-                    let mut table = vec![u32::MAX; range];
-                    for (slot, &c) in resident.iter().enumerate() {
-                        table[(c - lo) as usize] = slot as u32;
-                    }
-                    Some((lo, table))
-                } else {
-                    None
-                }
-            }
-            _ => None,
+impl SlotLookup {
+    /// Rebuilds the lookup over a sorted resident column. Densifies when
+    /// the id range is within 4× of the resident count (with a floor so
+    /// tiny holdings always densify); beyond that the table would thrash
+    /// cache for no probe savings.
+    pub fn rebuild(&mut self, resident: &[CompId]) {
+        self.table.clear();
+        let (Some(&lo), Some(&hi)) = (resident.first(), resident.last()) else {
+            return;
         };
-        SlotLookup { resident, dense }
+        let range = (hi - lo) as usize + 1;
+        if range > resident.len().saturating_mul(4).max(1024) {
+            return;
+        }
+        self.lo = lo;
+        self.table.resize(range, u32::MAX);
+        for (slot, &c) in resident.iter().enumerate() {
+            self.table[(c - lo) as usize] = slot as u32;
+        }
     }
 
-    /// The resident slot of component `c`, if resident.
+    /// The slot of component `c` in `resident` (the column this lookup was
+    /// last rebuilt over), if resident.
     #[inline]
-    pub fn get(&self, c: CompId) -> Option<u32> {
-        match &self.dense {
-            Some((lo, table)) => match table.get(c.checked_sub(*lo)? as usize) {
-                Some(&slot) if slot != u32::MAX => Some(slot),
-                _ => None,
-            },
-            None => self.resident.binary_search(&c).ok().map(|i| i as u32),
+    pub fn get(&self, resident: &[CompId], c: CompId) -> Option<u32> {
+        if self.table.is_empty() {
+            return resident.binary_search(&c).ok().map(|i| i as u32);
+        }
+        match self.table.get(c.checked_sub(self.lo)? as usize) {
+            Some(&slot) if slot != u32::MAX => Some(slot),
+            _ => None,
         }
     }
 }
@@ -182,6 +187,7 @@ mod tests {
 
     #[test]
     fn slot_lookup_matches_binary_search() {
+        let mut lk = SlotLookup::default();
         for resident in [
             vec![],
             vec![5],
@@ -191,14 +197,16 @@ mod tests {
             // Sparse enough to force the binary-search fallback.
             vec![0, 1 << 20, 1 << 24, u32::MAX - 1],
         ] {
-            let lk = SlotLookup::new(&resident);
+            // One instance across all columns: rebuilds must not leak the
+            // previous column's table.
+            lk.rebuild(&resident);
             for probe in resident
                 .iter()
                 .copied()
                 .chain([0, 1, 6, 100, 1 << 21, u32::MAX])
             {
                 assert_eq!(
-                    lk.get(probe),
+                    lk.get(&resident, probe),
                     resident.binary_search(&probe).ok().map(|i| i as u32),
                     "probe {probe} in {:?}…",
                     &resident[..resident.len().min(6)]

@@ -8,11 +8,12 @@
 //! parallel inter-component edges correctly even across processor borders.
 //!
 //! All reductions run **in place** on the holding's SoA columns: removal
-//! compacts with a write cursor and ordering goes through the holding's
-//! reusable permutation scratch, so a reduce pass allocates nothing
-//! proportional to the edge count.
+//! compacts with a write cursor, multi-edge removal is one pass over the
+//! holding's reusable table of minimums, and canonical order is re-sorted
+//! only when a pass actually disturbed it.
 
 use crate::cgraph::{CGraph, CompId};
+use crate::index_table;
 use crate::policy::KernelPolicy;
 
 /// Summary of one reduction pass (reported to the cost model; the paper
@@ -36,9 +37,10 @@ pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
 }
 
 /// As [`reduce_holding`], under an explicit (typically calibrated)
-/// [`KernelPolicy`]: above the crossover the compactions evaluate their
-/// predicates over row chunks on rayon workers and the ordering passes use
-/// the parallel permutation sort. Oracle-identical for any chunking.
+/// [`KernelPolicy`]: above the crossover the self-edge compaction
+/// evaluates its predicate over row chunks on rayon workers and the
+/// canonical-order restore sorts in parallel. Oracle-identical for any
+/// chunking.
 pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStats {
     let before = cg.num_edges() as u64;
     cg.remove_self_edges_with(policy);
@@ -68,6 +70,11 @@ pub fn ghost_parent_message(msg: &mut Vec<(CompId, CompId)>) {
 /// matching an `old` id is renamed to `new`. Resident ids are left alone —
 /// renames of resident components were already committed by the local
 /// kernel; this call is specifically for ghost (non-resident) endpoints.
+///
+/// The pairs of **all** sending ranks go through one call: each rank
+/// renames only its own residents, so the pairs of different senders never
+/// chain or collide ([`ghost_parents_are_chain_free`]) and one sweep equals
+/// applying the senders one after another.
 pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
     apply_ghost_parents_with(cg, &KernelPolicy::default(), updates);
 }
@@ -83,16 +90,36 @@ pub fn apply_ghost_parents_with(
     if updates.is_empty() {
         return;
     }
-    let map: std::collections::HashMap<CompId, CompId> = updates.iter().copied().collect();
-    let resident: Vec<CompId> = cg.resident().to_vec();
-    let is_res = |c: CompId| resident.binary_search(&c).is_ok();
-    cg.relabel_with(policy, |c| {
-        if is_res(c) {
-            c
-        } else {
-            *map.get(&c).unwrap_or(&c)
-        }
+    // old id -> index of its pair; should a broken sender repeat an `old`,
+    // the last pair wins (what collecting into a map always did).
+    let slot_for = |slots: &[u32], old: CompId| {
+        index_table::probe(slots, old as u64, |i| updates[i as usize].0 == old)
+    };
+    let mut slots = Vec::new();
+    index_table::reset(&mut slots, updates.len());
+    for (i, &(old, _)) in updates.iter().enumerate() {
+        let pos = slot_for(&slots, old);
+        slots[pos] = i as u32;
+    }
+    cg.relabel_ghosts(policy, |c| match slots[slot_for(&slots, c)] {
+        index_table::EMPTY => c,
+        i => updates[i as usize].1,
     });
+}
+
+/// The protocol invariant that lets [`apply_ghost_parents`] take every
+/// sender's pairs in one sweep: no `old` id is renamed to two different
+/// `new` ids, and no `new` id is itself renamed (no chains). It holds
+/// because a rank renames only components resident on it, and a component
+/// is resident on exactly one rank.
+pub fn ghost_parents_are_chain_free(updates: &[(CompId, CompId)]) -> bool {
+    let mut sorted = updates.to_vec();
+    ghost_parent_message(&mut sorted);
+    let one_parent_each = sorted.windows(2).all(|w| w[0].0 != w[1].0);
+    let no_chains = sorted
+        .iter()
+        .all(|&(_, new)| sorted.binary_search_by_key(&new, |&(old, _)| old).is_err());
+    one_parent_each && no_chains
 }
 
 #[cfg(test)]
@@ -100,6 +127,7 @@ mod tests {
     use super::*;
     use crate::cgraph::CEdge;
     use mnd_graph::types::WEdge;
+    use proptest::prelude::*;
 
     #[test]
     fn reduce_removes_both_kinds() {
@@ -165,5 +193,77 @@ mod tests {
         let before = cg.clone();
         apply_ghost_parents(&mut cg, &[]);
         assert_eq!(cg, before);
+    }
+    #[test]
+    fn merged_sweep_ignores_a_stale_pair_naming_a_resident_id() {
+        // Pairs of two senders in one sweep. Sender B's (1, 9) is stale: 1
+        // is resident here, so it is ours to rename and nobody else's.
+        let mut cg = CGraph::from_parts(
+            vec![0, 1],
+            vec![
+                CEdge::new(0, 7, WEdge::new(0, 7, 1)),
+                CEdge::new(1, 12, WEdge::new(1, 12, 2)),
+                CEdge::new(0, 1, WEdge::new(0, 1, 3)),
+            ],
+            vec![1],
+        );
+        let (from_a, from_b) = (vec![(7, 5)], vec![(12, 10), (1, 9)]);
+        let merged: Vec<_> = from_a.iter().chain(&from_b).copied().collect();
+        apply_ghost_parents(&mut cg, &merged);
+        let ends: Vec<_> = cg.iter_edges().map(|e| (e.a, e.b)).collect();
+        assert_eq!(ends, vec![(0, 5), (1, 10), (0, 1)]);
+        assert_eq!(cg.resident(), &[0, 1]);
+        assert_eq!(cg.frozen(), &[1]);
+    }
+
+    #[test]
+    fn chain_free_check_catches_protocol_violations() {
+        assert!(ghost_parents_are_chain_free(&[]));
+        assert!(ghost_parents_are_chain_free(&[(7, 5), (8, 5), (12, 10)]));
+        // A repeated pair is harmless; two parents for one id are not.
+        assert!(ghost_parents_are_chain_free(&[(7, 5), (7, 5)]));
+        assert!(!ghost_parents_are_chain_free(&[(7, 5), (7, 6)]));
+        // 7 -> 5 -> 3 would need two sweeps.
+        assert!(!ghost_parents_are_chain_free(&[(7, 5), (5, 3)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One sweep over every sender's pairs equals applying the senders
+        /// one after another. Sender `s` owns ids `100·(s+1) ..` and renames
+        /// within them to its block's multiples of ten (never themselves
+        /// renamed), as a rank renames only its own residents.
+        #[test]
+        fn merged_ghost_sweep_equals_per_source_application(
+            rows in proptest::collection::vec((0u32..8, 0u32..400, 1u32..50), 0..200),
+            renames in proptest::collection::vec((0u32..3, 0u32..100), 0..60),
+        ) {
+            let edges = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(mine, ghost, w))| CEdge::new(mine, 100 + ghost, WEdge::new(i as u32, 1000 + ghost, w)))
+                .collect();
+            let cg = CGraph::from_parts((0..8).collect(), edges, vec![2]);
+            let mut per_source: Vec<Vec<(CompId, CompId)>> = vec![Vec::new(); 3];
+            for (s, k) in renames {
+                if k % 10 != 0 {
+                    let base = 100 * (s + 1);
+                    per_source[s as usize].push((base + k, base + k / 10 * 10));
+                }
+            }
+            let merged: Vec<(CompId, CompId)> = per_source.concat();
+            prop_assert!(ghost_parents_are_chain_free(&merged));
+
+            let mut one_by_one = cg.clone();
+            for pairs in &per_source {
+                apply_ghost_parents(&mut one_by_one, pairs);
+            }
+            let mut at_once = cg.clone();
+            apply_ghost_parents(&mut at_once, &merged);
+            prop_assert_eq!(&at_once, &one_by_one);
+            prop_assert_eq!(at_once.resident(), cg.resident());
+            prop_assert_eq!(at_once.frozen(), cg.frozen());
+        }
     }
 }

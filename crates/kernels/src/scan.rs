@@ -21,8 +21,8 @@ use std::sync::atomic::AtomicU64;
 use mnd_graph::types::WEdge;
 use rayon::prelude::*;
 
-use crate::cgraph::{CGraph, CompId};
-use crate::lockfree::{fetch_min_edge, pack, row_of, SlotLookup, NONE_KEY};
+use crate::cgraph::CGraph;
+use crate::lockfree::{fetch_min_edge, pack, row_of, NONE_KEY};
 use crate::policy::{KernelClass, KernelPolicy, ParVariant};
 
 /// Default row-chunk size for [`min_edge_scan`]: big enough that the
@@ -71,17 +71,15 @@ pub fn min_edge_scan_par(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
 /// As [`min_edge_scan_seq`], but with workers CAS-ing packed
 /// `(weight << 32) | row` words into one atomic slot per resident
 /// component — the lock-free plane. No per-chunk winner tables, no merge
-/// pass, and resident slots resolve through the dense [`SlotLookup`]
-/// instead of a per-endpoint binary search. Weight ties fall back to the
-/// full `(edge, row)` order, so the table is byte-identical to the
-/// sequential scan for any chunking and thread count.
+/// pass. Weight ties fall back to the full `(edge, row)` order, so the
+/// table is byte-identical to the sequential scan for any chunking and
+/// thread count.
 pub fn min_edge_scan_lockfree(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
     assert!(chunk_rows > 0, "chunk_rows must be positive");
     let m = cg.num_edges();
     let best: Vec<AtomicU64> = (0..cg.num_resident())
         .map(|_| AtomicU64::new(NONE_KEY))
         .collect();
-    let lookup = SlotLookup::new(cg.resident());
     let (ca, cb) = cg.endpoint_cols();
     let orig = cg.orig_col();
     let orig_of = |row: u32| orig[row as usize];
@@ -96,7 +94,7 @@ pub fn min_edge_scan_lockfree(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>
             }
             let key = pack(orig[row].w, row as u32);
             for c in [ca[row], cb[row]] {
-                if let Some(slot) = lookup.get(c) {
+                if let Some(slot) = cg.slot_of(c) {
                     fetch_min_edge(&best[slot as usize], key, &orig_of);
                 }
             }
@@ -131,18 +129,18 @@ pub fn min_edge_scan_with(cg: &CGraph, policy: &KernelPolicy) -> Vec<Option<u32>
 }
 
 /// Elects over rows `lo..hi` into `best` (one slot per resident index).
+/// Endpoints resolve through the holding's resolver ([`CGraph::slot_of`]),
+/// the same lookup the lock-free scan uses.
 fn scan_rows(cg: &CGraph, lo: usize, hi: usize, best: &mut [Option<u32>]) {
-    let resident = cg.resident();
     let (ca, cb) = cg.endpoint_cols();
     let orig = cg.orig_col();
-    let index_of = |c: CompId| resident.binary_search(&c).ok();
     for row in lo..hi {
         if ca[row] == cb[row] {
             continue;
         }
         for c in [ca[row], cb[row]] {
-            if let Some(i) = index_of(c) {
-                take_if_lighter(&mut best[i], row as u32, orig);
+            if let Some(slot) = cg.slot_of(c) {
+                take_if_lighter(&mut best[slot as usize], row as u32, orig);
             }
         }
     }

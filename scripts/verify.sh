@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, then the tier-1 suite
-# (ROADMAP.md: `cargo build --release && cargo test -q`), and — in full
-# mode — the bench smoke, the chaos/resilience recovery grids, the
+# (ROADMAP.md: `cargo build --release && cargo test -q`) and the repo
+# benchmark's own self-tests + smoke walk (benchmark/ is a package of its
+# own that builds against the crates' public API: an API break must fail
+# here, not in the acceptance pipeline), and — in full mode — the bench
+# smoke, the chaos/resilience recovery grids, the
 # checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  lints + debug tests only: skips the release build, the
-#            criterion smoke, the chaos and resilience sweeps, the
-#            repro sweeps (checkpoint, serve, comm, emst), and the
-#            perf snapshot. This is the PR gate in CI; the full run
-#            gates pushes to main.
+#   --quick  lints + debug tests + benchmark self-tests only: skips the
+#            release build, the criterion smoke, the chaos and
+#            resilience sweeps, the repro sweeps (checkpoint, serve,
+#            comm, emst), and the perf snapshot. This is the PR gate in
+#            CI; the full run gates pushes to main.
 #
 # Shellcheck-clean: CI lints this file (and every script here) with
 # shellcheck on each PR.
@@ -24,7 +27,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -47,6 +50,10 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- smoke
 
 if [[ "$QUICK" -eq 1 ]]; then
   echo "verify: OK (quick: skipped release build, bench smoke, chaos/resilience sweeps, repro sweeps, perf snapshot)"
