@@ -26,11 +26,17 @@
 //!   replay-log epochs, mid-phase crash arming, fast-forward resume — is
 //!   the driver's business.
 //!
+//! * [`election`]: the dense per-round candidate table the two round-loop
+//!   engines (`bsp`, `spmsf`) min-reduce into — slot columns allocated
+//!   once per run and reset through each round's touched list.
+//!
 //! The invariant carried over from the per-engine copies: *recovery never
 //! perturbs the logical fabric accounting*. Suppressed re-sends and
 //! replayed receives are tracked separately (`RankStats::replayed_*`), so
 //! a recovered run's `bytes_sent`/`messages_sent`/`bytes_received`/
 //! `messages_received` byte-match the fault-free run.
+
+pub mod election;
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;

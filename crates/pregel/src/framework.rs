@@ -1,5 +1,5 @@
-//! BSP execution helpers: superstep message exchange with combining, and
-//! run statistics.
+//! BSP execution helpers: the engine's configuration, the superstep message
+//! exchange, and run statistics.
 
 use mnd_net::Comm;
 
@@ -118,22 +118,6 @@ pub fn superstep_exchange<T: mnd_net::Wire + Clone>(
     inbound
 }
 
-/// Combines `(key, value)` messages sharing a key with `merge` — the
-/// Pregel combiner, applied at the sending worker.
-pub fn combine_messages<K: std::hash::Hash + Eq + Copy, V: Copy>(
-    msgs: Vec<(K, V)>,
-    merge: impl Fn(V, V) -> V,
-) -> Vec<(K, V)> {
-    let mut best: std::collections::HashMap<K, V> =
-        std::collections::HashMap::with_capacity(msgs.len());
-    for (k, v) in msgs {
-        best.entry(k)
-            .and_modify(|cur| *cur = merge(*cur, v))
-            .or_insert(v);
-    }
-    best.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,19 +140,5 @@ mod tests {
                 assert_eq!(b, &vec![src as u32 * 10 + me as u32]);
             }
         }
-    }
-
-    #[test]
-    fn combiner_merges_same_key() {
-        let msgs = vec![(1u32, 5u32), (2, 9), (1, 3), (1, 7)];
-        let mut out = combine_messages(msgs, u32::min);
-        out.sort_unstable();
-        assert_eq!(out, vec![(1, 3), (2, 9)]);
-    }
-
-    #[test]
-    fn combiner_empty() {
-        let out = combine_messages(Vec::<(u32, u32)>::new(), u32::min);
-        assert!(out.is_empty());
     }
 }

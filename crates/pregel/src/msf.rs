@@ -10,22 +10,32 @@
 //! [`crate::chaos`]). Everything else in the worker (partition maps,
 //! the CSR graph) is immutable and rebuilt deterministically on
 //! re-execution.
+//!
+//! A round's working sets are keyed by vertex ids, which already are dense
+//! array indexes, so they are flat columns allocated once per run: the
+//! sender-side combiner (an [`Election`] whose slot is the destination
+//! root's id), the roots' `elected` table (slot = `idx(root)`, the entry's
+//! mark dropping a mutual pair's duplicate edge) and an `n`-sized
+//! `new_super` column (the round's relabel updates, read once per live
+//! adjacency entry). A round resets exactly what it wrote — the tables
+//! through their first-touch lists, `new_super` through the update messages
+//! it was written from — so every column is all-[`NONE`] at each round top.
+//! None of it is checkpointed, and none of it is live across a recovery
+//! boundary inside the pointer-jumping loop.
 
 use std::sync::Arc;
 
 use mnd_device::NodePlatform;
+use mnd_engine::election::{Election, NONE};
+use mnd_engine::{run_recoverable, Recoverable, Recovery};
 use mnd_graph::partition::{owner_of, partition_1d};
 use mnd_graph::types::{VertexId, WEdge};
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_kernels::msf::MsfResult;
 use mnd_net::{Cluster, Comm, RankStats, Wire};
 
-use mnd_engine::{run_recoverable, Recoverable, Recovery};
-
 use crate::chaos::BspChaos;
-use crate::framework::{
-    combine_messages, superstep_exchange, BspConfig, BspPartitioning, BspStats,
-};
+use crate::framework::{superstep_exchange, BspConfig, BspPartitioning, BspStats};
 
 /// Outcome of a BSP MSF run — mirrors `MndMstReport` so benches can print
 /// both side by side.
@@ -42,6 +52,8 @@ pub struct PregelReport {
     pub supersteps: u64,
     /// Boruvka rounds.
     pub rounds: u64,
+    /// Logical messages sent (after combining), summed over workers.
+    pub messages: u64,
     /// Supersteps re-executed at recovery cost after injected crashes,
     /// summed over workers (0 on fault-free runs).
     pub recovered_supersteps: u64,
@@ -72,8 +84,13 @@ impl Wire for AdjEntry {
 struct MsfState {
     /// Supervertex (root) of each owned vertex.
     parent: Vec<VertexId>,
-    /// Live adjacency of each owned vertex (pruned as components merge).
-    adj: Vec<Vec<AdjEntry>>,
+    /// Live adjacency of all owned vertices in one arena, vertex by vertex
+    /// (compacted in place as components merge).
+    adj: Vec<AdjEntry>,
+    /// Vertex `i`'s entries are `adj[adj_start[i]..adj_start[i + 1]]`.
+    /// Derivable from the per-vertex degrees a serialised adjacency carries
+    /// anyway, so not part of the checkpoint's `Wire` size.
+    adj_start: Vec<u32>,
     /// MSF edges this worker has settled so far.
     msf_local: Vec<WEdge>,
     /// Parents as of the last adjacency broadcast: only vertices whose
@@ -92,6 +109,13 @@ impl Wire for MsfState {
             + self.msf_local.wire_bytes()
             + self.broadcast_parent.wire_bytes()
             + 4 * 8 // the BspStats counters
+    }
+}
+
+impl MsfState {
+    /// Live adjacency of owned vertex `ui`.
+    fn adj_of(&self, ui: usize) -> &[AdjEntry] {
+        &self.adj[self.adj_start[ui] as usize..self.adj_start[ui + 1] as usize]
     }
 }
 
@@ -128,8 +152,12 @@ pub fn pregel_msf_chaos(
     chaos: &BspChaos,
 ) -> PregelReport {
     assert!(nranks >= 1);
-    let csr = Arc::new(CsrGraph::from_edge_list(el));
     let n = el.num_vertices();
+    assert!(
+        n < NONE,
+        "bsp: {n} vertices, but ids and slots must stay below the u32::MAX sentinel"
+    );
+    let csr = Arc::new(CsrGraph::from_edge_list(el));
     let network = platform.network.scaled(cfg.sim_scale);
     let cluster = Cluster::new(nranks, network).with_fault_hook(chaos.faults.clone());
 
@@ -148,6 +176,7 @@ pub fn pregel_msf_chaos(
     let mut msf = None;
     let mut supersteps = 0;
     let mut rounds = 0;
+    let mut messages = 0;
     let mut recovered_supersteps = 0;
     let mut rank_stats = Vec::new();
     for o in &outcomes {
@@ -157,6 +186,7 @@ pub fn pregel_msf_chaos(
         }
         supersteps = supersteps.max(stats.supersteps);
         rounds = rounds.max(stats.rounds);
+        messages += stats.messages;
         recovered_supersteps += stats.recovered_supersteps;
         rank_stats.push(o.stats.clone());
     }
@@ -167,6 +197,7 @@ pub fn pregel_msf_chaos(
         comm_time,
         supersteps,
         rounds,
+        messages,
         recovered_supersteps,
         rank_stats,
     }
@@ -195,61 +226,86 @@ fn worker_main(
     } else {
         partition_1d(csr, p, 0.0)
     };
+    let (p32, me32) = (p as VertexId, me as VertexId);
     let owner = |v: VertexId| -> usize {
         if hash_mode {
-            v as usize % p
+            (v % p32) as usize
         } else {
             owner_of(&ranges, v)
         }
     };
     // Owned vertices in ascending order; `idx` inverts the enumeration.
     let mine: Vec<VertexId> = if hash_mode {
-        ((me as VertexId)..csr.num_vertices()).step_by(p).collect()
+        (me32..csr.num_vertices()).step_by(p).collect()
     } else {
         ranges[me].iter().collect()
     };
     let count = mine.len();
     let first = mine.first().copied().unwrap_or(0);
-    let idx = move |v: VertexId| -> usize {
-        if hash_mode {
-            (v as usize - me) / p
+    let idx = |v: VertexId| -> usize {
+        // `mine[i] == v`, decided without the load.
+        let (i, owned) = if hash_mode {
+            (v / p32, v % p32 == me32)
         } else {
-            (v - first) as usize
-        }
+            (v.wrapping_sub(first), true)
+        };
+        assert!(
+            owned && (i as usize) < count,
+            "bsp worker {me}: vertex {v} was routed here but belongs to worker {}",
+            owner(v)
+        );
+        i as usize
     };
+    let arcs: u64 = mine.iter().map(|&u| csr.degree(u)).sum();
+    assert!(
+        arcs < NONE as u64,
+        "bsp worker {me}: {arcs} arcs, but adjacency offsets are u32"
+    );
     let mut st = MsfState {
         parent: mine.clone(),
-        adj: mine
-            .iter()
-            .map(|&u| {
-                csr.neighbors(u)
-                    .map(|(v, w)| AdjEntry {
-                        target_vertex: v,
-                        target_super: v,
-                        orig: WEdge::new(u, v, w),
-                    })
-                    .collect()
-            })
-            .collect(),
+        adj: Vec::with_capacity(arcs as usize),
+        adj_start: Vec::with_capacity(count + 1),
         msf_local: Vec::new(),
         broadcast_parent: mine.clone(),
         stats: BspStats::default(),
     };
-    charge(comm, st.adj.iter().map(|a| a.len() as u64).sum());
+    st.adj_start.push(0);
+    for &u in &mine {
+        st.adj.extend(csr.neighbors(u).map(|(v, w)| AdjEntry {
+            target_vertex: v,
+            target_super: v,
+            orig: WEdge::new(u, v, w),
+        }));
+        st.adj_start.push(st.adj.len() as u32);
+    }
+    charge(comm, arcs);
+
+    // The round scratch (see the module docs for the reset discipline).
+    let mut combiner = Election::new(if cfg.combine { n as usize } else { 0 });
+    let mut elected = Election::new(count);
+    let mut new_super: Vec<VertexId> = vec![NONE; n as usize];
 
     loop {
         // Recovery point between Boruvka rounds (no-op unless chaos is
         // armed and the checkpoint interval has elapsed).
         let ss = st.stats.supersteps;
         rp.boundary(&mut st, ss);
+        debug_assert!(
+            combiner.is_clear() && elected.is_clear() && new_super.iter().all(|&x| x == NONE),
+            "round scratch must be back to NONE at every round top"
+        );
 
         // ---- S1: candidate election --------------------------------------
-        let mut cand_msgs: Vec<(VertexId, (WEdge, VertexId))> = Vec::new();
+        // Each vertex proposes its lightest outgoing edge to its root; with
+        // the Pregel combiner on, the sender min-reduces per root first.
+        let mut buckets: Vec<Vec<(VertexId, WEdge, VertexId)>> =
+            (0..p).map(|_| Vec::new()).collect();
         let mut scanned = 0u64;
+        let mut my_candidates = 0u64;
         for ui in 0..count {
             let pu = st.parent[ui];
             let mut best: Option<(WEdge, VertexId)> = None;
-            for e in &st.adj[ui] {
+            for e in st.adj_of(ui) {
                 scanned += 1;
                 if e.target_super == pu {
                     continue;
@@ -259,81 +315,67 @@ fn worker_main(
                     _ => best = Some((e.orig, e.target_super)),
                 }
             }
-            if let Some(b) = best {
-                cand_msgs.push((pu, b));
+            if let Some((e, other)) = best {
+                my_candidates += 1;
+                if cfg.combine {
+                    combiner.offer(pu as usize, pu, e, other);
+                } else {
+                    buckets[owner(pu)].push((pu, e, other));
+                }
             }
         }
         charge(comm, scanned);
-        let my_candidates = cand_msgs.len() as u64;
         let total_candidates = comm.allreduce_u64(my_candidates, |a, b| a + b);
         if total_candidates == 0 {
             break;
         }
         st.stats.rounds += 1;
-        if cfg.combine {
-            cand_msgs = combine_messages(cand_msgs, |a, b| if a.0 <= b.0 { a } else { b });
+        for c in combiner.entries() {
+            buckets[owner(c.comp)].push((c.comp, c.edge, c.target));
         }
-        let mut buckets: Vec<Vec<(VertexId, WEdge, VertexId)>> =
-            (0..p).map(|_| Vec::new()).collect();
-        for (dest, (e, other)) in cand_msgs {
-            buckets[owner(dest)].push((dest, e, other));
-        }
+        combiner.clear();
         let inbound = superstep_exchange(comm, buckets, &mut st.stats, cfg);
 
         // Roots pick the component minimum.
-        let mut best_at: std::collections::HashMap<VertexId, (WEdge, VertexId)> =
-            std::collections::HashMap::new();
         let mut inbound_count = 0u64;
-        for b in inbound {
-            for (dest, e, other) in b {
-                inbound_count += 1;
-                debug_assert_eq!(owner(dest), me);
-                best_at
-                    .entry(dest)
-                    .and_modify(|cur| {
-                        if e < cur.0 {
-                            *cur = (e, other);
-                        }
-                    })
-                    .or_insert((e, other));
-            }
+        for (dest, e, other) in inbound.into_iter().flatten() {
+            inbound_count += 1;
+            elected.offer(idx(dest), dest, e, other);
         }
         charge(comm, inbound_count);
 
         // ---- S2: merge proposals ----------------------------------------
-        // pending[s] = (chosen edge, chosen target supervertex)
-        let mut pending: std::collections::HashMap<VertexId, (WEdge, VertexId)> =
-            std::collections::HashMap::new();
         let mut buckets: Vec<Vec<(VertexId, VertexId, WEdge)>> =
             (0..p).map(|_| Vec::new()).collect();
-        for (&s, &(e, t)) in &best_at {
-            debug_assert_eq!(st.parent[idx(s)], s, "candidates are addressed to roots");
-            pending.insert(s, (e, t));
-            st.parent[idx(s)] = t; // tentative link; mutual pairs fixed below
-            buckets[owner(t)].push((t, s, e));
+        for c in elected.entries() {
+            let (s, t) = (c.comp, c.target);
+            debug_assert_eq!(st.parent[c.at()], s, "candidates are addressed to roots");
+            st.parent[c.at()] = t; // tentative link; mutual pairs fixed below
+            buckets[owner(t)].push((t, s, c.edge));
         }
         let inbound = superstep_exchange(comm, buckets, &mut st.stats, cfg);
 
         // ---- S3: conjoined-tree resolution --------------------------------
         let mut proposals = 0u64;
-        for b in inbound {
-            for (t, s, e) in b {
-                proposals += 1;
-                if let Some(&(my_e, my_t)) = pending.get(&t) {
-                    if my_t == s && my_e == e {
-                        // Mutual: smaller id stays root and keeps the edge;
-                        // larger id drops its duplicate.
-                        if t < s {
-                            st.parent[idx(t)] = t;
-                        } else {
-                            pending.remove(&t);
-                        }
+        for (t, s, e) in inbound.into_iter().flatten() {
+            proposals += 1;
+            let ti = idx(t);
+            if let Some(c) = elected.get_mut(ti) {
+                if c.target == s && c.edge == e {
+                    // Mutual: smaller id stays root and keeps the edge;
+                    // larger id drops its duplicate.
+                    if t < s {
+                        st.parent[ti] = t;
+                    } else {
+                        c.mark = true;
                     }
                 }
             }
         }
         charge(comm, proposals);
-        st.msf_local.extend(pending.values().map(|&(e, _)| e));
+        st.msf_local
+            .extend(elected.entries().iter().filter(|c| !c.mark).map(|c| c.edge));
+        elected.clear();
 
         // ---- S4: pointer jumping ------------------------------------------
         loop {
@@ -344,8 +386,7 @@ fn worker_main(
 
             let mut buckets: Vec<Vec<(VertexId, VertexId)>> = (0..p).map(|_| Vec::new()).collect();
             let mut asked = 0u64;
-            for (ui, &u) in mine.iter().enumerate().take(count) {
-                let pu = st.parent[ui];
+            for (&u, &pu) in mine.iter().zip(&st.parent) {
                 if pu != u {
                     buckets[owner(pu)].push((pu, u));
                     asked += 1;
@@ -355,22 +396,18 @@ fn worker_main(
             let queries = superstep_exchange(comm, buckets, &mut st.stats, cfg);
             let mut buckets: Vec<Vec<(VertexId, VertexId)>> = (0..p).map(|_| Vec::new()).collect();
             let mut served = 0u64;
-            for b in queries {
-                for (dest_parent, asker) in b {
-                    served += 1;
-                    buckets[owner(asker)].push((asker, st.parent[idx(dest_parent)]));
-                }
+            for (dest_parent, asker) in queries.into_iter().flatten() {
+                served += 1;
+                buckets[owner(asker)].push((asker, st.parent[idx(dest_parent)]));
             }
             charge(comm, served);
             let replies = superstep_exchange(comm, buckets, &mut st.stats, cfg);
             let mut changed = 0u64;
-            for b in replies {
-                for (asker, gp) in b {
-                    let ui = idx(asker);
-                    if st.parent[ui] != gp {
-                        st.parent[ui] = gp;
-                        changed = 1;
-                    }
+            for (asker, gp) in replies.into_iter().flatten() {
+                let ui = idx(asker);
+                if st.parent[ui] != gp {
+                    st.parent[ui] = gp;
+                    changed = 1;
                 }
             }
             if comm.allreduce_u64(changed, u64::max) == 0 {
@@ -384,62 +421,65 @@ fn worker_main(
         // Pregel+ design, and the dominant BSP traffic.
         let mut update_msgs = 0u64;
         let mut buckets: Vec<Vec<(VertexId, VertexId)>> = (0..p).map(|_| Vec::new()).collect();
-        for (ui, &u) in mine.iter().enumerate().take(count) {
-            if st.adj[ui].is_empty() || st.parent[ui] == st.broadcast_parent[ui] {
+        for (ui, &u) in mine.iter().enumerate() {
+            let live = st.adj_of(ui);
+            if live.is_empty() || st.parent[ui] == st.broadcast_parent[ui] {
                 continue;
             }
-            st.broadcast_parent[ui] = st.parent[ui];
+            let pu = st.parent[ui];
             let mirrored = cfg
                 .mirror_threshold
-                .map(|t| st.adj[ui].len() as u64 >= t)
+                .map(|t| live.len() as u64 >= t)
                 .unwrap_or(false);
             if mirrored {
-                let mut dests: Vec<usize> =
-                    st.adj[ui].iter().map(|e| owner(e.target_vertex)).collect();
+                let mut dests: Vec<usize> = live.iter().map(|e| owner(e.target_vertex)).collect();
                 dests.sort_unstable();
                 dests.dedup();
                 for d in dests {
-                    buckets[d].push((u, st.parent[ui]));
+                    buckets[d].push((u, pu));
                     update_msgs += 1;
                 }
             } else {
-                for e in &st.adj[ui] {
-                    buckets[owner(e.target_vertex)].push((u, st.parent[ui]));
+                for e in live {
+                    buckets[owner(e.target_vertex)].push((u, pu));
                     update_msgs += 1;
                 }
             }
+            st.broadcast_parent[ui] = pu;
         }
         let inbound = superstep_exchange(comm, buckets, &mut st.stats, cfg);
         charge(comm, update_msgs);
-        // Apply updates with one relabel sweep over the live adjacency.
-        // (Indexing entries by position would go stale across the per-round
-        // pruning below; a keyed map cannot.)
-        let mut new_super: std::collections::HashMap<VertexId, VertexId> =
-            std::collections::HashMap::new();
-        for b in inbound {
-            for (src, ns) in b {
-                new_super.insert(src, ns);
-            }
+        // Apply the updates and prune the edges they made internal
+        // (symmetric on both endpoints' workers) in one sweep over the live
+        // adjacency; the model still charges a relabel and a prune pass.
+        for &(src, ns) in inbound.iter().flatten() {
+            new_super[src as usize] = ns;
         }
-        let mut applied = 0u64;
-        for a in st.adj.iter_mut() {
-            for e in a.iter_mut() {
-                applied += 1;
-                if let Some(&ns) = new_super.get(&e.target_vertex) {
+        let live = st.adj.len() as u64;
+        let (mut read, mut write) = (0usize, 0usize);
+        for (ui, &pu) in st.parent.iter().enumerate() {
+            let end = st.adj_start[ui + 1] as usize;
+            st.adj_start[ui] = write as u32;
+            while read < end {
+                let mut e = st.adj[read];
+                read += 1;
+                let ns = new_super[e.target_vertex as usize];
+                if ns != NONE {
                     e.target_super = ns;
+                }
+                if e.target_super != pu {
+                    st.adj[write] = e;
+                    write += 1;
                 }
             }
         }
-        charge(comm, applied);
-
-        // Prune internal edges (symmetric on both endpoints' workers).
-        let mut pruned_scan = 0u64;
-        for ui in 0..count {
-            let pu = st.parent[ui];
-            pruned_scan += st.adj[ui].len() as u64;
-            st.adj[ui].retain(|e| e.target_super != pu);
+        st.adj_start[count] = write as u32;
+        st.adj.truncate(write);
+        for &(src, _) in inbound.iter().flatten() {
+            new_super[src as usize] = NONE;
         }
-        charge(comm, pruned_scan);
+        charge(comm, live);
+        charge(comm, live);
     }
 
     // Gather the forest at worker 0.
@@ -507,6 +547,19 @@ mod tests {
             &BspConfig::default(),
         );
         assert!(r.msf.edges.is_empty());
+    }
+
+    /// The sentinel limit is an error at engine entry (before anything
+    /// `O(V)` is allocated), not a wrap-around inside a round.
+    #[test]
+    #[should_panic(expected = "must stay below the u32::MAX sentinel")]
+    fn refuses_a_vertex_count_that_reaches_the_sentinel() {
+        pregel_msf(
+            &EdgeList::new(u32::MAX),
+            2,
+            &NodePlatform::amd_cluster(),
+            &BspConfig::default(),
+        );
     }
 
     #[test]

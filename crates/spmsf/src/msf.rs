@@ -4,14 +4,28 @@
 //! The worker's mutable state lives in [`SpmsfState`] so a chaos-armed run
 //! can checkpoint it at collective-step boundaries and roll back after an
 //! injected mid-step crash. The partition map and CSR graph are immutable
-//! and rebuilt deterministically on re-execution; the per-round hook
-//! pointers are transient between boundaries and re-derived by the replay.
+//! and rebuilt deterministically on re-execution.
+//!
+//! Everything a round works in besides that state is keyed by component
+//! ids, which already are dense array indexes, so it lives in flat columns
+//! allocated once per run: two [`Election`] tables (`local`, slot = the
+//! component id, min-reduced by the SpMV; `best`, slot = offset into the
+//! rank's own range, min-reduced from the routed candidates), a `parent`
+//! column over the own range (the hook pointers) and an `n`-sized `root_of`
+//! column (the round's relabel map). A round resets exactly what it wrote —
+//! the tables through their first-touch lists, `parent` through `best`'s
+//! list, `root_of` through the allgathered pairs it was written from — so
+//! every column is all-[`NONE`] at each round top and a late round with ten
+//! components costs ten resets. None of it is checkpointed: between the
+//! boundaries inside the compress loop `best` and `parent` are live, and a
+//! rollback re-derives them by replaying the round from the top, exactly
+//! as it re-derives the partition map.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mnd_device::NodePlatform;
+use mnd_engine::election::{Election, NONE};
 use mnd_engine::{run_recoverable, EngineChaos, Recoverable, Recovery};
 use mnd_graph::partition::{owner_of, partition_1d};
 use mnd_graph::types::{VertexId, WEdge, Weight};
@@ -211,8 +225,12 @@ pub fn spmsf_msf_chaos(
     chaos: &EngineChaos,
 ) -> SpmsfReport {
     assert!(nranks >= 1);
-    let csr = Arc::new(CsrGraph::from_edge_list(el));
     let n = el.num_vertices();
+    assert!(
+        n < NONE,
+        "spmsf: {n} vertices, but ids and slots must stay below the u32::MAX sentinel"
+    );
+    let csr = Arc::new(CsrGraph::from_edge_list(el));
     let network = platform.network.scaled(cfg.sim_scale);
     let cluster = Cluster::new(nranks, network).with_fault_hook(chaos.faults.clone());
 
@@ -285,6 +303,16 @@ fn worker_main(
     };
 
     let ranges = partition_1d(csr, p, 0.0);
+    let own = ranges[me];
+    // Slot of an owned component in the owner-side columns.
+    let own_at = |c: VertexId| -> usize {
+        assert!(
+            own.contains(c),
+            "spmsf rank {me}: component {c} was routed here but belongs to rank {}",
+            owner_of(&ranges, c)
+        );
+        (c - own.start) as usize
+    };
     let mut st = SpmsfState {
         comp: (0..n).collect(),
         rows: ranges[me]
@@ -301,34 +329,34 @@ fn worker_main(
     };
     charge(comm, st.rows.len() as u64);
 
+    // The round scratch (see the module docs for the reset discipline).
+    let mut local = Election::new(n as usize);
+    let mut best = Election::new(own.len() as usize);
+    let mut parent: Vec<VertexId> = vec![NONE; own.len() as usize];
+    let mut root_of: Vec<VertexId> = vec![NONE; n as usize];
+
     loop {
         let progress = st.stats.steps;
         rp.boundary(&mut st, progress);
+        debug_assert!(
+            local.is_clear()
+                && best.is_clear()
+                && parent.iter().chain(&root_of).all(|&x| x == NONE),
+            "round scratch must be back to NONE at every round top"
+        );
 
         // (1) Min-plus SpMV over the row block: per source component, the
         // minimum outgoing edge under the strict (w, u, v) order.
-        let mut local_best: HashMap<VertexId, (WEdge, VertexId)> = HashMap::new();
         for &(u, v, w) in &st.rows {
             let (cu, cv) = (st.comp[u as usize], st.comp[v as usize]);
-            if cu == cv {
-                continue;
-            }
-            let e = WEdge::new(u, v, w);
-            match local_best.entry(cu) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    if e < o.get().0 {
-                        o.insert((e, cv));
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((e, cv));
-                }
+            if cu != cv {
+                local.offer(cu as usize, cu, WEdge::new(u, v, w), cv);
             }
         }
         charge(comm, st.rows.len() as u64);
 
         // Fixpoint: no component anywhere has an outgoing edge.
-        if comm.allreduce_u64(local_best.len() as u64, |a, b| a + b) == 0 {
+        if comm.allreduce_u64(local.entries().len() as u64, |a, b| a + b) == 0 {
             break;
         }
         st.stats.rounds += 1;
@@ -336,61 +364,43 @@ fn worker_main(
         // (2) Route candidates to the owner of their source component,
         // which min-reduces to the global elected edge.
         let mut buckets: Vec<Vec<(VertexId, WEdge, VertexId)>> = vec![Vec::new(); p];
-        for (c, (e, t)) in local_best {
-            buckets[owner_of(&ranges, c)].push((c, e, t));
+        for c in local.entries() {
+            buckets[owner_of(&ranges, c.comp)].push((c.comp, c.edge, c.target));
         }
+        local.clear();
         let inbound = exchange(comm, buckets, &mut st.stats);
-        let mut best: HashMap<VertexId, (WEdge, VertexId)> = HashMap::new();
         let mut incoming = 0u64;
-        for msgs in inbound {
-            for (c, e, t) in msgs {
-                incoming += 1;
-                match best.entry(c) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        if e < o.get().0 {
-                            o.insert((e, t));
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert((e, t));
-                    }
-                }
-            }
+        for (c, e, t) in inbound.into_iter().flatten() {
+            incoming += 1;
+            best.offer(own_at(c), c, e, t);
         }
         charge(comm, incoming);
 
         // (3) Hook. Probes `(t, c)` tell owner(t) that component c elected
-        // an edge into t; a mutual pair elected the *same* cut edge (both
-        // are the minimum of the c–t cut under a total order), so the
-        // smaller id becomes the pair's root and keeps the edge once.
+        // an edge into t; if t elected one into c as well, the pair elected
+        // the *same* cut edge (both are the minimum of the c–t cut under a
+        // total order), so the smaller id becomes the pair's root and keeps
+        // the edge once.
         let mut probes: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p];
-        for (&c, &(_, t)) in &best {
-            probes[owner_of(&ranges, t)].push((t, c));
+        for b in best.entries() {
+            probes[owner_of(&ranges, b.target)].push((b.target, b.comp));
         }
         let inbound = exchange(comm, probes, &mut st.stats);
-        let mut pointers: HashSet<(VertexId, VertexId)> = HashSet::new();
-        for msgs in inbound {
-            for (t, c) in msgs {
-                pointers.insert((t, c));
+        for (t, c) in inbound.into_iter().flatten() {
+            if let Some(b) = best.get_mut(own_at(t)) {
+                b.mark |= b.target == c;
             }
         }
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
-        for (&c, &(e, t)) in &best {
-            let mutual = pointers.contains(&(c, t));
-            if mutual && c > t {
-                // The partner keeps the shared edge; c just hooks.
-                parent.insert(c, t);
-            } else {
-                if mutual {
-                    // c < t: c is the pair's root.
-                    parent.insert(c, c);
-                } else {
-                    parent.insert(c, t);
-                }
-                st.msf_local.push(e);
+        for b in best.entries() {
+            let (c, t) = (b.comp, b.target);
+            // A mutual pair's larger id just hooks: the partner (its root)
+            // keeps the shared edge.
+            parent[b.at()] = if b.mark && c < t { c } else { t };
+            if !(b.mark && c > t) {
+                st.msf_local.push(b.edge);
             }
         }
-        charge(comm, best.len() as u64);
+        charge(comm, best.entries().len() as u64);
 
         // (4) Compress: distributed pointer jumping. The hook forest is
         // acyclic (mutual pairs were broken), so pointer depth halves per
@@ -399,31 +409,34 @@ fn worker_main(
             let progress = st.stats.steps;
             rp.boundary(&mut st, progress);
             let mut queries: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p];
-            for (&c, &t) in &parent {
-                if t != c {
-                    queries[owner_of(&ranges, t)].push((t, c));
+            for b in best.entries() {
+                let t = parent[b.at()];
+                if t != b.comp {
+                    queries[owner_of(&ranges, t)].push((t, b.comp));
                 }
             }
             let pending: u64 = queries.iter().map(|q| q.len() as u64).sum();
             let inbound = exchange(comm, queries, &mut st.stats);
             let mut replies: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p];
-            for msgs in inbound {
-                for (t, c) in msgs {
-                    // Components absent from `parent` elected nothing:
-                    // they are roots.
-                    let gp = parent.get(&t).copied().unwrap_or(t);
-                    replies[owner_of(&ranges, c)].push((c, gp));
-                }
+            for (t, c) in inbound.into_iter().flatten() {
+                // Components that elected nothing are roots.
+                let gp = match parent[own_at(t)] {
+                    NONE => t,
+                    gp => gp,
+                };
+                replies[owner_of(&ranges, c)].push((c, gp));
             }
             let back = exchange(comm, replies, &mut st.stats);
             let mut changed = 0u64;
-            for msgs in back {
-                for (c, gp) in msgs {
-                    let cur = parent.get_mut(&c).expect("reply for unknown component");
-                    if *cur != gp {
-                        *cur = gp;
-                        changed += 1;
-                    }
+            for (c, gp) in back.into_iter().flatten() {
+                let cur = &mut parent[own_at(c)];
+                assert!(
+                    *cur != NONE,
+                    "spmsf rank {me}: jump reply for component {c}, which sent no query"
+                );
+                if *cur != gp {
+                    *cur = gp;
+                    changed += 1;
                 }
             }
             charge(comm, pending);
@@ -439,21 +452,23 @@ fn worker_main(
         if comm.replay_live() {
             st.stats.recovered_steps += 1;
         }
-        let moved: Vec<(VertexId, VertexId)> = parent
-            .iter()
-            .filter(|&(c, t)| c != t)
-            .map(|(&c, &t)| (c, t))
-            .collect();
-        let mut remap: HashMap<VertexId, VertexId> = HashMap::new();
-        for msgs in comm.allgather_vec(moved) {
-            for (c, r) in msgs {
-                remap.insert(c, r);
+        let mut moved: Vec<(VertexId, VertexId)> = Vec::new();
+        for b in best.entries() {
+            let root = std::mem::replace(&mut parent[b.at()], NONE);
+            if root != b.comp {
+                moved.push((b.comp, root));
             }
+        }
+        best.clear();
+        let moved = comm.allgather_vec(moved);
+        for &(c, r) in moved.iter().flatten() {
+            root_of[c as usize] = r;
         }
         let epoch = st.dirty_epoch.get();
         let mut rewritten = 0u64;
         for (cu, stamp) in st.comp.iter_mut().zip(st.comp_epoch.iter_mut()) {
-            if let Some(&r) = remap.get(cu) {
+            let r = root_of[*cu as usize];
+            if r != NONE {
                 *cu = r;
                 // First touch in this delta window: one (index, root)
                 // pair in the next segment, however many more rounds
@@ -463,6 +478,9 @@ fn worker_main(
                     rewritten += 1;
                 }
             }
+        }
+        for &(c, _) in moved.iter().flatten() {
+            root_of[c as usize] = NONE;
         }
         st.comp_dirty.set(st.comp_dirty.get() + rewritten);
         charge(comm, n as u64);
@@ -548,6 +566,14 @@ mod tests {
         one.push(0, 1, 5);
         let r = run(&one, 4);
         assert_eq!(r.msf.weight, 5);
+    }
+
+    /// The sentinel limit is an error at engine entry (before anything
+    /// `O(V)` is allocated), not a wrap-around inside a round.
+    #[test]
+    #[should_panic(expected = "must stay below the u32::MAX sentinel")]
+    fn refuses_a_vertex_count_that_reaches_the_sentinel() {
+        run(&EdgeList::new(u32::MAX), 2);
     }
 
     #[test]

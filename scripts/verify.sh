@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, then the tier-1 suite
-# (ROADMAP.md: `cargo build --release && cargo test -q`) and the repo
+# (ROADMAP.md: `cargo build --release && cargo test -q`), the round-loop
+# engines' goldens and crash grids again in a release build, and the repo
 # benchmark's own self-tests + smoke walk (benchmark/ is a package of its
 # own that builds against the crates' public API: an API break must fail
 # here, not in the acceptance pipeline), and — in full mode — the bench
@@ -8,11 +9,12 @@
 # checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  lints + debug tests + benchmark self-tests only: skips the
-#            release build, the criterion smoke, the chaos and
-#            resilience sweeps, the repro sweeps (checkpoint, serve,
-#            comm, emst), and the perf snapshot. This is the PR gate in
-#            CI; the full run gates pushes to main.
+#   --quick  lints + debug tests + the release-mode engine tests +
+#            benchmark self-tests only: skips the release build, the
+#            criterion smoke, the chaos and resilience sweeps, the repro
+#            sweeps (checkpoint, serve, comm, emst), and the perf
+#            snapshot. This is the PR gate in CI; the full run gates
+#            pushes to main.
 #
 # Shellcheck-clean: CI lints this file (and every script here) with
 # shellcheck on each PR.
@@ -27,7 +29,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -50,6 +52,13 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+# Tier-1 is a debug build (overflow checks on); the benchmark measures a
+# release build (overflow checks and debug_assert! off). The round-loop
+# engines do u32 slot/offset/sentinel arithmetic that differs between the
+# two, so their goldens and crash grids run in both.
+echo "==> cargo test --release (clock goldens, engine agreement, BSP chaos)"
+cargo test --release -q --test sim_clock_golden --test engine_agreement --test bsp_chaos
 
 echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
