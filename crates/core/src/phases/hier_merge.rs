@@ -173,15 +173,13 @@ impl Phase for HierMerge {
                     let gi = groups.iter().position(|x| x == g).expect("own group");
                     let leader = leaders[gi];
                     if me == leader {
-                        for &member in g.members() {
-                            if member == me {
-                                continue;
-                            }
+                        // Every member's holding, in member order, into
+                        // one merge.
+                        let members = g.members().iter().filter(|&&member| member != me);
+                        cx.cg.absorb_all(members.map(|&member| {
                             let msg: SegmentMsg = comm.recv(member, TAG_MERGE);
-                            if !msg.is_empty() {
-                                cx.cg.absorb(msg.into_holding());
-                            }
-                        }
+                            msg.into_holding()
+                        }));
                         cx.cg.clear_frozen();
                     } else {
                         let whole = std::mem::take(&mut cx.cg);

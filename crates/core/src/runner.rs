@@ -24,6 +24,7 @@ use mnd_graph::{CsrGraph, EdgeList};
 use mnd_hypar::{HyParConfig, RecursionThresholdSource};
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
+use mnd_kernels::policy::{kernel_threads, with_kernel_threads, KernelPolicy};
 use mnd_net::{Cluster, Comm, FaultInjector, InjectorHook};
 
 use crate::checkpoint::RankCheckpoint;
@@ -112,7 +113,17 @@ impl MndMstRunner {
         let network = self.platform.network.scaled(self.config.sim_scale);
         let cluster = Cluster::new(self.nranks, network).with_fault_hook(self.faults.clone());
 
-        let outcomes = cluster.run(|comm| self.rank_main(comm, &csr, el));
+        // Ranks × kernel threads ≤ cores: the ranks are threads of this
+        // process, so each gets its share of the kernel threads, and a rank
+        // left with one runs every sweep on the sequential arm — nothing
+        // can win a parallel section back on a core it shares.
+        let threads = (kernel_threads() / self.nranks).max(1);
+        let mut ranked = self.clone();
+        if threads == 1 {
+            ranked.config.kernel_policy = KernelPolicy::seq();
+        }
+        let outcomes =
+            cluster.run(|comm| with_kernel_threads(threads, || ranked.rank_main(comm, &csr, el)));
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;

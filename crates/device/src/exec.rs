@@ -67,9 +67,7 @@ impl ExecDevice {
         if cg.num_resident() == 0 {
             return 0.0;
         }
-        let counts = cg.incident_counts_with(policy).to_vec();
-        let sched = BinnedSchedule::build(counts);
-        sched.skew_fraction()
+        BinnedSchedule::build(cg.incident_counts_with(policy).iter().copied()).skew_fraction()
     }
 
     /// Runs `indComp` on the holding. For GPU devices, charges the
@@ -98,7 +96,13 @@ impl ExecDevice {
         freeze: FreezePolicy,
         stop: StopPolicy,
     ) -> IndCompRun {
-        let skew = Self::holding_skew_with(cg, policy);
+        // Counting and binning incident edges is a sweep of its own: only
+        // a device whose occupancy depends on the skew pays for it.
+        let skew = if self.model.skew_sensitive() {
+            Self::holding_skew_with(cg, policy)
+        } else {
+            0.0
+        };
         let upload_bytes = cg.approx_bytes() as u64;
         let output = local_boruvka_with(cg, policy, excp, freeze, stop);
         let kernel_time = self.model.kernel_time(&output.work, skew);

@@ -150,6 +150,12 @@ impl DeviceModel {
         }
     }
 
+    /// Whether [`DeviceModel::occupancy`] reads the skew it is given: where
+    /// it does not (a CPU), a caller need not measure the holding's skew.
+    pub fn skew_sensitive(&self) -> bool {
+        matches!(self.kind, DeviceKind::Gpu { .. })
+    }
+
     /// Simulated seconds to move `bytes` onto or off the device.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         if self.transfer.bandwidth.is_infinite() && self.transfer.latency == 0.0 {

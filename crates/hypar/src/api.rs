@@ -262,7 +262,12 @@ pub fn post_process(
             unions: 0,
         }],
     };
-    let skew = ExecDevice::holding_skew_with(cg, &cfg.kernel_policy);
+    // Only a GPU's estimate reads the skew (the run below measures its
+    // own, if it lands on one).
+    let skew = match platform.gpu {
+        Some(_) => ExecDevice::holding_skew_with(cg, &cfg.kernel_policy),
+        None => 0.0,
+    };
     let cpu_model = platform.cpu.clone().scaled(cfg.sim_scale);
     let t_cpu = cpu_model.kernel_time(&proxy, skew);
     let pick_gpu = platform

@@ -71,7 +71,10 @@ pub struct HyParConfig {
     /// numbers — it times all three paths per class and clamps a class
     /// whose parallel variants never win to sequential-only; the default
     /// is a conservative uncalibrated fallback. Results never depend on
-    /// this — only wall-clock does.
+    /// this — only wall-clock does. The thresholds apply when a rank has
+    /// more than one kernel thread: `mnd-mst` shares the host's threads
+    /// between its ranks, and a rank left with one takes the sequential
+    /// arm of every sweep whatever this says.
     pub kernel_policy: KernelPolicy,
     /// Optional phase observer: fired by the driver at every phase boundary
     /// with the phase's time/traffic sample (see [`crate::observe`]).

@@ -15,45 +15,49 @@
 //! the cut property guarantees it belongs to the (unique) MSF — no edge is
 //! ever contracted speculatively.
 //!
-//! ## Deterministic parallel election
+//! ## One sweep per round
 //!
-//! Above the [`KernelPolicy`] crossover the election runs the policy's
-//! variant. **Chunk-merge**: worklist chunks sweep on rayon workers, each
-//! producing a partial winner table; partials merge in chunk order under
-//! the total order `(original edge, worklist row)`, so the merged table is
-//! byte-identical to the sequential sweep for any chunking. The union-find
-//! is fully path-compressed before each election (`compress_all`), so
-//! workers can resolve roots through a shared reference without mutation.
-//! **Lock-free**: workers CAS packed `(weight << 32) | row` words into one
-//! atomic slot per root ([`crate::lockfree::fetch_min_edge`], weight ties
-//! falling back to the full edge key) and resolve roots through the
-//! concurrent [`AtomicDisjointSets`] — no partial tables, no merge phase.
-//! A fetch-min under a total order is commutative, so every interleaving
-//! elects the same winners as the sequential sweep.
+//! The kernel keeps a worklist of 16-byte *live rows* `{a, b, w, row}`: both
+//! ends as resident root slots ([`GHOST`] for a non-resident end), the
+//! weight, and the holding row it stands for (stable for the whole call).
+//! Building that worklist *is* round 1's election: every holding row is
+//! resolved once, self rows are dropped, and the row is offered to both of
+//! its roots. Every later round is one sweep too: each live row is re-rooted
+//! through the union-find (path-halving), dropped if the last contraction
+//! made it a self edge, compacted in place and offered for the next
+//! election. An offer is a min of the packed key `(w << 32) | row` into one
+//! `u64` slot per root, weight ties falling back to the full
+//! `(edge key, row)` order ([`crate::lockfree`]), so the winners are those
+//! of a sweep under that total order in any arrival order.
 //!
-//! Either way, contraction then visits winner slots sequentially in
-//! root-index order — safe because the elected edges form a forest under
-//! the total edge order (mutual elections are the same edge), so the union
-//! *set* is order-independent, and making the order fixed makes the whole
-//! kernel deterministic across policies and thread counts.
+//! Contraction then drains the slots in root-index order — safe because the
+//! elected edges form a forest under the total edge order (mutual elections
+//! are the same edge), so the union *set* is order-independent, and the
+//! fixed order makes the kernel deterministic — resetting each slot as it
+//! goes. The commit writes the holding's columns from the surviving live
+//! rows alone; no sweep touches a row that left the worklist.
 //!
-//! Election scratch — the atomic min-edge array, its decoded winner buffer
-//! and the DSU parent array — is allocated once per invocation and *reset*
-//! (the drain swaps slots back to empty) per round, mirroring the
-//! `incident_counts_with` scratch pattern.
+//! ## One body for every policy
+//!
+//! Above the [`KernelPolicy`] election crossover the same sweep body runs
+//! over row chunks on rayon workers — chunk-local compaction, then a stitch
+//! — and offers through a CAS fetch-min instead of a plain one; the table,
+//! the freeze marks and the union-find parents are relaxed atomics either
+//! way (plain loads and stores on one thread), and workers only ever
+//! shorten a parent pointer to another ancestor. A min under a total order
+//! is commutative, so every chunking and interleaving elects what the
+//! sequential sweep does: output is byte-identical for every policy.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 
 use mnd_graph::types::WEdge;
 use rayon::prelude::*;
 
-use crate::cgraph::{CGraph, CompId};
-use crate::dsu::AtomicDisjointSets;
-use crate::lockfree::{fetch_min_edge, pack, row_of, NONE_KEY};
+use crate::cgraph::{CGraph, CompId, GHOST};
+use crate::lockfree::{fetch_min_edge, min_edge, pack, row_of, NONE_KEY};
 use crate::msf::MsfResult;
 use crate::policy::{
-    ExcpCond, FreezePolicy, IterWork, KernelClass, KernelPolicy, ParVariant, StopPolicy,
-    WorkProfile,
+    ExcpCond, FreezePolicy, IterWork, KernelClass, KernelPolicy, StopPolicy, WorkProfile,
 };
 
 /// Output of one `indComp` invocation on a holding.
@@ -93,8 +97,14 @@ pub fn local_boruvka(
 }
 
 /// As [`local_boruvka`], under an explicit (typically calibrated)
-/// [`KernelPolicy`] governing the election sweep, the commit relabel and
-/// the fused self-edge compaction. Output is identical for every policy.
+/// [`KernelPolicy`] deciding which sweeps run chunked on rayon workers.
+/// Output is identical for every policy.
+///
+/// # Panics
+///
+/// If the holding has `u32::MAX` rows or more (a row index must fit the low
+/// half of the packed election key, below the empty-slot sentinel), or on
+/// `ExcpCond::None` with a cut edge.
 pub fn local_boruvka_with(
     cg: &mut CGraph,
     policy: &KernelPolicy,
@@ -102,182 +112,134 @@ pub fn local_boruvka_with(
     freeze: FreezePolicy,
     stop: StopPolicy,
 ) -> LocalOutput {
-    if excp == ExcpCond::None {
-        assert_eq!(
-            cg.num_cut_edges(),
-            0,
-            "ExcpCond::None on a holding with cut edges would corrupt the MSF"
-        );
-    }
-
+    let rows = cg.num_edges();
+    assert!(
+        rows < u32::MAX as usize,
+        "a holding of {rows} rows exceeds the kernel's limit of u32::MAX - 1 rows \
+         (the election key packs the row index into 32 bits)"
+    );
     let n = cg.num_resident();
-
-    // The election mode is fixed per invocation (the DSU flavour must not
-    // switch mid-run): lock-free when the policy routes elections through
-    // the atomic plane and the initial worklist clears the crossover —
-    // worklists only shrink, and late small rounds cost the same either way.
-    let lockfree = policy.variant_for(KernelClass::Election) == ParVariant::LockFree
-        && policy.use_par_for(KernelClass::Election, cg.num_edges());
-    let mut dsu = if lockfree {
-        ElectionDsu::LockFree(AtomicDisjointSets::new(n))
-    } else {
-        ElectionDsu::Seq(MinDsu::new(n))
-    };
-    // Lock-free election scratch: allocated once here, reset per round (the
-    // drain swaps every hit slot back to NONE_KEY; winners are refilled).
-    let mut lf_scratch = lockfree.then(|| LockFreeElection::new(n));
+    let mut dsu = MinDsu::new(n);
+    let table: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE_KEY)).collect();
     // Freeze marks surviving from a previous invocation stay sticky.
-    let mut frozen = cg.frozen_marks();
+    let frozen: Vec<AtomicBool> = cg.frozen_marks().into_iter().map(AtomicBool::new).collect();
+    let sticky = freeze == FreezePolicy::Sticky;
+    let shared = |rows: usize| policy.use_par_for(KernelClass::Election, rows);
+    let mut sweep = Sweep {
+        table: &table,
+        frozen: &frozen,
+        orig: cg.orig_col(),
+        sticky,
+        whole: excp == ExcpCond::None,
+        prefreeze: excp == ExcpCond::BorderVertex,
+        elect: true,
+        shared: shared(rows),
+    };
 
-    // Every endpoint is resolved to its resident slot exactly once, here;
-    // the rounds below work on slots only.
-    let (ca, cb) = cg.endpoint_cols();
-    let mut worklist: Vec<CEdgeLocal> = ca
-        .iter()
-        .zip(cb)
-        .zip(cg.orig_col())
-        .map(|((&a, &b), &orig)| CEdgeLocal {
-            a: cg.slot_of(a),
-            b: cg.slot_of(b),
-            orig,
-        })
-        .collect();
-
-    // BorderVertex: freeze every component touching the border up front.
-    if excp == ExcpCond::BorderVertex {
-        for e in &worklist {
-            if let (Some(i), None) | (None, Some(i)) = (e.a, e.b) {
-                frozen[i as usize] = true;
-            }
-        }
-    }
+    // Round 1's sweep builds the worklist: it scans every holding row,
+    // resolving both ends to their slots once.
+    let (ea, eb) = cg.endpoint_cols();
+    let slot = |c: CompId| cg.slot_of(c).unwrap_or(GHOST);
+    let mut live = Worklist::new(
+        rows,
+        if sweep.shared {
+            policy.chunk_rows
+        } else {
+            rows
+        },
+    );
+    sweep.run(&mut live, |i, _| LiveRow {
+        a: slot(ea[i]),
+        b: slot(eb[i]),
+        w: sweep.orig[i].w,
+        row: i as u32,
+    });
+    sweep.prefreeze = false;
+    let mut scanned = rows as u64;
 
     let mut msf_edges: Vec<WEdge> = Vec::new();
     let mut work = WorkProfile::default();
-
     let mut prev_cost: Option<u64> = None;
+    // The slots that were roots when the round's sweep ran, ascending: the
+    // only ones a sweep offers to or reads a freeze mark of.
+    let mut roots: Vec<u32> = (0..n as u32).collect();
     loop {
-        // --- Min-edge election ------------------------------------------
-        // Roots are fully compressed up front so the sweep — sequential,
-        // chunked across workers, or atomic — resolves them in ~one hop.
-        dsu.compress_all();
-        let scanned = worklist.len() as u64;
-        let best_owned: Vec<Option<Winner>>;
-        let best: &[Option<Winner>] = match &mut lf_scratch {
-            Some(lf) => {
-                let adsu = match &dsu {
-                    ElectionDsu::LockFree(d) => d,
-                    ElectionDsu::Seq(_) => unreachable!("scratch without lock-free DSU"),
-                };
-                lf.elect(&worklist, policy, adsu, &frozen, freeze);
-                &lf.winners
-            }
-            None => {
-                let dsu_seq = match &dsu {
-                    ElectionDsu::Seq(d) => d,
-                    ElectionDsu::LockFree(_) => unreachable!("lock-free mode without scratch"),
-                };
-                best_owned = if policy.use_par_for(KernelClass::Election, worklist.len()) {
-                    let frozen_ref = &frozen;
-                    let rows: &[CEdgeLocal] = &worklist;
-                    let partials: Vec<Vec<Option<Winner>>> = policy
-                        .chunk_ranges(rows.len())
-                        .into_par_iter()
-                        .map(|(lo, hi)| {
-                            let mut part = vec![None; n];
-                            elect_rows(&rows[lo..hi], lo, dsu_seq, frozen_ref, freeze, &mut part);
-                            part
-                        })
-                        .collect();
-                    // Merge partial tables in chunk order; the (edge, row)
-                    // key makes the merge associative, so this equals the
-                    // sequential sweep.
-                    let mut best = vec![None; n];
-                    for part in partials {
-                        for (slot, cand) in best.iter_mut().zip(part) {
-                            if let Some(w) = cand {
-                                take_winner(slot, w);
-                            }
-                        }
-                    }
-                    best
-                } else {
-                    let mut best = vec![None; n];
-                    elect_rows(&worklist, 0, dsu_seq, &frozen, freeze, &mut best);
-                    best
-                };
-                &best_owned
-            }
-        };
-
         // --- Contraction / freezing -------------------------------------
         // Recheck policy re-derives freezes every round.
-        if freeze == FreezePolicy::Recheck {
-            for f in frozen.iter_mut() {
-                *f = false;
-            }
+        if !sticky {
+            roots
+                .iter()
+                .for_each(|&r| frozen[r as usize].store(false, Relaxed));
         }
-        let mut unions = 0u64;
-        let active = best.iter().filter(|s| s.is_some()).count() as u64;
-        // Winner slots are visited in root-index order (not election order):
-        // the elected edges form a forest, so any visit order unions the
-        // same edge set — the fixed order keeps the kernel deterministic.
-        for r in 0..n as u32 {
-            let (win, _, ea, eb) = match best[r as usize] {
-                Some(w) => w,
-                None => continue,
-            };
-            // Endpoints were resolved to roots during election; re-resolve
-            // (cheap, path-halved) since earlier unions this round may have
-            // merged them further.
-            let ra = ea.map(|i| dsu.find(i));
-            let rb = eb.map(|i| dsu.find(i));
+        let (mut active, mut unions) = (0u64, 0u64);
+        // Winner slots are drained in root-index order (not election
+        // order). Marks set below land on roots at or below the slot being
+        // drained, so `frozen[r]` still reads as it did during the sweep.
+        for &r in &roots {
+            let r = r as usize;
+            let key = table[r].load(Relaxed);
+            if key == NONE_KEY {
+                continue;
+            }
+            table[r].store(NONE_KEY, Relaxed);
+            // A root BorderVertex froze after a row had offered to it.
+            if sticky && frozen[r].load(Relaxed) {
+                continue;
+            }
+            active += 1;
+            let row = row_of(key) as usize;
+            // Re-resolve the winner's ends: earlier unions this round may
+            // have merged them further.
+            let ra = cg.slot_of(ea[row]).map(|i| dsu.find(i));
+            let rb = cg.slot_of(eb[row]).map(|i| dsu.find(i));
             match (ra, rb) {
                 (Some(x), Some(y)) => {
-                    if x != y && dsu.union(x, y) {
-                        msf_edges.push(win);
+                    if dsu.union(x, y) {
+                        msf_edges.push(sweep.orig[row]);
                         unions += 1;
                         // Sticky: a merge involving a frozen side freezes
                         // the result.
-                        let root = dsu.find(x);
-                        if freeze == FreezePolicy::Sticky
-                            && (frozen[x as usize] || frozen[y as usize])
+                        if sticky
+                            && (frozen[x as usize].load(Relaxed)
+                                || frozen[y as usize].load(Relaxed))
                         {
-                            frozen[root as usize] = true;
+                            frozen[x.min(y) as usize].store(true, Relaxed);
                         }
                     }
                 }
                 // Winner is a cut edge: freeze the resident side.
-                (Some(x), None) | (None, Some(x)) => {
-                    frozen[dsu.find(x) as usize] = true;
-                }
+                (Some(x), None) | (None, Some(x)) => frozen[x as usize].store(true, Relaxed),
                 (None, None) => unreachable!("edge with no resident endpoint elected"),
             }
         }
-
         work.iters.push(IterWork {
             active_components: active,
             edges_scanned: scanned,
             unions,
         });
-
         if unions == 0 {
             break;
         }
-        // Data-driven shrink: drop edges that became internal self edges.
-        worklist.retain(|e| {
-            let ra = e.a.map(|i| dsu.find(i));
-            let rb = e.b.map(|i| dsu.find(i));
-            !matches!((ra, rb), (Some(x), Some(y)) if x == y)
-        });
+        roots.retain(|&r| dsu.find(r) == r);
+
+        // --- Data-driven shrink, fused with the next election ------------
         // Diminishing-benefit early stop (§4.3.2): compare iteration costs.
-        if let Some(prev) = prev_cost {
-            if !stop.should_continue(prev, scanned) {
-                break;
-            }
-        }
+        // A stopping kernel still sheds the self edges it just made.
+        sweep.elect = prev_cost.is_none_or(|prev| stop.should_continue(prev, scanned));
         prev_cost = Some(scanned);
+        sweep.shared = shared(live.len());
+        let root = |end: u32| if end == GHOST { end } else { dsu.find(end) };
+        sweep.run(&mut live, |_, r| LiveRow {
+            a: root(r.a),
+            b: root(r.b),
+            ..r
+        });
+        if !sweep.elect {
+            break;
+        }
+        scanned = live.len() as u64;
     }
+    debug_assert!(table.iter().all(|slot| slot.load(Relaxed) == NONE_KEY));
 
     // --- Commit the contraction to the holding ---------------------------
     // New id of a resident component = smallest member id = resident[root].
@@ -287,17 +249,16 @@ pub fn local_boruvka_with(
     for i in 0..n as u32 {
         let root = dsu.find(i);
         let new_id = resident[root as usize];
-        if root == i && frozen[i as usize] {
+        if root == i && frozen[i as usize].load(Relaxed) {
             new_frozen.push(new_id);
         }
         if new_id != resident[i as usize] {
             relabel.push((resident[i as usize], new_id));
         }
     }
-    // dsu is path-compressed by the loop above; a const find suffices.
-    let dsu_ref = &dsu;
-    cg.contract_slots(policy, |i| dsu_ref.find_const(i));
-    cg.remove_self_edges_with(policy);
+    cg.commit_contraction(live.iter().map(|r| (r.row, r.a, r.b)), |slot| {
+        dsu.find(slot) == slot
+    });
     cg.set_frozen(new_frozen);
 
     LocalOutput {
@@ -321,244 +282,343 @@ pub fn boruvka_msf(el: &mnd_graph::EdgeList) -> MsfResult {
     MsfResult::from_edges(el.num_vertices(), out.msf_edges)
 }
 
-/// A per-root election winner: the elected original edge, its worklist row
-/// (tie-break making the election order-free), and the edge's local
-/// endpoint indices (election-time roots in the chunk-merge plane, raw
-/// locals in the lock-free drain — contraction re-resolves through the
-/// union-find either way, so the two are interchangeable).
-type Winner = (WEdge, u32, Option<u32>, Option<u32>);
-
-/// The per-invocation union-find in the flavour the election mode needs:
-/// sequential [`MinDsu`] for the seq/chunk-merge plane, the concurrent
-/// [`AtomicDisjointSets`] for the lock-free plane. Both orient unions
-/// larger-root-under-smaller, so roots — and therefore every output byte —
-/// are identical across modes.
-enum ElectionDsu {
-    Seq(MinDsu),
-    LockFree(AtomicDisjointSets),
+/// A worklist row: both ends as resident root slots ([`GHOST`] for a
+/// non-resident end, in the holding row's `(a, b)` order), the weight, and
+/// the holding row it stands for.
+#[derive(Clone, Copy, Debug, Default)]
+struct LiveRow {
+    a: u32,
+    b: u32,
+    w: u32,
+    row: u32,
 }
 
-impl ElectionDsu {
+/// The worklist: one slot per holding row, cut into pieces of `chunk` slots
+/// (one piece when the call's sweeps stay on one thread). A piece keeps the
+/// rows still alive, in holding-row order, in its first `alive[k]` slots:
+/// compaction never crosses a piece, so a sweep's workers take a piece each
+/// and nothing is stitched together afterwards.
+struct Worklist {
+    rows: Vec<LiveRow>,
+    alive: Vec<usize>,
+    chunk: usize,
+}
+
+impl Worklist {
+    fn new(rows: usize, chunk: usize) -> Self {
+        let (rows, chunk) = (vec![LiveRow::default(); rows], chunk.max(1));
+        Worklist {
+            alive: rows.chunks(chunk).map(<[LiveRow]>::len).collect(),
+            rows,
+            chunk,
+        }
+    }
+
+    /// Rows alive.
+    fn len(&self) -> usize {
+        self.alive.iter().sum()
+    }
+
+    /// The rows alive, ascending in holding row.
+    fn iter(&self) -> impl Iterator<Item = &LiveRow> {
+        let pieces = self.rows.chunks(self.chunk).zip(&self.alive);
+        pieces.flat_map(|(piece, &alive)| &piece[..alive])
+    }
+}
+
+/// What a round's sweep reads and offers into; shared by its chunks.
+struct Sweep<'a> {
+    /// One packed election key per resident slot, [`NONE_KEY`] when empty.
+    table: &'a [AtomicU64],
+    /// Freeze marks per resident slot.
+    frozen: &'a [AtomicBool],
+    /// The holding's original-edge column (weight-tie fallback).
+    orig: &'a [WEdge],
+    /// Sticky freezing: a frozen root takes no offers.
+    sticky: bool,
+    /// `ExcpCond::None`: a row with a ghost end is a caller bug.
+    whole: bool,
+    /// `ExcpCond::BorderVertex`, round 1: a row with one ghost end freezes
+    /// its resident end before anything expands.
+    prefreeze: bool,
+    /// Whether surviving rows are offered (`false`: a shrink-only sweep).
+    elect: bool,
+    /// Chunks run concurrently, so offers CAS.
+    shared: bool,
+}
+
+impl Sweep<'_> {
+    /// The sweep body, one row: `false` drops a self edge, `true` keeps the
+    /// row live after offering it to both of its roots.
     #[inline]
-    fn find(&mut self, x: u32) -> u32 {
-        match self {
-            ElectionDsu::Seq(d) => d.find(x),
-            ElectionDsu::LockFree(d) => d.find(x),
+    fn admit(&self, r: LiveRow) -> bool {
+        if r.a == r.b && r.a != GHOST {
+            return false;
         }
-    }
-
-    #[inline]
-    fn find_const(&self, x: u32) -> u32 {
-        match self {
-            ElectionDsu::Seq(d) => d.find_const(x),
-            // The atomic find is interior-mutable and thread-safe, so it
-            // serves as the shared-reference find (relabel workers may call
-            // this concurrently).
-            ElectionDsu::LockFree(d) => d.find(x),
-        }
-    }
-
-    #[inline]
-    fn union(&mut self, a: u32, b: u32) -> bool {
-        match self {
-            ElectionDsu::Seq(d) => d.union(a, b),
-            ElectionDsu::LockFree(d) => d.union(a, b),
-        }
-    }
-
-    fn compress_all(&mut self) {
-        match self {
-            ElectionDsu::Seq(d) => d.compress_all(),
-            ElectionDsu::LockFree(d) => d.compress_all(),
-        }
-    }
-}
-
-/// Reusable lock-free election scratch: one packed atomic word per root
-/// plus the decoded winner table the shared contraction loop reads. Both
-/// buffers are allocated once per invocation; [`LockFreeElection::elect`]
-/// leaves every `best` slot back at [`NONE_KEY`], so rounds reuse the
-/// arrays without reallocating.
-struct LockFreeElection {
-    best: Vec<AtomicU64>,
-    winners: Vec<Option<Winner>>,
-}
-
-impl LockFreeElection {
-    fn new(n: usize) -> Self {
-        LockFreeElection {
-            best: (0..n).map(|_| AtomicU64::new(NONE_KEY)).collect(),
-            winners: vec![None; n],
-        }
-    }
-
-    /// One round's election: a chunked parallel sweep CASes packed
-    /// `(weight << 32) | row` keys into `best` (weight ties fall back to
-    /// the full `(edge, row)` order, so winners equal the sequential
-    /// sweep's for any interleaving), then a sequential drain decodes the
-    /// winner table — swapping each hit slot back to [`NONE_KEY`], which
-    /// is exactly the reset the next round needs.
-    fn elect(
-        &mut self,
-        rows: &[CEdgeLocal],
-        policy: &KernelPolicy,
-        dsu: &AtomicDisjointSets,
-        frozen: &[bool],
-        freeze: FreezePolicy,
-    ) {
-        let best = &self.best;
-        let orig_of = |row: u32| rows[row as usize].orig;
-        policy
-            .chunk_ranges(rows.len())
-            .into_par_iter()
-            .for_each(|(lo, hi)| {
-                for (k, e) in rows[lo..hi].iter().enumerate() {
-                    let row = (lo + k) as u32;
-                    // No unions race the election (contraction is a later,
-                    // sequential phase), so every concurrent find resolves
-                    // to the round's unique root.
-                    let ra = e.a.map(|i| dsu.find(i));
-                    let rb = e.b.map(|i| dsu.find(i));
-                    if let (Some(x), Some(y)) = (ra, rb) {
-                        if x == y {
-                            continue; // self edge at current contraction
-                        }
-                    }
-                    let key = pack(e.orig.w, row);
-                    for r in [ra, rb].into_iter().flatten() {
-                        if frozen[r as usize] && freeze == FreezePolicy::Sticky {
-                            continue;
-                        }
-                        fetch_min_edge(&best[r as usize], key, &orig_of);
-                    }
-                }
-            });
-        for (slot, win) in self.best.iter().zip(self.winners.iter_mut()) {
-            let key = slot.swap(NONE_KEY, std::sync::atomic::Ordering::Relaxed);
-            *win = (key != NONE_KEY).then(|| {
-                let row = row_of(key);
-                let e = &rows[row as usize];
-                (e.orig, row, e.a, e.b)
-            });
-        }
-    }
-}
-
-/// Elects over `rows` (worklist rows starting at global index `lo`) into
-/// `best`, one slot per resident root. Reads the union-find through
-/// [`MinDsu::find_const`] — callers compress fully first — so chunks can
-/// run on rayon workers against the shared `&MinDsu`.
-fn elect_rows(
-    rows: &[CEdgeLocal],
-    lo: usize,
-    dsu: &MinDsu,
-    frozen: &[bool],
-    freeze: FreezePolicy,
-    best: &mut [Option<Winner>],
-) {
-    for (k, e) in rows.iter().enumerate() {
-        let row = (lo + k) as u32;
-        let ra = e.a.map(|i| dsu.find_const(i));
-        let rb = e.b.map(|i| dsu.find_const(i));
-        if let (Some(x), Some(y)) = (ra, rb) {
-            if x == y {
-                continue; // self edge at current contraction
+        if r.a == GHOST || r.b == GHOST {
+            assert!(
+                !self.whole,
+                "ExcpCond::None on a holding with cut edges would corrupt the MSF"
+            );
+            if self.prefreeze && r.a != r.b {
+                self.frozen[r.a.min(r.b) as usize].store(true, Relaxed);
             }
         }
-        for r in [ra, rb].into_iter().flatten() {
-            if frozen[r as usize] && freeze == FreezePolicy::Sticky {
+        if !self.elect {
+            return true;
+        }
+        let key = pack(r.w, r.row);
+        let orig_of = |row: u32| self.orig[row as usize];
+        for root in [r.a, r.b] {
+            if root == GHOST || (self.sticky && self.frozen[root as usize].load(Relaxed)) {
                 continue;
             }
-            take_winner(&mut best[r as usize], (e.orig, row, ra, rb));
+            let slot = &self.table[root as usize];
+            if self.shared {
+                fetch_min_edge(slot, key, &orig_of);
+            } else {
+                min_edge(slot, key, &orig_of);
+            }
         }
+        true
     }
-}
 
-/// Replaces `slot` with `cand` if the candidate's `(edge, row)` key is
-/// smaller — the total order both the sweep and the chunk merge use.
-#[inline]
-fn take_winner(slot: &mut Option<Winner>, cand: Winner) {
-    let lighter = match slot {
-        Some((cur, cur_row, _, _)) => (cand.0, cand.1) < (*cur, *cur_row),
-        None => true,
-    };
-    if lighter {
-        *slot = Some(cand);
+    /// One sweep: the `i`-th slot of every piece becomes `load(at, row)` —
+    /// `at` its position in the whole worklist, the holding row while round
+    /// 1 fills it — and the rows [`Sweep::admit`] keeps are compacted to the
+    /// front of their piece, the pieces on rayon workers when `shared`.
+    fn run(&self, live: &mut Worklist, load: impl Fn(usize, LiveRow) -> LiveRow + Sync) {
+        let chunk = live.chunk;
+        let compact = |(k, (piece, alive)): (usize, (&mut [LiveRow], &mut usize))| {
+            let mut kept = 0;
+            for i in 0..*alive {
+                let r = load(k * chunk + i, piece[i]);
+                if self.admit(r) {
+                    piece[kept] = r;
+                    kept += 1;
+                }
+            }
+            *alive = kept;
+        };
+        let pieces: Vec<_> = live
+            .rows
+            .chunks_mut(chunk)
+            .zip(&mut live.alive)
+            .enumerate()
+            .collect();
+        if self.shared {
+            pieces.into_par_iter().for_each(compact);
+        } else {
+            pieces.into_iter().for_each(compact);
+        }
     }
 }
 
 /// Min-representative DSU: links always orient the larger root under the
 /// smaller, so the representative of a set is its minimum element — the
 /// property that makes component ids globally consistent without
-/// coordination.
+/// coordination. Parents are relaxed atomics so the workers of a chunked
+/// sweep can path-halve through a shared reference: no union runs beside a
+/// sweep, and a halving store only replaces a parent by another ancestor,
+/// so any mix of such stores leaves every root where it was.
 struct MinDsu {
-    parent: Vec<u32>,
+    parent: Vec<AtomicU32>,
 }
 
 impl MinDsu {
     fn new(n: usize) -> Self {
         MinDsu {
-            parent: (0..n as u32).collect(),
+            parent: (0..n as u32).map(AtomicU32::new).collect(),
         }
     }
 
-    fn find(&mut self, mut x: u32) -> u32 {
+    fn find(&self, mut x: u32) -> u32 {
         loop {
-            let p = self.parent[x as usize];
+            let p = self.parent[x as usize].load(Relaxed);
             if p == x {
                 return x;
             }
-            let gp = self.parent[p as usize];
-            self.parent[x as usize] = gp;
+            let gp = self.parent[p as usize].load(Relaxed);
+            if gp == p {
+                return p;
+            }
+            // Only a store that shortens the path: a rewrite of the same
+            // parent would still take the line from the other workers.
+            self.parent[x as usize].store(gp, Relaxed);
             x = gp;
         }
     }
 
-    fn find_const(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
-    /// Fully path-compresses: afterwards `parent[x]` is `x`'s root, so
-    /// [`MinDsu::find_const`] resolves in one hop from shared references.
-    fn compress_all(&mut self) {
-        for i in 0..self.parent.len() as u32 {
-            let r = self.find(i);
-            self.parent[i as usize] = r;
-        }
-    }
-
     fn union(&mut self, a: u32, b: u32) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
         }
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi as usize] = lo;
+        self.parent[ra.max(rb) as usize].store(ra.min(rb), Relaxed);
         true
     }
 }
 
-/// Local-index edge used by the kernel's worklist (`None` = non-resident
-/// endpoint).
-#[derive(Clone, Copy, Debug)]
-struct CEdgeLocal {
-    a: Option<u32>,
-    b: Option<u32>,
-    orig: WEdge,
+/// The loop the one-sweep kernel replaced, kept as the reference the
+/// proptest below compares it against byte for byte: a worklist of resolved
+/// rows, per round a full election sweep into a winner table, contraction in
+/// root-slot order and a second sweep retaining the rows still alive; the
+/// commit renames every holding row by slot and removes the self edges.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    type Winner = (WEdge, u32, Option<u32>, Option<u32>);
+
+    struct RefDsu(Vec<u32>);
+
+    impl RefDsu {
+        fn find(&self, mut x: u32) -> u32 {
+            while self.0[x as usize] != x {
+                x = self.0[x as usize];
+            }
+            x
+        }
+
+        fn union(&mut self, a: u32, b: u32) -> bool {
+            let (ra, rb) = (self.find(a), self.find(b));
+            self.0[ra.max(rb) as usize] = ra.min(rb);
+            ra != rb
+        }
+    }
+
+    pub(super) fn local_boruvka(
+        cg: &mut CGraph,
+        excp: ExcpCond,
+        freeze: FreezePolicy,
+        stop: StopPolicy,
+    ) -> LocalOutput {
+        if excp == ExcpCond::None {
+            assert_eq!(
+                cg.num_cut_edges(),
+                0,
+                "ExcpCond::None on a holding with cut edges would corrupt the MSF"
+            );
+        }
+        let n = cg.num_resident();
+        let mut dsu = RefDsu((0..n as u32).collect());
+        let mut frozen = cg.frozen_marks();
+        let (ca, cb) = cg.endpoint_cols();
+        let mut worklist: Vec<(Option<u32>, Option<u32>, WEdge)> = ca
+            .iter()
+            .zip(cb)
+            .zip(cg.orig_col())
+            .map(|((&a, &b), &orig)| (cg.slot_of(a), cg.slot_of(b), orig))
+            .collect();
+        if excp == ExcpCond::BorderVertex {
+            for &(a, b, _) in &worklist {
+                if let (Some(i), None) | (None, Some(i)) = (a, b) {
+                    frozen[i as usize] = true;
+                }
+            }
+        }
+
+        let mut msf_edges: Vec<WEdge> = Vec::new();
+        let mut work = WorkProfile::default();
+        let mut prev_cost: Option<u64> = None;
+        loop {
+            let scanned = worklist.len() as u64;
+            let mut best: Vec<Option<Winner>> = vec![None; n];
+            for (row, &(a, b, orig)) in worklist.iter().enumerate() {
+                let ra = a.map(|i| dsu.find(i));
+                let rb = b.map(|i| dsu.find(i));
+                if ra.is_some() && ra == rb {
+                    continue;
+                }
+                for r in [ra, rb].into_iter().flatten() {
+                    if frozen[r as usize] && freeze == FreezePolicy::Sticky {
+                        continue;
+                    }
+                    let slot = &mut best[r as usize];
+                    let cand = (orig, row as u32, ra, rb);
+                    if slot.is_none_or(|cur| (cand.0, cand.1) < (cur.0, cur.1)) {
+                        *slot = Some(cand);
+                    }
+                }
+            }
+
+            if freeze == FreezePolicy::Recheck {
+                frozen.iter_mut().for_each(|f| *f = false);
+            }
+            let mut unions = 0u64;
+            let active = best.iter().filter(|s| s.is_some()).count() as u64;
+            for (win, _, ea, eb) in best.into_iter().flatten() {
+                match (ea.map(|i| dsu.find(i)), eb.map(|i| dsu.find(i))) {
+                    (Some(x), Some(y)) => {
+                        if dsu.union(x, y) {
+                            msf_edges.push(win);
+                            unions += 1;
+                            if freeze == FreezePolicy::Sticky
+                                && (frozen[x as usize] || frozen[y as usize])
+                            {
+                                frozen[dsu.find(x) as usize] = true;
+                            }
+                        }
+                    }
+                    (Some(x), None) | (None, Some(x)) => frozen[dsu.find(x) as usize] = true,
+                    (None, None) => unreachable!("edge with no resident endpoint elected"),
+                }
+            }
+            work.iters.push(IterWork {
+                active_components: active,
+                edges_scanned: scanned,
+                unions,
+            });
+
+            if unions == 0 {
+                break;
+            }
+            worklist.retain(|&(a, b, _)| {
+                let ra = a.map(|i| dsu.find(i));
+                !(ra.is_some() && ra == b.map(|i| dsu.find(i)))
+            });
+            if let Some(prev) = prev_cost {
+                if !stop.should_continue(prev, scanned) {
+                    break;
+                }
+            }
+            prev_cost = Some(scanned);
+        }
+
+        let resident = cg.resident();
+        let mut relabel = Vec::new();
+        let mut new_frozen = Vec::new();
+        for i in 0..n as u32 {
+            let root = dsu.find(i);
+            let new_id = resident[root as usize];
+            if root == i && frozen[i as usize] {
+                new_frozen.push(new_id);
+            }
+            if new_id != resident[i as usize] {
+                relabel.push((resident[i as usize], new_id));
+            }
+        }
+        cg.contract_slots(|i| dsu.find(i));
+        cg.remove_self_edges();
+        cg.set_frozen(new_frozen);
+        LocalOutput {
+            msf_edges,
+            relabel,
+            work,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cgraph::CEdge;
     use crate::msf::verify_msf;
     use crate::oracle::kruskal_msf;
     use mnd_graph::gen;
-    use mnd_graph::partition::VertexRange;
+    use mnd_graph::partition::{partition_1d, VertexRange};
     use mnd_graph::CsrGraph;
+    use proptest::prelude::*;
 
     fn run_whole(el: &mnd_graph::EdgeList) {
         let msf = boruvka_msf(el);
@@ -767,5 +827,149 @@ mod tests {
         // Early stop leaves residue: resident components remain and can be
         // finished later (the recursion / postProcess path).
         assert!(cg.num_resident() >= 1);
+    }
+
+    /// Every observable of one invocation: the outputs in order, the work
+    /// profile, the holding and its freeze marks.
+    fn assert_equals_reference(base: &CGraph, excp: ExcpCond, tag: &str) {
+        let stops = [
+            StopPolicy::Exhaustive,
+            StopPolicy::DiminishingBenefit {
+                min_improvement: 0.05,
+            },
+            StopPolicy::DiminishingBenefit {
+                min_improvement: 0.5,
+            },
+        ];
+        for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
+            for stop in stops {
+                let mut expect_cg = base.clone();
+                let expect = reference::local_boruvka(&mut expect_cg, excp, freeze, stop);
+                for policy in [
+                    KernelPolicy::seq(),
+                    KernelPolicy::force_par(7),
+                    KernelPolicy::force_lockfree(7),
+                ] {
+                    let mut got_cg = base.clone();
+                    let got = local_boruvka_with(&mut got_cg, &policy, excp, freeze, stop);
+                    let tag = format!("{tag} {excp:?}/{freeze:?}/{stop:?} {policy:?}");
+                    assert_eq!(got.msf_edges, expect.msf_edges, "{tag}");
+                    assert_eq!(got.relabel, expect.relabel, "{tag}");
+                    assert_eq!(got.work.iters, expect.work.iters, "{tag}");
+                    assert_eq!(got_cg, expect_cg, "{tag}");
+                    assert_eq!(got_cg.frozen(), expect_cg.frozen(), "{tag}");
+                    for (slot, &c) in got_cg.resident().iter().enumerate() {
+                        assert_eq!(got_cg.slot_of(c), Some(slot as u32), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn family(pick: u8, seed: u64) -> mnd_graph::EdgeList {
+        match pick % 5 {
+            0 => gen::gnm(90, 360, seed),
+            1 => gen::rmat(128, 600, gen::RmatProbs::GRAPH500, seed),
+            2 => gen::road_grid(10, 9, 0.02, 0.38, seed),
+            3 => gen::star(70, seed),
+            _ => gen::path(80, seed),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn one_sweep_kernel_equals_the_reference_loop(
+            pick in 0u8..5,
+            seed in 0u64..1000,
+            flat_weights in proptest::bool::ANY,
+            nparts in 2usize..6,
+        ) {
+            let mut el = family(pick, seed);
+            if flat_weights {
+                // All-equal weights: every election is decided by the
+                // `(edge key, row)` fallback of the packed comparison.
+                let mut flat = mnd_graph::EdgeList::new(el.num_vertices());
+                for e in el.edges() {
+                    flat.push(e.u, e.v, 5);
+                }
+                el = flat;
+            }
+            assert_equals_reference(&CGraph::from_edge_list(&el), ExcpCond::None, "whole");
+
+            let g = CsrGraph::from_edge_list(&el);
+            let parts: Vec<CGraph> = partition_1d(&g, nparts, 1.0)
+                .into_iter()
+                .map(|r| CGraph::from_partition(&g, r))
+                .collect();
+            for (i, part) in parts.iter().enumerate() {
+                for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                    assert_equals_reference(part, excp, &format!("part {i}/{nparts}"));
+                }
+            }
+
+            // Sticky freezes carried over from a previous invocation: two
+            // neighbouring parts contract on their own, tell each other
+            // their ghost parents and recombine with their marks.
+            let (mut left, mut right) = (parts[0].clone(), parts[1].clone());
+            let eager = StopPolicy::DiminishingBenefit { min_improvement: 0.5 };
+            let l = reference::local_boruvka(&mut left, ExcpCond::BorderEdge, FreezePolicy::Sticky, eager);
+            let r = reference::local_boruvka(&mut right, ExcpCond::BorderEdge, FreezePolicy::Sticky, eager);
+            crate::reduce::apply_ghost_parents(&mut left, &r.relabel);
+            crate::reduce::apply_ghost_parents(&mut right, &l.relabel);
+            left.absorb(right);
+            for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                assert_equals_reference(&left, excp, "recombined with marks");
+            }
+
+            // Rows a kernel never leaves behind but must cope with: self
+            // rows on a resident and on a ghost, ghost-to-ghost rows.
+            let resident = parts[0].resident().to_vec();
+            let n = el.num_vertices();
+            let mut rows = parts[0].edges_vec();
+            if let (Some(&first), Some(&last)) = (resident.first(), resident.last()) {
+                let extra = [(first, first), (last, last), (n + 3, n + 3), (n + 1, n + 2), (n + 2, n + 5)];
+                for (k, (a, b)) in extra.into_iter().enumerate() {
+                    let at = (k * 7) % (rows.len() + 1);
+                    rows.insert(at, CEdge::new(a, b, WEdge::new(n + 10 + k as u32, n + 20, 1 + k as u32)));
+                }
+            }
+            let messy = CGraph::from_parts(resident.clone(), rows, resident.iter().copied().step_by(3).collect());
+            for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                assert_equals_reference(&messy, excp, "self and ghost-ghost rows");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_holdings_equal_the_reference_loop() {
+        let ghost_only = CEdge::new(7, 9, WEdge::new(7, 9, 1));
+        for (tag, cg) in [
+            ("empty", CGraph::new()),
+            (
+                "edgeless",
+                CGraph::from_parts(vec![2, 5, 9], vec![], vec![5]),
+            ),
+            (
+                "single resident",
+                CGraph::from_parts(vec![4], vec![CEdge::new(4, 8, WEdge::new(4, 8, 3))], vec![]),
+            ),
+            (
+                "no resident",
+                CGraph::from_parts(vec![], vec![ghost_only], vec![]),
+            ),
+        ] {
+            for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                assert_equals_reference(&cg, excp, tag);
+            }
+        }
+        for el in [mnd_graph::EdgeList::new(0), mnd_graph::EdgeList::new(6)] {
+            assert_equals_reference(
+                &CGraph::from_edge_list(&el),
+                ExcpCond::None,
+                "whole, edgeless",
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 //!   [`SlotLookup`] over the resident id range ([`CGraph::slot_of`],
 //!   [`CGraph::is_resident`]), rebuilt by exactly the mutators that change
 //!   the resident column — [`CGraph::set_resident`], [`CGraph::relabel`],
-//!   [`CGraph::contract_slots`], [`CGraph::absorb`],
+//!   the kernel's contraction commit, [`CGraph::absorb_all`],
 //!   [`CGraph::split_off`] — so a sweep resolves each endpoint once and
 //!   never searches.
 //! * **The table of minimums.** Multi-edge removal and boundary-copy dedup
@@ -66,6 +66,10 @@ use crate::policy::{KernelClass, KernelPolicy, ParVariant};
 /// vertex they contain, so ids stay globally consistent without any central
 /// allocator.
 pub type CompId = u32;
+
+/// The resident slot of a non-resident ("ghost") component, where a sweep
+/// carries slots as plain `u32`s. No holding has `u32::MAX` residents.
+pub(crate) const GHOST: u32 = u32::MAX;
 
 /// An inter-component edge: current component endpoints plus the original
 /// graph edge it stands for. This is the row *view* over the SoA columns
@@ -181,6 +185,13 @@ impl PartialEq for CGraph {
             && self.frozen == other.frozen
     }
 }
+
+/// A row as one contiguous, totally ordered record: `(w, u, v, a, b)`.
+type Record = (u32, VertexId, VertexId, CompId, CompId);
+
+/// Ascending runs up to which [`CGraph::sort_edges_with`] restores order by
+/// merging instead of sorting (a leader absorbing a group of eight).
+const MAX_MERGE_RUNS: usize = 8;
 
 /// Applies `map` to every endpoint of the two columns, chunked across
 /// rayon workers when the policy says the holding is big enough. Rows are
@@ -434,29 +445,49 @@ impl CGraph {
         });
     }
 
-    /// Contracts resident components by slot: the component in slot `i`
-    /// merges into the one in slot `root_of(i)` and takes its id
-    /// (`root_of` must be idempotent — roots map to themselves). Resident
-    /// endpoints are renamed, ghost endpoints are left alone, the resident
-    /// column keeps exactly the root slots and freeze marks follow their
-    /// components. Self edges the contraction creates stay in place for
-    /// [`CGraph::remove_self_edges`].
-    pub fn contract_slots(&mut self, policy: &KernelPolicy, root_of: impl Fn(u32) -> u32 + Sync) {
-        let (lookup, resident) = (&self.lookup, &self.resident);
-        let new_id = |c: CompId| match lookup.get(resident, c) {
-            Some(slot) => resident[root_of(slot) as usize],
-            None => c,
-        };
-        remap_rows(&mut self.ea, &mut self.eb, policy, new_id);
-        self.frozen.iter_mut().for_each(|f| *f = new_id(*f));
-        self.frozen.sort_unstable();
-        self.frozen.dedup();
-        // A subsequence of a sorted column is sorted: no re-sort.
+    /// Commits a contraction from the rows that survived it. `survivors`
+    /// yields `(row, a, b)` ascending in holding `row`: `a`/`b` are the root
+    /// slots the row's ends were contracted into ([`GHOST`] for a
+    /// non-resident end, which keeps the id the row carries). Rows not
+    /// yielded are dropped, as is a ghost-to-ghost self row; a kept row
+    /// takes its roots' ids, canonically ordered, and is written at a
+    /// cursor that never passes `row`, so the columns compact in place. The
+    /// resident column keeps exactly the slots `is_root` accepts (a
+    /// subsequence of a sorted column: no re-sort) and the resolver is
+    /// rebuilt; freeze marks are the caller's to replace.
+    pub(crate) fn commit_contraction(
+        &mut self,
+        survivors: impl Iterator<Item = (u32, u32, u32)>,
+        is_root: impl Fn(u32) -> bool,
+    ) {
+        let mut w = 0usize;
+        let mut rows_seen = 0usize;
+        for (row, a, b) in survivors {
+            let row = row as usize;
+            debug_assert!(rows_seen <= row, "survivors must ascend in row");
+            debug_assert!(w <= row, "the write cursor must not pass the row it reads");
+            debug_assert!([a, b].iter().all(|&s| s == GHOST || is_root(s)));
+            rows_seen = row + 1;
+            let id = |slot: u32, own: CompId| match slot {
+                GHOST => own,
+                slot => self.resident[slot as usize],
+            };
+            let (na, nb) = (id(a, self.ea[row]), id(b, self.eb[row]));
+            if na == nb {
+                continue;
+            }
+            self.ea[w] = na.min(nb);
+            self.eb[w] = na.max(nb);
+            self.eorig[w] = self.eorig[row];
+            w += 1;
+        }
+        self.ea.truncate(w);
+        self.eb.truncate(w);
+        self.eorig.truncate(w);
         let mut slot = 0u32;
         self.resident.retain(|_| {
-            let is_root = root_of(slot) == slot;
             slot += 1;
-            is_root
+            is_root(slot - 1)
         });
         self.lookup.rebuild(&self.resident);
     }
@@ -618,31 +649,60 @@ impl CGraph {
 
     /// Policy-aware [`CGraph::sort_edges`]. Relabels and compactions keep
     /// rows in `(w, u, v)` order, so most calls find nothing to do and
-    /// return after one comparison sweep. Otherwise the rows are copied
-    /// into contiguous records, sorted there (on rayon workers above the
-    /// policy crossover) and written back — no index permutation gathering
-    /// three columns per comparison.
+    /// return after one comparison sweep. That sweep also finds where the
+    /// order descends: a holding of a few ascending runs — what appending
+    /// canonical parts and compacting them leaves ([`CGraph::absorb_all`])
+    /// — is restored by one k-way merge from the row records straight into
+    /// the columns. Only an unordered holding is sorted (on rayon workers
+    /// above the policy crossover) and written back.
     pub fn sort_edges_with(&mut self, policy: &KernelPolicy) {
         let n = self.ea.len();
         let record = |i: usize| {
             let o = self.eorig[i];
             (o.w, o.u, o.v, self.ea[i], self.eb[i])
         };
-        if (1..n).all(|i| record(i - 1) <= record(i)) {
+        // Run starts: every row that sorts before its predecessor.
+        let descents: Vec<usize> = (1..n)
+            .filter(|&i| record(i - 1) > record(i))
+            .take(MAX_MERGE_RUNS)
+            .collect();
+        if descents.is_empty() {
             return;
         }
-        let mut records: Vec<(u32, VertexId, VertexId, CompId, CompId)> =
-            (0..n).map(record).collect();
+        let mut records: Vec<Record> = (0..n).map(record).collect();
+        if descents.len() < MAX_MERGE_RUNS {
+            // (next unread record, end) of each run.
+            let mut runs: Vec<(usize, usize)> = std::iter::once(0)
+                .chain(descents.iter().copied())
+                .zip(descents.iter().copied().chain([n]))
+                .collect();
+            for i in 0..n {
+                // The first run with the least head: a stable merge.
+                let next = runs
+                    .iter_mut()
+                    .filter(|(at, end)| at < end)
+                    .min_by_key(|(at, _)| records[*at])
+                    .expect("runs cover every row");
+                self.write_record(i, records[next.0]);
+                next.0 += 1;
+            }
+            return;
+        }
         if policy.use_par_for(KernelClass::Reduce, n) {
             records.par_sort_unstable_by_key(|&r| r);
         } else {
             records.sort_unstable();
         }
-        for (i, (w, u, v, a, b)) in records.into_iter().enumerate() {
-            self.ea[i] = a;
-            self.eb[i] = b;
-            self.eorig[i] = WEdge { u, v, w };
+        for (i, r) in records.into_iter().enumerate() {
+            self.write_record(i, r);
         }
+    }
+
+    #[inline]
+    fn write_record(&mut self, i: usize, (w, u, v, a, b): Record) {
+        self.ea[i] = a;
+        self.eb[i] = b;
+        self.eorig[i] = WEdge { u, v, w };
     }
 
     /// Per-resident-component incident-edge counts (slot `i` counts edges
@@ -717,19 +777,33 @@ impl CGraph {
         self.incident_counts_with(&KernelPolicy::default())
     }
 
-    /// Absorbs another holding: unions resident sets, concatenates edges,
-    /// dedups same-original edges, merges freeze marks.
-    pub fn absorb(&mut self, other: CGraph) {
+    /// Absorbs other holdings in one merge: unions the resident sets and
+    /// freeze marks, appends every part's rows, and dedups same-original
+    /// edges once. Equal to absorbing the parts one after another, in any
+    /// order — the survivor of an original edge's copies and the canonical
+    /// row order are functions of the rows' content alone.
+    pub fn absorb_all(&mut self, parts: impl IntoIterator<Item = CGraph>) {
+        let mut parts = parts.into_iter().filter(|p| !p.is_empty()).peekable();
+        if parts.peek().is_none() {
+            return;
+        }
         let mut resident = std::mem::take(&mut self.resident);
-        resident.extend(other.resident);
-        self.set_resident(resident);
-        self.ea.extend(other.ea);
-        self.eb.extend(other.eb);
-        self.eorig.extend(other.eorig);
-        self.dedup_edges();
         let mut frozen = std::mem::take(&mut self.frozen);
-        frozen.extend(other.frozen);
+        for part in parts {
+            resident.extend(part.resident);
+            frozen.extend(part.frozen);
+            self.ea.extend(part.ea);
+            self.eb.extend(part.eb);
+            self.eorig.extend(part.eorig);
+        }
+        self.set_resident(resident);
         self.set_frozen(frozen);
+        self.dedup_edges();
+    }
+
+    /// [`CGraph::absorb_all`] of one holding.
+    pub fn absorb(&mut self, other: CGraph) {
+        self.absorb_all([other]);
     }
 
     /// Splits off the components in `take` (must be a subset of resident)
@@ -891,6 +965,29 @@ mod reference {
             self.sort_rows_by_key(|cg, i| cg.eorig[i].key());
         }
 
+        /// The rename-every-row commit [`CGraph::commit_contraction`]
+        /// replaced: the component in slot `i` merges into the one in slot
+        /// `root_of(i)` (idempotent) and takes its id; resident endpoints
+        /// are renamed, ghosts left alone, the resident column keeps the
+        /// root slots. Self edges stay for `remove_self_edges`.
+        pub(crate) fn contract_slots(&mut self, root_of: impl Fn(u32) -> u32 + Sync) {
+            let (lookup, resident) = (&self.lookup, &self.resident);
+            let new_id = |c: CompId| match lookup.get(resident, c) {
+                Some(slot) => resident[root_of(slot) as usize],
+                None => c,
+            };
+            remap_rows(&mut self.ea, &mut self.eb, &KernelPolicy::seq(), new_id);
+            self.frozen.iter_mut().for_each(|f| *f = new_id(*f));
+            self.frozen.sort_unstable();
+            self.frozen.dedup();
+            let mut slot = 0u32;
+            self.resident.retain(|_| {
+                slot += 1;
+                root_of(slot - 1) == slot - 1
+            });
+            self.lookup.rebuild(&self.resident);
+        }
+
         pub(super) fn reference_absorb(&mut self, other: CGraph) {
             let mut resident = other.resident;
             resident.extend_from_slice(&self.resident);
@@ -911,6 +1008,12 @@ mod tests {
     use super::*;
     use mnd_graph::gen;
     use proptest::prelude::*;
+
+    impl CEdge {
+        fn record(&self) -> Record {
+            (self.orig.w, self.orig.u, self.orig.v, self.a, self.b)
+        }
+    }
 
     fn path4() -> CsrGraph {
         CsrGraph::from_edge_list(&gen::path(4, 1))
@@ -1132,6 +1235,73 @@ mod tests {
         }
 
         #[test]
+        fn absorb_all_equals_folded_absorbs_in_any_order(
+            raws in proptest::collection::vec(arb_rows(120), 4..5),
+            comps in 2u32..8,
+            spread_pick in 0u8..2,
+            empty_mask in 0u8..8,
+        ) {
+            // Part `k` owns components `k·comps ..`; its rows end anywhere
+            // (ghosts included) and stand for originals every part draws
+            // from one small pool, so parts share boundary copies — true
+            // copies: an original's weight is a function of its endpoints.
+            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let part = |k: u32, raw: &[(u32, u32, u32, u32, u32)]| {
+                let edges = raw
+                    .iter()
+                    .map(|&(a, b, u, v, _)| {
+                        let orig = WEdge::new(u, v, (u.min(v) * 7 + u.max(v) * 13) % 4 + 1);
+                        CEdge::new(a % (4 * comps) * spread, b % (4 * comps) * spread, orig)
+                    })
+                    .collect();
+                let resident: Vec<CompId> = (k * comps..(k + 1) * comps).map(|c| c * spread).collect();
+                let frozen = resident.iter().copied().skip(k as usize).step_by(3).collect();
+                let mut cg = CGraph::from_parts(resident, edges, frozen);
+                cg.dedup_edges();
+                cg
+            };
+            let mine = part(0, &raws[0]);
+            let parts: Vec<CGraph> = (1..4u32)
+                .map(|k| if empty_mask >> (k - 1) & 1 == 1 { CGraph::new() } else { part(k, &raws[k as usize]) })
+                .collect();
+
+            let mut at_once = mine.clone();
+            at_once.absorb_all(parts.clone());
+            assert_resolver_matches_binary_search(&at_once);
+            for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+                let (mut folded, mut reference) = (mine.clone(), mine.clone());
+                for k in order {
+                    folded.absorb(parts[k].clone());
+                    reference.reference_absorb(parts[k].clone());
+                }
+                prop_assert_eq!(&folded, &at_once, "order {:?}", order);
+                prop_assert_eq!(&reference, &at_once, "order {:?}", order);
+            }
+        }
+
+        #[test]
+        fn merging_ascending_runs_equals_sorting_the_records(
+            runs in proptest::collection::vec(
+                proptest::collection::vec((1u32..4, 0u32..6, 0u32..6, 0u32..4, 0u32..4), 0..20),
+                1..13,
+            ),
+        ) {
+            // 1–12 ascending runs (empty and one-row runs, equal rows inside
+            // and across runs): up to 8 are merged, beyond that sorted.
+            let mut rows = Vec::new();
+            for mut run in runs {
+                run.sort_unstable_by_key(|&(w, u, v, a, b)| CEdge::new(a, b, WEdge::new(u, v, w)).record());
+                rows.extend(run.into_iter().map(|(w, u, v, a, b)| CEdge::new(a, b, WEdge::new(u, v, w))));
+            }
+            let mut expect: Vec<Record> = rows.iter().map(CEdge::record).collect();
+            expect.sort_unstable();
+            let mut cg = CGraph::from_parts((0..4).collect(), rows, vec![]);
+            cg.sort_edges();
+            let got: Vec<Record> = cg.iter_edges().map(|e| e.record()).collect();
+            prop_assert_eq!(got, expect);
+        }
+
+        #[test]
         fn resolver_equals_binary_search_after_every_mutator(
             raw in arb_rows(150),
             comps in 2u32..12,
@@ -1167,7 +1337,7 @@ mod tests {
                     }
                     4 if n > 0 => {
                         // Pair up neighbouring slots, roots at even slots.
-                        cg.contract_slots(&KernelPolicy::default(), |i| i - i % 2);
+                        cg.contract_slots(|i| i - i % 2);
                     }
                     _ => {}
                 }
@@ -1185,7 +1355,7 @@ mod tests {
         by_slot.set_frozen(vec![11, 14, 29]);
         let mut by_id = by_slot.clone();
         let resident = by_slot.resident().to_vec();
-        by_slot.contract_slots(&KernelPolicy::default(), |i| i - i % 4);
+        by_slot.contract_slots(|i| i - i % 4);
         by_id.relabel(|c| match resident.binary_search(&c) {
             Ok(i) => resident[i - i % 4],
             Err(_) => c,

@@ -2,11 +2,16 @@
 //!
 //! Two variants:
 //! * [`DisjointSets`] — sequential, union by rank + path halving; used by
-//!   the oracles and by the per-device Boruvka iterations.
+//!   the oracles, the forest checker and the filter kernels.
 //! * [`AtomicDisjointSets`] — lock-free, CAS-based; used by the parallel
 //!   (worklist) kernel where many rayon tasks union concurrently. This is
 //!   the standard wait-free-find / lock-free-union structure from Jayanti &
 //!   Tarjan, with unions by index order.
+//!
+//! The `indComp` kernel ([`crate::boruvka`]) uses neither: its unions are
+//! sequential and only its chunked sweeps find concurrently, so it keeps a
+//! private min-root union-find over relaxed atomic parents and path-halves
+//! inside the sweeps instead of flattening between rounds.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -175,8 +180,8 @@ impl AtomicDisjointSets {
     }
 
     /// Wait-free full path compaction: afterwards (quiescent) every parent
-    /// pointer aims directly at its root, so the next election round's
-    /// concurrent finds resolve in one hop. Plain stores, no CAS — safe
+    /// pointer aims directly at its root, so later concurrent finds resolve
+    /// in one hop. Plain stores, no CAS — safe
     /// even with racing unions, because a union only ever links a *root*
     /// under another node: `r` stays an ancestor of `x` forever, so
     /// `parent[x] = r` can never skip past a newer link.

@@ -66,6 +66,16 @@ pub fn fetch_min_edge(slot: &AtomicU64, key: u64, orig_of: &impl Fn(u32) -> WEdg
     }
 }
 
+/// [`fetch_min_edge`] for a slot no other thread is writing: the same
+/// order, a plain load and store in place of the CAS loop.
+#[inline]
+pub fn min_edge(slot: &AtomicU64, key: u64, orig_of: &impl Fn(u32) -> WEdge) {
+    let cur = slot.load(Ordering::Relaxed);
+    if cur == NONE_KEY || precedes(key, cur, orig_of) {
+        slot.store(key, Ordering::Relaxed);
+    }
+}
+
 /// `true` when `a` precedes `b` under `((w, u, v), row)` — the packed-word
 /// comparison except on weight ties, where the full edge key breaks them.
 #[inline]

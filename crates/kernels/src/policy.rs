@@ -16,6 +16,11 @@
 //! they are associative, and sorts use injective keys. The oracle tests in
 //! `tests/parallel_plane_oracle.rs` assert this across adversarial
 //! chunkings.
+//!
+//! The thresholds assume the caller has the host to itself: one that runs
+//! kernels from several threads at once (the ranks of `mnd-mst`) shares the
+//! host between them with [`with_kernel_threads`], and hands a thread left
+//! with one [`KernelPolicy::seq`] — by the contract, only wall-clock can tell.
 
 /// The four kernel families of the holding plane, each with its own
 /// seq/par crossover: their per-row work differs by an order of magnitude
@@ -175,6 +180,23 @@ impl KernelPolicy {
             .map(|lo| (lo, lo.saturating_add(chunk).min(rows)))
             .collect()
     }
+}
+
+/// Kernel threads the calling thread's parallel sections run on: the budget
+/// of an enclosing [`with_kernel_threads`], else `RAYON_NUM_THREADS`, else
+/// the host's cores.
+pub fn kernel_threads() -> usize {
+    rayon::current_num_threads()
+}
+
+/// Runs `f` with every parallel section it opens on the calling thread
+/// confined to `threads` kernel threads (one: inline on the caller).
+pub fn with_kernel_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a pool of kernel threads")
+        .install(f)
 }
 
 /// Exception condition of the HyPar `indComp` API (§4.1.2).

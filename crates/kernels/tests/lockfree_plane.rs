@@ -149,6 +149,34 @@ fn lockfree_thread_count_does_not_change_results() {
     }
 }
 
+/// The forced-lock-free policy must keep forcing, whatever thread budget the engines
+/// give their ranks: on a test thread (no pool installed but this one) the
+/// fixture's rows are cut into more than one chunk and the chunks run on
+/// more than one thread. Counted here, around the same chunking calls the
+/// kernels make — the product carries no counter.
+#[test]
+fn force_lockfree_still_runs_several_chunks_on_several_threads() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let (_, el) = fixtures().swap_remove(0);
+    let rows = partitioned(&el)[0].num_edges();
+    let policy = KernelPolicy::force_lockfree(13);
+    assert!(policy.use_par_for(mnd_kernels::KernelClass::Election, rows));
+    let chunks = AtomicUsize::new(0);
+    let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        policy.chunk_ranges(rows).into_par_iter().for_each(|_| {
+            chunks.fetch_add(1, Ordering::Relaxed);
+            threads.lock().unwrap().insert(std::thread::current().id());
+        })
+    });
+    assert!(chunks.into_inner() > 1);
+    assert!(threads.into_inner().unwrap().len() > 1);
+}
+
 /// Sequential min-root reference: the semantics `MinDsu` (and the atomic
 /// DSU's union-by-smaller-id orientation) guarantee — every element's
 /// representative is the smallest member of its component, regardless of

@@ -28,11 +28,12 @@
 //! an accuracy term in the reported latencies.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
+use mnd_graph::fingerprint::Fingerprint;
 use mnd_graph::types::VertexId;
-use mnd_graph::{connected_components, CsrGraph};
+use mnd_graph::{connected_components, CsrGraph, EdgeList};
 
 use crate::backend::Backend;
 use crate::cache::{CacheKey, CacheStats, CachedValue, ResultCache, Variant};
@@ -174,6 +175,12 @@ pub struct ServePlane {
     /// Incremental session per tenant, seeded by the tenant's first
     /// `Update` job.
     sessions: BTreeMap<usize, IncrementalMsf>,
+    /// Fingerprint of every submitted graph, by the address of its `Arc`'s
+    /// allocation — an `O(E)` hash paid once per graph, not once per
+    /// look-up. The `Arc` is retained beside the value so the address
+    /// cannot be reused while the entry lives, and the list behind a
+    /// shared `Arc` cannot change.
+    fingerprints: HashMap<usize, (Arc<EdgeList>, Fingerprint)>,
 }
 
 impl ServePlane {
@@ -186,12 +193,21 @@ impl ServePlane {
             tenants,
             cache: ResultCache::new(),
             sessions: BTreeMap::new(),
+            fingerprints: HashMap::new(),
         }
     }
 
     /// The tenant list (index space of [`JobSpec::tenant`]).
     pub fn tenants(&self) -> &[TenantSpec] {
         &self.tenants
+    }
+
+    /// The fingerprint of a submitted graph, hashed on first sight.
+    fn fingerprint_of(&mut self, graph: &Arc<EdgeList>) -> Fingerprint {
+        self.fingerprints
+            .entry(Arc::as_ptr(graph) as usize)
+            .or_insert_with(|| (graph.clone(), graph.fingerprint()))
+            .1
     }
 
     /// Ranks a job over `edges` edges asks for.
@@ -429,22 +445,14 @@ impl ServePlane {
 
     /// MSF with caching: a hit costs [`CACHE_HIT_SECONDS`]; a miss runs
     /// the backend and populates the cache.
-    fn exec_msf(
-        &mut self,
-        graph: &Arc<mnd_graph::EdgeList>,
-        ranks: usize,
-    ) -> (ServedBy, f64, JobResult) {
+    fn exec_msf(&mut self, graph: &Arc<EdgeList>, ranks: usize) -> (ServedBy, f64, JobResult) {
         let (msf, served_by, secs) = self.msf_of(graph, ranks);
         (served_by, secs, JobResult::Msf(msf))
     }
 
     /// CC labels derive from the forest on the frontend, so the heavy
     /// part shares the MSF cache entry.
-    fn exec_cc(
-        &mut self,
-        graph: &Arc<mnd_graph::EdgeList>,
-        ranks: usize,
-    ) -> (ServedBy, f64, JobResult) {
+    fn exec_cc(&mut self, graph: &Arc<EdgeList>, ranks: usize) -> (ServedBy, f64, JobResult) {
         let (msf, served_by, msf_secs) = self.msf_of(graph, ranks);
         let derive_work = graph.num_vertices() as u64 + msf.edges.len() as u64;
         let secs = msf_secs + self.backend.frontend_seconds(derive_work);
@@ -462,12 +470,12 @@ impl ServePlane {
 
     fn exec_bfs(
         &mut self,
-        graph: &Arc<mnd_graph::EdgeList>,
+        graph: &Arc<EdgeList>,
         source: VertexId,
         ranks: usize,
     ) -> (ServedBy, f64, JobResult) {
         let key = CacheKey {
-            fp: graph.fingerprint(),
+            fp: self.fingerprint_of(graph),
             variant: Variant::Bfs(source),
         };
         if self.cfg.cache {
@@ -492,7 +500,7 @@ impl ServePlane {
     fn exec_update(
         &mut self,
         tenant: usize,
-        graph: &Arc<mnd_graph::EdgeList>,
+        graph: &Arc<EdgeList>,
         inserts: &[mnd_graph::types::WEdge],
         deletes: &[(VertexId, VertexId)],
         ranks: usize,
@@ -550,11 +558,11 @@ impl ServePlane {
     /// Shared MSF-with-cache path.
     fn msf_of(
         &mut self,
-        graph: &mnd_graph::EdgeList,
+        graph: &Arc<EdgeList>,
         ranks: usize,
     ) -> (Arc<mnd_kernels::msf::MsfResult>, ServedBy, f64) {
         let key = CacheKey {
-            fp: graph.fingerprint(),
+            fp: self.fingerprint_of(graph),
             variant: Variant::Msf,
         };
         if self.cfg.cache {
@@ -593,7 +601,7 @@ mod tests {
         plane(nranks, vec![TenantSpec::new("t0", 1.0, 64)])
     }
 
-    fn mst(tenant: usize, graph: &Arc<mnd_graph::EdgeList>, submit: f64) -> JobSpec {
+    fn mst(tenant: usize, graph: &Arc<EdgeList>, submit: f64) -> JobSpec {
         JobSpec {
             tenant,
             kind: JobKind::Mst,

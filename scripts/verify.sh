@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, then the tier-1 suite
 # (ROADMAP.md: `cargo build --release && cargo test -q`), the round-loop
-# engines' goldens and crash grids again in a release build, and the repo
-# benchmark's own self-tests + smoke walk (benchmark/ is a package of its
-# own that builds against the crates' public API: an API break must fail
-# here, not in the acceptance pipeline), and — in full mode — the bench
-# smoke, the chaos/resilience recovery grids, the
+# engines' goldens and crash grids again in a release build, the kernel
+# plane's oracle suites in a release build on one and on two threads, and
+# the repo benchmark's own self-tests + smoke walk (benchmark/ is a package
+# of its own that builds against the crates' public API: an API break must
+# fail here, not in the acceptance pipeline), and — in full mode — the
+# bench smoke, the chaos/resilience recovery grids, the
 # checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  lints + debug tests + the release-mode engine tests +
-#            benchmark self-tests only: skips the release build, the
+#   --quick  lints + debug tests + the release-mode engine and kernel-plane
+#            tests + benchmark self-tests only: skips the release build, the
 #            criterion smoke, the chaos and resilience sweeps, the repro
 #            sweeps (checkpoint, serve, comm, emst), and the perf
 #            snapshot. This is the PR gate in CI; the full run gates
@@ -29,7 +30,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -59,6 +60,18 @@ cargo test -q --workspace
 # two, so their goldens and crash grids run in both.
 echo "==> cargo test --release (clock goldens, engine agreement, BSP chaos)"
 cargo test --release -q --test sim_clock_golden --test engine_agreement --test bsp_chaos
+
+# The kernel plane too, and on both sides of the thread-budget rule: tier-1
+# runs it in a debug build on however many cores the runner has, the
+# benchmark in a release build whose ranks take the one-thread arm, and the
+# one-sweep `indComp` does u32 row/sentinel arithmetic of its own. One
+# thread runs every chunk inline on the caller, two spread them.
+for threads in 1 2; do
+  echo "==> cargo test --release (kernel plane, RAYON_NUM_THREADS=$threads)"
+  RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels \
+    --test lockfree_plane --test parallel_plane_oracle --test kernel_properties
+  RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib boruvka::tests
+done
 
 echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml

@@ -1,7 +1,9 @@
 //! Offline stand-in for [rayon](https://docs.rs/rayon) covering the API
 //! surface this workspace uses: `par_iter()` over slices, `into_par_iter()`
-//! over `Vec<T>` and integer ranges, and the `for_each` / `filter` /
-//! `filter_map` / `map` / `collect` combinators.
+//! over `Vec<T>` and integer ranges, the `for_each` / `filter` /
+//! `filter_map` / `map` / `collect` combinators, `par_sort_unstable_by_key`,
+//! and sized pools (`ThreadPoolBuilder` / `ThreadPool::install` /
+//! `current_num_threads`).
 //!
 //! Work is executed on `std::thread::scope` threads in contiguous chunks,
 //! so lock-free algorithms (e.g. the atomic union-find election in
@@ -9,22 +11,100 @@
 //! interleaving, and results are concatenated in chunk order so
 //! order-preserving combinators match rayon's semantics.
 
+use std::cell::Cell;
 use std::ops::Range;
 
-/// Upper bound on worker threads; small inputs use fewer. Honours
-/// `RAYON_NUM_THREADS` like real rayon (read per call, so tests can vary
-/// the thread count without rebuilding pools).
+thread_local! {
+    /// Threads of the pool installed on this thread (0: none). The shim's
+    /// "pool" is this cap: parallel sections opened under it spawn at most
+    /// that many scoped workers.
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Threads of the current pool: the pool [`ThreadPool::install`]ed on this
+/// thread, else the global default — `RAYON_NUM_THREADS` like real rayon
+/// (read per call, so tests can vary it without rebuilding pools), else
+/// the host's cores.
+pub fn current_num_threads() -> usize {
+    match INSTALLED.get() {
+        0 => std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            }),
+        installed => installed,
+    }
+}
+
+/// Worker threads for a section over `items` items: the current pool's,
+/// at most 8, and no more than there are items.
 fn num_threads(items: usize) -> usize {
-    let hw = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    hw.min(8).min(items.max(1))
+    current_num_threads().min(8).min(items.max(1))
+}
+
+/// Builder for a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+/// What [`ThreadPoolBuilder::build`] can fail with. The shim's pools own no
+/// threads, so it never does; the type keeps call sites rayon-shaped.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError;
+
+impl ThreadPoolBuilder {
+    /// A builder with the default thread count.
+    pub fn new() -> Self {
+        ThreadPoolBuilder::default()
+    }
+
+    /// Sets the pool's thread count; 0 (the default) leaves it to the
+    /// global default of [`current_num_threads`].
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            threads: self.num_threads,
+        })
+    }
+}
+
+/// A thread pool, mirroring `rayon::ThreadPool`: a thread count that
+/// parallel sections run under while the pool is installed (0: the global
+/// default).
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with this pool current: every parallel section `op` opens
+    /// on the calling thread uses at most the pool's threads (one thread:
+    /// inline on the caller). The previous pool is current again when `op`
+    /// returns or unwinds. Real rayon moves `op` onto a pool thread and so
+    /// asks for `Send`; the shim runs it where it is called and does not
+    /// (the `mnd-mst` ranks rely on that: their communicator is not `Sync`).
+    /// Workers do not inherit the pool — the workspace never opens a
+    /// parallel section from inside one.
+    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.set(self.0);
+            }
+        }
+        let _restore = Restore(INSTALLED.replace(self.threads));
+        op()
+    }
 }
 
 /// Runs `f` over `items` on scoped threads, preserving input order in the
@@ -61,7 +141,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("rayon shim worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
     parts.into_iter().flatten().collect()
@@ -208,7 +291,8 @@ impl<T: Send + Copy> ParallelSliceMut<T> for [T] {
                 handles.push(s.spawn(move || chunk.sort_unstable_by_key(|t| key_ref(t))));
             }
             for h in handles {
-                h.join().expect("rayon shim sort worker panicked");
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             }
         });
         // ...then merge sorted runs pairwise until one run remains.
@@ -304,6 +388,65 @@ mod tests {
         let mut empty: Vec<u32> = Vec::new();
         empty.par_sort_unstable_by_key(|&x| x);
         assert!(empty.is_empty());
+    }
+
+    fn pool(threads: usize) -> super::ThreadPool {
+        super::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_pool_of_one_runs_sections_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+        pool(1).install(|| {
+            assert_eq!(super::current_num_threads(), 1);
+            (0..10_000u32).into_par_iter().for_each(|_| on_caller());
+            let mut v: Vec<u32> = (0..10_000).rev().collect();
+            v.par_sort_unstable_by_key(|&x| {
+                on_caller();
+                x
+            });
+            assert!(v.windows(2).all(|w| w[0] <= w[1]));
+        });
+        // A wider pool bounds the workers of a section.
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        pool(2).install(|| {
+            assert_eq!(super::current_num_threads(), 2);
+            (0..10_000u32).into_par_iter().for_each(|_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        assert!(seen.into_inner().unwrap().len() <= 2);
+    }
+
+    #[test]
+    fn install_nests_and_restores_the_previous_pool_even_on_unwind() {
+        let (outer, inner) = (pool(3), pool(2));
+        outer.install(|| {
+            assert_eq!(super::current_num_threads(), 3);
+            inner.install(|| assert_eq!(super::current_num_threads(), 2));
+            assert_eq!(super::current_num_threads(), 3);
+            let unwound = std::panic::catch_unwind(|| inner.install(|| panic!("inside install")));
+            assert!(unwound.is_err());
+            assert_eq!(super::current_num_threads(), 3);
+        });
+        assert_eq!(super::INSTALLED.get(), 0);
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_message() {
+        let unwound = std::panic::catch_unwind(|| {
+            pool(2).install(|| {
+                (0..100u32)
+                    .into_par_iter()
+                    .for_each(|x| assert!(x < 50, "row {x}"))
+            });
+        });
+        let message = *unwound.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.starts_with("row "), "{message}");
     }
 
     #[test]

@@ -213,3 +213,94 @@ fn serve_plane_replays_byte_identically() {
     assert!(!a.is_empty());
     assert_eq!(a, run());
 }
+
+/// A cached result is never served for a graph a session has since
+/// mutated. After every update batch the plane caches the session's forest
+/// under the fingerprint of the *updated* graph: a query on that graph
+/// rebuilt from scratch (a mirror map, a fresh `Arc`, hashed on first
+/// sight) is a cache hit carrying the rebuilt graph's Kruskal forest. And a
+/// query on the session's *base* graph — the very `Arc` the updates were
+/// submitted with, whose fingerprint the plane computed once and keeps —
+/// is answered with the base forest after every batch, never a mutated one.
+#[test]
+fn updates_cache_under_the_rebuilt_graphs_fingerprint_and_spare_the_base() {
+    use mnd::serve::job::{JobResult, ServedBy};
+
+    let n = 200;
+    let base = Arc::new(gen::gnm(n, 900, 41));
+    let base_forest = kruskal_msf(&base);
+    let mut mirror: BTreeMap<(VertexId, VertexId), Weight> =
+        base.edges().iter().map(|e| ((e.u, e.v), e.w)).collect();
+    let mut rng = 97u64;
+    let mut next = move |modulus: u64| {
+        rng = mnd::graph::edgelist::splitmix64(rng);
+        (rng % modulus) as u32
+    };
+
+    let mut jobs = Vec::new();
+    // What each query must be answered with, by job index.
+    let mut expect = BTreeMap::new();
+    for batch in 0..6 {
+        let inserts: Vec<WEdge> = (0..8)
+            .map(|_| WEdge::new(next(n as u64), next(n as u64), next(5000) + 1))
+            .collect();
+        // Delete live edges, so every batch really removes something.
+        let deletes: Vec<(VertexId, VertexId)> = (0..4)
+            .map(|_| {
+                *mirror
+                    .keys()
+                    .nth(next(mirror.len() as u64) as usize)
+                    .unwrap()
+            })
+            .collect();
+        for e in &inserts {
+            if e.u != e.v {
+                mirror.insert((e.u, e.v), e.w);
+            }
+        }
+        for key in &deletes {
+            mirror.remove(key);
+        }
+        let t = batch as f64 * 10.0;
+        jobs.push(JobSpec {
+            tenant: 0,
+            kind: JobKind::Update { inserts, deletes },
+            graph: base.clone(),
+            submit: t,
+        });
+        let rebuilt = mirror_graph(n, &mirror);
+        expect.insert(jobs.len(), kruskal_msf(&rebuilt));
+        jobs.push(JobSpec {
+            tenant: 0,
+            kind: JobKind::Mst,
+            graph: Arc::new(rebuilt),
+            submit: t + 4.0,
+        });
+        expect.insert(jobs.len(), base_forest.clone());
+        jobs.push(JobSpec {
+            tenant: 0,
+            kind: JobKind::Mst,
+            graph: base.clone(),
+            submit: t + 5.0,
+        });
+    }
+    assert_ne!(mirror_graph(n, &mirror).edges(), base.edges());
+
+    let mut plane = ServePlane::new(
+        ServeConfig::new(4),
+        Box::new(EngineBackend::mnd_mst(1.0)),
+        vec![TenantSpec::new("session", 1.0, 64)],
+    );
+    let report = plane.run(jobs);
+    assert_eq!(report.completed(), 18);
+    for c in &report.completions {
+        let Some(forest) = expect.get(&c.job) else {
+            continue;
+        };
+        assert_eq!(c.served_by, ServedBy::Cache, "job {}", c.job);
+        match &c.result {
+            JobResult::Msf(m) => assert_eq!(&**m, forest, "job {}", c.job),
+            _ => panic!("MST jobs return forests"),
+        }
+    }
+}

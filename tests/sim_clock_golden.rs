@@ -11,6 +11,7 @@
 //! A deliberate cost-model or algorithm change re-pins them: the failure
 //! message prints the observed values in the form the tables below use.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mnd::chaos::FaultPlan;
@@ -18,8 +19,10 @@ use mnd::device::NodePlatform;
 use mnd::engine::EngineChaos;
 use mnd::graph::presets::{scramble_ids, Preset};
 use mnd::graph::{gen, EdgeList};
-use mnd::hypar::HyParConfig;
+use mnd::hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
+use mnd::hypar::{HyParConfig, RecursionThresholdSource};
 use mnd::kernels::kruskal_msf;
+use mnd::kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd::mst::MndMstRunner;
 use mnd::net::RankStats;
 use mnd::pregel::framework::BspPartitioning;
@@ -114,6 +117,117 @@ fn road_grid_with_tiny_ghost_phases() {
             messages_sent: &[79, 76, 75],
         },
     );
+}
+
+/// One snapshot line of an `mnd-mst` run: the clock and per-rank traffic,
+/// the hierarchy's shape, and the number of computation steps rank 0 ran
+/// (one `MergeParts` sample per step — so a recursing run shows it).
+fn mnd_mst_line(el: &EdgeList, runner: MndMstRunner) -> String {
+    struct Steps(AtomicU64);
+    impl PhaseObserver for Steps {
+        fn on_phase(&self, kind: PhaseKind, sample: &PhaseSample) {
+            if kind == PhaseKind::MergeParts && sample.rank == 0 {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let steps = Arc::new(Steps(AtomicU64::new(0)));
+    let config = runner.config.clone().with_observer(steps.clone());
+    let r = runner.with_config(config).run(el);
+    assert_eq!(r.msf, kruskal_msf(el), "mnd-mst: wrong forest");
+    format!(
+        "{} | levels {} exchange_rounds {} max_holding_bytes {} steps {}",
+        clock_line(r.total_time, r.comm_time, &r.rank_stats),
+        r.levels,
+        r.exchange_rounds,
+        r.max_holding_bytes,
+        steps.0.load(Ordering::Relaxed)
+    )
+}
+
+/// `mnd-mst` in every arm its kernel and merge hierarchy branch on: both
+/// non-default exception/freeze readings, the exhaustive stop and an eager
+/// diminishing-benefit stop, a recursion threshold low enough that the
+/// computation step actually recurses, a ring exchange, and pairs on eight
+/// ranks (three levels; leaders run `indComp` on merged holdings).
+#[test]
+fn mnd_mst_kernel_and_hierarchy_goldens() {
+    let eager = StopPolicy::DiminishingBenefit {
+        min_improvement: 0.5,
+    };
+    let base = || HyParConfig::default().with_sim_scale(4096.0);
+    let arms: Vec<(&str, usize, HyParConfig)> = vec![
+        (
+            "border-vertex",
+            4,
+            HyParConfig {
+                excp: ExcpCond::BorderVertex,
+                ..base()
+            },
+        ),
+        (
+            "recheck",
+            4,
+            HyParConfig {
+                freeze: FreezePolicy::Recheck,
+                ..base()
+            },
+        ),
+        (
+            "exhaustive",
+            4,
+            HyParConfig {
+                stop: StopPolicy::Exhaustive,
+                ..base()
+            },
+        ),
+        (
+            "eager-stop",
+            4,
+            HyParConfig {
+                stop: eager,
+                ..base()
+            },
+        ),
+        (
+            "recursing",
+            4,
+            HyParConfig {
+                stop: eager,
+                recursion_edge_threshold: 1,
+                recursion_threshold_source: RecursionThresholdSource::Fixed,
+                ..base()
+            },
+        ),
+        (
+            "ring x8",
+            8,
+            HyParConfig {
+                group_size: 8,
+                excp: ExcpCond::BorderVertex,
+                merge_min_shrink: 0.0,
+                group_edge_threshold: 16,
+                max_exchange_rounds: 64,
+                ..base()
+            },
+        ),
+        (
+            "pairs x8",
+            8,
+            HyParConfig {
+                group_size: 2,
+                ..base()
+            },
+        ),
+    ];
+    let mut observed = Vec::new();
+    for (name, el) in round_loop_graphs() {
+        for (arm, nranks, config) in &arms {
+            let runner = MndMstRunner::new(*nranks).with_config(config.clone());
+            observed.push(format!("{name} {arm} | {}", mnd_mst_line(&el, runner)));
+        }
+    }
+    check_snapshot("MND_MST_GOLDEN", &observed, MND_MST_GOLDEN);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,6 +407,30 @@ fn round_loop_chaos_goldens() {
     }
     check_snapshot("CHAOS_GOLDEN", &observed, CHAOS_GOLDEN);
 }
+
+const MND_MST_GOLDEN: &str = "
+road border-vertex | total 0.2383616398730162 comm 0.21041090793650824 | bytes [23611, 16749, 27656, 16122] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recheck | total 0.23205114044444475 comm 0.2047743630476193 | bytes [23014, 16186, 26975, 15810] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road exhaustive | total 0.23205114044444475 comm 0.2047743630476193 | bytes [23014, 16186, 26975, 15810] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road eager-stop | total 0.23120099022222249 comm 0.205525169777778 | bytes [23284, 16150, 27168, 14940] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recursing | total 0.24020920914285762 comm 0.21138030476190522 | bytes [23546, 16405, 27227, 15162] | msgs [29, 20, 34, 18] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
+road ring x8 | total 0.38854125384126853 comm 0.3591728779682526 | bytes [46450, 17579, 32471, 17303, 47703, 17368, 31520, 15876] | msgs [41, 21, 32, 21, 45, 22, 33, 17] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
+road pairs x8 | total 0.3786756599365065 comm 0.3615654977777763 | bytes [41937, 15718, 30073, 15643, 43457, 15802, 28950, 14986] | msgs [55, 23, 42, 23, 60, 23, 41, 21] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
+scramble border-vertex | total 0.9279898810158727 comm 0.5122868349206344 | bytes [43579, 69572, 90773, 69719] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 519864320 steps 1
+scramble recheck | total 0.8651534516825394 comm 0.46582939631745973 | bytes [40060, 62612, 81555, 62891] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
+scramble exhaustive | total 0.904349899174603 comm 0.46608958984126925 | bytes [40060, 62612, 81555, 62895] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
+scramble eager-stop | total 0.8651534516825394 comm 0.46582939631745973 | bytes [40060, 62612, 81555, 62891] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
+scramble recursing | total 0.9379591634285709 comm 0.4694827271111102 | bytes [40348, 62756, 81843, 63039] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 2
+scramble ring x8 | total 1.1120297954285712 comm 0.7223988763174599 | bytes [102612, 60624, 89684, 60534, 118591, 60951, 89776, 59876] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 519864320 steps 2
+scramble pairs x8 | total 1.6273111972063496 comm 1.3627397092063491 | bytes [81792, 41919, 90336, 42098, 137078, 41874, 90766, 42222] | msgs [69, 33, 53, 33, 71, 33, 53, 33] | levels 3 exchange_rounds 0 max_holding_bytes 328089600 steps 3
+islands border-vertex | total 0.20140854184126997 comm 0.14607105536507947 | bytes [12596, 15132, 21142, 10759] | msgs [17, 15, 21, 12] | levels 1 exchange_rounds 0 max_holding_bytes 78118912 steps 1
+islands recheck | total 0.1957158198095239 comm 0.14272358590476203 | bytes [12260, 14916, 20455, 10692] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 71778304 steps 1
+islands exhaustive | total 0.2011601250793652 comm 0.14272345587301596 | bytes [12244, 14916, 20447, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 71680000 steps 1
+islands eager-stop | total 0.19476675555555573 comm 0.14656489726984143 | bytes [12436, 14916, 20543, 10912] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 72859648 steps 1
+islands recursing | total 0.22688319796825435 comm 0.1629364335238099 | bytes [12820, 15204, 21023, 10960] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 71680000 steps 3
+islands ring x8 | total 0.2731275075555561 comm 0.23203631771428648 | bytes [29378, 14242, 23129, 14325, 31786, 13729, 19396, 10526] | msgs [43, 21, 33, 21, 45, 21, 36, 17] | levels 1 exchange_rounds 1 max_holding_bytes 78315520 steps 2
+islands pairs x8 | total 0.40329534019047625 comm 0.37231509079365077 | bytes [27632, 11986, 25619, 11925, 36448, 12039, 20040, 8102] | msgs [67, 31, 51, 31, 69, 31, 50, 21] | levels 3 exchange_rounds 0 max_holding_bytes 61227008 steps 3
+";
 
 const BSP_GOLDEN: &str = "
 road p3 Hash combine=true mirror=None | total 0.014023951682539611 comm 0.013932717555555483 | bytes [105176, 106104, 96680] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45494
