@@ -11,14 +11,16 @@
 //! A deliberate cost-model or algorithm change re-pins them: the failure
 //! message prints the observed values in the form the tables below use.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mnd::chaos::FaultPlan;
 use mnd::device::NodePlatform;
 use mnd::engine::EngineChaos;
+use mnd::graph::edgelist::splitmix64;
 use mnd::graph::presets::{scramble_ids, Preset};
-use mnd::graph::{gen, EdgeList};
+use mnd::graph::{gen, EdgeList, WEdge};
 use mnd::hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
 use mnd::hypar::{HyParConfig, RecursionThresholdSource};
 use mnd::kernels::kruskal_msf;
@@ -27,6 +29,9 @@ use mnd::mst::MndMstRunner;
 use mnd::net::RankStats;
 use mnd::pregel::framework::BspPartitioning;
 use mnd::pregel::{pregel_msf_chaos, BspConfig};
+use mnd::serve::{
+    EngineBackend, JobKind, JobSpec, ServeConfig, ServePlane, TenantSpec, UpdateMode,
+};
 use mnd::spmsf::{spmsf_msf_chaos, SpmsfConfig};
 
 struct Golden {
@@ -408,6 +413,137 @@ fn round_loop_chaos_goldens() {
     check_snapshot("CHAOS_GOLDEN", &observed, CHAOS_GOLDEN);
 }
 
+// ---------------------------------------------------------------------------
+// The serve plane.
+//
+// Its clock is the scheduler's: queueing from the SFQ tags, execution from
+// the backend's makespan, the frontend's CPU model over `IncrementalMsf`'s
+// work units, or the constant cache-hit charge. When a cache key is
+// computed, how a tree search keeps its scratch and how CC labels are
+// derived are host matters and must never reach it.
+// ---------------------------------------------------------------------------
+
+/// A scaled-down `serve-mix`: an interactive tenant repeating {Mst, Cc,
+/// Bfs} on one road grid (wave 1 cold, later waves cache hits), a batch
+/// tenant bursting six distinct graphs past a queue bound of three, and an
+/// updates tenant streaming eight insert/delete batches into a dense
+/// session — plus two `Mst` queries on the session's *current* graph,
+/// rebuilt from a mirror map, which are served from the cache entry the
+/// update before them is owed.
+fn serve_golden_jobs() -> Vec<JobSpec> {
+    let road = Arc::new(gen::road_grid(30, 20, 0.02, 0.38, 3));
+    let mut jobs = Vec::new();
+    for wave in 0..6 {
+        let t = wave as f64 * 0.5;
+        for (dt, kind) in [
+            (0.0, JobKind::Mst),
+            (0.05, JobKind::Cc),
+            (0.1, JobKind::Bfs { source: 0 }),
+        ] {
+            jobs.push(JobSpec {
+                tenant: 0,
+                kind,
+                graph: road.clone(),
+                submit: t + dt,
+            });
+        }
+    }
+    for i in 0..6 {
+        jobs.push(JobSpec {
+            tenant: 1,
+            kind: JobKind::Mst,
+            graph: Arc::new(gen::gnm(300, 900, 0xB0B0 + i)),
+            submit: 0.0,
+        });
+    }
+    let n = 300u32;
+    let session = Arc::new(gen::gnm(n, n as u64 * 16, 0xD1CE));
+    let mut mirror: BTreeMap<(u32, u32), u32> =
+        session.edges().iter().map(|e| ((e.u, e.v), e.w)).collect();
+    let mut z = 0x5EED_CAFEu64;
+    let mut next = move |modulus: u64| {
+        z = splitmix64(z);
+        (z % modulus) as u32
+    };
+    for batch in 0..8 {
+        let inserts: Vec<WEdge> = (0..6)
+            .map(|_| WEdge::new(next(n as u64), next(n as u64), next(1_000_000)))
+            .collect();
+        for e in inserts.iter().filter(|e| e.u != e.v) {
+            mirror.insert((e.u, e.v), e.w);
+        }
+        let deletes: Vec<(u32, u32)> = (0..3)
+            .map(|_| {
+                let key = *mirror
+                    .keys()
+                    .nth(next(mirror.len() as u64) as usize)
+                    .unwrap();
+                mirror.remove(&key);
+                key
+            })
+            .collect();
+        let t = 0.3 + 0.4 * batch as f64;
+        jobs.push(JobSpec {
+            tenant: 2,
+            kind: JobKind::Update { inserts, deletes },
+            graph: session.clone(),
+            submit: t,
+        });
+        if batch == 3 || batch == 7 {
+            let current = mirror
+                .iter()
+                .map(|(&(u, v), &w)| WEdge::new(u, v, w))
+                .collect();
+            jobs.push(JobSpec {
+                tenant: 0,
+                kind: JobKind::Mst,
+                graph: Arc::new(EdgeList::from_raw(n, current)),
+                submit: t + 0.2,
+            });
+        }
+    }
+    jobs
+}
+
+/// Every number the plane reports in both update modes: per completion
+/// `(job, served_by, start, finish)`, then the makespan, the refusals, the
+/// tenants' percentiles and the cache counters.
+#[test]
+fn serve_plane_goldens() {
+    let mut observed = Vec::new();
+    for mode in [UpdateMode::Incremental, UpdateMode::Recompute] {
+        let mut plane = ServePlane::new(
+            ServeConfig::new(4)
+                .with_edges_per_rank(256)
+                .with_update_mode(mode),
+            Box::new(EngineBackend::mnd_mst(1024.0)),
+            vec![
+                TenantSpec::new("interactive", 4.0, 32),
+                TenantSpec::new("batch", 1.0, 3),
+                TenantSpec::new("updates", 2.0, 16),
+            ],
+        );
+        let r = plane.run(serve_golden_jobs());
+        for c in &r.completions {
+            observed.push(format!(
+                "{mode:?} job {} {:?} | start {:?} finish {:?}",
+                c.job, c.served_by, c.start, c.finish
+            ));
+        }
+        observed.push(format!(
+            "{mode:?} plane | makespan {:?} rejected {} | hits {} misses {} saved {:?}",
+            r.makespan, r.rejected, r.cache.hits, r.cache.misses, r.cache.saved_seconds
+        ));
+        for t in &r.tenants {
+            observed.push(format!(
+                "{mode:?} tenant {} | p50 {:?} p95 {:?} p99 {:?}",
+                t.name, t.p50, t.p95, t.p99
+            ));
+        }
+    }
+    check_snapshot("SERVE_GOLDEN", &observed, SERVE_GOLDEN);
+}
+
 const MND_MST_GOLDEN: &str = "
 road border-vertex | total 0.2383616398730162 comm 0.21041090793650824 | bytes [23611, 16749, 27656, 16122] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
 road recheck | total 0.23205114044444475 comm 0.2047743630476193 | bytes [23014, 16186, 26975, 15810] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
@@ -497,4 +633,77 @@ bsp armed-clean | total 0.02079090536507945 comm 0.019570825873015976 | bytes [6
 spmsf armed-clean | total 0.01673976460317463 comm 0.014617523333333361 | bytes [23256, 10564, 21228, 8952] | msgs [174, 132, 200, 97] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 0
 bsp crash r2 e3 op11 | total 1.0209471902539966 comm 1.0197271107619332 | bytes [69036, 73924, 64332, 76832] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 2
 spmsf crash r2 e3 op11 | total 1.016845366603201 comm 1.01472312533336 | bytes [23256, 10564, 21228, 8952] | msgs [174, 132, 200, 97] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 2
+";
+
+const SERVE_GOLDEN: &str = "
+Incremental job 0 Backend | start 0.0 finish 0.026484729269841294
+Incremental job 18 Backend | start 0.026484729269841294 finish 0.06788608152380957
+Incremental job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
+Incremental job 19 Backend | start 0.07277693866666671 finish 0.11390300787301592
+Incremental job 2 Backend | start 0.11390300787301592 finish 0.12683889422222228
+Incremental job 20 Backend | start 0.12683889422222228 finish 0.16772412838095246
+Incremental job 24 Incremental | start 0.3 finish 0.39257260596825394
+Incremental job 3 Cache | start 0.5 finish 0.5001
+Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
+Incremental job 5 Cache | start 0.6 finish 0.6001
+Incremental job 25 Incremental | start 0.7 finish 0.7028728888888889
+Incremental job 6 Cache | start 1.0 finish 1.0001
+Incremental job 7 Cache | start 1.05 finish 1.0548908571428572
+Incremental job 8 Cache | start 1.1 finish 1.1001
+Incremental job 26 Incremental | start 1.1 finish 1.104112253968254
+Incremental job 9 Cache | start 1.5 finish 1.5001
+Incremental job 27 Incremental | start 1.5000000000000002 finish 1.5022755555555558
+Incremental job 10 Cache | start 1.55 finish 1.5548908571428572
+Incremental job 11 Cache | start 1.6 finish 1.6001
+Incremental job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
+Incremental job 29 Incremental | start 1.9000000000000001 finish 1.9020845714285715
+Incremental job 12 Cache | start 2.0 finish 2.0001
+Incremental job 13 Cache | start 2.05 finish 2.054890857142857
+Incremental job 14 Cache | start 2.1 finish 2.1001000000000003
+Incremental job 30 Incremental | start 2.3 finish 2.321812825396825
+Incremental job 15 Cache | start 2.5 finish 2.5001
+Incremental job 16 Cache | start 2.55 finish 2.554890857142857
+Incremental job 17 Cache | start 2.6 finish 2.6001000000000003
+Incremental job 31 Incremental | start 2.7 finish 2.7427926349206353
+Incremental job 32 Incremental | start 3.1 finish 3.1219916190476193
+Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
+Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.38027862831746057
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.026484729269841294 p99 0.02683889422222227
+Incremental tenant batch | p50 0.11390300787301592 p95 0.16772412838095246 p99 0.16772412838095246
+Incremental tenant updates | p50 0.004112253968253876 p95 0.09257260596825395 p99 0.09257260596825395
+Recompute job 0 Backend | start 0.0 finish 0.026484729269841294
+Recompute job 18 Backend | start 0.026484729269841294 finish 0.06788608152380957
+Recompute job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
+Recompute job 19 Backend | start 0.07277693866666671 finish 0.11390300787301592
+Recompute job 2 Backend | start 0.11390300787301592 finish 0.12683889422222228
+Recompute job 20 Backend | start 0.12683889422222228 finish 0.16772412838095246
+Recompute job 24 Recompute | start 0.3 finish 0.5825881429841271
+Recompute job 3 Cache | start 0.5825881429841271 finish 0.5826881429841271
+Recompute job 4 Cache | start 0.5826881429841271 finish 0.5875790001269843
+Recompute job 5 Cache | start 0.6 finish 0.6001
+Recompute job 25 Recompute | start 0.7 finish 0.8413734721269841
+Recompute job 6 Cache | start 1.0 finish 1.0001
+Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
+Recompute job 8 Cache | start 1.1 finish 1.1001
+Recompute job 26 Recompute | start 1.1001 finish 1.2415549045079366
+Recompute job 9 Cache | start 1.5 finish 1.5001
+Recompute job 27 Recompute | start 1.5001 finish 1.6415588054603174
+Recompute job 10 Cache | start 1.6415588054603174 finish 1.6464496626031746
+Recompute job 11 Cache | start 1.6464496626031746 finish 1.6465496626031746
+Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
+Recompute job 29 Recompute | start 1.9000000000000001 finish 2.041511630857143
+Recompute job 12 Cache | start 2.041511630857143 finish 2.041611630857143
+Recompute job 13 Cache | start 2.05 finish 2.054890857142857
+Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
+Recompute job 30 Recompute | start 2.3 finish 2.4414425514920635
+Recompute job 15 Cache | start 2.5 finish 2.5001
+Recompute job 16 Cache | start 2.55 finish 2.554890857142857
+Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
+Recompute job 31 Recompute | start 2.7 finish 2.8416996892698414
+Recompute job 32 Recompute | start 3.1 finish 3.2416462787301588
+Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6391165379047622
+Recompute tenant interactive | p50 0.004890857142857197 p95 0.08268814298412708 p99 0.09644966260317456
+Recompute tenant batch | p50 0.11390300787301592 p95 0.16772412838095246 p99 0.16772412838095246
+Recompute tenant updates | p50 0.1415549045079365 p95 0.2825881429841271 p99 0.2825881429841271
 ";
