@@ -574,6 +574,26 @@ fn main() {
                 })
                 .collect::<Vec<_>>(),
         );
+        // Host time, so printed only: a CSV of it would never reproduce.
+        print_table(
+            "Serve sweep: where each plane's wall clock went (host ms, not reproducible)",
+            &["plane", "kind", "served by", "jobs", "wall ms", "ms/job"],
+            &sweep
+                .wall
+                .iter()
+                .map(|(plane, w)| {
+                    let ms = w.wall_ns as f64 * 1e-6;
+                    vec![
+                        plane.clone(),
+                        w.kind.into(),
+                        format!("{:?}", w.served_by),
+                        w.jobs.to_string(),
+                        format!("{ms:.2}"),
+                        format!("{:.3}", ms / w.jobs as f64),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     if want("traffic") {

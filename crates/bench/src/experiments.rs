@@ -22,7 +22,7 @@ use mnd_net::Tag;
 use mnd_pregel::{pregel_msf, BspConfig, PregelReport};
 use mnd_serve::{
     EngineBackend, JobKind, JobResult, JobSpec, ServeConfig, ServePlane, ServeReport, TenantSpec,
-    UpdateMode,
+    UpdateMode, WallRow,
 };
 use mnd_spmsf::SpmsfEngine;
 
@@ -1533,12 +1533,16 @@ pub struct ServePlaneRow {
     pub utilisation: f64,
 }
 
-/// The serve sweep's two tables.
+/// The serve sweep's tables.
 pub struct ServeSweep {
     /// Per-tenant latency/throughput rows.
     pub tenants: Vec<ServeTenantRow>,
     /// Per-plane cache/update summaries.
     pub planes: Vec<ServePlaneRow>,
+    /// Per-plane host-time ledger (`ServeReport::wall_ledger`): where each
+    /// plane run's wall clock went, by job kind and serving path. The one
+    /// table of the sweep that is not reproducible.
+    pub wall: Vec<(String, WallRow)>,
 }
 
 /// Runs the workload through one backend engine in one update mode.
@@ -1667,8 +1671,13 @@ pub fn serve_sweep(ctx: &ExpContext, nranks: usize) -> ServeSweep {
     let mut sweep = ServeSweep {
         tenants: Vec::new(),
         planes: Vec::new(),
+        wall: Vec::new(),
     };
     for (plane, report) in &runs {
+        let ledger = report.wall_ledger();
+        sweep
+            .wall
+            .extend(ledger.into_iter().map(|row| (plane.clone(), row)));
         for (spec, t) in wl.tenants.iter().zip(&report.tenants) {
             sweep.tenants.push(ServeTenantRow {
                 plane: plane.clone(),

@@ -1,11 +1,13 @@
-//! Connectivity via breadth-first search.
+//! Connectivity: breadth-first search over a CSR, and — where all that is
+//! at hand is an edge slice — a union-find that needs no adjacency
+//! structure ([`forest_labels`]).
 //!
 //! The MSF of a graph with `k` connected components has exactly `V - k`
 //! edges (§3 of the paper); every oracle test uses [`num_components`] to
 //! check that count on the distributed result.
 
 use crate::csr::CsrGraph;
-use crate::types::VertexId;
+use crate::types::{VertexId, WEdge};
 
 /// Component id per vertex (ids are the smallest vertex of each component,
 /// so they are stable and comparable across implementations).
@@ -29,6 +31,33 @@ pub fn connected_components(g: &CsrGraph) -> Vec<VertexId> {
         }
     }
     comp
+}
+
+/// [`connected_components`] of the graph `(num_vertices, edges)` straight
+/// from the edge slice: a min-root union-find (the larger root hangs under
+/// the smaller, so a root is its set's smallest vertex and the labels come
+/// out identical), path halving, no CSR. Named for its caller — the serving
+/// plane labels a cached spanning forest with it — but any edge set works.
+pub fn forest_labels(num_vertices: VertexId, edges: &[WEdge]) -> Vec<VertexId> {
+    let mut parent: Vec<VertexId> = (0..num_vertices).collect();
+    fn find(parent: &mut [VertexId], mut x: VertexId) -> VertexId {
+        while parent[x as usize] != x {
+            let up = parent[parent[x as usize] as usize];
+            parent[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+    for e in edges {
+        let (a, b) = (find(&mut parent, e.u), find(&mut parent, e.v));
+        parent[a.max(b) as usize] = a.min(b);
+    }
+    // Every pointer leads to a smaller id, so by the time an ascending
+    // pass reaches `v` its parent already holds the root.
+    for v in 0..parent.len() {
+        parent[v] = parent[parent[v] as usize];
+    }
+    parent
 }
 
 /// Number of connected components.

@@ -17,8 +17,16 @@
 //! can cancel, and the chain construction makes the value
 //! order-dependent, so "same multiset of edges in a different canonical
 //! order" (impossible after canonicalisation anyway) cannot alias.
+//!
+//! There is one hash body, [`fingerprint`], and it streams: it takes the
+//! vertex bound and an iterator over the canonical edges.
+//! [`EdgeList::fingerprint`] feeds it the list's slice; the serving plane's
+//! `IncrementalMsf::fingerprint` feeds it the session's sorted edge map
+//! directly, so keying a mutated session costs one walk of the map and no
+//! copy. Both produce the same value for the same graph.
 
 use crate::edgelist::{splitmix64, EdgeList};
+use crate::types::{VertexId, WEdge};
 
 /// A 128-bit stable hash of a canonical edge list. `Ord`/`Hash` so it can
 /// key both tree and hash maps.
@@ -41,13 +49,21 @@ const FP_SEED_LO: u64 = 0x6d6e_642d_6670_6c6f;
 /// Seed of the high chain.
 const FP_SEED_HI: u64 = 0x6d6e_642d_6670_6869;
 
-/// Fingerprints a canonical edge list. `O(E)`, no allocation.
-pub fn fingerprint(el: &EdgeList) -> Fingerprint {
-    let mut lo = splitmix64(FP_SEED_LO ^ el.num_vertices() as u64);
-    let mut hi = splitmix64(FP_SEED_HI ^ el.num_vertices() as u64);
-    lo = splitmix64(lo ^ el.len() as u64);
-    hi = splitmix64(hi ^ (el.len() as u64).rotate_left(17));
-    for e in el.edges() {
+/// Fingerprints the graph over `num_vertices` vertices whose canonical
+/// edges `edges` yields in canonical `(u, v)` order. `O(E)`, no allocation:
+/// the one hash body, streaming, so an owner of the edges in another
+/// container (the serving plane's update sessions keep a sorted map) keys
+/// its graph without materialising an [`EdgeList`] first.
+pub fn fingerprint(
+    num_vertices: VertexId,
+    edges: impl ExactSizeIterator<Item = WEdge>,
+) -> Fingerprint {
+    let len = edges.len() as u64;
+    let mut lo = splitmix64(FP_SEED_LO ^ num_vertices as u64);
+    let mut hi = splitmix64(FP_SEED_HI ^ num_vertices as u64);
+    lo = splitmix64(lo ^ len);
+    hi = splitmix64(hi ^ len.rotate_left(17));
+    for e in edges {
         let pair = ((e.u as u64) << 32) | e.v as u64;
         let w = e.w as u64;
         // `pair` and `w` are absorbed in separate chained steps: XOR-ing
@@ -64,14 +80,13 @@ impl EdgeList {
     /// The stable [`Fingerprint`] of this (canonical) edge list — the
     /// serving plane's cache key.
     pub fn fingerprint(&self) -> Fingerprint {
-        fingerprint(self)
+        fingerprint(self.num_vertices(), self.edges().iter().copied())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::WEdge;
 
     fn el(n: u32, raw: &[(u32, u32, u32)]) -> EdgeList {
         EdgeList::from_raw(
@@ -128,6 +143,26 @@ mod tests {
             EdgeList::new(0).fingerprint(),
             EdgeList::new(1).fingerprint()
         );
+    }
+
+    #[test]
+    fn values_are_pinned_and_streaming_from_a_sorted_map_agrees() {
+        // Computed from the definition by an independent implementation:
+        // a refactor of the hash body must not move any value, or every
+        // persisted or compared key silently changes.
+        let g = el(5, &[(0, 1, 3), (2, 3, 4), (1, 4, 9)]);
+        assert_eq!(
+            g.fingerprint().to_string(),
+            "dab187643a43bdd76b77d8ece2de77dc"
+        );
+        assert_eq!(
+            EdgeList::new(0).fingerprint().to_string(),
+            "2067bbdbf28a115dc636f2f1e693880e"
+        );
+        let map: std::collections::BTreeMap<(u32, u32), u32> =
+            g.edges().iter().map(|e| ((e.u, e.v), e.w)).collect();
+        let streamed = fingerprint(5, map.iter().map(|(&(u, v), &w)| WEdge::new(u, v, w)));
+        assert_eq!(streamed, g.fingerprint());
     }
 
     #[test]

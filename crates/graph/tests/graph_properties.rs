@@ -1,6 +1,8 @@
 //! Property tests on the graph substrate: serialisation round trips,
 //! generator invariants, partitioning bounds, transform correctness.
 
+use mnd_graph::components::forest_labels;
+use mnd_graph::edgelist::splitmix64;
 use mnd_graph::gen::{self, cut_fraction, CrawlParams};
 use mnd_graph::io;
 use mnd_graph::partition::{
@@ -118,6 +120,33 @@ proptest! {
         let big = largest_component(&el);
         let sizes = comp_sizes(&el);
         prop_assert_eq!(big.num_vertices(), *sizes.last().unwrap_or(&0));
+    }
+
+    /// Labels straight from a forest's edge slice equal BFS labels over its
+    /// CSR. Vertex `v > 0` hangs under a smaller vertex or stays a root
+    /// (one in three), so the forests have isolated vertices in the middle
+    /// and at the end of the id space; the edges arrive in a scrambled
+    /// order, so roots are re-parented after their trees have grown.
+    #[test]
+    fn forest_labels_equal_bfs_labels_over_the_csr(
+        n in 1u32..120,
+        raw in proptest::collection::vec((0u32..1000, 0u32..3), 120..121),
+        seed in 0u64..1000,
+    ) {
+        let mut edges: Vec<WEdge> = (1..n)
+            .filter(|&v| raw[v as usize].1 != 0)
+            .map(|v| WEdge::new(raw[v as usize].0 % v, v, v))
+            .collect();
+        edges.sort_by_key(|e| splitmix64(seed ^ e.v as u64));
+        let bfs = connected_components(&CsrGraph::from_edges(n, &edges));
+        prop_assert_eq!(forest_labels(n, &edges), bfs);
+    }
+
+    /// Nothing in the union-find needs the input to be acyclic.
+    #[test]
+    fn forest_labels_equal_bfs_labels_on_any_graph(el in arb_edges(100, 300)) {
+        let bfs = connected_components(&CsrGraph::from_edge_list(&el));
+        prop_assert_eq!(forest_labels(el.num_vertices(), el.edges()), bfs);
     }
 
     #[test]

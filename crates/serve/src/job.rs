@@ -116,6 +116,11 @@ pub struct Completion {
     pub finish: f64,
     /// Simulated execution seconds (`finish - start`).
     pub exec_seconds: f64,
+    /// Host nanoseconds the plane spent executing the job (backend run,
+    /// cache look-up, session mutation, label derivation). The one field
+    /// of a completion that is *not* deterministic: replay comparisons
+    /// leave it out.
+    pub wall_ns: u64,
     /// The result payload.
     pub result: JobResult,
 }

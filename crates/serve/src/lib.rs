@@ -17,7 +17,9 @@
 //!   [`mnd_graph::Fingerprint`] of the canonical input, so a repeat
 //!   submission of the same weighted graph costs a frontend lookup
 //!   instead of a cluster run, while isomorphic-but-relabelled inputs
-//!   (whose answers differ in id space) never false-hit.
+//!   (whose answers differ in id space) never false-hit. An update
+//!   session's forest is keyed lazily: by the first look-up on a graph
+//!   with the session's vertex and edge counts, never per batch.
 //! * **Incremental MSF sessions** ([`incremental`]) — streaming edge
 //!   insertions (cycle-max replacement) and deletions (replacement-edge
 //!   search over the affected cut) maintained against the cached forest,
@@ -67,5 +69,5 @@ pub use backend::{Backend, EngineBackend};
 pub use cache::{CacheKey, CacheStats, ResultCache, Variant};
 pub use incremental::IncrementalMsf;
 pub use job::{Completion, JobKind, JobResult, JobSpec, ServedBy};
-pub use scheduler::{ServeConfig, ServePlane, ServeReport, UpdateMode, CACHE_HIT_SECONDS};
+pub use scheduler::{ServeConfig, ServePlane, ServeReport, UpdateMode, WallRow, CACHE_HIT_SECONDS};
 pub use tenant::{percentile, TenantReport, TenantSpec};

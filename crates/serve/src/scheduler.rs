@@ -26,14 +26,28 @@
 //! deferred to retirement. Serve-sweep workloads space duplicate
 //! submissions apart, so this is a documented modelling assumption, not
 //! an accuracy term in the reported latencies.
+//!
+//! One population is deferred: an update job's forest is *owed* to the
+//! cache at dispatch and keyed into it by the first MSF look-up it could
+//! answer — one on a graph with the session's current vertex and edge
+//! counts. The key is a hash of the session's whole edge set, host work
+//! the simulated clock never charged, and most session versions are
+//! superseded by the next batch before anyone asks for them. Every
+//! simulated number is what eager keying would give, with one exception:
+//! a version superseded *before* any look-up could match it is never
+//! keyed, so a later query on that stale graph is a backend miss (correct,
+//! and charged as one) where eager keying would have hit.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
+use mnd_graph::components::forest_labels;
 use mnd_graph::fingerprint::Fingerprint;
 use mnd_graph::types::VertexId;
-use mnd_graph::{connected_components, CsrGraph, EdgeList};
+use mnd_graph::EdgeList;
+use mnd_kernels::msf::MsfResult;
 
 use crate::backend::Backend;
 use crate::cache::{CacheKey, CacheStats, CachedValue, ResultCache, Variant};
@@ -122,6 +136,43 @@ impl ServeReport {
     pub fn completed(&self) -> usize {
         self.completions.len()
     }
+
+    /// Where the host's time went: completions and their summed
+    /// [`Completion::wall_ns`] per `(kind, served_by)`, in order of first
+    /// completion. Wall time, so — unlike everything else in the report —
+    /// not reproducible.
+    pub fn wall_ledger(&self) -> Vec<WallRow> {
+        let mut rows: Vec<WallRow> = Vec::new();
+        for c in &self.completions {
+            let path = (c.kind, c.served_by);
+            match rows.iter_mut().find(|r| (r.kind, r.served_by) == path) {
+                Some(row) => {
+                    row.jobs += 1;
+                    row.wall_ns += c.wall_ns;
+                }
+                None => rows.push(WallRow {
+                    kind: c.kind,
+                    served_by: c.served_by,
+                    jobs: 1,
+                    wall_ns: c.wall_ns,
+                }),
+            }
+        }
+        rows
+    }
+}
+
+/// One row of [`ServeReport::wall_ledger`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WallRow {
+    /// `JobKind::label()` of the jobs.
+    pub kind: &'static str,
+    /// Serving path they took.
+    pub served_by: ServedBy,
+    /// How many completed.
+    pub jobs: usize,
+    /// Host nanoseconds spent executing them.
+    pub wall_ns: u64,
 }
 
 /// Cache-hit execution cost: a metadata lookup on the frontend, matching
@@ -181,6 +232,17 @@ pub struct ServePlane {
     /// cannot be reused while the entry lives, and the list behind a
     /// shared `Arc` cannot change.
     fingerprints: HashMap<usize, (Arc<EdgeList>, Fingerprint)>,
+    /// Update results owed to the cache: `(tenant, forest, charged
+    /// seconds)`, oldest first, at most one per tenant (a newer update
+    /// supersedes the tenant's entry). Keying one costs a walk over the
+    /// session's whole edge set, so it waits for an MSF look-up on a graph
+    /// with the session's current vertex and edge counts — the only
+    /// look-ups its key can answer — and a version superseded before any
+    /// such look-up is never keyed at all.
+    unpublished: Vec<(usize, Arc<MsfResult>, f64)>,
+    /// Vertex count of each tenant's session, known from the admission of
+    /// its seeding update on (the session itself exists from dispatch on).
+    session_vertices: BTreeMap<usize, VertexId>,
 }
 
 impl ServePlane {
@@ -194,6 +256,8 @@ impl ServePlane {
             cache: ResultCache::new(),
             sessions: BTreeMap::new(),
             fingerprints: HashMap::new(),
+            unpublished: Vec::new(),
+            session_vertices: BTreeMap::new(),
         }
     }
 
@@ -238,6 +302,24 @@ impl ServePlane {
         }
     }
 
+    /// Whether every vertex id the job's payload names exists: a BFS
+    /// source in the job's graph, an update's endpoints in the tenant's
+    /// session (which the tenant's first admitted update sizes). A job that
+    /// fails this is refused at admission — dispatching it would index
+    /// past a vertex column.
+    fn payload_in_range(&self, spec: &JobSpec) -> bool {
+        match &spec.kind {
+            JobKind::Mst | JobKind::Cc => true,
+            JobKind::Bfs { source } => *source < spec.graph.num_vertices(),
+            JobKind::Update { inserts, deletes } => {
+                let n = self.session_vertices.get(&spec.tenant).copied();
+                let n = n.unwrap_or(spec.graph.num_vertices());
+                inserts.iter().all(|e| e.u < n && e.v < n)
+                    && deletes.iter().all(|&(u, v)| u < n && v < n)
+            }
+        }
+    }
+
     /// Runs a batch of submissions to completion and reports. The batch
     /// is processed in `(submit, index)` order; everything downstream of
     /// the specs is deterministic, so a fixed batch always produces the
@@ -274,9 +356,18 @@ impl ServePlane {
                 arrivals.next();
                 let spec = &jobs[idx];
                 submitted[spec.tenant] += 1;
-                if queues[spec.tenant].len() >= self.tenants[spec.tenant].max_queue {
+                if queues[spec.tenant].len() >= self.tenants[spec.tenant].max_queue
+                    || !self.payload_in_range(spec)
+                {
                     rejected[spec.tenant] += 1;
                     continue;
+                }
+                if let JobKind::Update { .. } = spec.kind {
+                    // Per-tenant FIFO: the first admitted update is the
+                    // one that will seed the session.
+                    self.session_vertices
+                        .entry(spec.tenant)
+                        .or_insert(spec.graph.num_vertices());
                 }
                 let start_tag = virtual_time.max(last_finish_tag[spec.tenant]);
                 let finish_tag =
@@ -421,6 +512,7 @@ impl ServePlane {
     /// Executes one dispatched job at simulated time `now` and returns
     /// its completion record.
     fn execute(&mut self, spec: &JobSpec, job: usize, ranks: usize, now: f64) -> Completion {
+        let started = Instant::now();
         let (served_by, exec_seconds, result) = match &spec.kind {
             JobKind::Mst => self.exec_msf(&spec.graph, ranks),
             JobKind::Cc => self.exec_cc(&spec.graph, ranks),
@@ -439,6 +531,7 @@ impl ServePlane {
             start: now,
             finish: now + exec_seconds,
             exec_seconds,
+            wall_ns: started.elapsed().as_nanos() as u64,
             result,
         }
     }
@@ -456,8 +549,7 @@ impl ServePlane {
         let (msf, served_by, msf_secs) = self.msf_of(graph, ranks);
         let derive_work = graph.num_vertices() as u64 + msf.edges.len() as u64;
         let secs = msf_secs + self.backend.frontend_seconds(derive_work);
-        let forest = CsrGraph::from_edges(graph.num_vertices(), &msf.edges);
-        let labels = connected_components(&forest);
+        let labels = forest_labels(graph.num_vertices(), &msf.edges);
         (
             served_by,
             secs,
@@ -520,47 +612,44 @@ impl ServePlane {
             session.delete(u, v);
         }
         let work = session.drain_work();
-        match self.cfg.update_mode {
+        let (served_by, msf, cold_seconds, secs) = match self.cfg.update_mode {
             UpdateMode::Incremental => {
-                let msf = Arc::new(session.msf());
                 let secs = seed_seconds + self.backend.frontend_seconds(work);
-                if self.cfg.cache {
-                    // The updated graph's MSF is now known: let future
-                    // queries on it hit.
-                    let key = CacheKey {
-                        fp: session.edge_list().fingerprint(),
-                        variant: Variant::Msf,
-                    };
-                    self.cache.insert(key, CachedValue::Msf(msf.clone()), secs);
-                }
-                (ServedBy::Incremental, secs, JobResult::Msf(msf))
+                (ServedBy::Incremental, session.msf(), secs, secs)
             }
             UpdateMode::Recompute => {
-                let updated = self.sessions[&tenant].edge_list();
-                let (msf, secs) = self.backend.msf(&updated, ranks);
-                let msf = Arc::new(msf);
-                if self.cfg.cache {
-                    let key = CacheKey {
-                        fp: updated.fingerprint(),
-                        variant: Variant::Msf,
-                    };
-                    self.cache.insert(key, CachedValue::Msf(msf.clone()), secs);
-                }
-                (
-                    ServedBy::Recompute,
-                    seed_seconds + secs,
-                    JobResult::Msf(msf),
-                )
+                let (msf, secs) = self.backend.msf(&session.edge_list(), ranks);
+                (ServedBy::Recompute, msf, secs, seed_seconds + secs)
             }
+        };
+        let msf = Arc::new(msf);
+        if self.cfg.cache {
+            // The updated graph's MSF is now known: future queries on it
+            // are owed a hit (`msf_of` keys it when one could match).
+            self.unpublished.retain(|owed| owed.0 != tenant);
+            self.unpublished.push((tenant, msf.clone(), cold_seconds));
         }
+        (served_by, secs, JobResult::Msf(msf))
     }
 
     /// Shared MSF-with-cache path.
-    fn msf_of(
-        &mut self,
-        graph: &Arc<EdgeList>,
-        ranks: usize,
-    ) -> (Arc<mnd_kernels::msf::MsfResult>, ServedBy, f64) {
+    fn msf_of(&mut self, graph: &Arc<EdgeList>, ranks: usize) -> (Arc<MsfResult>, ServedBy, f64) {
+        // Key every owed update result this look-up could be answered by:
+        // equal graphs have equal vertex and edge counts.
+        let (sessions, cache) = (&self.sessions, &mut self.cache);
+        self.unpublished.retain(|(tenant, msf, cold_seconds)| {
+            let session = &sessions[tenant];
+            if (session.num_vertices(), session.num_edges()) != (graph.num_vertices(), graph.len())
+            {
+                return true;
+            }
+            let key = CacheKey {
+                fp: session.fingerprint(),
+                variant: Variant::Msf,
+            };
+            cache.insert(key, CachedValue::Msf(msf.clone()), *cold_seconds);
+            false
+        });
         let key = CacheKey {
             fp: self.fingerprint_of(graph),
             variant: Variant::Msf,
@@ -675,6 +764,25 @@ mod tests {
         assert_eq!(by_job[&2].served_by, ServedBy::Backend);
         assert_eq!(by_job[&3].served_by, ServedBy::Cache);
         assert_eq!(by_job[&4].served_by, ServedBy::Backend);
+        // The wall ledger has one row per (kind, path), first completion
+        // first, and accounts for every completion's host time.
+        let ledger = report.wall_ledger();
+        let paths: Vec<_> = ledger
+            .iter()
+            .map(|r| (r.kind, r.served_by, r.jobs))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                ("mst", ServedBy::Backend, 1),
+                ("cc", ServedBy::Cache, 1),
+                ("bfs", ServedBy::Backend, 2),
+                ("bfs", ServedBy::Cache, 1),
+            ]
+        );
+        let wall: u64 = report.completions.iter().map(|c| c.wall_ns).sum();
+        assert_eq!(ledger.iter().map(|r| r.wall_ns).sum::<u64>(), wall);
+        assert!(by_job[&0].wall_ns > 0, "a backend run takes host time");
     }
 
     #[test]
@@ -805,6 +913,44 @@ mod tests {
             JobResult::Msf(m) => assert_eq!(**m, oracle),
             _ => panic!("updates return forests"),
         }
+    }
+
+    /// An update leaves one record owed to the cache per tenant; a look-up
+    /// on a graph of other counts leaves it owed, one on the session's
+    /// counts keys it; a plane without a cache records nothing.
+    #[test]
+    fn update_results_are_keyed_by_the_first_look_up_that_could_match() {
+        let base = Arc::new(gen::gnm(120, 500, 3));
+        let update = |submit: f64| JobSpec {
+            tenant: 0,
+            kind: JobKind::Update {
+                inserts: vec![WEdge::new(1, 2, 3), WEdge::new(4, 90, 1)],
+                deletes: Vec::new(),
+            },
+            graph: base.clone(),
+            submit,
+        };
+        let mut p = one_tenant(2);
+        p.run(vec![update(0.0), update(1.0), mst(0, &base, 2.0)]);
+        assert_eq!(
+            p.unpublished.len(),
+            1,
+            "the second batch superseded the first"
+        );
+        assert_eq!(p.cache.len(), 1, "only the base graph is keyed");
+        let current = Arc::new(p.sessions[&0].edge_list());
+        let report = p.run(vec![mst(0, &current, 0.0)]);
+        assert!(p.unpublished.is_empty());
+        assert_eq!(report.completions[0].served_by, ServedBy::Cache);
+
+        let mut cacheless = ServePlane::new(
+            ServeConfig::new(2).with_cache(false),
+            Box::new(EngineBackend::mnd_mst(1.0)),
+            vec![TenantSpec::new("t0", 1.0, 64)],
+        );
+        let report = cacheless.run(vec![update(0.0), mst(0, &current, 1.0)]);
+        assert!(cacheless.unpublished.is_empty());
+        assert_eq!(report.completions[1].served_by, ServedBy::Backend);
     }
 
     #[test]

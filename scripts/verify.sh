@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, lints, then the tier-1 suite
 # (ROADMAP.md: `cargo build --release && cargo test -q`), the round-loop
-# engines' goldens and crash grids again in a release build, the kernel
-# plane's oracle suites in a release build on one and on two threads, and
-# the repo benchmark's own self-tests + smoke walk (benchmark/ is a package
-# of its own that builds against the crates' public API: an API break must
-# fail here, not in the acceptance pipeline), and — in full mode — the
-# bench smoke, the chaos/resilience recovery grids, the
-# checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
+# engines' goldens and crash grids and the serve plane's contracts again in
+# a release build, the kernel plane's oracle suites in a release build on
+# one and on two threads, and the repo benchmark's own self-tests + smoke
+# walk (benchmark/ is a package of its own that builds against the crates'
+# public API: an API break must fail here, not in the acceptance pipeline),
+# and — in full mode — the bench smoke, the chaos/resilience recovery grids,
+# the checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  lints + debug tests + the release-mode engine and kernel-plane
-#            tests + benchmark self-tests only: skips the release build, the
-#            criterion smoke, the chaos and resilience sweeps, the repro
-#            sweeps (checkpoint, serve, comm, emst), and the perf
-#            snapshot. This is the PR gate in CI; the full run gates
-#            pushes to main.
+#   --quick  lints + debug tests + the release-mode engine, serve-plane and
+#            kernel-plane tests + benchmark self-tests only: skips the
+#            release build, the criterion smoke, the chaos and resilience
+#            sweeps, the repro sweeps (checkpoint, serve, comm, emst), and
+#            the perf snapshot. This is the PR gate in CI; the full run
+#            gates pushes to main.
 #
 # Shellcheck-clean: CI lints this file (and every script here) with
 # shellcheck on each PR.
@@ -57,9 +57,11 @@ cargo test -q --workspace
 # Tier-1 is a debug build (overflow checks on); the benchmark measures a
 # release build (overflow checks and debug_assert! off). The round-loop
 # engines do u32 slot/offset/sentinel arithmetic that differs between the
-# two, so their goldens and crash grids run in both.
-echo "==> cargo test --release (clock goldens, engine agreement, BSP chaos)"
-cargo test --release -q --test sim_clock_golden --test engine_agreement --test bsp_chaos
+# two, so their goldens and crash grids run in both. So does the serve
+# plane: its sessions' search epoch and scratch indexes are u32.
+echo "==> cargo test --release (clock goldens, engine agreement, BSP chaos, serve plane)"
+cargo test --release -q --test sim_clock_golden --test engine_agreement --test bsp_chaos --test serve
+cargo test --release -q -p mnd-serve
 
 # The kernel plane too, and on both sides of the thread-budget rule: tier-1
 # runs it in a debug build on however many cores the runner has, the

@@ -1,8 +1,11 @@
 //! Serving-plane contracts, cross-crate: the incremental MSF maintainer
 //! tracks a full Kruskal recompute edge-for-edge under arbitrary random
 //! insert/delete streams (checked after *every* batch), the fingerprint
-//! cache never false-hits on isomorphic-but-relabelled inputs, and a
-//! fixed plane workload replays to the byte.
+//! cache never false-hits on isomorphic-but-relabelled inputs, a fixed
+//! plane workload replays to the byte, an update's forest is served for
+//! exactly the graph it spans (current version: hit; superseded or
+//! lookalike: backend), and a payload naming a vertex that does not exist
+//! is refused at admission without moving any other job.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -215,13 +218,26 @@ fn serve_plane_replays_byte_identically() {
 }
 
 /// A cached result is never served for a graph a session has since
-/// mutated. After every update batch the plane caches the session's forest
-/// under the fingerprint of the *updated* graph: a query on that graph
-/// rebuilt from scratch (a mirror map, a fresh `Arc`, hashed on first
-/// sight) is a cache hit carrying the rebuilt graph's Kruskal forest. And a
-/// query on the session's *base* graph — the very `Arc` the updates were
-/// submitted with, whose fingerprint the plane computed once and keeps —
-/// is answered with the base forest after every batch, never a mutated one.
+/// mutated, and a session's forest is served for exactly the graph it
+/// spans. An update batch leaves the plane owing the cache the session's
+/// forest under the fingerprint of the *updated* graph; the first MSF
+/// look-up on a graph with the session's vertex and edge counts has it
+/// keyed. So:
+///
+/// * a query on the session's *current* graph rebuilt from scratch (a
+///   mirror map, a fresh `Arc`, hashed on first sight) is a cache hit
+///   carrying the rebuilt graph's Kruskal forest, and books the update's
+///   charged seconds as saved;
+/// * a query on the session's *base* graph — the very `Arc` the updates
+///   were submitted with, whose fingerprint the plane computed once and
+///   keeps — is answered with the base forest after every batch, never a
+///   mutated one;
+/// * a query on a version that was *superseded before anything asked for
+///   it* is a backend miss (nobody paid to key it) with that version's
+///   Kruskal forest;
+/// * a graph with the session's vertex and edge counts but another weight
+///   is a backend miss with its own forest — the counts select which
+///   sessions to key, the fingerprint alone decides a hit.
 #[test]
 fn updates_cache_under_the_rebuilt_graphs_fingerprint_and_spare_the_base() {
     use mnd::serve::job::{JobResult, ServedBy};
@@ -236,11 +252,20 @@ fn updates_cache_under_the_rebuilt_graphs_fingerprint_and_spare_the_base() {
         rng = mnd::graph::edgelist::splitmix64(rng);
         (rng % modulus) as u32
     };
+    let mst = |graph: Arc<EdgeList>, submit: f64| JobSpec {
+        tenant: 0,
+        kind: JobKind::Mst,
+        graph,
+        submit,
+    };
 
     let mut jobs = Vec::new();
-    // What each query must be answered with, by job index.
+    // What each query must be answered with, and how, by job index.
     let mut expect = BTreeMap::new();
-    for batch in 0..6 {
+    // Update job of the version each current-version query asks for.
+    let mut current_of = BTreeMap::new();
+    let mut superseded = None;
+    for batch in 0..8 {
         let inserts: Vec<WEdge> = (0..8)
             .map(|_| WEdge::new(next(n as u64), next(n as u64), next(5000) + 1))
             .collect();
@@ -262,6 +287,7 @@ fn updates_cache_under_the_rebuilt_graphs_fingerprint_and_spare_the_base() {
             mirror.remove(key);
         }
         let t = batch as f64 * 10.0;
+        let update = jobs.len();
         jobs.push(JobSpec {
             tenant: 0,
             kind: JobKind::Update { inserts, deletes },
@@ -269,38 +295,167 @@ fn updates_cache_under_the_rebuilt_graphs_fingerprint_and_spare_the_base() {
             submit: t,
         });
         let rebuilt = mirror_graph(n, &mirror);
-        expect.insert(jobs.len(), kruskal_msf(&rebuilt));
-        jobs.push(JobSpec {
-            tenant: 0,
-            kind: JobKind::Mst,
-            graph: Arc::new(rebuilt),
-            submit: t + 4.0,
-        });
-        expect.insert(jobs.len(), base_forest.clone());
-        jobs.push(JobSpec {
-            tenant: 0,
-            kind: JobKind::Mst,
-            graph: base.clone(),
-            submit: t + 5.0,
-        });
-    }
-    assert_ne!(mirror_graph(n, &mirror).edges(), base.edges());
-
-    let mut plane = ServePlane::new(
-        ServeConfig::new(4),
-        Box::new(EngineBackend::mnd_mst(1.0)),
-        vec![TenantSpec::new("session", 1.0, 64)],
-    );
-    let report = plane.run(jobs);
-    assert_eq!(report.completed(), 18);
-    for c in &report.completions {
-        let Some(forest) = expect.get(&c.job) else {
+        if batch == 6 {
+            // Nobody asks for this version while it is current.
+            superseded = Some(rebuilt);
             continue;
-        };
-        assert_eq!(c.served_by, ServedBy::Cache, "job {}", c.job);
+        }
+        expect.insert(jobs.len(), (ServedBy::Cache, kruskal_msf(&rebuilt)));
+        current_of.insert(jobs.len(), update);
+        jobs.push(mst(Arc::new(rebuilt), t + 4.0));
+        expect.insert(jobs.len(), (ServedBy::Cache, base_forest.clone()));
+        jobs.push(mst(base.clone(), t + 5.0));
+    }
+    let current = mirror_graph(n, &mirror);
+    assert_ne!(current.edges(), base.edges());
+
+    let superseded = superseded.unwrap();
+    expect.insert(jobs.len(), (ServedBy::Backend, kruskal_msf(&superseded)));
+    jobs.push(mst(Arc::new(superseded), 100.0));
+    // The current graph with its first edge one unit heavier: the
+    // session's counts, another fingerprint.
+    let mut reweighted = current.edges().to_vec();
+    reweighted[0].w += 1;
+    let lookalike = EdgeList::from_raw(n, reweighted);
+    assert_eq!(lookalike.len(), current.len());
+    expect.insert(jobs.len(), (ServedBy::Backend, kruskal_msf(&lookalike)));
+    jobs.push(mst(Arc::new(lookalike), 110.0));
+    // Batch 7's version once more: still current, keyed by its first query.
+    let last_update = *current_of.values().max().unwrap();
+    expect.insert(jobs.len(), (ServedBy::Cache, kruskal_msf(&current)));
+    current_of.insert(jobs.len(), last_update);
+    jobs.push(mst(Arc::new(current), 120.0));
+
+    let new_plane = || {
+        ServePlane::new(
+            ServeConfig::new(4),
+            Box::new(EngineBackend::mnd_mst(1.0)),
+            vec![TenantSpec::new("session", 1.0, 64)],
+        )
+    };
+    let total = jobs.len();
+    let report = new_plane().run(jobs);
+    assert_eq!(report.completed(), total);
+    let by_job: BTreeMap<usize, _> = report.completions.iter().map(|c| (c.job, c)).collect();
+    for (job, (served_by, forest)) in &expect {
+        let c = by_job[job];
+        assert_eq!(c.served_by, *served_by, "job {job}");
         match &c.result {
-            JobResult::Msf(m) => assert_eq!(&**m, forest, "job {}", c.job),
+            JobResult::Msf(m) => assert_eq!(&**m, forest, "job {job}"),
             _ => panic!("MST jobs return forests"),
         }
     }
+
+    // Saved seconds, hit by hit in look-up order: a hit on a session
+    // version saves what the update that produced it was charged, a hit on
+    // the base graph what the cold run that seeded the session cost.
+    let base_cold = new_plane().run(vec![mst(base.clone(), 0.0)]).completions[0].exec_seconds;
+    let mut saved = 0.0;
+    for (job, (served_by, _)) in &expect {
+        if *served_by == ServedBy::Cache {
+            saved += current_of
+                .get(job)
+                .map_or(base_cold, |update| by_job[update].exec_seconds);
+        }
+    }
+    assert_eq!(report.cache.saved_seconds, saved);
+    assert_eq!(report.cache.hits, 15);
+    // The seeding look-up, the superseded version and the lookalike.
+    assert_eq!(report.cache.misses, 3);
+}
+
+/// A payload naming a vertex that does not exist — a BFS source past the
+/// graph, an update endpoint past the session — is refused at admission
+/// and counted against its tenant; it used to reach an index at dispatch
+/// and take the whole plane down. Nothing else moves: every other job, the
+/// hostile tenant's own well-formed ones included, completes exactly as in
+/// a run the bad jobs were never submitted to.
+#[test]
+fn hostile_payloads_are_refused_at_admission_and_spare_the_other_tenants() {
+    let small = Arc::new(gen::gnm(100, 400, 5));
+    let large = Arc::new(gen::gnm(500, 2000, 6));
+    let job = |tenant: usize, kind: JobKind, graph: &Arc<EdgeList>, submit: f64| JobSpec {
+        tenant,
+        kind,
+        graph: graph.clone(),
+        submit,
+    };
+    let update = |u: u32, v: u32| JobKind::Update {
+        inserts: vec![WEdge::new(u, v, 7)],
+        deletes: vec![(v, u)],
+    };
+    // `(hostile, job)`: tenant 0 misbehaves, tenants 1 and 2 do not.
+    let jobs = vec![
+        (false, job(0, JobKind::Mst, &small, 0.0)),
+        (true, job(0, JobKind::Bfs { source: 100 }, &small, 0.1)),
+        (false, job(0, JobKind::Bfs { source: 99 }, &small, 0.2)),
+        // Refused before it can seed a session: the next one seeds it.
+        (true, job(0, update(3, 100), &small, 0.3)),
+        (false, job(0, update(3, 99), &small, 0.4)),
+        // In range for the graph this job carries, not for the session
+        // (which is over `small` and ignores later jobs' graphs).
+        (true, job(0, update(3, 300), &large, 0.5)),
+        (
+            true,
+            job(
+                0,
+                JobKind::Update {
+                    inserts: Vec::new(),
+                    deletes: vec![(u32::MAX, 0)],
+                },
+                &small,
+                0.6,
+            ),
+        ),
+        (false, job(0, update(5, 6), &large, 0.7)),
+        (false, job(1, JobKind::Mst, &large, 0.0)),
+        (false, job(1, JobKind::Cc, &large, 0.35)),
+        (false, job(1, update(3, 300), &large, 0.55)),
+        (false, job(2, JobKind::Bfs { source: 499 }, &large, 0.15)),
+        (false, job(2, JobKind::Mst, &small, 0.65)),
+    ];
+    let run = |with_hostile: bool| {
+        let mut plane = ServePlane::new(
+            ServeConfig::new(2).with_edges_per_rank(1024),
+            Box::new(EngineBackend::mnd_mst(64.0)),
+            vec![
+                TenantSpec::new("hostile", 1.0, 8),
+                TenantSpec::new("b", 2.0, 8),
+                TenantSpec::new("c", 1.0, 8),
+            ],
+        );
+        // Completions are told apart by submit time: job indexes shift
+        // when the hostile jobs are left out.
+        let submitted: Vec<JobSpec> = jobs
+            .iter()
+            .filter(|(hostile, _)| with_hostile || !hostile)
+            .map(|(_, job)| job.clone())
+            .collect();
+        let report = plane.run(submitted);
+        let history: Vec<_> = report
+            .completions
+            .iter()
+            .map(|c| {
+                (
+                    c.tenant,
+                    c.kind,
+                    c.served_by,
+                    c.submit.to_bits(),
+                    c.start.to_bits(),
+                    c.finish.to_bits(),
+                )
+            })
+            .collect();
+        (report, history)
+    };
+    let (report, history) = run(true);
+    let (clean, clean_history) = run(false);
+    assert_eq!(report.rejected, 4);
+    assert_eq!(report.tenants[0].rejected, 4);
+    assert_eq!(report.tenants[0].submitted, 8);
+    assert_eq!(report.tenants[1].rejected + report.tenants[2].rejected, 0);
+    assert_eq!(clean.rejected, 0);
+    assert_eq!(report.completed(), 9);
+    assert_eq!(history, clean_history);
+    assert_eq!(report.makespan, clean.makespan);
 }

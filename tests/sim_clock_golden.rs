@@ -1,9 +1,10 @@
 //! The simulated clock is a function of the inputs alone: every charge is
 //! computed from row counts, work profiles and wire bytes, never from host
 //! time. These goldens pin `MndMstReport::{total_time, comm_time}` and the
-//! per-rank traffic of three fixed `mnd-mst` runs, and the same plus the
-//! round counters and the recovery bill of 58 `bsp`/`spmsf` runs (second
-//! half of the file), so a host-side optimisation (a faster lookup, a
+//! per-rank traffic of three fixed `mnd-mst` runs, the same plus the
+//! round counters and the recovery bill of 58 `bsp`/`spmsf` runs, and every
+//! number a serve plane reports for a scaled-down `serve-mix` in both
+//! update modes (`SERVE_GOLDEN`), so a host-side optimisation (a faster lookup, a
 //! different reduction algorithm, a reordered sweep) that silently moves
 //! the simulated clock — by changing what is sent, in which chunks, or what
 //! is charged — fails here instead of in a benchmark.
