@@ -49,7 +49,7 @@ fn bench_exception_conditions(c: &mut Criterion) {
     ] {
         grp.bench_with_input(BenchmarkId::from_parameter(name), &excp, |b, &excp| {
             b.iter_batched(
-                || CGraph::from_partition(&g, range),
+                || CGraph::level0(&el, &[range], 0..1).remove(0),
                 |mut cg| local_boruvka(&mut cg, excp, FreezePolicy::Sticky, StopPolicy::Exhaustive),
                 criterion::BatchSize::LargeInput,
             )
@@ -65,7 +65,7 @@ fn bench_reductions(c: &mut Criterion) {
     let range = mnd_graph::partition::partition_1d(&g, 4, 0.0)[0];
     // Pre-contract so reductions have self/multi edges to chew on.
     let contracted = {
-        let mut cg = CGraph::from_partition(&g, range);
+        let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
         local_boruvka(
             &mut cg,
             ExcpCond::BorderEdge,

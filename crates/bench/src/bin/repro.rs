@@ -14,7 +14,8 @@
 //! emst-sweep
 //!
 //! `--trace PATH` streams every phase sample and chaos event as JSON
-//! lines to PATH (`-` = stdout) while the experiments run.
+//! lines to PATH (`-` = stdout) while the experiments run, and prints a
+//! per-phase table of host wall time and holding rows when they are done.
 
 use mnd_bench::fmt::{pct, print_table, secs, write_csv};
 use mnd_bench::*;
@@ -27,6 +28,7 @@ fn main() {
     let mut seed_grid: Vec<u64> = Vec::new();
     let mut variant_filter: Option<String> = None;
     let mut experiments: Vec<String> = Vec::new();
+    let mut trace: Option<std::sync::Arc<mnd_bench::trace::JsonlTrace>> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -69,13 +71,14 @@ fn main() {
             "--no-verify" => ctx.verify = false,
             "--trace" => {
                 let path = it.next().expect("--trace PATH");
-                let trace = if path == "-" {
+                let sink = std::sync::Arc::new(if path == "-" {
                     mnd_bench::trace::JsonlTrace::stdout()
                 } else {
                     mnd_bench::trace::JsonlTrace::create(std::path::Path::new(&path))
                         .unwrap_or_else(|e| panic!("--trace {path}: {e}"))
-                };
-                ctx.observer = mnd_hypar::observe::ObserverHook::new(std::sync::Arc::new(trace));
+                });
+                ctx.observer = mnd_hypar::observe::ObserverHook::new(sink.clone());
+                trace = Some(sink);
             }
             "--help" | "-h" => {
                 println!("usage: repro [--scale N] [--seed S] [--seed-grid S1,S2,...] [--nodes N] [--no-verify] [--csv DIR] [--trace PATH] <exp>...");
@@ -857,6 +860,39 @@ fn main() {
                     ]
                 })
                 .collect::<Vec<_>>(),
+        );
+    }
+
+    if let Some(trace) = trace {
+        let mean = |sum: u64, samples: u64| format!("{:.0}", sum as f64 / samples.max(1) as f64);
+        let rows: Vec<Vec<String>> = trace
+            .ledger()
+            .iter()
+            .map(|(kind, l)| {
+                vec![
+                    kind.name().into(),
+                    l.samples.to_string(),
+                    format!("{:.1}", l.wall_ns as f64 * 1e-6),
+                    format!("{:.2}", l.wall_ns as f64 * 1e-6 / l.samples.max(1) as f64),
+                    mean(l.rows_in, l.samples),
+                    mean(l.rows_out, l.samples),
+                    mean(l.cut_rows, l.samples),
+                ]
+            })
+            .collect();
+        emit(
+            "trace_phases",
+            "Trace: host wall time and holding rows per mnd-mst phase (means are per sample = per rank per execution)",
+            &[
+                "phase",
+                "samples",
+                "wall ms (sum)",
+                "wall ms (mean)",
+                "rows in (mean)",
+                "rows out (mean)",
+                "cut rows (mean)",
+            ],
+            &rows,
         );
     }
 }

@@ -10,6 +10,10 @@
 //! Serialization is hand-rolled: every field is a number or a
 //! `[a-z_()0-9]` string, so no escaping is needed and the workspace stays
 //! dependency-free.
+//!
+//! The sink also keeps a per-phase [`PhaseLedger`] of what the samples say
+//! the host paid — wall time and holding rows — which `repro --trace`
+//! prints when the experiments are done.
 
 use std::io::Write;
 use std::sync::Mutex;
@@ -17,10 +21,26 @@ use std::sync::Mutex;
 use mnd_hypar::chaos::ChaosEvent;
 use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
 
+/// What the samples of one [`PhaseKind`] add up to on the host's side.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseLedger {
+    /// Samples seen (one per phase execution per rank).
+    pub samples: u64,
+    /// Sum of [`PhaseSample::wall_ns`].
+    pub wall_ns: u64,
+    /// Sum of [`PhaseSample::rows_in`].
+    pub rows_in: u64,
+    /// Sum of [`PhaseSample::rows_out`].
+    pub rows_out: u64,
+    /// Sum of [`PhaseSample::cut_rows`].
+    pub cut_rows: u64,
+}
+
 /// A line-oriented JSON trace sink. Writes are locked per line, so
 /// concurrent rank threads interleave whole records, never bytes.
 pub struct JsonlTrace {
     out: Mutex<Box<dyn Write + Send>>,
+    ledger: Mutex<[PhaseLedger; PhaseKind::ALL.len()]>,
 }
 
 impl JsonlTrace {
@@ -28,6 +48,7 @@ impl JsonlTrace {
     pub fn new(out: Box<dyn Write + Send>) -> Self {
         JsonlTrace {
             out: Mutex::new(out),
+            ledger: Mutex::default(),
         }
     }
 
@@ -41,6 +62,12 @@ impl JsonlTrace {
         Ok(JsonlTrace::new(Box::new(std::fs::File::create(path)?)))
     }
 
+    /// The per-phase ledger of every sample seen so far, in pipeline order.
+    pub fn ledger(&self) -> [(PhaseKind, PhaseLedger); PhaseKind::ALL.len()] {
+        let ledger = *self.ledger.lock().expect("trace ledger poisoned");
+        std::array::from_fn(|i| (PhaseKind::ALL[i], ledger[i]))
+    }
+
     fn write_line(&self, line: String) {
         let mut out = self.out.lock().expect("trace sink poisoned");
         // A broken pipe mid-sweep shouldn't abort the experiment.
@@ -51,11 +78,25 @@ impl JsonlTrace {
 
 impl PhaseObserver for JsonlTrace {
     fn on_phase(&self, kind: PhaseKind, s: &PhaseSample) {
+        {
+            let mut ledger = self.ledger.lock().expect("trace ledger poisoned");
+            let at = PhaseKind::ALL
+                .iter()
+                .position(|&k| k == kind)
+                .expect("ALL lists every kind");
+            let l = &mut ledger[at];
+            l.samples += 1;
+            l.wall_ns += s.wall_ns;
+            l.rows_in += s.rows_in;
+            l.rows_out += s.rows_out;
+            l.cut_rows += s.cut_rows;
+        }
         self.write_line(format!(
             concat!(
                 "{{\"type\":\"phase\",\"kind\":\"{}\",\"rank\":{},\"level\":{},",
                 "\"compute_time\":{},\"comm_time\":{},\"bytes_sent\":{},",
-                "\"messages_sent\":{}}}"
+                "\"messages_sent\":{},\"wall_ns\":{},\"rows_in\":{},",
+                "\"rows_out\":{},\"cut_rows\":{}}}"
             ),
             kind.name(),
             s.rank,
@@ -64,6 +105,10 @@ impl PhaseObserver for JsonlTrace {
             s.comm_time,
             s.bytes_sent,
             s.messages_sent,
+            s.wall_ns,
+            s.rows_in,
+            s.rows_out,
+            s.cut_rows,
         ));
     }
 
@@ -116,6 +161,10 @@ mod tests {
                 comm_time: 0.25,
                 bytes_sent: 640,
                 messages_sent: 3,
+                wall_ns: 7_000,
+                rows_in: 90,
+                rows_out: 40,
+                cut_rows: 5,
             },
         );
         trace.on_chaos(&ChaosEvent {
@@ -131,6 +180,20 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"type\":\"phase\",\"kind\":\"ind_comp\""));
         assert!(lines[0].contains("\"rank\":2") && lines[0].contains("\"bytes_sent\":640"));
+        assert!(
+            lines[0].ends_with("\"wall_ns\":7000,\"rows_in\":90,\"rows_out\":40,\"cut_rows\":5}")
+        );
+        let ledger = trace.ledger();
+        assert_eq!(ledger[1].0, PhaseKind::IndComp);
+        let expect = PhaseLedger {
+            samples: 1,
+            wall_ns: 7_000,
+            rows_in: 90,
+            rows_out: 40,
+            cut_rows: 5,
+        };
+        assert_eq!(ledger[1].1, expect);
+        assert_eq!(ledger[0].1, PhaseLedger::default());
         assert!(lines[1].starts_with("{\"type\":\"chaos\",\"kind\":\"checkpoint_write\""));
         assert!(lines[1].contains("\"boundary\":4") && lines[1].contains("\"detail\":1024"));
         // Minimal well-formedness: balanced braces, no raw newlines inside.

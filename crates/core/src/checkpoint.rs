@@ -22,7 +22,7 @@ use crate::segment::SegmentMsg;
 
 /// Everything a rank needs to resume from a recovery point: the evolving
 /// holding and directory plus the accumulated outputs. The immutable run
-/// inputs (CSR graph, edge list, configuration) are re-read from the
+/// inputs (edge list, configuration) are re-read from the
 /// shared context on restart, exactly like a real job re-reading its
 /// input from the parallel filesystem.
 #[derive(Clone, Debug)]

@@ -91,9 +91,10 @@ impl GhostDirectory {
 /// `new`, which is resident here).
 ///
 /// Returns `nranks` buckets (the own-rank bucket stays empty). A bucket
-/// lists, in the order the edge sweep first meets each renamed component
-/// next to one of that owner's ghosts, all of the component's pairs — each
-/// exactly once.
+/// lists, in the order an ascending sweep of the holding's cut rows
+/// ([`CGraph::cut_rows`] — no other row has a ghost end) first meets each
+/// renamed component next to one of that owner's ghosts, all of the
+/// component's pairs — each exactly once.
 pub fn relabel_buckets(
     cg: &CGraph,
     relabels: &[(CompId, CompId)],
@@ -128,7 +129,8 @@ pub fn relabel_buckets(
     // (group, owner) combinations already served.
     let mut sent = vec![false; (group_start.len() - 1) * nranks];
     let (ca, cb) = cg.endpoint_cols();
-    for (&a, &b) in ca.iter().zip(cb) {
+    for &row in cg.cut_rows() {
+        let (a, b) = (ca[row as usize], cb[row as usize]);
         let (sa, sb) = (cg.slot_of(a), cg.slot_of(b));
         for (mine, other, ghost) in [(sa, sb, b), (sb, sa, a)] {
             // A resident neighbour lives here and was renamed locally.
@@ -230,6 +232,65 @@ mod tests {
         let mut b1 = buckets[1].clone();
         b1.sort_unstable();
         assert_eq!(b1, vec![(3, 0), (5, 0)]);
+    }
+
+    /// [`relabel_buckets`] as it was before the cut-row list: the same
+    /// grouping, then a sweep resolving both ends of every row.
+    fn full_sweep_relabel_buckets(
+        cg: &CGraph,
+        relabels: &[(CompId, CompId)],
+        dir: &GhostDirectory,
+        my_rank: usize,
+        nranks: usize,
+    ) -> Vec<Vec<(CompId, CompId)>> {
+        let mut buckets: Vec<Vec<(CompId, CompId)>> = (0..nranks).map(|_| Vec::new()).collect();
+        let mut by_new = relabels.to_vec();
+        by_new.sort_by_key(|&(_, new)| new);
+        let mut sent = std::collections::HashSet::new();
+        for e in cg.iter_edges() {
+            for (mine, ghost) in [(e.a, e.b), (e.b, e.a)] {
+                if !cg.is_resident(mine) || cg.is_resident(ghost) {
+                    continue;
+                }
+                let group: Vec<_> = by_new.iter().filter(|&&(_, new)| new == mine).collect();
+                let owner = dir.owner(ghost) as usize;
+                if group.is_empty() || owner == my_rank || !sent.insert((mine, owner)) {
+                    continue;
+                }
+                buckets[owner].extend(group);
+            }
+        }
+        buckets
+    }
+
+    proptest::proptest! {
+        /// Walking the cut rows fills the buckets exactly as the every-row
+        /// sweep did — same pairs in the same order, which is what the wire
+        /// codec's bytes depend on — on holdings with rows of no, one and
+        /// two ghost ends, and with no cut row at all (`keep_every` = 1).
+        #[test]
+        fn cut_row_buckets_equal_the_full_sweep_in_order(
+            rows in proptest::collection::vec((0u32..40, 0u32..40, 1u32..9), 0..150),
+            keep_every in 1u32..4,
+            renames in proptest::collection::vec((0u32..40, 0u32..40), 0..30),
+            my_rank in 0usize..4,
+        ) {
+            let edges = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, w))| CEdge::new(a, b, WEdge::new(i as u32, 100 + a, w)))
+                .collect();
+            let resident: Vec<CompId> = (0..40).step_by(keep_every as usize).collect();
+            // (old, new): new is resident here, old is an id it absorbed.
+            let relabels: Vec<(CompId, CompId)> = renames
+                .iter()
+                .map(|&(old, new)| (100 + old, resident[new as usize % resident.len()]))
+                .collect();
+            let cg = CGraph::from_parts(resident, edges, vec![]);
+            let dir = GhostDirectory::from_ranges(ranges4());
+            let expect = full_sweep_relabel_buckets(&cg, &relabels, &dir, my_rank, 4);
+            proptest::prop_assert_eq!(relabel_buckets(&cg, &relabels, &dir, my_rank, 4), expect);
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::CompId;
 use mnd_kernels::reduce::{
-    apply_ghost_parents_with, ghost_parent_message, ghost_parents_are_chain_free,
-    reduce_holding_with,
+    apply_ghost_parents, ghost_parent_message, ghost_parents_are_chain_free, reduce_holding_with,
 };
 use mnd_wire::PackedPairs;
 
@@ -61,7 +60,7 @@ impl Phase for MergeParts {
                 ghost_parents_are_chain_free(&pairs),
                 "ghost parents of different senders collide or chain"
             );
-            apply_ghost_parents_with(&mut cx.cg, &policy, &pairs);
+            apply_ghost_parents(&mut cx.cg, &pairs);
             cx.dir.apply_relabels(&pairs);
 
             // Reduce: self-edge removal + multi-edge removal, in place.

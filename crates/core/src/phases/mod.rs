@@ -11,12 +11,12 @@
 //! ```
 //!
 //! Every phase boundary reports a [`PhaseSample`] (simulated time and
-//! traffic deltas) through two sinks: the driver's own
-//! [`PhaseTimesRecorder`] — which produces the `PhaseTimes` in
-//! [`crate::result::MndMstReport`] — and the user hook configured on
-//! [`mnd_hypar::HyParConfig::observer`]. Both see identical samples, so an
-//! external observer can rebuild the report's breakdown (or a finer one:
-//! samples carry the merge level).
+//! traffic deltas, host wall time, holding rows in and out) through two
+//! sinks: the driver's own [`PhaseTimesRecorder`] — which produces the
+//! `PhaseTimes` in [`crate::result::MndMstReport`] — and the user hook
+//! configured on [`mnd_hypar::HyParConfig::observer`]. Both see identical
+//! samples, so an external observer can rebuild the report's breakdown (or
+//! a finer one: samples carry the merge level).
 
 mod hier_merge;
 mod ind_comp;
@@ -27,15 +27,16 @@ mod post_process;
 pub use hier_merge::HierMerge;
 pub use ind_comp::IndComp;
 pub use merge_parts::MergeParts;
-pub use partition::Partition;
+pub use partition::{Level0, Partition};
 pub use post_process::PostProcess;
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use mnd_device::DeviceSplit;
 use mnd_engine::{Recoverable, Recovery};
 use mnd_graph::types::WEdge;
-use mnd_graph::{CsrGraph, EdgeList};
+use mnd_graph::EdgeList;
 use mnd_hypar::chaos::{ChaosEvent, ChaosEventKind};
 use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
 use mnd_hypar::HyParConfig;
@@ -115,10 +116,10 @@ pub struct RankCtx<'a> {
     pub runner: &'a MndMstRunner,
     /// This rank's communicator.
     pub comm: &'a Comm,
-    /// The input graph in CSR form (shared, read-only).
-    pub csr: &'a CsrGraph,
     /// The input edge list (shared, read-only).
     pub el: &'a EdgeList,
+    /// The run's level-0 holdings ([`Partition`] takes this rank's).
+    pub level0: &'a Level0,
     /// The rank's current holding.
     pub cg: CGraph,
     /// Component → owner directory.
@@ -150,15 +151,15 @@ impl<'a> RankCtx<'a> {
     pub fn new(
         runner: &'a MndMstRunner,
         comm: &'a Comm,
-        csr: &'a CsrGraph,
         el: &'a EdgeList,
+        level0: &'a Level0,
         recorder: Arc<PhaseTimesRecorder>,
     ) -> Self {
         RankCtx {
             runner,
             comm,
-            csr,
             el,
+            level0,
             cg: CGraph::new(),
             dir: GhostDirectory::default(),
             split: DeviceSplit::cpu_only(),
@@ -189,7 +190,10 @@ impl<'a> RankCtx<'a> {
             return f(self);
         }
         let before = self.comm.stats();
+        let (rows_in, cut_in) = (self.cg.num_edges(), self.cg.known_cut_rows());
+        let started = Instant::now();
         let out = f(self);
+        let wall_ns = started.elapsed().as_nanos() as u64;
         let delta = self.comm.stats().delta_since(&before);
         let sample = PhaseSample {
             rank: self.comm.rank() as u32,
@@ -198,6 +202,10 @@ impl<'a> RankCtx<'a> {
             comm_time: delta.comm_time,
             bytes_sent: delta.bytes_sent,
             messages_sent: delta.messages_sent,
+            wall_ns,
+            rows_in: rows_in as u64,
+            rows_out: self.cg.num_edges() as u64,
+            cut_rows: self.cg.known_cut_rows().or(cut_in).unwrap_or(0) as u64,
         };
         self.recorder.on_phase(kind, &sample);
         self.runner.config.observer.emit(kind, &sample);

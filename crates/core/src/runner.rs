@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use mnd_device::NodePlatform;
 use mnd_engine::run_recoverable;
-use mnd_graph::{CsrGraph, EdgeList};
+use mnd_graph::EdgeList;
 use mnd_hypar::{HyParConfig, RecursionThresholdSource};
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
@@ -29,7 +29,7 @@ use mnd_net::{Cluster, Comm, FaultInjector, InjectorHook};
 
 use crate::checkpoint::RankCheckpoint;
 use crate::phases::{
-    HierMerge, IndComp, Partition, Phase, PhaseTimesRecorder, PostProcess, RankCtx,
+    HierMerge, IndComp, Level0, Partition, Phase, PhaseTimesRecorder, PostProcess, RankCtx,
 };
 use crate::result::{MndMstReport, PhaseTimes};
 use crate::segment::SegmentStrategy;
@@ -109,7 +109,6 @@ impl MndMstRunner {
     /// thread panicking is re-raised with its rank id).
     pub fn run(&self, el: &EdgeList) -> MndMstReport {
         assert!(self.nranks >= 1);
-        let csr = CsrGraph::from_edge_list(el);
         let network = self.platform.network.scaled(self.config.sim_scale);
         let cluster = Cluster::new(self.nranks, network).with_fault_hook(self.faults.clone());
 
@@ -122,8 +121,11 @@ impl MndMstRunner {
         if threads == 1 {
             ranked.config.kernel_policy = KernelPolicy::seq();
         }
-        let outcomes =
-            cluster.run(|comm| with_kernel_threads(threads, || ranked.rank_main(comm, &csr, el)));
+        // The ranks read the edge list themselves (§3.1), one block of
+        // them per kernel thread.
+        let level0 = Level0::new(self.nranks, kernel_threads());
+        let outcomes = cluster
+            .run(|comm| with_kernel_threads(threads, || ranked.rank_main(comm, el, &level0)));
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;
@@ -173,7 +175,7 @@ impl MndMstRunner {
     /// (DESIGN.md §5f/§6). The recorder is owned here so phase times
     /// survive the unwind; the checkpoint slot and fired-crash set live in
     /// the shared driver.
-    fn rank_main(&self, comm: &Comm, csr: &CsrGraph, el: &EdgeList) -> RankResult {
+    fn rank_main(&self, comm: &Comm, el: &EdgeList, level0: &Level0) -> RankResult {
         let recorder = Arc::new(PhaseTimesRecorder::new());
         run_recoverable::<RankCheckpoint, _>(
             comm,
@@ -182,7 +184,7 @@ impl MndMstRunner {
             self.config.checkpoint_interval,
             self.config.sim_scale,
             |rec| {
-                let mut cx = RankCtx::new(self, comm, csr, el, Arc::clone(&recorder));
+                let mut cx = RankCtx::new(self, comm, el, level0, Arc::clone(&recorder));
                 let mut pipeline: [Box<dyn Phase>; 4] = [
                     Box::new(Partition),
                     Box::new(IndComp::new()),

@@ -111,17 +111,20 @@ fn report_counts_match_configuration() {
 
 /// Ranks × kernel threads ≤ cores is a host-side rule: whatever share of
 /// `RAYON_NUM_THREADS` a rank is given — one thread and the sequential arm
-/// (4 ranks on 1 or 2 threads), a pool of two (4 ranks on 8), a pool of
+/// (4 ranks on 1, 2 or 3 threads), a pool of two (4 ranks on 8), a pool of
 /// eight (1 rank on 8) — the forest, the clock and every rank's traffic are
-/// the same bits. The holdings are big enough (≈ 10 K rows a rank) that a
-/// rank with a pool does take the chunked sweeps. The variable is
-/// process-global, so the sweep is sequential inside this one test; tests
-/// running beside it only see their worker counts change.
+/// the same bits. So is the level-0 build: the ranks read the edge list in
+/// as many blocks as there are kernel threads (5 ranks: one block of five,
+/// blocks of 3 + 2, of 2 + 2 + 1, a block a rank), and the holdings must
+/// not depend on how they were cut. The holdings are big enough (≈ 10 K
+/// rows a rank) that a rank with a pool does take the chunked sweeps. The
+/// variable is process-global, so the sweep is sequential inside this one
+/// test; tests running beside it only see their worker counts change.
 #[test]
 fn kernel_thread_budget_never_reaches_the_results() {
     let el = gen::web_crawl(4000, 40_000, gen::CrawlParams::default(), 5);
-    for nranks in [4, 1] {
-        let runs: Vec<_> = ["1", "2", "8"]
+    for nranks in [4, 5, 1] {
+        let runs: Vec<_> = ["1", "2", "3", "8"]
             .into_iter()
             .map(|threads| {
                 std::env::set_var("RAYON_NUM_THREADS", threads);
@@ -133,12 +136,18 @@ fn kernel_thread_budget_never_reaches_the_results() {
                     .iter()
                     .map(|s| (s.bytes_sent, s.messages_sent))
                     .collect();
-                (r.msf, r.total_time.to_bits(), traffic)
+                let clocks: Vec<u64> = r
+                    .rank_stats
+                    .iter()
+                    .map(|s| s.compute_time.to_bits())
+                    .collect();
+                (r.msf, r.total_time.to_bits(), traffic, clocks)
             })
             .collect();
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(runs[0].0, kruskal_msf(&el), "{nranks} ranks");
-        assert_eq!(runs[1], runs[0], "{nranks} ranks on 2 threads");
-        assert_eq!(runs[2], runs[0], "{nranks} ranks on 8 threads");
+        for (threads, run) in [2, 3, 8].into_iter().zip(&runs[1..]) {
+            assert_eq!(run, &runs[0], "{nranks} ranks on {threads} threads");
+        }
     }
 }

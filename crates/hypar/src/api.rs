@@ -12,7 +12,7 @@ use mnd_graph::types::WEdge;
 use mnd_graph::CsrGraph;
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::policy::{ExcpCond, KernelPolicy};
-use mnd_kernels::reduce::{apply_ghost_parents_with, reduce_holding_with};
+use mnd_kernels::reduce::{apply_ghost_parents, reduce_holding_with};
 
 use crate::config::HyParConfig;
 
@@ -232,8 +232,8 @@ pub fn merge_devices_with(
     policy: &KernelPolicy,
 ) -> u64 {
     let swept = gpu_cg.num_edges() as u64;
-    apply_ghost_parents_with(&mut gpu_cg, policy, cpu_relabel);
-    apply_ghost_parents_with(cpu_cg, policy, gpu_relabel);
+    apply_ghost_parents(&mut gpu_cg, cpu_relabel);
+    apply_ghost_parents(cpu_cg, gpu_relabel);
     cpu_cg.absorb(gpu_cg);
     reduce_holding_with(cpu_cg, policy);
     // Note: device-border freeze marks are left in place — `ind_comp`

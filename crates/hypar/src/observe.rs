@@ -49,7 +49,9 @@ impl PhaseKind {
 }
 
 /// One observed phase execution on one rank: the simulated time and traffic
-/// the phase consumed (deltas against the rank's stats at phase entry).
+/// the phase consumed (deltas against the rank's stats at phase entry), and
+/// what it cost the host — wall time and the holding rows it was handed and
+/// left behind.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSample {
     /// The rank that executed the phase.
@@ -64,6 +66,16 @@ pub struct PhaseSample {
     pub bytes_sent: u64,
     /// Messages sent during the phase.
     pub messages_sent: u64,
+    /// Host wall-clock nanoseconds the phase took on this rank's thread
+    /// (waits for other ranks included). Not deterministic.
+    pub wall_ns: u64,
+    /// Rows of the rank's holding at phase entry.
+    pub rows_in: u64,
+    /// Rows of the rank's holding at phase exit.
+    pub rows_out: u64,
+    /// Rows with a non-resident end: of the holding the phase left if it
+    /// knows without a sweep, else of the one it was handed, else 0.
+    pub cut_rows: u64,
 }
 
 /// Receives phase samples. Implementations must be thread-safe: every

@@ -625,6 +625,11 @@ mod tests {
         verify_msf(el, &msf).unwrap();
     }
 
+    /// The level-0 holding of one vertex range.
+    fn holding(el: &mnd_graph::EdgeList, range: VertexRange) -> CGraph {
+        CGraph::level0(el, &[range], 0..1).remove(0)
+    }
+
     #[test]
     fn whole_graph_matches_kruskal_on_families() {
         run_whole(&gen::path(20, 1));
@@ -653,8 +658,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cut edges")]
     fn none_exception_rejects_partitions() {
-        let g = CsrGraph::from_edge_list(&gen::path(6, 1));
-        let mut cg = CGraph::from_partition(&g, VertexRange { start: 0, end: 3 });
+        let mut cg = holding(&gen::path(6, 1), VertexRange { start: 0, end: 3 });
         local_boruvka(
             &mut cg,
             ExcpCond::None,
@@ -669,9 +673,8 @@ mod tests {
         for seed in 0..5 {
             let el = gen::gnm(100, 400, seed);
             let oracle: std::collections::HashSet<_> = kruskal_msf(&el).edges.into_iter().collect();
-            let g = CsrGraph::from_edge_list(&el);
             for (lo, hi) in [(0, 50), (25, 75), (0, 100)] {
-                let mut cg = CGraph::from_partition(&g, VertexRange { start: lo, end: hi });
+                let mut cg = holding(&el, VertexRange { start: lo, end: hi });
                 let out = local_boruvka(
                     &mut cg,
                     ExcpCond::BorderEdge,
@@ -692,10 +695,9 @@ mod tests {
     #[test]
     fn border_vertex_is_more_conservative_than_border_edge() {
         let el = gen::gnm(200, 800, 11);
-        let g = CsrGraph::from_edge_list(&el);
         let range = VertexRange { start: 0, end: 100 };
-        let mut cg_e = CGraph::from_partition(&g, range);
-        let mut cg_v = CGraph::from_partition(&g, range);
+        let mut cg_e = holding(&el, range);
+        let mut cg_v = holding(&el, range);
         let out_e = local_boruvka(
             &mut cg_e,
             ExcpCond::BorderEdge,
@@ -749,8 +751,7 @@ mod tests {
         // cut edge, but the *union* of contracted edges must stay within
         // the oracle MSF and residency must stay consistent.
         let el = gen::path(4, 5);
-        let g = CsrGraph::from_edge_list(&el);
-        let mut cg = CGraph::from_partition(&g, VertexRange { start: 0, end: 2 });
+        let mut cg = holding(&el, VertexRange { start: 0, end: 2 });
         let out = local_boruvka(
             &mut cg,
             ExcpCond::BorderEdge,
@@ -785,10 +786,9 @@ mod tests {
     #[test]
     fn recheck_freeze_contracts_at_least_as_much() {
         let el = gen::gnm(150, 500, 13);
-        let g = CsrGraph::from_edge_list(&el);
         let range = VertexRange { start: 0, end: 75 };
-        let mut cg_s = CGraph::from_partition(&g, range);
-        let mut cg_r = CGraph::from_partition(&g, range);
+        let mut cg_s = holding(&el, range);
+        let mut cg_r = holding(&el, range);
         let s = local_boruvka(
             &mut cg_s,
             ExcpCond::BorderEdge,
@@ -861,6 +861,8 @@ mod tests {
                     for (slot, &c) in got_cg.resident().iter().enumerate() {
                         assert_eq!(got_cg.slot_of(c), Some(slot as u32), "{tag}");
                     }
+                    // The commit's cut-row list is what a sweep would find.
+                    assert_eq!(got_cg.cut_rows(), got_cg.fresh_cut_rows(), "{tag}");
                 }
             }
         }
@@ -898,11 +900,8 @@ mod tests {
             }
             assert_equals_reference(&CGraph::from_edge_list(&el), ExcpCond::None, "whole");
 
-            let g = CsrGraph::from_edge_list(&el);
-            let parts: Vec<CGraph> = partition_1d(&g, nparts, 1.0)
-                .into_iter()
-                .map(|r| CGraph::from_partition(&g, r))
-                .collect();
+            let ranges = partition_1d(&CsrGraph::from_edge_list(&el), nparts, 1.0);
+            let parts = CGraph::level0(&el, &ranges, 0..nparts);
             for (i, part) in parts.iter().enumerate() {
                 for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
                     assert_equals_reference(part, excp, &format!("part {i}/{nparts}"));

@@ -20,7 +20,7 @@
 //! [`CGraph::iter_edges`] and [`CGraph::edges_vec`] materialize rows on
 //! demand for callers that want the old AoS shape.
 //!
-//! Two pieces of derived state ride along with the columns, neither part
+//! Three pieces of derived state ride along with the columns, none part
 //! of a holding's identity:
 //!
 //! * **The resolver.** Every per-edge sweep has to ask "is this endpoint
@@ -39,6 +39,15 @@
 //!   records — skipped when the survivors are already in order, which
 //!   relabels and compactions preserve. The table and the keep flags are
 //!   reusable scratch.
+//! * **The cut-row list.** Contiguous 1D cuts keep most rows internal
+//!   (§3.1), and only rows with a non-resident end take part in the
+//!   ghost-parent protocol (§3.3). [`CGraph::cut_rows`] is the ascending
+//!   list of exactly those rows, so the protocol's sweeps visit the cut,
+//!   not the holding, in the order a full sweep would. Whoever already
+//!   knows the list writes it — the level-0 builder ([`CGraph::level0`])
+//!   and the kernel's contraction commit — every mutator that moves rows
+//!   or changes residency drops it, and a read after a drop refills it
+//!   with one two-look-ups-per-row sweep.
 //!
 //! An edge may connect a resident component to a *non-resident* one (the
 //! paper's ghost component); such edges are exactly the ones the exception
@@ -52,9 +61,12 @@
 //! recombine — original edges are unique per vertex pair, so identity is
 //! `(orig.u, orig.v)`.
 
+use std::ops::Range;
+use std::sync::OnceLock;
+
 use mnd_graph::partition::VertexRange;
 use mnd_graph::types::{VertexId, WEdge};
-use mnd_graph::{CsrGraph, EdgeList};
+use mnd_graph::EdgeList;
 use mnd_wire::Wire;
 use rayon::prelude::*;
 
@@ -174,6 +186,11 @@ pub struct CGraph {
     /// Reusable flag column: per-row keep flags of a reduction, per-slot
     /// marks of a split; never part of identity.
     flags: Vec<bool>,
+    /// Ascending indexes of the rows with a non-resident end (see
+    /// [`CGraph::cut_rows`]): set where it is known, emptied by every
+    /// mutator that moves rows or changes residency, refilled on the next
+    /// read; never part of identity.
+    cut: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for CGraph {
@@ -226,6 +243,55 @@ fn remap_rows(
     }
 }
 
+/// Calls `visit(k, anchor, edge)` once per level-0 row of a block of
+/// contiguous ranges, in list order: holding `k` of the block anchors the
+/// canonicalised `edge` at `anchor` — its lower end if that lies in the
+/// holding's range, else its upper end. Self loops anchor nowhere.
+fn for_each_level0_row(
+    el: &EdgeList,
+    block: &[VertexRange],
+    ranks: &Range<usize>,
+    mut visit: impl FnMut(usize, VertexId, WEdge),
+) {
+    let (Some(first), Some(last)) = (block.first(), block.last()) else {
+        return;
+    };
+    let span = VertexRange {
+        start: first.start,
+        end: last.end,
+    };
+    let n = el.num_vertices();
+    // Lists mostly ascend in the lower end, so an end's owner rarely
+    // differs from the previous edge's.
+    let owner = |k: &mut usize, v: VertexId| {
+        if !block[*k].contains(v) {
+            *k = block.partition_point(|r| r.end <= v);
+        }
+        *k
+    };
+    let (mut k_lower, mut k_upper) = (0, 0);
+    for e in el.edges() {
+        let e = WEdge::new(e.u, e.v, e.w);
+        assert!(
+            e.v < n,
+            "{e:?} has an endpoint beyond the edge list's limit of {n} vertices \
+             (building the level-0 holdings of ranks {ranks:?})"
+        );
+        if e.is_self_loop() {
+            continue;
+        }
+        if span.contains(e.u) {
+            visit(owner(&mut k_lower, e.u), e.u, e);
+        }
+        if span.contains(e.v) {
+            let k = owner(&mut k_upper, e.v);
+            if !block[k].contains(e.u) {
+                visit(k, e.v, e);
+            }
+        }
+    }
+}
+
 impl CGraph {
     /// Empty holding.
     pub fn new() -> Self {
@@ -243,22 +309,102 @@ impl CGraph {
         cg
     }
 
-    /// Builds the level-0 holding for a partition of the input graph:
-    /// every owned vertex is a singleton component; edges are all edges
-    /// touching the range (cut edges included, held by the inside endpoint;
-    /// internal edges held once).
-    pub fn from_partition(g: &CsrGraph, range: VertexRange) -> Self {
-        let mut cg = CGraph::with_resident(range.iter().collect());
-        for e in g.edges_touching_range(range.start, range.end) {
-            cg.push_edge(CEdge::new(e.u, e.v, e));
-        }
-        cg
+    /// Builds the level-0 holdings of ranks `ranks` of a 1D partition
+    /// straight from the edge list: every owned vertex is a singleton
+    /// component; a holding's rows are all edges touching its range (cut
+    /// edges included, held by the inside endpoint; internal edges held
+    /// once), self loops dropped and endpoints canonicalised.
+    ///
+    /// One stable counting sort of the list by *anchor* — an edge's lower
+    /// end if it lies in the holding's range, else its upper end — so rows
+    /// ascend in anchor and keep list order within an anchor: the
+    /// adjacency-order walk of a mirrored CSR of the whole graph, row for
+    /// row, without the CSR (the proptests compare the two). The ranks of
+    /// the block share the two passes over the list, so a caller that cuts
+    /// the ranks into `b` blocks pays `2·b` whole-list passes whatever the
+    /// rank count. Every holding leaves with its cut-row list: the rows
+    /// whose other end is outside the range.
+    ///
+    /// `ranges[ranks]` must be contiguous and ascending (what
+    /// `partition_1d` returns).
+    ///
+    /// # Panics
+    ///
+    /// If an edge has an endpoint `>= el.num_vertices()`, or a holding
+    /// would reach `u32::MAX` rows (row cursors and row indexes are 32
+    /// bits) — in both cases before any column is allocated.
+    pub fn level0(el: &EdgeList, ranges: &[VertexRange], ranks: Range<usize>) -> Vec<CGraph> {
+        let block = &ranges[ranks.clone()];
+        let (Some(first), Some(last)) = (block.first(), block.last()) else {
+            return Vec::new();
+        };
+        debug_assert!(
+            block.windows(2).all(|w| w[0].end == w[1].start),
+            "the ranges of a block must be contiguous"
+        );
+        let base = first.start;
+        // Pass 1: rows per anchor, then per holding an exclusive prefix sum
+        // turning the counts into write cursors.
+        let mut cursor = vec![0u32; (last.end - base) as usize];
+        for_each_level0_row(el, block, &ranks, |_, anchor, _| {
+            let c = &mut cursor[(anchor - base) as usize];
+            *c = c.saturating_add(1);
+        });
+        let rows: Vec<usize> = block
+            .iter()
+            .zip(ranks.clone())
+            .map(|(r, rank)| {
+                let mut total = 0u64;
+                for c in &mut cursor[(r.start - base) as usize..(r.end - base) as usize] {
+                    // Truncation only past the limit asserted below.
+                    total += u64::from(std::mem::replace(c, total as u32));
+                }
+                assert!(
+                    total < u64::from(u32::MAX),
+                    "rank {rank}'s level-0 holding of {total} rows exceeds the builder's limit \
+                     of u32::MAX - 1 rows (row cursors and row indexes are 32 bits)"
+                );
+                total as usize
+            })
+            .collect();
+
+        // Pass 2: every row to its cursor. Rows anchored at an upper end
+        // land anywhere, and a level-0 row's ends are its original edge's:
+        // only that column is scattered, the other two are read off it.
+        let mut origs: Vec<Vec<WEdge>> = rows
+            .iter()
+            .map(|&rows| vec![WEdge::new(0, 0, 0); rows])
+            .collect();
+        for_each_level0_row(el, block, &ranks, |k, anchor, e| {
+            let at = &mut cursor[(anchor - base) as usize];
+            origs[k][*at as usize] = e;
+            *at += 1;
+        });
+        block
+            .iter()
+            .zip(origs)
+            .map(|(r, eorig)| {
+                // One end of every row is inside the range and `u <= v`.
+                let cut: Vec<u32> = (0..eorig.len())
+                    .filter(|&i| eorig[i].u < r.start || eorig[i].v >= r.end)
+                    .map(|i| i as u32)
+                    .collect();
+                CGraph {
+                    ea: eorig.iter().map(|e| e.u).collect(),
+                    eb: eorig.iter().map(|e| e.v).collect(),
+                    eorig,
+                    cut: OnceLock::from(cut),
+                    ..CGraph::with_resident(r.iter().collect())
+                }
+            })
+            .collect()
     }
 
     /// Builds a whole-graph holding (single-device execution): all vertices
     /// resident, all edges held.
     pub fn from_edge_list(el: &EdgeList) -> Self {
         let mut cg = CGraph::with_resident((0..el.num_vertices()).collect());
+        cg.reserve_rows(el.len());
         for e in el.edges() {
             cg.push_edge(CEdge::new(e.u, e.v, *e));
         }
@@ -270,13 +416,17 @@ impl CGraph {
     pub fn from_parts(resident: Vec<CompId>, edges: Vec<CEdge>, frozen: Vec<CompId>) -> Self {
         let mut cg = CGraph::with_resident(resident);
         cg.frozen = frozen;
-        cg.ea.reserve(edges.len());
-        cg.eb.reserve(edges.len());
-        cg.eorig.reserve(edges.len());
+        cg.reserve_rows(edges.len());
         for e in edges {
             cg.push_edge(e);
         }
         cg
+    }
+
+    fn reserve_rows(&mut self, rows: usize) {
+        self.ea.reserve(rows);
+        self.eb.reserve(rows);
+        self.eorig.reserve(rows);
     }
 
     /// Resident component ids (sorted).
@@ -338,6 +488,7 @@ impl CGraph {
     /// Appends one edge.
     #[inline]
     pub fn push_edge(&mut self, e: CEdge) {
+        self.cut.take();
         self.ea.push(e.a);
         self.eb.push(e.b);
         self.eorig.push(e.orig);
@@ -393,14 +544,32 @@ impl CGraph {
         self.resident.is_empty() && self.ea.is_empty()
     }
 
+    /// The rows with a non-resident end, as ascending row indexes — the
+    /// only rows the ghost-parent protocol reads or renames. Cached beside
+    /// the columns: free after the level-0 builder and the kernel's commit,
+    /// one two-look-ups-per-row sweep after any other mutator.
+    pub fn cut_rows(&self) -> &[u32] {
+        self.cut.get_or_init(|| {
+            let rows = u32::try_from(self.ea.len()).expect("row indexes are 32 bits");
+            (0..rows).filter(|&i| self.is_cut_row(i as usize)).collect()
+        })
+    }
+
+    #[inline]
+    fn is_cut_row(&self, i: usize) -> bool {
+        !self.is_resident(self.ea[i]) || !self.is_resident(self.eb[i])
+    }
+
+    /// The length of [`CGraph::cut_rows`] if the holding has the list at
+    /// hand, without filling it (for instruments that must not add a sweep).
+    pub fn known_cut_rows(&self) -> Option<usize> {
+        self.cut.get().map(Vec::len)
+    }
+
     /// Number of edges with a non-resident endpoint (the holding's "ghost
     /// degree" — drives communication volume).
     pub fn num_cut_edges(&self) -> usize {
-        self.ea
-            .iter()
-            .zip(&self.eb)
-            .filter(|&(&a, &b)| !self.is_resident(a) || !self.is_resident(b))
-            .count()
+        self.cut_rows().len()
     }
 
     /// Replaces the resident set (sorted + deduplicated by this call).
@@ -409,6 +578,7 @@ impl CGraph {
         resident.dedup();
         self.resident = resident;
         self.lookup.rebuild(&self.resident);
+        self.cut.take();
     }
 
     /// Applies a component renaming to **all** edge endpoints. `map` returns
@@ -431,18 +601,34 @@ impl CGraph {
     }
 
     /// Renames only **ghost** endpoints (ids not resident here) through
-    /// `map` — the receiving half of the ghost-parent protocol. Resident
-    /// ids, the resident column and the freeze marks are untouched by
-    /// construction, so nothing is re-sorted and the resolver stays valid.
-    pub fn relabel_ghosts(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
-        let (lookup, resident) = (&self.lookup, &self.resident);
-        remap_rows(&mut self.ea, &mut self.eb, policy, |c| {
-            if lookup.get(resident, c).is_some() {
-                c
-            } else {
-                map(c)
-            }
-        });
+    /// `map` — the receiving half of the ghost-parent protocol — by a walk
+    /// of the cut rows. Resident ids, the resident column and the freeze
+    /// marks are untouched by construction, so nothing is re-sorted and the
+    /// resolver stays valid. `map` must send a ghost to a ghost, as the
+    /// protocol's pairs do (a component is resident on one processor, and
+    /// only that processor renames into it), so the cut rows stay the cut
+    /// rows.
+    pub fn relabel_ghosts(&mut self, map: impl Fn(CompId) -> CompId) {
+        self.cut_rows();
+        let cut = self.cut.take().expect("filled above");
+        for &i in &cut {
+            let i = i as usize;
+            let rename = |c: CompId| {
+                if self.is_resident(c) {
+                    return c;
+                }
+                let new = map(c);
+                debug_assert!(
+                    !self.is_resident(new),
+                    "ghost {c} renamed to resident {new}"
+                );
+                new
+            };
+            let (a, b) = (rename(self.ea[i]), rename(self.eb[i]));
+            // Keep the per-row canonical a <= b invariant.
+            (self.ea[i], self.eb[i]) = (a.min(b), a.max(b));
+        }
+        self.cut = OnceLock::from(cut);
     }
 
     /// Commits a contraction from the rows that survived it. `survivors`
@@ -454,7 +640,8 @@ impl CGraph {
     /// cursor that never passes `row`, so the columns compact in place. The
     /// resident column keeps exactly the slots `is_root` accepts (a
     /// subsequence of a sorted column: no re-sort) and the resolver is
-    /// rebuilt; freeze marks are the caller's to replace.
+    /// rebuilt; freeze marks are the caller's to replace. The kept rows
+    /// with a [`GHOST`] slot are the new cut-row list.
     pub(crate) fn commit_contraction(
         &mut self,
         survivors: impl Iterator<Item = (u32, u32, u32)>,
@@ -462,6 +649,8 @@ impl CGraph {
     ) {
         let mut w = 0usize;
         let mut rows_seen = 0usize;
+        let mut cut = self.cut.take().unwrap_or_default();
+        cut.clear();
         for (row, a, b) in survivors {
             let row = row as usize;
             debug_assert!(rows_seen <= row, "survivors must ascend in row");
@@ -479,6 +668,9 @@ impl CGraph {
             self.ea[w] = na.min(nb);
             self.eb[w] = na.max(nb);
             self.eorig[w] = self.eorig[row];
+            if a == GHOST || b == GHOST {
+                cut.push(w as u32);
+            }
             w += 1;
         }
         self.ea.truncate(w);
@@ -490,6 +682,7 @@ impl CGraph {
             is_root(slot - 1)
         });
         self.lookup.rebuild(&self.resident);
+        self.cut = OnceLock::from(cut);
     }
 
     /// Order-preserving write-cursor compaction: keeps row `i` iff
@@ -510,6 +703,7 @@ impl CGraph {
         self.ea.truncate(w);
         self.eb.truncate(w);
         self.eorig.truncate(w);
+        self.cut.take();
     }
 
     /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
@@ -669,6 +863,7 @@ impl CGraph {
         if descents.is_empty() {
             return;
         }
+        self.cut.take();
         let mut records: Vec<Record> = (0..n).map(record).collect();
         if descents.len() < MAX_MERGE_RUNS {
             // (next unread record, end) of each run.
@@ -866,6 +1061,7 @@ impl CGraph {
         });
         self.lookup.rebuild(&self.resident);
         moved.lookup.rebuild(&moved.resident);
+        self.cut.take();
         self.flags = taken;
         moved
     }
@@ -910,13 +1106,55 @@ impl CGraph {
 /// by `(key, order)` through an index permutation, keep the first row of
 /// every key run, restore canonical order with a second permutation sort.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::*;
+    use mnd_graph::CsrGraph;
 
     /// Sentinel marking an already-placed slot during in-place permutation.
     const PLACED: u32 = u32::MAX;
 
+    /// The level-0 holding [`CGraph::level0`] replaced: the rows of `range`
+    /// read in adjacency order out of a mirrored CSR of the whole graph
+    /// (which wants its self loops dropped first).
+    pub(crate) fn level0_via_csr(el: &EdgeList, range: VertexRange) -> CGraph {
+        let edges: Vec<WEdge> = el
+            .edges()
+            .iter()
+            .filter(|e| !e.is_self_loop())
+            .copied()
+            .collect();
+        let g = CsrGraph::from_edges(el.num_vertices(), &edges);
+        let mut cg = CGraph::with_resident(range.iter().collect());
+        for e in g.edges_touching_range(range.start, range.end) {
+            cg.push_edge(CEdge::new(e.u, e.v, e));
+        }
+        cg
+    }
+
     impl CGraph {
+        /// What [`CGraph::cut_rows`] caches, by a sweep of every row that
+        /// searches the resident column instead of asking the resolver.
+        pub(crate) fn fresh_cut_rows(&self) -> Vec<u32> {
+            let ghost = |c: CompId| self.resident.binary_search(&c).is_err();
+            (0..self.ea.len())
+                .filter(|&i| ghost(self.ea[i]) || ghost(self.eb[i]))
+                .map(|i| i as u32)
+                .collect()
+        }
+
+        /// The every-row sweep [`CGraph::relabel_ghosts`] replaced.
+        pub(crate) fn reference_relabel_ghosts(&mut self, map: impl Fn(CompId) -> CompId + Sync) {
+            let (lookup, resident) = (&self.lookup, &self.resident);
+            remap_rows(&mut self.ea, &mut self.eb, &KernelPolicy::seq(), |c| {
+                if lookup.get(resident, c).is_some() {
+                    c
+                } else {
+                    map(c)
+                }
+            });
+            self.cut.take();
+        }
+
         /// Applies permutation `perm` (result row `i` = current row
         /// `perm[i]`) to all three columns in place by cycle-walking.
         fn apply_perm(&mut self, perm: &mut [u32]) {
@@ -977,6 +1215,7 @@ mod reference {
                 None => c,
             };
             remap_rows(&mut self.ea, &mut self.eb, &KernelPolicy::seq(), new_id);
+            self.cut.take();
             self.frozen.iter_mut().for_each(|f| *f = new_id(*f));
             self.frozen.sort_unstable();
             self.frozen.dedup();
@@ -1015,16 +1254,17 @@ mod tests {
         }
     }
 
-    fn path4() -> CsrGraph {
-        CsrGraph::from_edge_list(&gen::path(4, 1))
+    /// The level-0 holding of one vertex range.
+    fn holding(el: &EdgeList, range: VertexRange) -> CGraph {
+        CGraph::level0(el, &[range], 0..1).remove(0)
     }
 
     #[test]
     fn from_partition_includes_cut_edges() {
-        let g = path4();
-        let cg = CGraph::from_partition(&g, VertexRange { start: 1, end: 3 });
+        let cg = holding(&gen::path(4, 1), VertexRange { start: 1, end: 3 });
         assert_eq!(cg.resident(), &[1, 2]);
         assert_eq!(cg.num_edges(), 3); // 0-1 (cut), 1-2 (internal), 2-3 (cut)
+        assert_eq!(cg.cut_rows(), &[0, 2]);
         assert_eq!(cg.num_cut_edges(), 2);
         cg.validate().unwrap();
     }
@@ -1039,8 +1279,7 @@ mod tests {
 
     #[test]
     fn relabel_merges_resident_ids() {
-        let g = path4();
-        let mut cg = CGraph::from_partition(&g, VertexRange { start: 0, end: 4 });
+        let mut cg = holding(&gen::path(4, 1), VertexRange { start: 0, end: 4 });
         cg.relabel(|c| if c == 1 { 0 } else { c });
         assert_eq!(cg.resident(), &[0, 2, 3]);
         // Edge 0-1 became a self edge.
@@ -1306,13 +1545,27 @@ mod tests {
             raw in arb_rows(150),
             comps in 2u32..12,
             spread_pick in 0u8..2,
-            ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 1..12),
+            ghosts in 0u8..2,
+            ops in proptest::collection::vec((0u8..13, 0u32..64, 0u32..64), 1..16),
         ) {
             // spread 5000 makes every resident set sparse (range > 4× len
             // and > 1024): the binary-search fallback answers.
             let spread = if spread_pick == 0 { 1 } else { 5000 };
             let mut cg = messy_holding(&raw, comps, spread);
-            assert_resolver_matches_binary_search(&cg);
+            if ghosts == 1 {
+                // Every other component is somebody else's: rows with one
+                // and with two ghost ends from the start.
+                cg.set_resident((0..comps).step_by(2).map(|c| c * spread).collect());
+            }
+            // Every mutator below starts from a holding whose cut-row list
+            // is cached (the check reads it), so a mutator that forgets to
+            // drop or rewrite it is caught by the next check.
+            let check = |cg: &CGraph| {
+                assert_resolver_matches_binary_search(cg);
+                assert_eq!(cg.cut_rows(), cg.fresh_cut_rows(), "cached cut rows are stale");
+                assert_eq!(cg.num_cut_edges(), cg.fresh_cut_rows().len());
+            };
+            check(&cg);
             for (op, x, y) in ops {
                 let n = cg.num_resident() as u32;
                 match op {
@@ -1323,12 +1576,13 @@ mod tests {
                     1 => {
                         let mut other = messy_holding(&raw, comps, spread);
                         other.relabel(|c| c + (x % 4) * spread);
-                        cg.absorb(other);
+                        let third = messy_holding(&raw[..raw.len() / 2], comps, spread);
+                        cg.absorb_all([other, CGraph::new(), third]);
                     }
                     2 if n > 1 => {
                         let take: Vec<CompId> = cg.resident.iter().copied().filter(|c| (c / spread + x) % 3 == 0).collect();
                         let seg = cg.split_off(&take);
-                        assert_resolver_matches_binary_search(&seg);
+                        check(&seg);
                         prop_assert_eq!(seg.resident(), &take[..]);
                     }
                     3 => {
@@ -1336,22 +1590,101 @@ mod tests {
                         cg.set_resident(resident);
                     }
                     4 if n > 0 => {
-                        // Pair up neighbouring slots, roots at even slots.
-                        cg.contract_slots(|i| i - i % 2);
+                        // The kernel's commit: neighbouring slots pair up,
+                        // roots at even slots; every third row was shed.
+                        let root = |c: CompId| cg.slot_of(c).map_or(GHOST, |slot| slot - slot % 2);
+                        let survivors: Vec<(u32, u32, u32)> = (0..cg.num_edges())
+                            .filter(|i| !(i + x as usize).is_multiple_of(3))
+                            .map(|i| (i as u32, root(cg.ea[i]), root(cg.eb[i])))
+                            .collect();
+                        cg.commit_contraction(survivors.into_iter(), |slot| slot % 2 == 0);
                     }
+                    5 => cg.push_edge(CEdge::new(x * spread, y * spread, WEdge::new(x, y, 1))),
+                    // Ghosts renamed to ghosts (ids past every resident's),
+                    // several to the same one.
+                    6 => cg.relabel_ghosts(|c| 1_000_000 + (c / spread + x) % 24),
+                    7 => cg.remove_self_edges(),
+                    8 => {
+                        cg.remove_self_edges();
+                        check(&cg);
+                        cg.remove_multi_edges();
+                    }
+                    9 => cg.dedup_edges(),
+                    10 => cg.sort_edges(),
+                    11 => {
+                        let keep: Vec<bool> = (0..cg.num_edges()).map(|i| !(i as u32 + x).is_multiple_of(4)).collect();
+                        cg.retain_edge_rows(&keep);
+                    }
+                    12 => cg = CGraph::from_parts(cg.resident.clone(), cg.edges_vec(), cg.frozen.clone()),
                     _ => {}
                 }
-                assert_resolver_matches_binary_search(&cg);
+                check(&cg);
+            }
+        }
+
+        /// The level-0 builder against the CSR walk it replaced, row for
+        /// row: lists in arrival order with self loops and repeated pairs
+        /// (an `EdgeList` canonicalises `u <= v` on the way in, so `u > v`
+        /// cannot reach a builder), cuts that leave empty ranges and more
+        /// ranges than vertices, and every block size.
+        #[test]
+        fn level0_equals_the_csr_walk_row_for_row(
+            raw in proptest::collection::vec((0u32..64, 0u32..64, 1u32..5), 0..160),
+            n in 1u32..24,
+            cuts in proptest::collection::vec(0u32..64, 0..30),
+        ) {
+            let mut el = EdgeList::new(n);
+            for (a, b, w) in raw {
+                el.push(a % n, b % n, w);
+            }
+            let mut points: Vec<u32> = cuts.iter().map(|c| c % (n + 1)).collect();
+            points.extend([0, n]);
+            points.sort_unstable();
+            let ranges: Vec<VertexRange> = points
+                .windows(2)
+                .map(|w| VertexRange { start: w[0], end: w[1] })
+                .collect();
+            let p = ranges.len();
+            let expect: Vec<CGraph> = ranges.iter().map(|&r| reference::level0_via_csr(&el, r)).collect();
+            for block in 1..=p {
+                let got: Vec<CGraph> = (0..p)
+                    .step_by(block)
+                    .flat_map(|lo| CGraph::level0(&el, &ranges, lo..(lo + block).min(p)))
+                    .collect();
+                prop_assert_eq!(got.len(), p);
+                for (k, (got, expect)) in got.iter().zip(&expect).enumerate() {
+                    prop_assert_eq!(got.edges_vec(), expect.edges_vec(), "rank {} of {}, blocks of {}", k, p, block);
+                    prop_assert_eq!(got, expect);
+                    assert_resolver_matches_binary_search(got);
+                    prop_assert_eq!(got.known_cut_rows(), Some(expect.fresh_cut_rows().len()));
+                    prop_assert_eq!(got.cut_rows(), expect.fresh_cut_rows());
+                }
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "beyond the edge list's limit of 4 vertices")]
+    fn level0_refuses_an_endpoint_past_the_vertex_count() {
+        // `from_raw` canonicalises but cannot know the endpoint is bogus.
+        let el = EdgeList::from_raw(4, vec![WEdge::new(0, 1, 1), WEdge::new(1, 9, 1)]);
+        holding(&el, VertexRange { start: 0, end: 4 });
+    }
+
+    #[test]
+    fn level0_of_no_ranks_and_of_empty_ranges() {
+        let el = gen::gnm(30, 90, 3);
+        assert!(CGraph::level0(&el, &[], 0..0).is_empty());
+        let empty = holding(&el, VertexRange { start: 7, end: 7 });
+        assert!(empty.is_empty());
+        assert_eq!(empty.cut_rows(), &[] as &[u32]);
+    }
+
+    #[test]
     fn contract_slots_equals_relabel_by_id() {
         let el = gen::gnm(40, 160, 5);
-        let g = CsrGraph::from_edge_list(&el);
         // A partition, so ghost endpoints exist and must be left alone.
-        let mut by_slot = CGraph::from_partition(&g, VertexRange { start: 10, end: 30 });
+        let mut by_slot = holding(&el, VertexRange { start: 10, end: 30 });
         by_slot.set_frozen(vec![11, 14, 29]);
         let mut by_id = by_slot.clone();
         let resident = by_slot.resident().to_vec();
@@ -1374,7 +1707,7 @@ mod tests {
             ],
             vec![1],
         );
-        cg.relabel_ghosts(&KernelPolicy::default(), |c| c + 100);
+        cg.relabel_ghosts(|c| c + 100);
         assert_eq!(cg.resident(), &[0, 1]);
         assert_eq!(cg.frozen(), &[1]);
         assert_eq!(cg.edge(0), CEdge::new(0, 107, WEdge::new(0, 7, 1)));

@@ -227,9 +227,8 @@ mod tests {
         // survive on the rank that filters, however redundant, because its
         // duplicate on the other rank would be certified differently.
         let el = gen::complete(60, 17);
-        let csr = mnd_graph::CsrGraph::from_edge_list(&el);
         let range = mnd_graph::partition::VertexRange { start: 0, end: 30 };
-        let mut cg = CGraph::from_partition(&csr, range);
+        let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
         let cut_before: Vec<WEdge> = cg
             .iter_edges()
             .filter(|e| !cg.is_resident(e.a) || !cg.is_resident(e.b))
@@ -249,12 +248,11 @@ mod tests {
     #[test]
     fn holding_filter_matches_edge_list_filter() {
         let el = gen::web_crawl(1500, 9000, gen::CrawlParams::default(), 13);
-        let csr = mnd_graph::CsrGraph::from_edge_list(&el);
         let range = mnd_graph::partition::VertexRange {
             start: 0,
             end: el.num_vertices(),
         };
-        let mut cg = CGraph::from_partition(&csr, range);
+        let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
         let before = cg.num_edges();
         let stats = filter_holding(&mut cg, 0.5, 21);
         assert_eq!(stats.input_edges, before);

@@ -69,24 +69,14 @@ pub fn ghost_parent_message(msg: &mut Vec<(CompId, CompId)>) {
 /// Applies received ghost-parent pairs to a holding: every edge endpoint
 /// matching an `old` id is renamed to `new`. Resident ids are left alone —
 /// renames of resident components were already committed by the local
-/// kernel; this call is specifically for ghost (non-resident) endpoints.
+/// kernel; this call is specifically for ghost (non-resident) endpoints,
+/// so it visits the holding's cut rows ([`CGraph::cut_rows`]) and no other.
 ///
 /// The pairs of **all** sending ranks go through one call: each rank
 /// renames only its own residents, so the pairs of different senders never
 /// chain or collide ([`ghost_parents_are_chain_free`]) and one sweep equals
 /// applying the senders one after another.
 pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
-    apply_ghost_parents_with(cg, &KernelPolicy::default(), updates);
-}
-
-/// As [`apply_ghost_parents`], with the endpoint relabel sweep chunked
-/// across rayon workers above the policy crossover (rows are independent,
-/// so any chunking produces the sequential result).
-pub fn apply_ghost_parents_with(
-    cg: &mut CGraph,
-    policy: &KernelPolicy,
-    updates: &[(CompId, CompId)],
-) {
     if updates.is_empty() {
         return;
     }
@@ -101,7 +91,7 @@ pub fn apply_ghost_parents_with(
         let pos = slot_for(&slots, old);
         slots[pos] = i as u32;
     }
-    cg.relabel_ghosts(policy, |c| match slots[slot_for(&slots, c)] {
+    cg.relabel_ghosts(|c| match slots[slot_for(&slots, c)] {
         index_table::EMPTY => c,
         i => updates[i as usize].1,
     });
@@ -227,8 +217,47 @@ mod tests {
         assert!(!ghost_parents_are_chain_free(&[(7, 5), (5, 3)]));
     }
 
+    /// [`apply_ghost_parents`] as it was before the cut-row list: a map of
+    /// the pairs (the last pair of a repeated `old` wins) applied by the
+    /// every-row sweep.
+    fn full_sweep_apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
+        let map: std::collections::HashMap<CompId, CompId> = updates.iter().copied().collect();
+        cg.reference_relabel_ghosts(|c| map.get(&c).copied().unwrap_or(c));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cut-row rename equals the every-row sweep it replaced, on
+        /// holdings whose rows have no, one or two ghost ends (`keep_every`
+        /// = 1: nothing is a ghost, no cut row at all), under pairs that
+        /// repeat an `old` and name resident ids.
+        #[test]
+        fn cut_row_ghost_rename_equals_the_full_sweep(
+            rows in proptest::collection::vec((0u32..40, 0u32..40, 1u32..50), 0..200),
+            keep_every in 1u32..4,
+            updates in proptest::collection::vec((0u32..40, 100u32..130), 0..50),
+            read_first in 0u8..2,
+        ) {
+            let edges = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, w))| CEdge::new(a, b, WEdge::new(i as u32, 1000 + a, w)))
+                .collect();
+            let resident: Vec<CompId> = (0..40).step_by(keep_every as usize).collect();
+            let mut cg = CGraph::from_parts(resident.clone(), edges, vec![resident[0]]);
+            if read_first == 1 {
+                // Rename through a list cached earlier rather than filled
+                // by the call itself.
+                cg.cut_rows();
+            }
+            let mut expect = cg.clone();
+            full_sweep_apply_ghost_parents(&mut expect, &updates);
+            apply_ghost_parents(&mut cg, &updates);
+            prop_assert_eq!(cg.edges_vec(), expect.edges_vec());
+            prop_assert_eq!(&cg, &expect);
+            prop_assert_eq!(cg.cut_rows(), expect.fresh_cut_rows());
+        }
 
         /// One sweep over every sender's pairs equals applying the senders
         /// one after another. Sender `s` owns ids `100·(s+1) ..` and renames

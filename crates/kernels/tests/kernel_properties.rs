@@ -2,7 +2,7 @@
 //! invariants, concurrent union-find stress.
 
 use mnd_graph::types::WEdge;
-use mnd_graph::{gen, CsrGraph, EdgeList, VertexRange};
+use mnd_graph::{gen, EdgeList, VertexRange};
 use mnd_kernels::boruvka::{boruvka_msf, local_boruvka};
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::dsu::AtomicDisjointSets;
@@ -51,9 +51,8 @@ proptest! {
         };
         let oracle: std::collections::HashSet<WEdge> =
             kruskal_msf(&el).edges.into_iter().collect();
-        let g = CsrGraph::from_edge_list(&el);
-        for range in [VertexRange { start: 0, end: cut }, VertexRange { start: cut, end: n }] {
-            let mut cg = CGraph::from_partition(&g, range);
+        let ranges = [VertexRange { start: 0, end: cut }, VertexRange { start: cut, end: n }];
+        for mut cg in CGraph::level0(&el, &ranges, 0..2) {
             let out = local_boruvka(&mut cg, excp, freeze, stop);
             for e in &out.msf_edges {
                 prop_assert!(oracle.contains(e), "non-MSF edge {e:?} contracted");
@@ -68,9 +67,8 @@ proptest! {
     fn partitions_contract_disjoint_edge_sets(el in arb_edges(80, 250), cut in 1u32..79) {
         let n = el.num_vertices();
         let cut = (cut % (n - 1)) + 1;
-        let g = CsrGraph::from_edge_list(&el);
         let run = |range: VertexRange| {
-            let mut cg = CGraph::from_partition(&g, range);
+            let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
             local_boruvka(&mut cg, ExcpCond::BorderEdge, FreezePolicy::Sticky, StopPolicy::Exhaustive)
                 .msf_edges
         };

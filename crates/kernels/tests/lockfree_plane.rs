@@ -50,11 +50,8 @@ fn all_ties_fixture() -> EdgeList {
 }
 
 fn partitioned(el: &EdgeList) -> Vec<CGraph> {
-    let csr = CsrGraph::from_edge_list(el);
-    partition_1d(&csr, 4, 1.0)
-        .into_iter()
-        .map(|r| CGraph::from_partition(&csr, r))
-        .collect()
+    let ranges = partition_1d(&CsrGraph::from_edge_list(el), 4, 1.0);
+    CGraph::level0(el, &ranges, 0..4)
 }
 
 #[test]

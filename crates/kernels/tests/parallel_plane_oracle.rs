@@ -9,9 +9,9 @@
 use mnd_graph::partition::partition_1d;
 use mnd_graph::{gen, CsrGraph, EdgeList};
 use mnd_kernels::boruvka::local_boruvka_with;
-use mnd_kernels::cgraph::{CGraph, CompId};
+use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
-use mnd_kernels::reduce::{apply_ghost_parents_with, reduce_holding_with};
+use mnd_kernels::reduce::reduce_holding_with;
 use mnd_kernels::scan::min_edge_scan_with;
 use rayon::prelude::*;
 
@@ -31,11 +31,8 @@ fn fixtures() -> Vec<(&'static str, EdgeList)> {
 
 /// A 4-way partitioned holding (has cut edges) for kernels that need one.
 fn partitioned(el: &EdgeList) -> Vec<CGraph> {
-    let csr = CsrGraph::from_edge_list(el);
-    partition_1d(&csr, 4, 1.0)
-        .into_iter()
-        .map(|r| CGraph::from_partition(&csr, r))
-        .collect()
+    let ranges = partition_1d(&CsrGraph::from_edge_list(el), 4, 1.0);
+    CGraph::level0(el, &ranges, 0..4)
 }
 
 #[test]
@@ -48,33 +45,6 @@ fn reduce_holding_matches_seq_for_any_chunking() {
             let got_stats = reduce_holding_with(&mut got, &KernelPolicy::force_par(chunk));
             assert_eq!(got_stats, expect_stats, "{name} chunk={chunk}");
             assert_eq!(got, expect, "{name} chunk={chunk}");
-        }
-    }
-}
-
-#[test]
-fn ghost_apply_matches_seq_for_any_chunking() {
-    for (name, el) in fixtures() {
-        for (part, base) in partitioned(&el).into_iter().enumerate() {
-            // Rename every ghost endpoint to a fresh id, like a real
-            // mergeParts round would after remote contractions.
-            let resident: Vec<CompId> = base.resident().to_vec();
-            let mut updates: Vec<(CompId, CompId)> = base
-                .iter_edges()
-                .flat_map(|e| [e.a, e.b])
-                .filter(|c| resident.binary_search(c).is_err())
-                .map(|c| (c, c / 2 + 1_000_000))
-                .collect();
-            updates.sort_unstable();
-            updates.dedup();
-
-            let mut expect = base.clone();
-            apply_ghost_parents_with(&mut expect, &KernelPolicy::seq(), &updates);
-            for chunk in CHUNKS {
-                let mut got = base.clone();
-                apply_ghost_parents_with(&mut got, &KernelPolicy::force_par(chunk), &updates);
-                assert_eq!(got, expect, "{name} part={part} chunk={chunk}");
-            }
         }
     }
 }

@@ -73,6 +73,14 @@ for threads in 1 2; do
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels \
     --test lockfree_plane --test parallel_plane_oracle --test kernel_properties
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib boruvka::tests
+  # The level-0 builder and the cut-row list do u32 cursor/index arithmetic
+  # too, and the driver cuts the level-0 build into one block per kernel
+  # thread: builder == CSR walk, cached cut rows == a fresh sweep, cut-row
+  # walks == the full sweeps they replaced, in a release build.
+  RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib -- \
+    cgraph::tests reduce::tests
+  RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-mst --lib -- \
+    ghost::tests phases::partition::tests
 done
 
 echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"

@@ -19,6 +19,7 @@ use mnd::chaos::{ChaosLog, CrashPoint, FaultPlan};
 use mnd::graph::{gen, EdgeList};
 use mnd::hypar::{ChaosEventKind, HyParConfig};
 use mnd::kernels::kruskal_msf;
+use mnd::kernels::policy::with_kernel_threads;
 use mnd::mst::{MndMstReport, MndMstRunner};
 
 fn run_with_plan(
@@ -142,6 +143,62 @@ fn epoch_zero_crash_restarts_from_scratch() {
     );
     assert_eq!(r.rank_stats[1].checkpoint_restores, 0);
     assert!(r.rank_stats[1].replayed_compute > 0.0);
+}
+
+/// Epoch 0 builds the level-0 holdings a block of ranks at a time, and a
+/// rank that crashes there has no checkpoint: it re-executes `Partition`
+/// from the top. Crash a rank that is not the first of its block (two
+/// kernel threads cut four ranks into blocks {0, 1} and {2, 3}) at the
+/// epoch's first fabric op — inside the degree allreduce, before it has
+/// taken its holding — and at its last — inside the boundary exchange,
+/// after: the second time round the rank finds its slot empty and rebuilds
+/// its own range. Either way the forest is Kruskal's and the clean run's,
+/// and every rank's logical traffic is the clean run's.
+#[test]
+fn epoch_zero_crashes_off_the_block_leader_rebuild_the_holding() {
+    let el = gen::web_crawl(900, 7_000, gen::CrawlParams::default(), 29);
+    let oracle = kruskal_msf(&el);
+    let run = |plan: FaultPlan, log: Option<Arc<ChaosLog>>| {
+        with_kernel_threads(2, || run_with_plan(&el, 4, Arc::new(plan), log))
+    };
+    let clean = run(FaultPlan::new(3), None);
+    assert_eq!(clean.msf, oracle);
+    for rank in [1, 3] {
+        // The run, if the crash scheduled at `op` of epoch 0 fired.
+        let crashed_at = |op: u64| {
+            let log = Arc::new(ChaosLog::new());
+            let plan = FaultPlan::new(3).with_mid_phase_crash(rank, 0, op);
+            let r = run(plan, Some(log.clone()));
+            (log.count(ChaosEventKind::MidPhaseCrash) == 1).then_some(r)
+        };
+        let in_allreduce = crashed_at(0).expect("op 0 of epoch 0 exists");
+        let in_exchange = (1..96)
+            .rev()
+            .find_map(crashed_at)
+            .expect("epoch 0 has more than one fabric op");
+        for (what, r) in [("allreduce", &in_allreduce), ("exchange", &in_exchange)] {
+            assert_eq!(r.msf, oracle, "rank {rank} crashed in the {what}");
+            assert_eq!(r.msf, clean.msf, "rank {rank} crashed in the {what}");
+            assert_eq!(
+                r.rank_stats[rank].checkpoint_restores, 0,
+                "no checkpoint yet"
+            );
+            for (peer, (s, c)) in r.rank_stats.iter().zip(&clean.rank_stats).enumerate() {
+                let tag = format!("rank {rank} crashed in the {what}, peer {peer}");
+                assert_eq!(s.bytes_sent, c.bytes_sent, "{tag}");
+                assert_eq!(s.bytes_received, c.bytes_received, "{tag}");
+                assert_eq!(s.messages_sent, c.messages_sent, "{tag}");
+                assert_eq!(s.messages_received, c.messages_received, "{tag}");
+            }
+        }
+        // Op 0 is the allreduce's first: nothing had arrived yet. By the
+        // last op the whole degree vector had, and came back out of the log.
+        assert_eq!(in_allreduce.rank_stats[rank].replayed_in_bytes, 0);
+        assert!(
+            in_exchange.rank_stats[rank].replayed_in_bytes >= 8 * el.num_vertices() as u64,
+            "rank {rank}: the crash fell before the boundary exchange"
+        );
+    }
 }
 
 /// The recovery path is deterministic: same plan, same graph → identical

@@ -55,13 +55,10 @@ proptest! {
     ) {
         let n = el.num_vertices();
         let cut = cut % n.max(2);
-        let g = CsrGraph::from_edge_list(&el);
         let oracle: std::collections::HashSet<WEdge> =
             kruskal_msf(&el).edges.into_iter().collect();
-        let mut cg = CGraph::from_partition(
-            &g,
-            mnd::graph::VertexRange { start: 0, end: cut.min(n) },
-        );
+        let range = mnd::graph::VertexRange { start: 0, end: cut.min(n) };
+        let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
         let out = local_boruvka(&mut cg, ExcpCond::BorderEdge, FreezePolicy::Sticky, StopPolicy::Exhaustive);
         for e in &out.msf_edges {
             prop_assert!(oracle.contains(e), "{e:?} not in the MSF");
