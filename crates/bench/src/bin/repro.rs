@@ -13,9 +13,10 @@
 //! resilience checkpoint-sweep traffic engines serve-sweep comm-sweep
 //! emst-sweep
 //!
-//! `--trace PATH` streams every phase sample and chaos event as JSON
-//! lines to PATH (`-` = stdout) while the experiments run, and prints a
-//! per-phase table of host wall time and holding rows when they are done.
+//! `--trace PATH` streams every phase sample, step sample and chaos event
+//! as JSON lines to PATH (`-` = stdout) while the experiments run, and
+//! prints a per-phase table of host wall time and holding rows, and under
+//! it a per-step one with the rank threads' CPU time, when they are done.
 
 use mnd_bench::fmt::{pct, print_table, secs, write_csv};
 use mnd_bench::*;
@@ -91,7 +92,7 @@ fn main() {
                 println!("             engines serve-sweep comm-sweep emst-sweep");
                 println!("--variant seq|chunk-merge|lockfree filters the kernel-sweep rows");
                 println!(
-                    "--trace PATH streams phase samples + chaos events as JSON lines (- = stdout)"
+                    "--trace PATH streams phase/step samples + chaos events as JSON lines (- = stdout)"
                 );
                 println!("--seed-grid S1,S2,... repeats the chaos/resilience sweeps once per seed");
                 return;
@@ -891,6 +892,35 @@ fn main() {
                 "rows in (mean)",
                 "rows out (mean)",
                 "cut rows (mean)",
+            ],
+            &rows,
+        );
+        let rows: Vec<Vec<String>> = trace
+            .step_ledger()
+            .iter()
+            .map(|(phase, name, l)| {
+                vec![
+                    phase.name().into(),
+                    (*name).into(),
+                    l.samples.to_string(),
+                    format!("{:.1}", l.wall_ns as f64 * 1e-6),
+                    format!("{:.1}", l.cpu_ns as f64 * 1e-6),
+                    mean(l.rows_in, l.samples),
+                    mean(l.rows_out, l.samples),
+                ]
+            })
+            .collect();
+        emit(
+            "trace_steps",
+            "Trace: the steps inside the mnd-mst phases (wall includes waits for other ranks; CPU is the rank thread's own, kernel threads it opens excluded)",
+            &[
+                "phase",
+                "step",
+                "samples",
+                "wall ms (sum)",
+                "cpu ms (sum)",
+                "rows in (mean)",
+                "rows out (mean)",
             ],
             &rows,
         );

@@ -1,8 +1,8 @@
-//! `--trace` support: streams phase samples and chaos events as JSON
-//! lines.
+//! `--trace` support: streams phase samples, step samples and chaos
+//! events as JSON lines.
 //!
 //! [`JsonlTrace`] is a [`PhaseObserver`] that serializes every
-//! [`PhaseSample`] and every chaos event to one JSON object per line —
+//! [`PhaseSample`], [`StepSample`] and chaos event to one JSON object per line —
 //! grep/`jq`-friendly, ingestible by any log pipeline. Attach it through
 //! [`crate::ExpContext::observer`] (the `repro --trace PATH` flag does
 //! exactly that; `-` streams to stdout).
@@ -11,15 +11,17 @@
 //! `[a-z_()0-9]` string, so no escaping is needed and the workspace stays
 //! dependency-free.
 //!
-//! The sink also keeps a per-phase [`PhaseLedger`] of what the samples say
-//! the host paid — wall time and holding rows — which `repro --trace`
-//! prints when the experiments are done.
+//! The sink also keeps a per-phase [`PhaseLedger`] and a per-step
+//! [`StepLedger`] of what the samples say the host paid — wall and CPU
+//! time, holding rows — which `repro --trace` prints when the experiments
+//! are done.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
 
 use mnd_hypar::chaos::ChaosEvent;
-use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
+use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample, StepSample};
 
 /// What the samples of one [`PhaseKind`] add up to on the host's side.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,11 +38,27 @@ pub struct PhaseLedger {
     pub cut_rows: u64,
 }
 
+/// What the samples of one step of one phase add up to.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepLedger {
+    /// Samples seen (one per step execution per rank).
+    pub samples: u64,
+    /// Sum of [`StepSample::wall_ns`].
+    pub wall_ns: u64,
+    /// Sum of [`StepSample::cpu_ns`] (0 where the platform gives none).
+    pub cpu_ns: u64,
+    /// Sum of [`StepSample::rows_in`].
+    pub rows_in: u64,
+    /// Sum of [`StepSample::rows_out`].
+    pub rows_out: u64,
+}
+
 /// A line-oriented JSON trace sink. Writes are locked per line, so
 /// concurrent rank threads interleave whole records, never bytes.
 pub struct JsonlTrace {
     out: Mutex<Box<dyn Write + Send>>,
     ledger: Mutex<[PhaseLedger; PhaseKind::ALL.len()]>,
+    steps: Mutex<BTreeMap<(usize, &'static str), StepLedger>>,
 }
 
 impl JsonlTrace {
@@ -49,6 +67,7 @@ impl JsonlTrace {
         JsonlTrace {
             out: Mutex::new(out),
             ledger: Mutex::default(),
+            steps: Mutex::default(),
         }
     }
 
@@ -68,6 +87,16 @@ impl JsonlTrace {
         std::array::from_fn(|i| (PhaseKind::ALL[i], ledger[i]))
     }
 
+    /// The per-step ledger of every step sample seen so far: phases in
+    /// pipeline order, a phase's steps by name.
+    pub fn step_ledger(&self) -> Vec<(PhaseKind, &'static str, StepLedger)> {
+        let steps = self.steps.lock().expect("trace ledger poisoned");
+        steps
+            .iter()
+            .map(|(&(phase, name), &l)| (PhaseKind::ALL[phase], name, l))
+            .collect()
+    }
+
     fn write_line(&self, line: String) {
         let mut out = self.out.lock().expect("trace sink poisoned");
         // A broken pipe mid-sweep shouldn't abort the experiment.
@@ -80,11 +109,7 @@ impl PhaseObserver for JsonlTrace {
     fn on_phase(&self, kind: PhaseKind, s: &PhaseSample) {
         {
             let mut ledger = self.ledger.lock().expect("trace ledger poisoned");
-            let at = PhaseKind::ALL
-                .iter()
-                .position(|&k| k == kind)
-                .expect("ALL lists every kind");
-            let l = &mut ledger[at];
+            let l = &mut ledger[phase_index(kind)];
             l.samples += 1;
             l.wall_ns += s.wall_ns;
             l.rows_in += s.rows_in;
@@ -112,6 +137,33 @@ impl PhaseObserver for JsonlTrace {
         ));
     }
 
+    fn on_step(&self, s: &StepSample) {
+        {
+            let mut steps = self.steps.lock().expect("trace ledger poisoned");
+            let l = steps.entry((phase_index(s.phase), s.name)).or_default();
+            l.samples += 1;
+            l.wall_ns += s.wall_ns;
+            l.cpu_ns += s.cpu_ns.unwrap_or(0);
+            l.rows_in += s.rows_in;
+            l.rows_out += s.rows_out;
+        }
+        let cpu_ns = s.cpu_ns.map_or("null".into(), |ns| ns.to_string());
+        self.write_line(format!(
+            concat!(
+                "{{\"type\":\"step\",\"phase\":\"{}\",\"name\":\"{}\",\"rank\":{},",
+                "\"level\":{},\"wall_ns\":{},\"cpu_ns\":{},\"rows_in\":{},\"rows_out\":{}}}"
+            ),
+            s.phase.name(),
+            s.name,
+            s.rank,
+            s.level,
+            s.wall_ns,
+            cpu_ns,
+            s.rows_in,
+            s.rows_out,
+        ));
+    }
+
     fn on_chaos(&self, e: &ChaosEvent) {
         self.write_line(format!(
             concat!(
@@ -126,6 +178,14 @@ impl PhaseObserver for JsonlTrace {
             e.detail,
         ));
     }
+}
+
+/// Index of a phase in [`PhaseKind::ALL`] (pipeline) order.
+fn phase_index(kind: PhaseKind) -> usize {
+    PhaseKind::ALL
+        .iter()
+        .position(|&k| k == kind)
+        .expect("ALL lists every kind")
 }
 
 #[cfg(test)]
@@ -167,6 +227,21 @@ mod tests {
                 cut_rows: 5,
             },
         );
+        let step = StepSample {
+            rank: 2,
+            level: 1,
+            phase: PhaseKind::HierMerge,
+            name: "absorb_all",
+            wall_ns: 900,
+            cpu_ns: Some(800),
+            rows_in: 10,
+            rows_out: 25,
+        };
+        trace.on_step(&step);
+        trace.on_step(&StepSample {
+            cpu_ns: None,
+            ..step
+        });
         trace.on_chaos(&ChaosEvent {
             rank: 1,
             kind: ChaosEventKind::CheckpointWrite,
@@ -177,7 +252,7 @@ mod tests {
         });
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("{\"type\":\"phase\",\"kind\":\"ind_comp\""));
         assert!(lines[0].contains("\"rank\":2") && lines[0].contains("\"bytes_sent\":640"));
         assert!(
@@ -194,8 +269,27 @@ mod tests {
         };
         assert_eq!(ledger[1].1, expect);
         assert_eq!(ledger[0].1, PhaseLedger::default());
-        assert!(lines[1].starts_with("{\"type\":\"chaos\",\"kind\":\"checkpoint_write\""));
-        assert!(lines[1].contains("\"boundary\":4") && lines[1].contains("\"detail\":1024"));
+        assert_eq!(
+            lines[1],
+            concat!(
+                "{\"type\":\"step\",\"phase\":\"hier_merge\",\"name\":\"absorb_all\",\"rank\":2,",
+                "\"level\":1,\"wall_ns\":900,\"cpu_ns\":800,\"rows_in\":10,\"rows_out\":25}"
+            )
+        );
+        assert!(lines[2].contains("\"cpu_ns\":null"));
+        let expect = StepLedger {
+            samples: 2,
+            wall_ns: 1_800,
+            cpu_ns: 800,
+            rows_in: 20,
+            rows_out: 50,
+        };
+        assert_eq!(
+            trace.step_ledger(),
+            vec![(PhaseKind::HierMerge, "absorb_all", expect)]
+        );
+        assert!(lines[3].starts_with("{\"type\":\"chaos\",\"kind\":\"checkpoint_write\""));
+        assert!(lines[3].contains("\"boundary\":4") && lines[3].contains("\"detail\":1024"));
         // Minimal well-formedness: balanced braces, no raw newlines inside.
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));

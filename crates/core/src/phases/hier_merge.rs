@@ -50,14 +50,22 @@ impl HierMerge {
                 let cap = cx.runner.segment_cap_bytes();
                 let strategy = cx.runner.segment_strategy;
                 let policy = cx.runner.config.kernel_policy;
-                let take = choose_segment_with(&mut cx.cg, cap, strategy, &policy);
-                let seg = cx.cg.split_off(&take);
+                let take = cx.step(PhaseKind::HierMerge, "choose_segment", |cx| {
+                    choose_segment_with(&mut cx.cg, cap, strategy, &policy)
+                });
+                let seg = cx.step(PhaseKind::HierMerge, "split_off", |cx| {
+                    cx.cg.split_off(&take)
+                });
                 let msg = SegmentMsg::from_holding(seg);
                 my_moves = take.iter().map(|&c| (c, left as u32)).collect();
-                let incoming: SegmentMsg = comm.send_recv(left, TAG_SEG, msg, right, TAG_SEG);
+                let incoming: SegmentMsg = cx.step(PhaseKind::HierMerge, "ring_send_recv", |_| {
+                    comm.send_recv(left, TAG_SEG, msg, right, TAG_SEG)
+                });
                 if !incoming.is_empty() {
                     received_any = true;
-                    cx.cg.absorb(incoming.into_holding());
+                    cx.step(PhaseKind::HierMerge, "ring_absorb", |cx| {
+                        cx.cg.absorb(incoming.into_holding())
+                    });
                 }
             }
         }
@@ -167,6 +175,7 @@ impl Phase for HierMerge {
             }
 
             // --- Merge each group to its leader. ---
+            let merging = groups.iter().filter(|g| !g.is_singleton()).count();
             cx.observed(PhaseKind::HierMerge, |cx| {
                 let mut my_moves: Vec<(CompId, u32)> = Vec::new();
                 if let Some(g) = &my_group {
@@ -174,12 +183,22 @@ impl Phase for HierMerge {
                     let leader = leaders[gi];
                     if me == leader {
                         // Every member's holding, in member order, into
-                        // one merge.
-                        let members = g.members().iter().filter(|&&member| member != me);
-                        cx.cg.absorb_all(members.map(|&member| {
-                            let msg: SegmentMsg = comm.recv(member, TAG_MERGE);
-                            msg.into_holding()
-                        }));
+                        // one merge — on the threads of the members, who
+                        // wait for the leader from here on.
+                        cx.alone(merging, |cx| {
+                            let parts = cx.step(PhaseKind::HierMerge, "leader_recv", |_| {
+                                let members = g.members().iter().filter(|&&member| member != me);
+                                members
+                                    .map(|&member| {
+                                        let msg: SegmentMsg = comm.recv(member, TAG_MERGE);
+                                        msg.into_holding()
+                                    })
+                                    .collect::<Vec<_>>()
+                            });
+                            cx.step(PhaseKind::HierMerge, "absorb_all", |cx| {
+                                cx.cg.absorb_all(parts)
+                            });
+                        });
                         cx.cg.clear_frozen();
                     } else {
                         let whole = std::mem::take(&mut cx.cg);

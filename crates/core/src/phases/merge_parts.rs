@@ -36,21 +36,29 @@ impl Phase for MergeParts {
 
             let policy = cx.runner.config.kernel_policy;
             let cfg = cx.cfg();
-            let buckets = relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size());
-            let received = if cfg.compressed_relabels {
-                // Rename pairs reference few surviving components per
-                // round: the dictionary codec densifies them to small
-                // indexes on the wire, inverted on receipt.
-                comm.alltoallv_phased_enc(
-                    buckets,
-                    cx.runner.ghost_phase_size,
-                    exchange_mode(cfg),
-                    PackedPairs::encode,
-                    PackedPairs::into_pairs,
-                )
-            } else {
-                comm.alltoallv_phased_with(buckets, cx.runner.ghost_phase_size, exchange_mode(cfg))
-            };
+            let buckets = cx.step(PhaseKind::MergeParts, "relabel_buckets", |cx| {
+                relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size())
+            });
+            let received = cx.step(PhaseKind::MergeParts, "ghost_exchange", |cx| {
+                if cfg.compressed_relabels {
+                    // Rename pairs reference few surviving components per
+                    // round: the dictionary codec densifies them to small
+                    // indexes on the wire, inverted on receipt.
+                    comm.alltoallv_phased_enc(
+                        buckets,
+                        cx.runner.ghost_phase_size,
+                        exchange_mode(cfg),
+                        PackedPairs::encode,
+                        PackedPairs::into_pairs,
+                    )
+                } else {
+                    comm.alltoallv_phased_with(
+                        buckets,
+                        cx.runner.ghost_phase_size,
+                        exchange_mode(cfg),
+                    )
+                }
+            });
             cx.dir.apply_relabels(&relabel);
             // One relabel sweep for the pairs of every sender: a rank
             // renames only its own residents, so pairs from different
@@ -60,11 +68,15 @@ impl Phase for MergeParts {
                 ghost_parents_are_chain_free(&pairs),
                 "ghost parents of different senders collide or chain"
             );
-            apply_ghost_parents(&mut cx.cg, &pairs);
+            cx.step(PhaseKind::MergeParts, "apply_ghost_parents", |cx| {
+                apply_ghost_parents(&mut cx.cg, &pairs)
+            });
             cx.dir.apply_relabels(&pairs);
 
             // Reduce: self-edge removal + multi-edge removal, in place.
-            let stats = reduce_holding_with(&mut cx.cg, &policy);
+            let stats = cx.step(PhaseKind::MergeParts, "reduce_holding", |cx| {
+                reduce_holding_with(&mut cx.cg, &policy)
+            });
             comm.compute(cx.runner.sweep_seconds(stats.edges_before));
         });
     }

@@ -16,7 +16,9 @@
 //! `PhaseTimes` in [`crate::result::MndMstReport`] — and the user hook
 //! configured on [`mnd_hypar::HyParConfig::observer`]. Both see identical
 //! samples, so an external observer can rebuild the report's breakdown (or
-//! a finer one: samples carry the merge level).
+//! a finer one: samples carry the merge level). Inside a phase, the
+//! kernel calls, exchanges and merges are timed one by one
+//! ([`RankCtx::step`]) for the user hook alone.
 
 mod hier_merge;
 mod ind_comp;
@@ -38,10 +40,11 @@ use mnd_engine::{Recoverable, Recovery};
 use mnd_graph::types::WEdge;
 use mnd_graph::EdgeList;
 use mnd_hypar::chaos::{ChaosEvent, ChaosEventKind};
-use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
+use mnd_hypar::observe::{thread_cpu_ns, PhaseKind, PhaseObserver, PhaseSample, StepSample};
 use mnd_hypar::HyParConfig;
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
+use mnd_kernels::policy::with_kernel_threads;
 use mnd_net::{Comm, ExchangeMode};
 
 use crate::checkpoint::RankCheckpoint;
@@ -112,8 +115,14 @@ impl PhaseObserver for PhaseTimesRecorder {
 /// holding + ghost directory, accumulated outputs, and the observation
 /// plumbing.
 pub struct RankCtx<'a> {
-    /// The runner (configuration, platform, cost helpers).
+    /// The runner (configuration, platform, cost helpers), with the kernel
+    /// policy of the thread budget the rank currently runs under.
     pub runner: &'a MndMstRunner,
+    /// The runner as configured — the policy a rank goes by once it has
+    /// more than one kernel thread ([`RankCtx::alone`]).
+    whole_host: &'a MndMstRunner,
+    /// Kernel threads of the host the ranks share.
+    host_threads: usize,
     /// This rank's communicator.
     pub comm: &'a Comm,
     /// The input edge list (shared, read-only).
@@ -150,6 +159,8 @@ impl<'a> RankCtx<'a> {
     /// driver, [`mnd_engine::run_recoverable`]).
     pub fn new(
         runner: &'a MndMstRunner,
+        whole_host: &'a MndMstRunner,
+        host_threads: usize,
         comm: &'a Comm,
         el: &'a EdgeList,
         level0: &'a Level0,
@@ -157,6 +168,8 @@ impl<'a> RankCtx<'a> {
     ) -> Self {
         RankCtx {
             runner,
+            whole_host,
+            host_threads,
             comm,
             el,
             level0,
@@ -209,6 +222,58 @@ impl<'a> RankCtx<'a> {
         };
         self.recorder.on_phase(kind, &sample);
         self.runner.config.observer.emit(kind, &sample);
+        out
+    }
+
+    /// Runs `f` as the named step of phase `phase` and, if an observer is
+    /// attached, reports what it cost the host: wall time, the rank
+    /// thread's CPU time, holding rows in and out. Clocks are read only
+    /// then, and never on a fast-forward re-execution.
+    pub fn step<R>(
+        &mut self,
+        phase: PhaseKind,
+        name: &'static str,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let observer = &self.runner.config.observer;
+        if !observer.is_set() || self.comm.fast_forward() {
+            return f(self);
+        }
+        let rows_in = self.cg.num_edges() as u64;
+        let (started, cpu_before) = (Instant::now(), thread_cpu_ns());
+        let out = f(self);
+        observer.emit_step(&StepSample {
+            rank: self.comm.rank() as u32,
+            level: self.levels as u32,
+            phase,
+            name,
+            wall_ns: started.elapsed().as_nanos() as u64,
+            cpu_ns: thread_cpu_ns()
+                .zip(cpu_before)
+                .map(|(after, before)| after - before),
+            rows_in,
+            rows_out: self.cg.num_edges() as u64,
+        });
+        out
+    }
+
+    /// Runs `f` on a rank the others wait for: while only `workers` ranks
+    /// have work (the leaders of a merge level, the final rank), each of
+    /// them takes the kernel threads of the ranks blocked on it — its
+    /// share of the host becomes `host / workers` threads, under the
+    /// configured policy once that is more than one. Any thread count
+    /// gives the same bytes (the kernels' determinism contract), so only
+    /// the wall clock can tell. The thread cap is the rank's own share
+    /// again when `f` returns or unwinds (the context itself does not
+    /// outlive an unwind: a recovering rank builds a new one).
+    pub fn alone<R>(&mut self, workers: usize, f: impl FnOnce(&mut Self) -> R) -> R {
+        let threads = (self.host_threads / workers.max(1)).max(1);
+        let share = self.runner;
+        if threads > 1 {
+            self.runner = self.whole_host;
+        }
+        let out = with_kernel_threads(threads, || f(self));
+        self.runner = share;
         out
     }
 

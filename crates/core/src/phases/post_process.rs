@@ -29,15 +29,23 @@ impl Phase for PostProcess {
                     0,
                     "final holding must be self-contained"
                 );
-                let runner = cx.runner;
-                let (edges, t) = post_process(&mut cx.cg, &runner.platform, &runner.config);
+                // Every other rank waits in the gather below: the final
+                // rank has the host to itself.
+                let (edges, t) = cx.alone(1, |cx| {
+                    cx.step(PhaseKind::PostProcess, "post_process_kernel", |cx| {
+                        let runner = cx.runner;
+                        post_process(&mut cx.cg, &runner.platform, &runner.config)
+                    })
+                });
                 comm.compute(t);
                 cx.msf_local.extend(edges);
             }
 
             // Gather the MSF at the final rank.
             let msf_local = std::mem::take(&mut cx.msf_local);
-            let gathered = comm.gather_vec(final_rank, msf_local);
+            let gathered = cx.step(PhaseKind::PostProcess, "msf_gather", |_| {
+                comm.gather_vec(final_rank, msf_local)
+            });
             cx.msf = gathered.map(|parts| {
                 let all: Vec<WEdge> = parts.into_iter().flatten().collect();
                 MsfResult::from_edges(cx.el.num_vertices(), all)

@@ -116,16 +116,20 @@ impl MndMstRunner {
         // process, so each gets its share of the kernel threads, and a rank
         // left with one runs every sweep on the sequential arm — nothing
         // can win a parallel section back on a core it shares.
-        let threads = (kernel_threads() / self.nranks).max(1);
+        // A rank the others wait for takes their share for that stretch
+        // ([`RankCtx::alone`]).
+        let host = kernel_threads();
+        let threads = (host / self.nranks).max(1);
         let mut ranked = self.clone();
         if threads == 1 {
             ranked.config.kernel_policy = KernelPolicy::seq();
         }
         // The ranks read the edge list themselves (§3.1), one block of
         // them per kernel thread.
-        let level0 = Level0::new(self.nranks, kernel_threads());
-        let outcomes = cluster
-            .run(|comm| with_kernel_threads(threads, || ranked.rank_main(comm, el, &level0)));
+        let level0 = Level0::new(self.nranks, host);
+        let outcomes = cluster.run(|comm| {
+            with_kernel_threads(threads, || ranked.rank_main(self, host, comm, el, &level0))
+        });
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;
@@ -175,7 +179,14 @@ impl MndMstRunner {
     /// (DESIGN.md §5f/§6). The recorder is owned here so phase times
     /// survive the unwind; the checkpoint slot and fired-crash set live in
     /// the shared driver.
-    fn rank_main(&self, comm: &Comm, el: &EdgeList, level0: &Level0) -> RankResult {
+    fn rank_main(
+        &self,
+        whole_host: &MndMstRunner,
+        host_threads: usize,
+        comm: &Comm,
+        el: &EdgeList,
+        level0: &Level0,
+    ) -> RankResult {
         let recorder = Arc::new(PhaseTimesRecorder::new());
         run_recoverable::<RankCheckpoint, _>(
             comm,
@@ -184,7 +195,15 @@ impl MndMstRunner {
             self.config.checkpoint_interval,
             self.config.sim_scale,
             |rec| {
-                let mut cx = RankCtx::new(self, comm, el, level0, Arc::clone(&recorder));
+                let mut cx = RankCtx::new(
+                    self,
+                    whole_host,
+                    host_threads,
+                    comm,
+                    el,
+                    level0,
+                    Arc::clone(&recorder),
+                );
                 let mut pipeline: [Box<dyn Phase>; 4] = [
                     Box::new(Partition),
                     Box::new(IndComp::new()),

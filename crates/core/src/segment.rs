@@ -320,6 +320,36 @@ mod tests {
         }
     }
 
+    /// `split_off` refuses a component that is not resident; the only
+    /// production caller hands it what `choose_segment_with` picked, which
+    /// indexes the resident column and nothing else. Holdings with ghost
+    /// ends, frozen marks, edgeless residents and a binding cap, both
+    /// strategies: every pick is a resident, none twice, never all of them.
+    #[test]
+    fn a_segment_names_resident_components_only() {
+        for seed in 0..6 {
+            let mut cg = holding(seed);
+            // Every third component is somebody else's: rows with one and
+            // two ghost ends; some residents lose all their rows.
+            let resident: Vec<CompId> = cg.resident().iter().copied().step_by(3).collect();
+            cg.set_resident(resident.clone());
+            cg.set_frozen(resident.iter().copied().step_by(5).collect());
+            for strategy in [
+                SegmentStrategy::FirstFit,
+                SegmentStrategy::BestFitDecreasing,
+            ] {
+                for cap in [1, 200, u64::MAX] {
+                    let take = choose_segment_with(&mut cg, cap, strategy, &KernelPolicy::seq());
+                    assert!(take.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+                    assert!(take.iter().all(|&c| cg.is_resident(c)), "{take:?}");
+                    assert!(take.len() < cg.num_resident());
+                    let seg = cg.clone().split_off(&take);
+                    assert_eq!(seg.resident(), &take[..]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiny_holdings_send_nothing() {
         let mut cg = CGraph::from_parts(vec![7], vec![], vec![]);

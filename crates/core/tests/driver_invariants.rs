@@ -1,10 +1,14 @@
 //! Driver-level invariant tests: multi-seed oracle sweeps, timing
 //! consistency, and cross-application agreement.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use mnd_device::NodePlatform;
 use mnd_graph::{gen, CsrGraph};
-use mnd_hypar::HyParConfig;
+use mnd_hypar::{HyParConfig, PhaseKind, PhaseObserver, PhaseSample, StepSample};
 use mnd_kernels::oracle::kruskal_msf;
+use mnd_kernels::policy::KernelPolicy;
 use mnd_mst::bfs::distributed_bfs;
 use mnd_mst::{distributed_components, MndMstRunner};
 
@@ -116,38 +120,79 @@ fn report_counts_match_configuration() {
 /// the same bits. So is the level-0 build: the ranks read the edge list in
 /// as many blocks as there are kernel threads (5 ranks: one block of five,
 /// blocks of 3 + 2, of 2 + 2 + 1, a block a rank), and the holdings must
-/// not depend on how they were cut. The holdings are big enough (≈ 10 K
-/// rows a rank) that a rank with a pool does take the chunked sweeps. The
-/// variable is process-global, so the sweep is sequential inside this one
-/// test; tests running beside it only see their worker counts change.
+/// not depend on how they were cut. And so are the stretches in which a
+/// rank works alone on the threads of those who wait for it: in groups of
+/// two and of four the leaders of a level share the host (16 ranks on 8
+/// threads: eight leaders a thread each, then four on two, two on four, one
+/// on eight), and the final rank post-processes on all of them. A random
+/// graph keeps its holdings fat up the hierarchy (≥ 17 K rows a rank at
+/// level 0, 32–39 K at the last merge and in post-processing — asserted
+/// to be past the policy's crossover), so a rank with a pool does take the
+/// chunked sweeps. The variable is process-global, so the sweep is
+/// sequential inside this one test; tests running beside it only see their
+/// worker counts change.
 #[test]
 fn kernel_thread_budget_never_reaches_the_results() {
-    let el = gen::web_crawl(4000, 40_000, gen::CrawlParams::default(), 5);
-    for nranks in [4, 5, 1] {
-        let runs: Vec<_> = ["1", "2", "3", "8"]
-            .into_iter()
-            .map(|threads| {
-                std::env::set_var("RAYON_NUM_THREADS", threads);
-                let r = MndMstRunner::new(nranks)
-                    .with_config(HyParConfig::default().with_sim_scale(512.0))
-                    .run(&el);
-                let traffic: Vec<(u64, u64)> = r
-                    .rank_stats
-                    .iter()
-                    .map(|s| (s.bytes_sent, s.messages_sent))
-                    .collect();
-                let clocks: Vec<u64> = r
-                    .rank_stats
-                    .iter()
-                    .map(|s| s.compute_time.to_bits())
-                    .collect();
-                (r.msf, r.total_time.to_bits(), traffic, clocks)
-            })
-            .collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert_eq!(runs[0].0, kruskal_msf(&el), "{nranks} ranks");
-        for (threads, run) in [2, 3, 8].into_iter().zip(&runs[1..]) {
-            assert_eq!(run, &runs[0], "{nranks} ranks on {threads} threads");
+    /// The most rows a lent stretch was handed, per step name.
+    #[derive(Default)]
+    struct LentRows(Mutex<BTreeMap<&'static str, u64>>);
+    impl PhaseObserver for LentRows {
+        fn on_phase(&self, _: PhaseKind, _: &PhaseSample) {}
+        fn on_step(&self, s: &StepSample) {
+            let mut rows = self.0.lock().unwrap();
+            let most = rows.entry(s.name).or_default();
+            *most = (*most).max(s.rows_in.max(s.rows_out));
+        }
+    }
+
+    let el = gen::gnm(3000, 40_000, 5);
+    let oracle = kruskal_msf(&el);
+    let crossover = KernelPolicy::default().par_threshold as u64;
+    for group_size in [4, 2] {
+        for nranks in [4, 5, 1, 16] {
+            let lent = Arc::new(LentRows::default());
+            let runs: Vec<_> = ["1", "2", "3", "8"]
+                .into_iter()
+                .map(|threads| {
+                    std::env::set_var("RAYON_NUM_THREADS", threads);
+                    let cfg = HyParConfig {
+                        group_size,
+                        ..HyParConfig::default()
+                    };
+                    let r = MndMstRunner::new(nranks)
+                        .with_config(cfg.with_sim_scale(512.0).with_observer(lent.clone()))
+                        .run(&el);
+                    let traffic: Vec<(u64, u64)> = r
+                        .rank_stats
+                        .iter()
+                        .map(|s| (s.bytes_sent, s.messages_sent))
+                        .collect();
+                    let clocks: Vec<u64> = r
+                        .rank_stats
+                        .iter()
+                        .map(|s| s.compute_time.to_bits())
+                        .collect();
+                    (r.msf, r.total_time.to_bits(), traffic, clocks)
+                })
+                .collect();
+            std::env::remove_var("RAYON_NUM_THREADS");
+            let tag = format!("{nranks} ranks in groups of {group_size}");
+            assert_eq!(runs[0].0, oracle, "{tag}");
+            for (threads, run) in [2, 3, 8].into_iter().zip(&runs[1..]) {
+                assert_eq!(run, &runs[0], "{tag} on {threads} threads");
+            }
+            let lent = lent.0.lock().unwrap();
+            // One rank has every thread all along and nothing to borrow.
+            let steps: &[&str] = match nranks {
+                1 => &[],
+                _ => &["post_process_kernel", "absorb_all"],
+            };
+            for step in steps {
+                assert!(
+                    lent.get(step).is_some_and(|&rows| rows > crossover),
+                    "{tag}: the holding of {step} stayed under the crossover: {lent:?}"
+                );
+            }
         }
     }
 }

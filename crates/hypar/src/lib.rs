@@ -27,4 +27,4 @@ pub use api::{
 };
 pub use chaos::{ChaosControl, ChaosEvent, ChaosEventKind, ChaosHook};
 pub use config::{HyParConfig, RecursionThresholdSource};
-pub use observe::{ObserverHook, PhaseKind, PhaseObserver, PhaseSample};
+pub use observe::{ObserverHook, PhaseKind, PhaseObserver, PhaseSample, StepSample};

@@ -78,6 +78,61 @@ pub struct PhaseSample {
     pub cut_rows: u64,
 }
 
+/// One timed step *inside* a phase on one rank — a kernel call, an
+/// exchange, a merge — as the host paid for it. Steps nest inside the
+/// phase sample that covers them and carry no simulated quantities.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepSample {
+    /// The rank that executed the step.
+    pub rank: u32,
+    /// Hierarchical-merge level the step ran at.
+    pub level: u32,
+    /// The phase the step belongs to.
+    pub phase: PhaseKind,
+    /// Stable lower-case step name (`"absorb_all"`, `"ghost_exchange"`…).
+    pub name: &'static str,
+    /// Host wall-clock nanoseconds (waits for other ranks included).
+    pub wall_ns: u64,
+    /// CPU nanoseconds of the rank's own thread ([`thread_cpu_ns`]): what
+    /// the step cost when ranks outnumber cores and wall time counts the
+    /// neighbours. Kernel threads a step opens are not in it.
+    pub cpu_ns: Option<u64>,
+    /// Rows of the rank's holding at step entry.
+    pub rows_in: u64,
+    /// Rows of the rank's holding at step exit.
+    pub rows_out: u64,
+}
+
+/// CPU time the calling thread has consumed, in nanoseconds; `None` where
+/// the platform has no per-thread CPU clock this crate knows how to read.
+pub fn thread_cpu_ns() -> Option<u64> {
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        /// `struct timespec` of a 64-bit Linux: `time_t` and `long` are
+        /// both 64 bits.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: i64,
+        }
+        extern "C" {
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `clock_gettime` writes one `struct timespec` through the
+        // pointer, which is valid for writes and laid out as the C struct
+        // is on this target (the `cfg` above); it keeps no reference.
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+    }
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    None
+}
+
 /// Receives phase samples. Implementations must be thread-safe: every
 /// simulated rank runs on its own thread and fires the hook concurrently.
 pub trait PhaseObserver: Send + Sync {
@@ -89,6 +144,12 @@ pub trait PhaseObserver: Send + Sync {
     /// observers are unaffected.
     fn on_chaos(&self, event: &crate::chaos::ChaosEvent) {
         let _ = event;
+    }
+
+    /// Called once per timed step inside a phase per rank, before the
+    /// phase's own sample; defaults to ignoring it.
+    fn on_step(&self, step: &StepSample) {
+        let _ = step;
     }
 }
 
@@ -129,6 +190,14 @@ impl ObserverHook {
     pub fn emit_chaos(&self, event: &crate::chaos::ChaosEvent) {
         if let Some(obs) = &self.0 {
             obs.on_chaos(event);
+        }
+    }
+
+    /// Forwards a step sample to the observer, if set.
+    #[inline]
+    pub fn emit_step(&self, step: &StepSample) {
+        if let Some(obs) = &self.0 {
+            obs.on_step(step);
         }
     }
 }
@@ -224,6 +293,47 @@ mod tests {
         // Observers that don't override on_chaos ignore events.
         let plain = ObserverHook::new(Arc::new(Collect(Mutex::new(Vec::new()))));
         plain.emit_chaos(&ev);
+    }
+
+    #[test]
+    fn steps_forward_to_observers_that_ask_and_thread_cpu_time_advances() {
+        #[derive(Default)]
+        struct Steps(Mutex<Vec<StepSample>>);
+        impl PhaseObserver for Steps {
+            fn on_phase(&self, _: PhaseKind, _: &PhaseSample) {}
+            fn on_step(&self, step: &StepSample) {
+                self.0.lock().unwrap().push(*step);
+            }
+        }
+        let step = StepSample {
+            rank: 1,
+            level: 2,
+            phase: PhaseKind::HierMerge,
+            name: "absorb_all",
+            wall_ns: 9,
+            cpu_ns: thread_cpu_ns(),
+            rows_in: 4,
+            rows_out: 3,
+        };
+        let obs = Arc::new(Steps::default());
+        ObserverHook::new(obs.clone()).emit_step(&step);
+        ObserverHook::none().emit_step(&step); // no-op
+        assert_eq!(*obs.0.lock().unwrap(), vec![step]);
+        // Observers that don't override on_step ignore steps.
+        ObserverHook::new(Arc::new(Collect(Mutex::new(Vec::new())))).emit_step(&step);
+
+        // The clock is this thread's and never runs backwards; burning
+        // cycles moves it.
+        if let Some(before) = thread_cpu_ns() {
+            let mut x = 1u64;
+            while thread_cpu_ns().expect("read once, read again") == before {
+                x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+            }
+        }
+        assert_eq!(
+            thread_cpu_ns().is_some(),
+            cfg!(all(target_os = "linux", target_pointer_width = "64"))
+        );
     }
 
     #[test]

@@ -31,14 +31,11 @@
 //!   the kernel's contraction commit, [`CGraph::absorb_all`],
 //!   [`CGraph::split_off`] — so a sweep resolves each endpoint once and
 //!   never searches.
-//! * **The table of minimums.** Multi-edge removal and boundary-copy dedup
-//!   are the paper's "hash table of minimums" (§3.3): one linear pass over
-//!   an open-addressing table of row indexes (`index_table`) keeps
-//!   the minimal row per key, a write cursor compacts the losers away, and
-//!   canonical `(w, u, v)` order is restored by sorting contiguous row
-//!   records — skipped when the survivors are already in order, which
-//!   relabels and compactions preserve. The table and the keep flags are
-//!   reusable scratch.
+//! * **The table of minimums.** Multi-edge removal is the paper's "hash
+//!   table of minimums" (§3.3): one linear pass over an open-addressing
+//!   table of row indexes (`index_table`) keeps the minimal row per
+//!   component pair and a write cursor compacts the losers away. The table
+//!   and the keep flags are reusable scratch.
 //! * **The cut-row list.** Contiguous 1D cuts keep most rows internal
 //!   (§3.1), and only rows with a non-resident end take part in the
 //!   ghost-parent protocol (§3.3). [`CGraph::cut_rows`] is the ascending
@@ -57,9 +54,16 @@
 //! between processors, edges internal to the segment move with it, while
 //! edges linking the segment to components left behind are **duplicated**
 //! (both processors need them to compute min edges and freezes).
-//! [`CGraph::dedup_edges`] removes the duplicates whenever two holdings
-//! recombine — original edges are unique per vertex pair, so identity is
-//! `(orig.u, orig.v)`.
+//! [`CGraph::absorb_all`] drops the duplicates whenever holdings recombine;
+//! a copy is a row with the same original edge, the whole `(w, u, v)`.
+//!
+//! **Canonical order.** Rows ascend in `(w, u, v, a, b)` from a holding's
+//! first [`CGraph::remove_multi_edges`] on: relabels, compactions, the
+//! kernel's commit and [`CGraph::split_off`] keep the order (a row's
+//! original edge never changes, and a holding has one row per original),
+//! and recombination merges canonical runs into a canonical holding, where
+//! the copies of an original edge meet as neighbours. Only a level-0
+//! holding before its first reduction is in another (anchor) order.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -205,10 +209,6 @@ impl PartialEq for CGraph {
 
 /// A row as one contiguous, totally ordered record: `(w, u, v, a, b)`.
 type Record = (u32, VertexId, VertexId, CompId, CompId);
-
-/// Ascending runs up to which [`CGraph::sort_edges_with`] restores order by
-/// merging instead of sorting (a leader absorbing a group of eight).
-const MAX_MERGE_RUNS: usize = 8;
 
 /// Applies `map` to every endpoint of the two columns, chunked across
 /// rayon workers when the policy says the holding is big enough. Rows are
@@ -815,24 +815,6 @@ impl CGraph {
         self.sort_edges_with(policy);
     }
 
-    /// Removes duplicate holdings of the *same original edge* (arises when
-    /// a moved segment recombines with a holding that kept a boundary copy).
-    /// The table of minimums keyed on `(orig.u, orig.v)`: of the copies of
-    /// one original edge the row minimal under `(a, b, row)` survives. Rows
-    /// end in canonical order.
-    pub fn dedup_edges(&mut self) {
-        self.dedup_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::dedup_edges`].
-    pub fn dedup_edges_with(&mut self, policy: &KernelPolicy) {
-        self.keep_minima(
-            |cg, i| pair_key(cg.eorig[i].u, cg.eorig[i].v),
-            |cg, i, j| (cg.ea[i], cg.eb[i]) < (cg.ea[j], cg.eb[j]),
-        );
-        self.sort_edges_with(policy);
-    }
-
     /// Canonical deterministic edge order: by original-edge key
     /// `(w, u, v)`, rows standing for the same original edge by their
     /// component endpoints — a total order on row content, so the result
@@ -841,63 +823,32 @@ impl CGraph {
         self.sort_edges_with(&KernelPolicy::default());
     }
 
-    /// Policy-aware [`CGraph::sort_edges`]. Relabels and compactions keep
-    /// rows in `(w, u, v)` order, so most calls find nothing to do and
-    /// return after one comparison sweep. That sweep also finds where the
-    /// order descends: a holding of a few ascending runs — what appending
-    /// canonical parts and compacting them leaves ([`CGraph::absorb_all`])
-    /// — is restored by one k-way merge from the row records straight into
-    /// the columns. Only an unordered holding is sorted (on rayon workers
-    /// above the policy crossover) and written back.
+    /// Policy-aware [`CGraph::sort_edges`]: one comparison sweep, and only
+    /// a holding it finds out of order is sorted (on rayon workers above the
+    /// policy crossover) and written back.
     pub fn sort_edges_with(&mut self, policy: &KernelPolicy) {
         let n = self.ea.len();
-        let record = |i: usize| {
-            let o = self.eorig[i];
-            (o.w, o.u, o.v, self.ea[i], self.eb[i])
-        };
-        // Run starts: every row that sorts before its predecessor.
-        let descents: Vec<usize> = (1..n)
-            .filter(|&i| record(i - 1) > record(i))
-            .take(MAX_MERGE_RUNS)
-            .collect();
-        if descents.is_empty() {
+        if (1..n).all(|i| self.record(i - 1) <= self.record(i)) {
             return;
         }
         self.cut.take();
-        let mut records: Vec<Record> = (0..n).map(record).collect();
-        if descents.len() < MAX_MERGE_RUNS {
-            // (next unread record, end) of each run.
-            let mut runs: Vec<(usize, usize)> = std::iter::once(0)
-                .chain(descents.iter().copied())
-                .zip(descents.iter().copied().chain([n]))
-                .collect();
-            for i in 0..n {
-                // The first run with the least head: a stable merge.
-                let next = runs
-                    .iter_mut()
-                    .filter(|(at, end)| at < end)
-                    .min_by_key(|(at, _)| records[*at])
-                    .expect("runs cover every row");
-                self.write_record(i, records[next.0]);
-                next.0 += 1;
-            }
-            return;
-        }
+        let mut records: Vec<Record> = (0..n).map(|i| self.record(i)).collect();
         if policy.use_par_for(KernelClass::Reduce, n) {
             records.par_sort_unstable_by_key(|&r| r);
         } else {
             records.sort_unstable();
         }
-        for (i, r) in records.into_iter().enumerate() {
-            self.write_record(i, r);
+        for (i, (w, u, v, a, b)) in records.into_iter().enumerate() {
+            self.ea[i] = a;
+            self.eb[i] = b;
+            self.eorig[i] = WEdge { u, v, w };
         }
     }
 
     #[inline]
-    fn write_record(&mut self, i: usize, (w, u, v, a, b): Record) {
-        self.ea[i] = a;
-        self.eb[i] = b;
-        self.eorig[i] = WEdge { u, v, w };
+    fn record(&self, i: usize) -> Record {
+        let o = self.eorig[i];
+        (o.w, o.u, o.v, self.ea[i], self.eb[i])
     }
 
     /// Per-resident-component incident-edge counts (slot `i` counts edges
@@ -973,27 +924,82 @@ impl CGraph {
     }
 
     /// Absorbs other holdings in one merge: unions the resident sets and
-    /// freeze marks, appends every part's rows, and dedups same-original
-    /// edges once. Equal to absorbing the parts one after another, in any
-    /// order — the survivor of an original edge's copies and the canonical
-    /// row order are functions of the rows' content alone.
+    /// freeze marks, and merges the rows of all holdings — canonical runs,
+    /// `self` first, then the parts in the order given — into fresh
+    /// columns, one sequential read of every run and one write stream. The
+    /// merge is stable and drops a row whose original edge is the one just
+    /// written, so of an original edge's copies the one minimal under
+    /// `(a, b, arrival)` survives and the result is canonical again. A run
+    /// the sortedness sweep finds out of order (a level-0 holding before
+    /// its first reduction) is sorted first. Equal to absorbing the parts
+    /// one after another, in any order — the survivor of an original edge's
+    /// copies and the row order are functions of the rows' content alone.
+    ///
+    /// # Panics
+    ///
+    /// If the merged holding would reach `u32::MAX` rows.
     pub fn absorb_all(&mut self, parts: impl IntoIterator<Item = CGraph>) {
-        let mut parts = parts.into_iter().filter(|p| !p.is_empty()).peekable();
-        if parts.peek().is_none() {
+        let mut runs: Vec<CGraph> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        if runs.is_empty() {
             return;
         }
         let mut resident = std::mem::take(&mut self.resident);
         let mut frozen = std::mem::take(&mut self.frozen);
-        for part in parts {
-            resident.extend(part.resident);
-            frozen.extend(part.frozen);
-            self.ea.extend(part.ea);
-            self.eb.extend(part.eb);
-            self.eorig.extend(part.eorig);
+        for part in &mut runs {
+            resident.append(&mut part.resident);
+            frozen.append(&mut part.frozen);
         }
         self.set_resident(resident);
         self.set_frozen(frozen);
-        self.dedup_edges();
+        let mine = CGraph {
+            ea: std::mem::take(&mut self.ea),
+            eb: std::mem::take(&mut self.eb),
+            eorig: std::mem::take(&mut self.eorig),
+            ..CGraph::default()
+        };
+        runs.insert(0, mine);
+        for run in &mut runs {
+            run.sort_edges_with(&KernelPolicy::default());
+        }
+
+        let total = runs.iter().map(|run| run.ea.len()).sum();
+        self.reserve_rows(total);
+        // (head row, run, the run's next row) of every unfinished run, in
+        // run order: the first of the least heads is the stable choice.
+        let mut heads: Vec<(Record, usize, usize)> = runs
+            .iter()
+            .enumerate()
+            .filter(|(_, run)| !run.ea.is_empty())
+            .map(|(k, run)| (run.record(0), k, 1))
+            .collect();
+        let mut written = None;
+        while !heads.is_empty() {
+            let mut least = 0;
+            for h in 1..heads.len() {
+                if heads[h].0 < heads[least].0 {
+                    least = h;
+                }
+            }
+            let ((w, u, v, a, b), k, next) = heads[least];
+            let orig = WEdge { u, v, w };
+            if written != Some(orig) {
+                self.ea.push(a);
+                self.eb.push(b);
+                self.eorig.push(orig);
+                written = Some(orig);
+            }
+            if next < runs[k].ea.len() {
+                heads[least] = (runs[k].record(next), k, next + 1);
+            } else {
+                heads.remove(least);
+            }
+        }
+        let rows = self.ea.len();
+        assert!(
+            rows < u32::MAX as usize,
+            "a holding of {rows} rows exceeds the merge's limit of u32::MAX - 1 rows \
+             (row indexes are 32 bits)"
+        );
     }
 
     /// [`CGraph::absorb_all`] of one holding.
@@ -1017,7 +1023,12 @@ impl CGraph {
         taken.clear();
         taken.resize(self.resident.len(), false);
         for &c in take {
-            let slot = self.slot_of(c).expect("take ⊄ resident");
+            let slot = self.slot_of(c).unwrap_or_else(|| {
+                panic!(
+                    "cannot split off component {c}: it is not among the holding's {} residents",
+                    self.resident.len()
+                )
+            });
             taken[slot as usize] = true;
         }
         let moving = |slot: Option<u32>| slot.is_some_and(|s| taken[s as usize]);
@@ -1088,7 +1099,7 @@ impl CGraph {
                 return Err(format!("row {i} violates a <= b"));
             }
             let orig = &self.eorig[i];
-            if !seen.insert((orig.u, orig.v)) {
+            if !seen.insert(orig.key()) {
                 return Err(format!("duplicate original edge {orig:?}"));
             }
         }
@@ -1105,6 +1116,8 @@ impl CGraph {
 /// kept as the reference the proptests compare it against: co-sort the rows
 /// by `(key, order)` through an index permutation, keep the first row of
 /// every key run, restore canonical order with a second permutation sort.
+/// Beside them the append-and-dedup recombination the run merge of
+/// [`CGraph::absorb_all`] replaced.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -1195,6 +1208,19 @@ pub(crate) mod reference {
             self.sort_rows_by_key(|cg, i| cg.eorig[i].key());
         }
 
+        /// Removes duplicate holdings of the *same original edge*: the
+        /// table of minimums keyed on `(orig.u, orig.v)` — one weight per
+        /// pair, as in a canonical edge list — keeps of an original edge's
+        /// copies the row minimal under `(a, b, row)`. Rows end in
+        /// canonical order.
+        pub(crate) fn dedup_edges(&mut self) {
+            self.keep_minima(
+                |cg, i| pair_key(cg.eorig[i].u, cg.eorig[i].v),
+                |cg, i, j| (cg.ea[i], cg.eb[i]) < (cg.ea[j], cg.eb[j]),
+            );
+            self.sort_edges();
+        }
+
         pub(super) fn reference_dedup_edges(&mut self) {
             self.sort_rows_by_key(|cg, i| (cg.eorig[i].u, cg.eorig[i].v, cg.ea[i], cg.eb[i]));
             self.compact_rows(|cg, i| {
@@ -1247,12 +1273,6 @@ mod tests {
     use super::*;
     use mnd_graph::gen;
     use proptest::prelude::*;
-
-    impl CEdge {
-        fn record(&self) -> Record {
-            (self.orig.w, self.orig.u, self.orig.v, self.a, self.b)
-        }
-    }
 
     /// The level-0 holding of one vertex range.
     fn holding(el: &EdgeList, range: VertexRange) -> CGraph {
@@ -1349,6 +1369,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "cannot split off component 7: it is not among the holding's 3 residents"
+    )]
+    fn split_off_names_the_component_that_is_not_resident() {
+        CGraph::from_parts(vec![0, 1, 2], vec![], vec![]).split_off(&[1, 7]);
+    }
+
+    #[test]
     fn absorb_dedups_boundary_copies() {
         let shared = CEdge::new(1, 2, WEdge::new(1, 2, 2));
         let mut a = CGraph::from_parts(vec![1], vec![shared], vec![]);
@@ -1357,6 +1385,25 @@ mod tests {
         assert_eq!(a.resident(), &[1, 2]);
         assert_eq!(a.num_edges(), 1);
         a.validate().unwrap();
+    }
+
+    /// Original-edge identity is the whole `(w, u, v)`: a list that was
+    /// never canonicalised may carry one pair at two weights, and those are
+    /// two originals. Both survive a recombination (each once, whichever
+    /// holdings carried copies); the lighter one then wins the pair.
+    #[test]
+    fn a_pair_at_two_weights_is_two_originals() {
+        let (light, heavy) = (WEdge::new(1, 2, 2), WEdge::new(1, 2, 9));
+        let rows = |a, b| vec![CEdge::new(a, b, light), CEdge::new(a, b, heavy)];
+        let mut cg = CGraph::from_parts(vec![1], rows(1, 2), vec![]);
+        cg.absorb_all([
+            CGraph::from_parts(vec![2], rows(1, 2), vec![]),
+            CGraph::from_parts(vec![3], vec![CEdge::new(1, 2, heavy)], vec![]),
+        ]);
+        assert_eq!(cg.edges_vec(), rows(1, 2));
+        cg.validate().unwrap();
+        cg.remove_multi_edges();
+        assert_eq!(cg.edges_vec(), vec![CEdge::new(1, 2, light)]);
     }
 
     #[test]
@@ -1395,6 +1442,17 @@ mod tests {
             })
             .collect();
         CGraph::from_parts((0..comps).map(|c| c * spread).collect(), edges, vec![])
+    }
+
+    /// `raw` with every row's weight derived from its original endpoints:
+    /// rows that share `(u, v)` are then *copies* of one original edge, as
+    /// the rows two holdings of a canonical edge list share are (a pair at
+    /// two weights is two originals — see
+    /// `a_pair_at_two_weights_is_two_originals`).
+    fn true_copies(raw: &[(u32, u32, u32, u32, u32)]) -> Vec<(u32, u32, u32, u32, u32)> {
+        raw.iter()
+            .map(|&(a, b, u, v, _)| (a, b, u, v, (u.min(v) * 7 + u.max(v) * 13) % 4 + 1))
+            .collect()
     }
 
     fn arb_rows(max_rows: usize) -> impl Strategy<Value = Vec<(u32, u32, u32, u32, u32)>> {
@@ -1445,7 +1503,7 @@ mod tests {
             raw in arb_rows(300),
             comps in 1u32..10,
         ) {
-            let mut cg = messy_holding(&raw, comps, 1);
+            let mut cg = messy_holding(&true_copies(&raw), comps, 1);
             let mut expect = cg.clone();
             expect.reference_dedup_edges();
             cg.dedup_edges();
@@ -1460,10 +1518,10 @@ mod tests {
             spread_pick in 0u8..2,
         ) {
             let spread = if spread_pick == 0 { 1 } else { 5000 };
-            let mut cg = messy_holding(&mine, comps, spread);
+            let mut cg = messy_holding(&true_copies(&mine), comps, spread);
             // The other holding overlaps in original edges (boundary
             // copies) but owns a shifted component range.
-            let mut other = messy_holding(&theirs, comps, spread);
+            let mut other = messy_holding(&true_copies(&theirs), comps, spread);
             other.relabel(|c| c + 3 * spread);
             other.set_frozen(other.resident.iter().copied().take(2).collect());
             let mut expect = cg.clone();
@@ -1518,26 +1576,80 @@ mod tests {
             }
         }
 
+        /// The run merge against the append-and-dedup it replaced, folded
+        /// over the parts: 0–8 parts over a dense or sparse id range, any of
+        /// them (and `self`) empty, canonical or in shuffled / descending
+        /// row order (the sort-first arm), and one original edge copied
+        /// into three parts under different `(a, b)`.
         #[test]
-        fn merging_ascending_runs_equals_sorting_the_records(
-            runs in proptest::collection::vec(
-                proptest::collection::vec((1u32..4, 0u32..6, 0u32..6, 0u32..4, 0u32..4), 0..20),
-                1..13,
-            ),
+        fn absorb_all_equals_the_reference_folded_over_the_parts(
+            raws in proptest::collection::vec(arb_rows(60), 9..10),
+            nparts in 0usize..9,
+            comps in 2u32..6,
+            spread_pick in 0u8..2,
+            empty_mask in 0u16..512,
+            order_seed in 0u32..1000,
         ) {
-            // 1–12 ascending runs (empty and one-row runs, equal rows inside
-            // and across runs): up to 8 are merged, beyond that sorted.
-            let mut rows = Vec::new();
-            for mut run in runs {
-                run.sort_unstable_by_key(|&(w, u, v, a, b)| CEdge::new(a, b, WEdge::new(u, v, w)).record());
-                rows.extend(run.into_iter().map(|(w, u, v, a, b)| CEdge::new(a, b, WEdge::new(u, v, w))));
+            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let ids = 9 * comps;
+            // Holding `k` owns components `k·comps ..`; its rows end
+            // anywhere. Every third holding past the first also carries
+            // original (50, 51) under endpoints of its own.
+            let build = |k: u32| {
+                let mut edges: Vec<CEdge> = true_copies(&raws[k as usize])
+                    .iter()
+                    .map(|&(a, b, u, v, w)| {
+                        CEdge::new(a % ids * spread, b % ids * spread, WEdge::new(u, v, w))
+                    })
+                    .collect();
+                if k % 3 == 1 {
+                    edges.push(CEdge::new(k * spread, (k + 20) * spread, WEdge::new(50, 51, 2)));
+                }
+                let resident: Vec<CompId> =
+                    (k * comps..(k + 1) * comps).map(|c| c * spread).collect();
+                let frozen = resident.iter().copied().skip(k as usize % 3).step_by(2).collect();
+                let mut cg = CGraph::from_parts(resident, edges, frozen);
+                match (order_seed + k) % 3 {
+                    // Canonical, as every production holding past level 0.
+                    0 => cg.dedup_edges(),
+                    // Descending.
+                    1 => {
+                        cg.dedup_edges();
+                        let mut rows = cg.edges_vec();
+                        rows.reverse();
+                        cg = CGraph::from_parts(cg.resident.clone(), rows, cg.frozen.clone());
+                    }
+                    // Arrival order, duplicates inside the run included.
+                    _ => {}
+                }
+                cg
+            };
+            let holding = |k: u32| {
+                if empty_mask >> k & 1 == 1 { CGraph::new() } else { build(k) }
+            };
+            let mine = holding(0);
+            let parts: Vec<CGraph> = (1..=nparts as u32).map(holding).collect();
+
+            let mut expect = mine.clone();
+            if parts.iter().any(|p| !p.is_empty()) {
+                for part in &parts {
+                    expect.reference_absorb(part.clone());
+                }
             }
-            let mut expect: Vec<Record> = rows.iter().map(CEdge::record).collect();
-            expect.sort_unstable();
-            let mut cg = CGraph::from_parts((0..4).collect(), rows, vec![]);
-            cg.sort_edges();
-            let got: Vec<Record> = cg.iter_edges().map(|e| e.record()).collect();
-            prop_assert_eq!(got, expect);
+            let mut got = mine.clone();
+            got.cut_rows();
+            got.absorb_all(parts.clone());
+            prop_assert_eq!(&got, &expect);
+            assert_resolver_matches_binary_search(&got);
+            prop_assert_eq!(got.cut_rows(), got.fresh_cut_rows());
+            let mut resident: Vec<CompId> =
+                parts.iter().chain([&mine]).flat_map(|p| p.resident.clone()).collect();
+            resident.sort_unstable();
+            prop_assert_eq!(&got.resident, &resident);
+            let mut frozen: Vec<CompId> =
+                parts.iter().chain([&mine]).flat_map(|p| p.frozen.clone()).collect();
+            frozen.sort_unstable();
+            prop_assert_eq!(&got.frozen, &frozen);
         }
 
         #[test]

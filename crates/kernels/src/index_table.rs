@@ -4,11 +4,10 @@
 //! A slot stores only the index of a record; the record's key is read back
 //! through the caller's `same_key` closure. That keeps the table at 4 bytes
 //! per slot (8 per record at the fixed load factor of ½) whatever the key
-//! is: an `(a, b)` component pair for multi-edge removal, an original
-//! `(u, v)` pair for boundary-copy dedup, an old component id for the
-//! ghost-parent map. Linear probing; keys are mixed with the splitmix64
-//! finalizer, so structured ids (consecutive, strided, packed pairs) spread
-//! as well as random ones.
+//! is: an `(a, b)` component pair for multi-edge removal, an old
+//! component id for the ghost-parent map. Linear probing; keys are mixed
+//! with the splitmix64 finalizer, so structured ids (consecutive, strided,
+//! packed pairs) spread as well as random ones.
 
 /// Empty-slot sentinel (record indexes are row numbers, which stay below
 /// `u32::MAX`).

@@ -76,11 +76,16 @@ for threads in 1 2; do
   # The level-0 builder and the cut-row list do u32 cursor/index arithmetic
   # too, and the driver cuts the level-0 build into one block per kernel
   # thread: builder == CSR walk, cached cut rows == a fresh sweep, cut-row
-  # walks == the full sweeps they replaced, in a release build.
+  # walks == the full sweeps they replaced, in a release build. The run
+  # merge of `absorb_all` (== the append-and-dedup reference) is in
+  # cgraph::tests as well.
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib -- \
     cgraph::tests reduce::tests
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-mst --lib -- \
     ghost::tests phases::partition::tests
+  # The driver's invariants, the lent kernel threads among them (that test
+  # sets its own thread counts; the others run on the one given here).
+  RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-mst --test driver_invariants
 done
 
 echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"

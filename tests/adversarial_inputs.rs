@@ -174,3 +174,57 @@ fn weights_all_equal_distributed_ties() {
     el.assign_random_weights(1, 1); // all weight 1: pure tie-breaking
     both_match_oracle(&el, 7);
 }
+
+/// A list built with `push` and never canonicalised: pairs at two and
+/// three weights, in both orientations, the lightest copy not first. Two
+/// rows of one pair at different weights are two original edges to a
+/// holding (identity is the whole `(w, u, v)`): both must travel through
+/// every recombination, and the lighter one win the pair. Every engine, at
+/// rank counts that cut the list differently, and `mnd-mst` once more in
+/// groups of two with a threshold low enough that ring levels run: the
+/// forest is Kruskal's of the canonicalised list.
+#[test]
+fn uncanonicalised_list_with_pairs_at_several_weights() {
+    use mnd::engines::{registry, EngineParams};
+
+    let base = gen::gnm(120, 480, 21);
+    let mut el = EdgeList::new(120);
+    for (i, e) in base.edges().iter().enumerate() {
+        match i % 4 {
+            // Heavier copy first, reversed; then the original.
+            0 => {
+                el.push(e.v, e.u, e.w + 5);
+                el.push(e.u, e.v, e.w);
+            }
+            // Three weights, the lightest in the middle.
+            1 => {
+                el.push(e.u, e.v, e.w + 2);
+                el.push(e.v, e.u, e.w);
+                el.push(e.u, e.v, e.w + 9);
+            }
+            2 => el.push(e.v, e.u, e.w),
+            _ => el.push(e.u, e.v, e.w),
+        }
+    }
+    assert!(el.len() > base.len());
+    let mut canonical = el.clone();
+    canonical.canonicalize();
+    assert_eq!(canonical, base);
+    let oracle = kruskal_msf(&canonical);
+
+    for nranks in [1, 2, 4, 7] {
+        for engine in registry(&EngineParams::new(nranks)) {
+            let r = engine.run(&el);
+            assert_eq!(r.msf, oracle, "{} on {nranks} ranks", engine.name());
+        }
+    }
+    let cfg = HyParConfig {
+        group_size: 2,
+        group_edge_threshold: 16,
+        merge_min_shrink: 0.0,
+        ..Default::default()
+    };
+    let ring = MndMstRunner::new(4).with_config(cfg).run(&el);
+    assert!(ring.exchange_rounds > 0 && ring.levels == 2);
+    assert_eq!(ring.msf, oracle, "mnd-mst in groups of two");
+}

@@ -13,13 +13,15 @@
 //! 3. **Determinism** — the same plan seed yields the same recovery path,
 //!    the same stats, and the same virtual makespan, run after run.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mnd::chaos::{ChaosLog, CrashPoint, FaultPlan};
 use mnd::graph::{gen, EdgeList};
-use mnd::hypar::{ChaosEventKind, HyParConfig};
+use mnd::hypar::{
+    ChaosEvent, ChaosEventKind, HyParConfig, PhaseKind, PhaseObserver, PhaseSample, StepSample,
+};
 use mnd::kernels::kruskal_msf;
-use mnd::kernels::policy::with_kernel_threads;
+use mnd::kernels::policy::{kernel_threads, with_kernel_threads};
 use mnd::mst::{MndMstReport, MndMstRunner};
 
 fn run_with_plan(
@@ -198,6 +200,113 @@ fn epoch_zero_crashes_off_the_block_leader_rebuild_the_holding() {
             in_exchange.rank_stats[rank].replayed_in_bytes >= 8 * el.num_vertices() as u64,
             "rank {rank}: the crash fell before the boundary exchange"
         );
+    }
+}
+
+/// Every callback of a run, in the order each rank made them, with the
+/// kernel threads the rank's thread had at that moment.
+#[derive(Default)]
+struct ThreadLog(Mutex<Vec<(u32, String, usize)>>);
+
+impl ThreadLog {
+    fn note(&self, rank: u32, what: String) {
+        self.0.lock().unwrap().push((rank, what, kernel_threads()));
+    }
+
+    fn of_rank(&self, rank: u32) -> Vec<(String, usize)> {
+        let all = self.0.lock().unwrap();
+        let mine = all.iter().filter(|(r, ..)| *r == rank);
+        mine.map(|(_, what, threads)| (what.clone(), *threads))
+            .collect()
+    }
+}
+
+impl PhaseObserver for ThreadLog {
+    fn on_phase(&self, kind: PhaseKind, s: &PhaseSample) {
+        self.note(s.rank, format!("phase:{}", kind.name()));
+    }
+    fn on_step(&self, s: &StepSample) {
+        self.note(s.rank, format!("step:{}", s.name));
+    }
+    fn on_chaos(&self, e: &ChaosEvent) {
+        self.note(e.rank, format!("chaos:{}", e.kind.name()));
+    }
+}
+
+/// A rank the others wait for takes their kernel threads — also when it is
+/// not rank 0, and also when it dies with them in hand. Eight threads, four
+/// ranks: a share of two. Rank 0 is reported dead at level 1, so rank 1
+/// leads the merge and is the final rank; it receives, merges and
+/// post-processes on all eight threads and is back at two for every phase
+/// boundary. Then the same run with rank 1 crashed *inside* the lent
+/// stretch — at one of the leader's receives, the only fabric ops in there:
+/// up to the crash its callbacks are the clean run's up to the receive
+/// step. The unwind hands the threads back (the crash event, raised by the
+/// recovery loop outside the phases, sees two), the re-execution borrows
+/// them again, and forest, clean run and logical traffic agree.
+#[test]
+fn lent_threads_survive_a_failover_and_a_crash_inside_the_stretch() {
+    let el = gen::web_crawl(900, 7_000, gen::CrawlParams::default(), 29);
+    let oracle = kruskal_msf(&el);
+    let run = |plan: FaultPlan| {
+        let log = Arc::new(ThreadLog::default());
+        let plan = Arc::new(plan.with_dead_leader(0, 1));
+        let cfg = HyParConfig::default()
+            .with_chaos(plan.clone())
+            .with_observer(log.clone());
+        let runner = MndMstRunner::new(4)
+            .with_config(cfg)
+            .with_fault_injector(plan);
+        (with_kernel_threads(8, || runner.run(&el)), log.of_rank(1))
+    };
+    let threads_of = |log: &[(String, usize)], what: &str| -> Vec<usize> {
+        let hits = log.iter().filter(|(w, _)| w == what);
+        hits.map(|&(_, threads)| threads).collect()
+    };
+    let assert_lent_and_returned = |log: &[(String, usize)], tag: &str| {
+        for step in [
+            "step:leader_recv",
+            "step:absorb_all",
+            "step:post_process_kernel",
+        ] {
+            let seen = threads_of(log, step);
+            assert!(!seen.is_empty(), "{tag}: rank 1 never ran {step}");
+            assert!(seen.iter().all(|&t| t == 8), "{tag}: {step} on {seen:?}");
+        }
+        for (what, threads) in log.iter().filter(|(w, _)| !w.starts_with("step:")) {
+            assert_eq!(*threads, 2, "{tag}: {what} outside the rank's share");
+        }
+    };
+
+    let (clean, clean_log) = run(FaultPlan::new(3));
+    assert_eq!(clean.msf, oracle);
+    assert_eq!(threads_of(&clean_log, "chaos:leader_failover"), [2]);
+    assert_lent_and_returned(&clean_log, "clean");
+    let before_recv = clean_log
+        .iter()
+        .position(|(w, _)| w == "step:leader_recv")
+        .expect("asserted above");
+
+    // The leader arm lies in rank 1's last epoch, near its end.
+    let last_epoch = clean.rank_stats[1].checkpoint_writes as u32;
+    let (crashed, log) = (0..96)
+        .rev()
+        .find_map(|op| {
+            let (r, log) = run(FaultPlan::new(3).with_mid_phase_crash(1, last_epoch, op));
+            let at = log.iter().position(|(w, _)| w == "chaos:mid_phase_crash")?;
+            (log[..at] == clean_log[..before_recv]).then_some((r, log))
+        })
+        .expect("one of the last epoch's ops is a receive of the leader arm");
+    assert_eq!(threads_of(&log, "chaos:mid_phase_crash"), [2]);
+    assert_lent_and_returned(&log, "crashed");
+    assert_eq!(crashed.msf, oracle);
+    assert_eq!(crashed.msf, clean.msf);
+    assert_eq!(crashed.rank_stats[1].checkpoint_restores, 1);
+    for (rank, (s, c)) in crashed.rank_stats.iter().zip(&clean.rank_stats).enumerate() {
+        assert_eq!(s.bytes_sent, c.bytes_sent, "rank {rank}");
+        assert_eq!(s.bytes_received, c.bytes_received, "rank {rank}");
+        assert_eq!(s.messages_sent, c.messages_sent, "rank {rank}");
+        assert_eq!(s.messages_received, c.messages_received, "rank {rank}");
     }
 }
 
