@@ -1382,12 +1382,13 @@ pub struct ServeWorkload {
 /// full Kruskal recompute.
 ///
 /// The update session runs over a *dense* graph (`E = 32·V`) on
-/// purpose: incremental maintenance touches `O(V)` per tree search
-/// while a recompute reads all `E` edges over several rounds plus the
-/// cluster's communication constants, so density is what separates the
-/// two honestly. (On a road-like graph with `E ≈ 1.2·V` the per-op
-/// searches rival a recompute — the simulation reproduces that, so the
-/// sweep does not claim it.)
+/// purpose: incremental maintenance touches a root path per insert and
+/// one side of the cut per forest delete, at most `O(V)`, while a
+/// recompute reads all `E` edges over several rounds plus the cluster's
+/// communication constants, so density is what separates the two
+/// honestly. (On a road-like graph with `E ≈ 1.2·V` and a huge diameter
+/// the root paths are long and a recompute reads little, so the sweep
+/// does not claim the gap there.)
 pub fn serve_workload(ctx: &ExpContext) -> ServeWorkload {
     let road = Arc::new(ctx.graph(Preset::RoadUsa));
     let n = road.num_vertices();

@@ -21,9 +21,9 @@
 //! There is one hash body, [`fingerprint`], and it streams: it takes the
 //! vertex bound and an iterator over the canonical edges.
 //! [`EdgeList::fingerprint`] feeds it the list's slice; the serving plane's
-//! `IncrementalMsf::fingerprint` feeds it the session's sorted edge map
-//! directly, so keying a mutated session costs one walk of the map and no
-//! copy. Both produce the same value for the same graph.
+//! `IncrementalMsf::fingerprint` feeds it the session's sorted adjacency
+//! lists directly, so keying a mutated session costs one walk of the lists
+//! and no copy. Both produce the same value for the same graph.
 
 use crate::edgelist::{splitmix64, EdgeList};
 use crate::types::{VertexId, WEdge};
@@ -52,8 +52,8 @@ const FP_SEED_HI: u64 = 0x6d6e_642d_6670_6869;
 /// Fingerprints the graph over `num_vertices` vertices whose canonical
 /// edges `edges` yields in canonical `(u, v)` order. `O(E)`, no allocation:
 /// the one hash body, streaming, so an owner of the edges in another
-/// container (the serving plane's update sessions keep a sorted map) keys
-/// its graph without materialising an [`EdgeList`] first.
+/// container (the serving plane's update sessions keep sorted adjacency
+/// lists) keys its graph without materialising an [`EdgeList`] first.
 pub fn fingerprint(
     num_vertices: VertexId,
     edges: impl ExactSizeIterator<Item = WEdge>,

@@ -21,10 +21,11 @@
 //!   session's forest is keyed lazily: by the first look-up on a graph
 //!   with the session's vertex and edge counts, never per batch.
 //! * **Incremental MSF sessions** ([`incremental`]) — streaming edge
-//!   insertions (cycle-max replacement) and deletions (replacement-edge
-//!   search over the affected cut) maintained against the cached forest,
-//!   exact under the workspace's strict `(w, u, v)` edge order and
-//!   verified edge-for-edge against full recomputes in the tests.
+//!   insertions (cycle-max replacement, found by walking a rooted forest
+//!   to the LCA) and deletions (replacement-edge search over the smaller
+//!   side of the cut) maintained against the cached forest, exact under
+//!   the workspace's strict `(w, u, v)` edge order and verified
+//!   edge-for-edge against full recomputes in the tests.
 //!
 //! Backends ([`backend`]) wrap any registered [`mnd_engine::Engine`] in a
 //! [`mnd_engine::Service`] per granted rank count, so reports show

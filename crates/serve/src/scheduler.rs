@@ -123,7 +123,8 @@ pub struct ServeReport {
     pub cache: CacheStats,
     /// Time the last job completed (0 for an empty run).
     pub makespan: f64,
-    /// Jobs refused at admission, all tenants.
+    /// Jobs refused at admission: every tenant's, plus the jobs that named
+    /// a tenant the plane does not have.
     pub rejected: usize,
     /// Backend utilisation rows `(ranks, jobs, busy_seconds)`.
     pub backend: Vec<(usize, u64, f64)>,
@@ -323,12 +324,11 @@ impl ServePlane {
     /// Runs a batch of submissions to completion and reports. The batch
     /// is processed in `(submit, index)` order; everything downstream of
     /// the specs is deterministic, so a fixed batch always produces the
-    /// same report.
+    /// same report. A job naming a tenant the plane does not have is
+    /// refused at admission like any other: no completion, counted in
+    /// [`ServeReport::rejected`].
     pub fn run(&mut self, jobs: Vec<JobSpec>) -> ServeReport {
         let nt = self.tenants.len();
-        for spec in &jobs {
-            assert!(spec.tenant < nt, "job names an unknown tenant");
-        }
         // Arrival order: (submit, batch index).
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by(|&a, &b| jobs[a].submit.total_cmp(&jobs[b].submit).then(a.cmp(&b)));
@@ -341,6 +341,7 @@ impl ServePlane {
         let mut virtual_time = 0.0f64;
         let mut submitted = vec![0usize; nt];
         let mut rejected = vec![0usize; nt];
+        let mut unknown_tenant = 0usize;
         let mut completions: Vec<Completion> = Vec::new();
         let mut clock = 0.0f64;
         let mut free = self.cfg.nranks;
@@ -355,6 +356,10 @@ impl ServePlane {
                 }
                 arrivals.next();
                 let spec = &jobs[idx];
+                if spec.tenant >= nt {
+                    unknown_tenant += 1;
+                    continue;
+                }
                 submitted[spec.tenant] += 1;
                 if queues[spec.tenant].len() >= self.tenants[spec.tenant].max_queue
                     || !self.payload_in_range(spec)
@@ -499,7 +504,7 @@ impl ServePlane {
             tenants,
             cache: self.cache.stats(),
             makespan,
-            rejected: rejected.iter().sum(),
+            rejected: rejected.iter().sum::<usize>() + unknown_tenant,
             backend: self.backend.utilisation(),
             utilisation: if makespan > 0.0 {
                 busy_rank_seconds / (makespan * self.cfg.nranks as f64)

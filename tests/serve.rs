@@ -4,8 +4,10 @@
 //! cache never false-hits on isomorphic-but-relabelled inputs, a fixed
 //! plane workload replays to the byte, an update's forest is served for
 //! exactly the graph it spans (current version: hit; superseded or
-//! lookalike: backend), and a payload naming a vertex that does not exist
-//! is refused at admission without moving any other job.
+//! lookalike: backend), a payload naming a vertex or a tenant that does
+//! not exist is refused at admission without moving any other job, and a
+//! session seeded from a non-canonical list serves its canonical graph's
+//! forest.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -458,4 +460,151 @@ fn hostile_payloads_are_refused_at_admission_and_spare_the_other_tenants() {
     assert_eq!(report.completed(), 9);
     assert_eq!(history, clean_history);
     assert_eq!(report.makespan, clean.makespan);
+}
+
+/// A job naming a tenant the plane does not have is refused at admission
+/// too — it used to fail an `assert!` and take the whole batch down. It
+/// gets no completion, counts in `rejected` (no tenant's row), and every
+/// other job starts and finishes exactly as in a run it was never
+/// submitted to.
+#[test]
+fn unknown_tenants_are_refused_at_admission_and_move_no_other_job() {
+    let g = Arc::new(gen::gnm(200, 800, 9));
+    let job = |tenant: usize, kind: JobKind, submit: f64| JobSpec {
+        tenant,
+        kind,
+        graph: g.clone(),
+        submit,
+    };
+    let update = JobKind::Update {
+        inserts: vec![WEdge::new(1, 2, 3)],
+        deletes: vec![(1, 2)],
+    };
+    // `(stranger, job)`: the plane has tenants 0 and 1.
+    let jobs = [
+        (false, job(0, JobKind::Mst, 0.0)),
+        (true, job(2, JobKind::Mst, 0.0)),
+        (false, job(1, JobKind::Bfs { source: 7 }, 0.05)),
+        (true, job(usize::MAX, update.clone(), 0.1)),
+        (false, job(1, update, 0.2)),
+        (true, job(5, JobKind::Cc, 0.3)),
+        (false, job(0, JobKind::Cc, 0.3)),
+    ];
+    let run = |with_strangers: bool| {
+        let mut plane = ServePlane::new(
+            ServeConfig::new(2).with_edges_per_rank(512),
+            Box::new(EngineBackend::mnd_mst(64.0)),
+            vec![TenantSpec::new("a", 1.0, 8), TenantSpec::new("b", 2.0, 8)],
+        );
+        let submitted: Vec<JobSpec> = jobs
+            .iter()
+            .filter(|(stranger, _)| with_strangers || !stranger)
+            .map(|(_, job)| job.clone())
+            .collect();
+        let report = plane.run(submitted);
+        let history: Vec<_> = report
+            .completions
+            .iter()
+            .map(|c| {
+                (
+                    c.tenant,
+                    c.kind,
+                    c.served_by,
+                    c.submit.to_bits(),
+                    c.start.to_bits(),
+                    c.finish.to_bits(),
+                )
+            })
+            .collect();
+        (report, history)
+    };
+    let (report, history) = run(true);
+    let (clean, clean_history) = run(false);
+    assert_eq!(report.rejected, 3);
+    assert_eq!(clean.rejected, 0);
+    assert_eq!(report.completed(), 4);
+    let per_tenant: Vec<_> = report
+        .tenants
+        .iter()
+        .map(|t| (t.submitted, t.rejected))
+        .collect();
+    assert_eq!(per_tenant, [(2, 0), (2, 0)]);
+    assert_eq!(history, clean_history);
+    assert_eq!(report.makespan, clean.makespan);
+}
+
+/// A session seeded from a list built with `push` — a pair twice, a self
+/// loop — holds the list's canonical graph, and the forest the plane
+/// serves after every update batch is Kruskal's forest of that graph as
+/// the batches changed it.
+#[test]
+fn a_session_seeded_from_a_pushed_list_serves_its_canonical_graphs_forest() {
+    use mnd::serve::job::JobResult;
+
+    let n = 120;
+    let mut base = EdgeList::new(n);
+    for e in gen::gnm(n, 500, 12).edges() {
+        base.push(e.u, e.v, e.w);
+        // A second copy of every third pair, lighter or heavier.
+        if (e.u + e.v) % 3 == 0 {
+            let w = if e.u % 2 == 0 { e.w / 2 + 1 } else { e.w + 7 };
+            base.push(e.v, e.u, w);
+        }
+    }
+    base.push(5, 5, 1);
+    let canonical = EdgeList::from_raw(n, base.edges().to_vec());
+    assert_ne!(canonical.len(), base.len());
+    let mut mirror: BTreeMap<(VertexId, VertexId), Weight> = canonical
+        .edges()
+        .iter()
+        .map(|e| ((e.u, e.v), e.w))
+        .collect();
+
+    let base = Arc::new(base);
+    let mut rng = 5u64;
+    let mut next = move |modulus: u64| {
+        rng = mnd::graph::edgelist::splitmix64(rng);
+        (rng % modulus) as u32
+    };
+    let mut jobs = Vec::new();
+    let mut expect = Vec::new();
+    for batch in 0..6 {
+        let inserts: Vec<WEdge> = (0..6)
+            .map(|_| WEdge::new(next(n as u64), next(n as u64), next(2000) + 1))
+            .collect();
+        for e in inserts.iter().filter(|e| e.u != e.v) {
+            mirror.insert((e.u, e.v), e.w);
+        }
+        // Deleting live pairs reaches the forest edges a duplicate seeded.
+        let deletes: Vec<(VertexId, VertexId)> = (0..3)
+            .map(|_| {
+                let key = *mirror
+                    .keys()
+                    .nth(next(mirror.len() as u64) as usize)
+                    .unwrap();
+                mirror.remove(&key);
+                key
+            })
+            .collect();
+        jobs.push(JobSpec {
+            tenant: 0,
+            kind: JobKind::Update { inserts, deletes },
+            graph: base.clone(),
+            submit: batch as f64,
+        });
+        expect.push(kruskal_msf(&mirror_graph(n, &mirror)));
+    }
+    let mut plane = ServePlane::new(
+        ServeConfig::new(2),
+        Box::new(EngineBackend::mnd_mst(1.0)),
+        vec![TenantSpec::new("updates", 1.0, 16)],
+    );
+    let report = plane.run(jobs);
+    assert_eq!(report.completed(), expect.len());
+    for (c, forest) in report.completions.iter().zip(&expect) {
+        match &c.result {
+            JobResult::Msf(m) => assert_eq!(&**m, forest, "job {}", c.job),
+            _ => panic!("updates return forests"),
+        }
+    }
 }

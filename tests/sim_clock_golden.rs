@@ -10,7 +10,9 @@
 //! is charged — fails here instead of in a benchmark.
 //!
 //! A deliberate cost-model or algorithm change re-pins them: the failure
-//! message prints the observed values in the form the tables below use.
+//! message prints the observed values in the form the tables below use,
+//! and for a snapshot table first the moved lines as `old → new`, the
+//! diff an announced re-pin quotes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,19 +327,37 @@ fn spmsf_line(el: &EdgeList, nranks: usize, cfg: &SpmsfConfig, chaos: &EngineCha
 }
 
 /// Bit-for-bit (`{:?}` prints the shortest decimal that round-trips an
-/// `f64`, so equal lines are equal bits): no tolerance anywhere.
+/// `f64`, so equal lines are equal bits): no tolerance anywhere. A failure
+/// prints the change as a diff keyed by each line's run name (the text
+/// before the first ` | `): every moved line as `old → new`, every added
+/// line `+`, every missing one `-` — the part of a re-pin to review — and
+/// then the observed table to paste over the constant.
 fn check_snapshot(table: &str, observed: &[String], golden: &str) {
     let observed = observed.join("\n");
-    let moved: Vec<&str> = observed
-        .lines()
-        .zip(golden.trim().lines())
-        .filter(|(o, g)| o != g)
-        .map(|(o, _)| o.split(" | ").next().unwrap_or(o))
-        .collect();
-    assert!(
-        observed == golden.trim(),
-        "{table}: the simulated clock moved on {moved:?} (or the run list changed); observed table\n{observed}\n"
-    );
+    let golden = golden.trim();
+    if observed == golden {
+        return;
+    }
+    fn run(line: &str) -> &str {
+        line.split(" | ").next().unwrap_or(line)
+    }
+    let old: BTreeMap<&str, &str> = golden.lines().map(|l| (run(l), l)).collect();
+    let new: BTreeMap<&str, &str> = observed.lines().map(|l| (run(l), l)).collect();
+    let mut diff = String::new();
+    for line in observed.lines() {
+        match old.get(run(line)) {
+            Some(&was) if was == line => {}
+            Some(&was) => diff += &format!("  {was}\n→ {line}\n"),
+            None => diff += &format!("+ {line}\n"),
+        }
+    }
+    for line in golden.lines().filter(|l| !new.contains_key(run(l))) {
+        diff += &format!("- {line}\n");
+    }
+    if diff.is_empty() {
+        diff = "  (the same lines in another order)\n".to_owned();
+    }
+    panic!("{table}: the simulated clock moved, old → new:\n{diff}\nobserved table:\n{observed}\n");
 }
 
 /// `bsp` in every arm its round loop branches on: both partitionings, the
@@ -643,35 +663,35 @@ Incremental job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
 Incremental job 19 Backend | start 0.07277693866666671 finish 0.11390300787301592
 Incremental job 2 Backend | start 0.11390300787301592 finish 0.12683889422222228
 Incremental job 20 Backend | start 0.12683889422222228 finish 0.16772412838095246
-Incremental job 24 Incremental | start 0.3 finish 0.39257260596825394
+Incremental job 24 Incremental | start 0.3 finish 0.38940308215873015
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
 Incremental job 5 Cache | start 0.6 finish 0.6001
-Incremental job 25 Incremental | start 0.7 finish 0.7028728888888889
+Incremental job 25 Incremental | start 0.7 finish 0.7004835555555555
 Incremental job 6 Cache | start 1.0 finish 1.0001
 Incremental job 7 Cache | start 1.05 finish 1.0548908571428572
 Incremental job 8 Cache | start 1.1 finish 1.1001
-Incremental job 26 Incremental | start 1.1 finish 1.104112253968254
+Incremental job 26 Incremental | start 1.1 finish 1.100552634920635
 Incremental job 9 Cache | start 1.5 finish 1.5001
-Incremental job 27 Incremental | start 1.5000000000000002 finish 1.5022755555555558
+Incremental job 27 Incremental | start 1.5000000000000002 finish 1.5004713650793653
 Incremental job 10 Cache | start 1.55 finish 1.5548908571428572
 Incremental job 11 Cache | start 1.6 finish 1.6001
 Incremental job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Incremental job 29 Incremental | start 1.9000000000000001 finish 1.9020845714285715
+Incremental job 29 Incremental | start 1.9000000000000001 finish 1.9004144761904764
 Incremental job 12 Cache | start 2.0 finish 2.0001
 Incremental job 13 Cache | start 2.05 finish 2.054890857142857
 Incremental job 14 Cache | start 2.1 finish 2.1001000000000003
-Incremental job 30 Incremental | start 2.3 finish 2.321812825396825
+Incremental job 30 Incremental | start 2.3 finish 2.301536
 Incremental job 15 Cache | start 2.5 finish 2.5001
 Incremental job 16 Cache | start 2.55 finish 2.554890857142857
 Incremental job 17 Cache | start 2.6 finish 2.6001000000000003
-Incremental job 31 Incremental | start 2.7 finish 2.7427926349206353
-Incremental job 32 Incremental | start 3.1 finish 3.1219916190476193
+Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
+Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.38027862831746057
+Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.3571207870476193
 Incremental tenant interactive | p50 0.00010000000000021103 p95 0.026484729269841294 p99 0.02683889422222227
 Incremental tenant batch | p50 0.11390300787301592 p95 0.16772412838095246 p99 0.16772412838095246
-Incremental tenant updates | p50 0.004112253968253876 p95 0.09257260596825395 p99 0.09257260596825395
+Incremental tenant updates | p50 0.0005526349206348424 p95 0.08940308215873016 p99 0.08940308215873016
 Recompute job 0 Backend | start 0.0 finish 0.026484729269841294
 Recompute job 18 Backend | start 0.026484729269841294 finish 0.06788608152380957
 Recompute job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
