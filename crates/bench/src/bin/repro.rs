@@ -27,20 +27,11 @@ fn main() {
     let mut nranks = 16usize;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut seed_grid: Vec<u64> = Vec::new();
-    let mut variant_filter: Option<String> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut trace: Option<std::sync::Arc<mnd_bench::trace::JsonlTrace>> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--variant" => {
-                let v = it.next().expect("--variant seq|chunk-merge|lockfree");
-                assert!(
-                    matches!(v.as_str(), "seq" | "chunk-merge" | "lockfree"),
-                    "--variant must be seq, chunk-merge or lockfree (got {v})"
-                );
-                variant_filter = Some(v);
-            }
             "--csv" => {
                 csv_dir = Some(it.next().expect("--csv DIR").into());
             }
@@ -88,9 +79,8 @@ fn main() {
                     "             ablation-group ablation-excp ablation-thresh ablation-locality"
                 );
                 println!("             ablation-weights ablation-network calibration");
-                println!("             kernel-sweep chaos resilience checkpoint-sweep traffic");
-                println!("             engines serve-sweep comm-sweep emst-sweep");
-                println!("--variant seq|chunk-merge|lockfree filters the kernel-sweep rows");
+                println!("             chaos resilience checkpoint-sweep traffic engines");
+                println!("             serve-sweep comm-sweep emst-sweep");
                 println!(
                     "--trace PATH streams phase/step samples + chaos events as JSON lines (- = stdout)"
                 );
@@ -105,12 +95,18 @@ fn main() {
     }
     let all = experiments.iter().any(|e| e == "all");
     let want = |name: &str| all || experiments.iter().any(|e| e == name);
+    // A table whose CSV could not be written fails the run once every
+    // table has printed: a lost file must not pass for a written one.
+    let csv_failures = std::cell::Cell::new(0usize);
     let emit = |csv_name: &str, title: &str, header: &[&str], rows: &[Vec<String>]| {
         print_table(title, header, rows);
         if let Some(dir) = &csv_dir {
             match write_csv(dir, csv_name, header, rows) {
                 Ok(p) => println!("(csv: {})", p.display()),
-                Err(e) => eprintln!("csv write failed: {e}"),
+                Err(e) => {
+                    eprintln!("csv write failed: {csv_name}: {e}");
+                    csv_failures.set(csv_failures.get() + 1);
+                }
             }
         }
     };
@@ -621,81 +617,6 @@ fn main() {
         );
     }
 
-    if want("kernel-sweep") {
-        let cal = mnd_device::calibrate_kernel_policy(ctx.seed);
-        emit(
-            "kernel-crossover",
-            &format!(
-                "Kernel crossover calibration (election{} [{}], reduce{}, count{} [{}], relabel{}, chunk_rows={})",
-                thr(cal.policy.par_threshold),
-                mnd_device::variant_name(cal.policy.election_variant),
-                thr(cal.policy.reduce_par_threshold),
-                thr(cal.policy.count_par_threshold),
-                mnd_device::variant_name(cal.policy.count_variant),
-                thr(cal.policy.relabel_par_threshold),
-                cal.policy.chunk_rows
-            ),
-            &["rows", "seq ns", "best par ns", "best chunk", "lockfree ns"],
-            &cal.table
-                .iter()
-                .map(|r| {
-                    let (chunk, ns) = r.best_par().unwrap_or((0, u64::MAX));
-                    vec![
-                        r.rows.to_string(),
-                        r.seq_ns.to_string(),
-                        ns.to_string(),
-                        chunk.to_string(),
-                        r.lockfree_ns.map_or("-".into(), |ns| ns.to_string()),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows = kernel_sweep(ctx.seed, &SWEEP_SIZES, &ctx.kernel_policy);
-        // Display rows: one `seq` baseline row per kernel/size plus one row
-        // per measured parallel variant; `--variant` filters on the column.
-        let mut flat: Vec<Vec<String>> = Vec::new();
-        let keep = |v: &str| variant_filter.as_deref().is_none_or(|f| f == v);
-        for r in &rows {
-            // The chunk-merge row is always the first per kernel/size, so
-            // hang the shared seq baseline row off it.
-            if r.variant == "chunk-merge" && keep("seq") {
-                let seq_selected = !rows
-                    .iter()
-                    .any(|o| o.kernel == r.kernel && o.rows == r.rows && o.selected);
-                flat.push(vec![
-                    r.kernel.into(),
-                    "seq".into(),
-                    r.rows.to_string(),
-                    r.seq_ns.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "1.00x".into(),
-                    if seq_selected { "yes" } else { "" }.to_string(),
-                ]);
-            }
-            if keep(r.variant) {
-                flat.push(vec![
-                    r.kernel.into(),
-                    r.variant.into(),
-                    r.rows.to_string(),
-                    r.seq_ns.to_string(),
-                    r.par_ns.to_string(),
-                    r.chunk.to_string(),
-                    format!("{:.2}x", r.speedup()),
-                    if r.selected { "yes" } else { "" }.to_string(),
-                ]);
-            }
-        }
-        emit(
-            "kernel-sweep",
-            "Kernel sweep: seq vs chunk-merge vs lock-free holding-plane kernels",
-            &[
-                "kernel", "variant", "rows", "seq ns", "par ns", "chunk", "speedup", "selected",
-            ],
-            &flat,
-        );
-    }
-
     if want("calibration") {
         let rows = calibration(&ctx);
         emit(
@@ -924,5 +845,10 @@ fn main() {
             ],
             &rows,
         );
+    }
+
+    if csv_failures.get() > 0 {
+        eprintln!("repro: {} CSV file(s) not written", csv_failures.get());
+        std::process::exit(1);
     }
 }

@@ -186,9 +186,10 @@ pub const LOCKFREE_CHUNK: usize = 4096;
 /// **Clamp rule:** if no parallel variant of a class ever beats sequential
 /// in the measured table, that class's crossover is clamped to
 /// `usize::MAX` — calibration must never select a parallel variant whose
-/// measured speedup is below 1.0 (the BENCH_4 `incident_counts` 0.58×
-/// regression came from the old "largest measured size" fallback, which
-/// kept routing unmeasured giant holdings down a losing path).
+/// measured speedup is below 1.0 (an `incident_counts` path measured at
+/// 0.58× of sequential came from the old "largest measured size"
+/// fallback, which kept routing unmeasured giant holdings down a losing
+/// path).
 ///
 /// Wall-clock timing, best of 3 — noisy by nature, which is fine: the
 /// determinism contract guarantees the *result* is policy-independent, so a
@@ -323,9 +324,10 @@ fn decisive(par_ns: u64, seq_ns: u64) -> bool {
 /// Variant + crossover for one class's table. A variant is eligible only
 /// if it *decisively* beats sequential at the largest measured size (see
 /// [`decisive`] — routing unmeasured giant holdings down a path that
-/// loses, or noise-ties, at the top of the table is exactly the BENCH_4
-/// regression). Per eligible variant, the crossover is one below the
-/// smallest measured size where it beats sequential; the class routes
+/// loses, or noise-ties, at the top of the table is exactly how a 0.58×
+/// `incident_counts` path was once selected). Per eligible variant, the
+/// crossover is one below the smallest measured size where it beats
+/// sequential; the class routes
 /// through whichever eligible variant is fastest at the largest measured
 /// size. If **no** variant is eligible, the crossover clamps to
 /// `usize::MAX`.
@@ -685,8 +687,8 @@ mod tests {
     /// Satellite-1 regression: a class whose parallel variants lose at
     /// every measured size must be clamped to `usize::MAX`, not handed the
     /// old "largest measured size" threshold that still routed unmeasured
-    /// giant holdings down the losing path (the 0.58× `incident_counts`
-    /// row in BENCH_4).
+    /// giant holdings down the losing path (a 0.58× `incident_counts` row
+    /// once did).
     #[test]
     fn class_selection_clamps_when_parallel_never_wins() {
         let table = vec![

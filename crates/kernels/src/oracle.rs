@@ -1,9 +1,9 @@
-//! Reference MST/MSF implementations: Kruskal (the workspace oracle) and
-//! Prim (a second, structurally different oracle used to cross-check
-//! Kruskal itself in tests).
+//! The reference MSF: Kruskal, the workspace oracle. Independent
+//! algorithms are checked against it edge for edge (`boruvka_msf` in the
+//! property suites).
 
-use mnd_graph::types::{total_weight, VertexId, WEdge};
-use mnd_graph::{CsrGraph, EdgeList};
+use mnd_graph::types::{total_weight, WEdge};
+use mnd_graph::EdgeList;
 
 use crate::dsu::DisjointSets;
 use crate::msf::MsfResult;
@@ -26,46 +26,6 @@ pub fn kruskal_msf(el: &EdgeList) -> MsfResult {
         }
     }
     MsfResult::from_edges(el.num_vertices(), out)
-}
-
-/// Prim's algorithm from vertex 0 over a **connected** graph. O(E log V)
-/// with a binary heap. Returns `None` if the graph is not connected (Prim
-/// only spans one component).
-pub fn prim_mst(g: &CsrGraph) -> Option<MsfResult> {
-    let n = g.num_vertices() as usize;
-    if n == 0 {
-        return Some(MsfResult {
-            edges: vec![],
-            weight: 0,
-            num_components: 0,
-        });
-    }
-    let mut in_tree = vec![false; n];
-    let mut out: Vec<WEdge> = Vec::with_capacity(n - 1);
-    // Heap of candidate edges keyed by the full edge order so ties resolve
-    // identically to Kruskal.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(WEdge, VertexId)>> =
-        std::collections::BinaryHeap::new();
-    in_tree[0] = true;
-    for (v, w) in g.neighbors(0) {
-        heap.push(std::cmp::Reverse((WEdge::new(0, v, w), v)));
-    }
-    while let Some(std::cmp::Reverse((e, new_v))) = heap.pop() {
-        if in_tree[new_v as usize] {
-            continue;
-        }
-        in_tree[new_v as usize] = true;
-        out.push(e);
-        for (t, w) in g.neighbors(new_v) {
-            if !in_tree[t as usize] {
-                heap.push(std::cmp::Reverse((WEdge::new(new_v, t, w), t)));
-            }
-        }
-    }
-    if out.len() != n - 1 {
-        return None; // disconnected
-    }
-    Some(MsfResult::from_edges(g.num_vertices(), out))
 }
 
 /// Convenience: total MSF weight by Kruskal.
@@ -102,24 +62,6 @@ mod tests {
         let msf = kruskal_msf(&u);
         assert_eq!(msf.num_components, 3);
         assert_eq!(msf.edges.len(), 12 - 3);
-    }
-
-    #[test]
-    fn prim_matches_kruskal_on_connected_graphs() {
-        for seed in 0..5 {
-            let el = gen::watts_strogatz(300, 6, 0.2, seed);
-            let g = CsrGraph::from_edge_list(&el);
-            let k = kruskal_msf(&el);
-            let p = prim_mst(&g).expect("connected");
-            assert_eq!(k, p, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn prim_rejects_disconnected() {
-        let u = gen::disconnected_union(&[gen::path(3, 1), gen::path(3, 2)]);
-        let g = CsrGraph::from_edge_list(&u);
-        assert!(prim_mst(&g).is_none());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Property tests on the kernel crate: freezing safety, reduction
-//! invariants, concurrent union-find stress.
+//! invariants, round counts.
 
 use mnd_graph::types::WEdge;
 use mnd_graph::{gen, EdgeList, VertexRange};
 use mnd_kernels::boruvka::{boruvka_msf, local_boruvka};
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::dsu::AtomicDisjointSets;
 use mnd_kernels::oracle::kruskal_msf;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_kernels::reduce::{apply_ghost_parents, reduce_holding};
@@ -115,56 +114,6 @@ proptest! {
         el = EdgeList::from_raw(el.num_vertices(), edges);
         let b = boruvka_msf(&el);
         prop_assert_eq!(b, kruskal_msf(&el));
-    }
-}
-
-#[test]
-fn atomic_dsu_stress_against_sequential() {
-    // Many threads apply a fixed edge set concurrently; the resulting
-    // partition must equal the sequential union-find's.
-    use mnd_kernels::dsu::DisjointSets;
-    let el = gen::gnm(2000, 6000, 99);
-    let edges: Vec<(u32, u32)> = el.edges().iter().map(|e| (e.u, e.v)).collect();
-    let mut seq = DisjointSets::new(2000);
-    for &(a, b) in &edges {
-        seq.union(a, b);
-    }
-    for trial in 0..5 {
-        let par = std::sync::Arc::new(AtomicDisjointSets::new(2000));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let par = std::sync::Arc::clone(&par);
-                let edges = &edges;
-                scope.spawn(move || {
-                    // Interleave differently per thread and trial.
-                    let mut i = (t + trial) % 4;
-                    while i < edges.len() {
-                        let (a, b) = edges[i];
-                        par.union(a, b);
-                        i += 4;
-                    }
-                    // Each thread also applies a disjoint slice fully.
-                    let chunk = edges.len() / 4;
-                    for &(a, b) in &edges[t * chunk..(t + 1) * chunk] {
-                        par.union(a, b);
-                    }
-                });
-            }
-        });
-        // Same-set relation must match on sampled pairs + set count.
-        assert_eq!(par.num_sets(), seq.num_sets(), "trial {trial}");
-        for step in [1usize, 7, 113, 997] {
-            let mut i = 0;
-            while i + step < 2000 {
-                let (a, b) = (i as u32, (i + step) as u32);
-                assert_eq!(
-                    par.find(a) == par.find(b),
-                    seq.find(a) == seq.find(b),
-                    "pair ({a},{b}) trial {trial}"
-                );
-                i += step * 3 + 1;
-            }
-        }
     }
 }
 

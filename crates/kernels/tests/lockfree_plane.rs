@@ -1,20 +1,17 @@
 //! Oracle tests for the lock-free kernel plane (DESIGN.md §5h).
 //!
 //! The determinism contract extends to the atomic variants: the packed
-//! fetch-min election, the lock-free incident counts and the concurrent
-//! DSU must all produce output **byte-identical** to the sequential
-//! reference — for any chunk size, any rayon worker count, and adversarial
-//! weight ties (where the packed fast path is insufficient and the full
-//! edge-key fallback must kick in).
-
-use proptest::prelude::*;
+//! fetch-min election and the lock-free incident counts must produce
+//! output **byte-identical** to the sequential reference — for any chunk
+//! size, any rayon worker count, and adversarial weight ties (where the
+//! packed fast path is insufficient and the full edge-key fallback must
+//! kick in).
 
 use mnd_graph::edgelist::splitmix64;
 use mnd_graph::partition::partition_1d;
 use mnd_graph::{gen, CsrGraph, EdgeList};
 use mnd_kernels::boruvka::local_boruvka_with;
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::dsu::AtomicDisjointSets;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
 use mnd_kernels::scan::min_edge_scan_with;
 use rayon::prelude::*;
@@ -172,62 +169,4 @@ fn force_lockfree_still_runs_several_chunks_on_several_threads() {
     });
     assert!(chunks.into_inner() > 1);
     assert!(threads.into_inner().unwrap().len() > 1);
-}
-
-/// Sequential min-root reference: the semantics `MinDsu` (and the atomic
-/// DSU's union-by-smaller-id orientation) guarantee — every element's
-/// representative is the smallest member of its component, regardless of
-/// union order or interleaving.
-fn min_root_reference(n: u32, ops: &[(u32, u32)]) -> Vec<u32> {
-    let mut parent: Vec<u32> = (0..n).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let gp = parent[parent[x as usize] as usize];
-            parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-    for &(a, b) in ops {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            parent[hi as usize] = lo;
-        }
-    }
-    (0..n).map(|x| find(&mut parent, x)).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Concurrent DSU stress: seeded random union batches executed across a
-    /// swept `RAYON_NUM_THREADS` must land on exactly the components (and
-    /// exactly the min-root representatives) the sequential reference
-    /// computes — for any interleaving the scheduler happens to produce.
-    #[test]
-    fn concurrent_dsu_matches_sequential_min_dsu(
-        n in 2u32..300,
-        seed in 0u64..u64::MAX,
-        ops_len in 1usize..500,
-    ) {
-        let ops: Vec<(u32, u32)> = (0..ops_len)
-            .map(|i| {
-                let s = splitmix64(seed ^ i as u64);
-                ((s % n as u64) as u32, ((s >> 24) % n as u64) as u32)
-            })
-            .collect();
-        let expect = min_root_reference(n, &ops);
-        for threads in ["1", "3", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let d = AtomicDisjointSets::new(n as usize);
-            ops.par_iter().for_each(|&(a, b)| {
-                d.union(a, b);
-            });
-            d.compress_all();
-            let got: Vec<u32> = (0..n).map(|x| d.find(x)).collect();
-            prop_assert_eq!(&got, &expect, "threads={}", threads);
-        }
-        std::env::remove_var("RAYON_NUM_THREADS");
-    }
 }

@@ -6,22 +6,46 @@
 # one and on two threads, and the repo benchmark's own self-tests + smoke
 # walk (benchmark/ is a package of its own that builds against the crates'
 # public API: an API break must fail here, not in the acceptance pipeline),
-# and — in full mode — the bench smoke, the chaos/resilience recovery grids,
-# the checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
+# and — in full mode — the chaos/resilience recovery grids, the
+# checkpoint/serve/comm/emst sweeps, and the benchmark gate: a fresh
+# `benchmark run --seed 42` compared against results/benchmark_baseline.json.
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick  lints + debug tests + the release-mode engine, serve-plane and
 #            kernel-plane tests + benchmark self-tests only: skips the
-#            release build, the criterion smoke, the chaos and resilience
-#            sweeps, the repro sweeps (checkpoint, serve, comm, emst), and
-#            the perf snapshot. This is the PR gate in CI; the full run
-#            gates pushes to main.
+#            release build, the chaos and resilience sweeps, the repro
+#            sweeps (checkpoint, serve, comm, emst) and the benchmark gate.
+#            This is the PR gate in CI; the full run gates pushes to main.
 #
 # Shellcheck-clean: CI lints this file (and every script here) with
 # shellcheck on each PR.
 
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
+
+BENCH=(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --)
+
+# The benchmark gate: `compare BASELINE RESULT`, report in target/. Both
+# files are on seed 42, so `compare` holds the simulated clock to 1 %. It
+# fails on a compare error (exit other than 0 or 1), on a `regressed`
+# sim_time_s, sim_latency_p90_s or failed_frac line, and on a workload
+# missing from RESULT. The host-clock rows (setup_s, wall_s, peak_rss_mb)
+# are printed, not gated: the baseline was not measured on this host.
+bench_gate() {
+  local baseline=$1 result=$2 report=target/bench-compare.txt status=0
+  mkdir -p target
+  "${BENCH[@]}" compare "$baseline" "$result" >"$report" || status=$?
+  cat "$report"
+  if [[ "$status" -gt 1 ]]; then
+    echo "bench gate: compare failed (exit $status)" >&2
+    return 1
+  fi
+  if grep -E ' (sim_time_s|sim_latency_p90_s|failed_frac) .* regressed$|missing from B$' "$report"; then
+    echo "bench gate: the lines above regressed against $baseline" >&2
+    return 1
+  fi
+  echo "bench gate: simulated clock and oracles hold (host-clock rows not gated)"
+}
 
 QUICK=0
 for arg in "$@"; do
@@ -30,7 +54,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -90,15 +114,12 @@ done
 
 echo "==> benchmark self-tests + smoke walk (benchmark/ against the crates' public API)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- smoke
+"${BENCH[@]}" smoke
 
 if [[ "$QUICK" -eq 1 ]]; then
-  echo "verify: OK (quick: skipped release build, bench smoke, chaos/resilience sweeps, repro sweeps, perf snapshot)"
+  echo "verify: OK (quick: skipped release build, chaos/resilience sweeps, repro sweeps, benchmark gate)"
   exit 0
 fi
-
-echo "==> cargo bench (smoke: one sample per bench)"
-cargo bench -p mnd-bench --features criterion-bench -- --test
 
 echo "==> chaos recovery smoke (oracle-verified crash/replay grid)"
 cargo run --release -q -p mnd-bench --bin repro -- \
@@ -124,7 +145,8 @@ echo "==> emst sweep smoke (geometric presets, brute-force EMST oracle)"
 cargo run --release -q -p mnd-bench --bin repro -- \
   --scale 65536 --nodes 4 emst-sweep
 
-echo "==> perf snapshot (BENCH_9.json)"
-cargo run --release -q -p mnd-bench --bin perfsnap -- BENCH_9.json
+echo "==> benchmark gate (run --seed 42 against results/benchmark_baseline.json)"
+"${BENCH[@]}" run --seed 42
+bench_gate results/benchmark_baseline.json benchmark/out/result.json
 
 echo "verify: OK"

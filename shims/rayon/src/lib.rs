@@ -6,8 +6,8 @@
 //! `current_num_threads`).
 //!
 //! Work is executed on `std::thread::scope` threads in contiguous chunks,
-//! so lock-free algorithms (e.g. the atomic union-find election in
-//! `mnd-kernels::parallel`) are exercised under real cross-thread
+//! so lock-free algorithms (e.g. the atomic min-edge election of
+//! `mnd-kernels::boruvka`) are exercised under real cross-thread
 //! interleaving, and results are concatenated in chunk order so
 //! order-preserving combinators match rayon's semantics.
 

@@ -3,7 +3,6 @@
 use mnd::graph::{CsrGraph, EdgeList, WEdge};
 use mnd::kernels::boruvka::boruvka_msf;
 use mnd::kernels::cgraph::{CEdge, CGraph};
-use mnd::kernels::parallel::par_boruvka_msf;
 use mnd::kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd::kernels::{kruskal_msf, local_boruvka, verify_msf, DisjointSets};
 use mnd::mst::MndMstRunner;
@@ -30,12 +29,6 @@ proptest! {
     #[test]
     fn boruvka_always_matches_kruskal(el in arb_edge_list(120, 400)) {
         let msf = boruvka_msf(&el);
-        prop_assert!(verify_msf(&el, &msf).is_ok());
-    }
-
-    #[test]
-    fn parallel_boruvka_always_matches_kruskal(el in arb_edge_list(120, 400)) {
-        let msf = par_boruvka_msf(&el);
         prop_assert!(verify_msf(&el, &msf).is_ok());
     }
 
