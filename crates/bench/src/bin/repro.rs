@@ -111,33 +111,11 @@ fn main() {
         }
     };
 
-    // Host-calibrated holding-plane crossovers, served from the on-disk
-    // per-host cache after the first run (results are policy-invariant;
-    // only host wall-clock changes).
-    ctx.kernel_policy = mnd_device::calibrate_kernel_policy_cached(ctx.seed);
-
     println!(
         "# MND-MST reproduction — scale 1/{}, seed {}, verify {}",
         ctx.scale, ctx.seed, ctx.verify
     );
     println!("(times are simulated seconds at paper scale; see DESIGN.md)");
-    let thr = |t: usize| {
-        if t == usize::MAX {
-            "=seq".to_string() // clamped: parallel never won in calibration
-        } else {
-            format!(">{t}")
-        }
-    };
-    println!(
-        "(kernel policy: election{} [{}] reduce{} count{} [{}] relabel{} chunk={}, cached per host)",
-        thr(ctx.kernel_policy.par_threshold),
-        mnd_device::variant_name(ctx.kernel_policy.election_variant),
-        thr(ctx.kernel_policy.reduce_par_threshold),
-        thr(ctx.kernel_policy.count_par_threshold),
-        mnd_device::variant_name(ctx.kernel_policy.count_variant),
-        thr(ctx.kernel_policy.relabel_par_threshold),
-        ctx.kernel_policy.chunk_rows
-    );
 
     if want("table2") {
         let rows = table2(&ctx);

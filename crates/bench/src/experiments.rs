@@ -16,7 +16,7 @@ use mnd_graph::{CsrGraph, EdgeList};
 use mnd_hypar::observe::ObserverHook;
 use mnd_hypar::HyParConfig;
 use mnd_kernels::oracle::kruskal_msf;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_mst::{MndMstReport, MndMstRunner};
 use mnd_net::Tag;
 use mnd_pregel::{pregel_msf, BspConfig, PregelReport};
@@ -40,11 +40,6 @@ pub struct ExpContext {
     /// Optional observer attached to every MND run's config — the
     /// `--trace` plumbing (see [`crate::trace`]). Unset by default.
     pub observer: ObserverHook,
-    /// Holding-plane kernel policy threaded into every MND run. Defaults
-    /// to the conservative fallback; the `repro` binary installs the
-    /// host-calibrated (disk-cached) policy instead. Never changes
-    /// results — only which kernels take the chunk-parallel path.
-    pub kernel_policy: KernelPolicy,
 }
 
 impl Default for ExpContext {
@@ -54,7 +49,6 @@ impl Default for ExpContext {
             seed: 42,
             verify: true,
             observer: ObserverHook::none(),
-            kernel_policy: KernelPolicy::default(),
         }
     }
 }
@@ -68,9 +62,7 @@ impl ExpContext {
     /// HyPar config carrying the simulation scale (and the context's
     /// observer, when one is attached).
     pub fn hypar(&self) -> HyParConfig {
-        let mut cfg = HyParConfig::default()
-            .with_sim_scale(self.scale as f64)
-            .with_kernel_policy(self.kernel_policy);
+        let mut cfg = HyParConfig::default().with_sim_scale(self.scale as f64);
         cfg.observer = self.observer.clone();
         cfg
     }
@@ -879,7 +871,7 @@ pub fn chaos(ctx: &ExpContext, nranks: usize) -> Vec<ChaosRow> {
 // --------------------------------------------------------------------- //
 
 /// Builds the engine registry at the context's scale: the D&C config
-/// carries the context's observer and kernel policy, and every engine
+/// carries the context's observer, and every engine
 /// shares the platform and simulation scale.
 pub fn engines_for(ctx: &ExpContext, nranks: usize) -> Vec<Box<dyn Engine>> {
     let mut params = EngineParams::new(nranks);

@@ -6,6 +6,7 @@ use mnd_hypar::chaos::ChaosEventKind;
 use mnd_hypar::observe::PhaseKind;
 use mnd_hypar::runtime::ExchangeMonitor;
 use mnd_kernels::cgraph::CompId;
+use mnd_kernels::policy::KernelPolicy;
 use mnd_net::{Comm, Group, Tag};
 
 use crate::phases::{IndComp, Phase, RankCtx, RankRecovery};
@@ -49,7 +50,7 @@ impl HierMerge {
                 let right = g.right_of(me);
                 let cap = cx.runner.segment_cap_bytes();
                 let strategy = cx.runner.segment_strategy;
-                let policy = cx.runner.config.kernel_policy;
+                let policy = KernelPolicy::current();
                 let take = cx.step(PhaseKind::HierMerge, "choose_segment", |cx| {
                     choose_segment_with(&mut cx.cg, cap, strategy, &policy)
                 });

@@ -3,6 +3,7 @@
 
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::CompId;
+use mnd_kernels::policy::KernelPolicy;
 use mnd_kernels::reduce::{
     apply_ghost_parents, ghost_parent_message, ghost_parents_are_chain_free, reduce_holding_with,
 };
@@ -34,7 +35,7 @@ impl Phase for MergeParts {
             // device results may repeat pairs; §3.3 sends each once).
             ghost_parent_message(&mut relabel);
 
-            let policy = cx.runner.config.kernel_policy;
+            let policy = KernelPolicy::current();
             let cfg = cx.cfg();
             let buckets = cx.step(PhaseKind::MergeParts, "relabel_buckets", |cx| {
                 relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size())

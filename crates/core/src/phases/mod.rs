@@ -115,12 +115,8 @@ impl PhaseObserver for PhaseTimesRecorder {
 /// holding + ghost directory, accumulated outputs, and the observation
 /// plumbing.
 pub struct RankCtx<'a> {
-    /// The runner (configuration, platform, cost helpers), with the kernel
-    /// policy of the thread budget the rank currently runs under.
+    /// The runner (configuration, platform, cost helpers).
     pub runner: &'a MndMstRunner,
-    /// The runner as configured — the policy a rank goes by once it has
-    /// more than one kernel thread ([`RankCtx::alone`]).
-    whole_host: &'a MndMstRunner,
     /// Kernel threads of the host the ranks share.
     host_threads: usize,
     /// This rank's communicator.
@@ -159,7 +155,6 @@ impl<'a> RankCtx<'a> {
     /// driver, [`mnd_engine::run_recoverable`]).
     pub fn new(
         runner: &'a MndMstRunner,
-        whole_host: &'a MndMstRunner,
         host_threads: usize,
         comm: &'a Comm,
         el: &'a EdgeList,
@@ -168,7 +163,6 @@ impl<'a> RankCtx<'a> {
     ) -> Self {
         RankCtx {
             runner,
-            whole_host,
             host_threads,
             comm,
             el,
@@ -260,21 +254,13 @@ impl<'a> RankCtx<'a> {
     /// Runs `f` on a rank the others wait for: while only `workers` ranks
     /// have work (the leaders of a merge level, the final rank), each of
     /// them takes the kernel threads of the ranks blocked on it — its
-    /// share of the host becomes `host / workers` threads, under the
-    /// configured policy once that is more than one. Any thread count
+    /// share of the host becomes `host / workers` threads. Any thread count
     /// gives the same bytes (the kernels' determinism contract), so only
     /// the wall clock can tell. The thread cap is the rank's own share
-    /// again when `f` returns or unwinds (the context itself does not
-    /// outlive an unwind: a recovering rank builds a new one).
+    /// again when `f` returns or unwinds.
     pub fn alone<R>(&mut self, workers: usize, f: impl FnOnce(&mut Self) -> R) -> R {
         let threads = (self.host_threads / workers.max(1)).max(1);
-        let share = self.runner;
-        if threads > 1 {
-            self.runner = self.whole_host;
-        }
-        let out = with_kernel_threads(threads, || f(self));
-        self.runner = share;
-        out
+        with_kernel_threads(threads, || f(self))
     }
 
     /// Emits a chaos event (stamped with this rank, the current merge

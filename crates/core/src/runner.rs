@@ -24,7 +24,7 @@ use mnd_graph::EdgeList;
 use mnd_hypar::{HyParConfig, RecursionThresholdSource};
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
-use mnd_kernels::policy::{kernel_threads, with_kernel_threads, KernelPolicy};
+use mnd_kernels::policy::{kernel_threads, with_kernel_threads};
 use mnd_net::{Cluster, Comm, FaultInjector, InjectorHook};
 
 use crate::checkpoint::RankCheckpoint;
@@ -114,22 +114,18 @@ impl MndMstRunner {
 
         // Ranks × kernel threads ≤ cores: the ranks are threads of this
         // process, so each gets its share of the kernel threads, and a rank
-        // left with one runs every sweep on the sequential arm — nothing
-        // can win a parallel section back on a core it shares.
+        // left with one runs every sweep on the sequential arm
+        // ([`KernelPolicy::current`](mnd_kernels::policy::KernelPolicy::current))
+        // — nothing can win a parallel section back on a core it shares.
         // A rank the others wait for takes their share for that stretch
         // ([`RankCtx::alone`]).
         let host = kernel_threads();
         let threads = (host / self.nranks).max(1);
-        let mut ranked = self.clone();
-        if threads == 1 {
-            ranked.config.kernel_policy = KernelPolicy::seq();
-        }
         // The ranks read the edge list themselves (§3.1), one block of
         // them per kernel thread.
         let level0 = Level0::new(self.nranks, host);
-        let outcomes = cluster.run(|comm| {
-            with_kernel_threads(threads, || ranked.rank_main(self, host, comm, el, &level0))
-        });
+        let outcomes = cluster
+            .run(|comm| with_kernel_threads(threads, || self.rank_main(host, comm, el, &level0)));
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;
@@ -181,7 +177,6 @@ impl MndMstRunner {
     /// the shared driver.
     fn rank_main(
         &self,
-        whole_host: &MndMstRunner,
         host_threads: usize,
         comm: &Comm,
         el: &EdgeList,
@@ -195,15 +190,8 @@ impl MndMstRunner {
             self.config.checkpoint_interval,
             self.config.sim_scale,
             |rec| {
-                let mut cx = RankCtx::new(
-                    self,
-                    whole_host,
-                    host_threads,
-                    comm,
-                    el,
-                    level0,
-                    Arc::clone(&recorder),
-                );
+                let mut cx =
+                    RankCtx::new(self, host_threads, comm, el, level0, Arc::clone(&recorder));
                 let mut pipeline: [Box<dyn Phase>; 4] = [
                     Box::new(Partition),
                     Box::new(IndComp::new()),

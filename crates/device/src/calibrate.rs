@@ -4,23 +4,12 @@
 //! we used 5-10 subgraphs), execute each subgraph on both CPU and GPU, find
 //! the performance ratio, and obtain an average of the ratios … In addition
 //! to performance, we also take into account the GPU memory requirements."
-//!
-//! The same measure-then-decide idea drives [`calibrate_kernel_policy`]:
-//! the profitable seq/par crossover and chunk size of the holding-plane
-//! kernels are platform-dependent, so they are timed on synthetic holdings
-//! at startup (wall clock, not the simulated device models) and packaged as
-//! a [`mnd_kernels::policy::KernelPolicy`] for the whole run.
-
-use std::time::Instant;
 
 use mnd_graph::edgelist::splitmix64;
-use mnd_graph::gen;
 use mnd_graph::{CsrGraph, VertexId};
 use mnd_kernels::boruvka::local_boruvka;
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, ParVariant, StopPolicy};
-use mnd_kernels::reduce::reduce_holding_with;
-use mnd_kernels::scan::{min_edge_scan_lockfree, min_edge_scan_par, min_edge_scan_seq};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
 use crate::exec::ExecDevice;
 use crate::model::DeviceModel;
@@ -121,352 +110,6 @@ pub fn calibrate_split(
         gpu_speedup,
         memory_limited,
     }
-}
-
-/// One measured row of the kernel-policy calibration: wall-clock kernel
-/// times on a holding of `rows` edges — sequential, chunk-and-merge per
-/// candidate chunk, and (for classes that have one) the lock-free variant.
-#[derive(Clone, Debug)]
-pub struct CrossoverRow {
-    /// Holding size (edge rows).
-    pub rows: usize,
-    /// Best-of-k sequential kernel time, nanoseconds.
-    pub seq_ns: u64,
-    /// Best-of-k chunk-merge time per `(chunk_rows, ns)` candidate.
-    pub par_ns: Vec<(usize, u64)>,
-    /// Best-of-k lock-free time (at [`LOCKFREE_CHUNK`]); `None` for classes
-    /// without a lock-free implementation (reduce, relabel).
-    pub lockfree_ns: Option<u64>,
-}
-
-impl CrossoverRow {
-    /// The fastest chunk-merge candidate of this row, if any was measured.
-    pub fn best_par(&self) -> Option<(usize, u64)> {
-        self.par_ns.iter().copied().min_by_key(|&(_, ns)| ns)
-    }
-}
-
-/// Output of [`calibrate_kernel_policy`]: the chosen policy plus the raw
-/// measurements (the crossover tables `repro` prints and BENCH snapshots
-/// record).
-#[derive(Clone, Debug)]
-pub struct KernelCalibration {
-    /// The policy the run should use.
-    pub policy: KernelPolicy,
-    /// Election-kernel rows, one per measured holding size, ascending.
-    pub table: Vec<CrossoverRow>,
-    /// Reduction-kernel rows (compaction + sorts), same sizes.
-    pub reduce_table: Vec<CrossoverRow>,
-    /// Incident-count rows, same sizes.
-    pub count_table: Vec<CrossoverRow>,
-    /// Relabel-kernel rows, same sizes.
-    pub relabel_table: Vec<CrossoverRow>,
-}
-
-/// Holding sizes (edge rows) the calibration times.
-pub const CALIBRATION_SIZES: [usize; 5] = [1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16];
-/// Candidate chunk sizes (rows per parallel chunk).
-pub const CALIBRATION_CHUNKS: [usize; 3] = [1024, 4096, 16384];
-/// Chunk the lock-free variants are timed at. With no partial tables and no
-/// merge phase, chunking only load-balances the sweep, so one mid-range
-/// candidate is representative (unlike chunk-merge, where chunk count
-/// multiplies the merge cost).
-pub const LOCKFREE_CHUNK: usize = 4096;
-
-/// Measures the seq / chunk-merge / lock-free crossover of the four
-/// holding-plane kernel classes — the min-edge election every `indComp`
-/// iteration runs, the reduction pass (self/multi-edge compaction with its
-/// sorts), the incident-count tally, and the ghost relabel — on synthetic
-/// G(n,m) holdings, and derives a [`KernelPolicy`]: `chunk_rows` is the
-/// chunk-merge candidate that wins the election at the largest size; each
-/// class picks the parallel variant that is fastest at the largest measured
-/// size among variants that beat sequential somewhere, with the crossover
-/// just below that variant's smallest winning size.
-///
-/// **Clamp rule:** if no parallel variant of a class ever beats sequential
-/// in the measured table, that class's crossover is clamped to
-/// `usize::MAX` — calibration must never select a parallel variant whose
-/// measured speedup is below 1.0 (an `incident_counts` path measured at
-/// 0.58× of sequential came from the old "largest measured size"
-/// fallback, which kept routing unmeasured giant holdings down a losing
-/// path).
-///
-/// Wall-clock timing, best of 3 — noisy by nature, which is fine: the
-/// determinism contract guarantees the *result* is policy-independent, so a
-/// mis-calibrated policy costs only time.
-pub fn calibrate_kernel_policy(seed: u64) -> KernelCalibration {
-    let mut table = Vec::with_capacity(CALIBRATION_SIZES.len());
-    let mut reduce_table = Vec::with_capacity(CALIBRATION_SIZES.len());
-    let mut count_table = Vec::with_capacity(CALIBRATION_SIZES.len());
-    let mut relabel_table = Vec::with_capacity(CALIBRATION_SIZES.len());
-    for &rows in &CALIBRATION_SIZES {
-        // Components ~ rows/4 keeps the winner tables a realistic fraction
-        // of the sweep (degree ~8).
-        let n = (rows / 4).max(16) as VertexId;
-        let mut cg =
-            CGraph::from_edge_list(&gen::gnm(n, rows as u64, splitmix64(seed ^ rows as u64)));
-        let mut row = measure_row(rows, |chunk| {
-            let t = Instant::now();
-            match chunk {
-                None => std::hint::black_box(min_edge_scan_seq(&cg)),
-                Some(c) => std::hint::black_box(min_edge_scan_par(&cg, c)),
-            };
-            t.elapsed().as_nanos() as u64
-        });
-        row.lockfree_ns = Some(best_of(3, || {
-            let t = Instant::now();
-            std::hint::black_box(min_edge_scan_lockfree(&cg, LOCKFREE_CHUNK));
-            t.elapsed().as_nanos() as u64
-        }));
-        table.push(row);
-        reduce_table.push(measure_row(rows, |chunk| {
-            // The reduction mutates; clone outside the timed region.
-            let mut c = cg.clone();
-            let pol = policy_for(chunk);
-            let t = Instant::now();
-            std::hint::black_box(reduce_holding_with(&mut c, &pol));
-            t.elapsed().as_nanos() as u64
-        }));
-        let mut row = measure_row(rows, |chunk| {
-            let pol = policy_for(chunk);
-            let t = Instant::now();
-            std::hint::black_box(cg.incident_counts_with(&pol));
-            t.elapsed().as_nanos() as u64
-        });
-        row.lockfree_ns = Some(best_of(3, || {
-            let pol = KernelPolicy::force_lockfree(LOCKFREE_CHUNK);
-            let t = Instant::now();
-            std::hint::black_box(cg.incident_counts_with(&pol));
-            t.elapsed().as_nanos() as u64
-        }));
-        count_table.push(row);
-        relabel_table.push(measure_row(rows, |chunk| {
-            // Identity relabel: full sweep cost, idempotent, no clone.
-            let mut c = cg.clone();
-            let pol = policy_for(chunk);
-            let t = Instant::now();
-            c.relabel_with(&pol, |id| id);
-            std::hint::black_box(&c);
-            t.elapsed().as_nanos() as u64
-        }));
-    }
-
-    // Winning chunk: fastest chunk-merge election candidate at the largest
-    // size (elections run far more often than the other classes, so the
-    // shared chunk granularity follows them; the lock-free plane is
-    // chunk-insensitive, see [`LOCKFREE_CHUNK`]).
-    let chunk_rows = table
-        .last()
-        .and_then(|r| r.best_par())
-        .map(|(chunk, _)| chunk)
-        .unwrap_or(KernelPolicy::default().chunk_rows);
-    let (election_variant, par_threshold) = class_selection(&table, chunk_rows);
-    let (count_variant, count_par_threshold) = class_selection(&count_table, chunk_rows);
-    // Reduce/relabel have no lock-free variant; selection degenerates to
-    // the chunk-merge crossover (with the same clamp rule).
-    let (_, reduce_par_threshold) = class_selection(&reduce_table, chunk_rows);
-    let (_, relabel_par_threshold) = class_selection(&relabel_table, chunk_rows);
-    let policy = KernelPolicy {
-        par_threshold,
-        reduce_par_threshold,
-        count_par_threshold,
-        relabel_par_threshold,
-        election_variant,
-        count_variant,
-        chunk_rows,
-    };
-    KernelCalibration {
-        policy,
-        table,
-        reduce_table,
-        count_table,
-        relabel_table,
-    }
-}
-
-/// Times one holding size: sequential (`None`) plus every candidate chunk
-/// smaller than the holding.
-fn measure_row(rows: usize, mut run: impl FnMut(Option<usize>) -> u64) -> CrossoverRow {
-    let seq_ns = best_of(3, || run(None));
-    let par_ns = CALIBRATION_CHUNKS
-        .iter()
-        .filter(|&&chunk| chunk < rows)
-        .map(|&chunk| (chunk, best_of(3, || run(Some(chunk)))))
-        .collect();
-    CrossoverRow {
-        rows,
-        seq_ns,
-        par_ns,
-        lockfree_ns: None,
-    }
-}
-
-/// The policy that forces a measurement down one path: sequential for
-/// `None`, all-parallel chunk-merge with the given chunk otherwise.
-fn policy_for(chunk: Option<usize>) -> KernelPolicy {
-    match chunk {
-        None => KernelPolicy::seq(),
-        Some(c) => KernelPolicy::force_par(c),
-    }
-}
-
-/// A parallel time is a *decisive* win over sequential when it is at
-/// least 5% faster. Noise-level wins matter: on a loaded or single-core
-/// host, a losing variant's measurements hover in a 0.95–1.05× band, and
-/// one lucky sample used to unclamp the class — calibration would then
-/// select a variant the kernel sweep measures below 1.0× (the
-/// reduce_holding 0.97× flake the emst CI plane caught), tripping the
-/// committed-baseline gate at random.
-fn decisive(par_ns: u64, seq_ns: u64) -> bool {
-    par_ns.saturating_mul(20) < seq_ns.saturating_mul(19)
-}
-
-/// Variant + crossover for one class's table. A variant is eligible only
-/// if it *decisively* beats sequential at the largest measured size (see
-/// [`decisive`] — routing unmeasured giant holdings down a path that
-/// loses, or noise-ties, at the top of the table is exactly how a 0.58×
-/// `incident_counts` path was once selected). Per eligible variant, the
-/// crossover is one below the smallest measured size where it beats
-/// sequential; the class routes
-/// through whichever eligible variant is fastest at the largest measured
-/// size. If **no** variant is eligible, the crossover clamps to
-/// `usize::MAX`.
-fn class_selection(table: &[CrossoverRow], chunk_rows: usize) -> (ParVariant, usize) {
-    let chunk_ok = table.last().is_some_and(|r| {
-        r.par_ns
-            .iter()
-            .any(|&(c, ns)| c == chunk_rows && decisive(ns, r.seq_ns))
-    });
-    let lf_ok = table
-        .last()
-        .is_some_and(|r| r.lockfree_ns.is_some_and(|ns| decisive(ns, r.seq_ns)));
-    let chunk_win = table
-        .iter()
-        .find(|r| {
-            chunk_ok
-                && r.par_ns
-                    .iter()
-                    .any(|&(c, ns)| c == chunk_rows && ns < r.seq_ns)
-        })
-        .map(|r| r.rows - 1);
-    let lf_win = table
-        .iter()
-        .find(|r| lf_ok && r.lockfree_ns.is_some_and(|ns| ns < r.seq_ns))
-        .map(|r| r.rows - 1);
-    let chunk_last = table
-        .last()
-        .and_then(|r| r.par_ns.iter().find(|&&(c, _)| c == chunk_rows))
-        .map_or(u64::MAX, |&(_, ns)| ns);
-    let lf_last = table.last().and_then(|r| r.lockfree_ns).unwrap_or(u64::MAX);
-    match (chunk_win, lf_win) {
-        (None, None) => (ParVariant::LockFree, usize::MAX), // clamp: nothing wins
-        (Some(t), None) => (ParVariant::ChunkMerge, t),
-        (None, Some(t)) => (ParVariant::LockFree, t),
-        (Some(tc), Some(tl)) => {
-            if lf_last <= chunk_last {
-                (ParVariant::LockFree, tl)
-            } else {
-                (ParVariant::ChunkMerge, tc)
-            }
-        }
-    }
-}
-
-/// [`calibrate_kernel_policy`] behind an on-disk cache: the measured
-/// thresholds depend only on the machine, not the run, so repeated harness
-/// invocations (every `repro` subcommand, every benchmark) reuse the first
-/// run's numbers instead of re-timing ~60 kernel sweeps. The cache key is
-/// hostname + available parallelism; the file is a `key=value` snapshot of
-/// the seven policy fields in the system temp directory. Any IO or parse
-/// problem — including stale pre-lock-free snapshots missing the variant
-/// fields — falls back to measuring (and best-effort rewrites the file), so
-/// the cache can never fail a run, only speed it up.
-pub fn calibrate_kernel_policy_cached(seed: u64) -> KernelPolicy {
-    let path = kernel_policy_cache_path();
-    if let Some(policy) = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| parse_policy_cache(&text))
-    {
-        return policy;
-    }
-    let policy = calibrate_kernel_policy(seed).policy;
-    let _ = std::fs::write(&path, render_policy_cache(&policy));
-    policy
-}
-
-/// The `key=value` snapshot [`calibrate_kernel_policy_cached`] writes.
-fn render_policy_cache(policy: &KernelPolicy) -> String {
-    format!(
-        "par_threshold={}\nreduce_par_threshold={}\ncount_par_threshold={}\n\
-         relabel_par_threshold={}\nchunk_rows={}\nelection_variant={}\ncount_variant={}\n",
-        policy.par_threshold,
-        policy.reduce_par_threshold,
-        policy.count_par_threshold,
-        policy.relabel_par_threshold,
-        policy.chunk_rows,
-        variant_name(policy.election_variant),
-        variant_name(policy.count_variant),
-    )
-}
-
-/// Stable cache/snapshot spelling of a parallel-variant choice.
-pub fn variant_name(v: ParVariant) -> &'static str {
-    match v {
-        ParVariant::ChunkMerge => "chunk-merge",
-        ParVariant::LockFree => "lockfree",
-    }
-}
-
-fn parse_variant(s: &str) -> Option<ParVariant> {
-    match s {
-        "chunk-merge" => Some(ParVariant::ChunkMerge),
-        "lockfree" => Some(ParVariant::LockFree),
-        _ => None,
-    }
-}
-
-/// Where the kernel-policy cache for this host/thread-count lives.
-fn kernel_policy_cache_path() -> std::path::PathBuf {
-    let host = std::fs::read_to_string("/etc/hostname")
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .or_else(|| std::env::var("HOSTNAME").ok())
-        .unwrap_or_else(|| "unknown".to_string());
-    let host: String = host
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::env::temp_dir().join(format!("mnd-kernel-policy-{host}-t{threads}.txt"))
-}
-
-/// Parses a cache snapshot; `None` unless all seven fields parse (a
-/// pre-lock-free four-field snapshot therefore self-heals by re-measuring).
-fn parse_policy_cache(text: &str) -> Option<KernelPolicy> {
-    let mut policy = KernelPolicy::default();
-    let mut seen = 0u8;
-    for line in text.lines() {
-        let (key, value) = line.split_once('=')?;
-        let value = value.trim();
-        match key.trim() {
-            "par_threshold" => policy.par_threshold = value.parse().ok()?,
-            "reduce_par_threshold" => policy.reduce_par_threshold = value.parse().ok()?,
-            "count_par_threshold" => policy.count_par_threshold = value.parse().ok()?,
-            "relabel_par_threshold" => policy.relabel_par_threshold = value.parse().ok()?,
-            "chunk_rows" => policy.chunk_rows = value.parse().ok()?,
-            "election_variant" => policy.election_variant = parse_variant(value)?,
-            "count_variant" => policy.count_variant = parse_variant(value)?,
-            _ => continue,
-        }
-        seen += 1;
-    }
-    (seen == 7).then_some(policy)
-}
-
-/// Smallest of `k` samples of `f` (classic micro-benchmark noise floor).
-fn best_of(k: usize, mut f: impl FnMut() -> u64) -> u64 {
-    (0..k).map(|_| f()).min().unwrap_or(u64::MAX)
 }
 
 /// How many rounds of local work a recursion round's fixed cost must be
@@ -630,173 +273,6 @@ mod tests {
             "cpu_fraction {}",
             split.cpu_fraction
         );
-    }
-
-    #[test]
-    fn kernel_policy_calibration_is_well_formed() {
-        let cal = calibrate_kernel_policy(7);
-        for (table, has_lockfree) in [
-            (&cal.table, true),
-            (&cal.reduce_table, false),
-            (&cal.count_table, true),
-            (&cal.relabel_table, false),
-        ] {
-            assert_eq!(table.len(), CALIBRATION_SIZES.len());
-            for (row, &rows) in table.iter().zip(&CALIBRATION_SIZES) {
-                assert_eq!(row.rows, rows);
-                assert!(row.seq_ns > 0);
-                // Every candidate chunk below the holding was measured.
-                let expect = CALIBRATION_CHUNKS.iter().filter(|&&c| c < rows).count();
-                assert_eq!(row.par_ns.len(), expect);
-                assert_eq!(row.lockfree_ns.is_some(), has_lockfree);
-            }
-        }
-        // The chosen chunk is one of the candidates, and every class
-        // threshold is either just below a measured size or clamped all
-        // the way out (never the old "largest measured size" fallback,
-        // which extrapolated a losing variant onto unmeasured holdings).
-        assert!(CALIBRATION_CHUNKS.contains(&cal.policy.chunk_rows));
-        for threshold in [
-            cal.policy.par_threshold,
-            cal.policy.reduce_par_threshold,
-            cal.policy.count_par_threshold,
-            cal.policy.relabel_par_threshold,
-        ] {
-            assert!(
-                threshold == usize::MAX || CALIBRATION_SIZES.contains(&(threshold + 1)),
-                "threshold {threshold}"
-            );
-        }
-    }
-
-    /// A synthetic crossover row: `lockfree_ns: None` unless provided.
-    fn row(
-        rows: usize,
-        seq_ns: u64,
-        par_ns: Vec<(usize, u64)>,
-        lockfree_ns: Option<u64>,
-    ) -> CrossoverRow {
-        CrossoverRow {
-            rows,
-            seq_ns,
-            par_ns,
-            lockfree_ns,
-        }
-    }
-
-    /// Satellite-1 regression: a class whose parallel variants lose at
-    /// every measured size must be clamped to `usize::MAX`, not handed the
-    /// old "largest measured size" threshold that still routed unmeasured
-    /// giant holdings down the losing path (a 0.58× `incident_counts` row
-    /// once did).
-    #[test]
-    fn class_selection_clamps_when_parallel_never_wins() {
-        let table = vec![
-            row(4096, 100, vec![(1024, 180)], Some(150)),
-            row(65536, 1000, vec![(1024, 1700)], Some(1200)),
-        ];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::LockFree, usize::MAX)
-        );
-        // Same clamp for a class with no lock-free variant at all.
-        let table = vec![row(4096, 100, vec![(1024, 180)], None)];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::LockFree, usize::MAX)
-        );
-    }
-
-    /// A noise-level "win" (within 5% of sequential) at the largest size
-    /// must not unclamp a class: losing variants measure in a 0.95–1.05×
-    /// band on loaded hosts, and one lucky sample used to hand them a
-    /// crossover — then the kernel sweep measured them below 1.0× and the
-    /// bench gate failed at random.
-    #[test]
-    fn class_selection_ignores_noise_level_wins() {
-        // Chunk-merge "wins" 990 vs 1000 at the top — a 1% hair, clamp.
-        let table = vec![
-            row(4096, 100, vec![(1024, 99)], None),
-            row(65536, 1000, vec![(1024, 990)], None),
-        ];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::LockFree, usize::MAX)
-        );
-        // A decisive 20% win at the top keeps the early crossover.
-        let table = vec![
-            row(4096, 100, vec![(1024, 99)], None),
-            row(65536, 1000, vec![(1024, 800)], None),
-        ];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::ChunkMerge, 4095)
-        );
-        // Same rule for the lock-free variant.
-        let table = vec![
-            row(4096, 100, vec![(1024, 150)], Some(99)),
-            row(65536, 1000, vec![(1024, 1500)], Some(980)),
-        ];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::LockFree, usize::MAX)
-        );
-    }
-
-    #[test]
-    fn class_selection_picks_the_winning_variant_and_crossover() {
-        // Lock-free starts winning at 8192; chunk-merge never does.
-        let table = vec![
-            row(4096, 100, vec![(1024, 180)], Some(150)),
-            row(8192, 300, vec![(1024, 400)], Some(200)),
-        ];
-        assert_eq!(class_selection(&table, 1024), (ParVariant::LockFree, 8191));
-        // Chunk-merge wins earlier but lock-free is faster at the largest
-        // size, so lock-free is chosen with *its own* crossover.
-        let table = vec![
-            row(4096, 100, vec![(1024, 80)], Some(150)),
-            row(8192, 300, vec![(1024, 250)], Some(200)),
-        ];
-        assert_eq!(class_selection(&table, 1024), (ParVariant::LockFree, 8191));
-        // ... and chunk-merge is kept when it stays fastest at the top.
-        let table = vec![
-            row(4096, 100, vec![(1024, 80)], Some(150)),
-            row(8192, 300, vec![(1024, 250)], Some(280)),
-        ];
-        assert_eq!(
-            class_selection(&table, 1024),
-            (ParVariant::ChunkMerge, 4095)
-        );
-    }
-
-    #[test]
-    fn policy_cache_round_trips_and_rejects_partial_snapshots() {
-        let p = KernelPolicy {
-            par_threshold: 8191,
-            reduce_par_threshold: 16383,
-            count_par_threshold: usize::MAX, // the clamp must survive the cache
-            relabel_par_threshold: 65536,
-            election_variant: ParVariant::LockFree,
-            count_variant: ParVariant::ChunkMerge,
-            chunk_rows: 4096,
-        };
-        assert_eq!(parse_policy_cache(&render_policy_cache(&p)), Some(p));
-        assert_eq!(parse_policy_cache("par_threshold=1\n"), None);
-        assert_eq!(parse_policy_cache("par_threshold=banana\n"), None);
-        assert_eq!(parse_policy_cache("election_variant=spinlock\n"), None);
-        assert_eq!(parse_policy_cache(""), None);
-        // A stale pre-lock-free four-field snapshot self-heals (re-measures).
-        let stale =
-            "par_threshold=1\nreduce_par_threshold=2\nrelabel_par_threshold=3\nchunk_rows=4\n";
-        assert_eq!(parse_policy_cache(stale), None);
-    }
-
-    #[test]
-    fn policy_cache_path_is_host_and_thread_keyed() {
-        let path = kernel_policy_cache_path();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(name.starts_with("mnd-kernel-policy-"), "{name}");
-        assert!(name.contains("-t"), "{name}");
     }
 
     #[test]

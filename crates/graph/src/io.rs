@@ -16,6 +16,12 @@ use crate::types::{VertexId, WEdge};
 const MAGIC: &[u8; 8] = b"MNDG\0\0\0\x01";
 /// Bytes per binary edge record: u32 u, u32 v, u32 w.
 const RECORD: u64 = 12;
+/// Bytes before the first binary record: magic, vertex count, edge count.
+const HEADER: u64 = 8 + 4 + 8;
+/// Records a streaming read reserves room for up front. The header's edge
+/// count is only a claim until the records arrive, so a larger list grows
+/// as they do.
+const MAX_PREALLOC: u64 = 1 << 20;
 
 /// Writes the text format.
 pub fn write_text<W: Write>(el: &EdgeList, out: W) -> io::Result<()> {
@@ -55,12 +61,18 @@ pub fn read_text<R: Read>(input: R) -> io::Result<EdgeList> {
         edges.push(WEdge::new(u, v, w));
     }
     let n = num_vertices.ok_or_else(|| bad("missing vertex count line"))?;
-    for e in &edges {
-        if e.v >= n {
-            return Err(bad(&format!("edge {e:?} exceeds vertex count {n}")));
-        }
+    for &e in &edges {
+        in_range(e, n)?;
     }
     Ok(EdgeList::from_raw(n, edges))
+}
+
+/// `e` if both its endpoints are vertices of an `n`-vertex graph.
+fn in_range(e: WEdge, n: VertexId) -> io::Result<WEdge> {
+    if e.v >= n {
+        return Err(bad(&format!("edge {e:?} exceeds vertex count {n}")));
+    }
+    Ok(e)
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> io::Result<T> {
@@ -88,11 +100,11 @@ pub fn write_binary<W: Write>(el: &EdgeList, out: W) -> io::Result<()> {
 /// Reads the whole binary file.
 pub fn read_binary<R: Read>(mut input: R) -> io::Result<EdgeList> {
     let (n, m) = read_binary_header(&mut input)?;
-    let mut edges = Vec::with_capacity(m as usize);
+    let mut edges = Vec::with_capacity(m.min(MAX_PREALLOC) as usize);
     let mut buf = [0u8; RECORD as usize];
     for _ in 0..m {
         input.read_exact(&mut buf)?;
-        edges.push(decode(&buf));
+        edges.push(in_range(decode(&buf), n)?);
     }
     Ok(EdgeList::from_raw(n, edges))
 }
@@ -122,18 +134,25 @@ pub fn read_binary_slice<P: AsRef<Path>>(
     assert!(rank < nranks && nranks >= 1);
     let mut f = std::fs::File::open(path)?;
     let (n, m) = read_binary_header(&mut f)?;
+    // The records must be there before any is reserved room for.
+    let len = f.metadata()?.len();
+    let need = m.checked_mul(RECORD).and_then(|b| b.checked_add(HEADER));
+    if need.is_none_or(|need| need > len) {
+        return Err(bad(&format!(
+            "header claims {m} edges, more than the file's {len} bytes hold"
+        )));
+    }
     let per = m / nranks as u64;
     let extra = m % nranks as u64;
     // First `extra` ranks take one extra record.
     let start = rank as u64 * per + (rank as u64).min(extra);
     let count = per + if (rank as u64) < extra { 1 } else { 0 };
-    let header = (MAGIC.len() + 4 + 8) as u64;
-    f.seek(SeekFrom::Start(header + start * RECORD))?;
+    f.seek(SeekFrom::Start(HEADER + start * RECORD))?;
     let mut out = Vec::with_capacity(count as usize);
     let mut buf = [0u8; RECORD as usize];
     for _ in 0..count {
         f.read_exact(&mut buf)?;
-        out.push(decode(&buf));
+        out.push(in_range(decode(&buf), n)?);
     }
     Ok((n, out))
 }
@@ -186,6 +205,53 @@ mod tests {
     fn binary_rejects_wrong_magic() {
         let buf = b"NOTGRAPH........".to_vec();
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    /// A binary file: the header claims `n` vertices and `m` edges, then
+    /// `records` follow.
+    fn binary_file(n: VertexId, m: u64, records: &[(u32, u32, u32)]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend(n.to_le_bytes());
+        buf.extend(m.to_le_bytes());
+        for &(u, v, w) in records {
+            buf.extend(u.to_le_bytes());
+            buf.extend(v.to_le_bytes());
+            buf.extend(w.to_le_bytes());
+        }
+        buf
+    }
+
+    fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("mnd_io_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn binary_rejects_a_header_claiming_more_edges_than_the_file_holds() {
+        for m in [1 << 40, u64::MAX] {
+            let bytes = binary_file(4, m, &[(0, 1, 1)]);
+            assert!(read_binary(&bytes[..]).is_err(), "m={m}");
+            let path = temp_file(&format!("oversized-{m}.bin"), &bytes);
+            let err = read_binary_slice(&path, 0, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "m={m}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn binary_rejects_out_of_range_edges() {
+        let bytes = binary_file(3, 2, &[(0, 1, 1), (2, 5, 1)]);
+        let err = read_binary(&bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let path = temp_file("out-of-range.bin", &bytes);
+        assert!(read_binary_slice(&path, 0, 1).is_err());
+        // The bad record is in rank 1's slice only.
+        assert!(read_binary_slice(&path, 0, 2).is_ok());
+        assert!(read_binary_slice(&path, 1, 2).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn ind_comp(
     // holdings (late merge levels) skip the GPU — kernel launches and PCIe
     // transfers would outweigh the scan they accelerate.
     let paper_edges = cg.num_edges() as f64 * cfg.sim_scale;
-    let policy = &cfg.kernel_policy;
+    let policy = &KernelPolicy::current();
     let gpu_model = match gpu_model {
         Some(g) if split.cpu_fraction < 0.999 && cg.num_resident() >= 2 && paper_edges > 2e6 => g,
         _ => {
@@ -265,7 +265,7 @@ pub fn post_process(
     // Only a GPU's estimate reads the skew (the run below measures its
     // own, if it lands on one).
     let skew = match platform.gpu {
-        Some(_) => ExecDevice::holding_skew_with(cg, &cfg.kernel_policy),
+        Some(_) => ExecDevice::holding_skew_with(cg, &KernelPolicy::current()),
         None => 0.0,
     };
     let cpu_model = platform.cpu.clone().scaled(cfg.sim_scale);
@@ -290,7 +290,7 @@ pub fn post_process(
     let mut dev = ExecDevice::new(model);
     let run = dev.run_ind_comp_with(
         cg,
-        &cfg.kernel_policy,
+        &KernelPolicy::current(),
         ExcpCond::None,
         FreezePolicy::Sticky,
         StopPolicy::Exhaustive,

@@ -1,6 +1,6 @@
 //! HyPar runtime configuration (§4.3).
 
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
 use crate::chaos::ChaosHook;
 use crate::observe::ObserverHook;
@@ -64,18 +64,6 @@ pub struct HyParConfig {
     pub max_exchange_rounds: usize,
     /// Deterministic seed for calibration sampling.
     pub seed: u64,
-    /// Seq/par crossover, parallel-variant choice (chunk-merge vs the
-    /// lock-free atomic plane) and chunk size for the holding-plane
-    /// kernels (election, reductions, relabels, incident counts).
-    /// Populate from `mnd_device::calibrate_kernel_policy` for measured
-    /// numbers — it times all three paths per class and clamps a class
-    /// whose parallel variants never win to sequential-only; the default
-    /// is a conservative uncalibrated fallback. Results never depend on
-    /// this — only wall-clock does. The thresholds apply when a rank has
-    /// more than one kernel thread: `mnd-mst` shares the host's threads
-    /// between its ranks, and a rank left with one takes the sequential
-    /// arm of every sweep whatever this says.
-    pub kernel_policy: KernelPolicy,
     /// Optional phase observer: fired by the driver at every phase boundary
     /// with the phase's time/traffic sample (see [`crate::observe`]).
     pub observer: ObserverHook,
@@ -129,7 +117,6 @@ impl Default for HyParConfig {
             sim_scale: 1.0,
             max_exchange_rounds: 8,
             seed: 0x4D4E_442D,
-            kernel_policy: KernelPolicy::default(),
             observer: ObserverHook::none(),
             chaos: ChaosHook::none(),
             sparse_exchange: true,
@@ -162,13 +149,6 @@ impl HyParConfig {
     /// vs. platform-calibrated break-even).
     pub fn with_recursion_threshold_source(mut self, source: RecursionThresholdSource) -> Self {
         self.recursion_threshold_source = source;
-        self
-    }
-
-    /// Sets the holding-plane kernel policy (typically from
-    /// `mnd_device::calibrate_kernel_policy`).
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
         self
     }
 

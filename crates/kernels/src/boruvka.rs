@@ -56,9 +56,7 @@ use rayon::prelude::*;
 use crate::cgraph::{CGraph, CompId, GHOST};
 use crate::lockfree::{fetch_min_edge, min_edge, pack, row_of, NONE_KEY};
 use crate::msf::MsfResult;
-use crate::policy::{
-    ExcpCond, FreezePolicy, IterWork, KernelClass, KernelPolicy, StopPolicy, WorkProfile,
-};
+use crate::policy::{ExcpCond, FreezePolicy, IterWork, KernelPolicy, StopPolicy, WorkProfile};
 
 /// Output of one `indComp` invocation on a holding.
 #[derive(Clone, Debug, Default)]
@@ -124,7 +122,6 @@ pub fn local_boruvka_with(
     // Freeze marks surviving from a previous invocation stay sticky.
     let frozen: Vec<AtomicBool> = cg.frozen_marks().into_iter().map(AtomicBool::new).collect();
     let sticky = freeze == FreezePolicy::Sticky;
-    let shared = |rows: usize| policy.use_par_for(KernelClass::Election, rows);
     let mut sweep = Sweep {
         table: &table,
         frozen: &frozen,
@@ -133,7 +130,7 @@ pub fn local_boruvka_with(
         whole: excp == ExcpCond::None,
         prefreeze: excp == ExcpCond::BorderVertex,
         elect: true,
-        shared: shared(rows),
+        shared: policy.use_par(rows),
     };
 
     // Round 1's sweep builds the worklist: it scans every holding row,
@@ -227,7 +224,7 @@ pub fn local_boruvka_with(
         // A stopping kernel still sheds the self edges it just made.
         sweep.elect = prev_cost.is_none_or(|prev| stop.should_continue(prev, scanned));
         prev_cost = Some(scanned);
-        sweep.shared = shared(live.len());
+        sweep.shared = policy.use_par(live.len());
         let root = |end: u32| if end == GHOST { end } else { dsu.find(end) };
         sweep.run(&mut live, |_, r| LiveRow {
             a: root(r.a),
@@ -845,11 +842,11 @@ mod tests {
             for stop in stops {
                 let mut expect_cg = base.clone();
                 let expect = reference::local_boruvka(&mut expect_cg, excp, freeze, stop);
-                for policy in [
-                    KernelPolicy::seq(),
-                    KernelPolicy::force_par(7),
-                    KernelPolicy::force_lockfree(7),
-                ] {
+                let forced = KernelPolicy {
+                    par_threshold: 0,
+                    chunk_rows: 7,
+                };
+                for policy in [KernelPolicy::seq(), forced] {
                     let mut got_cg = base.clone();
                     let got = local_boruvka_with(&mut got_cg, &policy, excp, freeze, stop);
                     let tag = format!("{tag} {excp:?}/{freeze:?}/{stop:?} {policy:?}");

@@ -76,7 +76,7 @@ use rayon::prelude::*;
 
 use crate::index_table::{self, pair_key};
 use crate::lockfree::{as_atomic_u64, SlotLookup};
-use crate::policy::{KernelClass, KernelPolicy, ParVariant};
+use crate::policy::KernelPolicy;
 
 /// A component identifier. Components are named by the smallest original
 /// vertex they contain, so ids stay globally consistent without any central
@@ -233,7 +233,7 @@ fn remap_rows(
             }
         }
     };
-    if policy.use_par_for(KernelClass::Relabel, ea.len()) {
+    if policy.use_par(ea.len()) {
         let chunk = policy.chunk_rows.max(1);
         let pairs: Vec<(&mut [CompId], &mut [CompId])> =
             ea.chunks_mut(chunk).zip(eb.chunks_mut(chunk)).collect();
@@ -718,7 +718,7 @@ impl CGraph {
         keep: impl Fn(&Self, usize) -> bool + Sync,
     ) {
         let n = self.ea.len();
-        if !policy.use_par_for(KernelClass::Reduce, n) {
+        if !policy.use_par(n) {
             self.compact_rows(keep);
             return;
         }
@@ -833,7 +833,7 @@ impl CGraph {
         }
         self.cut.take();
         let mut records: Vec<Record> = (0..n).map(|i| self.record(i)).collect();
-        if policy.use_par_for(KernelClass::Reduce, n) {
+        if policy.use_par(n) {
             records.par_sort_unstable_by_key(|&r| r);
         } else {
             records.sort_unstable();
@@ -856,63 +856,39 @@ impl CGraph {
     /// per-endpoint tally). The column lives in reusable scratch so the
     /// repeated callers — device splitting, skew estimation, segment
     /// choice — stop rebuilding a hash map per call, and every path
-    /// resolves slots through the holding's resolver. Above the `Count`
-    /// crossover the tally follows the policy's count variant: lock-free
-    /// `fetch_add`s straight into the scratch column (viewed atomically)
-    /// or the chunked reduction whose per-chunk partial counts are summed
-    /// in chunk order. Additions commute, so every path is byte-identical.
+    /// resolves slots through the holding's resolver. Above the policy's
+    /// threshold the tally is lock-free `fetch_add`s from row chunks
+    /// straight into the scratch column (viewed atomically). Additions
+    /// commute, so both paths are byte-identical.
     pub fn incident_counts_with(&mut self, policy: &KernelPolicy) -> &[u64] {
         let n = self.resident.len();
         let rows = self.ea.len();
         let mut counts = std::mem::take(&mut self.counts);
         counts.clear();
         counts.resize(n, 0);
-        let tally = |range: (usize, usize), counts: &mut [u64]| {
-            for i in range.0..range.1 {
+        if policy.use_par(rows) {
+            let slots = as_atomic_u64(&mut counts);
+            policy
+                .chunk_ranges(rows)
+                .into_par_iter()
+                .for_each(|(lo, hi)| {
+                    for i in lo..hi {
+                        for c in [self.ea[i], self.eb[i]] {
+                            if let Some(slot) = self.slot_of(c) {
+                                slots[slot as usize]
+                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+        } else {
+            for i in 0..rows {
                 for c in [self.ea[i], self.eb[i]] {
                     if let Some(slot) = self.slot_of(c) {
                         counts[slot as usize] += 1;
                     }
                 }
             }
-        };
-        if policy.use_par_for(KernelClass::Count, rows) {
-            match policy.variant_for(KernelClass::Count) {
-                ParVariant::LockFree => {
-                    let slots = as_atomic_u64(&mut counts);
-                    policy
-                        .chunk_ranges(rows)
-                        .into_par_iter()
-                        .for_each(|(lo, hi)| {
-                            for i in lo..hi {
-                                for c in [self.ea[i], self.eb[i]] {
-                                    if let Some(slot) = self.slot_of(c) {
-                                        slots[slot as usize]
-                                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        });
-                }
-                ParVariant::ChunkMerge => {
-                    let partials: Vec<Vec<u64>> = policy
-                        .chunk_ranges(rows)
-                        .into_par_iter()
-                        .map(|range| {
-                            let mut part = vec![0u64; n];
-                            tally(range, &mut part);
-                            part
-                        })
-                        .collect();
-                    for part in partials {
-                        for (dst, v) in counts.iter_mut().zip(part) {
-                            *dst += v;
-                        }
-                    }
-                }
-            }
-        } else {
-            tally((0, rows), &mut counts);
         }
         self.counts = counts;
         &self.counts

@@ -17,10 +17,11 @@
 //!   edge is a cut edge,
 //! * [`reduce`] — self-edge and multi-edge removal (§3.3),
 //! * [`scan`] — the standalone min-edge election over the holding's SoA
-//!   columns, sequential and rayon-chunked,
+//!   columns, sequential and lock-free chunked,
 //! * [`binning`] — degree-binned adjacency scheduling (the "hierarchical
 //!   strategy for processing adjacency lists" of §3.5),
-//! * [`policy`] — the diminishing-benefits stop policy (§4.3.2),
+//! * [`policy`] — the seq/par kernel policy and the diminishing-benefits
+//!   stop policy (§4.3.2),
 //! * [`msf`] — result types and validity checking.
 
 pub mod binning;
@@ -42,7 +43,5 @@ pub use dsu::DisjointSets;
 pub use filter::{filter_edge_list, filter_holding, FilterStats};
 pub use msf::{verify_msf, MsfResult};
 pub use oracle::kruskal_msf;
-pub use policy::{ExcpCond, KernelClass, KernelPolicy, ParVariant, StopPolicy};
-pub use scan::{
-    min_edge_scan, min_edge_scan_lockfree, min_edge_scan_par, min_edge_scan_seq, min_edge_scan_with,
-};
+pub use policy::{ExcpCond, KernelPolicy, StopPolicy};
+pub use scan::{min_edge_scan, min_edge_scan_with};

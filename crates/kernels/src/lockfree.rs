@@ -1,11 +1,10 @@
 //! Lock-free kernel-plane primitives: packed `(weight << 32) | row` atomic
 //! words, the CAS fetch-min loop, and O(1) resident-slot lookup.
 //!
-//! The chunk-and-merge parallel plane (PR 3) pays for its determinism with
-//! per-chunk winner tables and a merge pass per chunk. The lock-free plane
-//! removes both: every resident slot owns one `AtomicU64` holding the packed
-//! key of its current winner, and workers race CAS fetch-min loops against
-//! it — the shared-memory design of the SNIPPETS.md exemplars (abarankab's
+//! A parallel election needs no per-chunk winner tables and no merge pass:
+//! every resident slot owns one `AtomicU64` holding the packed key of its
+//! current winner, and workers race CAS fetch-min loops against it — the
+//! shared-memory design of the SNIPPETS.md exemplars (abarankab's
 //! `encode_edge(id, weight)`, pashagoose's `chippestEdgeOut`).
 //!
 //! ## Why the result is still byte-identical to sequential
@@ -193,6 +192,119 @@ mod tests {
         let slot = AtomicU64::new(pack(4, 0));
         fetch_min_edge(&slot, pack(4, 1), &orig_of);
         assert_eq!(slot.load(Ordering::Relaxed), pack(4, 1));
+    }
+
+    /// Calls `visit` with every permutation of `0..n` (Heap's algorithm).
+    fn for_each_permutation(n: usize, mut visit: impl FnMut(&[usize])) {
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut c = vec![0; n];
+        visit(&perm);
+        let mut i = 1;
+        while i < n {
+            if c[i] < i {
+                perm.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                visit(&perm);
+                c[i] += 1;
+                i = 1;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// Each offer is one linearisable operation on one word, so the
+    /// outcomes any thread interleaving can reach are exactly those of the
+    /// sequential offer orders. A row offers itself to both of its slots, as
+    /// the election sweeps do; every order of the offers one slot sees is
+    /// the restriction of some row order, and slots are independent words —
+    /// so walking all 8! row orders covers every interleaving. In each, every
+    /// slot must end on its `((w, u, v), row)` minimum, through the CAS loop
+    /// and through the single-writer store alike.
+    #[test]
+    fn every_offer_order_elects_the_minimum() {
+        /// Eight rows: both endpoint slots and the original edge.
+        type Rows = [(usize, usize, WEdge); 8];
+        type Offer<'a> = &'a dyn Fn(&AtomicU64, u64);
+        let e = WEdge::new;
+        let cases: [(&str, Rows); 3] = [
+            (
+                "distinct weights",
+                [
+                    (0, 1, e(0, 1, 17)),
+                    (1, 2, e(1, 2, 3)),
+                    (2, 3, e(2, 3, 11)),
+                    (0, 3, e(0, 3, 2)),
+                    (0, 2, e(0, 2, 29)),
+                    (1, 3, e(1, 3, 7)),
+                    (2, 4, e(2, 4, 5)),
+                    (3, 4, e(3, 4, 13)),
+                ],
+            ),
+            (
+                // Later rows carry smaller `(u, v)`: the packed order alone
+                // would elect wrongly everywhere.
+                "all weights equal",
+                [
+                    (0, 1, e(7, 8, 4)),
+                    (1, 2, e(6, 7, 4)),
+                    (2, 3, e(5, 6, 4)),
+                    (0, 3, e(4, 5, 4)),
+                    (0, 2, e(3, 4, 4)),
+                    (1, 3, e(2, 3, 4)),
+                    (2, 4, e(1, 2, 4)),
+                    (3, 4, e(0, 1, 4)),
+                ],
+            ),
+            (
+                // Six rows between slots 0 and 1: weight ties, edge-key
+                // ties and two copies of one original edge (row decides).
+                "parallel rows",
+                [
+                    (0, 1, e(5, 9, 6)),
+                    (0, 1, e(2, 9, 6)),
+                    (0, 1, e(2, 8, 6)),
+                    (0, 1, e(2, 8, 6)),
+                    (0, 1, e(1, 3, 9)),
+                    (1, 2, e(1, 4, 6)),
+                    (0, 1, e(0, 7, 6)),
+                    (2, 0, e(0, 6, 6)),
+                ],
+            ),
+        ];
+        for (name, rows) in cases {
+            let orig_of = |r: u32| rows[r as usize].2;
+            let want: Vec<u64> = (0..5)
+                .map(|slot| {
+                    (0..rows.len() as u32)
+                        .filter(|&r| rows[r as usize].0 == slot || rows[r as usize].1 == slot)
+                        .min_by_key(|&r| (orig_of(r), r))
+                        .map_or(NONE_KEY, |r| pack(orig_of(r).w, r))
+                })
+                .collect();
+            let offers: [(&str, Offer); 2] = [
+                ("fetch_min_edge", &|slot, key| {
+                    fetch_min_edge(slot, key, &orig_of)
+                }),
+                ("min_edge", &|slot, key| min_edge(slot, key, &orig_of)),
+            ];
+            for (offer_name, offer) in offers {
+                let mut orders = 0;
+                for_each_permutation(rows.len(), |order| {
+                    let slots: Vec<AtomicU64> = (0..5).map(|_| AtomicU64::new(NONE_KEY)).collect();
+                    for &r in order {
+                        let (a, b, orig) = rows[r];
+                        let key = pack(orig.w, r as u32);
+                        offer(&slots[a], key);
+                        offer(&slots[b], key);
+                    }
+                    let got: Vec<u64> = slots.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+                    assert_eq!(got, want, "{name} via {offer_name}, order {order:?}");
+                    orders += 1;
+                });
+                assert_eq!(orders, 40_320, "{name}: all 8! orders");
+            }
+        }
     }
 
     #[test]

@@ -4,92 +4,38 @@
 //! [`KernelPolicy`] governs the *parallel holding plane*: every hot sweep
 //! over a holding's SoA columns — min-edge election, permutation sorts,
 //! compaction, ghost relabels, incident-count reductions — consults it to
-//! decide sequential vs. rayon-chunked execution and, above the crossover,
-//! which chunk size to use. The numbers are platform-dependent (Durbhakula
-//! 2020), so the `mnd-device` calibration plane measures them at startup
-//! rather than hard-coding constants; [`KernelPolicy::default`] provides
-//! conservative fallbacks for uncalibrated contexts.
+//! decide sequential vs. rayon-chunked execution and, above the one
+//! threshold, which chunk size to use.
 //!
 //! **Determinism contract:** for any policy, any chunk size and any worker
 //! count, every kernel must produce output *byte-identical* to
 //! [`KernelPolicy::seq`] — parallel merges are ordered by `(key, row)` so
 //! they are associative, and sorts use injective keys. The oracle tests in
-//! `tests/parallel_plane_oracle.rs` assert this across adversarial
-//! chunkings.
+//! `tests/parallel_plane_oracle.rs` and `tests/lockfree_plane.rs` assert
+//! this across adversarial chunkings.
 //!
-//! The thresholds assume the caller has the host to itself: one that runs
+//! The threshold assumes the caller has the host to itself: one that runs
 //! kernels from several threads at once (the ranks of `mnd-mst`) shares the
-//! host between them with [`with_kernel_threads`], and hands a thread left
-//! with one [`KernelPolicy::seq`] — by the contract, only wall-clock can tell.
+//! host between them with [`with_kernel_threads`], and
+//! [`KernelPolicy::current`] hands a thread left with one kernel thread
+//! [`KernelPolicy::seq`] — by the contract, only wall-clock can tell.
 
-/// The four kernel families of the holding plane, each with its own
-/// seq/par crossover: their per-row work differs by an order of magnitude
-/// (an election row is a compare, a reduction row may hash, a count row is
-/// two lookups + increments, a relabel row is two table lookups plus a
-/// write), so one shared threshold either under-parallelises elections or
-/// thrashes relabels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Min-edge election scans (the per-iteration winner search).
-    Election,
-    /// Reductions and permutations: compaction, key sorts.
-    Reduce,
-    /// Incident-count tallies (device splitting, skew estimation).
-    Count,
-    /// Ghost/parent relabels (two lookups + write per row).
-    Relabel,
-}
-
-/// How a class's parallel path is implemented. Both variants are
-/// byte-identical to sequential (the determinism contract); they differ
-/// only in cost structure, so calibration picks per class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ParVariant {
-    /// Per-chunk partial tables merged in chunk order (the PR 3 plane).
-    /// Pays one table allocation + one merge pass per chunk.
-    ChunkMerge,
-    /// One CAS'd atomic word per slot (packed `(weight << 32) | row`
-    /// fetch-min; `fetch_add` counts) — no partial tables, no merge phase.
-    #[default]
-    LockFree,
-}
-
-/// Seq/par crossover sizes, per-class parallel variants and chunk
-/// granularity for the holding-plane kernels (election scans, permutation
-/// sorts, compactions, counts, relabels).
+/// Seq/par threshold and chunk granularity for the holding-plane kernels
+/// (election scans, permutation sorts, compactions, counts, relabels).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelPolicy {
-    /// Row count at or below which election kernels stay sequential
-    /// (thread spawn + partial-table merge would dominate).
+    /// Row count at or below which a sweep stays sequential (thread spawn
+    /// and chunk bookkeeping would dominate).
     pub par_threshold: usize,
-    /// Crossover for reduction kernels (compaction, sorts).
-    pub reduce_par_threshold: usize,
-    /// Crossover for incident-count kernels. Separate from `Reduce` so a
-    /// calibration clamp on one (see `calibrate_kernel_policy`) cannot
-    /// disable a profitable parallel path on the other.
-    pub count_par_threshold: usize,
-    /// Crossover for relabel kernels.
-    pub relabel_par_threshold: usize,
-    /// Parallel implementation for election sweeps above the crossover.
-    pub election_variant: ParVariant,
-    /// Parallel implementation for count sweeps above the crossover.
-    pub count_variant: ParVariant,
     /// Rows per parallel chunk above the threshold.
     pub chunk_rows: usize,
 }
 
 impl Default for KernelPolicy {
-    /// Uncalibrated fallback: one default chunk of slack before going
-    /// parallel, 4K-row chunks (matches the pre-policy scan constant), all
-    /// classes at the same conservative crossover, lock-free variants.
+    /// One default chunk of slack before going parallel, 4K-row chunks.
     fn default() -> Self {
         KernelPolicy {
             par_threshold: 4096,
-            reduce_par_threshold: 4096,
-            count_par_threshold: 4096,
-            relabel_par_threshold: 4096,
-            election_variant: ParVariant::LockFree,
-            count_variant: ParVariant::LockFree,
             chunk_rows: 4096,
         }
     }
@@ -97,79 +43,30 @@ impl Default for KernelPolicy {
 
 impl KernelPolicy {
     /// A policy that never parallelises — the sequential reference the
-    /// oracle tests compare against, and the right choice inside contexts
-    /// that are already running on a rayon worker.
+    /// oracle tests compare against.
     pub fn seq() -> Self {
         KernelPolicy {
             par_threshold: usize::MAX,
-            reduce_par_threshold: usize::MAX,
-            count_par_threshold: usize::MAX,
-            relabel_par_threshold: usize::MAX,
-            election_variant: ParVariant::LockFree,
-            count_variant: ParVariant::LockFree,
             chunk_rows: usize::MAX,
         }
     }
 
-    /// A policy that parallelises everything with the given chunk size via
-    /// the chunk-and-merge variants (tests use this to force that path
-    /// onto tiny fixtures).
-    pub fn force_par(chunk_rows: usize) -> Self {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        KernelPolicy {
-            par_threshold: 0,
-            reduce_par_threshold: 0,
-            count_par_threshold: 0,
-            relabel_par_threshold: 0,
-            election_variant: ParVariant::ChunkMerge,
-            count_variant: ParVariant::ChunkMerge,
-            chunk_rows,
+    /// The policy for kernels called from the current thread:
+    /// [`KernelPolicy::seq`] when it has one kernel thread (a parallel
+    /// section would only run its chunks one after another), else
+    /// [`KernelPolicy::default`].
+    pub fn current() -> Self {
+        if kernel_threads() == 1 {
+            KernelPolicy::seq()
+        } else {
+            KernelPolicy::default()
         }
     }
 
-    /// As [`KernelPolicy::force_par`], but routing every class that has a
-    /// lock-free implementation through it (tests use this to force the
-    /// atomic path onto tiny fixtures).
-    pub fn force_lockfree(chunk_rows: usize) -> Self {
-        KernelPolicy {
-            election_variant: ParVariant::LockFree,
-            count_variant: ParVariant::LockFree,
-            ..KernelPolicy::force_par(chunk_rows)
-        }
-    }
-
-    /// The parallel implementation a class routes through above its
-    /// crossover. Reduce and relabel only have the chunked path (their
-    /// sorts/compactions have no slot to CAS; the chunked relabel is
-    /// already merge-free).
-    #[inline]
-    pub fn variant_for(&self, class: KernelClass) -> ParVariant {
-        match class {
-            KernelClass::Election => self.election_variant,
-            KernelClass::Count => self.count_variant,
-            KernelClass::Reduce | KernelClass::Relabel => ParVariant::ChunkMerge,
-        }
-    }
-
-    /// Whether an *election* sweep over `rows` rows should take the
-    /// parallel path (the historical single-threshold query; kernels with
-    /// a known class use [`KernelPolicy::use_par_for`]).
+    /// Whether a sweep over `rows` rows should take the parallel path.
     #[inline]
     pub fn use_par(&self, rows: usize) -> bool {
-        self.use_par_for(KernelClass::Election, rows)
-    }
-
-    /// Whether a sweep of `class` over `rows` rows should take the
-    /// parallel path, judged against that class's own crossover.
-    #[inline]
-    pub fn use_par_for(&self, class: KernelClass, rows: usize) -> bool {
-        let threshold = match class {
-            KernelClass::Election => self.par_threshold,
-            KernelClass::Reduce => self.reduce_par_threshold,
-            KernelClass::Count => self.count_par_threshold,
-            KernelClass::Relabel => self.relabel_par_threshold,
-        };
-        rows > threshold
+        rows > self.par_threshold
     }
 
     /// The row ranges a parallel sweep over `rows` rows is chunked into.
@@ -322,49 +219,26 @@ mod tests {
         assert!(!p.use_par(p.par_threshold));
         assert!(p.use_par(p.par_threshold + 1));
         assert!(!KernelPolicy::seq().use_par(usize::MAX - 1));
-        assert!(KernelPolicy::force_par(8).use_par(1));
-        let ranges = KernelPolicy::force_par(3).chunk_ranges(8);
-        assert_eq!(ranges, vec![(0, 3), (3, 6), (6, 8)]);
-        assert!(KernelPolicy::force_par(usize::MAX).chunk_ranges(5) == vec![(0, 5)]);
+        let forced = |chunk_rows| KernelPolicy {
+            par_threshold: 0,
+            chunk_rows,
+        };
+        assert!(forced(8).use_par(1));
+        assert_eq!(forced(3).chunk_ranges(8), vec![(0, 3), (3, 6), (6, 8)]);
+        assert_eq!(forced(usize::MAX).chunk_ranges(5), vec![(0, 5)]);
         assert!(p.chunk_ranges(0).is_empty());
     }
 
     #[test]
-    fn per_class_crossovers_are_independent() {
-        let p = KernelPolicy {
-            par_threshold: 10,
-            reduce_par_threshold: 100,
-            count_par_threshold: 500,
-            relabel_par_threshold: 1000,
-            ..KernelPolicy::default()
-        };
-        assert!(p.use_par_for(KernelClass::Election, 11));
-        assert!(!p.use_par_for(KernelClass::Reduce, 11));
-        assert!(!p.use_par_for(KernelClass::Relabel, 11));
-        assert!(p.use_par_for(KernelClass::Reduce, 101));
-        assert!(!p.use_par_for(KernelClass::Count, 101));
-        assert!(!p.use_par_for(KernelClass::Relabel, 101));
-        assert!(p.use_par_for(KernelClass::Count, 501));
-        assert!(p.use_par_for(KernelClass::Relabel, 1001));
-        // The legacy single-threshold query is the election class.
-        assert_eq!(p.use_par(11), p.use_par_for(KernelClass::Election, 11));
-    }
-
-    #[test]
-    fn variants_route_per_class() {
-        let par = KernelPolicy::force_par(8);
-        let lf = KernelPolicy::force_lockfree(8);
+    fn current_policy_follows_the_thread_budget() {
         assert_eq!(
-            par.variant_for(KernelClass::Election),
-            ParVariant::ChunkMerge
+            with_kernel_threads(1, KernelPolicy::current),
+            KernelPolicy::seq()
         );
-        assert_eq!(lf.variant_for(KernelClass::Election), ParVariant::LockFree);
-        assert_eq!(lf.variant_for(KernelClass::Count), ParVariant::LockFree);
-        // Classes without a lock-free implementation always report the
-        // chunked path, whatever the policy says about the others.
-        assert_eq!(lf.variant_for(KernelClass::Reduce), ParVariant::ChunkMerge);
-        assert_eq!(lf.variant_for(KernelClass::Relabel), ParVariant::ChunkMerge);
-        assert!(lf.use_par_for(KernelClass::Count, 1));
+        assert_eq!(
+            with_kernel_threads(2, KernelPolicy::current),
+            KernelPolicy::default()
+        );
     }
 
     #[test]

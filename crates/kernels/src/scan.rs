@@ -2,19 +2,16 @@
 //!
 //! The hottest loop of every Boruvka variant is the per-component
 //! lightest-edge election. This module provides it as a standalone kernel
-//! over [`CGraph`]'s column storage: [`min_edge_scan_seq`] is the
-//! sequential reference, and there are two parallel implementations —
-//! [`min_edge_scan_par`] splits the endpoint columns
-//! ([`CGraph::endpoint_cols`]) into row chunks, elects per-chunk winners on
-//! rayon workers and merges the partial tables, while
-//! [`min_edge_scan_lockfree`] races CAS fetch-min loops against one packed
-//! atomic word per resident slot (no partial tables, no merge phase; see
+//! over [`CGraph`]'s column storage: [`min_edge_scan_with`] runs the
+//! sequential sweep at or below the policy's threshold, and above it races
+//! CAS fetch-min loops from row chunks against one packed atomic word per
+//! resident slot (no partial tables, no merge phase; see
 //! [`crate::lockfree`]).
 //!
 //! Winners are ordered by `(edge, row index)` — a total order even with
-//! multi-edges — so the parallel merge is associative, the atomic fetch-min
-//! is commutative, and all three scans return *identical* tables regardless
-//! of chunking or thread count (the oracle tests assert this).
+//! multi-edges — so the atomic fetch-min is commutative and both arms
+//! return *identical* tables regardless of chunking or thread count (the
+//! oracle tests assert this).
 
 use std::sync::atomic::AtomicU64;
 
@@ -23,58 +20,22 @@ use rayon::prelude::*;
 
 use crate::cgraph::CGraph;
 use crate::lockfree::{fetch_min_edge, pack, row_of, NONE_KEY};
-use crate::policy::{KernelClass, KernelPolicy, ParVariant};
+use crate::policy::KernelPolicy;
 
-/// Default row-chunk size for [`min_edge_scan`]: big enough that the
-/// per-chunk winner table amortizes, small enough to load-balance.
-pub const DEFAULT_CHUNK_ROWS: usize = 4096;
-
-/// The lightest incident edge per resident component, as a row index into
-/// the holding's edge columns (`None` for isolated components). Resident
-/// slot `i` corresponds to `cg.resident()[i]`. Self edges (both endpoints
-/// the same component) elect nobody.
-pub fn min_edge_scan_seq(cg: &CGraph) -> Vec<Option<u32>> {
+/// The sequential arm: the lightest incident edge per resident component,
+/// as a row index into the holding's edge columns.
+fn min_edge_scan_seq(cg: &CGraph) -> Vec<Option<u32>> {
     let mut best = vec![None; cg.num_resident()];
     scan_rows(cg, 0, cg.num_edges(), &mut best);
     best
 }
 
-/// As [`min_edge_scan_seq`], but electing over `chunk_rows`-row column
-/// chunks in parallel. Returns exactly the sequential table.
-pub fn min_edge_scan_par(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    let m = cg.num_edges();
-    let ranges: Vec<(usize, usize)> = (0..m)
-        .step_by(chunk_rows)
-        .map(|lo| (lo, (lo + chunk_rows).min(m)))
-        .collect();
-    let partials: Vec<Vec<Option<u32>>> = ranges
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut best = vec![None; cg.num_resident()];
-            scan_rows(cg, lo, hi, &mut best);
-            best
-        })
-        .collect();
-    let orig = cg.orig_col();
-    let mut best = vec![None; cg.num_resident()];
-    for partial in &partials {
-        for (slot, &candidate) in best.iter_mut().zip(partial) {
-            if let Some(j) = candidate {
-                take_if_lighter(slot, j, orig);
-            }
-        }
-    }
-    best
-}
-
-/// As [`min_edge_scan_seq`], but with workers CAS-ing packed
-/// `(weight << 32) | row` words into one atomic slot per resident
-/// component — the lock-free plane. No per-chunk winner tables, no merge
-/// pass. Weight ties fall back to the full `(edge, row)` order, so the
-/// table is byte-identical to the sequential scan for any chunking and
-/// thread count.
-pub fn min_edge_scan_lockfree(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
+/// The parallel arm: workers CAS packed `(weight << 32) | row` words into
+/// one atomic slot per resident component over `chunk_rows`-row chunks. No
+/// per-chunk winner tables, no merge pass. Weight ties fall back to the
+/// full `(edge, row)` order, so the table is byte-identical to the
+/// sequential arm for any chunking and thread count.
+fn min_edge_scan_lockfree(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
     assert!(chunk_rows > 0, "chunk_rows must be positive");
     let m = cg.num_edges();
     let best: Vec<AtomicU64> = (0..cg.num_resident())
@@ -114,15 +75,15 @@ pub fn min_edge_scan(cg: &CGraph) -> Vec<Option<u32>> {
     min_edge_scan_with(cg, &KernelPolicy::default())
 }
 
-/// The election under an explicit (typically calibrated) [`KernelPolicy`]:
-/// sequential at or below the crossover, the policy's election variant
-/// (lock-free or chunk-and-merge) above it. Identical output every way.
+/// The lightest incident edge per resident component, as a row index into
+/// the holding's edge columns (`None` for isolated components), under an
+/// explicit [`KernelPolicy`]: sequential at or below its threshold, the
+/// lock-free sweep above. Resident slot `i` corresponds to
+/// `cg.resident()[i]`. Self edges (both endpoints the same component) elect
+/// nobody. Identical output either way.
 pub fn min_edge_scan_with(cg: &CGraph, policy: &KernelPolicy) -> Vec<Option<u32>> {
-    if policy.use_par_for(KernelClass::Election, cg.num_edges()) {
-        match policy.variant_for(KernelClass::Election) {
-            ParVariant::LockFree => min_edge_scan_lockfree(cg, policy.chunk_rows.max(1)),
-            ParVariant::ChunkMerge => min_edge_scan_par(cg, policy.chunk_rows.max(1)),
-        }
+    if policy.use_par(cg.num_edges()) {
+        min_edge_scan_lockfree(cg, policy.chunk_rows.max(1))
     } else {
         min_edge_scan_seq(cg)
     }
@@ -130,7 +91,7 @@ pub fn min_edge_scan_with(cg: &CGraph, policy: &KernelPolicy) -> Vec<Option<u32>
 
 /// Elects over rows `lo..hi` into `best` (one slot per resident index).
 /// Endpoints resolve through the holding's resolver ([`CGraph::slot_of`]),
-/// the same lookup the lock-free scan uses.
+/// the same lookup the lock-free arm uses.
 fn scan_rows(cg: &CGraph, lo: usize, hi: usize, best: &mut [Option<u32>]) {
     let (ca, cb) = cg.endpoint_cols();
     let orig = cg.orig_col();
@@ -147,7 +108,7 @@ fn scan_rows(cg: &CGraph, lo: usize, hi: usize, best: &mut [Option<u32>]) {
 }
 
 /// Replaces `slot` with `candidate` if the candidate's `(edge, row)` key is
-/// smaller — the comparison both scans order winners by.
+/// smaller — the order both arms elect winners by.
 #[inline]
 fn take_if_lighter(slot: &mut Option<u32>, candidate: u32, orig: &[WEdge]) {
     let lighter = match *slot {
@@ -182,8 +143,12 @@ mod tests {
     fn parallel_matches_sequential_for_all_chunkings() {
         for cg in holdings() {
             let seq = min_edge_scan_seq(&cg);
-            for chunk in [1, 3, 64, DEFAULT_CHUNK_ROWS, usize::MAX] {
-                assert_eq!(min_edge_scan_par(&cg, chunk), seq, "chunk={chunk}");
+            for chunk in [1, 3, 64, 4096, usize::MAX] {
+                let forced = KernelPolicy {
+                    par_threshold: 0,
+                    chunk_rows: chunk,
+                };
+                assert_eq!(min_edge_scan_with(&cg, &forced), seq, "chunk={chunk}");
             }
             assert_eq!(min_edge_scan(&cg), seq);
         }
@@ -193,13 +158,9 @@ mod tests {
     fn lockfree_matches_sequential_for_all_chunkings() {
         for cg in holdings() {
             let seq = min_edge_scan_seq(&cg);
-            for chunk in [1, 3, 64, DEFAULT_CHUNK_ROWS, usize::MAX] {
+            for chunk in [1, 3, 64, 4096, usize::MAX] {
                 assert_eq!(min_edge_scan_lockfree(&cg, chunk), seq, "chunk={chunk}");
             }
-            assert_eq!(
-                min_edge_scan_with(&cg, &KernelPolicy::force_lockfree(7)),
-                seq
-            );
         }
     }
 
@@ -235,6 +196,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk_rows")]
     fn zero_chunk_is_rejected() {
-        min_edge_scan_par(&CGraph::new(), 0);
+        min_edge_scan_lockfree(&CGraph::new(), 0);
     }
 }

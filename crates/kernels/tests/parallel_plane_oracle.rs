@@ -1,48 +1,35 @@
 //! Oracle tests for the parallel holding plane (DESIGN.md §5e).
 //!
 //! The determinism contract says every policy-aware kernel produces output
-//! **byte-identical** to the sequential reference — for any chunk size, any
-//! crossover and any rayon worker count. These tests force the parallel
-//! path onto small fixtures with adversarial chunkings (1, a prime, and
-//! `usize::MAX`) and diff entire holdings against `KernelPolicy::seq()`.
+//! **byte-identical** to the sequential reference — for any chunk size and
+//! any rayon worker count. These tests force the parallel path (the chunked
+//! reduce and relabel, the lock-free election and counts) onto small
+//! fixtures with adversarial chunkings (1, a prime, and `usize::MAX`) and
+//! diff entire holdings against `KernelPolicy::seq()`. The all-ties fixture
+//! makes the packed `(weight << 32) | row` election key tie on every pair of
+//! candidates, so the full edge-key fallback must decide every slot.
 
-use mnd_graph::partition::partition_1d;
-use mnd_graph::{gen, CsrGraph, EdgeList};
+mod common;
+
+use common::{fixtures, forced, partitioned, CHUNKS};
+use mnd_graph::gen;
 use mnd_kernels::boruvka::local_boruvka_with;
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
 use mnd_kernels::reduce::reduce_holding_with;
 use mnd_kernels::scan::min_edge_scan_with;
-use rayon::prelude::*;
 
-/// Adversarial chunk sizes: degenerate single-row chunks, a prime that
-/// never divides the fixture sizes, and one chunk covering everything.
-const CHUNKS: [usize; 3] = [1, 13, usize::MAX];
-
-/// Graph families the paper evaluates: skewed (RMAT), uniform (ER/gnm)
-/// and high-diameter (road grid).
-fn fixtures() -> Vec<(&'static str, EdgeList)> {
-    vec![
-        ("rmat", gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 31)),
-        ("er", gen::gnm(400, 2400, 32)),
-        ("road", gen::road_grid(20, 20, 0.02, 0.38, 33)),
-    ]
-}
-
-/// A 4-way partitioned holding (has cut edges) for kernels that need one.
-fn partitioned(el: &EdgeList) -> Vec<CGraph> {
-    let ranges = partition_1d(&CsrGraph::from_edge_list(el), 4, 1.0);
-    CGraph::level0(el, &ranges, 0..4)
-}
+/// Seed of this file's RMAT/ER/road fixtures.
+const SEED: u64 = 31;
 
 #[test]
 fn reduce_holding_matches_seq_for_any_chunking() {
-    for (name, el) in fixtures() {
+    for (name, el) in fixtures(SEED) {
         let mut expect = CGraph::from_edge_list(&el);
         let expect_stats = reduce_holding_with(&mut expect, &KernelPolicy::seq());
         for chunk in CHUNKS {
             let mut got = CGraph::from_edge_list(&el);
-            let got_stats = reduce_holding_with(&mut got, &KernelPolicy::force_par(chunk));
+            let got_stats = reduce_holding_with(&mut got, &forced(chunk));
             assert_eq!(got_stats, expect_stats, "{name} chunk={chunk}");
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
@@ -51,11 +38,11 @@ fn reduce_holding_matches_seq_for_any_chunking() {
 
 #[test]
 fn min_edge_scan_matches_seq_for_any_chunking() {
-    for (name, el) in fixtures() {
+    for (name, el) in fixtures(SEED) {
         let cg = CGraph::from_edge_list(&el);
         let expect = min_edge_scan_with(&cg, &KernelPolicy::seq());
         for chunk in CHUNKS {
-            let got = min_edge_scan_with(&cg, &KernelPolicy::force_par(chunk));
+            let got = min_edge_scan_with(&cg, &forced(chunk));
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
     }
@@ -63,13 +50,11 @@ fn min_edge_scan_matches_seq_for_any_chunking() {
 
 #[test]
 fn incident_counts_match_seq_for_any_chunking() {
-    for (name, el) in fixtures() {
+    for (name, el) in fixtures(SEED) {
         let mut cg = CGraph::from_edge_list(&el);
         let expect = cg.incident_counts_with(&KernelPolicy::seq()).to_vec();
         for chunk in CHUNKS {
-            let got = cg
-                .incident_counts_with(&KernelPolicy::force_par(chunk))
-                .to_vec();
+            let got = cg.incident_counts_with(&forced(chunk)).to_vec();
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
     }
@@ -77,7 +62,7 @@ fn incident_counts_match_seq_for_any_chunking() {
 
 #[test]
 fn local_boruvka_matches_seq_for_any_chunking() {
-    for (name, el) in fixtures() {
+    for (name, el) in fixtures(SEED) {
         for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
             for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
                 for (part, base) in partitioned(&el).into_iter().enumerate() {
@@ -93,7 +78,7 @@ fn local_boruvka_matches_seq_for_any_chunking() {
                         let mut got_cg = base.clone();
                         let got = local_boruvka_with(
                             &mut got_cg,
-                            &KernelPolicy::force_par(chunk),
+                            &forced(chunk),
                             excp,
                             freeze,
                             StopPolicy::Exhaustive,
@@ -112,15 +97,15 @@ fn local_boruvka_matches_seq_for_any_chunking() {
 }
 
 /// Worker count must not change anything either: the same forced-parallel
-/// pipeline run under 1, 2 and 8 rayon threads yields one answer. The shim
-/// reads `RAYON_NUM_THREADS` per call, so a single test can sweep it (other
-/// tests running concurrently only see their worker counts change, never
-/// their results — that is the point of the contract).
+/// pipeline run under 1, 2, 4 and 8 rayon threads yields one answer. The
+/// shim reads `RAYON_NUM_THREADS` per call, so a single test can sweep it
+/// (other tests running concurrently only see their worker counts change,
+/// never their results — that is the point of the contract).
 #[test]
 fn thread_count_does_not_change_results() {
     let el = gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 37);
     let run = || -> (Vec<CGraph>, Vec<mnd_graph::WEdge>) {
-        let policy = KernelPolicy::force_par(13);
+        let policy = forced(13);
         let mut holdings = partitioned(&el);
         let mut msf = Vec::new();
         for cg in &mut holdings {
@@ -139,7 +124,7 @@ fn thread_count_does_not_change_results() {
     };
 
     let mut results = Vec::new();
-    for threads in ["1", "2", "8"] {
+    for threads in ["1", "2", "4", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         results.push(run());
     }
@@ -151,30 +136,13 @@ fn thread_count_does_not_change_results() {
     }
 }
 
-/// The forced-parallel policy must keep forcing, whatever thread budget the engines
+/// A forced policy must keep forcing, whatever thread budget the engines
 /// give their ranks: on a test thread (no pool installed but this one) the
 /// fixture's rows are cut into more than one chunk and the chunks run on
-/// more than one thread. Counted here, around the same chunking calls the
-/// kernels make — the product carries no counter.
+/// more than one thread.
 #[test]
 fn force_par_still_runs_several_chunks_on_several_threads() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let (_, el) = fixtures().swap_remove(0);
+    let (_, el) = fixtures(SEED).swap_remove(0);
     let rows = partitioned(&el)[0].num_edges();
-    let policy = KernelPolicy::force_par(13);
-    assert!(policy.use_par_for(mnd_kernels::KernelClass::Election, rows));
-    let chunks = AtomicUsize::new(0);
-    let threads = std::sync::Mutex::new(std::collections::HashSet::new());
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    pool.install(|| {
-        policy.chunk_ranges(rows).into_par_iter().for_each(|_| {
-            chunks.fetch_add(1, Ordering::Relaxed);
-            threads.lock().unwrap().insert(std::thread::current().id());
-        })
-    });
-    assert!(chunks.into_inner() > 1);
-    assert!(threads.into_inner().unwrap().len() > 1);
+    common::assert_several_chunks_on_several_threads(&forced(13), rows);
 }

@@ -95,7 +95,7 @@ cargo test --release -q -p mnd-serve
 for threads in 1 2; do
   echo "==> cargo test --release (kernel plane, RAYON_NUM_THREADS=$threads)"
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels \
-    --test lockfree_plane --test parallel_plane_oracle --test kernel_properties
+    --test parallel_plane_oracle --test lockfree_plane --test kernel_properties
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib boruvka::tests
   # The level-0 builder and the cut-row list do u32 cursor/index arithmetic
   # too, and the driver cuts the level-0 build into one block per kernel

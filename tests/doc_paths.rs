@@ -1,13 +1,17 @@
-//! The documents name files; the files must exist. Every back-ticked token
-//! of README.md, DESIGN.md, EXPERIMENTS.md and `benchmark/README.md` that
-//! looks like a source path — contains a `/`, ends in `.rs`, `.sh`, `.toml`
-//! or `.json` — resolves against the repository root or the document's own
-//! directory. A bare output or script name (`*.txt`, `*.sh`, no directory)
-//! must be the base name of a file in the tree. Paths only: what the prose
-//! says about a file is a reader's to check.
+//! The documents name files and items; they must exist. Every back-ticked
+//! token of README.md, DESIGN.md, EXPERIMENTS.md and `benchmark/README.md`
+//! that looks like a source path — contains a `/`, ends in `.rs`, `.sh`,
+//! `.toml` or `.json` — resolves against the repository root or the
+//! document's own directory. A bare output or script name (`*.txt`, `*.sh`,
+//! no directory) must be the base name of a file in the tree. A literal
+//! crate path (`mnd_<crate>::a::b`, optionally ending in `()`) names
+//! something: every segment after the crate occurs as an identifier on a
+//! non-comment line of that crate's `src/`; `mnd::<m>::…` resolves through
+//! the crate the root re-exports as `<m>`. Names only: what the prose says
+//! about a file or an item is a reader's to check.
 
-use std::collections::HashSet;
-use std::path::Path;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] = [
     "README.md",
@@ -72,9 +76,115 @@ fn tree_names(dir: &Path, names: &mut HashSet<String>) {
     }
 }
 
+/// The segments of a literal crate path — `["mnd_core", "a", "b"]` for
+/// `mnd_core::a::b()` — or `None` if `token` is not one.
+fn crate_path(token: &str) -> Option<Vec<&str>> {
+    let path = token.strip_suffix("()").unwrap_or(token);
+    let segments: Vec<&str> = path.split("::").collect();
+    let ident = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let krate = segments[0];
+    let ours = krate == "mnd" || krate.starts_with("mnd_");
+    (ours && segments.len() > 1 && segments.iter().all(|s| ident(s))).then_some(segments)
+}
+
+/// Where the workspace's crate paths resolve: each crate's `src/` by its
+/// Rust name (from `crates/*/Cargo.toml`), and the root's re-exports
+/// (`pub use mnd_x as m;` in `src/lib.rs`) by alias.
+struct Crates {
+    src: HashMap<String, PathBuf>,
+    aliases: HashMap<String, String>,
+    idents: HashMap<PathBuf, HashSet<String>>,
+}
+
+impl Crates {
+    fn scan(root: &Path) -> Self {
+        let mut src = HashMap::from([("mnd".to_string(), root.join("src"))]);
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let dir = entry.expect("a directory entry").path();
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            let name = manifest
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = \""))
+                .and_then(|l| l.strip_suffix('"'))
+                .expect("a package name");
+            src.insert(name.replace('-', "_"), dir.join("src"));
+        }
+        let lib = std::fs::read_to_string(root.join("src/lib.rs")).expect("src/lib.rs");
+        let aliases = lib
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("pub use ")?.strip_suffix(';'))
+            .filter_map(|l| l.split_once(" as "))
+            .map(|(krate, alias)| (alias.to_string(), krate.to_string()))
+            .collect();
+        Crates {
+            src,
+            aliases,
+            idents: HashMap::new(),
+        }
+    }
+
+    /// The identifiers on the non-comment lines of the `.rs` files below
+    /// `dir`.
+    fn idents(&mut self, dir: &Path) -> &HashSet<String> {
+        fn walk(dir: &Path, out: &mut HashSet<String>) {
+            for entry in std::fs::read_dir(dir).expect("a readable directory") {
+                let path = entry.expect("a directory entry").path();
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    let text = std::fs::read_to_string(&path).expect("a source file");
+                    let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+                    for line in code {
+                        out.extend(
+                            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                                .filter(|w| !w.is_empty())
+                                .map(str::to_string),
+                        );
+                    }
+                }
+            }
+        }
+        self.idents.entry(dir.to_path_buf()).or_insert_with(|| {
+            let mut out = HashSet::new();
+            walk(dir, &mut out);
+            out
+        })
+    }
+
+    /// Why the crate path `segments` names nothing, if it does not.
+    fn dangling(&mut self, segments: &[&str]) -> Option<&'static str> {
+        let (krate, mut rest) = (segments[0], &segments[1..]);
+        let krate = match self.aliases.get(rest[0]) {
+            Some(target) if krate == "mnd" => {
+                rest = &rest[1..];
+                target.clone()
+            }
+            _ => krate.to_string(),
+        };
+        let Some(dir) = self.src.get(&krate).cloned() else {
+            return Some("no such crate");
+        };
+        let idents = self.idents(&dir);
+        (!rest.iter().all(|s| idents.contains(*s))).then_some("no such item in the crate")
+    }
+}
+
 /// Why a back-ticked token of `doc` names nothing, if it does not.
-fn dangling(root: &Path, doc: &str, token: &str, names: &HashSet<String>) -> Option<&'static str> {
-    if is_source_path(token) {
+fn dangling(
+    root: &Path,
+    doc: &str,
+    token: &str,
+    names: &HashSet<String>,
+    crates: &mut Crates,
+) -> Option<&'static str> {
+    if let Some(segments) = crate_path(token) {
+        crates.dangling(&segments)
+    } else if is_source_path(token) {
         if RETIRED.contains(&token) {
             return (doc != RETIRED_NAMED_IN).then_some("a retired file");
         }
@@ -95,14 +205,17 @@ fn documents_name_files_that_exist() {
     }
     let mut names = HashSet::new();
     tree_names(root, &mut names);
+    let mut crates = Crates::scan(root);
     let mut checked = 0;
     let mut dangle = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
         for (n, line) in text.lines().enumerate() {
             for token in code_spans(line) {
-                checked += usize::from(is_source_path(token) || is_bare_name(token));
-                if let Some(why) = dangling(root, doc, token, &names) {
+                checked += usize::from(
+                    is_source_path(token) || is_bare_name(token) || crate_path(token).is_some(),
+                );
+                if let Some(why) = dangling(root, doc, token, &names, &mut crates) {
                     dangle.push(format!("{doc}:{}: `{token}`: {why}", n + 1));
                 }
             }
@@ -140,7 +253,8 @@ fn the_scan_tells_paths_from_commands_and_outputs() {
     // What each kind resolves against, and where a retired path may stand.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let names = HashSet::from(["verify.sh".to_string()]);
-    let check = |doc, token| dangling(root, doc, token, &names);
+    let mut crates = Crates::scan(root);
+    let mut check = |doc, token| dangling(root, doc, token, &names, &mut crates);
     assert_eq!(check("README.md", "verify.sh"), None);
     assert_eq!(check("README.md", "scripts/verify.sh"), None);
     assert_eq!(check("benchmark/README.md", "../BENCHMARK.json"), None);
@@ -155,4 +269,21 @@ fn the_scan_tells_paths_from_commands_and_outputs() {
         assert_eq!(check("README.md", retired), Some("a retired file"));
         assert_eq!(check(RETIRED_NAMED_IN, retired), None);
     }
+    // Crate paths: segments resolve in the named crate's code, or in the
+    // crate the root re-exports under the alias.
+    assert_eq!(check("DESIGN.md", "mnd_engine::run_recoverable()"), None);
+    assert_eq!(check("README.md", "mnd::mst::distributed_components"), None);
+    assert_eq!(check("README.md", "mnd::engines::registry"), None);
+    assert_eq!(
+        check("DESIGN.md", "mnd_device::no_such_calibration"),
+        Some("no such item in the crate")
+    );
+    assert_eq!(check("DESIGN.md", "mnd_nowhere::x"), Some("no such crate"));
+    assert_eq!(
+        crate_path("mnd_kernels::policy"),
+        Some(vec!["mnd_kernels", "policy"])
+    );
+    assert_eq!(crate_path("mnd_kernels"), None, "a bare crate name");
+    assert_eq!(crate_path("mnd::engines::{registry, EngineParams}"), None);
+    assert_eq!(crate_path("std::sync::Arc"), None, "not ours");
 }
