@@ -23,6 +23,7 @@ use std::collections::HashMap;
 
 use mnd_graph::partition::{owner_of, VertexRange};
 use mnd_kernels::cgraph::{CGraph, CompId};
+use mnd_kernels::idset::IdSet;
 
 /// Component → resident rank map.
 #[derive(Clone, Debug, Default)]
@@ -94,7 +95,9 @@ impl GhostDirectory {
 /// lists, in the order an ascending sweep of the holding's cut rows
 /// ([`CGraph::cut_rows`] — no other row has a ghost end) first meets each
 /// renamed component next to one of that owner's ghosts, all of the
-/// component's pairs — each exactly once.
+/// component's pairs — each exactly once. The sweep tests both ends of a
+/// cut row against the renamed-into ids first and resolves only the rows
+/// that touch one.
 pub fn relabel_buckets(
     cg: &CGraph,
     relabels: &[(CompId, CompId)],
@@ -126,11 +129,18 @@ pub fn relabel_buckets(
 
     // For every edge joining a renamed component to a ghost, the ghost's
     // owner needs the component's whole group, once: `sent` marks the
-    // (group, owner) combinations already served.
-    let mut sent = vec![false; (group_start.len() - 1) * nranks];
+    // (group, owner) combinations already served, `unserved` counts a
+    // group's other ranks not yet served — at 0 its rows need no owner.
+    let groups = group_start.len() - 1;
+    let mut sent = vec![false; groups * nranks];
+    let mut unserved = vec![nranks as u32 - 1; groups];
+    let news = IdSet::new(group_start[..groups].iter().map(|&i| by_new[i as usize].1));
     let (ca, cb) = cg.endpoint_cols();
     for &row in cg.cut_rows() {
         let (a, b) = (ca[row as usize], cb[row as usize]);
+        if !news.touches(a, b) {
+            continue;
+        }
         let (sa, sb) = (cg.slot_of(a), cg.slot_of(b));
         for (mine, other, ghost) in [(sa, sb, b), (sb, sa, a)] {
             // A resident neighbour lives here and was renamed locally.
@@ -138,7 +148,7 @@ pub fn relabel_buckets(
                 continue;
             };
             let group = group_of_slot[slot as usize];
-            if group == u32::MAX {
+            if group == u32::MAX || unserved[group as usize] == 0 {
                 continue;
             }
             let owner = dir.owner(ghost) as usize;
@@ -147,6 +157,7 @@ pub fn relabel_buckets(
             {
                 continue;
             }
+            unserved[group as usize] -= 1;
             let (lo, hi) = (group_start[group as usize], group_start[group as usize + 1]);
             buckets[owner].extend_from_slice(&by_new[lo as usize..hi as usize]);
         }

@@ -37,8 +37,10 @@ impl Phase for IndComp {
         for _round in 0..cx.runner.max_recursion_rounds.max(1) {
             // Independent computations on the node's device(s).
             let unions = cx.observed(PhaseKind::IndComp, |cx| {
-                let runner = cx.runner;
-                let run = ind_comp(&mut cx.cg, &runner.platform, &cx.split, &runner.config);
+                let run = cx.step(PhaseKind::IndComp, "kernel", |cx| {
+                    let runner = cx.runner;
+                    ind_comp(&mut cx.cg, &runner.platform, &cx.split, &runner.config)
+                });
                 cx.comm.compute(run.compute_time + run.transfer_time);
                 cx.msf_local.extend(run.msf_edges.iter().copied());
                 self.merge.relabel = run.relabel;
@@ -53,10 +55,12 @@ impl Phase for IndComp {
             // reduced holding is still over the threshold AND any rank made
             // progress (otherwise another round cannot contract more).
             let (max_edges, total_unions) = cx.observed(PhaseKind::IndComp, |cx| {
-                (
-                    cx.comm.allreduce_u64(cx.cg.num_edges() as u64, u64::max),
-                    cx.comm.allreduce_u64(unions, |a, b| a + b),
-                )
+                cx.step(PhaseKind::IndComp, "recursion_vote", |cx| {
+                    (
+                        cx.comm.allreduce_u64(cx.cg.num_edges() as u64, u64::max),
+                        cx.comm.allreduce_u64(unions, |a, b| a + b),
+                    )
+                })
             });
             if total_unions == 0 || max_edges <= threshold {
                 break;

@@ -20,22 +20,45 @@
 //! The kernel keeps a worklist of 16-byte *live rows* `{a, b, w, row}`: both
 //! ends as resident root slots ([`GHOST`] for a non-resident end), the
 //! weight, and the holding row it stands for (stable for the whole call).
-//! Building that worklist *is* round 1's election: every holding row is
-//! resolved once, self rows are dropped, and the row is offered to both of
-//! its roots. Every later round is one sweep too: each live row is re-rooted
-//! through the union-find (path-halving), dropped if the last contraction
-//! made it a self edge, compacted in place and offered for the next
-//! election. An offer is a min of the packed key `(w << 32) | row` into one
-//! `u64` slot per root, weight ties falling back to the full
-//! `(edge key, row)` order ([`crate::lockfree`]), so the winners are those
-//! of a sweep under that total order in any arrival order.
+//! Building that worklist *is* round 1's election: every holding row (but
+//! the parked ones, below) is resolved once, self rows are dropped, and the
+//! row is offered to both of its roots. Every later round is one sweep too:
+//! each live row is re-rooted through the union-find (path-halving),
+//! dropped if the last contraction made it a self edge, compacted in place
+//! and offered for the next election. An offer is a min of the packed key
+//! `(w << 32) | row` into one `u64` slot per root, weight ties falling back
+//! to the full `(edge key, row)` order ([`crate::lockfree`]), so the
+//! winners are those of a sweep under that total order in any arrival
+//! order.
 //!
 //! Contraction then drains the slots in root-index order — safe because the
 //! elected edges form a forest under the total edge order (mutual elections
 //! are the same edge), so the union *set* is order-independent, and the
 //! fixed order makes the kernel deterministic — resetting each slot as it
-//! goes. The commit writes the holding's columns from the surviving live
-//! rows alone; no sweep touches a row that left the worklist.
+//! goes. No sweep touches a row that left the worklist.
+//!
+//! ## Quiet rounds: only the live roots' rows are swept
+//!
+//! Under [`FreezePolicy::Sticky`] a frozen root never takes an offer, a
+//! merge with a frozen side is frozen, and so only rows touching an unfrozen
+//! root can elect, merge, or turn into self rows. When a holding arrives
+//! with freeze marks, one cheap pass tests both ends of every row against
+//! the set of unfrozen resident ids ([`IdSet`]); the rows that hit, and the
+//! self rows, are the worklist, the others are *parked*. Every union is
+//! elected by a live root and a root elects once per round, so a tree of
+//! one round's unions holds at most one root that did not elect: two
+//! parked ends never meet, and a parked row never becomes a self row. It is
+//! counted into every round's `edges_scanned` all the same, so the work
+//! profile — and the simulated clock priced from it — is that of a sweep of
+//! every row. The commit is one pass over the survivors and the rows
+//! between them: a dropped row goes, a parked one keeps its place and its
+//! ends but those of a slot that merged away, which a bitmap of the merged
+//! ids finds. A call in which no unfrozen root holds a row makes the filter
+//! pass and no sweep (nor the pass, when no root is unfrozen and the
+//! holding is reduced), and with no union and no self row it writes
+//! nothing. A holding without marks (level 0, every recombination,
+//! [`FreezePolicy::Recheck`], `ExcpCond::None`) has every root live: it is
+//! swept whole without the filter pass, which would only cost there.
 //!
 //! ## One body for every policy
 //!
@@ -54,6 +77,7 @@ use mnd_graph::types::WEdge;
 use rayon::prelude::*;
 
 use crate::cgraph::{CGraph, CompId, GHOST};
+use crate::idset::IdSet;
 use crate::lockfree::{fetch_min_edge, min_edge, pack, row_of, NONE_KEY};
 use crate::msf::MsfResult;
 use crate::policy::{ExcpCond, FreezePolicy, IterWork, KernelPolicy, StopPolicy, WorkProfile};
@@ -120,36 +144,70 @@ pub fn local_boruvka_with(
     let mut dsu = MinDsu::new(n);
     let table: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE_KEY)).collect();
     // Freeze marks surviving from a previous invocation stay sticky.
-    let frozen: Vec<AtomicBool> = cg.frozen_marks().into_iter().map(AtomicBool::new).collect();
+    let marks = cg.frozen_marks();
     let sticky = freeze == FreezePolicy::Sticky;
+    let whole = excp == ExcpCond::None;
+    // The live roots: with sticky marks on some residents, only rows
+    // touching an unfrozen one are swept (module docs, "Quiet rounds").
+    let live = (sticky && !whole && marks.contains(&true)).then(|| {
+        let resident = cg.resident();
+        IdSet::new((0..n).filter(|&i| !marks[i]).map(|i| resident[i]))
+    });
+    let frozen: Vec<AtomicBool> = marks.into_iter().map(AtomicBool::new).collect();
+
+    // The rows the sweeps visit, ascending (`None`: every row): those
+    // touching a live root, and the self rows, which round 1 drops (a
+    // ghost's: the commit). The others are parked, and counted. A reduced
+    // holding has no self row, so with no live root it needs no pass.
+    let reduced = cg.renamed_since_reduce().is_some_and(|ids| ids.is_empty());
+    let (ea, eb) = cg.endpoint_cols();
+    let (mut tracked, mut parked, mut self_rows) = (None, 0u64, 0usize);
+    if let Some(live) = &live {
+        let mut hits = Vec::new();
+        if !live.is_empty() || !reduced {
+            for i in 0..rows as u32 {
+                let (a, b) = (ea[i as usize], eb[i as usize]);
+                if a == b || live.touches(a, b) {
+                    self_rows += usize::from(a == b);
+                    hits.push(i);
+                } else {
+                    parked += 1;
+                }
+            }
+        }
+        tracked = Some(hits);
+    }
+    let swept = tracked.as_ref().map_or(rows, Vec::len);
     let mut sweep = Sweep {
         table: &table,
         frozen: &frozen,
         orig: cg.orig_col(),
         sticky,
-        whole: excp == ExcpCond::None,
+        whole,
         prefreeze: excp == ExcpCond::BorderVertex,
         elect: true,
-        shared: policy.use_par(rows),
+        shared: policy.use_par(swept),
     };
 
-    // Round 1's sweep builds the worklist: it scans every holding row,
-    // resolving both ends to their slots once.
-    let (ea, eb) = cg.endpoint_cols();
+    // Round 1's sweep builds the worklist: it scans every tracked row,
+    // resolving both ends to their slots once; every row counts.
     let slot = |c: CompId| cg.slot_of(c).unwrap_or(GHOST);
-    let mut live = Worklist::new(
-        rows,
+    let mut live_rows = Worklist::new(
+        swept,
         if sweep.shared {
             policy.chunk_rows
         } else {
-            rows
+            swept
         },
     );
-    sweep.run(&mut live, |i, _| LiveRow {
-        a: slot(ea[i]),
-        b: slot(eb[i]),
-        w: sweep.orig[i].w,
-        row: i as u32,
+    sweep.run(&mut live_rows, |at, _| {
+        let i = tracked.as_ref().map_or(at, |hits| hits[at] as usize);
+        LiveRow {
+            a: slot(ea[i]),
+            b: slot(eb[i]),
+            w: sweep.orig[i].w,
+            row: i as u32,
+        }
     });
     sweep.prefreeze = false;
     let mut scanned = rows as u64;
@@ -224,9 +282,9 @@ pub fn local_boruvka_with(
         // A stopping kernel still sheds the self edges it just made.
         sweep.elect = prev_cost.is_none_or(|prev| stop.should_continue(prev, scanned));
         prev_cost = Some(scanned);
-        sweep.shared = policy.use_par(live.len());
+        sweep.shared = policy.use_par(live_rows.len());
         let root = |end: u32| if end == GHOST { end } else { dsu.find(end) };
-        sweep.run(&mut live, |_, r| LiveRow {
+        sweep.run(&mut live_rows, |_, r| LiveRow {
             a: root(r.a),
             b: root(r.b),
             ..r
@@ -234,7 +292,8 @@ pub fn local_boruvka_with(
         if !sweep.elect {
             break;
         }
-        scanned = live.len() as u64;
+        // Parked rows count as scanned: no round makes one a self row.
+        scanned = live_rows.len() as u64 + parked;
     }
     debug_assert!(table.iter().all(|slot| slot.load(Relaxed) == NONE_KEY));
 
@@ -253,9 +312,15 @@ pub fn local_boruvka_with(
             relabel.push((resident[i as usize], new_id));
         }
     }
-    cg.commit_contraction(live.iter().map(|r| (r.row, r.a, r.b)), |slot| {
-        dsu.find(slot) == slot
-    });
+    // A filtered call with no union and no self row leaves the holding as
+    // it is.
+    if tracked.is_none() || !relabel.is_empty() || self_rows > 0 {
+        cg.commit_contraction(
+            tracked.as_deref(),
+            live_rows.iter().map(|r| (r.row, r.a, r.b)),
+            |slot| dsu.find(slot),
+        );
+    }
     cg.set_frozen(new_frozen);
 
     LocalOutput {
@@ -934,6 +999,52 @@ mod tests {
             let messy = CGraph::from_parts(resident.clone(), rows, resident.iter().copied().step_by(3).collect());
             for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
                 assert_equals_reference(&messy, excp, "self and ghost-ghost rows");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The quiet regime: the invocations after the first, on holdings
+        /// that carry sticky marks and renames. Every part runs an early-
+        /// stopped first invocation, then exhaustive ones; between two, the
+        /// parts exchange their renames (one ghost-rename batch) and reduce
+        /// — the filtered reduction from the second round on. The 2nd, 3rd
+        /// and 4th invocations are held to the reference loop, work profile
+        /// included; by the last most parts have no unfrozen root left.
+        #[test]
+        fn later_invocations_equal_the_reference_loop(
+            pick in 0u8..5,
+            seed in 0u64..1000,
+            nparts in 2usize..6,
+        ) {
+            let el = family(pick, seed);
+            let ranges = partition_1d(&CsrGraph::from_edge_list(&el), nparts, 1.0);
+            let mut parts = CGraph::level0(&el, &ranges, 0..nparts);
+            for invocation in 1..=3 {
+                let stop = match invocation {
+                    1 => StopPolicy::DiminishingBenefit { min_improvement: 0.5 },
+                    _ => StopPolicy::Exhaustive,
+                };
+                let renames: Vec<(CompId, CompId)> = parts
+                    .iter_mut()
+                    .flat_map(|part| {
+                        local_boruvka(part, ExcpCond::BorderEdge, FreezePolicy::Sticky, stop).relabel
+                    })
+                    .collect();
+                for part in &mut parts {
+                    crate::reduce::apply_ghost_parents(part, &renames);
+                    crate::reduce::reduce_holding(part);
+                    part.validate().unwrap();
+                }
+                for (i, part) in parts.iter().enumerate() {
+                    let tag = format!("invocation {} of part {i}/{nparts}", invocation + 1);
+                    prop_assert_eq!(part.renamed_since_reduce(), Some(&[][..]), "{}", tag);
+                    for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                        assert_equals_reference(part, excp, &tag);
+                    }
+                }
             }
         }
     }

@@ -20,8 +20,11 @@
 //! [`CGraph::iter_edges`] and [`CGraph::edges_vec`] materialize rows on
 //! demand for callers that want the old AoS shape.
 //!
-//! Three pieces of derived state ride along with the columns, none part
-//! of a holding's identity:
+//! Four pieces of derived state ride along with the columns, none part
+//! of a holding's identity. [`CGraph::validate_derived`] recomputes each
+//! one that carries information — the resolver, the cut-row list, the
+//! renamed ids — from the columns, and debug builds run it after every
+//! mutator:
 //!
 //! * **The resolver.** Every per-edge sweep has to ask "is this endpoint
 //!   resident, and in which slot?". The holding answers in O(1) through a
@@ -42,9 +45,21 @@
 //!   list of exactly those rows, so the protocol's sweeps visit the cut,
 //!   not the holding, in the order a full sweep would. Whoever already
 //!   knows the list writes it — the level-0 builder ([`CGraph::level0`])
-//!   and the kernel's contraction commit — every mutator that moves rows
-//!   or changes residency drops it, and a read after a drop refills it
-//!   with one two-look-ups-per-row sweep.
+//!   and the kernel's contraction commit — every other mutator that moves
+//!   rows or changes residency drops it, and a read after a drop refills it
+//!   with one two-look-ups-per-row sweep. The filtered reduction keeps it:
+//!   a row's cut status is its ends' residency, which removing other rows
+//!   does not change.
+//! * **The ids renamed since the last reduction.** A reduced holding is
+//!   canonical and has no self row and no two rows between one pair of
+//!   components. Renames keep the order (a row's original edge does not
+//!   change), so after a round's renames — the kernel's commit, the
+//!   ghost-parent pairs of [`CGraph::relabel_ghosts`] — every self row and
+//!   every parallel pair touches an id renamed *into* this round, and the
+//!   next reduction visits only the rows that do
+//!   ([`CGraph::renamed_since_reduce`]). `None` (unknown: the full pass)
+//!   after the level-0 builder, [`CGraph::push_edge`], [`CGraph::relabel`]
+//!   and [`CGraph::absorb_all`].
 //!
 //! An edge may connect a resident component to a *non-resident* one (the
 //! paper's ghost component); such edges are exactly the ones the exception
@@ -74,6 +89,7 @@ use mnd_graph::EdgeList;
 use mnd_wire::Wire;
 use rayon::prelude::*;
 
+use crate::idset::IdSet;
 use crate::index_table::{self, pair_key};
 use crate::lockfree::{as_atomic_u64, SlotLookup};
 use crate::policy::KernelPolicy;
@@ -195,6 +211,25 @@ pub struct CGraph {
     /// mutator that moves rows or changes residency, refilled on the next
     /// read; never part of identity.
     cut: OnceLock<Vec<u32>>,
+    /// The ids renamed into since the last reduction (repeats allowed), or
+    /// `None` when the holding is not known to be a canonical reduced one
+    /// plus renames (see [`CGraph::renamed_since_reduce`]); never part of
+    /// identity.
+    renamed: Option<Vec<CompId>>,
+}
+
+/// Writes holding row `row` at the write cursor `w` (at most `row`) with
+/// ends `a` and `b`, canonically ordered.
+#[inline]
+fn put_row(
+    (ea, eb, eorig): (&mut [CompId], &mut [CompId], &mut [WEdge]),
+    w: usize,
+    row: usize,
+    a: CompId,
+    b: CompId,
+) {
+    (ea[w], eb[w]) = (a.min(b), a.max(b));
+    eorig[w] = eorig[row];
 }
 
 impl PartialEq for CGraph {
@@ -489,6 +524,7 @@ impl CGraph {
     #[inline]
     pub fn push_edge(&mut self, e: CEdge) {
         self.cut.take();
+        self.renamed = None;
         self.ea.push(e.a);
         self.eb.push(e.b);
         self.eorig.push(e.orig);
@@ -566,6 +602,16 @@ impl CGraph {
         self.cut.get().map(Vec::len)
     }
 
+    /// The ids renamed into since the holding's last reduction, repeats
+    /// allowed: every self row and every pair of parallel rows touches one
+    /// of them, and the rows ascend in their original edge's `(w, u, v)`.
+    /// `Some(&[])` right after a reduction; `None` when the holding is not
+    /// known to be a reduced one plus renames, and the next reduction takes
+    /// the full pass.
+    pub fn renamed_since_reduce(&self) -> Option<&[CompId]> {
+        self.renamed.as_deref()
+    }
+
     /// Number of edges with a non-resident endpoint (the holding's "ghost
     /// degree" — drives communication volume).
     pub fn num_cut_edges(&self) -> usize {
@@ -579,6 +625,7 @@ impl CGraph {
         self.resident = resident;
         self.lookup.rebuild(&self.resident);
         self.cut.take();
+        self.debug_validate();
     }
 
     /// Applies a component renaming to **all** edge endpoints. `map` returns
@@ -591,6 +638,7 @@ impl CGraph {
     /// As [`CGraph::relabel`], with the endpoint sweep chunked across rayon
     /// workers when the policy says the holding is big enough.
     pub fn relabel_with(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
+        self.renamed = None;
         remap_rows(&mut self.ea, &mut self.eb, policy, &map);
         let mut resident = std::mem::take(&mut self.resident);
         resident.iter_mut().for_each(|r| *r = map(*r));
@@ -600,21 +648,28 @@ impl CGraph {
         self.set_frozen(frozen);
     }
 
-    /// Renames only **ghost** endpoints (ids not resident here) through
-    /// `map` — the receiving half of the ghost-parent protocol — by a walk
-    /// of the cut rows. Resident ids, the resident column and the freeze
-    /// marks are untouched by construction, so nothing is re-sorted and the
-    /// resolver stays valid. `map` must send a ghost to a ghost, as the
+    /// Renames the **ghost** endpoints (ids not resident here) that `olds`
+    /// names through `map` — the receiving half of the ghost-parent
+    /// protocol — by a walk of the cut rows that tests both ends against
+    /// `olds` and touches only the rows that hit. Resident ids, the resident
+    /// column and the freeze marks are untouched by construction (a stale
+    /// pair naming a resident id is ignored), so nothing is re-sorted and
+    /// the resolver stays valid. `map` must send a ghost to a ghost, as the
     /// protocol's pairs do (a component is resident on one processor, and
     /// only that processor renames into it), so the cut rows stay the cut
-    /// rows.
-    pub fn relabel_ghosts(&mut self, map: impl Fn(CompId) -> CompId) {
+    /// rows. The ids written are noted as renamed since the last reduction.
+    pub fn relabel_ghosts(&mut self, olds: &IdSet, map: impl Fn(CompId) -> CompId) {
         self.cut_rows();
         let cut = self.cut.take().expect("filled above");
+        let mut renamed = self.renamed.take();
         for &i in &cut {
             let i = i as usize;
+            let (a, b) = (self.ea[i], self.eb[i]);
+            if !olds.touches(a, b) {
+                continue;
+            }
             let rename = |c: CompId| {
-                if self.is_resident(c) {
+                if !olds.contains(c) || self.is_resident(c) {
                     return c;
                 }
                 let new = map(c);
@@ -624,65 +679,176 @@ impl CGraph {
                 );
                 new
             };
-            let (a, b) = (rename(self.ea[i]), rename(self.eb[i]));
+            let (na, nb) = (rename(a), rename(b));
+            if let Some(renamed) = &mut renamed {
+                renamed.extend(
+                    [(a, na), (b, nb)]
+                        .iter()
+                        .filter(|(o, n)| o != n)
+                        .map(|p| p.1),
+                );
+            }
             // Keep the per-row canonical a <= b invariant.
-            (self.ea[i], self.eb[i]) = (a.min(b), a.max(b));
+            (self.ea[i], self.eb[i]) = (na.min(nb), na.max(nb));
         }
         self.cut = OnceLock::from(cut);
+        self.renamed = renamed;
+        self.debug_validate();
     }
 
-    /// Commits a contraction from the rows that survived it. `survivors`
-    /// yields `(row, a, b)` ascending in holding `row`: `a`/`b` are the root
-    /// slots the row's ends were contracted into ([`GHOST`] for a
-    /// non-resident end, which keeps the id the row carries). Rows not
-    /// yielded are dropped, as is a ghost-to-ghost self row; a kept row
-    /// takes its roots' ids, canonically ordered, and is written at a
-    /// cursor that never passes `row`, so the columns compact in place. The
-    /// resident column keeps exactly the slots `is_root` accepts (a
-    /// subsequence of a sorted column: no re-sort) and the resolver is
-    /// rebuilt; freeze marks are the caller's to replace. The kept rows
-    /// with a [`GHOST`] slot are the new cut-row list.
+    /// Commits a contraction. `root_of(slot)` is the root slot resident
+    /// slot `slot` was contracted into, a root its own. `tracked` lists the
+    /// rows the kernel's sweeps visited, ascending (`None`: every row), and
+    /// `survivors` yields `(row, a, b)` for those still alive, ascending:
+    /// `a`/`b` are the root slots the row's ends were contracted into
+    /// ([`GHOST`] for a non-resident end, which keeps the id the row
+    /// carries). A tracked row not yielded is dropped, as is a
+    /// ghost-to-ghost self row; a row not tracked (*parked*) keeps its ends
+    /// but those of a slot that merged away, which take their root's id —
+    /// the caller guarantees that no parked row becomes a self row. Kept
+    /// rows stay canonically ordered and are written at a cursor that never
+    /// passes the row read, so the columns compact in place, and the
+    /// cut-row list follows them (a resident end stays resident). The
+    /// resident column keeps the root slots (a subsequence of a sorted
+    /// column: no re-sort) and the resolver is rebuilt; freeze marks are
+    /// the caller's to replace.
     pub(crate) fn commit_contraction(
         &mut self,
+        tracked: Option<&[u32]>,
         survivors: impl Iterator<Item = (u32, u32, u32)>,
-        is_root: impl Fn(u32) -> bool,
+        root_of: impl Fn(u32) -> u32,
     ) {
-        let mut w = 0usize;
-        let mut rows_seen = 0usize;
-        let mut cut = self.cut.take().unwrap_or_default();
-        cut.clear();
-        for (row, a, b) in survivors {
+        let root_of = &root_of;
+        let CGraph {
+            ea,
+            eb,
+            eorig,
+            resident,
+            lookup,
+            cut,
+            ..
+        } = self;
+        let resident: &[CompId] = resident;
+        let n = ea.len();
+        // The ids of the slots that merged away, for the parked rows.
+        let merged = match tracked {
+            Some(_) => IdSet::new(
+                (0..resident.len() as u32)
+                    .filter(|&slot| root_of(slot) != slot)
+                    .map(|slot| resident[slot as usize]),
+            ),
+            None => IdSet::default(),
+        };
+        let is_resident = |c: CompId| lookup.get(resident, c).is_some();
+        let id = |c: CompId| match merged.contains(c) {
+            true => {
+                let slot = lookup.get(resident, c).expect("merged ids are resident");
+                resident[root_of(slot) as usize]
+            }
+            false => c,
+        };
+        let old_cut = cut.take();
+        let known_cut = old_cut.is_some();
+        let mut old_cut = old_cut.iter().flatten().copied().peekable();
+        let mut tracked = tracked.map(|rows| rows.iter().copied().peekable());
+        let mut new_cut = Vec::new();
+        let (mut w, mut next) = (0usize, 0usize);
+        // Each survivor, after the rows between it and the one before:
+        // tracked rows a sweep dropped, and parked rows. `n` closes.
+        for (row, sa, sb) in survivors.chain([(n as u32, GHOST, GHOST)]) {
             let row = row as usize;
-            debug_assert!(rows_seen <= row, "survivors must ascend in row");
-            debug_assert!(w <= row, "the write cursor must not pass the row it reads");
-            debug_assert!([a, b].iter().all(|&s| s == GHOST || is_root(s)));
-            rows_seen = row + 1;
-            let id = |slot: u32, own: CompId| match slot {
+            debug_assert!(next <= row, "survivors must ascend in row");
+            if let Some(tracked) = &mut tracked {
+                let mut r = next;
+                while r < row {
+                    if tracked.next_if_eq(&(r as u32)).is_some() {
+                        r += 1;
+                        continue;
+                    }
+                    // A run of parked rows, up to the next tracked one: it
+                    // moves down as a block, and only its rows with a
+                    // merged end are rewritten.
+                    let end = tracked.peek().map_or(row, |&t| row.min(t as usize));
+                    let to = w..w + (end - r);
+                    if w < r {
+                        ea.copy_within(r..end, w);
+                        eb.copy_within(r..end, w);
+                        eorig.copy_within(r..end, w);
+                    }
+                    for k in to.clone() {
+                        let (a, b) = (ea[k], eb[k]);
+                        if !merged.touches(a, b) {
+                            continue;
+                        }
+                        let (na, nb) = (id(a), id(b));
+                        debug_assert!(na != nb, "a parked row became a self row");
+                        (ea[k], eb[k]) = (na.min(nb), na.max(nb));
+                    }
+                    match known_cut {
+                        true => {
+                            while let Some(c) = old_cut.next_if(|&c| (c as usize) < end) {
+                                if c as usize >= r {
+                                    new_cut.push((c as usize - r + w) as u32);
+                                }
+                            }
+                        }
+                        // A renamed end stays resident: test the new ids.
+                        false => new_cut.extend(
+                            to.clone()
+                                .filter(|&k| !is_resident(ea[k]) || !is_resident(eb[k]))
+                                .map(|k| k as u32),
+                        ),
+                    }
+                    (w, r) = (to.end, end);
+                }
+                let is_tracked = tracked.next_if_eq(&(row as u32)).is_some();
+                debug_assert!(row == n || is_tracked, "survivors must be tracked rows");
+            }
+            if row == n {
+                break;
+            }
+            next = row + 1;
+            debug_assert!([sa, sb].iter().all(|&s| s == GHOST || root_of(s) == s));
+            let slot_id = |slot: u32, own: CompId| match slot {
                 GHOST => own,
-                slot => self.resident[slot as usize],
+                slot => resident[slot as usize],
             };
-            let (na, nb) = (id(a, self.ea[row]), id(b, self.eb[row]));
+            let (na, nb) = (slot_id(sa, ea[row]), slot_id(sb, eb[row]));
             if na == nb {
                 continue;
             }
-            self.ea[w] = na.min(nb);
-            self.eb[w] = na.max(nb);
-            self.eorig[w] = self.eorig[row];
-            if a == GHOST || b == GHOST {
-                cut.push(w as u32);
+            if sa == GHOST || sb == GHOST {
+                new_cut.push(w as u32);
             }
+            put_row((ea, eb, eorig), w, row, na, nb);
             w += 1;
         }
-        self.ea.truncate(w);
-        self.eb.truncate(w);
-        self.eorig.truncate(w);
+        ea.truncate(w);
+        eb.truncate(w);
+        eorig.truncate(w);
+        *cut = OnceLock::from(new_cut);
+        self.keep_root_slots(root_of);
+        self.debug_validate();
+    }
+
+    /// The resident column's half of a commit: notes the roots that
+    /// absorbed a slot as renamed since the last reduction, keeps the root
+    /// slots and rebuilds the resolver.
+    fn keep_root_slots(&mut self, root_of: impl Fn(u32) -> u32) {
+        if let Some(renamed) = &mut self.renamed {
+            let resident = &self.resident;
+            renamed.extend(
+                (0..resident.len() as u32)
+                    .filter(|&slot| root_of(slot) != slot)
+                    .map(|slot| resident[root_of(slot) as usize]),
+            );
+        }
         let mut slot = 0u32;
         self.resident.retain(|_| {
             slot += 1;
-            is_root(slot - 1)
+            root_of(slot - 1) == slot - 1
         });
         self.lookup.rebuild(&self.resident);
-        self.cut = OnceLock::from(cut);
     }
 
     /// Order-preserving write-cursor compaction: keeps row `i` iff
@@ -704,6 +870,39 @@ impl CGraph {
         self.eb.truncate(w);
         self.eorig.truncate(w);
         self.cut.take();
+    }
+
+    /// Removes the rows `dropped` names (ascending): every run of kept rows
+    /// moves down once, so only the rows past the first drop are touched. A
+    /// known cut-row list follows the kept rows to their new places.
+    fn drop_rows(&mut self, dropped: &[u32]) {
+        let Some(&first) = dropped.first() else {
+            return;
+        };
+        let n = self.ea.len();
+        let mut w = first as usize;
+        for (k, &row) in dropped.iter().enumerate() {
+            let run = row as usize + 1..dropped.get(k + 1).map_or(n, |&next| next as usize);
+            let len = run.len();
+            self.ea.copy_within(run.clone(), w);
+            self.eb.copy_within(run.clone(), w);
+            self.eorig.copy_within(run, w);
+            w += len;
+        }
+        self.ea.truncate(w);
+        self.eb.truncate(w);
+        self.eorig.truncate(w);
+        if let Some(cut) = self.cut.get_mut() {
+            let mut before = 0;
+            cut.retain_mut(|row| {
+                while dropped.get(before).is_some_and(|&d| d < *row) {
+                    before += 1;
+                }
+                let gone = dropped.get(before) == Some(row);
+                *row -= before as u32;
+                !gone
+            });
+        }
     }
 
     /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
@@ -756,6 +955,7 @@ impl CGraph {
     /// Policy-aware [`CGraph::remove_self_edges`].
     pub fn remove_self_edges_with(&mut self, policy: &KernelPolicy) {
         self.retain_rows_with(policy, |cg, i| cg.ea[i] != cg.eb[i]);
+        self.debug_validate();
     }
 
     /// The table of minimums: one linear pass that keeps, per `key`, the
@@ -813,6 +1013,58 @@ impl CGraph {
             |cg, i, j| cg.eorig[i].key() < cg.eorig[j].key(),
         );
         self.sort_edges_with(policy);
+        self.renamed = Some(Vec::new());
+        self.debug_validate();
+    }
+
+    /// Self-edge then multi-edge removal, returning how many rows each
+    /// removed. A holding that knows the ids renamed since its last
+    /// reduction ([`CGraph::renamed_since_reduce`]) runs the table of
+    /// minimums over the rows touching one of them and touches no other:
+    /// every self row and every parallel pair is among those, and rows
+    /// ascend in `(w, u, v)`, so the first of a pair met is its lightest.
+    /// No renamed id, no pass. Any other holding takes the full pass.
+    pub(crate) fn reduce_rows_with(&mut self, policy: &KernelPolicy) -> (u64, u64) {
+        let Some(renamed) = self.renamed.take() else {
+            let before = self.num_edges() as u64;
+            self.remove_self_edges_with(policy);
+            let after_self = self.num_edges() as u64;
+            self.remove_multi_edges_with(policy);
+            return (before - after_self, after_self - self.num_edges() as u64);
+        };
+        let renamed = IdSet::new(renamed.iter().copied());
+        let (ea, eb) = (&self.ea, &self.eb);
+        let hits: Vec<u32> = match renamed.is_empty() {
+            true => Vec::new(),
+            false => (0..ea.len() as u32)
+                .filter(|&i| renamed.touches(ea[i as usize], eb[i as usize]))
+                .collect(),
+        };
+        let mut table = std::mem::take(&mut self.table);
+        index_table::reset(&mut table, hits.len());
+        let (mut dropped, mut self_removed) = (Vec::new(), 0u64);
+        for &i in &hits {
+            let (a, b) = (ea[i as usize], eb[i as usize]);
+            if a == b {
+                self_removed += 1;
+                dropped.push(i);
+                continue;
+            }
+            let key = pair_key(a, b);
+            let pos = index_table::probe(&table, key, |j| {
+                pair_key(ea[j as usize], eb[j as usize]) == key
+            });
+            if table[pos] == index_table::EMPTY {
+                table[pos] = i;
+            } else {
+                dropped.push(i);
+            }
+        }
+        self.table = table;
+        self.drop_rows(&dropped);
+        self.renamed = Some(Vec::new());
+        self.debug_validate();
+        (self_removed, dropped.len() as u64 - self_removed)
     }
 
     /// Canonical deterministic edge order: by original-edge key
@@ -976,6 +1228,10 @@ impl CGraph {
             "a holding of {rows} rows exceeds the merge's limit of u32::MAX - 1 rows \
              (row indexes are 32 bits)"
         );
+        // Rows of different holdings may run parallel: the next reduction
+        // needs the full pass.
+        self.renamed = None;
+        self.debug_validate();
     }
 
     /// [`CGraph::absorb_all`] of one holding.
@@ -1050,6 +1306,10 @@ impl CGraph {
         moved.lookup.rebuild(&moved.resident);
         self.cut.take();
         self.flags = taken;
+        // Both sides keep a subsequence of the rows, in order.
+        moved.renamed.clone_from(&self.renamed);
+        self.debug_validate();
+        moved.debug_validate();
         moved
     }
 
@@ -1060,8 +1320,10 @@ impl CGraph {
         self.resident.len() * 4 + self.ea.len() * std::mem::size_of::<CEdge>()
     }
 
-    /// Structural sanity check for tests: resident sorted/deduped, per-row
-    /// canonical endpoints, no edge duplicated by original identity.
+    /// Sanity check: the structure — resident sorted/deduped, per-row
+    /// canonical endpoints, no edge duplicated by original identity, frozen
+    /// components resident — and every piece of derived state, recomputed
+    /// from the columns ([`CGraph::validate_derived`]).
     pub fn validate(&self) -> Result<(), String> {
         if !self.resident.windows(2).all(|w| w[0] < w[1]) {
             return Err("resident not sorted+dedup".into());
@@ -1084,7 +1346,70 @@ impl CGraph {
                 return Err(format!("frozen non-resident component {f}"));
             }
         }
+        self.validate_derived()
+    }
+
+    /// Recomputes the derived state from the columns and compares: the
+    /// resolver against a binary search of the resident column, a cached
+    /// cut-row list against a fresh sweep, and — when the holding knows the
+    /// ids renamed since its last reduction — the `(w, u, v)` order of the
+    /// rows and the absence of self and parallel rows among the rows that
+    /// touch none of those ids. Holds for any holding the mutators built,
+    /// duplicated original edges included; debug builds check it after
+    /// every mutator.
+    pub fn validate_derived(&self) -> Result<(), String> {
+        let resident = &self.resident;
+        for &c in resident {
+            for probe in [c, c.wrapping_add(1)] {
+                let want = resident.binary_search(&probe).ok().map(|i| i as u32);
+                if self.slot_of(probe) != want {
+                    return Err(format!(
+                        "the resolver answers {:?} for component {probe}, the resident column {want:?}",
+                        self.slot_of(probe)
+                    ));
+                }
+            }
+        }
+        let (ea, eb) = (&self.ea, &self.eb);
+        if let Some(cut) = self.cut.get() {
+            let ghost = |c: CompId| resident.binary_search(&c).is_err();
+            let fresh = (0..ea.len()).filter(|&i| ghost(ea[i]) || ghost(eb[i]));
+            if !cut.iter().map(|&i| i as usize).eq(fresh) {
+                return Err("the cached cut-row list is stale".into());
+            }
+        }
+        if let Some(renamed) = &self.renamed {
+            if let Some(i) = (1..ea.len()).find(|&i| self.eorig[i - 1].key() > self.eorig[i].key())
+            {
+                return Err(format!("rows {} and {i} are out of (w, u, v) order", i - 1));
+            }
+            let renamed = IdSet::new(renamed.iter().copied());
+            let mut pairs: Vec<(CompId, CompId)> = (0..ea.len())
+                .filter(|&i| !renamed.touches(ea[i], eb[i]))
+                .map(|i| (ea[i], eb[i]))
+                .collect();
+            if let Some((c, _)) = pairs.iter().find(|(a, b)| a == b) {
+                return Err(format!("a self row on {c} touches no renamed id"));
+            }
+            pairs.sort_unstable();
+            if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!(
+                    "parallel rows between {} and {} touch no renamed id",
+                    w[0].0, w[0].1
+                ));
+            }
+        }
         Ok(())
+    }
+
+    /// [`CGraph::validate_derived`] in debug builds, after a mutator.
+    #[inline]
+    fn debug_validate(&self) {
+        if cfg!(debug_assertions) {
+            if let Err(e) = self.validate_derived() {
+                panic!("a mutator left the holding's derived state stale: {e}");
+            }
+        }
     }
 }
 
@@ -1218,6 +1543,8 @@ pub(crate) mod reference {
             };
             remap_rows(&mut self.ea, &mut self.eb, &KernelPolicy::seq(), new_id);
             self.cut.take();
+            // The reference keeps no account of the ids it renamed.
+            self.renamed = None;
             self.frozen.iter_mut().for_each(|f| *f = new_id(*f));
             self.frozen.sort_unstable();
             self.frozen.dedup();
@@ -1247,6 +1574,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ExcpCond, FreezePolicy, StopPolicy};
     use mnd_graph::gen;
     use proptest::prelude::*;
 
@@ -1402,6 +1730,10 @@ mod tests {
         let e = CEdge::new(0, 1, WEdge::new(0, 1, 1));
         assert_eq!(e.wire_bytes(), std::mem::size_of::<CEdge>() as u64);
     }
+    /// A component-id stride that spreads a dozen residents past the
+    /// resolver's dense budget: its binary-search fallback answers.
+    const SPARSE: u32 = 100_000;
+
     /// A holding over few components and few original endpoints: repeated
     /// `(a, b)` pairs, equal-weight ties, duplicated original edges, rows in
     /// arrival (non-canonical) order. `spread` stretches the id space so
@@ -1493,7 +1825,7 @@ mod tests {
             comps in 2u32..10,
             spread_pick in 0u8..2,
         ) {
-            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let spread = if spread_pick == 0 { 1 } else { SPARSE };
             let mut cg = messy_holding(&true_copies(&mine), comps, spread);
             // The other holding overlaps in original edges (boundary
             // copies) but owns a shifted component range.
@@ -1518,7 +1850,7 @@ mod tests {
             // (ghosts included) and stand for originals every part draws
             // from one small pool, so parts share boundary copies — true
             // copies: an original's weight is a function of its endpoints.
-            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let spread = if spread_pick == 0 { 1 } else { SPARSE };
             let part = |k: u32, raw: &[(u32, u32, u32, u32, u32)]| {
                 let edges = raw
                     .iter()
@@ -1566,7 +1898,7 @@ mod tests {
             empty_mask in 0u16..512,
             order_seed in 0u32..1000,
         ) {
-            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            let spread = if spread_pick == 0 { 1 } else { SPARSE };
             let ids = 9 * comps;
             // Holding `k` owns components `k·comps ..`; its rows end
             // anywhere. Every third holding past the first also carries
@@ -1632,13 +1964,14 @@ mod tests {
         fn resolver_equals_binary_search_after_every_mutator(
             raw in arb_rows(150),
             comps in 2u32..12,
-            spread_pick in 0u8..2,
+            spread_pick in 0u8..3,
             ghosts in 0u8..2,
             ops in proptest::collection::vec((0u8..13, 0u32..64, 0u32..64), 1..16),
         ) {
-            // spread 5000 makes every resident set sparse (range > 4× len
-            // and > 1024): the binary-search fallback answers.
-            let spread = if spread_pick == 0 { 1 } else { 5000 };
+            // Spread 5000 makes a resident set sparse (range > 4× len) but
+            // small (range within the dense budget): the table answers.
+            // [`SPARSE`] makes it sparse and large: the binary search does.
+            let spread = [1, 5000, SPARSE][spread_pick as usize];
             let mut cg = messy_holding(&raw, comps, spread);
             if ghosts == 1 {
                 // Every other component is somebody else's: rows with one
@@ -1668,7 +2001,7 @@ mod tests {
                         cg.absorb_all([other, CGraph::new(), third]);
                     }
                     2 if n > 1 => {
-                        let take: Vec<CompId> = cg.resident.iter().copied().filter(|c| (c / spread + x) % 3 == 0).collect();
+                        let take: Vec<CompId> = cg.resident.iter().copied().filter(|c| (c / spread + x).is_multiple_of(3)).collect();
                         let seg = cg.split_off(&take);
                         check(&seg);
                         prop_assert_eq!(seg.resident(), &take[..]);
@@ -1679,18 +2012,31 @@ mod tests {
                     }
                     4 if n > 0 => {
                         // The kernel's commit: neighbouring slots pair up,
-                        // roots at even slots; every third row was shed.
-                        let root = |c: CompId| cg.slot_of(c).map_or(GHOST, |slot| slot - slot % 2);
-                        let survivors: Vec<(u32, u32, u32)> = (0..cg.num_edges())
-                            .filter(|i| !(i + x as usize).is_multiple_of(3))
-                            .map(|i| (i as u32, root(cg.ea[i]), root(cg.eb[i])))
+                        // roots at even slots. The sweeps visited every row
+                        // (one call in four), or the rows the pairing makes
+                        // self rows and every third row; they shed every
+                        // other row they visited.
+                        let every = x.is_multiple_of(4);
+                        let slot = |c: CompId| cg.slot_of(c).map_or(GHOST, |slot| slot - slot % 2);
+                        let tracked: Vec<u32> = (0..cg.num_edges())
+                            .filter(|&i| every || (i as u32 + x).is_multiple_of(3) || slot(cg.ea[i]) == slot(cg.eb[i]))
+                            .map(|i| i as u32)
                             .collect();
-                        cg.commit_contraction(survivors.into_iter(), |slot| slot % 2 == 0);
+                        let survivors: Vec<(u32, u32, u32)> = tracked
+                            .iter()
+                            .filter(|&&i| !(i + y).is_multiple_of(2))
+                            .map(|&i| (i, slot(cg.ea[i as usize]), slot(cg.eb[i as usize])))
+                            .collect();
+                        let tracked = (!every).then_some(&tracked[..]);
+                        cg.commit_contraction(tracked, survivors.into_iter(), |slot| slot - slot % 2);
                     }
                     5 => cg.push_edge(CEdge::new(x * spread, y * spread, WEdge::new(x, y, 1))),
                     // Ghosts renamed to ghosts (ids past every resident's),
                     // several to the same one.
-                    6 => cg.relabel_ghosts(|c| 1_000_000 + (c / spread + x) % 24),
+                    6 => {
+                        let ends = cg.ea.iter().chain(&cg.eb).copied().filter(|c| !(c / spread % 3 + y).is_multiple_of(3));
+                        cg.relabel_ghosts(&IdSet::new(ends), |c| u32::MAX - 24 + (c / spread % 24 + x) % 24);
+                    }
                     7 => cg.remove_self_edges(),
                     8 => {
                         cg.remove_self_edges();
@@ -1751,6 +2097,101 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random runs of the production mutators — the kernel's commit (by
+        /// slots on a holding without marks, by renames with them), ghost
+        /// renames, the reduction, a ring round trip through `split_off`
+        /// and `absorb_all`, a split kept apart, new residents — on a
+        /// holding with one row per original edge: after each, `validate`
+        /// recomputes every piece of derived state and finds it as kept,
+        /// and a reduction over the renamed rows equals the full pass.
+        #[test]
+        fn validate_holds_after_every_production_mutator(
+            rows in proptest::collection::vec((0u32..90, 0u32..90, 1u32..20), 0..200),
+            spread_pick in 0u8..3,
+            ops in proptest::collection::vec((0u8..7, 0u32..64), 1..14),
+        ) {
+            let spread = [1, 5000, SPARSE][spread_pick as usize];
+            // Residents 0..30, ghosts 30..90, every id stretched by `spread`.
+            let edges = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, w))| CEdge::new(a * spread, b * spread, WEdge::new(i as u32, 1000 + i as u32, w)))
+                .collect();
+            let mut cg = CGraph::from_parts((0..30).map(|c| c * spread).collect(), edges, vec![]);
+            let stop = StopPolicy::DiminishingBenefit { min_improvement: 0.5 };
+            for (op, x) in ops {
+                match op {
+                    0 => {
+                        crate::boruvka::local_boruvka(&mut cg, ExcpCond::BorderEdge, FreezePolicy::Sticky, stop);
+                    }
+                    1 => {
+                        // Ghost parents: ghosts onto ghosts of the same
+                        // block of ten.
+                        let pairs: Vec<(CompId, CompId)> = (30..90)
+                            .filter(|g| (g + x) % 4 == 0 && g % 10 != 0)
+                            .map(|g| (g * spread, g / 10 * 10 * spread))
+                            .collect();
+                        crate::reduce::apply_ghost_parents(&mut cg, &pairs);
+                    }
+                    2 => {
+                        let mut full = cg.clone();
+                        full.relabel(|c| c);
+                        let (got, expect) = (crate::reduce::reduce_holding(&mut cg), crate::reduce::reduce_holding(&mut full));
+                        prop_assert_eq!(got, expect);
+                        prop_assert_eq!(cg.edges_vec(), full.edges_vec());
+                    }
+                    3 | 4 if cg.num_resident() > 1 => {
+                        let take: Vec<CompId> = cg.resident.iter().copied().filter(|c| (c / spread + x).is_multiple_of(3)).collect();
+                        let seg = cg.split_off(&take);
+                        seg.validate().unwrap();
+                        if op == 3 {
+                            cg.absorb_all([seg]);
+                        }
+                    }
+                    5 => {
+                        // A ghost becomes resident (its owner moved it here).
+                        let mut resident = cg.resident.clone();
+                        resident.push((30 + x % 60) * spread);
+                        cg.set_resident(resident);
+                    }
+                    _ => cg.set_frozen(cg.resident.iter().copied().skip(x as usize % 3).step_by(2).collect()),
+                }
+                cg.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn validate_catches_stale_derived_state() {
+        let rows = vec![
+            CEdge::new(0, 1, WEdge::new(0, 1, 1)),
+            CEdge::new(1, 9, WEdge::new(1, 9, 2)),
+            CEdge::new(0, 9, WEdge::new(0, 9, 3)),
+        ];
+        let mut cg = CGraph::from_parts(vec![0, 1], rows, vec![]);
+        cg.remove_self_edges();
+        cg.remove_multi_edges();
+        cg.validate().unwrap();
+        let mut stale = cg.clone();
+        stale.cut = OnceLock::from(vec![1]);
+        assert!(stale.validate().unwrap_err().contains("cut-row list"));
+        let mut stale = cg.clone();
+        // Row 2 renamed into a parallel of row 1 behind the holding's back.
+        stale.ea[2] = 1;
+        assert!(stale.validate().unwrap_err().contains("parallel rows"));
+        stale.renamed = Some(vec![1]);
+        stale.validate().unwrap();
+        let mut stale = cg.clone();
+        stale.eorig.swap(0, 2);
+        assert!(stale.validate().unwrap_err().contains("(w, u, v) order"));
+        let mut stale = cg.clone();
+        stale.resident.push(5);
+        assert!(stale.validate().unwrap_err().contains("resolver"));
+    }
+
     #[test]
     #[should_panic(expected = "beyond the edge list's limit of 4 vertices")]
     fn level0_refuses_an_endpoint_past_the_vertex_count() {
@@ -1795,7 +2236,7 @@ mod tests {
             ],
             vec![1],
         );
-        cg.relabel_ghosts(|c| c + 100);
+        cg.relabel_ghosts(&IdSet::new([0, 1, 7]), |c| c + 100);
         assert_eq!(cg.resident(), &[0, 1]);
         assert_eq!(cg.frozen(), &[1]);
         assert_eq!(cg.edge(0), CEdge::new(0, 107, WEdge::new(0, 7, 1)));

@@ -16,6 +16,8 @@
 //!   *exception condition* (§3.2) that freezes a component whose lightest
 //!   edge is a cut edge,
 //! * [`reduce`] — self-edge and multi-edge removal (§3.3),
+//! * [`idset`] — the id-set filter the sweeps of a quiet round test both
+//!   ends of a row against before doing any real work on it,
 //! * [`scan`] — the standalone min-edge election over the holding's SoA
 //!   columns, sequential and lock-free chunked,
 //! * [`binning`] — degree-binned adjacency scheduling (the "hierarchical
@@ -29,6 +31,7 @@ pub mod boruvka;
 pub mod cgraph;
 pub mod dsu;
 pub mod filter;
+pub mod idset;
 mod index_table;
 pub mod lockfree;
 pub mod msf;

@@ -86,12 +86,18 @@ fn precedes(a: u64, b: u64, orig_of: &impl Fn(u32) -> WEdge) -> bool {
     (orig_of(ra), ra) < (orig_of(rb), rb)
 }
 
+/// Id ranges up to this many entries (256 KB of slots) always get the
+/// direct table, however few residents they hold.
+pub const DENSE_BUDGET: usize = 1 << 16;
+
 /// The holding's id→slot resolver: answers "which resident slot is
 /// component `c`?" in O(1). Holdings keep their resident ids nearly
 /// contiguous (level-0 partitions are vertex ranges), so a direct-index
 /// table over the id range replaces the ~17 branchy probes a binary search
-/// pays per endpoint at 10⁵ components. Sparse id ranges (the few survivors
-/// of a deep merge) fall back to the binary search, which is then short.
+/// pays per endpoint at 10⁵ components. The table is built whenever it is
+/// small — at most [`DENSE_BUDGET`] entries — or within 4× of the resident
+/// count; only a range both wide and sparse (a few survivors spread over a
+/// large id space) falls back to the binary search.
 ///
 /// Owned by [`crate::cgraph::CGraph`], which rebuilds it wherever the
 /// resident column changes; the table allocation is reused across
@@ -107,16 +113,16 @@ pub struct SlotLookup {
 
 impl SlotLookup {
     /// Rebuilds the lookup over a sorted resident column. Densifies when
-    /// the id range is within 4× of the resident count (with a floor so
-    /// tiny holdings always densify); beyond that the table would thrash
-    /// cache for no probe savings.
+    /// the id range fits [`DENSE_BUDGET`] or is within 4× of the resident
+    /// count; beyond both the table would thrash cache for no probe
+    /// savings.
     pub fn rebuild(&mut self, resident: &[CompId]) {
         self.table.clear();
         let (Some(&lo), Some(&hi)) = (resident.first(), resident.last()) else {
             return;
         };
         let range = (hi - lo) as usize + 1;
-        if range > resident.len().saturating_mul(4).max(1024) {
+        if range > resident.len().saturating_mul(4).max(DENSE_BUDGET) {
             return;
         }
         self.lo = lo;
@@ -316,6 +322,8 @@ mod tests {
             vec![0, 1, 2, 3],
             vec![10, 20, 30, 999],
             (0..5000u32).step_by(7).collect::<Vec<_>>(),
+            // Sparse but small: the range fits the dense budget.
+            vec![3, 9_000, 40_000, DENSE_BUDGET as u32 + 2],
             // Sparse enough to force the binary-search fallback.
             vec![0, 1 << 20, 1 << 24, u32::MAX - 1],
         ] {
@@ -335,6 +343,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn slot_lookup_densifies_within_the_budget_only() {
+        let mut lk = SlotLookup::default();
+        lk.rebuild(&[3, DENSE_BUDGET as u32 + 2]);
+        assert!(
+            !lk.table.is_empty(),
+            "two residents in a small range: the table"
+        );
+        lk.rebuild(&[3, DENSE_BUDGET as u32 + 3]);
+        assert!(
+            lk.table.is_empty(),
+            "two residents past the budget: the search"
+        );
+        let many: Vec<CompId> = (0..40_000).map(|i| i * 3).collect();
+        lk.rebuild(&many);
+        assert!(
+            !lk.table.is_empty(),
+            "within 4× of the residents: the table"
+        );
     }
 
     #[test]

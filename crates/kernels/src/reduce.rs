@@ -11,8 +11,16 @@
 //! compacts with a write cursor, multi-edge removal is one pass over the
 //! holding's reusable table of minimums, and canonical order is re-sorted
 //! only when a pass actually disturbed it.
+//!
+//! A round pays for what it changed. Both halves test a row's two ends
+//! against a small [`IdSet`] first and do real work only on the rows that
+//! hit: the ghost renames the received old ids, the reduction the ids
+//! renamed into since the holding's last reduction
+//! ([`CGraph::renamed_since_reduce`]). The rows skipped still count in
+//! [`ReduceStats::edges_before`], which is what the cost model charges.
 
 use crate::cgraph::{CGraph, CompId};
+use crate::idset::IdSet;
 use crate::index_table;
 use crate::policy::KernelPolicy;
 
@@ -31,7 +39,8 @@ pub struct ReduceStats {
 }
 
 /// Runs self-edge removal followed by multi-edge removal on a holding,
-/// entirely in place.
+/// entirely in place — over the rows touching an id renamed since the last
+/// reduction when the holding knows those ids, else over every row.
 pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
     reduce_holding_with(cg, &KernelPolicy::default())
 }
@@ -43,15 +52,12 @@ pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
 /// chunking.
 pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStats {
     let before = cg.num_edges() as u64;
-    cg.remove_self_edges_with(policy);
-    let after_self = cg.num_edges() as u64;
-    cg.remove_multi_edges_with(policy);
-    let after = cg.num_edges() as u64;
+    let (self_removed, multi_removed) = cg.reduce_rows_with(policy);
     ReduceStats {
         edges_before: before,
-        self_removed: before - after_self,
-        multi_removed: after_self - after,
-        edges_after: after,
+        self_removed,
+        multi_removed,
+        edges_after: cg.num_edges() as u64,
     }
 }
 
@@ -70,7 +76,8 @@ pub fn ghost_parent_message(msg: &mut Vec<(CompId, CompId)>) {
 /// matching an `old` id is renamed to `new`. Resident ids are left alone —
 /// renames of resident components were already committed by the local
 /// kernel; this call is specifically for ghost (non-resident) endpoints,
-/// so it visits the holding's cut rows ([`CGraph::cut_rows`]) and no other.
+/// so it walks the holding's cut rows ([`CGraph::cut_rows`]) and renames
+/// only those with an end among the pairs' old ids.
 ///
 /// The pairs of **all** sending ranks go through one call: each rank
 /// renames only its own residents, so the pairs of different senders never
@@ -91,7 +98,8 @@ pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
         let pos = slot_for(&slots, old);
         slots[pos] = i as u32;
     }
-    cg.relabel_ghosts(|c| match slots[slot_for(&slots, c)] {
+    let olds = IdSet::new(updates.iter().map(|&(old, _)| old));
+    cg.relabel_ghosts(&olds, |c| match slots[slot_for(&slots, c)] {
         index_table::EMPTY => c,
         i => updates[i as usize].1,
     });

@@ -2,12 +2,15 @@
 //! column-stored holding must produce **edge-for-edge** the same result as
 //! the original array-of-structs implementation (self-edge retain, then a
 //! hash-table of per-pair minimums, then canonical sort). The reference is
-//! reimplemented inline here exactly as the seed wrote it.
+//! reimplemented inline here exactly as the seed wrote it. A holding that
+//! knows the ids renamed since its last reduction reduces only the rows
+//! touching them; that pass is held to the full one and to the reference.
 
 use mnd_graph::gen;
 use mnd_graph::types::WEdge;
 use mnd_kernels::cgraph::{CEdge, CGraph, CompId};
-use mnd_kernels::reduce::reduce_holding;
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
+use mnd_kernels::reduce::{apply_ghost_parents, reduce_holding};
 use proptest::prelude::*;
 
 /// The seed's AoS reduction, verbatim semantics: retain non-self edges in
@@ -132,4 +135,98 @@ fn reference_sanity() {
     ];
     let out = aos_reference_reduce(input);
     assert_eq!(out, vec![e(0, 2, 1, 3, 2), e(2, 4, 3, 4, 9)]);
+}
+
+/// A reduced holding over residents `0..40` and ghosts `100..160`: one row
+/// per original edge, rows with one and with two ghost ends, and some of the
+/// residents frozen.
+fn reduced_holding(rows: &[(u32, u32, u32)]) -> CGraph {
+    let end = |x: u32| if x < 40 { x } else { 100 + x % 60 };
+    let edges = rows
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, b, w))| CEdge::new(end(a), end(b), WEdge::new(i as u32, 5000 + i as u32, w)))
+        .collect();
+    let mut cg = CGraph::from_parts((0..40).collect(), edges, (0..40).step_by(3).collect());
+    reduce_holding(&mut cg);
+    cg
+}
+
+/// `cg` reduced by the full pass: a relabel that renames nothing makes the
+/// holding forget the ids renamed since its last reduction.
+fn fully_reduced(cg: &CGraph) -> (CGraph, mnd_kernels::reduce::ReduceStats) {
+    let mut full = cg.clone();
+    full.relabel(|c| c);
+    assert_eq!(full.renamed_since_reduce(), None);
+    let stats = reduce_holding(&mut full);
+    (full, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The reduction over the renamed rows alone equals the full table of
+    /// minimums — rows, order and counts — after each of a run of rename
+    /// batches: ghost-parent batches (some naming no row's end, some
+    /// renaming onto ghosts that unrenamed rows already reach, so renamed
+    /// and unrenamed rows fall parallel) and kernel commits.
+    #[test]
+    fn filtered_reduce_equals_the_full_pass_after_rename_batches(
+        rows in proptest::collection::vec((0u32..100, 0u32..100, 1u32..30), 0..250),
+        batches in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec((0u32..80, 0u32..60), 0..12)),
+            1..6,
+        ),
+    ) {
+        let mut cg = reduced_holding(&rows);
+        for (kind, pairs) in batches {
+            match kind {
+                // Ghosts renamed onto ghosts, several onto one.
+                0 => {
+                    let pairs: Vec<(u32, u32)> =
+                        pairs.iter().map(|&(old, new)| (100 + old % 60, 100 + new)).filter(|p| p.0 != p.1).collect();
+                    let mut msg = pairs.clone();
+                    mnd_kernels::reduce::ghost_parent_message(&mut msg);
+                    // One parent per old id, no chains: as a protocol round sends.
+                    msg.dedup_by_key(|p| p.0);
+                    let olds: Vec<u32> = msg.iter().map(|p| p.0).collect();
+                    msg.retain(|p| !olds.contains(&p.1));
+                    apply_ghost_parents(&mut cg, &msg);
+                }
+                // A batch naming no id any row carries.
+                1 => apply_ghost_parents(&mut cg, &[(90_000, 90_001), (90_002, 90_001)]),
+                // The kernel's commit, early-stopped: the filtered kernel
+                // whenever marks survive.
+                _ => {
+                    mnd_kernels::local_boruvka(
+                        &mut cg,
+                        ExcpCond::BorderEdge,
+                        FreezePolicy::Sticky,
+                        StopPolicy::DiminishingBenefit { min_improvement: 0.5 },
+                    );
+                }
+            }
+            prop_assert!(cg.renamed_since_reduce().is_some());
+            let (full, full_stats) = fully_reduced(&cg);
+            let expect = aos_reference_reduce(cg.edges_vec());
+            let stats = reduce_holding(&mut cg);
+            prop_assert_eq!(cg.edges_vec(), full.edges_vec());
+            prop_assert_eq!(cg.edges_vec(), expect);
+            prop_assert_eq!(stats, full_stats);
+            prop_assert_eq!(cg.renamed_since_reduce(), Some(&[][..]));
+            cg.validate().unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_reduced_holding_renamed_nowhere_costs_no_pass() {
+    let mut cg = reduced_holding(&[(0, 1, 3), (1, 2, 4), (2, 45, 5), (45, 46, 6)]);
+    let before = cg.clone();
+    apply_ghost_parents(&mut cg, &[(7_000, 7_001)]);
+    assert_eq!(cg.renamed_since_reduce(), Some(&[][..]));
+    let stats = reduce_holding(&mut cg);
+    assert_eq!((stats.edges_before, stats.edges_after), (4, 4));
+    assert_eq!((stats.self_removed, stats.multi_removed), (0, 0));
+    assert_eq!(cg, before);
 }

@@ -1,0 +1,151 @@
+#!/usr/bin/env bash
+# Paired A/B of the repo benchmark: BASE against CHANGE, workload by
+# workload, in alternating order, so that host load falls on both sides.
+#
+# Usage: scripts/ab.sh [-n PAIRS] [-S SEED] [-w WORKLOAD]... BASE [CHANGE]
+#   BASE, CHANGE  git revisions; CHANGE defaults to the working tree
+#   -n PAIRS      pairs of runs per workload (default 6)
+#   -S SEED       the workloads' seed (default 42)
+#   -w WORKLOAD   a workload to run; repeat for several (default: all five)
+#
+# Each revision is exported with `git archive` (the working tree is built
+# in place) and built with a CARGO_TARGET_DIR of its own, all under
+# ${AB_DIR:-target/ab}. Per workload, pair i runs the benchmark's one-run
+# form `--workload W --seed SEED --seconds 6 --trace 0` for both sides, BASE
+# first when i is even and CHANGE first when it is odd (ABBA). The report
+# is one Markdown row per workload: the medians of the corrected and of the
+# as-measured `wall_s` of each side, the median of the per-pair ratios
+# CHANGE / BASE of corrected `wall_s`, the pairs CHANGE won, the exact
+# two-sided sign-test p over the pairs that are not ties, and whether
+# `sim_time_s` and `sim_latency_p90_s` are bit-equal across every run. A
+# run whose output failed its oracle is reported, and makes the script
+# exit 1. Every run's output stays in the runs/ directory beside the
+# builds. Nothing under benchmark/ is changed.
+#
+# Needs git, cargo and python3 (the statistics).
+
+set -euo pipefail
+
+pairs=6
+seed=42
+workloads=()
+while getopts "n:S:w:h" opt; do
+  case "$opt" in
+    n) pairs=$OPTARG ;;
+    S) seed=$OPTARG ;;
+    w) workloads+=("$OPTARG") ;;
+    h)
+      sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
+      exit 0
+      ;;
+    *) exit 2 ;;
+  esac
+done
+shift $((OPTIND - 1))
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+  echo "usage: scripts/ab.sh [-n PAIRS] [-S SEED] [-w WORKLOAD]... BASE [CHANGE]" >&2
+  exit 2
+fi
+if [[ ${#workloads[@]} -eq 0 ]]; then
+  workloads=(crawl-dnc scramble-dnc road-rounds geo-knn serve-mix)
+fi
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+out=${AB_DIR:-target/ab}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+runs="$out/runs"
+rm -rf "$runs"
+mkdir -p "$runs"
+
+# build SIDE [REV]: exports REV (none: the working tree) and builds its
+# benchmark; prints the binary's path.
+build() {
+  local side=$1 rev=${2:-} src
+  if [[ -z "$rev" ]]; then
+    src=$root
+  else
+    src="$out/$side-src"
+    rm -rf "$src"
+    mkdir -p "$src"
+    git archive "$rev" | tar -x -C "$src"
+  fi
+  CARGO_TARGET_DIR="$out/$side-target" cargo build --release --offline --quiet \
+    --manifest-path "$src/benchmark/Cargo.toml" >&2 || return 1
+  echo "$out/$side-target/release/mnd-benchmark"
+}
+
+echo "==> building base ($1) and change (${2:-working tree})" >&2
+base_bin=$(build base "$1")
+change_bin=$(build change "${2:-}")
+
+# run SIDE WORKLOAD PAIR: one contract-form run, its stdout kept.
+run() {
+  local side=$1 workload=$2 pair=$3 bin status=0
+  if [[ "$side" == base ]]; then bin=$base_bin; else bin=$change_bin; fi
+  "$bin" --workload "$workload" --seed "$seed" --seconds 6 --trace 0 \
+    >"$runs/$workload.$pair.$side.log" 2>/dev/null || status=$?
+  if [[ "$status" -gt 1 ]]; then
+    echo "ab.sh: $side run of $workload exited $status" >&2
+    exit 1
+  fi
+}
+
+for workload in "${workloads[@]}"; do
+  for ((pair = 0; pair < pairs; pair++)); do
+    echo "==> $workload, pair $((pair + 1)) of $pairs" >&2
+    if ((pair % 2 == 0)); then
+      run base "$workload" "$pair"
+      run change "$workload" "$pair"
+    else
+      run change "$workload" "$pair"
+      run base "$workload" "$pair"
+    fi
+  done
+done
+
+python3 - "$runs" "$pairs" "${workloads[@]}" <<'PY'
+import json, math, sys
+from statistics import median as med
+
+runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+
+def read(workload, pair, side):
+    """(corrected wall_s, as-measured wall median, sim pair, correct)"""
+    lines = open(f"{runs}/{workload}.{pair}.{side}.log").read().splitlines()
+    result = json.loads(lines[-1])
+    samples = next(json.loads(l[len("samples "):]) for l in lines if l.startswith("samples "))
+    m = result["metrics"]
+    sim = (m["sim_time_s"]["value"], m["sim_latency_p90_s"]["value"])
+    return m["wall_s"]["value"], med(samples["wall_raw_s"]), sim, result["correct"]
+
+def sign_p(won, lost):
+    """Exact two-sided sign test over the pairs that are not ties."""
+    n = won + lost
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+print("| workload | base `wall_s` | change `wall_s` | as measured | median ratio | pairs won | sign-test p | simulated bit-equal |")
+print("|---|---|---|---|---|---|---|---|")
+failed = False
+for w in workloads:
+    base = [read(w, i, "base") for i in range(pairs)]
+    change = [read(w, i, "change") for i in range(pairs)]
+    failed |= not all(r[3] for r in base + change)
+    ratios = [c[0] / b[0] for b, c in zip(base, change)]
+    won = sum(c[0] < b[0] for b, c in zip(base, change))
+    lost = sum(c[0] > b[0] for b, c in zip(base, change))
+    sims = {r[2] for r in base + change}
+    print(
+        f"| {w} | {med([r[0] for r in base]):.4f} | {med([r[0] for r in change]):.4f} "
+        f"| {med([r[1] for r in base]):.4f} → {med([r[1] for r in change]):.4f} "
+        f"| {med(ratios):.3f} ({100 * (med(ratios) - 1):+.1f} %) | {won} / {pairs} "
+        f"| {sign_p(won, lost):.3g} | {'yes' if len(sims) == 1 else 'NO'} |"
+    )
+if failed:
+    print("ab.sh: a run's output failed its oracle", file=sys.stderr)
+    sys.exit(1)
+PY
