@@ -6,11 +6,10 @@ use mnd_hypar::chaos::ChaosEventKind;
 use mnd_hypar::observe::PhaseKind;
 use mnd_hypar::runtime::ExchangeMonitor;
 use mnd_kernels::cgraph::CompId;
-use mnd_kernels::policy::KernelPolicy;
 use mnd_net::{Comm, Group, Tag};
 
 use crate::phases::{IndComp, Phase, RankCtx, RankRecovery};
-use crate::segment::{choose_segment_with, SegmentMsg};
+use crate::segment::{choose_segment, SegmentMsg};
 
 /// Ring-segment messages.
 const TAG_SEG: Tag = Tag::user(1);
@@ -50,9 +49,8 @@ impl HierMerge {
                 let right = g.right_of(me);
                 let cap = cx.runner.segment_cap_bytes();
                 let strategy = cx.runner.segment_strategy;
-                let policy = KernelPolicy::current();
                 let take = cx.step(PhaseKind::HierMerge, "choose_segment", |cx| {
-                    choose_segment_with(&mut cx.cg, cap, strategy, &policy)
+                    choose_segment(&mut cx.cg, cap, strategy)
                 });
                 let seg = cx.step(PhaseKind::HierMerge, "split_off", |cx| {
                     cx.cg.split_off(&take)

@@ -3,9 +3,8 @@
 
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::CompId;
-use mnd_kernels::policy::KernelPolicy;
 use mnd_kernels::reduce::{
-    apply_ghost_parents, ghost_parent_message, ghost_parents_are_chain_free, reduce_holding_with,
+    apply_ghost_parents, ghost_parent_message, ghost_parents_are_chain_free, reduce_holding,
 };
 use mnd_wire::PackedPairs;
 
@@ -35,7 +34,6 @@ impl Phase for MergeParts {
             // device results may repeat pairs; §3.3 sends each once).
             ghost_parent_message(&mut relabel);
 
-            let policy = KernelPolicy::current();
             let cfg = cx.cfg();
             let buckets = cx.step(PhaseKind::MergeParts, "relabel_buckets", |cx| {
                 relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size())
@@ -53,11 +51,7 @@ impl Phase for MergeParts {
                         PackedPairs::into_pairs,
                     )
                 } else {
-                    comm.alltoallv_phased_with(
-                        buckets,
-                        cx.runner.ghost_phase_size,
-                        exchange_mode(cfg),
-                    )
+                    comm.alltoallv_phased(buckets, cx.runner.ghost_phase_size, exchange_mode(cfg))
                 }
             });
             cx.dir.apply_relabels(&relabel);
@@ -76,7 +70,7 @@ impl Phase for MergeParts {
 
             // Reduce: self-edge removal + multi-edge removal, in place.
             let stats = cx.step(PhaseKind::MergeParts, "reduce_holding", |cx| {
-                reduce_holding_with(&mut cx.cg, &policy)
+                reduce_holding(&mut cx.cg)
             });
             comm.compute(cx.runner.sweep_seconds(stats.edges_before));
         });

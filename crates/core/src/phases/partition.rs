@@ -183,7 +183,7 @@ impl Phase for Partition {
                     PackedIds::into_ids,
                 )
             } else {
-                comm.alltoallv_phased_with(buckets, runner.ghost_phase_size, mode)
+                comm.alltoallv_phased(buckets, runner.ghost_phase_size, mode)
             };
             // Consistency: every vertex a neighbour reports as its boundary
             // must be non-resident here and owned by that neighbour.

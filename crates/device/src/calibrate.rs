@@ -126,7 +126,7 @@ const RECURSION_AMORTIZATION_ROUNDS: f64 = 128.0;
 /// allreduces (`2⌈log₂ p⌉` hops) of fixed per-message cost
 /// `latency + overhead`. The threshold is the edge volume the node's CPU
 /// chews through in that collective time, scaled by
-/// [`RECURSION_AMORTIZATION_ROUNDS`] because the fixed cost recurs every
+/// `RECURSION_AMORTIZATION_ROUNDS` (128) because the fixed cost recurs every
 /// round of the recursion it triggers. On the AMD cluster at 16 ranks this
 /// lands at ~4×10⁷ edges — the paper's order of magnitude — and shrinks on
 /// the low-latency Cray Aries fabric, where recursing is cheaper.

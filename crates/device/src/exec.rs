@@ -1,9 +1,9 @@
 //! Executing kernels "on" a device: real computation + modelled time.
 
 use mnd_kernels::binning::BinnedSchedule;
-use mnd_kernels::boruvka::{local_boruvka_with, LocalOutput};
+use mnd_kernels::boruvka::{local_boruvka, LocalOutput};
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
 use crate::model::DeviceModel;
 
@@ -56,24 +56,21 @@ impl ExecDevice {
 
     /// Degree-skew fraction of a holding, as the GPU scheduler would see
     /// it: the holding's incident-count column
-    /// ([`CGraph::incident_counts_with`] — reusable scratch, parallel
+    /// ([`CGraph::incident_counts`] — reusable scratch, parallel
     /// reduction above the policy crossover), binned.
     pub fn holding_skew(cg: &mut CGraph) -> f64 {
-        Self::holding_skew_with(cg, &KernelPolicy::default())
-    }
-
-    /// Policy-aware [`ExecDevice::holding_skew`].
-    pub fn holding_skew_with(cg: &mut CGraph, policy: &KernelPolicy) -> f64 {
         if cg.num_resident() == 0 {
             return 0.0;
         }
-        BinnedSchedule::build(cg.incident_counts_with(policy).iter().copied()).skew_fraction()
+        BinnedSchedule::build(cg.incident_counts().iter().copied()).skew_fraction()
     }
 
     /// Runs `indComp` on the holding. For GPU devices, charges the
     /// host-to-device upload of the holding before the kernel and the
     /// (much smaller) result download after it, with half the upload
     /// overlapped with execution — the paper's cudaStream overlap (§3.5).
+    /// The calling thread's kernel policy decides which sweeps run chunked;
+    /// results are identical for every policy, only wall-clock changes.
     pub fn run_ind_comp(
         &mut self,
         cg: &mut CGraph,
@@ -81,30 +78,15 @@ impl ExecDevice {
         freeze: FreezePolicy,
         stop: StopPolicy,
     ) -> IndCompRun {
-        self.run_ind_comp_with(cg, &KernelPolicy::default(), excp, freeze, stop)
-    }
-
-    /// As [`ExecDevice::run_ind_comp`], under an explicit (typically
-    /// calibrated) [`KernelPolicy`] governing the election sweep and the
-    /// holding reductions. Results are identical for every policy; only
-    /// wall-clock changes.
-    pub fn run_ind_comp_with(
-        &mut self,
-        cg: &mut CGraph,
-        policy: &KernelPolicy,
-        excp: ExcpCond,
-        freeze: FreezePolicy,
-        stop: StopPolicy,
-    ) -> IndCompRun {
         // Counting and binning incident edges is a sweep of its own: only
         // a device whose occupancy depends on the skew pays for it.
         let skew = if self.model.skew_sensitive() {
-            Self::holding_skew_with(cg, policy)
+            Self::holding_skew(cg)
         } else {
             0.0
         };
         let upload_bytes = cg.approx_bytes() as u64;
-        let output = local_boruvka_with(cg, policy, excp, freeze, stop);
+        let output = local_boruvka(cg, excp, freeze, stop);
         let kernel_time = self.model.kernel_time(&output.work, skew);
         let download_bytes =
             (output.msf_edges.len() * std::mem::size_of::<mnd_graph::WEdge>()) as u64;

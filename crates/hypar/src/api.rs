@@ -11,8 +11,8 @@ use mnd_graph::partition::{partition_1d, VertexRange};
 use mnd_graph::types::WEdge;
 use mnd_graph::CsrGraph;
 use mnd_kernels::cgraph::{CGraph, CompId};
-use mnd_kernels::policy::{ExcpCond, KernelPolicy};
-use mnd_kernels::reduce::{apply_ghost_parents, reduce_holding_with};
+use mnd_kernels::policy::ExcpCond;
+use mnd_kernels::reduce::{apply_ghost_parents, reduce_holding};
 
 use crate::config::HyParConfig;
 
@@ -89,11 +89,10 @@ pub fn ind_comp(
     // holdings (late merge levels) skip the GPU — kernel launches and PCIe
     // transfers would outweigh the scan they accelerate.
     let paper_edges = cg.num_edges() as f64 * cfg.sim_scale;
-    let policy = &KernelPolicy::current();
     let gpu_model = match gpu_model {
         Some(g) if split.cpu_fraction < 0.999 && cg.num_resident() >= 2 && paper_edges > 2e6 => g,
         _ => {
-            let run = cpu_dev.run_ind_comp_with(cg, policy, cfg.excp, cfg.freeze, cfg.stop);
+            let run = cpu_dev.run_ind_comp(cg, cfg.excp, cfg.freeze, cfg.stop);
             return NodeIndComp {
                 msf_edges: run.output.msf_edges,
                 relabel: run.output.relabel,
@@ -107,11 +106,11 @@ pub fn ind_comp(
 
     // Contiguous cut of the resident components by incident-edge counts —
     // the CSR-segment split of §3.1 lifted to the component level.
-    let gpu_comps = gpu_share_components(cg, split.cpu_fraction, policy);
+    let gpu_comps = gpu_share_components(cg, split.cpu_fraction);
     let mut gpu_cg = cg.split_off(&gpu_comps);
 
-    let cpu_run = cpu_dev.run_ind_comp_with(cg, policy, cfg.excp, cfg.freeze, cfg.stop);
-    let gpu_run = gpu_dev.run_ind_comp_with(&mut gpu_cg, policy, cfg.excp, cfg.freeze, cfg.stop);
+    let cpu_run = cpu_dev.run_ind_comp(cg, cfg.excp, cfg.freeze, cfg.stop);
+    let gpu_run = gpu_dev.run_ind_comp(&mut gpu_cg, cfg.excp, cfg.freeze, cfg.stop);
 
     let mut out = NodeIndComp {
         msf_edges: Vec::new(),
@@ -127,13 +126,7 @@ pub fn ind_comp(
 
     // Intra-node mergeParts: exchange "ghost parents" between the devices
     // (free: same memory) and recombine.
-    let merge_sweep = merge_devices_with(
-        cg,
-        gpu_cg,
-        &cpu_run.output.relabel,
-        &gpu_run.output.relabel,
-        policy,
-    );
+    let merge_sweep = merge_devices(cg, gpu_cg, &cpu_run.output.relabel, &gpu_run.output.relabel);
     // The merge sweep runs on the CPU.
     out.compute_time += cpu_dev.model.kernel_time(
         &mnd_kernels::policy::WorkProfile {
@@ -163,7 +156,7 @@ pub fn ind_comp(
             / cg.num_edges() as f64
     };
     cg.clear_frozen();
-    let finish = cpu_dev.run_ind_comp_with(cg, policy, cfg.excp, cfg.freeze, cfg.stop);
+    let finish = cpu_dev.run_ind_comp(cg, cfg.excp, cfg.freeze, cfg.stop);
     let mut charged = finish.output.work.clone();
     if let Some(first) = charged.iters.first_mut() {
         first.edges_scanned = (first.edges_scanned as f64 * frozen_fraction).ceil() as u64;
@@ -187,8 +180,8 @@ pub fn ind_comp(
 /// Uses the holding's reusable incident-count column — a chunked parallel
 /// column reduction above the policy crossover — instead of rebuilding a
 /// hash map per call.
-fn gpu_share_components(cg: &mut CGraph, cpu_fraction: f64, policy: &KernelPolicy) -> Vec<CompId> {
-    let counts = cg.incident_counts_with(policy);
+fn gpu_share_components(cg: &mut CGraph, cpu_fraction: f64) -> Vec<CompId> {
+    let counts = cg.incident_counts();
     let total: u64 = counts.iter().sum();
     let gpu_target = (total as f64 * (1.0 - cpu_fraction)).round() as u64;
     let mut acc = 0u64;
@@ -209,33 +202,15 @@ fn gpu_share_components(cg: &mut CGraph, cpu_fraction: f64, policy: &KernelPolic
 /// charged by the driver).
 pub fn merge_devices(
     cpu_cg: &mut CGraph,
-    gpu_cg: CGraph,
-    cpu_relabel: &[(CompId, CompId)],
-    gpu_relabel: &[(CompId, CompId)],
-) -> u64 {
-    merge_devices_with(
-        cpu_cg,
-        gpu_cg,
-        cpu_relabel,
-        gpu_relabel,
-        &KernelPolicy::default(),
-    )
-}
-
-/// As [`merge_devices`], under an explicit [`KernelPolicy`] for the ghost
-/// relabels and the reduction sweep.
-pub fn merge_devices_with(
-    cpu_cg: &mut CGraph,
     mut gpu_cg: CGraph,
     cpu_relabel: &[(CompId, CompId)],
     gpu_relabel: &[(CompId, CompId)],
-    policy: &KernelPolicy,
 ) -> u64 {
     let swept = gpu_cg.num_edges() as u64;
     apply_ghost_parents(&mut gpu_cg, cpu_relabel);
     apply_ghost_parents(cpu_cg, gpu_relabel);
     cpu_cg.absorb(gpu_cg);
-    reduce_holding_with(cpu_cg, policy);
+    reduce_holding(cpu_cg);
     // Note: device-border freeze marks are left in place — `ind_comp`
     // reads them to seed (and price) the finishing pass, then clears them
     // there. Clearing is safe because the border is gone; the next
@@ -265,7 +240,7 @@ pub fn post_process(
     // Only a GPU's estimate reads the skew (the run below measures its
     // own, if it lands on one).
     let skew = match platform.gpu {
-        Some(_) => ExecDevice::holding_skew_with(cg, &KernelPolicy::current()),
+        Some(_) => ExecDevice::holding_skew(cg),
         None => 0.0,
     };
     let cpu_model = platform.cpu.clone().scaled(cfg.sim_scale);
@@ -288,9 +263,8 @@ pub fn post_process(
         cpu_model
     };
     let mut dev = ExecDevice::new(model);
-    let run = dev.run_ind_comp_with(
+    let run = dev.run_ind_comp(
         cg,
-        &KernelPolicy::current(),
         ExcpCond::None,
         FreezePolicy::Sticky,
         StopPolicy::Exhaustive,
@@ -388,7 +362,7 @@ mod tests {
     fn gpu_share_respects_fraction() {
         let el = gen::gnm(1000, 5000, 11);
         let mut cg = CGraph::from_edge_list(&el);
-        let take = gpu_share_components(&mut cg, 0.75, &KernelPolicy::default());
+        let take = gpu_share_components(&mut cg, 0.75);
         // Roughly a quarter of incident edges -> roughly a quarter of
         // uniform-degree components.
         let frac = take.len() as f64 / cg.num_resident() as f64;

@@ -21,10 +21,7 @@ pub mod config;
 pub mod observe;
 pub mod runtime;
 
-pub use api::{
-    ind_comp, merge_devices, merge_devices_with, part_graph, post_process, NodeIndComp,
-    NodePartition,
-};
+pub use api::{ind_comp, merge_devices, part_graph, post_process, NodeIndComp, NodePartition};
 pub use chaos::{ChaosControl, ChaosEvent, ChaosEventKind, ChaosHook};
 pub use config::{HyParConfig, RecursionThresholdSource};
 pub use observe::{ObserverHook, PhaseKind, PhaseObserver, PhaseSample, StepSample};

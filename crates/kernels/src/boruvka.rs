@@ -18,7 +18,7 @@
 //! ## One sweep per round
 //!
 //! The kernel keeps a worklist of 16-byte *live rows* `{a, b, w, row}`: both
-//! ends as resident root slots ([`GHOST`] for a non-resident end), the
+//! ends as resident root slots (`GHOST` for a non-resident end), the
 //! weight, and the holding row it stands for (stable for the whole call).
 //! Building that worklist *is* round 1's election: every holding row (but
 //! the parked ones, below) is resolved once, self rows are dropped, and the
@@ -109,31 +109,22 @@ pub struct LocalOutput {
 /// `ExcpCond::None` is only legal when the holding has no cut edges; the
 /// kernel panics otherwise (using it on a real partition silently corrupts
 /// the MSF — we make that a loud error instead).
-pub fn local_boruvka(
-    cg: &mut CGraph,
-    excp: ExcpCond,
-    freeze: FreezePolicy,
-    stop: StopPolicy,
-) -> LocalOutput {
-    local_boruvka_with(cg, &KernelPolicy::default(), excp, freeze, stop)
-}
-
-/// As [`local_boruvka`], under an explicit (typically calibrated)
-/// [`KernelPolicy`] deciding which sweeps run chunked on rayon workers.
-/// Output is identical for every policy.
+///
+/// Which sweeps run chunked on rayon workers is the calling thread's
+/// [`KernelPolicy::current`]; output is identical for every policy.
 ///
 /// # Panics
 ///
 /// If the holding has `u32::MAX` rows or more (a row index must fit the low
 /// half of the packed election key, below the empty-slot sentinel), or on
 /// `ExcpCond::None` with a cut edge.
-pub fn local_boruvka_with(
+pub fn local_boruvka(
     cg: &mut CGraph,
-    policy: &KernelPolicy,
     excp: ExcpCond,
     freeze: FreezePolicy,
     stop: StopPolicy,
 ) -> LocalOutput {
+    let policy = &KernelPolicy::current();
     let rows = cg.num_edges();
     assert!(
         rows < u32::MAX as usize,
@@ -677,6 +668,7 @@ mod tests {
     use crate::cgraph::CEdge;
     use crate::msf::verify_msf;
     use crate::oracle::kruskal_msf;
+    use crate::policy::with_kernel_policy;
     use mnd_graph::gen;
     use mnd_graph::partition::{partition_1d, VertexRange};
     use mnd_graph::CsrGraph;
@@ -913,7 +905,9 @@ mod tests {
                 };
                 for policy in [KernelPolicy::seq(), forced] {
                     let mut got_cg = base.clone();
-                    let got = local_boruvka_with(&mut got_cg, &policy, excp, freeze, stop);
+                    let got = with_kernel_policy(policy, || {
+                        local_boruvka(&mut got_cg, excp, freeze, stop)
+                    });
                     let tag = format!("{tag} {excp:?}/{freeze:?}/{stop:?} {policy:?}");
                     assert_eq!(got.msf_edges, expect.msf_edges, "{tag}");
                     assert_eq!(got.relabel, expect.relabel, "{tag}");

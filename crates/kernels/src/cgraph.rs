@@ -198,7 +198,7 @@ pub struct CGraph {
     /// mutator that changes that column; never part of identity.
     lookup: SlotLookup,
     /// Reusable per-resident incident-count column (see
-    /// [`CGraph::incident_counts_with`]); never part of identity.
+    /// [`CGraph::incident_counts`]); never part of identity.
     counts: Vec<u64>,
     /// Reusable open-addressing table of row indexes for the
     /// table-of-minimums reductions; never part of identity.
@@ -630,16 +630,12 @@ impl CGraph {
 
     /// Applies a component renaming to **all** edge endpoints. `map` returns
     /// the new id of a component (identity for unknown ids). Resident ids
-    /// and frozen marks are remapped too.
+    /// and frozen marks are remapped too. The endpoint sweep is chunked
+    /// across rayon workers when [`KernelPolicy::current`] says the holding
+    /// is big enough.
     pub fn relabel(&mut self, map: impl Fn(CompId) -> CompId + Sync) {
-        self.relabel_with(&KernelPolicy::default(), map);
-    }
-
-    /// As [`CGraph::relabel`], with the endpoint sweep chunked across rayon
-    /// workers when the policy says the holding is big enough.
-    pub fn relabel_with(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
         self.renamed = None;
-        remap_rows(&mut self.ea, &mut self.eb, policy, &map);
+        remap_rows(&mut self.ea, &mut self.eb, &KernelPolicy::current(), &map);
         let mut resident = std::mem::take(&mut self.resident);
         resident.iter_mut().for_each(|r| *r = map(*r));
         self.set_resident(resident);
@@ -949,12 +945,7 @@ impl CGraph {
     /// Removes self edges (endpoints in the same component) — the paper's
     /// `removeSelfEdges` (§3.3). In-place compaction.
     pub fn remove_self_edges(&mut self) {
-        self.remove_self_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::remove_self_edges`].
-    pub fn remove_self_edges_with(&mut self, policy: &KernelPolicy) {
-        self.retain_rows_with(policy, |cg, i| cg.ea[i] != cg.eb[i]);
+        self.retain_rows_with(&KernelPolicy::current(), |cg, i| cg.ea[i] != cg.eb[i]);
         self.debug_validate();
     }
 
@@ -996,14 +987,10 @@ impl CGraph {
     /// Keeps only the lightest edge between every component pair — the
     /// paper's `removeMultiEdges` (§3.3), as the paper's table of
     /// minimums keyed on `(a, b)`: the survivor of a pair is its row
-    /// minimal under `(orig key, row)`. Rows end in canonical order.
+    /// minimal under `(orig key, row)`. Rows end in canonical order. The
+    /// table pass is one sequential sweep; the policy governs the
+    /// canonical-order restore ([`CGraph::sort_edges`]).
     pub fn remove_multi_edges(&mut self) {
-        self.remove_multi_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::remove_multi_edges`] (the policy governs the
-    /// canonical-order restore; the table pass is one sequential sweep).
-    pub fn remove_multi_edges_with(&mut self, policy: &KernelPolicy) {
         debug_assert!(
             self.ea.iter().zip(&self.eb).all(|(a, b)| a != b),
             "run remove_self_edges first"
@@ -1012,7 +999,7 @@ impl CGraph {
             |cg, i| pair_key(cg.ea[i], cg.eb[i]),
             |cg, i, j| cg.eorig[i].key() < cg.eorig[j].key(),
         );
-        self.sort_edges_with(policy);
+        self.sort_edges();
         self.renamed = Some(Vec::new());
         self.debug_validate();
     }
@@ -1024,12 +1011,12 @@ impl CGraph {
     /// every self row and every parallel pair is among those, and rows
     /// ascend in `(w, u, v)`, so the first of a pair met is its lightest.
     /// No renamed id, no pass. Any other holding takes the full pass.
-    pub(crate) fn reduce_rows_with(&mut self, policy: &KernelPolicy) -> (u64, u64) {
+    pub(crate) fn reduce_rows(&mut self) -> (u64, u64) {
         let Some(renamed) = self.renamed.take() else {
             let before = self.num_edges() as u64;
-            self.remove_self_edges_with(policy);
+            self.remove_self_edges();
             let after_self = self.num_edges() as u64;
-            self.remove_multi_edges_with(policy);
+            self.remove_multi_edges();
             return (before - after_self, after_self - self.num_edges() as u64);
         };
         let renamed = IdSet::new(renamed.iter().copied());
@@ -1070,22 +1057,18 @@ impl CGraph {
     /// Canonical deterministic edge order: by original-edge key
     /// `(w, u, v)`, rows standing for the same original edge by their
     /// component endpoints — a total order on row content, so the result
-    /// does not depend on the order the rows arrived in.
+    /// does not depend on the order the rows arrived in. One comparison
+    /// sweep, and only a holding it finds out of order is sorted (on rayon
+    /// workers above the crossover of [`KernelPolicy::current`]) and
+    /// written back.
     pub fn sort_edges(&mut self) {
-        self.sort_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::sort_edges`]: one comparison sweep, and only
-    /// a holding it finds out of order is sorted (on rayon workers above the
-    /// policy crossover) and written back.
-    pub fn sort_edges_with(&mut self, policy: &KernelPolicy) {
         let n = self.ea.len();
         if (1..n).all(|i| self.record(i - 1) <= self.record(i)) {
             return;
         }
         self.cut.take();
         let mut records: Vec<Record> = (0..n).map(|i| self.record(i)).collect();
-        if policy.use_par(n) {
+        if KernelPolicy::current().use_par(n) {
             records.par_sort_unstable_by_key(|&r| r);
         } else {
             records.sort_unstable();
@@ -1108,11 +1091,12 @@ impl CGraph {
     /// per-endpoint tally). The column lives in reusable scratch so the
     /// repeated callers — device splitting, skew estimation, segment
     /// choice — stop rebuilding a hash map per call, and every path
-    /// resolves slots through the holding's resolver. Above the policy's
-    /// threshold the tally is lock-free `fetch_add`s from row chunks
-    /// straight into the scratch column (viewed atomically). Additions
-    /// commute, so both paths are byte-identical.
-    pub fn incident_counts_with(&mut self, policy: &KernelPolicy) -> &[u64] {
+    /// resolves slots through the holding's resolver. Above the threshold
+    /// of [`KernelPolicy::current`] the tally is lock-free `fetch_add`s from
+    /// row chunks straight into the scratch column (viewed atomically).
+    /// Additions commute, so both paths are byte-identical.
+    pub fn incident_counts(&mut self) -> &[u64] {
+        let policy = KernelPolicy::current();
         let n = self.resident.len();
         let rows = self.ea.len();
         let mut counts = std::mem::take(&mut self.counts);
@@ -1144,11 +1128,6 @@ impl CGraph {
         }
         self.counts = counts;
         &self.counts
-    }
-
-    /// [`CGraph::incident_counts_with`] under the default policy.
-    pub fn incident_counts(&mut self) -> &[u64] {
-        self.incident_counts_with(&KernelPolicy::default())
     }
 
     /// Absorbs other holdings in one merge: unions the resident sets and
@@ -1187,7 +1166,7 @@ impl CGraph {
         };
         runs.insert(0, mine);
         for run in &mut runs {
-            run.sort_edges_with(&KernelPolicy::default());
+            run.sort_edges();
         }
 
         let total = runs.iter().map(|run| run.ea.len()).sum();

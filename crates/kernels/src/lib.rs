@@ -40,11 +40,11 @@ pub mod policy;
 pub mod reduce;
 pub mod scan;
 
-pub use boruvka::{boruvka_msf, local_boruvka, local_boruvka_with, LocalOutput};
+pub use boruvka::{boruvka_msf, local_boruvka, LocalOutput};
 pub use cgraph::{CEdge, CGraph, CompId};
 pub use dsu::DisjointSets;
 pub use filter::{filter_edge_list, filter_holding, FilterStats};
 pub use msf::{verify_msf, MsfResult};
 pub use oracle::kruskal_msf;
 pub use policy::{ExcpCond, KernelPolicy, StopPolicy};
-pub use scan::{min_edge_scan, min_edge_scan_with};
+pub use scan::min_edge_scan;

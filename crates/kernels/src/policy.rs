@@ -14,11 +14,16 @@
 //! `tests/parallel_plane_oracle.rs` and `tests/lockfree_plane.rs` assert
 //! this across adversarial chunkings.
 //!
-//! The threshold assumes the caller has the host to itself: one that runs
-//! kernels from several threads at once (the ranks of `mnd-mst`) shares the
-//! host between them with [`with_kernel_threads`], and
-//! [`KernelPolicy::current`] hands a thread left with one kernel thread
-//! [`KernelPolicy::seq`] — by the contract, only wall-clock can tell.
+//! Every kernel has one public name, and it takes no policy: it reads
+//! [`KernelPolicy::current`] itself. The threshold assumes the
+//! caller has the host to itself: one that runs kernels from several
+//! threads at once (the ranks of `mnd-mst`) shares the host between them
+//! with [`with_kernel_threads`], and [`KernelPolicy::current`] hands a
+//! thread left with one kernel thread [`KernelPolicy::seq`] — by the
+//! contract, only wall-clock can tell. Tests that force a chunking on a
+//! small fixture scope it with [`with_kernel_policy`].
+
+use std::cell::Cell;
 
 /// Seq/par threshold and chunk granularity for the holding-plane kernels
 /// (election scans, permutation sorts, compactions, counts, relabels).
@@ -51,12 +56,14 @@ impl KernelPolicy {
         }
     }
 
-    /// The policy for kernels called from the current thread:
-    /// [`KernelPolicy::seq`] when it has one kernel thread (a parallel
-    /// section would only run its chunks one after another), else
-    /// [`KernelPolicy::default`].
+    /// The policy for kernels called from the current thread: that of an
+    /// enclosing [`with_kernel_policy`], else [`KernelPolicy::seq`] when the
+    /// thread has one kernel thread (a parallel section would only run its
+    /// chunks one after another), else [`KernelPolicy::default`].
     pub fn current() -> Self {
-        if kernel_threads() == 1 {
+        if let Some(policy) = SCOPED.get() {
+            policy
+        } else if kernel_threads() == 1 {
             KernelPolicy::seq()
         } else {
             KernelPolicy::default()
@@ -77,6 +84,26 @@ impl KernelPolicy {
             .map(|lo| (lo, lo.saturating_add(chunk).min(rows)))
             .collect()
     }
+}
+
+thread_local! {
+    /// The policy of the innermost [`with_kernel_policy`] on this thread.
+    static SCOPED: Cell<Option<KernelPolicy>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every kernel it calls on the calling thread under `policy`,
+/// whatever the thread budget: the one way to force a chunking (tests run
+/// the parallel arms on small fixtures with it). Nests, and restores the
+/// enclosing policy when `f` returns or unwinds.
+pub fn with_kernel_policy<R>(policy: KernelPolicy, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<KernelPolicy>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.set(self.0);
+        }
+    }
+    let _restore = Restore(SCOPED.replace(Some(policy)));
+    f()
 }
 
 /// Kernel threads the calling thread's parallel sections run on: the budget
@@ -239,6 +266,39 @@ mod tests {
             with_kernel_threads(2, KernelPolicy::current),
             KernelPolicy::default()
         );
+    }
+
+    /// Modelled on the rayon shim's
+    /// `install_nests_and_restores_the_previous_pool_even_on_unwind`.
+    #[test]
+    fn a_scoped_policy_wins_over_the_budget_nests_and_restores_even_on_unwind() {
+        let forced = |chunk_rows| KernelPolicy {
+            par_threshold: 0,
+            chunk_rows,
+        };
+        with_kernel_threads(1, || {
+            assert_eq!(KernelPolicy::current(), KernelPolicy::seq());
+            with_kernel_policy(forced(3), || {
+                assert_eq!(KernelPolicy::current(), forced(3));
+                with_kernel_policy(forced(5), || {
+                    assert_eq!(KernelPolicy::current(), forced(5));
+                });
+                assert_eq!(KernelPolicy::current(), forced(3));
+                let unwound = std::panic::catch_unwind(|| {
+                    with_kernel_policy(forced(5), || panic!("inside with_kernel_policy"))
+                });
+                assert!(unwound.is_err());
+                assert_eq!(KernelPolicy::current(), forced(3));
+            });
+            assert_eq!(KernelPolicy::current(), KernelPolicy::seq());
+        });
+        with_kernel_threads(2, || {
+            assert_eq!(KernelPolicy::current(), KernelPolicy::default());
+            let seq = with_kernel_policy(KernelPolicy::seq(), KernelPolicy::current);
+            assert_eq!(seq, KernelPolicy::seq());
+            assert_eq!(KernelPolicy::current(), KernelPolicy::default());
+        });
+        assert_eq!(SCOPED.get(), None);
     }
 
     #[test]

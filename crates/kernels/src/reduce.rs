@@ -22,7 +22,6 @@
 use crate::cgraph::{CGraph, CompId};
 use crate::idset::IdSet;
 use crate::index_table;
-use crate::policy::KernelPolicy;
 
 /// Summary of one reduction pass (reported to the cost model; the paper
 /// charges these operations to the merge phase).
@@ -40,19 +39,13 @@ pub struct ReduceStats {
 
 /// Runs self-edge removal followed by multi-edge removal on a holding,
 /// entirely in place — over the rows touching an id renamed since the last
-/// reduction when the holding knows those ids, else over every row.
+/// reduction when the holding knows those ids, else over every row. The
+/// full pass is [`CGraph::remove_self_edges`] then
+/// [`CGraph::remove_multi_edges`], chunked on rayon workers as the calling
+/// thread's kernel policy says. Oracle-identical for any chunking.
 pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
-    reduce_holding_with(cg, &KernelPolicy::default())
-}
-
-/// As [`reduce_holding`], under an explicit (typically calibrated)
-/// [`KernelPolicy`]: above the crossover the self-edge compaction
-/// evaluates its predicate over row chunks on rayon workers and the
-/// canonical-order restore sorts in parallel. Oracle-identical for any
-/// chunking.
-pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStats {
     let before = cg.num_edges() as u64;
-    let (self_removed, multi_removed) = cg.reduce_rows_with(policy);
+    let (self_removed, multi_removed) = cg.reduce_rows();
     ReduceStats {
         edges_before: before,
         self_removed,

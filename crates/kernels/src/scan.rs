@@ -2,7 +2,7 @@
 //!
 //! The hottest loop of every Boruvka variant is the per-component
 //! lightest-edge election. This module provides it as a standalone kernel
-//! over [`CGraph`]'s column storage: [`min_edge_scan_with`] runs the
+//! over [`CGraph`]'s column storage: [`min_edge_scan`] runs the
 //! sequential sweep at or below the policy's threshold, and above it races
 //! CAS fetch-min loops from row chunks against one packed atomic word per
 //! resident slot (no partial tables, no merge phase; see
@@ -69,19 +69,14 @@ fn min_edge_scan_lockfree(cg: &CGraph, chunk_rows: usize) -> Vec<Option<u32>> {
         .collect()
 }
 
-/// The election with the default parallel policy: sequential for holdings
-/// under one chunk of edges (thread spawn would dominate), parallel above.
-pub fn min_edge_scan(cg: &CGraph) -> Vec<Option<u32>> {
-    min_edge_scan_with(cg, &KernelPolicy::default())
-}
-
 /// The lightest incident edge per resident component, as a row index into
-/// the holding's edge columns (`None` for isolated components), under an
-/// explicit [`KernelPolicy`]: sequential at or below its threshold, the
+/// the holding's edge columns (`None` for isolated components), under
+/// [`KernelPolicy::current`]: sequential at or below its threshold, the
 /// lock-free sweep above. Resident slot `i` corresponds to
 /// `cg.resident()[i]`. Self edges (both endpoints the same component) elect
 /// nobody. Identical output either way.
-pub fn min_edge_scan_with(cg: &CGraph, policy: &KernelPolicy) -> Vec<Option<u32>> {
+pub fn min_edge_scan(cg: &CGraph) -> Vec<Option<u32>> {
+    let policy = KernelPolicy::current();
     if policy.use_par(cg.num_edges()) {
         min_edge_scan_lockfree(cg, policy.chunk_rows.max(1))
     } else {
@@ -123,6 +118,7 @@ fn take_if_lighter(slot: &mut Option<u32>, candidate: u32, orig: &[WEdge]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::with_kernel_policy;
     use mnd_graph::gen;
 
     fn holdings() -> Vec<CGraph> {
@@ -148,7 +144,8 @@ mod tests {
                     par_threshold: 0,
                     chunk_rows: chunk,
                 };
-                assert_eq!(min_edge_scan_with(&cg, &forced), seq, "chunk={chunk}");
+                let got = with_kernel_policy(forced, || min_edge_scan(&cg));
+                assert_eq!(got, seq, "chunk={chunk}");
             }
             assert_eq!(min_edge_scan(&cg), seq);
         }

@@ -5,19 +5,26 @@ use mnd_graph::edgelist::splitmix64;
 use mnd_graph::partition::partition_1d;
 use mnd_graph::{gen, CsrGraph, EdgeList};
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::KernelPolicy;
+use mnd_kernels::policy::{with_kernel_policy, with_kernel_threads, KernelPolicy};
 
 /// Adversarial chunk sizes: degenerate single-row chunks, a prime that
 /// never divides the fixture sizes, and one chunk covering everything.
 pub const CHUNKS: [usize; 3] = [1, 13, usize::MAX];
 
-/// A policy that takes the parallel path on any holding, in `chunk_rows`-row
-/// chunks.
-pub fn forced(chunk_rows: usize) -> KernelPolicy {
-    KernelPolicy {
+/// Runs `f` with every kernel it calls on this thread on the parallel path,
+/// in `chunk_rows`-row chunks, whatever the thread budget.
+pub fn forced<R>(chunk_rows: usize, f: impl FnOnce() -> R) -> R {
+    let policy = KernelPolicy {
         par_threshold: 0,
         chunk_rows,
-    }
+    };
+    with_kernel_policy(policy, f)
+}
+
+/// Runs `f` with every kernel it calls on this thread on the sequential
+/// reference path: one kernel thread gets [`KernelPolicy::seq`].
+pub fn seq<R>(f: impl FnOnce() -> R) -> R {
+    with_kernel_threads(1, f)
 }
 
 /// Graph families the paper evaluates — skewed (RMAT), uniform (ER/gnm)
@@ -56,13 +63,15 @@ pub fn partitioned(el: &EdgeList) -> Vec<CGraph> {
     CGraph::level0(el, &ranges, 0..4)
 }
 
-/// Walks the chunks of a `rows`-row sweep under `policy` on a two-thread
-/// pool and asserts the sweep was cut into more than one chunk and that the
-/// chunks ran on more than one thread. Counted here, around the same
-/// chunking calls the kernels make — the product carries no counter.
-pub fn assert_several_chunks_on_several_threads(policy: &KernelPolicy, rows: usize) {
+/// Walks the chunks of a `rows`-row sweep under the policy a kernel reads
+/// inside [`forced`]`(chunk_rows, …)` on a two-thread pool and asserts the
+/// sweep was cut into more than one chunk and that the chunks ran on more
+/// than one thread. Counted here, around the same chunking calls the
+/// kernels make — the product carries no counter.
+pub fn assert_several_chunks_on_several_threads(chunk_rows: usize, rows: usize) {
     use rayon::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    let policy = forced(chunk_rows, KernelPolicy::current);
     assert!(policy.use_par(rows));
     let chunks = AtomicUsize::new(0);
     let threads = std::sync::Mutex::new(std::collections::HashSet::new());

@@ -11,12 +11,12 @@
 
 mod common;
 
-use common::{fixtures, forced, partitioned, CHUNKS};
+use common::{fixtures, forced, partitioned, seq, CHUNKS};
 use mnd_graph::gen;
-use mnd_kernels::boruvka::local_boruvka_with;
+use mnd_kernels::boruvka::local_boruvka;
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
-use mnd_kernels::scan::min_edge_scan_with;
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
+use mnd_kernels::scan::min_edge_scan;
 
 /// Seed of this file's RMAT/ER/road fixtures.
 const SEED: u64 = 41;
@@ -25,17 +25,16 @@ const SEED: u64 = 41;
 fn lockfree_scan_and_counts_match_seq_for_any_chunking() {
     for (name, el) in fixtures(SEED) {
         let mut cg = CGraph::from_edge_list(&el);
-        let expect_scan = min_edge_scan_with(&cg, &KernelPolicy::seq());
-        let expect_counts = cg.incident_counts_with(&KernelPolicy::seq()).to_vec();
+        let expect_scan = seq(|| min_edge_scan(&cg));
+        let expect_counts = seq(|| cg.incident_counts().to_vec());
         for chunk in CHUNKS {
-            let policy = forced(chunk);
             assert_eq!(
-                min_edge_scan_with(&cg, &policy),
+                forced(chunk, || min_edge_scan(&cg)),
                 expect_scan,
                 "{name} chunk={chunk}"
             );
             assert_eq!(
-                cg.incident_counts_with(&policy).to_vec(),
+                forced(chunk, || cg.incident_counts().to_vec()),
                 expect_counts,
                 "{name} chunk={chunk}"
             );
@@ -45,26 +44,17 @@ fn lockfree_scan_and_counts_match_seq_for_any_chunking() {
 
 #[test]
 fn lockfree_boruvka_matches_seq_for_any_chunking() {
+    let kernel = |cg: &mut CGraph, freeze| {
+        local_boruvka(cg, ExcpCond::BorderEdge, freeze, StopPolicy::Exhaustive)
+    };
     for (name, el) in fixtures(SEED) {
         for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
             for (part, base) in partitioned(&el).into_iter().enumerate() {
                 let mut expect_cg = base.clone();
-                let expect = local_boruvka_with(
-                    &mut expect_cg,
-                    &KernelPolicy::seq(),
-                    ExcpCond::BorderEdge,
-                    freeze,
-                    StopPolicy::Exhaustive,
-                );
+                let expect = seq(|| kernel(&mut expect_cg, freeze));
                 for chunk in CHUNKS {
                     let mut got_cg = base.clone();
-                    let got = local_boruvka_with(
-                        &mut got_cg,
-                        &forced(chunk),
-                        ExcpCond::BorderEdge,
-                        freeze,
-                        StopPolicy::Exhaustive,
-                    );
+                    let got = forced(chunk, || kernel(&mut got_cg, freeze));
                     let tag = format!("{name} {freeze:?} part={part} chunk={chunk}");
                     assert_eq!(got.msf_edges, expect.msf_edges, "{tag}");
                     assert_eq!(got.relabel, expect.relabel, "{tag}");
@@ -85,21 +75,21 @@ fn lockfree_boruvka_matches_seq_for_any_chunking() {
 fn lockfree_thread_count_does_not_change_results() {
     let el = gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 47);
     let run = || -> (Vec<CGraph>, Vec<mnd_graph::WEdge>) {
-        let policy = forced(13);
-        let mut holdings = partitioned(&el);
-        let mut msf = Vec::new();
-        for cg in &mut holdings {
-            let out = local_boruvka_with(
-                cg,
-                &policy,
-                ExcpCond::BorderEdge,
-                FreezePolicy::Sticky,
-                StopPolicy::Exhaustive,
-            );
-            msf.extend(out.msf_edges);
-            cg.incident_counts_with(&policy);
-        }
-        (holdings, msf)
+        forced(13, || {
+            let mut holdings = partitioned(&el);
+            let mut msf = Vec::new();
+            for cg in &mut holdings {
+                let out = local_boruvka(
+                    cg,
+                    ExcpCond::BorderEdge,
+                    FreezePolicy::Sticky,
+                    StopPolicy::Exhaustive,
+                );
+                msf.extend(out.msf_edges);
+                cg.incident_counts();
+            }
+            (holdings, msf)
+        })
     };
     let mut results = Vec::new();
     for threads in ["1", "2", "8"] {
@@ -122,5 +112,5 @@ fn lockfree_thread_count_does_not_change_results() {
 fn force_lockfree_still_runs_several_chunks_on_several_threads() {
     let (_, el) = fixtures(SEED).swap_remove(0);
     let rows = partitioned(&el)[0].num_edges();
-    common::assert_several_chunks_on_several_threads(&forced(13), rows);
+    common::assert_several_chunks_on_several_threads(13, rows);
 }

@@ -5,19 +5,20 @@
 //! any rayon worker count. These tests force the parallel path (the chunked
 //! reduce and relabel, the lock-free election and counts) onto small
 //! fixtures with adversarial chunkings (1, a prime, and `usize::MAX`) and
-//! diff entire holdings against `KernelPolicy::seq()`. The all-ties fixture
+//! diff entire holdings against `KernelPolicy::seq()`, each kernel called by
+//! its one name under a scoped `with_kernel_policy`. The all-ties fixture
 //! makes the packed `(weight << 32) | row` election key tie on every pair of
 //! candidates, so the full edge-key fallback must decide every slot.
 
 mod common;
 
-use common::{fixtures, forced, partitioned, CHUNKS};
+use common::{fixtures, forced, partitioned, seq, CHUNKS};
 use mnd_graph::gen;
-use mnd_kernels::boruvka::local_boruvka_with;
+use mnd_kernels::boruvka::local_boruvka;
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
-use mnd_kernels::reduce::reduce_holding_with;
-use mnd_kernels::scan::min_edge_scan_with;
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
+use mnd_kernels::reduce::reduce_holding;
+use mnd_kernels::scan::min_edge_scan;
 
 /// Seed of this file's RMAT/ER/road fixtures.
 const SEED: u64 = 31;
@@ -26,10 +27,10 @@ const SEED: u64 = 31;
 fn reduce_holding_matches_seq_for_any_chunking() {
     for (name, el) in fixtures(SEED) {
         let mut expect = CGraph::from_edge_list(&el);
-        let expect_stats = reduce_holding_with(&mut expect, &KernelPolicy::seq());
+        let expect_stats = seq(|| reduce_holding(&mut expect));
         for chunk in CHUNKS {
             let mut got = CGraph::from_edge_list(&el);
-            let got_stats = reduce_holding_with(&mut got, &forced(chunk));
+            let got_stats = forced(chunk, || reduce_holding(&mut got));
             assert_eq!(got_stats, expect_stats, "{name} chunk={chunk}");
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
@@ -40,9 +41,9 @@ fn reduce_holding_matches_seq_for_any_chunking() {
 fn min_edge_scan_matches_seq_for_any_chunking() {
     for (name, el) in fixtures(SEED) {
         let cg = CGraph::from_edge_list(&el);
-        let expect = min_edge_scan_with(&cg, &KernelPolicy::seq());
+        let expect = seq(|| min_edge_scan(&cg));
         for chunk in CHUNKS {
-            let got = min_edge_scan_with(&cg, &forced(chunk));
+            let got = forced(chunk, || min_edge_scan(&cg));
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
     }
@@ -52,9 +53,9 @@ fn min_edge_scan_matches_seq_for_any_chunking() {
 fn incident_counts_match_seq_for_any_chunking() {
     for (name, el) in fixtures(SEED) {
         let mut cg = CGraph::from_edge_list(&el);
-        let expect = cg.incident_counts_with(&KernelPolicy::seq()).to_vec();
+        let expect = seq(|| cg.incident_counts().to_vec());
         for chunk in CHUNKS {
-            let got = cg.incident_counts_with(&forced(chunk)).to_vec();
+            let got = forced(chunk, || cg.incident_counts().to_vec());
             assert_eq!(got, expect, "{name} chunk={chunk}");
         }
     }
@@ -65,24 +66,14 @@ fn local_boruvka_matches_seq_for_any_chunking() {
     for (name, el) in fixtures(SEED) {
         for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
             for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
+                let kernel =
+                    |cg: &mut CGraph| local_boruvka(cg, excp, freeze, StopPolicy::Exhaustive);
                 for (part, base) in partitioned(&el).into_iter().enumerate() {
                     let mut expect_cg = base.clone();
-                    let expect = local_boruvka_with(
-                        &mut expect_cg,
-                        &KernelPolicy::seq(),
-                        excp,
-                        freeze,
-                        StopPolicy::Exhaustive,
-                    );
+                    let expect = seq(|| kernel(&mut expect_cg));
                     for chunk in CHUNKS {
                         let mut got_cg = base.clone();
-                        let got = local_boruvka_with(
-                            &mut got_cg,
-                            &forced(chunk),
-                            excp,
-                            freeze,
-                            StopPolicy::Exhaustive,
-                        );
+                        let got = forced(chunk, || kernel(&mut got_cg));
                         let tag = format!("{name} {excp:?}/{freeze:?} part={part} chunk={chunk}");
                         assert_eq!(got.msf_edges, expect.msf_edges, "{tag}");
                         assert_eq!(got.relabel, expect.relabel, "{tag}");
@@ -105,22 +96,22 @@ fn local_boruvka_matches_seq_for_any_chunking() {
 fn thread_count_does_not_change_results() {
     let el = gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 37);
     let run = || -> (Vec<CGraph>, Vec<mnd_graph::WEdge>) {
-        let policy = forced(13);
-        let mut holdings = partitioned(&el);
-        let mut msf = Vec::new();
-        for cg in &mut holdings {
-            let out = local_boruvka_with(
-                cg,
-                &policy,
-                ExcpCond::BorderEdge,
-                FreezePolicy::Sticky,
-                StopPolicy::Exhaustive,
-            );
-            msf.extend(out.msf_edges);
-            reduce_holding_with(cg, &policy);
-            cg.incident_counts_with(&policy);
-        }
-        (holdings, msf)
+        forced(13, || {
+            let mut holdings = partitioned(&el);
+            let mut msf = Vec::new();
+            for cg in &mut holdings {
+                let out = local_boruvka(
+                    cg,
+                    ExcpCond::BorderEdge,
+                    FreezePolicy::Sticky,
+                    StopPolicy::Exhaustive,
+                );
+                msf.extend(out.msf_edges);
+                reduce_holding(cg);
+                cg.incident_counts();
+            }
+            (holdings, msf)
+        })
     };
 
     let mut results = Vec::new();
@@ -144,5 +135,5 @@ fn thread_count_does_not_change_results() {
 fn force_par_still_runs_several_chunks_on_several_threads() {
     let (_, el) = fixtures(SEED).swap_remove(0);
     let rows = partitioned(&el)[0].num_edges();
-    common::assert_several_chunks_on_several_threads(&forced(13), rows);
+    common::assert_several_chunks_on_several_threads(13, rows);
 }

@@ -207,19 +207,11 @@ impl Comm {
     /// the ranks run as many all-to-all rounds as the globally largest
     /// bucket requires. This is the paper's multi-phase boundary exchange
     /// (§3.1/§3.3: boundary data is "communicated in multiple phases" to
-    /// bound message sizes). Uses the sparse schedule, so ranks whose
-    /// buckets are exhausted stop contributing payload messages instead of
-    /// shipping empty chunks for every remaining global phase.
+    /// bound message sizes). Under [`ExchangeMode::Sparse`] ranks whose
+    /// buckets are exhausted stop contributing payload messages; under
+    /// [`ExchangeMode::Dense`] they ship empty chunks for every remaining
+    /// global phase.
     pub fn alltoallv_phased<T: Wire + Clone>(
-        &self,
-        per_dest: Vec<Vec<T>>,
-        phase_size: usize,
-    ) -> Vec<Vec<T>> {
-        self.alltoallv_phased_with(per_dest, phase_size, ExchangeMode::Sparse)
-    }
-
-    /// [`Comm::alltoallv_phased`] with an explicit [`ExchangeMode`].
-    pub fn alltoallv_phased_with<T: Wire + Clone>(
         &self,
         per_dest: Vec<Vec<T>>,
         phase_size: usize,
@@ -349,8 +341,9 @@ impl Comm {
         self.alltoallv_with(per_dest, ExchangeMode::Dense)
     }
 
-    /// [`Comm::alltoallv`] with an explicit [`ExchangeMode`].
-    pub fn alltoallv_with<T: Wire + Clone>(
+    /// The bucket exchange of [`Comm::alltoallv`] and
+    /// [`Comm::alltoallv_dense`] under `mode`.
+    fn alltoallv_with<T: Wire + Clone>(
         &self,
         per_dest: Vec<Vec<T>>,
         mode: ExchangeMode,
@@ -552,7 +545,7 @@ mod tests {
                     let per_dest: Vec<Vec<u32>> = (0..4)
                         .map(|d| (0..7).map(|i| me * 100 + d as u32 * 10 + i).collect())
                         .collect();
-                    c.alltoallv_phased_with(per_dest, phase_size, mode)
+                    c.alltoallv_phased(per_dest, phase_size, mode)
                 });
                 for (me, o) in out.iter().enumerate() {
                     for (src, bucket) in o.result.iter().enumerate() {
@@ -573,7 +566,7 @@ mod tests {
         for phase_size in [1usize, 2, 4, 64] {
             for mode in [ExchangeMode::Dense, ExchangeMode::Sparse] {
                 let out = Cluster::new(5, CostModel::free()).run(move |c| {
-                    c.alltoallv_phased_with(ragged_buckets(c.rank() as u32, 5), phase_size, mode)
+                    c.alltoallv_phased(ragged_buckets(c.rank() as u32, 5), phase_size, mode)
                 });
                 for (rank, (o, expect)) in out.iter().zip(&oracle).enumerate() {
                     assert_eq!(
@@ -601,7 +594,7 @@ mod tests {
         let msgs = |phase_size: usize| {
             let out = Cluster::new(3, CostModel::default_cluster()).run(move |c| {
                 let per_dest: Vec<Vec<u8>> = (0..3).map(|_| vec![0u8; 10]).collect();
-                c.alltoallv_phased(per_dest, phase_size);
+                c.alltoallv_phased(per_dest, phase_size, ExchangeMode::Sparse);
                 c.stats().messages_sent
             });
             out.iter().map(|o| o.result).sum::<u64>()
@@ -675,7 +668,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let got = c.alltoallv_phased_with(per_dest, 2, mode);
+                let got = c.alltoallv_phased(per_dest, 2, mode);
                 let payload_msgs = c
                     .stats()
                     .by_tag
@@ -719,7 +712,7 @@ mod tests {
                         |w: Squeezed| w.0,
                     )
                 } else {
-                    c.alltoallv_phased_with(per_dest, 4, ExchangeMode::Sparse)
+                    c.alltoallv_phased(per_dest, 4, ExchangeMode::Sparse)
                 };
                 (got, c.stats().bytes_sent)
             })

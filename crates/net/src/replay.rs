@@ -1,7 +1,7 @@
 //! Message logging for rollback recovery (DESIGN.md §5f).
 //!
 //! When a chaos plan can kill a rank mid-phase, every rank keeps a
-//! [`ReplayLog`]: a receiver-side log of delivered payloads and a
+//! `ReplayLog`: a receiver-side log of delivered payloads and a
 //! sender-side tally of transmitted messages, both organised by *epoch*
 //! (the number of recovery points the rank has passed). After a crash the
 //! rank restores the checkpoint written *before* the interrupted epoch and
@@ -20,7 +20,7 @@
 //! even garbage-collected epochs' payloads are read again. They *can* be
 //! dropped wholesale: once the rank's epoch passes the last point at which
 //! the active chaos plan could still crash it mid-phase (the plan's
-//! *replay horizon*, [`mnd-hypar::ChaosControl::replay_horizon`]), no
+//! *replay horizon*, `mnd_hypar::ChaosControl::replay_horizon`), no
 //! future rollback can consume any logged payload, and the driver retires
 //! the entire log via `Comm::retire_replay_log`. That bound keeps the
 //! log's footprint proportional to the faulty prefix of a run instead of

@@ -4,7 +4,7 @@
 //! pointers and resolved with conjoined-tree + pointer-jumping supersteps.
 //! See the crate docs for the round structure.
 //!
-//! The worker's mutable state lives in [`MsfState`] so that a chaos-armed
+//! The worker's mutable state lives in `MsfState` so that a chaos-armed
 //! run ([`pregel_msf_chaos`]) can checkpoint it at superstep boundaries
 //! and roll back after an injected mid-superstep crash (see
 //! [`crate::chaos`]). Everything else in the worker (partition maps,

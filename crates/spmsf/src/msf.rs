@@ -1,7 +1,7 @@
 //! The min-plus SpMV MSF algorithm (see the crate docs for the round
 //! structure).
 //!
-//! The worker's mutable state lives in [`SpmsfState`] so a chaos-armed run
+//! The worker's mutable state lives in `SpmsfState` so a chaos-armed run
 //! can checkpoint it at collective-step boundaries and roll back after an
 //! injected mid-step crash. The partition map and CSR graph are immutable
 //! and rebuilt deterministically on re-execution.

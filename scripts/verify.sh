@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification gate: formatting, lints, then the tier-1 suite
+# Repo verification gate: formatting, lints, rustdoc with warnings denied
+# (an intra-doc link to a renamed or private item fails), then the tier-1 suite
 # (ROADMAP.md: `cargo build --release && cargo test -q`), the round-loop
 # engines' goldens and crash grids and the serve plane's contracts again in
 # a release build, the kernel plane's oracle suites in a release build on
@@ -11,7 +12,7 @@
 # `benchmark run --seed 42` compared against results/benchmark_baseline.json.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  lints + debug tests + the release-mode engine, serve-plane and
+#   --quick  lints + rustdoc + debug tests + the release-mode engine, serve-plane and
 #            kernel-plane tests + benchmark self-tests only: skips the
 #            release build, the chaos and resilience sweeps, the repro
 #            sweeps (checkpoint, serve, comm, emst) and the benchmark gate.
@@ -54,7 +55,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -69,6 +70,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "$QUICK" -eq 0 ]]; then
   echo "==> cargo build --release"

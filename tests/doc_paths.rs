@@ -7,8 +7,11 @@
 //! crate path (`mnd_<crate>::a::b`, optionally ending in `()`) names
 //! something: every segment after the crate occurs as an identifier on a
 //! non-comment line of that crate's `src/`; `mnd::<m>::…` resolves through
-//! the crate the root re-exports as `<m>`. Names only: what the prose says
-//! about a file or an item is a reader's to check.
+//! the crate the root re-exports as `<m>`. A function or method token
+//! (`name()`, `Type::method`, `Type::method()`) names something too: each
+//! of its identifiers occurs on a non-comment line of the workspace's
+//! `src/` trees. Names only: what the prose says about a file or an item is
+//! a reader's to check.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -76,26 +79,49 @@ fn tree_names(dir: &Path, names: &mut HashSet<String>) {
     }
 }
 
+/// A Rust identifier.
+fn is_ident(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
 /// The segments of a literal crate path — `["mnd_core", "a", "b"]` for
 /// `mnd_core::a::b()` — or `None` if `token` is not one.
 fn crate_path(token: &str) -> Option<Vec<&str>> {
     let path = token.strip_suffix("()").unwrap_or(token);
     let segments: Vec<&str> = path.split("::").collect();
-    let ident = |s: &str| {
-        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
-            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-    };
     let krate = segments[0];
     let ours = krate == "mnd" || krate.starts_with("mnd_");
-    (ours && segments.len() > 1 && segments.iter().all(|s| ident(s))).then_some(segments)
+    (ours && segments.len() > 1 && segments.iter().all(|s| is_ident(s))).then_some(segments)
+}
+
+/// The identifiers of a function or method token — `["f"]` for `f()`,
+/// `["Type", "m"]` for `Type::m` or `Type::m()` — or `None` if `token` is
+/// not one (a bare word, a module path, a call with arguments).
+fn item_call(token: &str) -> Option<Vec<&str>> {
+    let (path, call) = match token.strip_suffix("()") {
+        Some(path) => (path, true),
+        None => (token, false),
+    };
+    let segments: Vec<&str> = path.split("::").collect();
+    let named = match segments[..] {
+        [name] => call && is_ident(name),
+        [ty, method] => {
+            ty.starts_with(|c: char| c.is_ascii_uppercase()) && is_ident(ty) && is_ident(method)
+        }
+        _ => false,
+    };
+    named.then_some(segments)
 }
 
 /// Where the workspace's crate paths resolve: each crate's `src/` by its
 /// Rust name (from `crates/*/Cargo.toml`), and the root's re-exports
-/// (`pub use mnd_x as m;` in `src/lib.rs`) by alias.
+/// (`pub use mnd_x as m;` in `src/lib.rs`) by alias. Function and method
+/// tokens resolve against every `src/` tree, the shims' included.
 struct Crates {
     src: HashMap<String, PathBuf>,
     aliases: HashMap<String, String>,
+    trees: Vec<PathBuf>,
     idents: HashMap<PathBuf, HashSet<String>>,
 }
 
@@ -121,9 +147,15 @@ impl Crates {
             .filter_map(|l| l.split_once(" as "))
             .map(|(krate, alias)| (alias.to_string(), krate.to_string()))
             .collect();
+        let shims = std::fs::read_dir(root.join("shims"))
+            .expect("shims/")
+            .map(|entry| entry.expect("a directory entry").path().join("src"))
+            .filter(|dir| dir.is_dir());
+        let trees = src.values().cloned().chain(shims).collect();
         Crates {
             src,
             aliases,
+            trees,
             idents: HashMap::new(),
         }
     }
@@ -172,6 +204,15 @@ impl Crates {
         let idents = self.idents(&dir);
         (!rest.iter().all(|s| idents.contains(*s))).then_some("no such item in the crate")
     }
+
+    /// Why the function or method `segments` names nothing, if it does not.
+    fn dangling_item(&mut self, segments: &[&str]) -> Option<&'static str> {
+        let trees = self.trees.clone();
+        let named = segments
+            .iter()
+            .all(|s| trees.iter().any(|dir| self.idents(dir).contains(*s)));
+        (!named).then_some("no such item in the workspace")
+    }
 }
 
 /// Why a back-ticked token of `doc` names nothing, if it does not.
@@ -184,6 +225,8 @@ fn dangling(
 ) -> Option<&'static str> {
     if let Some(segments) = crate_path(token) {
         crates.dangling(&segments)
+    } else if let Some(segments) = item_call(token) {
+        crates.dangling_item(&segments)
     } else if is_source_path(token) {
         if RETIRED.contains(&token) {
             return (doc != RETIRED_NAMED_IN).then_some("a retired file");
@@ -213,7 +256,10 @@ fn documents_name_files_that_exist() {
         for (n, line) in text.lines().enumerate() {
             for token in code_spans(line) {
                 checked += usize::from(
-                    is_source_path(token) || is_bare_name(token) || crate_path(token).is_some(),
+                    is_source_path(token)
+                        || is_bare_name(token)
+                        || crate_path(token).is_some()
+                        || item_call(token).is_some(),
                 );
                 if let Some(why) = dangling(root, doc, token, &names, &mut crates) {
                     dangle.push(format!("{doc}:{}: `{token}`: {why}", n + 1));
@@ -286,4 +332,24 @@ fn the_scan_tells_paths_from_commands_and_outputs() {
     assert_eq!(crate_path("mnd_kernels"), None, "a bare crate name");
     assert_eq!(crate_path("mnd::engines::{registry, EngineParams}"), None);
     assert_eq!(crate_path("std::sync::Arc"), None, "not ours");
+    // Functions and methods: every identifier occurs in the workspace's
+    // code, the shims' included.
+    assert_eq!(check("DESIGN.md", "KernelPolicy::current()"), None);
+    assert_eq!(check("DESIGN.md", "CGraph::incident_counts"), None);
+    assert_eq!(check("README.md", "with_kernel_policy()"), None);
+    assert_eq!(check("DESIGN.md", "ThreadPool::install"), None);
+    let gone = Some("no such item in the workspace");
+    assert_eq!(check("DESIGN.md", "RankCtx::recovery_point()"), gone);
+    assert_eq!(check("DESIGN.md", "CGraph::incident_counts_with"), gone);
+    assert_eq!(check("README.md", "no_such_function()"), gone);
+    assert_eq!(item_call("sort_edges()"), Some(vec!["sort_edges"]));
+    assert_eq!(
+        item_call("ExecDevice::run_ind_comp()"),
+        Some(vec!["ExecDevice", "run_ind_comp"])
+    );
+    assert_eq!(item_call("sort_edges"), None, "a bare word");
+    assert_eq!(item_call("policy::current"), None, "a module path");
+    assert_eq!(item_call("with_kernel_threads(1, f)"), None, "a call");
+    assert_eq!(item_call("a::B::c()"), None);
+    assert_eq!(item_call("()"), None);
 }
