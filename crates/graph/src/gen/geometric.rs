@@ -11,10 +11,10 @@
 //!
 //! * points live on an integer lattice (`[0, SIDE)` per axis) so squared
 //!   distances are exact `u64`s that fit the `u32` weight type,
-//! * the k-NN search is **exact** — grid-bucketed ring expansion with the
-//!   textbook stopping bound (after scanning all cells within Chebyshev
-//!   ring `r`, every unscanned point is at distance ≥ `r·cell`), never a
-//!   heuristic cutoff,
+//! * the k-NN search is **exact** — a k-d tree whose descent skips a
+//!   subtree only when its split plane alone is farther than the k-th
+//!   best distance (every point beyond the plane is at least that far),
+//!   never a heuristic cutoff,
 //! * neighbour ties break on `(sq_dist, id)`, so the adjacency (and
 //!   therefore every downstream MSF) is reproducible bit-for-bit.
 //!
@@ -134,11 +134,7 @@ impl PointCloud {
     /// Exact squared Euclidean distance between points `i` and `j`.
     #[inline]
     pub fn sq_dist(&self, i: VertexId, j: VertexId) -> u64 {
-        let (a, b) = (self.pts[i as usize], self.pts[j as usize]);
-        (0..3).fold(0u64, |acc, c| {
-            let d = a[c] as i64 - b[c] as i64;
-            acc + (d * d) as u64
-        })
+        sq_dist(self.pts[i as usize], self.pts[j as usize])
     }
 
     /// Reflects every point through the lattice (`x → SIDE-1-x` per used
@@ -177,126 +173,174 @@ impl PointCloud {
     /// its `k` nearest neighbours (ties on `(sq_dist, id)`), mirrored into
     /// an undirected [`EdgeList`] weighted by squared distance.
     ///
-    /// Grid-bucketed: points hash into cells of a `g×g(×g)` grid sized for
-    /// a few points per cell, and each query expands Chebyshev rings until
-    /// the k-th best distance is at most the ring lower bound — exact by
-    /// the standard argument, near-linear on uniform clouds.
+    /// Answered by a k-d tree over the cloud: median splits on the axis of
+    /// largest extent, leaves of at most 8 points, and a descent that
+    /// skips a far child only when its split plane is farther than the
+    /// k-th best — exact, and tie-exact, by the plane-distance argument.
     pub fn knn_graph(&self, k: usize) -> EdgeList {
-        let n = self.len() as VertexId;
-        let mut el = EdgeList::new(n);
+        KdTree::new(self).knn_graph(k)
+    }
+
+    /// k-NN graph bumped (k doubling) until connected; returns the graph
+    /// and the k that connected it. Clustered clouds with far-apart blobs
+    /// need a larger k than uniform ones — this is the "connectivity
+    /// threshold" the EMST oracle reasons about. The tree is built once
+    /// and queried again at each doubled k.
+    pub fn knn_connected(&self, k0: usize) -> (EdgeList, usize) {
+        let n = self.len();
+        if n <= 1 {
+            return (EdgeList::new(n as VertexId), k0);
+        }
+        let tree = KdTree::new(self);
+        let mut k = k0.max(1);
+        loop {
+            let el = tree.knn_graph(k);
+            let g = crate::CsrGraph::from_edge_list(&el);
+            if crate::components::num_components(&g) == 1 || k >= n - 1 {
+                return (el, k.min(n - 1));
+            }
+            k *= 2;
+        }
+    }
+}
+
+/// Points per k-d tree leaf, at most.
+const KD_LEAF: usize = 8;
+
+/// A k-d tree over a [`PointCloud`], the exact k-NN index.
+///
+/// The node over tree positions `[lo, hi)` with more than [`KD_LEAF`]
+/// points splits at `mid = lo + (hi - lo) / 2`: `[lo, mid)` holds the
+/// points below the median by `(coordinate, id)` on the node's axis, the
+/// axis of largest extent, and `[mid, hi)` the rest. So every point left
+/// of `mid` has a coordinate ≤ the split point's, every point right of it
+/// one ≥. No two nodes share a `mid`, which therefore keys the node's
+/// split plane. The shape depends on `n` alone; `ids` and `plane` are
+/// the data.
+struct KdTree {
+    /// Cloud ids in tree order: each leaf is a contiguous run.
+    ids: Vec<VertexId>,
+    /// The points in tree order (`pts[i]` is the cloud's `ids[i]`).
+    pts: Vec<[u32; 3]>,
+    /// Split plane `(axis, coordinate)` of the node whose `mid` is the
+    /// index (the split point itself moves when its half is split again).
+    plane: Vec<(u8, u32)>,
+}
+
+/// One k-NN query: the point, its id, and the best `(sq_dist, id)` pairs
+/// found so far, ascending, at most `k` of them.
+struct Query {
+    p: [u32; 3],
+    id: VertexId,
+    k: usize,
+    best: Vec<(u64, VertexId)>,
+}
+
+/// Exact squared Euclidean distance between two lattice points.
+fn sq_dist(a: [u32; 3], b: [u32; 3]) -> u64 {
+    (0..3).fold(0u64, |acc, c| {
+        let d = a[c] as i64 - b[c] as i64;
+        acc + (d * d) as u64
+    })
+}
+
+impl KdTree {
+    fn new(cloud: &PointCloud) -> Self {
+        let n = cloud.len();
+        let mut tree = KdTree {
+            ids: (0..n as VertexId).collect(),
+            pts: Vec::new(),
+            plane: vec![(0, 0); n],
+        };
+        tree.split(&cloud.pts, 0, n);
+        tree.pts = tree.ids.iter().map(|&i| cloud.pts[i as usize]).collect();
+        tree
+    }
+
+    /// Orders `ids[lo..hi)` into the subtree over those positions.
+    fn split(&mut self, pts: &[[u32; 3]], lo: usize, hi: usize) {
+        if hi - lo <= KD_LEAF {
+            return;
+        }
+        let ids = &mut self.ids[lo..hi];
+        let extent = |c: usize| {
+            let (min, max) = ids.iter().fold((u32::MAX, 0), |(min, max), &i| {
+                let x = pts[i as usize][c];
+                (min.min(x), max.max(x))
+            });
+            max - min
+        };
+        // The first axis of largest extent (a 2-D cloud's z extent is 0).
+        let axis = (0..3).rev().max_by_key(|&c| extent(c)).unwrap_or(0);
+        let mid = lo + (hi - lo) / 2;
+        let (_, &mut at, _) =
+            ids.select_nth_unstable_by_key(mid - lo, |&i| (pts[i as usize][axis], i));
+        self.plane[mid] = (axis as u8, pts[at as usize][axis]);
+        self.split(pts, lo, mid);
+        self.split(pts, mid, hi);
+    }
+
+    /// The k-NN graph of the cloud, queried point by point in tree order:
+    /// consecutive queries sit in the same leaf and walk the same nodes.
+    fn knn_graph(&self, k: usize) -> EdgeList {
+        let n = self.ids.len();
+        let mut el = EdgeList::new(n as VertexId);
         if n <= 1 || k == 0 {
             return el;
         }
-        let k = k.min(n as usize - 1);
-
-        // Cell count per axis: ~2 points per cell on uniform clouds.
-        let g = ((n as f64 / 2.0).powf(1.0 / self.dim as f64).floor() as u32).clamp(1, SIDE);
-        let cell_w = SIDE.div_ceil(g);
-        let gz = if self.dim == 3 { g } else { 1 };
-        let cell_of = |p: [u32; 3]| -> (u32, u32, u32) {
-            (
-                (p[0] / cell_w).min(g - 1),
-                (p[1] / cell_w).min(g - 1),
-                (p[2] / cell_w).min(gz - 1),
-            )
+        let k = k.min(n - 1);
+        let mut q = Query {
+            p: [0; 3],
+            id: 0,
+            k,
+            best: Vec::with_capacity(k + 1),
         };
-        let idx = |cx: u32, cy: u32, cz: u32| -> usize {
-            ((cz as u64 * g as u64 + cy as u64) * g as u64 + cx as u64) as usize
-        };
-        let mut buckets: Vec<Vec<VertexId>> =
-            vec![Vec::new(); (g as u64 * g as u64 * gz as u64) as usize];
-        for (i, &p) in self.pts.iter().enumerate() {
-            let (cx, cy, cz) = cell_of(p);
-            buckets[idx(cx, cy, cz)].push(i as VertexId);
-        }
-
-        // best: ascending (sq_dist, id), at most k entries.
-        let mut best: Vec<(u64, VertexId)> = Vec::with_capacity(k + 1);
-        for i in 0..n {
-            best.clear();
-            let (cx, cy, cz) = cell_of(self.pts[i as usize]);
-            let max_ring = g.max(gz);
-            for r in 0..max_ring {
-                // Scan every cell at Chebyshev ring distance exactly r.
-                self.scan_ring(&buckets, g, gz, idx, cx, cy, cz, r, i, k, &mut best);
-                if best.len() == k {
-                    // Unscanned cells are at Chebyshev distance > r, so
-                    // every point in them is ≥ r·cell_w away.
-                    let bound = r as u64 * cell_w as u64;
-                    if best[k - 1].0 <= bound * bound {
-                        break;
-                    }
-                }
-            }
-            for &(d, j) in &best {
-                el.push(i.min(j), i.max(j), d as Weight);
+        for (&id, &p) in self.ids.iter().zip(&self.pts) {
+            q.p = p;
+            q.id = id;
+            q.best.clear();
+            self.search(0, n, &mut q);
+            for &(d, j) in &q.best {
+                el.push(id.min(j), id.max(j), d as Weight);
             }
         }
         el.canonicalize();
         el
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn scan_ring(
-        &self,
-        buckets: &[Vec<VertexId>],
-        g: u32,
-        gz: u32,
-        idx: impl Fn(u32, u32, u32) -> usize,
-        cx: u32,
-        cy: u32,
-        cz: u32,
-        r: u32,
-        i: VertexId,
-        k: usize,
-        best: &mut Vec<(u64, VertexId)>,
-    ) {
-        let span = |c: u32, lim: u32| -> (u32, u32) { (c.saturating_sub(r), (c + r).min(lim - 1)) };
-        let (x0, x1) = span(cx, g);
-        let (y0, y1) = span(cy, g);
-        let (z0, z1) = span(cz, gz);
-        let ring = |a: u32, b: u32| a.abs_diff(b) == r;
-        for z in z0..=z1 {
-            for y in y0..=y1 {
-                for x in x0..=x1 {
-                    // Ring r = cells whose Chebyshev distance is exactly r.
-                    if !(ring(x, cx) || ring(y, cy) || ring(z, cz)) {
-                        continue;
-                    }
-                    for &j in &buckets[idx(x, y, z)] {
-                        if j == i {
-                            continue;
-                        }
-                        let cand = (self.sq_dist(i, j), j);
-                        if best.len() == k && cand >= best[k - 1] {
-                            continue;
-                        }
-                        let pos = best.partition_point(|&b| b < cand);
-                        best.insert(pos, cand);
-                        best.truncate(k);
-                    }
+    /// Offers `q` every point of the subtree over `[lo, hi)` that can
+    /// still enter its list: the near child first, then the far child
+    /// unless the split plane alone is farther than the k-th best. The far
+    /// side's points are at least the plane distance away, and one at
+    /// exactly the k-th best distance can still enter on a smaller id, so
+    /// only a plane strictly beyond it prunes.
+    fn search(&self, lo: usize, hi: usize, q: &mut Query) {
+        if hi - lo <= KD_LEAF {
+            for (&j, &p) in self.ids[lo..hi].iter().zip(&self.pts[lo..hi]) {
+                if j == q.id {
+                    continue;
                 }
+                let cand = (sq_dist(q.p, p), j);
+                if q.best.len() == q.k && cand >= q.best[q.k - 1] {
+                    continue;
+                }
+                let pos = q.best.partition_point(|&b| b < cand);
+                q.best.insert(pos, cand);
+                q.best.truncate(q.k);
             }
+            return;
         }
-    }
-
-    /// k-NN graph bumped (k doubling) until connected; returns the graph
-    /// and the k that connected it. Clustered clouds with far-apart blobs
-    /// need a larger k than uniform ones — this is the "connectivity
-    /// threshold" the EMST oracle reasons about.
-    pub fn knn_connected(&self, k0: usize) -> (EdgeList, usize) {
-        let n = self.len();
-        if n <= 1 {
-            return (EdgeList::new(n as VertexId), k0);
-        }
-        let mut k = k0.max(1);
-        loop {
-            let el = self.knn_graph(k);
-            let g = crate::CsrGraph::from_edge_list(&el);
-            if crate::components::num_components(&g) == 1 || k >= n - 1 {
-                return (el, k.min(n - 1));
-            }
-            k *= 2;
+        let mid = lo + (hi - lo) / 2;
+        let (axis, at) = self.plane[mid];
+        let gap = q.p[axis as usize] as i64 - at as i64;
+        let ((near_lo, near_hi), (far_lo, far_hi)) = if gap < 0 {
+            ((lo, mid), (mid, hi))
+        } else {
+            ((mid, hi), (lo, mid))
+        };
+        self.search(near_lo, near_hi, q);
+        if q.best.len() < q.k || gap.unsigned_abs().pow(2) <= q.best[q.k - 1].0 {
+            self.search(far_lo, far_hi, q);
         }
     }
 }
@@ -409,27 +453,124 @@ mod tests {
         assert_eq!(GeoPreset::from_name("geo-nope"), None);
     }
 
+    /// The reference: every point's `k` smallest `(sq_dist, id)` pairs by
+    /// a quadratic scan.
+    fn brute_force_knn(cloud: &PointCloud, k: usize) -> EdgeList {
+        let n = cloud.len() as VertexId;
+        let mut expect = EdgeList::new(n);
+        for i in 0..n {
+            let mut cands: Vec<(u64, VertexId)> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| (cloud.sq_dist(i, j), j))
+                .collect();
+            cands.sort_unstable();
+            for &(d, j) in cands.iter().take(k) {
+                expect.push(i.min(j), i.max(j), d as Weight);
+            }
+        }
+        expect.canonicalize();
+        expect
+    }
+
+    /// `n` points on the `4×4(×4)` sub-lattice of spacing `SIDE / 4`: many
+    /// duplicate points, and distance ties on every split plane.
+    fn sub_lattice(n: u32, dim: u8, seed: u64) -> PointCloud {
+        let mut cloud = PointCloud::uniform(n, dim, seed);
+        for p in &mut cloud.pts {
+            for x in p.iter_mut() {
+                *x = *x / (SIDE / 4) * (SIDE / 4);
+            }
+        }
+        cloud
+    }
+
     #[test]
     fn knn_is_exact_against_brute_force() {
-        // The grid-bucketed search must return exactly the k smallest
-        // (sq_dist, id) pairs per point — checked against a quadratic scan.
+        // The tree search must return exactly the k smallest (sq_dist, id)
+        // pairs per point — checked against a quadratic scan.
         for (dim, seed) in [(2u8, 3u64), (3, 4)] {
             let cloud = PointCloud::uniform(200, dim, seed);
-            let k = 5;
-            let el = cloud.knn_graph(k);
-            let mut expect = EdgeList::new(cloud.len() as VertexId);
-            for i in 0..cloud.len() as VertexId {
-                let mut cands: Vec<(u64, VertexId)> = (0..cloud.len() as VertexId)
-                    .filter(|&j| j != i)
-                    .map(|j| (cloud.sq_dist(i, j), j))
-                    .collect();
-                cands.sort_unstable();
-                for &(d, j) in cands.iter().take(k) {
-                    expect.push(i.min(j), i.max(j), d as Weight);
-                }
+            assert_eq!(cloud.knn_graph(5), brute_force_knn(&cloud, 5), "dim {dim}");
+        }
+        // Clustered clouds (leaves deep inside blobs, long pruned walks for
+        // the noise points) and sub-lattice clouds (duplicates, ties on the
+        // split planes, where pruning on `<` instead of `<=` drops a
+        // smaller id at an equal distance).
+        let clouds = [
+            ("cluster-2d", GeoPreset::Cluster2d.points(400, 5)),
+            ("cluster-3d", GeoPreset::Cluster3d.points(400, 6)),
+            ("lattice-2d", sub_lattice(300, 2, 7)),
+            ("lattice-3d", sub_lattice(300, 3, 8)),
+        ];
+        for (name, cloud) in &clouds {
+            for k in [1, 5, 12, 40] {
+                assert_eq!(
+                    cloud.knn_graph(k),
+                    brute_force_knn(cloud, k),
+                    "{name} k {k}"
+                );
             }
-            expect.canonicalize();
-            assert_eq!(el, expect, "dim {dim}");
+        }
+        // k = 1, k = n − 1 and k > n − 1 (clamped: the complete graph), and
+        // the smallest clouds.
+        for (name, cloud) in [
+            ("uniform", PointCloud::uniform(30, 3, 9)),
+            ("lattice", sub_lattice(30, 2, 10)),
+        ] {
+            for k in [1, 29, 35] {
+                assert_eq!(
+                    cloud.knn_graph(k),
+                    brute_force_knn(&cloud, k),
+                    "{name} k {k}"
+                );
+            }
+        }
+        for n in [1, 2] {
+            let cloud = PointCloud::uniform(n, 2, 11);
+            for k in [1, 3] {
+                assert_eq!(
+                    cloud.knn_graph(k),
+                    brute_force_knn(&cloud, k),
+                    "n {n} k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn presets_keep_their_graphs() {
+        // The edge lists the grid search produced before the tree replaced
+        // it, pinned by k, edge count and fingerprint at 4096 points.
+        let pins = [
+            (
+                GeoPreset::Uniform2d,
+                8,
+                19_090,
+                "d63cd7d7f62d826011a4037e6134f3aa",
+            ),
+            (
+                GeoPreset::Uniform3d,
+                10,
+                23_766,
+                "c41dfa03844c6dc0e357f46b17b5c0e5",
+            ),
+            (
+                GeoPreset::Cluster2d,
+                8,
+                19_850,
+                "51a4d59db8ab081eff965e2773948ff2",
+            ),
+            (
+                GeoPreset::Cluster3d,
+                10,
+                25_773,
+                "31eeb07731ac2f50ca92d43de05e3a27",
+            ),
+        ];
+        for (p, k, m, fp) in pins {
+            let (el, got_k) = p.generate_with_k(1 << 12, 42);
+            let got = (got_k, el.len(), el.fingerprint().to_string());
+            assert_eq!(got, (k, m, fp.to_string()), "{}", p.name());
         }
     }
 

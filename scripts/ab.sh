@@ -13,14 +13,16 @@
 # ${AB_DIR:-target/ab}. Per workload, pair i runs the benchmark's one-run
 # form `--workload W --seed SEED --seconds 6 --trace 0` for both sides, BASE
 # first when i is even and CHANGE first when it is odd (ABBA). The report
-# is one Markdown row per workload: the medians of the corrected and of the
-# as-measured `wall_s` of each side, the median of the per-pair ratios
-# CHANGE / BASE of corrected `wall_s`, the pairs CHANGE won, the exact
-# two-sided sign-test p over the pairs that are not ties, and whether
-# `sim_time_s` and `sim_latency_p90_s` are bit-equal across every run. A
-# run whose output failed its oracle is reported, and makes the script
-# exit 1. Every run's output stays in the runs/ directory beside the
-# builds. Nothing under benchmark/ is changed.
+# is one Markdown table per host-clock metric — `wall_s`, `setup_s` and
+# `peak_rss_mb` — with one row per workload: the medians of each side (for
+# `wall_s` and `setup_s` corrected, then as measured, from `wall_raw_s` and
+# `setup_raw_s`), the median of the per-pair ratios CHANGE / BASE, the
+# pairs CHANGE won (lower is better for all three), the exact two-sided
+# sign-test p over the pairs that are not ties, and whether `sim_time_s`
+# and `sim_latency_p90_s` are bit-equal across every run. A run whose
+# output failed its oracle is reported, and makes the script exit 1. Every
+# run's output stays in the runs/ directory beside the builds. Nothing
+# under benchmark/ is changed.
 #
 # Needs git, cargo and python3 (the statistics).
 
@@ -35,7 +37,7 @@ while getopts "n:S:w:h" opt; do
     S) seed=$OPTARG ;;
     w) workloads+=("$OPTARG") ;;
     h)
-      sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) exit 2 ;;
@@ -111,14 +113,20 @@ from statistics import median as med
 
 runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 
+# (metric, its as-measured samples or None); lower is better for each.
+METRICS = [("wall_s", "wall_raw_s"), ("setup_s", "setup_raw_s"), ("peak_rss_mb", None)]
+
 def read(workload, pair, side):
-    """(corrected wall_s, as-measured wall median, sim pair, correct)"""
+    """({metric: (corrected, as-measured median or None)}, sim pair, correct)"""
     lines = open(f"{runs}/{workload}.{pair}.{side}.log").read().splitlines()
     result = json.loads(lines[-1])
     samples = next(json.loads(l[len("samples "):]) for l in lines if l.startswith("samples "))
     m = result["metrics"]
+    values = {
+        name: (m[name]["value"], med(samples[raw]) if raw else None) for name, raw in METRICS
+    }
     sim = (m["sim_time_s"]["value"], m["sim_latency_p90_s"]["value"])
-    return m["wall_s"]["value"], med(samples["wall_raw_s"]), sim, result["correct"]
+    return values, sim, result["correct"]
 
 def sign_p(won, lost):
     """Exact two-sided sign test over the pairs that are not ties."""
@@ -128,23 +136,28 @@ def sign_p(won, lost):
     tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1)) / 2**n
     return min(1.0, 2 * tail)
 
-print("| workload | base `wall_s` | change `wall_s` | as measured | median ratio | pairs won | sign-test p | simulated bit-equal |")
-print("|---|---|---|---|---|---|---|---|")
-failed = False
-for w in workloads:
-    base = [read(w, i, "base") for i in range(pairs)]
-    change = [read(w, i, "change") for i in range(pairs)]
-    failed |= not all(r[3] for r in base + change)
-    ratios = [c[0] / b[0] for b, c in zip(base, change)]
-    won = sum(c[0] < b[0] for b, c in zip(base, change))
-    lost = sum(c[0] > b[0] for b, c in zip(base, change))
-    sims = {r[2] for r in base + change}
-    print(
-        f"| {w} | {med([r[0] for r in base]):.4f} | {med([r[0] for r in change]):.4f} "
-        f"| {med([r[1] for r in base]):.4f} → {med([r[1] for r in change]):.4f} "
-        f"| {med(ratios):.3f} ({100 * (med(ratios) - 1):+.1f} %) | {won} / {pairs} "
-        f"| {sign_p(won, lost):.3g} | {'yes' if len(sims) == 1 else 'NO'} |"
-    )
+# runs_of[w][i] = (base, change) of pair i.
+runs_of = {w: [(read(w, i, "base"), read(w, i, "change")) for i in range(pairs)] for w in workloads}
+failed = not all(r[2] for w in workloads for pair in runs_of[w] for r in pair)
+for name, raw in METRICS:
+    print(f"\n`{name}`" + (f" (corrected; as measured from `{raw}`)" if raw else "") + "\n")
+    print(f"| workload | base `{name}` | change `{name}` | as measured | median ratio | pairs won | sign-test p | simulated bit-equal |")
+    print("|---|---|---|---|---|---|---|---|")
+    for w in workloads:
+        base = [b[0][name] for b, _ in runs_of[w]]
+        change = [c[0][name] for _, c in runs_of[w]]
+        ratios = [c[0] / b[0] for b, c in zip(base, change)]
+        won = sum(c[0] < b[0] for b, c in zip(base, change))
+        lost = sum(c[0] > b[0] for b, c in zip(base, change))
+        sims = {r[1] for pair in runs_of[w] for r in pair}
+        measured = (
+            f"{med([r[1] for r in base]):.4f} → {med([r[1] for r in change]):.4f}" if raw else "—"
+        )
+        print(
+            f"| {w} | {med([r[0] for r in base]):.4f} | {med([r[0] for r in change]):.4f} "
+            f"| {measured} | {med(ratios):.3f} ({100 * (med(ratios) - 1):+.1f} %) | {won} / {pairs} "
+            f"| {sign_p(won, lost):.3g} | {'yes' if len(sims) == 1 else 'NO'} |"
+        )
 if failed:
     print("ab.sh: a run's output failed its oracle", file=sys.stderr)
     sys.exit(1)

@@ -12,6 +12,9 @@
 //! of its identifiers occurs on a non-comment line of the workspace's
 //! `src/` trees. Names only: what the prose says about a file or an item is
 //! a reader's to check.
+//!
+//! CHANGES.md stays a list a reader can scan: the first line of each entry
+//! from the 27th on holds at most 150 words.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -28,6 +31,27 @@ const DOCS: [&str; 4] = [
 /// else, and they must stay gone, so the list can never hide a live file.
 const RETIRED: [&str; 2] = ["crates/bench/src/bin/perfsnap.rs", "scripts/bench_check.sh"];
 const RETIRED_NAMED_IN: &str = "benchmark/README.md";
+
+/// The first CHANGES.md entry held to the word limit; earlier ones
+/// predate it.
+const FIRST_SHORT_ENTRY: u32 = 27;
+/// Words on the first line of a CHANGES.md entry, at most.
+const ENTRY_MAX_WORDS: usize = 150;
+
+/// How a CHANGES.md entry opens; its number follows.
+const ENTRY_OPENING: &str = "- PR ";
+
+/// The number and the word count of a CHANGES.md entry's first line
+/// (`- PR <n>: …` → `(n, words after the dash)`), or `None` for any
+/// other line.
+fn entry_words(line: &str) -> Option<(u32, usize)> {
+    let text = line.strip_prefix("- ")?;
+    let number = line
+        .strip_prefix(ENTRY_OPENING)?
+        .split(|c: char| !c.is_ascii_digit())
+        .next()?;
+    Some((number.parse().ok()?, text.split_whitespace().count()))
+}
 
 /// The back-ticked spans of one line (code spans never cross lines here).
 fn code_spans(line: &str) -> impl Iterator<Item = &str> {
@@ -352,4 +376,32 @@ fn the_scan_tells_paths_from_commands_and_outputs() {
     assert_eq!(item_call("with_kernel_threads(1, f)"), None, "a call");
     assert_eq!(item_call("a::B::c()"), None);
     assert_eq!(item_call("()"), None);
+}
+
+#[test]
+fn changes_entries_open_with_a_short_line() {
+    let entry = |rest: &str| format!("{ENTRY_OPENING}{rest}");
+    assert_eq!(entry_words(&entry("30: One kernel path")), Some((30, 5)));
+    assert_eq!(entry_words(&entry("7 (review fixes): a")), Some((7, 5)));
+    assert_eq!(entry_words(&format!("  {}", entry("30: nested"))), None);
+    assert_eq!(entry_words("- PRs 22, 23"), None);
+    assert_eq!(entry_words("One line per PR"), None);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("CHANGES.md")).expect("CHANGES.md");
+    let entries: Vec<(u32, usize)> = text
+        .lines()
+        .filter_map(entry_words)
+        .filter(|&(number, _)| number >= FIRST_SHORT_ENTRY)
+        .collect();
+    assert!(entries.len() >= 4, "only {} entries checked", entries.len());
+    let long: Vec<String> = entries
+        .iter()
+        .filter(|&&(_, words)| words > ENTRY_MAX_WORDS)
+        .map(|(number, words)| format!("PR {number}: {words} words"))
+        .collect();
+    assert!(
+        long.is_empty(),
+        "CHANGES.md entries open with more than {ENTRY_MAX_WORDS} words:\n{}",
+        long.join("\n")
+    );
 }
