@@ -8,10 +8,9 @@
 //! repro chaos --seed-grid 7,11   # chaos sweep repeated per seed
 //! ```
 //!
-//! Experiments: table2 table3 table4 fig4 fig5 fig6 fig7 fig8
-//! ablation-group ablation-excp ablation-thresh calibration chaos
-//! resilience checkpoint-sweep traffic engines serve-sweep comm-sweep
-//! emst-sweep
+//! The experiments are the names in `EXPERIMENTS` below; `repro --help`
+//! prints them. An unknown name prints the list and exits with status 2
+//! before anything runs.
 //!
 //! `--trace PATH` streams every phase sample, step sample and chaos event
 //! as JSON lines to PATH (`-` = stdout) while the experiments run, and
@@ -20,6 +19,42 @@
 
 use mnd_bench::fmt::{pct, print_table, secs, write_csv};
 use mnd_bench::*;
+
+/// Every experiment, in the order `all` runs them: the one list that the
+/// usage text prints, the arguments are checked against and the dispatch
+/// asks for.
+const EXPERIMENTS: [&str; 23] = [
+    "table2",
+    "table3",
+    "table4",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablation-group",
+    "ablation-excp",
+    "ablation-thresh",
+    "ablation-locality",
+    "ablation-weights",
+    "ablation-network",
+    "chaos",
+    "resilience",
+    "checkpoint-sweep",
+    "engines",
+    "serve-sweep",
+    "traffic",
+    "calibration",
+    "emst-sweep",
+    "comm-sweep",
+];
+
+/// `all` and every experiment name, a few to a line.
+fn experiment_list() -> String {
+    let names: Vec<&str> = std::iter::once("all").chain(EXPERIMENTS).collect();
+    let lines: Vec<String> = names.chunks(6).map(|c| c.join(" ")).collect();
+    format!("experiments: {}", lines.join("\n             "))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,13 +109,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!("usage: repro [--scale N] [--seed S] [--seed-grid S1,S2,...] [--nodes N] [--no-verify] [--csv DIR] [--trace PATH] <exp>...");
-                println!("experiments: all table2 table3 table4 fig4 fig5 fig6 fig7 fig8");
-                println!(
-                    "             ablation-group ablation-excp ablation-thresh ablation-locality"
-                );
-                println!("             ablation-weights ablation-network calibration");
-                println!("             chaos resilience checkpoint-sweep traffic engines");
-                println!("             serve-sweep comm-sweep emst-sweep");
+                println!("{}", experiment_list());
                 println!(
                     "--trace PATH streams phase/step samples + chaos events as JSON lines (- = stdout)"
                 );
@@ -93,8 +122,21 @@ fn main() {
     if experiments.is_empty() {
         experiments.push("all".into());
     }
+    let unknown: Vec<&str> = experiments
+        .iter()
+        .map(String::as_str)
+        .filter(|e| *e != "all" && !EXPERIMENTS.contains(e))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("repro: unknown experiment: {}", unknown.join(" "));
+        eprintln!("{}", experiment_list());
+        std::process::exit(2);
+    }
     let all = experiments.iter().any(|e| e == "all");
-    let want = |name: &str| all || experiments.iter().any(|e| e == name);
+    let want = |name: &str| {
+        assert!(EXPERIMENTS.contains(&name), "{name} is not in EXPERIMENTS");
+        all || experiments.iter().any(|e| e == name)
+    };
     // A table whose CSV could not be written fails the run once every
     // table has printed: a lost file must not pass for a written one.
     let csv_failures = std::cell::Cell::new(0usize);
@@ -458,7 +500,7 @@ fn main() {
         emit(
             "checkpoint_sweep",
             &format!(
-                "Checkpoint sweep: overhead vs recovery cost per cadence ({nranks} nodes, oracle-verified; spmsf-full = delta encoding off)"
+                "Checkpoint sweep: overhead vs recovery cost per cadence ({nranks} nodes, oracle-verified)"
             ),
             &[
                 "engine",
@@ -710,7 +752,7 @@ fn main() {
         emit(
             "comm_sweep",
             &format!(
-                "Comm sweep: dense vs sparse exchange, compression, filter-Boruvka ({nranks} nodes, oracle-verified)"
+                "Comm sweep: dense vs sparse exchange, filter-Boruvka ({nranks} nodes, oracle-verified)"
             ),
             &[
                 "preset",

@@ -13,8 +13,9 @@ use mnd_graph::presets::Preset;
 use mnd_graph::stats::graph_stats;
 use mnd_graph::types::{VertexId, WEdge, Weight};
 use mnd_graph::{CsrGraph, EdgeList};
+use mnd_hypar::api::{CALIBRATION_FRAC, CALIBRATION_SAMPLES};
 use mnd_hypar::observe::ObserverHook;
-use mnd_hypar::HyParConfig;
+use mnd_hypar::{HyParConfig, RecursionThresholdSource};
 use mnd_kernels::oracle::kruskal_msf;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_mst::{MndMstReport, MndMstRunner};
@@ -24,7 +25,6 @@ use mnd_serve::{
     EngineBackend, JobKind, JobResult, JobSpec, ServeConfig, ServePlane, ServeReport, TenantSpec,
     UpdateMode, WallRow,
 };
-use mnd_spmsf::SpmsfEngine;
 
 /// Shared experiment parameters.
 #[derive(Clone, Debug)]
@@ -561,6 +561,8 @@ pub fn ablation_thresh(ctx: &ExpContext, nranks: usize) -> Vec<AblationRow> {
             rounds: r.exchange_rounds,
         });
     }
+    // The calibrated default ignores `recursion_edge_threshold`, so these
+    // rows take the paper's fixed rule for the threshold to vary anything.
     for (name, threshold) in [
         ("recursion=on (100M edges, §4.3.3)", 100_000_000u64),
         ("recursion=off", u64::MAX),
@@ -568,6 +570,7 @@ pub fn ablation_thresh(ctx: &ExpContext, nranks: usize) -> Vec<AblationRow> {
     ] {
         let cfg = HyParConfig {
             recursion_edge_threshold: threshold,
+            recursion_threshold_source: RecursionThresholdSource::Fixed,
             ..ctx.hypar()
         };
         let r = run_mnd(ctx, &el, nranks, NodePlatform::amd_cluster(), cfg);
@@ -720,8 +723,8 @@ pub fn calibration(ctx: &ExpContext) -> Vec<CalibrationRow> {
                 &g,
                 &plat.cpu.clone().scaled(cfg.sim_scale),
                 &plat.gpu.clone().expect("cray gpu").scaled(cfg.sim_scale),
-                cfg.calibration_samples,
-                cfg.calibration_frac,
+                CALIBRATION_SAMPLES,
+                CALIBRATION_FRAC,
                 cfg.seed,
             );
             CalibrationRow {
@@ -753,7 +756,7 @@ pub fn run_mnd_chaos(
 
 /// [`run_mnd_chaos`] with an explicit base config, so sweeps can combine a
 /// fault plan with non-default communication knobs (sparse/dense exchange,
-/// compression, filter sampling).
+/// filter sampling).
 pub fn run_mnd_chaos_cfg(
     ctx: &ExpContext,
     el: &EdgeList,
@@ -1033,8 +1036,7 @@ pub struct CheckpointSweepRow {
     pub clean_exe: f64,
     /// Checkpoint writes across ranks at this cadence.
     pub writes: u64,
-    /// Checkpoint bytes written across ranks in the clean run — the
-    /// column the spmsf delta-encoding saving shows up in.
+    /// Checkpoint bytes written across ranks in the clean run.
     pub ckpt_bytes: u64,
     /// Execution time with a mid-phase crash injected.
     pub crash_exe: f64,
@@ -1053,11 +1055,7 @@ pub struct CheckpointSweepRow {
 /// increasing checkpoint intervals — fault-free (isolating checkpoint
 /// overhead) and under the same mid-phase crash (measuring how much
 /// re-execution a sparser cadence buys back). The classic recovery
-/// trade-off chart, three engines wide, plus an `spmsf-full` arm per
-/// interval: the min-plus engine with delta-encoded component
-/// checkpoints disabled, so the bytes column shows exactly what the
-/// delta scheme saves (asserted when `ctx.verify`: same write count,
-/// fewer bytes, cheaper armed run).
+/// trade-off chart, three engines wide.
 pub fn checkpoint_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CheckpointSweepRow> {
     let el = ctx.graph(Preset::RoadUsa);
     let oracle = if ctx.verify {
@@ -1067,35 +1065,6 @@ pub fn checkpoint_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CheckpointSweepR
     };
     let crash_rank = 1 % nranks;
 
-    let run_one = |label: &'static str, engine: &dyn Engine, interval: u64| {
-        let clean = engine.run_chaos(
-            &el,
-            &EngineChaos::from_plan(Arc::new(FaultPlan::new(ctx.seed))),
-        );
-        let crash = engine.run_chaos(
-            &el,
-            &EngineChaos::from_plan(Arc::new(
-                FaultPlan::new(ctx.seed).with_mid_phase_crash(crash_rank, 1, 3),
-            )),
-        );
-        if let Some(o) = &oracle {
-            assert_eq!(&clean.msf, o, "{label} clean@{interval} != oracle");
-            assert_eq!(&crash.msf, o, "{label} crash@{interval} != oracle");
-        }
-        CheckpointSweepRow {
-            engine: label,
-            interval,
-            clean_exe: clean.total_time,
-            writes: clean.sum_stat(|s| s.checkpoint_writes),
-            ckpt_bytes: clean.sum_stat(|s| s.checkpoint_bytes),
-            crash_exe: crash.total_time,
-            recovery: crash.total_time - clean.total_time,
-            restores: crash.sum_stat(|s| s.checkpoint_restores),
-            reexec: crash.recovered_units,
-            replayed_compute: crash.rank_stats.iter().map(|s| s.replayed_compute).sum(),
-        }
-    };
-
     let mut rows = Vec::new();
     for interval in [1u64, 2, 4, 8] {
         let mut params = EngineParams::new(nranks);
@@ -1104,57 +1073,34 @@ pub fn checkpoint_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CheckpointSweepR
         params.spmsf.sim_scale = ctx.scale as f64;
         let params = params.with_checkpoint_interval(interval);
         for engine in registry(&params) {
-            rows.push(run_one(engine.name(), engine.as_ref(), interval));
-        }
-        // The delta-encoding comparison arm: same engine, same cadence,
-        // full O(V) component vectors in every checkpoint.
-        let mut full_cfg = params.spmsf.clone();
-        full_cfg.delta_checkpoints = false;
-        let full_engine = SpmsfEngine {
-            nranks,
-            platform: params.platform.clone(),
-            cfg: full_cfg,
-        };
-        let full = run_one("spmsf-full", &full_engine, interval);
-        if ctx.verify {
-            let slim = rows
-                .iter()
-                .rev()
-                .find(|r| r.engine == "spmsf" && r.interval == interval)
-                .expect("spmsf row pushed above");
-            assert_eq!(
-                slim.writes, full.writes,
-                "delta encoding must not change the checkpoint cadence"
+            let label = engine.name();
+            let clean = engine.run_chaos(
+                &el,
+                &EngineChaos::from_plan(Arc::new(FaultPlan::new(ctx.seed))),
             );
-            // Delta segments fall back to the base encoding whenever the
-            // accumulated rewrites would outweigh the full vector, so
-            // the scheme never writes more...
-            assert!(
-                slim.ckpt_bytes <= full.ckpt_bytes,
-                "delta checkpoints@{interval}: {} bytes > {} full bytes",
-                slim.ckpt_bytes,
-                full.ckpt_bytes
+            let crash = engine.run_chaos(
+                &el,
+                &EngineChaos::from_plan(Arc::new(
+                    FaultPlan::new(ctx.seed).with_mid_phase_crash(crash_rank, 1, 3),
+                )),
             );
-            assert!(
-                slim.clean_exe <= full.clean_exe,
-                "delta checkpoints@{interval} made the armed run dearer"
-            );
-            // ...and at the per-boundary cadence (where most segments
-            // rewrite little or nothing) it must save outright.
-            if interval == 1 && slim.writes > nranks as u64 {
-                assert!(
-                    slim.ckpt_bytes < full.ckpt_bytes,
-                    "delta checkpoints@1: {} bytes !< {} full bytes",
-                    slim.ckpt_bytes,
-                    full.ckpt_bytes
-                );
-                assert!(
-                    slim.clean_exe < full.clean_exe,
-                    "delta checkpoints@1 did not cut the armed overhead"
-                );
+            if let Some(o) = &oracle {
+                assert_eq!(&clean.msf, o, "{label} clean@{interval} != oracle");
+                assert_eq!(&crash.msf, o, "{label} crash@{interval} != oracle");
             }
+            rows.push(CheckpointSweepRow {
+                engine: label,
+                interval,
+                clean_exe: clean.total_time,
+                writes: clean.sum_stat(|s| s.checkpoint_writes),
+                ckpt_bytes: clean.sum_stat(|s| s.checkpoint_bytes),
+                crash_exe: crash.total_time,
+                recovery: crash.total_time - clean.total_time,
+                restores: crash.sum_stat(|s| s.checkpoint_restores),
+                reexec: crash.recovered_units,
+                replayed_compute: crash.rank_stats.iter().map(|s| s.replayed_compute).sum(),
+            });
         }
-        rows.push(full);
     }
     rows
 }
@@ -1610,7 +1556,7 @@ pub fn traffic(ctx: &ExpContext, nranks: usize) -> Vec<TrafficRow> {
 }
 
 // --------------------------------------------------------------------- //
-// Comm-sweep: sparse exchanges, compression, filter-Boruvka (DESIGN.md §8)
+// Comm-sweep: sparse exchanges and filter-Boruvka (DESIGN.md §8)
 // --------------------------------------------------------------------- //
 
 /// One comm-sweep row: the whole-run traffic of one verified configuration.
@@ -1642,28 +1588,17 @@ fn tag_messages(r: &MndMstReport, name: &str) -> u64 {
         .sum()
 }
 
-/// The communication-engineering sweep (ROADMAP item 4): the same skewed
-/// web-crawl runs under dense exchanges (the old always-send path), the
-/// sparse schedule, sparse + compressed relabeling, and sparse + compression
-/// with filter-Boruvka sampling — plus the full stack under a hostile fault
-/// plan (drops and a mid-phase crash replayed from checkpoint). Every run
-/// is verified against the Kruskal oracle, so the table demonstrates the
-/// bytes/messages shed at **unchanged** output.
+/// The communication-engineering sweep: the same skewed web-crawl runs
+/// under dense exchanges (the always-send schedule), the sparse schedule,
+/// and the sparse schedule with filter-Boruvka sampling — plus that stack
+/// under a hostile fault plan (drops and a mid-phase crash replayed from
+/// checkpoint). Every run ships packed relabels and is verified against
+/// the Kruskal oracle, so the table demonstrates the bytes/messages shed at
+/// **unchanged** output.
 pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
     let platform = NodePlatform::amd_cluster();
     let variants: Vec<(&str, HyParConfig)> = vec![
-        (
-            "dense",
-            ctx.hypar()
-                .with_sparse_exchange(false)
-                .with_compressed_relabels(false),
-        ),
-        (
-            "sparse",
-            ctx.hypar()
-                .with_sparse_exchange(true)
-                .with_compressed_relabels(false),
-        ),
+        ("dense+pack", ctx.hypar().with_sparse_exchange(false)),
         ("sparse+pack", ctx.hypar()),
         (
             "sparse+pack+filter(0.25)",
@@ -2208,7 +2143,17 @@ mod tests {
         let ctx = tiny();
         assert_eq!(ablation_group(&ctx, 8).len(), 4);
         assert_eq!(ablation_excp(&ctx, 4).len(), 3);
-        assert!(ablation_thresh(&ctx, 4).len() >= 5);
+        let thresh = ablation_thresh(&ctx, 4);
+        let recursion: Vec<f64> = thresh
+            .iter()
+            .filter(|r| r.variant.starts_with("recursion="))
+            .map(|r| r.exe)
+            .collect();
+        assert_eq!(recursion.len(), 3);
+        assert!(
+            recursion.iter().any(|&t| t != recursion[0]),
+            "the recursion rows vary nothing: {recursion:?}"
+        );
     }
 
     #[test]
@@ -2249,23 +2194,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_sweep_reports_delta_checkpoint_savings() {
+    fn checkpoint_sweep_covers_every_engine_and_cadence() {
+        // Every run inside is oracle-verified (tiny() keeps verify on).
         let rows = checkpoint_sweep(&tiny(), 4);
-        // 3 registry engines + the spmsf full-checkpoint arm, 4 cadences.
-        assert_eq!(rows.len(), 16);
-        // verify=true already asserted slim-vs-full per interval inside
-        // the sweep; spot-check the densest cadence here.
-        let slim = rows
-            .iter()
-            .find(|r| r.engine == "spmsf" && r.interval == 1)
-            .unwrap();
-        let full = rows
-            .iter()
-            .find(|r| r.engine == "spmsf-full" && r.interval == 1)
-            .unwrap();
-        assert_eq!(slim.writes, full.writes);
-        assert!(slim.ckpt_bytes < full.ckpt_bytes, "{slim:?} vs {full:?}");
-        assert!(slim.clean_exe < full.clean_exe);
+        // 3 registry engines, 4 cadences.
+        assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!(r.writes == 0 || r.ckpt_bytes > 0, "{r:?}");
         }
@@ -2337,8 +2270,8 @@ mod tests {
         // Every run inside is oracle-verified (tiny() keeps verify on),
         // including the chaos arm over the full sparse+pack+filter stack.
         let rows = comm_sweep(&tiny(), 8);
-        // 2 presets x (4 variants + chaos arm).
-        assert_eq!(rows.len(), 10);
+        // 2 presets x (3 variants + chaos arm).
+        assert_eq!(rows.len(), 8);
         let mut filter_won_somewhere = false;
         for preset in ["gsh-2015-tpd", "sk-2005"] {
             let get = |v: &str| {
@@ -2346,9 +2279,8 @@ mod tests {
                     .find(|r| r.preset == preset && r.variant == v)
                     .unwrap()
             };
-            let dense = get("dense");
-            let sparse = get("sparse");
-            let packed = get("sparse+pack");
+            let dense = get("dense+pack");
+            let sparse = get("sparse+pack");
             let filtered = get("sparse+pack+filter(0.25)");
             // The bugfix: empty buckets stop becoming messages.
             assert!(
@@ -2360,24 +2292,16 @@ mod tests {
             assert!(sparse.payload_msgs < dense.payload_msgs, "{preset}");
             assert_eq!(dense.header_msgs, 0, "{preset}: dense pays no header");
             assert!(sparse.header_msgs > 0, "{preset}");
-            // Compression sheds wire bytes at identical message routing.
-            assert!(
-                packed.wire_mb < sparse.wire_mb,
-                "{preset}: packed {} !< sparse {}",
-                packed.wire_mb,
-                sparse.wire_mb
-            );
-            assert_eq!(packed.payload_msgs, sparse.payload_msgs, "{preset}");
             // Filtering carries fewer edges, but fewer edges also shift the
             // ring-exchange monitor's decisions, so the total can wobble on
             // a given preset; it must win on at least one (checked below)
             // and never cost more than a small factor on any.
-            filter_won_somewhere |= filtered.wire_mb < packed.wire_mb;
+            filter_won_somewhere |= filtered.wire_mb < sparse.wire_mb;
             assert!(
-                filtered.wire_mb < packed.wire_mb * 1.10,
-                "{preset}: filtered {} !<~ packed {}",
+                filtered.wire_mb < sparse.wire_mb * 1.10,
+                "{preset}: filtered {} !<~ unfiltered {}",
                 filtered.wire_mb,
-                packed.wire_mb
+                sparse.wire_mb
             );
             // The chaos arm completed (it is oracle-verified inside).
             assert!(get("sparse+pack+filter chaos").exe > 0.0);

@@ -49,4 +49,3 @@ pub mod segment;
 pub use cc::{distributed_components, CcReport};
 pub use result::{MndMstReport, PhaseTimes};
 pub use runner::MndMstRunner;
-pub use segment::SegmentStrategy;

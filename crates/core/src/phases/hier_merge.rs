@@ -48,9 +48,8 @@ impl HierMerge {
                 let left = g.left_of(me);
                 let right = g.right_of(me);
                 let cap = cx.runner.segment_cap_bytes();
-                let strategy = cx.runner.segment_strategy;
                 let take = cx.step(PhaseKind::HierMerge, "choose_segment", |cx| {
-                    choose_segment(&mut cx.cg, cap, strategy)
+                    choose_segment(&mut cx.cg, cap)
                 });
                 let seg = cx.step(PhaseKind::HierMerge, "split_off", |cx| {
                     cx.cg.split_off(&take)

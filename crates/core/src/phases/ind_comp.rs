@@ -6,6 +6,10 @@ use mnd_hypar::observe::PhaseKind;
 
 use crate::phases::{MergeParts, Phase, RankCtx, RankRecovery};
 
+/// Cap on the kernel → mergeParts rounds inside one computation step
+/// (§4.3.3).
+const MAX_RECURSION_ROUNDS: usize = 3;
+
 /// One *computation step*: `indComp` on the node's device(s), ghost-parent
 /// exchange, self/multi-edge reduction — repeated while the global maximum
 /// reduced size stays over the recursion threshold and progress continues.
@@ -34,7 +38,7 @@ impl Phase for IndComp {
         // edges. Identical on every rank, so the lockstep break below is a
         // global decision.
         let threshold = cx.runner.recursion_threshold_edges();
-        for _round in 0..cx.runner.max_recursion_rounds.max(1) {
+        for _round in 0..MAX_RECURSION_ROUNDS {
             // Independent computations on the node's device(s).
             let unions = cx.observed(PhaseKind::IndComp, |cx| {
                 let run = cx.step(PhaseKind::IndComp, "kernel", |cx| {

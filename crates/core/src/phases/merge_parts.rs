@@ -38,21 +38,17 @@ impl Phase for MergeParts {
             let buckets = cx.step(PhaseKind::MergeParts, "relabel_buckets", |cx| {
                 relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size())
             });
+            // Rename pairs reference few surviving components per round:
+            // the dictionary codec densifies them to small indexes on the
+            // wire, inverted on receipt.
             let received = cx.step(PhaseKind::MergeParts, "ghost_exchange", |cx| {
-                if cfg.compressed_relabels {
-                    // Rename pairs reference few surviving components per
-                    // round: the dictionary codec densifies them to small
-                    // indexes on the wire, inverted on receipt.
-                    comm.alltoallv_phased_enc(
-                        buckets,
-                        cx.runner.ghost_phase_size,
-                        exchange_mode(cfg),
-                        PackedPairs::encode,
-                        PackedPairs::into_pairs,
-                    )
-                } else {
-                    comm.alltoallv_phased(buckets, cx.runner.ghost_phase_size, exchange_mode(cfg))
-                }
+                comm.alltoallv_phased(
+                    buckets,
+                    cx.runner.ghost_phase_size,
+                    exchange_mode(cfg),
+                    PackedPairs::encode,
+                    PackedPairs::into_pairs,
+                )
             });
             cx.dir.apply_relabels(&relabel);
             // One relabel sweep for the pairs of every sender: a rank

@@ -6,7 +6,7 @@ use std::sync::{Mutex, OnceLock};
 use mnd_graph::partition::{partition_1d_by_degrees, VertexRange};
 use mnd_graph::types::WEdge;
 use mnd_graph::{CsrGraph, EdgeList};
-use mnd_hypar::api::part_graph;
+use mnd_hypar::api::{part_graph, CALIBRATION_FRAC, CALIBRATION_SAMPLES};
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::filter::filter_holding;
@@ -118,8 +118,8 @@ impl Phase for Partition {
                 // Calibration runs 5-10 small kernels on both devices;
                 // charge a sweep over the sampled edges.
                 let sampled = (local.num_undirected_edges() as f64
-                    * cfg.calibration_frac
-                    * cfg.calibration_samples as f64) as u64;
+                    * CALIBRATION_FRAC
+                    * CALIBRATION_SAMPLES as f64) as u64;
                 comm.compute(runner.sweep_seconds(sampled));
                 part.split
             } else {
@@ -171,20 +171,15 @@ impl Phase for Partition {
                 b.sort_unstable();
                 b.dedup();
             }
-            let mode = exchange_mode(cfg);
-            let received = if cfg.compressed_relabels {
-                // Boundary ids are sorted + deduplicated per bucket, the
-                // shape the delta-varint codec compresses best.
-                comm.alltoallv_phased_enc(
-                    buckets,
-                    runner.ghost_phase_size,
-                    mode,
-                    PackedIds::encode,
-                    PackedIds::into_ids,
-                )
-            } else {
-                comm.alltoallv_phased(buckets, runner.ghost_phase_size, mode)
-            };
+            // Boundary ids are sorted + deduplicated per bucket, the shape
+            // the delta-varint codec compresses best.
+            let received = comm.alltoallv_phased(
+                buckets,
+                runner.ghost_phase_size,
+                exchange_mode(cfg),
+                PackedIds::encode,
+                PackedIds::into_ids,
+            );
             // Consistency: every vertex a neighbour reports as its boundary
             // must be non-resident here and owned by that neighbour.
             for (src, verts) in received.iter().enumerate() {

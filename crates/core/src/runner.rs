@@ -32,7 +32,6 @@ use crate::phases::{
     HierMerge, IndComp, Level0, Partition, Phase, PhaseTimesRecorder, PostProcess, RankCtx,
 };
 use crate::result::{MndMstReport, PhaseTimes};
-use crate::segment::SegmentStrategy;
 
 /// Configuration + entry point for distributed runs.
 #[derive(Clone, Debug)]
@@ -46,12 +45,6 @@ pub struct MndMstRunner {
     /// Maximum ghost pairs per exchange phase (§3.1/§3.3: boundary
     /// communication happens "in multiple phases" to bound message sizes).
     pub ghost_phase_size: usize,
-    /// Cap on recursion rounds inside one computation step (§4.3.3).
-    pub max_recursion_rounds: usize,
-    /// How ring-exchange segments are packed (§3.4). The default
-    /// best-fit-decreasing packing ships heavy components first; see
-    /// [`crate::segment::SegmentStrategy`].
-    pub segment_strategy: SegmentStrategy,
     /// Optional message-fault injector armed on the simulated fabric
     /// (drops/delays/duplicates/reorders — see [`mnd_net::fault`]).
     pub faults: InjectorHook,
@@ -65,16 +58,8 @@ impl MndMstRunner {
             platform: NodePlatform::amd_cluster(),
             config: HyParConfig::default(),
             ghost_phase_size: 1 << 16,
-            max_recursion_rounds: 3,
-            segment_strategy: SegmentStrategy::default(),
             faults: InjectorHook::none(),
         }
-    }
-
-    /// Replaces the ring-segment packing strategy.
-    pub fn with_segment_strategy(mut self, strategy: SegmentStrategy) -> Self {
-        self.segment_strategy = strategy;
-        self
     }
 
     /// Arms a message-fault injector on the simulated fabric. Pair with
@@ -323,15 +308,14 @@ mod tests {
 
     /// §3.4 segment packing: on a skewed holding with a binding segment
     /// cap, best-fit-decreasing ships the heavy components in the first
-    /// exchanges while the first-fit suffix walk trickles light ones, so
-    /// the group needs fewer ring rounds to fall under the merge
-    /// threshold. BorderVertex + a large sim scale keep the holdings fat
-    /// into the merge hierarchy so the ring (not indComp) does the work.
+    /// exchanges, so the group falls under the merge threshold after two
+    /// ring rounds (a first-fit suffix walk, which trickles light
+    /// components, needed 15 here). BorderVertex + a large sim scale keep
+    /// the holdings fat into the merge hierarchy so the ring (not indComp)
+    /// does the work.
     #[test]
     fn best_fit_segments_need_fewer_ring_rounds() {
-        use crate::segment::SegmentStrategy;
         let el = gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 5);
-        let oracle = kruskal_msf(&el);
         let cfg = HyParConfig {
             group_size: 8,
             excp: mnd_kernels::policy::ExcpCond::BorderVertex,
@@ -341,22 +325,9 @@ mod tests {
             ..Default::default()
         }
         .with_sim_scale(1e7);
-        let ff = MndMstRunner::new(8)
-            .with_config(cfg.clone())
-            .with_segment_strategy(SegmentStrategy::FirstFit)
-            .run(&el);
-        let bfd = MndMstRunner::new(8)
-            .with_config(cfg)
-            .with_segment_strategy(SegmentStrategy::BestFitDecreasing)
-            .run(&el);
-        assert_eq!(ff.msf, oracle);
-        assert_eq!(bfd.msf, oracle);
-        assert!(
-            bfd.exchange_rounds < ff.exchange_rounds,
-            "bfd {} rounds vs ff {}",
-            bfd.exchange_rounds,
-            ff.exchange_rounds
-        );
+        let r = MndMstRunner::new(8).with_config(cfg).run(&el);
+        assert_eq!(r.msf, kruskal_msf(&el));
+        assert_eq!(r.exchange_rounds, 2);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! A segment carries roughly half of the holder's wire bytes, additionally
 //! capped so the segment's (paper-scale) bytes fit within the receiver's
 //! guaranteed headroom. Which components make up that half is a
-//! bin-packing choice ([`SegmentStrategy`]): the original first-fit suffix
-//! walk, or the default size-aware best-fit-decreasing packing that fills
-//! the budget with the heaviest components first — on skewed holdings the
-//! latter moves the hub components immediately instead of trickling leaves,
-//! so groups converge in fewer ring rounds.
+//! bin-packing choice: [`choose_segment`] packs best-fit decreasing,
+//! filling the budget with the heaviest components first. On skewed
+//! holdings that moves the hub components immediately instead of trickling
+//! leaves, so groups converge in fewer ring rounds than under a first-fit
+//! walk (kept in this module's tests as the baseline).
 
 use mnd_kernels::cgraph::{CEdge, CGraph, CompId};
 use mnd_net::Wire;
@@ -73,27 +73,13 @@ impl Wire for SegmentMsg {
     }
 }
 
-/// How the next outgoing segment is packed from the holder's components.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SegmentStrategy {
-    /// The original walk: take the suffix of the resident list (highest
-    /// ids first) until the edge budget fills. Oblivious to component
-    /// sizes — a heavy hub sitting at a low id never moves until
-    /// everything above it has.
-    FirstFit,
-    /// Size-aware best-fit decreasing: components are considered from
-    /// heaviest (most incident edges) to lightest and greedily added while
-    /// they fit the budget, so each round ships the fullest segment the
-    /// cap allows. On skewed holdings this retires hub components in the
-    /// first rounds and groups need fewer ring exchanges to converge.
-    #[default]
-    BestFitDecreasing,
-}
-
 /// Picks the components of the next outgoing segment: a subset of the
 /// resident components carrying at most half of the holding's wire bytes,
-/// capped at `max_bytes`, packed per `strategy`. The holder always keeps at
-/// least one component so it still participates in collaborative merging.
+/// capped at `max_bytes`. Components are considered from heaviest to
+/// lightest and greedily added while they fit the budget (best-fit
+/// decreasing), so each round ships the fullest segment the cap allows.
+/// The holder always keeps at least one component so it still participates
+/// in collaborative merging.
 ///
 /// Returns an empty vector when the holder has fewer than 2 components
 /// (nothing sensible to send).
@@ -104,11 +90,48 @@ pub enum SegmentStrategy {
 /// units. The old incident-*count* weighting under-counted components with
 /// frozen marks and made the cap an edge-count estimate that drifted from
 /// what [`mnd_net::Comm::send`] actually charges.
-pub fn choose_segment(cg: &mut CGraph, max_bytes: u64, strategy: SegmentStrategy) -> Vec<CompId> {
+pub fn choose_segment(cg: &mut CGraph, max_bytes: u64) -> Vec<CompId> {
     let n = cg.num_resident();
     if n < 2 {
         return Vec::new();
     }
+    let (weights, target) = segment_weights(cg, max_bytes);
+    let resident = cg.resident();
+    // Heaviest-first greedy packing; ties broken by id so the choice is
+    // deterministic.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| {
+        weights[b]
+            .cmp(&weights[a])
+            .then(resident[a].cmp(&resident[b]))
+    });
+    let mut acc = 0u64;
+    let mut take = Vec::new();
+    for &i in &order {
+        if take.len() + 1 == n || acc >= target {
+            break;
+        }
+        if acc + weights[i] <= target {
+            take.push(resident[i]);
+            acc += weights[i];
+        }
+    }
+    if take.is_empty() {
+        // Every single component overshoots the budget: send the lightest
+        // one anyway (minimal overshoot, and the segment still makes
+        // progress).
+        if let Some(&i) = order.last() {
+            take.push(resident[i]);
+        }
+    }
+    take.sort_unstable();
+    take
+}
+
+/// Each resident component's wire weight (index-aligned with the resident
+/// column) and the segment's byte budget: half the holding, at most
+/// `max_bytes`, at least 1.
+fn segment_weights(cg: &mut CGraph, max_bytes: u64) -> (Vec<u64>, u64) {
     let frozen = cg.frozen_marks();
     let edge_bytes = std::mem::size_of::<CEdge>() as u64;
     let id_bytes = std::mem::size_of::<CompId>() as u64;
@@ -121,58 +144,8 @@ pub fn choose_segment(cg: &mut CGraph, max_bytes: u64, strategy: SegmentStrategy
             id_bytes + cnt * edge_bytes + mark
         })
         .collect();
-    let resident = cg.resident();
     let total: u64 = weights.iter().sum();
-    let target = (total / 2).min(max_bytes).max(1);
-
-    let mut acc = 0u64;
-    let mut take = Vec::new();
-    match strategy {
-        SegmentStrategy::FirstFit => {
-            // Suffix walk; the first component is taken unconditionally so
-            // the segment always makes progress.
-            for i in (1..n).rev() {
-                let w = weights[i];
-                if !take.is_empty() && acc + w > target {
-                    break;
-                }
-                take.push(resident[i]);
-                acc += w;
-                if acc >= target {
-                    break;
-                }
-            }
-        }
-        SegmentStrategy::BestFitDecreasing => {
-            // Heaviest-first greedy packing; ties broken by id so the
-            // choice is deterministic.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by(|&a, &b| {
-                weights[b]
-                    .cmp(&weights[a])
-                    .then(resident[a].cmp(&resident[b]))
-            });
-            for &i in &order {
-                if take.len() + 1 == n || acc >= target {
-                    break;
-                }
-                if acc + weights[i] <= target {
-                    take.push(resident[i]);
-                    acc += weights[i];
-                }
-            }
-            if take.is_empty() {
-                // Every single component overshoots the budget: send the
-                // lightest one anyway (minimal overshoot, same progress
-                // guarantee as first-fit's unconditional first pick).
-                if let Some(&i) = order.last() {
-                    take.push(resident[i]);
-                }
-            }
-        }
-    }
-    take.sort_unstable();
-    take
+    (weights, (total / 2).min(max_bytes).max(1))
 }
 
 #[cfg(test)]
@@ -185,10 +158,42 @@ mod tests {
         CGraph::from_edge_list(&gen::gnm(100, 500, seed))
     }
 
+    /// The baseline packing: the suffix of the resident list (highest ids
+    /// first) until the byte budget fills, oblivious to component sizes —
+    /// a heavy hub at a low id never moves until everything above it has.
+    /// The first component is taken unconditionally so the segment always
+    /// makes progress.
+    fn first_fit(cg: &mut CGraph, max_bytes: u64) -> Vec<CompId> {
+        let n = cg.num_resident();
+        if n < 2 {
+            return Vec::new();
+        }
+        let (weights, target) = segment_weights(cg, max_bytes);
+        let resident = cg.resident();
+        let (mut acc, mut take) = (0u64, Vec::new());
+        for i in (1..n).rev() {
+            let w = weights[i];
+            if !take.is_empty() && acc + w > target {
+                break;
+            }
+            take.push(resident[i]);
+            acc += w;
+            if acc >= target {
+                break;
+            }
+        }
+        take.sort_unstable();
+        take
+    }
+
+    /// Both packings, by name, for the properties they share.
+    type Packing = fn(&mut CGraph, u64) -> Vec<CompId>;
+    const PACKINGS: [(&str, Packing); 2] = [("first-fit", first_fit), ("best-fit", choose_segment)];
+
     #[test]
     fn segment_round_trips_through_message() {
         let mut cg = holding(1);
-        let take = choose_segment(&mut cg, u64::MAX, SegmentStrategy::default());
+        let take = choose_segment(&mut cg, u64::MAX);
         assert!(!take.is_empty());
         let seg = cg.split_off(&take);
         let before = seg.clone();
@@ -200,22 +205,19 @@ mod tests {
 
     #[test]
     fn segment_takes_roughly_half_edges() {
-        for strategy in [
-            SegmentStrategy::FirstFit,
-            SegmentStrategy::BestFitDecreasing,
-        ] {
+        for (name, pack) in PACKINGS {
             let mut cg = holding(2);
-            let take = choose_segment(&mut cg, u64::MAX, strategy);
+            let take = pack(&mut cg, u64::MAX);
             let frac = take.len() as f64 / cg.num_resident() as f64;
-            assert!((0.15..0.85).contains(&frac), "{strategy:?} fraction {frac}");
+            assert!((0.15..0.85).contains(&frac), "{name} fraction {frac}");
         }
     }
 
     #[test]
     fn best_fit_needs_no_more_components_than_first_fit() {
         let mut cg = holding(2);
-        let ff = choose_segment(&mut cg, u64::MAX, SegmentStrategy::FirstFit);
-        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
+        let ff = first_fit(&mut cg, u64::MAX);
+        let bfd = choose_segment(&mut cg, u64::MAX);
         // Both fill the same edge target; BFD does it with the heaviest
         // components, so it never needs more of them.
         assert!(bfd.len() <= ff.len(), "bfd {} > ff {}", bfd.len(), ff.len());
@@ -231,9 +233,9 @@ mod tests {
             .collect();
         let resident: Vec<CompId> = (0..=10).collect();
         let mut cg = CGraph::from_parts(resident, edges, vec![]);
-        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
+        let bfd = choose_segment(&mut cg, u64::MAX);
         assert_eq!(bfd, vec![0]);
-        let ff = choose_segment(&mut cg, u64::MAX, SegmentStrategy::FirstFit);
+        let ff = first_fit(&mut cg, u64::MAX);
         // The suffix walk trickles leaves until the byte budget fills (it
         // stops one leaf short of half the holding's bytes, never touching
         // the hub).
@@ -252,28 +254,24 @@ mod tests {
             CEdge::new(2, 8, mnd_graph::WEdge::new(2, 8, 2)),
         ];
         let mut cg = CGraph::from_parts(vec![1, 2, 3], edges, vec![2]);
-        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
+        let bfd = choose_segment(&mut cg, u64::MAX);
         assert_eq!(bfd, vec![2], "the frozen component weighs more: {bfd:?}");
     }
 
     #[test]
     fn byte_cap_limits_segment() {
         let mut cg = holding(3);
-        let strategy = SegmentStrategy::default();
-        let small = choose_segment(&mut cg, 200, strategy); // ~10 edges worth
-        let large = choose_segment(&mut cg, u64::MAX, strategy);
+        let small = choose_segment(&mut cg, 200); // ~10 edges worth
+        let large = choose_segment(&mut cg, u64::MAX);
         assert!(small.len() <= large.len());
         assert!(!small.is_empty());
     }
 
     #[test]
     fn holder_always_keeps_a_component() {
-        for strategy in [
-            SegmentStrategy::FirstFit,
-            SegmentStrategy::BestFitDecreasing,
-        ] {
+        for (_, pack) in PACKINGS {
             let mut cg = holding(4);
-            let take = choose_segment(&mut cg, u64::MAX, strategy);
+            let take = pack(&mut cg, u64::MAX);
             assert!(take.len() < cg.num_resident());
         }
     }
@@ -282,7 +280,7 @@ mod tests {
     /// production caller hands it what `choose_segment` picked, which
     /// indexes the resident column and nothing else. Holdings with ghost
     /// ends, frozen marks, edgeless residents and a binding cap, both
-    /// strategies: every pick is a resident, none twice, never all of them.
+    /// packings: every pick is a resident, none twice, never all of them.
     #[test]
     fn a_segment_names_resident_components_only() {
         for seed in 0..6 {
@@ -292,12 +290,9 @@ mod tests {
             let resident: Vec<CompId> = cg.resident().iter().copied().step_by(3).collect();
             cg.set_resident(resident.clone());
             cg.set_frozen(resident.iter().copied().step_by(5).collect());
-            for strategy in [
-                SegmentStrategy::FirstFit,
-                SegmentStrategy::BestFitDecreasing,
-            ] {
+            for (_, pack) in PACKINGS {
                 for cap in [1, 200, u64::MAX] {
-                    let take = with_kernel_threads(1, || choose_segment(&mut cg, cap, strategy));
+                    let take = with_kernel_threads(1, || pack(&mut cg, cap));
                     assert!(take.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
                     assert!(take.iter().all(|&c| cg.is_resident(c)), "{take:?}");
                     assert!(take.len() < cg.num_resident());
@@ -311,9 +306,8 @@ mod tests {
     #[test]
     fn tiny_holdings_send_nothing() {
         let mut cg = CGraph::from_parts(vec![7], vec![], vec![]);
-        let strategy = SegmentStrategy::default();
-        assert!(choose_segment(&mut cg, u64::MAX, strategy).is_empty());
-        assert!(choose_segment(&mut CGraph::new(), u64::MAX, strategy).is_empty());
+        assert!(choose_segment(&mut cg, u64::MAX).is_empty());
+        assert!(choose_segment(&mut CGraph::new(), u64::MAX).is_empty());
     }
 
     #[test]

@@ -27,6 +27,13 @@ pub struct NodePartition {
     pub split: DeviceSplit,
 }
 
+/// Calibration kernels run on each device to estimate the CPU/GPU ratio
+/// (§4.3.1: "5–10 samples").
+pub const CALIBRATION_SAMPLES: u32 = 6;
+/// Size of one calibration sample as a fraction of the vertices (§4.3.1:
+/// 5 %).
+pub const CALIBRATION_FRAC: f64 = 0.05;
+
 /// `partGraph` (§4.1.1): 1D degree-balanced partitioning across `nranks`
 /// nodes, plus the §4.3.1-calibrated CPU/GPU ratio for the node's devices.
 pub fn part_graph(
@@ -45,8 +52,8 @@ pub fn part_graph(
                 g,
                 &cpu,
                 &gpu,
-                cfg.calibration_samples,
-                cfg.calibration_frac,
+                CALIBRATION_SAMPLES,
+                CALIBRATION_FRAC,
                 cfg.seed,
             )
         }

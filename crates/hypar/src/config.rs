@@ -51,10 +51,6 @@ pub struct HyParConfig {
     /// accommodated in a single node" — so the default corresponds to a
     /// 32 GB node at ~20 bytes/edge with headroom for working structures.
     pub group_edge_threshold: u64,
-    /// Calibration samples for the CPU/GPU ratio (§4.3.1: 5–10).
-    pub calibration_samples: u32,
-    /// Calibration sample size as a fraction of vertices (§4.3.1: 5%).
-    pub calibration_frac: f64,
     /// Simulation scale: our stand-in graphs are `1/sim_scale` of the
     /// paper's; device work and message bytes are multiplied by this so
     /// fixed overheads keep their paper-scale ratios (DESIGN.md).
@@ -77,11 +73,6 @@ pub struct HyParConfig {
     /// the dense oracle path that pays for empty buckets; results are
     /// byte-identical either way, only traffic changes (DESIGN.md §8).
     pub sparse_exchange: bool,
-    /// Ship boundary/relabel payloads through the compressed-relabeling
-    /// codecs (`mnd_wire::pack`): delta-varint boundary ids and
-    /// dictionary-densified rename pairs, inverted on receipt. Affects wire
-    /// bytes only, never routed contents.
-    pub compressed_relabels: bool,
     /// Filter-Boruvka sampling probability applied to each rank's level-0
     /// holding before the first exchange (DESIGN.md §8). `0.0` (default)
     /// disables the filter; `1.0` degenerates to a full local Kruskal
@@ -112,15 +103,12 @@ impl Default for HyParConfig {
             recursion_threshold_source: RecursionThresholdSource::default(),
             merge_min_shrink: 0.10,
             group_edge_threshold: 1_000_000_000,
-            calibration_samples: 6,
-            calibration_frac: 0.05,
             sim_scale: 1.0,
             max_exchange_rounds: 8,
             seed: 0x4D4E_442D,
             observer: ObserverHook::none(),
             chaos: ChaosHook::none(),
             sparse_exchange: true,
-            compressed_relabels: true,
             filter_sample_prob: 0.0,
             checkpoint_interval: 1,
         }
@@ -183,26 +171,12 @@ impl HyParConfig {
         self
     }
 
-    /// Toggles the compressed relabeling codecs (see
-    /// [`HyParConfig::compressed_relabels`]).
-    pub fn with_compressed_relabels(mut self, compressed: bool) -> Self {
-        self.compressed_relabels = compressed;
-        self
-    }
-
     /// Sets the filter-Boruvka sampling probability (see
     /// [`HyParConfig::filter_sample_prob`]).
     pub fn with_filter_sample_prob(mut self, prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob), "probability in [0, 1]");
         self.filter_sample_prob = prob;
         self
-    }
-
-    /// The `mnd_net::ExchangeMode`-shaped view of
-    /// [`HyParConfig::sparse_exchange`] is derived by the drivers; this
-    /// helper keeps the boolean the single source of truth for tests.
-    pub fn exchange_is_sparse(&self) -> bool {
-        self.sparse_exchange
     }
 }
 
@@ -220,12 +194,10 @@ mod tests {
             RecursionThresholdSource::Calibrated
         );
         assert_eq!(c.excp, ExcpCond::BorderEdge);
-        assert!((0.0..1.0).contains(&c.calibration_frac));
-        // Communication engineering (DESIGN.md §8): sparse exchanges and
-        // compressed relabels are pure wire-cost changes, on by default;
-        // the filter changes carried edge sets, so it is opt-in.
+        // Communication engineering (DESIGN.md §8): sparse exchanges are
+        // a pure wire-cost change, on by default; the filter changes
+        // carried edge sets, so it is opt-in.
         assert!(c.sparse_exchange);
-        assert!(c.compressed_relabels);
         assert_eq!(c.filter_sample_prob, 0.0);
     }
 
@@ -233,10 +205,8 @@ mod tests {
     fn comm_knob_builders() {
         let c = HyParConfig::default()
             .with_sparse_exchange(false)
-            .with_compressed_relabels(false)
             .with_filter_sample_prob(0.25);
-        assert!(!c.exchange_is_sparse());
-        assert!(!c.compressed_relabels);
+        assert!(!c.sparse_exchange);
         assert_eq!(c.filter_sample_prob, 0.25);
     }
 

@@ -211,22 +211,14 @@ impl Comm {
     /// buckets are exhausted stop contributing payload messages; under
     /// [`ExchangeMode::Dense`] they ship empty chunks for every remaining
     /// global phase.
-    pub fn alltoallv_phased<T: Wire + Clone>(
-        &self,
-        per_dest: Vec<Vec<T>>,
-        phase_size: usize,
-        mode: ExchangeMode,
-    ) -> Vec<Vec<T>> {
-        self.alltoallv_phased_enc(per_dest, phase_size, mode, |chunk| chunk, |chunk| chunk)
-    }
-
-    /// Phased exchange through a per-message codec: each non-empty chunk is
-    /// passed through `enc` before it hits the wire (so the cost model
-    /// charges the *encoded* size) and through `dec` on receipt. This is
-    /// how the phase drivers ship compressed relabeling payloads
+    ///
+    /// Each chunk passes through `enc` before it hits the wire (so the cost
+    /// model charges the *encoded* size) and through `dec` on receipt. This
+    /// is how the phase drivers ship compressed relabeling payloads
     /// ([`mnd_wire::PackedIds`]/[`mnd_wire::PackedPairs`]) without the
-    /// collective layer knowing about component ids.
-    pub fn alltoallv_phased_enc<T, W>(
+    /// collective layer knowing about component ids; `|c| c, |c| c` ships
+    /// the chunks as they are.
+    pub fn alltoallv_phased<T, W>(
         &self,
         mut per_dest: Vec<Vec<T>>,
         phase_size: usize,
@@ -545,7 +537,7 @@ mod tests {
                     let per_dest: Vec<Vec<u32>> = (0..4)
                         .map(|d| (0..7).map(|i| me * 100 + d as u32 * 10 + i).collect())
                         .collect();
-                    c.alltoallv_phased(per_dest, phase_size, mode)
+                    c.alltoallv_phased(per_dest, phase_size, mode, |b| b, |b| b)
                 });
                 for (me, o) in out.iter().enumerate() {
                     for (src, bucket) in o.result.iter().enumerate() {
@@ -566,7 +558,13 @@ mod tests {
         for phase_size in [1usize, 2, 4, 64] {
             for mode in [ExchangeMode::Dense, ExchangeMode::Sparse] {
                 let out = Cluster::new(5, CostModel::free()).run(move |c| {
-                    c.alltoallv_phased(ragged_buckets(c.rank() as u32, 5), phase_size, mode)
+                    c.alltoallv_phased(
+                        ragged_buckets(c.rank() as u32, 5),
+                        phase_size,
+                        mode,
+                        |b| b,
+                        |b| b,
+                    )
                 });
                 for (rank, (o, expect)) in out.iter().zip(&oracle).enumerate() {
                     assert_eq!(
@@ -594,7 +592,7 @@ mod tests {
         let msgs = |phase_size: usize| {
             let out = Cluster::new(3, CostModel::default_cluster()).run(move |c| {
                 let per_dest: Vec<Vec<u8>> = (0..3).map(|_| vec![0u8; 10]).collect();
-                c.alltoallv_phased(per_dest, phase_size, ExchangeMode::Sparse);
+                c.alltoallv_phased(per_dest, phase_size, ExchangeMode::Sparse, |b| b, |b| b);
                 c.stats().messages_sent
             });
             out.iter().map(|o| o.result).sum::<u64>()
@@ -668,7 +666,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let got = c.alltoallv_phased(per_dest, 2, mode);
+                let got = c.alltoallv_phased(per_dest, 2, mode, |b| b, |b| b);
                 let payload_msgs = c
                     .stats()
                     .by_tag
@@ -704,7 +702,7 @@ mod tests {
             Cluster::new(3, CostModel::default_cluster()).run(move |c| {
                 let per_dest = ragged_buckets(c.rank() as u32, 3);
                 let got = if encode {
-                    c.alltoallv_phased_enc(
+                    c.alltoallv_phased(
                         per_dest,
                         4,
                         ExchangeMode::Sparse,
@@ -712,7 +710,7 @@ mod tests {
                         |w: Squeezed| w.0,
                     )
                 } else {
-                    c.alltoallv_phased(per_dest, 4, ExchangeMode::Sparse)
+                    c.alltoallv_phased(per_dest, 4, ExchangeMode::Sparse, |b| b, |b| b)
                 };
                 (got, c.stats().bytes_sent)
             })

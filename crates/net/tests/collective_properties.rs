@@ -86,7 +86,7 @@ proptest! {
             for mode in [ExchangeMode::Dense, ExchangeMode::Sparse] {
                 let mk2 = mk.clone();
                 let phased = Cluster::new(p, CostModel::free()).run(move |c| {
-                    c.alltoallv_phased(mk2(c.rank()), phase_size, mode)
+                    c.alltoallv_phased(mk2(c.rank()), phase_size, mode, |b| b, |b| b)
                 });
                 for (d, s) in oracle.iter().zip(&phased) {
                     prop_assert_eq!(&d.result, &s.result, "phase {} mode {:?}", phase_size, mode);
@@ -94,7 +94,7 @@ proptest! {
             }
             let mk2 = mk.clone();
             let enc = Cluster::new(p, CostModel::free()).run(move |c| {
-                c.alltoallv_phased_enc(
+                c.alltoallv_phased(
                     mk2(c.rank()),
                     phase_size,
                     ExchangeMode::Sparse,

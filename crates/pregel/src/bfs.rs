@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use mnd_device::NodePlatform;
-use mnd_graph::partition::{owner_of, partition_1d};
 use mnd_graph::types::VertexId;
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_net::{Cluster, Comm, RankStats, Wire};
@@ -15,7 +14,7 @@ use mnd_net::{Cluster, Comm, RankStats, Wire};
 use mnd_engine::{run_recoverable, Recoverable, Recovery};
 
 use crate::chaos::BspChaos;
-use crate::framework::{superstep_exchange, BspConfig, BspPartitioning, BspStats};
+use crate::framework::{superstep_exchange, BspConfig, BspStats};
 
 /// Result of a BSP BFS run.
 #[derive(Clone, Debug)]
@@ -133,33 +132,10 @@ fn worker_bfs(
         let m = &platform.cpu;
         comm.compute(items as f64 * cfg.sim_scale / (m.edge_throughput * m.efficiency));
     };
-    // Same partitioning options as the MSF baseline.
-    let hash_mode = cfg.partitioning == BspPartitioning::Hash;
-    let ranges = if hash_mode {
-        Vec::new()
-    } else {
-        partition_1d(csr, p, 0.0)
-    };
-    let owner = |v: VertexId| -> usize {
-        if hash_mode {
-            v as usize % p
-        } else {
-            owner_of(&ranges, v)
-        }
-    };
-    let mine: Vec<VertexId> = if hash_mode {
-        ((me as VertexId)..csr.num_vertices()).step_by(p).collect()
-    } else {
-        ranges[me].iter().collect()
-    };
-    let first = mine.first().copied().unwrap_or(0);
-    let idx = |v: VertexId| -> usize {
-        if hash_mode {
-            (v as usize - me) / p
-        } else {
-            (v - first) as usize
-        }
-    };
+    // Hash partitioning, like the MSF baseline.
+    let owner = |v: VertexId| -> usize { v as usize % p };
+    let mine: Vec<VertexId> = ((me as VertexId)..csr.num_vertices()).step_by(p).collect();
+    let idx = |v: VertexId| -> usize { (v as usize - me) / p };
 
     let mut st = BfsState {
         dist: vec![u64::MAX; mine.len()],
@@ -214,22 +190,15 @@ fn worker_bfs(
     }
 
     let stats = st.stats;
-    // Gather: distances must come back in global vertex order. With hash
-    // partitioning worker w owns vertices w, w+p, …, so rank 0 interleaves.
+    // Gather: distances must come back in global vertex order. Worker w
+    // owns vertices w, w+p, …, so rank 0 interleaves.
     let gathered = comm.gather_vec(0, st.dist);
     let all = gathered.map(|parts| {
         let n = csr.num_vertices() as usize;
         let mut out = vec![u64::MAX; n];
         for (w, part) in parts.into_iter().enumerate() {
-            if hash_mode {
-                for (i, d) in part.into_iter().enumerate() {
-                    out[w + i * p] = d;
-                }
-            } else {
-                let lo = ranges[w].start as usize;
-                for (i, d) in part.into_iter().enumerate() {
-                    out[lo + i] = d;
-                }
+            for (i, d) in part.into_iter().enumerate() {
+                out[w + i * p] = d;
             }
         }
         out
@@ -251,16 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_hash_and_range() {
+    fn matches_sequential() {
         let el = gen::gnm(300, 1200, 3);
-        for part in [BspPartitioning::Hash, BspPartitioning::Range1D] {
-            let cfg = BspConfig {
-                partitioning: part,
-                ..Default::default()
-            };
-            for nranks in [1, 4] {
-                check(&el, 0, nranks, &cfg);
-            }
+        for nranks in [1, 4] {
+            check(&el, 0, nranks, &BspConfig::default());
         }
     }
 

@@ -3,26 +3,14 @@
 
 use mnd_net::Comm;
 
-/// How the BSP system assigns vertices to workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BspPartitioning {
-    /// Pregel/Pregel+ default: `worker = vertex mod P`. Destroys input
-    /// locality — the root cause of the BSP communication volume the paper
-    /// measures.
-    #[default]
-    Hash,
-    /// Contiguous degree-balanced ranges (what MND-MST uses). Available as
-    /// an ablation: "how much of the gap is partitioning vs execution
-    /// model?".
-    Range1D,
-}
-
 /// Configuration of the BSP baseline's optimisations (both on by default —
 /// the paper compares against tuned Pregel+, not strawman Pregel).
+///
+/// Vertices go to workers by Pregel+'s hash partitioning,
+/// `worker = vertex mod P`. It destroys input locality, the root cause of
+/// the BSP communication volume the paper measures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BspConfig {
-    /// Vertex-to-worker assignment.
-    pub partitioning: BspPartitioning,
     /// Combine messages addressed to the same destination vertex at the
     /// sender (Pregel+ message combining).
     pub combine: bool,
@@ -52,7 +40,6 @@ pub struct BspConfig {
 impl Default for BspConfig {
     fn default() -> Self {
         BspConfig {
-            partitioning: BspPartitioning::Hash,
             combine: true,
             mirror_threshold: Some(128),
             per_message_cost: 0.06e-6,

@@ -28,14 +28,13 @@ use std::sync::Arc;
 use mnd_device::NodePlatform;
 use mnd_engine::election::{Election, NONE};
 use mnd_engine::{run_recoverable, Recoverable, Recovery};
-use mnd_graph::partition::{owner_of, partition_1d};
 use mnd_graph::types::{VertexId, WEdge};
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_kernels::msf::MsfResult;
 use mnd_net::{Cluster, Comm, RankStats, Wire};
 
 use crate::chaos::BspChaos;
-use crate::framework::{superstep_exchange, BspConfig, BspPartitioning, BspStats};
+use crate::framework::{superstep_exchange, BspConfig, BspStats};
 
 /// Outcome of a BSP MSF run — mirrors `MndMstReport` so benches can print
 /// both side by side.
@@ -218,39 +217,17 @@ fn worker_main(
         comm.compute(items as f64 * cfg.sim_scale / (m.edge_throughput * m.efficiency));
     };
 
-    // Vertex-to-worker map: Pregel+'s default hash partitioning, or 1D
-    // ranges for the ablation.
-    let hash_mode = cfg.partitioning == BspPartitioning::Hash;
-    let ranges = if hash_mode {
-        Vec::new()
-    } else {
-        partition_1d(csr, p, 0.0)
-    };
+    // Vertex-to-worker map: Pregel+'s hash partitioning.
     let (p32, me32) = (p as VertexId, me as VertexId);
-    let owner = |v: VertexId| -> usize {
-        if hash_mode {
-            (v % p32) as usize
-        } else {
-            owner_of(&ranges, v)
-        }
-    };
+    let owner = |v: VertexId| -> usize { (v % p32) as usize };
     // Owned vertices in ascending order; `idx` inverts the enumeration.
-    let mine: Vec<VertexId> = if hash_mode {
-        (me32..csr.num_vertices()).step_by(p).collect()
-    } else {
-        ranges[me].iter().collect()
-    };
+    let mine: Vec<VertexId> = (me32..csr.num_vertices()).step_by(p).collect();
     let count = mine.len();
-    let first = mine.first().copied().unwrap_or(0);
     let idx = |v: VertexId| -> usize {
         // `mine[i] == v`, decided without the load.
-        let (i, owned) = if hash_mode {
-            (v / p32, v % p32 == me32)
-        } else {
-            (v.wrapping_sub(first), true)
-        };
+        let i = v / p32;
         assert!(
-            owned && (i as usize) < count,
+            v % p32 == me32 && (i as usize) < count,
             "bsp worker {me}: vertex {v} was routed here but belongs to worker {}",
             owner(v)
         );

@@ -5,7 +5,6 @@ use mnd_device::NodePlatform;
 use mnd_graph::types::WEdge;
 use mnd_graph::{gen, EdgeList};
 use mnd_kernels::oracle::kruskal_msf;
-use mnd_pregel::framework::BspPartitioning;
 use mnd_pregel::{pregel_bfs, pregel_msf, BspConfig};
 use proptest::prelude::*;
 
@@ -33,12 +32,10 @@ proptest! {
         nranks in 1usize..6,
         combine in proptest::bool::ANY,
         mirror in proptest::bool::ANY,
-        hash in proptest::bool::ANY,
     ) {
         let cfg = BspConfig {
             combine,
             mirror_threshold: mirror.then_some(8),
-            partitioning: if hash { BspPartitioning::Hash } else { BspPartitioning::Range1D },
             ..Default::default()
         };
         let r = pregel_msf(&el, nranks, &NodePlatform::amd_cluster(), &cfg);
@@ -49,13 +46,8 @@ proptest! {
     fn bfs_matches_oracle_under_partitionings(
         el in arb_edges(60, 200),
         nranks in 1usize..5,
-        hash in proptest::bool::ANY,
     ) {
-        let cfg = BspConfig {
-            partitioning: if hash { BspPartitioning::Hash } else { BspPartitioning::Range1D },
-            ..Default::default()
-        };
-        let r = pregel_bfs(&el, 0, nranks, &NodePlatform::amd_cluster(), &cfg);
+        let r = pregel_bfs(&el, 0, nranks, &NodePlatform::amd_cluster(), &BspConfig::default());
         let oracle = mnd_graph::components::bfs_distances(
             &mnd_graph::CsrGraph::from_edge_list(&el),
             0,
@@ -96,23 +88,4 @@ fn per_message_cost_is_the_dominant_comm_knob() {
         costly.comm_time,
         cheap.comm_time
     );
-}
-
-#[test]
-fn hash_partitioning_costs_more_comm_than_range_on_local_graphs() {
-    // The central comparison premise: on a locality-rich graph, hash
-    // partitioning sends more bytes than range partitioning.
-    let el = gen::web_crawl(4000, 32_000, gen::CrawlParams::default(), 9);
-    let plat = NodePlatform::amd_cluster();
-    let bytes = |part| {
-        let cfg = BspConfig {
-            partitioning: part,
-            ..Default::default()
-        };
-        let r = pregel_msf(&el, 8, &plat, &cfg);
-        r.rank_stats.iter().map(|s| s.bytes_sent).sum::<u64>()
-    };
-    let hash = bytes(BspPartitioning::Hash);
-    let range = bytes(BspPartitioning::Range1D);
-    assert!(hash > range, "hash {hash} must exceed range {range}");
 }

@@ -77,8 +77,6 @@ pub struct ServeConfig {
     pub edges_per_rank: u64,
     /// How update jobs execute.
     pub update_mode: UpdateMode,
-    /// Whether the result cache is consulted (off = every query cold).
-    pub cache: bool,
 }
 
 impl ServeConfig {
@@ -89,7 +87,6 @@ impl ServeConfig {
             nranks,
             edges_per_rank: 2048,
             update_mode: UpdateMode::Incremental,
-            cache: true,
         }
     }
 
@@ -102,12 +99,6 @@ impl ServeConfig {
     /// Sets the update execution mode.
     pub fn with_update_mode(mut self, mode: UpdateMode) -> Self {
         self.update_mode = mode;
-        self
-    }
-
-    /// Enables or disables the result cache.
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
         self
     }
 }
@@ -575,18 +566,14 @@ impl ServePlane {
             fp: self.fingerprint_of(graph),
             variant: Variant::Bfs(source),
         };
-        if self.cfg.cache {
-            if let Some(hit) = self.cache.lookup(key) {
-                if let CachedValue::Bfs(dist) = hit.value {
-                    return (ServedBy::Cache, CACHE_HIT_SECONDS, JobResult::Bfs(dist));
-                }
+        if let Some(hit) = self.cache.lookup(key) {
+            if let CachedValue::Bfs(dist) = hit.value {
+                return (ServedBy::Cache, CACHE_HIT_SECONDS, JobResult::Bfs(dist));
             }
         }
         let (dist, secs) = self.backend.bfs(graph, source, ranks);
         let dist = Arc::new(dist);
-        if self.cfg.cache {
-            self.cache.insert(key, CachedValue::Bfs(dist.clone()), secs);
-        }
+        self.cache.insert(key, CachedValue::Bfs(dist.clone()), secs);
         (ServedBy::Backend, secs, JobResult::Bfs(dist))
     }
 
@@ -628,12 +615,10 @@ impl ServePlane {
             }
         };
         let msf = Arc::new(msf);
-        if self.cfg.cache {
-            // The updated graph's MSF is now known: future queries on it
-            // are owed a hit (`msf_of` keys it when one could match).
-            self.unpublished.retain(|owed| owed.0 != tenant);
-            self.unpublished.push((tenant, msf.clone(), cold_seconds));
-        }
+        // The updated graph's MSF is now known: future queries on it are
+        // owed a hit (`msf_of` keys it when one could match).
+        self.unpublished.retain(|owed| owed.0 != tenant);
+        self.unpublished.push((tenant, msf.clone(), cold_seconds));
         (served_by, secs, JobResult::Msf(msf))
     }
 
@@ -659,18 +644,14 @@ impl ServePlane {
             fp: self.fingerprint_of(graph),
             variant: Variant::Msf,
         };
-        if self.cfg.cache {
-            if let Some(hit) = self.cache.lookup(key) {
-                if let CachedValue::Msf(msf) = hit.value {
-                    return (msf, ServedBy::Cache, CACHE_HIT_SECONDS);
-                }
+        if let Some(hit) = self.cache.lookup(key) {
+            if let CachedValue::Msf(msf) = hit.value {
+                return (msf, ServedBy::Cache, CACHE_HIT_SECONDS);
             }
         }
         let (msf, secs) = self.backend.msf(graph, ranks);
         let msf = Arc::new(msf);
-        if self.cfg.cache {
-            self.cache.insert(key, CachedValue::Msf(msf.clone()), secs);
-        }
+        self.cache.insert(key, CachedValue::Msf(msf.clone()), secs);
         (msf, ServedBy::Backend, secs)
     }
 }
@@ -922,7 +903,7 @@ mod tests {
 
     /// An update leaves one record owed to the cache per tenant; a look-up
     /// on a graph of other counts leaves it owed, one on the session's
-    /// counts keys it; a plane without a cache records nothing.
+    /// counts keys it.
     #[test]
     fn update_results_are_keyed_by_the_first_look_up_that_could_match() {
         let base = Arc::new(gen::gnm(120, 500, 3));
@@ -947,15 +928,6 @@ mod tests {
         let report = p.run(vec![mst(0, &current, 0.0)]);
         assert!(p.unpublished.is_empty());
         assert_eq!(report.completions[0].served_by, ServedBy::Cache);
-
-        let mut cacheless = ServePlane::new(
-            ServeConfig::new(2).with_cache(false),
-            Box::new(EngineBackend::mnd_mst(1.0)),
-            vec![TenantSpec::new("t0", 1.0, 64)],
-        );
-        let report = cacheless.run(vec![update(0.0), mst(0, &current, 1.0)]);
-        assert!(cacheless.unpublished.is_empty());
-        assert_eq!(report.completions[1].served_by, ServedBy::Backend);
     }
 
     #[test]

@@ -44,14 +44,6 @@ pub struct SpmsfConfig {
     /// armed. A round costs a handful of steps, so the default of 2
     /// checkpoints a few times per round; see `repro checkpoint-sweep`.
     pub checkpoint_interval: u64,
-    /// Delta-encode the replicated component vector in checkpoints:
-    /// after the base segment, each write charges only the entries the
-    /// relabel rewrote since the previous checkpoint (an `(index, root)`
-    /// pair per entry) instead of re-streaming all `O(V)` replicated
-    /// entries. On by default; the `false` arm exists so tests and
-    /// `repro checkpoint-sweep` can show the saving against the old
-    /// full-vector scheme.
-    pub delta_checkpoints: bool,
 }
 
 impl Default for SpmsfConfig {
@@ -59,7 +51,6 @@ impl Default for SpmsfConfig {
         SpmsfConfig {
             sim_scale: 1.0,
             checkpoint_interval: 2,
-            delta_checkpoints: true,
         }
     }
 }
@@ -113,9 +104,6 @@ struct SpmsfState {
     msf_local: Vec<WEdge>,
     /// Round/step counters.
     stats: SpmsfStats,
-    /// Delta-encode the component vector in checkpoints (from
-    /// [`SpmsfConfig::delta_checkpoints`]).
-    delta: bool,
     /// Distinct entries of `comp` the relabel rewrote since the last
     /// checkpoint capture — the delta segment's size. An entry
     /// relabelled in several rounds within one window is a single
@@ -177,8 +165,7 @@ impl Recoverable for SpmsfState {
         // which point the base encoding is the smaller write.
         let dirty = self.comp_dirty.get();
         let comp_delta =
-            (self.delta && self.has_base.get() && 8 + dirty * 8 < self.comp.wire_bytes())
-                .then_some(dirty);
+            (self.has_base.get() && 8 + dirty * 8 < self.comp.wire_bytes()).then_some(dirty);
         self.has_base.set(true);
         self.comp_dirty.set(0);
         self.dirty_epoch.set(self.dirty_epoch.get() + 1);
@@ -321,7 +308,6 @@ fn worker_main(
             .collect(),
         msf_local: Vec::new(),
         stats: SpmsfStats::default(),
-        delta: cfg.delta_checkpoints,
         comp_dirty: Cell::new(0),
         comp_epoch: vec![0; n as usize],
         dirty_epoch: Cell::new(1),
@@ -604,55 +590,61 @@ mod tests {
         }
     }
 
+    /// After the base segment a checkpoint charges the rewritten entries
+    /// of the component vector, `(index, root)` pairs behind a count,
+    /// instead of the whole vector, and it falls back to the whole vector
+    /// once the rewrites would not be smaller. A run that checkpoints at
+    /// every boundary stays exact and recovers through a mid-step crash.
     #[test]
     fn delta_checkpoints_shrink_the_bill_and_stay_recoverable() {
         use mnd_chaos::FaultPlan;
+        let n = 1000u32;
+        let st = SpmsfState {
+            comp: (0..n).collect(),
+            rows: vec![(0, 1, 5), (1, 0, 5)],
+            msf_local: Vec::new(),
+            stats: SpmsfStats::default(),
+            comp_dirty: Cell::new(0),
+            comp_epoch: vec![0; n as usize],
+            dirty_epoch: Cell::new(1),
+            has_base: Cell::new(false),
+        };
+        let base = st.capture();
+        assert_eq!(base.comp_delta, None, "the first write is the base");
+        st.comp_dirty.set(10);
+        let delta = st.capture();
+        assert_eq!(delta.comp_delta, Some(10));
+        assert_eq!(
+            base.wire_bytes() - delta.wire_bytes(),
+            st.comp.wire_bytes() - (8 + 10 * 8),
+            "a delta segment charges a count and a pair per rewrite"
+        );
+        assert_eq!(st.capture().comp_delta, Some(0), "nothing rewritten");
+        st.comp_dirty.set(n as u64);
+        assert_eq!(st.capture().comp_delta, None, "the base is smaller");
+
         let el = gen::gnm(2000, 12000, 41);
         let oracle = kruskal_msf(&el);
         let platform = NodePlatform::amd_cluster();
+        let cfg = SpmsfConfig {
+            checkpoint_interval: 1,
+            ..SpmsfConfig::default()
+        };
+        let run_with = |plan: FaultPlan| {
+            spmsf_msf_chaos(
+                &el,
+                4,
+                &platform,
+                &cfg,
+                &EngineChaos::from_plan(Arc::new(plan)),
+            )
+        };
         // Armed-but-clean plan: checkpoints are written, nothing crashes.
-        let clean_plan = || EngineChaos::from_plan(Arc::new(FaultPlan::new(9)));
-        let run_with = |delta: bool, chaos: &EngineChaos| {
-            let cfg = SpmsfConfig {
-                checkpoint_interval: 1,
-                delta_checkpoints: delta,
-                ..SpmsfConfig::default()
-            };
-            spmsf_msf_chaos(&el, 4, &platform, &cfg, chaos)
-        };
-        let full = run_with(false, &clean_plan());
-        let slim = run_with(true, &clean_plan());
-        assert_eq!(full.msf, oracle);
-        assert_eq!(slim.msf, oracle);
-        let writes = |r: &SpmsfReport| {
-            r.rank_stats
-                .iter()
-                .map(|s| s.checkpoint_writes)
-                .sum::<u64>()
-        };
-        let bytes = |r: &SpmsfReport| r.rank_stats.iter().map(|s| s.checkpoint_bytes).sum::<u64>();
-        assert_eq!(writes(&full), writes(&slim), "same boundaries taken");
-        assert!(writes(&slim) > 4, "interval 1 checkpoints every boundary");
-        // After the base segment every write saves nearly the whole 4n
-        // component vector (only merged entries are re-streamed), so the
-        // cumulative bill must drop by more than one full vector per rank.
-        let n = el.num_vertices() as u64;
-        assert!(
-            bytes(&slim) + 4 * n * 4 < bytes(&full),
-            "delta {} vs full {}",
-            bytes(&slim),
-            bytes(&full)
-        );
-        assert!(
-            slim.total_time < full.total_time,
-            "smaller writes cost less"
-        );
-
-        // The delta scheme must recover byte-identically through a
-        // mid-step crash, exactly like the full scheme always did.
-        let crash_plan =
-            EngineChaos::from_plan(Arc::new(FaultPlan::new(3).with_mid_phase_crash(1, 1, 1)));
-        let crashed = run_with(true, &crash_plan);
+        let clean = run_with(FaultPlan::new(9));
+        assert_eq!(clean.msf, oracle);
+        let writes: u64 = clean.rank_stats.iter().map(|s| s.checkpoint_writes).sum();
+        assert!(writes > 4, "interval 1 checkpoints every boundary");
+        let crashed = run_with(FaultPlan::new(3).with_mid_phase_crash(1, 1, 1));
         assert_eq!(crashed.msf, oracle);
         assert!(crashed.rank_stats[1].checkpoint_restores >= 1);
     }

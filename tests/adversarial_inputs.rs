@@ -161,7 +161,6 @@ fn bsp_with_all_optimisations_off() {
     let cfg = BspConfig {
         combine: false,
         mirror_threshold: None,
-        partitioning: mnd::pregel::framework::BspPartitioning::Range1D,
         ..Default::default()
     };
     let r = pregel_msf(&el, 5, &NodePlatform::amd_cluster(), &cfg);

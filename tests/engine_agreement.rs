@@ -18,7 +18,6 @@ use mnd::engines::{registry, EngineParams};
 use mnd::graph::{gen, EdgeList, WEdge};
 use mnd::hypar::{ChaosEvent, ChaosEventKind, ObserverHook, PhaseKind, PhaseObserver, PhaseSample};
 use mnd::kernels::kruskal_msf;
-use mnd::pregel::framework::BspPartitioning;
 use mnd::pregel::{pregel_msf, BspConfig};
 use mnd::spmsf::{spmsf_msf, SpmsfConfig};
 use proptest::prelude::*;
@@ -340,18 +339,16 @@ proptest! {
             );
         }
         let platform = NodePlatform::amd_cluster();
-        for partitioning in [BspPartitioning::Hash, BspPartitioning::Range1D] {
-            let run = |combine: bool| {
-                let cfg = BspConfig { partitioning, combine, ..BspConfig::default() };
-                pregel_msf(&el, nranks, &platform, &cfg)
-            };
-            let (on, off) = (run(true), run(false));
-            prop_assert_eq!(&on.msf, &oracle, "{:?} combined: shape {} n {} p {}", partitioning, shape, n, nranks);
-            prop_assert_eq!(&off.msf, &oracle, "{:?} uncombined: shape {} n {} p {}", partitioning, shape, n, nranks);
-            prop_assert!(
-                on.messages <= off.messages,
-                "{:?}: combining sent more ({} > {})", partitioning, on.messages, off.messages
-            );
-        }
+        let run = |combine: bool| {
+            let cfg = BspConfig { combine, ..BspConfig::default() };
+            pregel_msf(&el, nranks, &platform, &cfg)
+        };
+        let (on, off) = (run(true), run(false));
+        prop_assert_eq!(&on.msf, &oracle, "combined: shape {} n {} p {}", shape, n, nranks);
+        prop_assert_eq!(&off.msf, &oracle, "uncombined: shape {} n {} p {}", shape, n, nranks);
+        prop_assert!(
+            on.messages <= off.messages,
+            "combining sent more ({} > {})", on.messages, off.messages
+        );
     }
 }

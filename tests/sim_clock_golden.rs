@@ -2,7 +2,7 @@
 //! computed from row counts, work profiles and wire bytes, never from host
 //! time. These goldens pin `MndMstReport::{total_time, comm_time}` and the
 //! per-rank traffic of three fixed `mnd-mst` runs, the same plus the
-//! round counters and the recovery bill of 58 `bsp`/`spmsf` runs, and every
+//! round counters and the recovery bill of 34 `bsp`/`spmsf` runs, and every
 //! number a serve plane reports for a scaled-down `serve-mix` in both
 //! update modes (`SERVE_GOLDEN`), so a host-side optimisation (a faster lookup, a
 //! different reduction algorithm, a reordered sweep) that silently moves
@@ -30,7 +30,6 @@ use mnd::kernels::kruskal_msf;
 use mnd::kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd::mst::MndMstRunner;
 use mnd::net::RankStats;
-use mnd::pregel::framework::BspPartitioning;
 use mnd::pregel::{pregel_msf_chaos, BspConfig};
 use mnd::serve::{
     EngineBackend, JobKind, JobSpec, ServeConfig, ServePlane, TenantSpec, UpdateMode,
@@ -360,28 +359,26 @@ fn check_snapshot(table: &str, observed: &[String], golden: &str) {
     panic!("{table}: the simulated clock moved, old → new:\n{diff}\nobserved table:\n{observed}\n");
 }
 
-/// `bsp` in every arm its round loop branches on: both partitionings, the
-/// sender-side combiner on and off, LALP mirroring off and at a threshold
-/// low enough (4) that hubs, star centres and grid crossings all mirror.
+/// `bsp` in every arm its round loop branches on: the sender-side combiner
+/// on and off, LALP mirroring off and at a threshold low enough (4) that
+/// hubs, star centres and grid crossings all mirror. Workers own vertices
+/// by hash, which the lines name.
 #[test]
 fn bsp_round_loop_goldens() {
     let mut observed = Vec::new();
     for (name, el) in round_loop_graphs() {
         for nranks in [3, 4] {
-            for partitioning in [BspPartitioning::Hash, BspPartitioning::Range1D] {
-                for combine in [true, false] {
-                    for mirror_threshold in [None, Some(4)] {
-                        let cfg = BspConfig {
-                            partitioning,
-                            combine,
-                            mirror_threshold,
-                            ..BspConfig::default()
-                        };
-                        observed.push(format!(
-                            "{name} p{nranks} {partitioning:?} combine={combine} mirror={mirror_threshold:?} | {}",
-                            bsp_line(&el, nranks, &cfg, &EngineChaos::none())
-                        ));
-                    }
+            for combine in [true, false] {
+                for mirror_threshold in [None, Some(4)] {
+                    let cfg = BspConfig {
+                        combine,
+                        mirror_threshold,
+                        ..BspConfig::default()
+                    };
+                    observed.push(format!(
+                        "{name} p{nranks} Hash combine={combine} mirror={mirror_threshold:?} | {}",
+                        bsp_line(&el, nranks, &cfg, &EngineChaos::none())
+                    ));
                 }
             }
         }
@@ -594,50 +591,26 @@ road p3 Hash combine=true mirror=None | total 0.014023951682539611 comm 0.013932
 road p3 Hash combine=true mirror=Some(4) | total 0.014014849714285644 comm 0.013923913206349137 | bytes [104576, 105592, 96112] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45284
 road p3 Hash combine=false mirror=None | total 0.014047613904761839 comm 0.013955617873015807 | bytes [107076, 107904, 99100] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 46006
 road p3 Hash combine=false mirror=Some(4) | total 0.014038511936507871 comm 0.013946813523809458 | bytes [106476, 107392, 98532] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45796
-road p3 Range1D combine=true mirror=None | total 0.013520876380952316 comm 0.013426733523809454 | bytes [29704, 36912, 20284] | msgs [196, 167, 130] | supersteps 51 rounds 5 messages 45023
-road p3 Range1D combine=true mirror=Some(4) | total 0.013510218603174537 comm 0.013416563841269772 | bytes [29704, 36912, 20284] | msgs [196, 167, 130] | supersteps 51 rounds 5 messages 44727
-road p3 Range1D combine=false mirror=None | total 0.013557907047618986 comm 0.01346223244444438 | bytes [29844, 37912, 20744] | msgs [196, 167, 130] | supersteps 51 rounds 5 messages 46006
-road p3 Range1D combine=false mirror=Some(4) | total 0.013547249269841207 comm 0.013452062761904695 | bytes [29844, 37912, 20744] | msgs [196, 167, 130] | supersteps 51 rounds 5 messages 45710
 road p4 Hash combine=true mirror=None | total 0.019633653365079433 comm 0.01957108987301595 | bytes [69036, 73924, 64332, 76832] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45432
 road p4 Hash combine=true mirror=Some(4) | total 0.019629578444444514 comm 0.019567122095238174 | bytes [69004, 73892, 64324, 76792] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45323
 road p4 Hash combine=false mirror=None | total 0.019652613841269914 comm 0.01958945907936516 | bytes [70716, 74864, 65672, 78912] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 46006
 road p4 Hash combine=false mirror=Some(4) | total 0.019648538920634992 comm 0.019585491301587384 | bytes [70684, 74832, 65664, 78872] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45897
-road p4 Range1D combine=true mirror=None | total 0.018672380730158818 comm 0.018600714063492157 | bytes [29040, 30232, 38360, 24860] | msgs [210, 169, 258, 131] | supersteps 51 rounds 5 messages 45050
-road p4 Range1D combine=true mirror=Some(4) | total 0.018667050095238183 comm 0.01859572866666676 | bytes [29040, 30224, 38344, 24860] | msgs [210, 169, 258, 131] | supersteps 51 rounds 5 messages 44760
-road p4 Range1D combine=false mirror=None | total 0.0187012658095239 comm 0.018628626920635015 | bytes [29580, 30592, 39020, 25700] | msgs [210, 169, 258, 131] | supersteps 51 rounds 5 messages 46006
-road p4 Range1D combine=false mirror=Some(4) | total 0.018695935174603266 comm 0.01862364152380962 | bytes [29580, 30584, 39004, 25700] | msgs [210, 169, 258, 131] | supersteps 51 rounds 5 messages 45716
 scramble p3 Hash combine=true mirror=None | total 0.015589483206349126 comm 0.015346753047618964 | bytes [138508, 144104, 141400] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 77836
 scramble p3 Hash combine=true mirror=Some(4) | total 0.015048666063491983 comm 0.01482172161904754 | bytes [121196, 126176, 124504] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 65767
 scramble p3 Hash combine=false mirror=None | total 0.015746001301587226 comm 0.015498612412698337 | bytes [150948, 156324, 155360] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 81116
 scramble p3 Hash combine=false mirror=Some(4) | total 0.015205184158730078 comm 0.014973580984126902 | bytes [133636, 138396, 138464] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 69047
-scramble p3 Range1D combine=true mirror=None | total 0.015592754507936459 comm 0.015313901333333286 | bytes [165460, 130032, 129244] | msgs [226, 145, 145] | supersteps 51 rounds 5 messages 77841
-scramble p3 Range1D combine=true mirror=Some(4) | total 0.015033453746031697 comm 0.014771505333333285 | bytes [150460, 111520, 109028] | msgs [226, 145, 145] | supersteps 51 rounds 5 messages 65788
-scramble p3 Range1D combine=false mirror=None | total 0.015814734349206307 comm 0.015534591492063446 | bytes [167220, 148312, 148724] | msgs [226, 145, 145] | supersteps 51 rounds 5 messages 81116
-scramble p3 Range1D combine=false mirror=Some(4) | total 0.015255433587301533 comm 0.014992195492063438 | bytes [152220, 129800, 128508] | msgs [226, 145, 145] | supersteps 51 rounds 5 messages 69063
 scramble p4 Hash combine=true mirror=None | total 0.021081120222222315 comm 0.020897953555555647 | bytes [122488, 119044, 146908, 115372] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 78086
 scramble p4 Hash combine=true mirror=Some(4) | total 0.020747771174603257 comm 0.020574560857142942 | bytes [108120, 104780, 132724, 100252] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 68034
 scramble p4 Hash combine=false mirror=None | total 0.021177245746031827 comm 0.020990904476190553 | bytes [132068, 130584, 154668, 126972] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 81116
 scramble p4 Hash combine=false mirror=Some(4) | total 0.020843896698412773 comm 0.02066751177777785 | bytes [117700, 116320, 140484, 111852] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 71064
-scramble p4 Range1D combine=true mirror=None | total 0.02106102774603184 comm 0.020846249968254058 | bytes [163292, 108496, 108052, 104752] | msgs [269, 185, 254, 178] | supersteps 51 rounds 5 messages 78060
-scramble p4 Range1D combine=true mirror=Some(4) | total 0.02070978333333342 comm 0.020506453968254054 | bytes [153564, 96248, 95420, 90456] | msgs [269, 185, 254, 178] | supersteps 51 rounds 5 messages 67886
-scramble p4 Range1D combine=false mirror=None | total 0.021146139523809615 comm 0.02093095698412707 | bytes [165252, 120156, 121432, 118972] | msgs [269, 185, 254, 178] | supersteps 51 rounds 5 messages 81116
-scramble p4 Range1D combine=false mirror=Some(4) | total 0.0207948951111112 comm 0.02059116098412707 | bytes [155524, 107908, 108800, 104676] | msgs [269, 185, 254, 178] | supersteps 51 rounds 5 messages 70942
 islands p3 Hash combine=true mirror=None | total 0.011287853206349147 comm 0.011248579396825345 | bytes [34688, 42420, 37180] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 18236
 islands p3 Hash combine=true mirror=Some(4) | total 0.011228151968253912 comm 0.01119064799999995 | bytes [32256, 40004, 34732] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 16894
 islands p3 Hash combine=false mirror=None | total 0.011315388603174542 comm 0.01127588463492058 | bytes [36808, 43080, 38980] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 18644
 islands p3 Hash combine=false mirror=Some(4) | total 0.011255687365079307 comm 0.011217953238095185 | bytes [34376, 40664, 36532] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 17302
-islands p3 Range1D combine=true mirror=None | total 0.010350450190476139 comm 0.010302057333333284 | bytes [30112, 26868, 18588] | msgs [188, 117, 113] | supersteps 45 rounds 5 messages 18201
-islands p3 Range1D combine=true mirror=Some(4) | total 0.010286830063492014 comm 0.01024050466666662 | bytes [27472, 24236, 16252] | msgs [188, 117, 113] | supersteps 45 rounds 5 messages 16816
-islands p3 Range1D combine=false mirror=None | total 0.010366975587301536 comm 0.010317364476190428 | bytes [30592, 29268, 20028] | msgs [188, 117, 113] | supersteps 45 rounds 5 messages 18644
-islands p3 Range1D combine=false mirror=Some(4) | total 0.01030335546031741 comm 0.01025581180952376 | bytes [27952, 26636, 17692] | msgs [188, 117, 113] | supersteps 45 rounds 5 messages 17259
 islands p4 Hash combine=true mirror=None | total 0.016386772412698432 comm 0.01635572082539684 | bytes [31048, 40732, 30676, 28752] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 18276
 islands p4 Hash combine=true mirror=Some(4) | total 0.01635328441269843 comm 0.016323395523809535 | bytes [29272, 39116, 28988, 27224] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 17147
 islands p4 Hash combine=false mirror=None | total 0.016397422571428587 comm 0.016365843206349213 | bytes [32028, 41612, 32076, 30112] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 18644
 islands p4 Hash combine=false mirror=Some(4) | total 0.016363934571428592 comm 0.016333517904761917 | bytes [30252, 39996, 30388, 28584] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 17515
-islands p4 Range1D combine=true mirror=None | total 0.015951517174603178 comm 0.01591245765079366 | bytes [31884, 23304, 22912, 11616] | msgs [211, 134, 192, 119] | supersteps 45 rounds 5 messages 18224
-islands p4 Range1D combine=true mirror=Some(4) | total 0.015937969841269845 comm 0.01590023968253969 | bytes [29780, 21472, 20912, 10472] | msgs [211, 134, 192, 119] | supersteps 45 rounds 5 messages 17030
-islands p4 Range1D combine=false mirror=None | total 0.015961527269841274 comm 0.01592135663492065 | bytes [32304, 25204, 24972, 12176] | msgs [211, 134, 192, 119] | supersteps 45 rounds 5 messages 18644
-islands p4 Range1D combine=false mirror=Some(4) | total 0.01594797993650794 comm 0.01590913866666668 | bytes [30200, 23372, 22972, 11032] | msgs [211, 134, 192, 119] | supersteps 45 rounds 5 messages 17450
 ";
 
 const SPMSF_GOLDEN: &str = "
