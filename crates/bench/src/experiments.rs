@@ -60,10 +60,12 @@ impl ExpContext {
     }
 
     /// HyPar config carrying the simulation scale (and the context's
-    /// observer, when one is attached).
+    /// observer, when one is attached), running the paper's algorithm: the
+    /// level-0 filter is off, so every table reproduces §5 unfiltered.
     pub fn hypar(&self) -> HyParConfig {
         let mut cfg = HyParConfig::default().with_sim_scale(self.scale as f64);
         cfg.observer = self.observer.clone();
+        cfg.level0_filter = false;
         cfg
     }
 
@@ -756,7 +758,7 @@ pub fn run_mnd_chaos(
 
 /// [`run_mnd_chaos`] with an explicit base config, so sweeps can combine a
 /// fault plan with non-default communication knobs (sparse/dense exchange,
-/// filter sampling).
+/// the level-0 filter).
 pub fn run_mnd_chaos_cfg(
     ctx: &ExpContext,
     el: &EdgeList,
@@ -1590,20 +1592,22 @@ fn tag_messages(r: &MndMstReport, name: &str) -> u64 {
 
 /// The communication-engineering sweep: the same skewed web-crawl runs
 /// under dense exchanges (the always-send schedule), the sparse schedule,
-/// and the sparse schedule with filter-Boruvka sampling — plus that stack
+/// and the sparse schedule with the level-0 filter (the library default the
+/// paper-algorithm context turns off) — plus that stack
 /// under a hostile fault plan (drops and a mid-phase crash replayed from
 /// checkpoint). Every run ships packed relabels and is verified against
 /// the Kruskal oracle, so the table demonstrates the bytes/messages shed at
 /// **unchanged** output.
 pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
     let platform = NodePlatform::amd_cluster();
+    let filtered = || HyParConfig {
+        level0_filter: true,
+        ..ctx.hypar()
+    };
     let variants: Vec<(&str, HyParConfig)> = vec![
         ("dense+pack", ctx.hypar().with_sparse_exchange(false)),
         ("sparse+pack", ctx.hypar()),
-        (
-            "sparse+pack+filter(0.25)",
-            ctx.hypar().with_filter_sample_prob(0.25),
-        ),
+        ("sparse+pack+filter", filtered()),
     ];
     let mut rows = Vec::new();
     for preset in [Preset::Gsh2015Tpd, Preset::Sk2005] {
@@ -1631,14 +1635,7 @@ pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
                 .with_drop_rate(0.01)
                 .with_mid_phase_crash(1 % nranks, 1, 3),
         );
-        let r = run_mnd_chaos_cfg(
-            ctx,
-            &el,
-            nranks,
-            platform.clone(),
-            ctx.hypar().with_filter_sample_prob(0.25),
-            plan,
-        );
+        let r = run_mnd_chaos_cfg(ctx, &el, nranks, platform.clone(), filtered(), plan);
         push("sparse+pack+filter chaos".to_string(), &r);
     }
     rows
@@ -2281,7 +2278,7 @@ mod tests {
             };
             let dense = get("dense+pack");
             let sparse = get("sparse+pack");
-            let filtered = get("sparse+pack+filter(0.25)");
+            let filtered = get("sparse+pack+filter");
             // The bugfix: empty buckets stop becoming messages.
             assert!(
                 sparse.messages < dense.messages,

@@ -129,16 +129,15 @@ impl Phase for Partition {
             // Holding + ghost information.
             comm.compute(runner.sweep_seconds(cx.cg.num_edges() as u64));
 
-            // Filter-Boruvka (DESIGN.md §8): prune provably-non-MST
-            // internal edges from the level-0 holding before any exchange
-            // pays for them. Cut edges are exempt inside filter_holding —
-            // they are duplicated on both endpoint owners and the
-            // ghost-parent protocol needs both copies alive.
-            if cfg.filter_sample_prob > 0.0 {
-                let before = cx.cg.num_edges() as u64;
-                // One ascending sweep: a sort plus a DSU pass.
-                comm.compute(runner.sweep_seconds(before));
-                filter_holding(&mut cx.cg, cfg.filter_sample_prob, cfg.seed);
+            // Filter-Boruvka (DESIGN.md §8): a dense level-0 holding drops
+            // its certified non-MST internal rows before any exchange pays
+            // for them; cut rows are exempt (filter_holding says why). A
+            // filtered holding pays one sweep, like a sorting reduction.
+            if cfg.level0_filter {
+                let rows = cx.cg.num_edges() as u64;
+                if filter_holding(&mut cx.cg).is_some() {
+                    comm.compute(runner.sweep_seconds(rows));
+                }
             }
 
             cx.dir = GhostDirectory::from_ranges(ranges);

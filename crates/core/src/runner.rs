@@ -284,6 +284,35 @@ mod tests {
         }
     }
 
+    /// The level-0 filter changes which rows the pipeline carries, never
+    /// the forest: on and off, every family at every rank count gives
+    /// Kruskal's.
+    #[test]
+    fn level0_filter_on_and_off_returns_the_kruskal_forest() {
+        for (el, name) in [
+            (gen::gnm(400, 3200, 3), "gnm"),
+            (gen::rmat(256, 2048, gen::RmatProbs::GRAPH500, 5), "rmat"),
+            (
+                gen::web_crawl(600, 6000, gen::CrawlParams::default(), 4),
+                "crawl",
+            ),
+            (gen::road_grid(20, 20, 0.02, 0.38, 6), "road"),
+            (gen::star(200, 7), "star"),
+        ] {
+            let oracle = kruskal_msf(&el);
+            for nranks in [1, 2, 4, 7] {
+                for level0_filter in [true, false] {
+                    let cfg = HyParConfig {
+                        level0_filter,
+                        ..Default::default()
+                    };
+                    let r = MndMstRunner::new(nranks).with_config(cfg).run(&el);
+                    assert_eq!(r.msf, oracle, "{name} x{nranks} filter {level0_filter}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn disconnected_graphs_yield_forests() {
         let el =
@@ -312,7 +341,7 @@ mod tests {
     /// ring rounds (a first-fit suffix walk, which trickles light
     /// components, needed 15 here). BorderVertex + a large sim scale keep
     /// the holdings fat into the merge hierarchy so the ring (not indComp)
-    /// does the work.
+    /// does the work; the level-0 filter, which would thin them, is off.
     #[test]
     fn best_fit_segments_need_fewer_ring_rounds() {
         let el = gen::rmat(512, 4096, gen::RmatProbs::GRAPH500, 5);
@@ -322,6 +351,7 @@ mod tests {
             merge_min_shrink: 0.0,
             group_edge_threshold: 16,
             max_exchange_rounds: 64,
+            level0_filter: false,
             ..Default::default()
         }
         .with_sim_scale(1e7);

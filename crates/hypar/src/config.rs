@@ -73,13 +73,13 @@ pub struct HyParConfig {
     /// the dense oracle path that pays for empty buckets; results are
     /// byte-identical either way, only traffic changes (DESIGN.md §8).
     pub sparse_exchange: bool,
-    /// Filter-Boruvka sampling probability applied to each rank's level-0
-    /// holding before the first exchange (DESIGN.md §8). `0.0` (default)
-    /// disables the filter; `1.0` degenerates to a full local Kruskal
-    /// filter. Any value is exact — only provably-non-MST edges are
-    /// dropped — but nonzero values change which edges the pipeline
-    /// carries, so fixtures pinning traffic byte counts keep it off.
-    pub filter_sample_prob: f64,
+    /// Filter-Boruvka on the level-0 holdings (DESIGN.md §8): right after
+    /// partitioning, a rank whose holding has at least two rows per
+    /// resident vertex drops every internal row it can certify as non-MSF
+    /// (`mnd_kernels::filter::filter_holding`). On by default; the paper's
+    /// algorithm (`repro`'s tables) runs without it. Exact either way —
+    /// only which rows the pipeline carries changes.
+    pub level0_filter: bool,
     /// Recovery points between checkpoints when a chaos schedule is armed:
     /// the driver reaches a recovery point after partitioning and after
     /// every mergeParts pass, and takes every `checkpoint_interval`-th one
@@ -109,7 +109,7 @@ impl Default for HyParConfig {
             observer: ObserverHook::none(),
             chaos: ChaosHook::none(),
             sparse_exchange: true,
-            filter_sample_prob: 0.0,
+            level0_filter: true,
             checkpoint_interval: 1,
         }
     }
@@ -170,14 +170,6 @@ impl HyParConfig {
         self.sparse_exchange = sparse;
         self
     }
-
-    /// Sets the filter-Boruvka sampling probability (see
-    /// [`HyParConfig::filter_sample_prob`]).
-    pub fn with_filter_sample_prob(mut self, prob: f64) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "probability in [0, 1]");
-        self.filter_sample_prob = prob;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +177,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_paper() {
+    fn default_filters_level0_holdings() {
         let c = HyParConfig::default();
         assert_eq!(c.group_size, 4);
         assert_eq!(c.recursion_edge_threshold, 100_000_000);
@@ -194,20 +186,17 @@ mod tests {
             RecursionThresholdSource::Calibrated
         );
         assert_eq!(c.excp, ExcpCond::BorderEdge);
-        // Communication engineering (DESIGN.md §8): sparse exchanges are
-        // a pure wire-cost change, on by default; the filter changes
-        // carried edge sets, so it is opt-in.
+        // Communication engineering (DESIGN.md §8): sparse exchanges and
+        // the level-0 filter are on by default; `repro`'s `ExpContext`
+        // turns the filter off to run the paper's algorithm.
         assert!(c.sparse_exchange);
-        assert_eq!(c.filter_sample_prob, 0.0);
+        assert!(c.level0_filter);
     }
 
     #[test]
     fn comm_knob_builders() {
-        let c = HyParConfig::default()
-            .with_sparse_exchange(false)
-            .with_filter_sample_prob(0.25);
+        let c = HyParConfig::default().with_sparse_exchange(false);
         assert!(!c.sparse_exchange);
-        assert_eq!(c.filter_sample_prob, 0.25);
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //!   knows the list writes it — the level-0 builder ([`CGraph::level0`])
 //!   and the kernel's contraction commit — every other mutator that moves
 //!   rows or changes residency drops it, and a read after a drop refills it
-//!   with one two-look-ups-per-row sweep. The filtered reduction keeps it:
-//!   a row's cut status is its ends' residency, which removing other rows
-//!   does not change.
+//!   with one two-look-ups-per-row sweep. The filtered reduction and the
+//!   filter-Boruvka compaction keep it: a row's cut status is its ends'
+//!   residency, which removing other rows does not change.
 //! * **The ids renamed since the last reduction.** A reduced holding is
 //!   canonical and has no self row and no two rows between one pair of
 //!   components. Renames keep the order (a row's original edge does not
@@ -933,13 +933,40 @@ impl CGraph {
     }
 
     /// Keeps exactly the rows whose flag is `true` (one flag per current
-    /// row, storage order preserved). The external-mask companion to the
-    /// predicate-driven reductions: callers that computed a keep decision
-    /// elsewhere (e.g. the filter-Boruvka sweep) compact through the same
-    /// write-cursor path.
-    pub fn retain_edge_rows(&mut self, keep: &[bool]) {
+    /// row, storage order preserved) — for a keep decision computed outside
+    /// this module (the filter-Boruvka sweep). A known cut-row list follows
+    /// the kept rows to their new places.
+    pub(crate) fn retain_edge_rows(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.num_edges(), "one flag per edge row");
+        let cut = self.cut.take();
         self.compact_rows(|_, i| keep[i]);
+        if let Some(mut cut) = cut {
+            let (mut row, mut kept) = (0, 0u32);
+            cut.retain_mut(|c| {
+                while row < *c as usize {
+                    kept += keep[row] as u32;
+                    row += 1;
+                }
+                *c = kept;
+                keep[row]
+            });
+            self.cut = OnceLock::from(cut);
+        }
+        self.debug_validate();
+    }
+
+    /// Lends the holding's reusable row-index table and flag column to a
+    /// kernel of another module of this crate, and takes them back after.
+    pub(crate) fn with_scratch<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut Vec<u32>, &mut Vec<bool>) -> R,
+    ) -> R {
+        let mut table = std::mem::take(&mut self.table);
+        let mut flags = std::mem::take(&mut self.flags);
+        let out = f(self, &mut table, &mut flags);
+        self.table = table;
+        self.flags = flags;
+        out
     }
 
     /// Removes self edges (endpoints in the same component) — the paper's

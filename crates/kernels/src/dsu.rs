@@ -1,11 +1,12 @@
 //! Disjoint-set (union-find): [`DisjointSets`], sequential, with union by
-//! rank and path halving; used by the oracle, the forest checker and the
-//! filter kernels.
+//! rank and path halving; used by the oracle and the forest checker.
 //!
 //! The `indComp` kernel ([`crate::boruvka`]) does not use it: its unions are
 //! sequential and only its chunked sweeps find concurrently, so it keeps a
 //! private min-root union-find over relaxed atomic parents and path-halves
-//! inside the sweeps instead of flattening between rounds.
+//! inside the sweeps instead of flattening between rounds. The filter's
+//! sweep ([`crate::filter`]) keeps a min-root parent column of its own too:
+//! one column, so a find touches one cache line per step.
 
 /// Sequential union-find over `0..n` with union by rank and path halving.
 #[derive(Clone, Debug)]

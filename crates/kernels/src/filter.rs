@@ -1,141 +1,220 @@
-//! Filter-Boruvka edge sampling (Sanders & Schimek, arXiv:2302.12199):
-//! drop provably-non-MST edges *before* the expensive distributed pipeline.
+//! Filter-Boruvka (Sanders & Schimek, arXiv:2302.12199): drop provably
+//! non-MST rows from a rank's level-0 holding before any exchange, kernel
+//! sweep or segment shipment pays for them.
 //!
-//! The scheme: sample each edge with probability `prob` by a deterministic
-//! hash of its endpoints, build the minimum spanning forest of the sample
-//! (Kruskal over the sampled edges), and discard every edge that is heavier
-//! than the sample-forest path between its endpoints. We fuse the two steps
-//! into one sweep: edges are visited in ascending `(w, u, v)` order while a
-//! DSU accumulates the *kept sampled* edges; any edge whose endpoints are
-//! already connected closes a cycle of strictly lighter real edges, making
-//! it the unique cycle maximum — by the cycle property it cannot be in the
-//! (unique) MSF, so dropping it is exact for **any** sample. `prob = 1.0`
-//! degenerates to a full local Kruskal filter (only the local forest
-//! survives); `prob = 0.0` disables the filter entirely.
+//! **Certification.** One sweep visits every row in ascending `(w, u, v)`
+//! order while a union-find joins the ends of every row that closes no
+//! cycle. A row whose ends are already joined closes a cycle of strictly
+//! lighter rows: by the cycle property it is that cycle's unique maximum,
+//! so it is not in the (unique) MSF and dropping it is exact. Every row is
+//! certified — sampling only changes which non-cycle rows feed the
+//! union-find, and the sweep visits every row either way, so a sample
+//! drops a subset of what the full sweep drops at the same cost.
 //!
-//! Determinism matters across ranks: a cut edge is held by both of its
-//! endpoint owners, and both must make the same sampling decision. The
-//! hash keys on the canonical `(u, v)` endpoints and a config seed, never
-//! on rank state.
+//! **Cut rows are never dropped.** A cut row is held by the owners of both
+//! ends, and the ghost-parent protocol relies on both copies: each holder
+//! certifies against its own rows only, so the two could disagree, and a
+//! holder that kept its copy would never hear of the other side's renames.
+//! An internal row lives on one rank, so shedding it is safe; cut rows
+//! still feed the union-find.
+//!
+//! **When.** `filter_pays` decides from the holding's row and resident
+//! counts alone (DESIGN.md §8 derives it). **Order.** `weight_order`
+//! orders the rows in O(rows) passes.
 
-use mnd_graph::edgelist::splitmix64;
-use mnd_graph::{EdgeList, WEdge};
+use mnd_graph::WEdge;
 
-use crate::cgraph::CGraph;
+use crate::cgraph::{CGraph, CompId};
+#[cfg(test)]
 use crate::dsu::DisjointSets;
+
+/// An id in the span table of `certify` that no row references.
+const UNNUMBERED: u32 = u32::MAX;
 
 /// What one filtering sweep saw and did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FilterStats {
-    /// Edges examined.
+    /// Rows examined.
     pub input_edges: usize,
-    /// Edges the hash selected into the sample.
-    pub sampled_edges: usize,
-    /// Edges dropped as provable cycle maxima.
+    /// Rows dropped as certified cycle maxima.
     pub dropped_edges: usize,
 }
 
 impl FilterStats {
-    /// Edges that survived the sweep.
+    /// Rows that survived the sweep.
     pub fn kept_edges(&self) -> usize {
         self.input_edges - self.dropped_edges
     }
 }
 
-/// Deterministic per-edge sampling decision: hash of the canonical
-/// endpoints and `seed`, compared against `prob`. Rank-independent by
-/// construction so duplicated cut edges decide identically everywhere.
+/// The rule: a holding of `rows` rows over `resident` resident vertices is
+/// worth a filtering sweep iff it has at least two rows per resident. A
+/// sparser holding is mostly spanning forest — the sweep would keep most
+/// of its rows and still cost a full pass.
 #[inline]
-pub fn edge_sampled(seed: u64, prob: f64, e: &WEdge) -> bool {
-    if prob >= 1.0 {
-        return true;
-    }
-    if prob <= 0.0 {
-        return false;
-    }
-    let h = splitmix64(seed ^ (((e.u as u64) << 32) | e.v as u64));
-    // Top 53 bits give a uniform draw in [0, 1).
-    ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < prob
+fn filter_pays(rows: usize, resident: usize) -> bool {
+    rows >= 2 * resident
 }
 
-/// Computes the per-edge keep mask for one filtering sweep, in the input's
-/// storage order. Exact for any `prob`: a `false` entry is the unique
-/// maximum of a cycle of strictly lighter kept sampled edges.
-pub fn keep_mask(edges: &[WEdge], prob: f64, seed: u64) -> (Vec<bool>, FilterStats) {
-    keep_mask_where(edges, prob, seed, |_| true)
+/// Filters a holding in place when it has at least two rows per resident
+/// vertex (the rule), dropping its certified non-MSF internal rows;
+/// survivors keep their order and a known cut-row list follows them.
+/// `None` when the rule leaves the holding alone. The sweep's id table
+/// spans the ids of the residents and the ghost ends — at level 0, at most
+/// the graph's vertex count.
+pub fn filter_holding(cg: &mut CGraph) -> Option<FilterStats> {
+    let input_edges = cg.num_edges();
+    if !filter_pays(input_edges, cg.num_resident()) {
+        return None;
+    }
+    let dropped_edges = cg.with_scratch(|cg, table, keep| {
+        let dropped = certify(cg, table, keep);
+        cg.retain_edge_rows(keep);
+        dropped
+    });
+    Some(FilterStats {
+        input_edges,
+        dropped_edges,
+    })
 }
 
-/// [`keep_mask`] with a droppability predicate: row `i` can only be marked
-/// `false` when `droppable(i)` holds. Non-droppable edges still feed the
-/// certification forest when sampled — exactness never depends on the
-/// predicate, only which certified-redundant edges we are *allowed* to shed.
-pub fn keep_mask_where(
-    edges: &[WEdge],
-    prob: f64,
-    seed: u64,
-    droppable: impl Fn(usize) -> bool,
-) -> (Vec<bool>, FilterStats) {
+/// The certification sweep: fills `keep` with one flag per row (`false`:
+/// a certified internal cycle maximum) and returns the number of drops.
+///
+/// The union-find has one node per resident slot and one per ghost end the
+/// cut rows reference, numbered after the slots in order of first
+/// appearance; `table` (the holding's index-table scratch) maps every id in
+/// the span of those ends to its node, so a row is internal iff both its
+/// nodes are slots. It links the larger root under the smaller and halves
+/// paths, in one column. Once every node is joined, every row left closes
+/// a cycle.
+fn certify(cg: &CGraph, table: &mut Vec<u32>, keep: &mut Vec<bool>) -> usize {
+    let (ca, cb) = cg.endpoint_cols();
+    let (resident, cut) = (cg.resident(), cg.cut_rows());
+    let cut_ends = || cut.iter().flat_map(|&r| [ca[r as usize], cb[r as usize]]);
+    let (lo, hi) = cut_ends()
+        .chain(resident.first().copied())
+        .chain(resident.last().copied())
+        .fold((CompId::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
+    table.clear();
+    table.resize(hi.saturating_sub(lo) as usize + 1, UNNUMBERED);
+    for (slot, &c) in resident.iter().enumerate() {
+        table[(c - lo) as usize] = slot as u32;
+    }
+    // Every end still unnumbered is a ghost.
+    let slots = resident.len() as u32;
+    let mut nodes = slots;
+    for c in cut_ends() {
+        let at = &mut table[(c - lo) as usize];
+        if *at == UNNUMBERED {
+            (*at, nodes) = (nodes, nodes + 1);
+        }
+    }
+    let node = |c: CompId| table[(c - lo) as usize];
+
+    let mut parent: Vec<u32> = (0..nodes).collect();
+    let find = |parent: &mut [u32], mut x: u32| {
+        while parent[x as usize] != x {
+            let up = parent[parent[x as usize] as usize];
+            parent[x as usize] = up;
+            x = up;
+        }
+        x
+    };
+    keep.clear();
+    keep.resize(cg.num_edges(), true);
+    let order = weight_order(cg.orig_col());
+    let (mut joins_left, mut dropped, mut next) = (parent.len().saturating_sub(1), 0, 0);
+    while joins_left > 0 && next < order.len() {
+        let i = order[next] as usize;
+        next += 1;
+        let (x, y) = (node(ca[i]), node(cb[i]));
+        let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
+        if rx != ry {
+            parent[rx.max(ry) as usize] = rx.min(ry);
+            joins_left -= 1;
+        } else if x < slots && y < slots {
+            keep[i] = false;
+            dropped += 1;
+        }
+    }
+    // Every node joined: drop the rows left, then give back the cut rows
+    // among them (the only cut rows a flag is down for).
+    let rest = &order[next..];
+    for &i in rest {
+        keep[i as usize] = false;
+    }
+    dropped += rest.len();
+    if !rest.is_empty() {
+        for &c in cut {
+            if !keep[c as usize] {
+                keep[c as usize] = true;
+                dropped -= 1;
+            }
+        }
+    }
+    dropped
+}
+
+/// The row indexes of `edges` in ascending `(w, u, v)` order, identical
+/// edges in row order, in O(rows): stable LSD counting passes on the
+/// weight's 16-bit digits — none above the largest weight's top digit —
+/// then each run of one weight ordered by `(u, v)`. Under the generators'
+/// 2²⁰ weights that is two passes and runs of a few rows.
+fn weight_order(edges: &[WEdge]) -> Vec<u32> {
+    const DIGIT: u32 = 16;
+    let top = edges.iter().map(|e| e.w).max().unwrap_or(0);
+    let rows = u32::try_from(edges.len()).expect("row indexes are 32 bits");
+    let mut order: Vec<u32> = (0..rows).collect();
+    let mut spare = vec![0u32; order.len()];
+    let mut count = vec![0u32; 1 << DIGIT];
+    let mut shift = 0;
+    while shift < u32::BITS && top >> shift != 0 {
+        let digit = |i: u32| ((edges[i as usize].w >> shift) & ((1 << DIGIT) - 1)) as usize;
+        count.fill(0);
+        for &i in &order {
+            count[digit(i)] += 1;
+        }
+        let mut at = 0;
+        for c in &mut count {
+            (*c, at) = (at, at + *c);
+        }
+        for &i in &order {
+            let d = digit(i);
+            spare[count[d] as usize] = i;
+            count[d] += 1;
+        }
+        std::mem::swap(&mut order, &mut spare);
+        shift += DIGIT;
+    }
+    for run in order.chunk_by_mut(|&i, &j| edges[i as usize].w == edges[j as usize].w) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|&i| (edges[i as usize].u, edges[i as usize].v, i));
+        }
+    }
+    order
+}
+
+/// The comparison-sorted certification the radix sweep replaced, kept as
+/// the reference its tests compare against: an index permutation sorted by
+/// `(w, u, v)` (stably, so identical edges drop alike) and a union-find over
+/// the original vertex ids up to the largest one.
+#[cfg(test)]
+fn reference_keep_mask(edges: &[WEdge], droppable: impl Fn(usize) -> bool) -> Vec<bool> {
     let n = edges.iter().map(|e| e.v as usize + 1).max().unwrap_or(0);
     let mut order: Vec<usize> = (0..edges.len()).collect();
-    order.sort_unstable_by_key(|&i| edges[i].key());
+    order.sort_by_key(|&i| edges[i].key());
     let mut dsu = DisjointSets::new(n);
     let mut keep = vec![true; edges.len()];
-    let mut stats = FilterStats {
-        input_edges: edges.len(),
-        ..FilterStats::default()
-    };
     for &i in &order {
         let e = &edges[i];
-        let sampled = edge_sampled(seed, prob, e);
-        if sampled {
-            stats.sampled_edges += 1;
-        }
         if dsu.same(e.u, e.v) {
-            // Connected through strictly lighter kept sampled edges: `e`
-            // closes a cycle it is the maximum of. Provably non-MSF.
-            if droppable(i) {
-                keep[i] = false;
-                stats.dropped_edges += 1;
-            }
-        } else if sampled {
+            keep[i] = !droppable(i);
+        } else {
             dsu.union(e.u, e.v);
         }
     }
-    (keep, stats)
-}
-
-/// Filters a holding in place (the per-rank hook: runs on the level-0
-/// holding right after partitioning, before any exchange pays for the
-/// dropped edges). Row order is preserved for the survivors.
-///
-/// Cut edges (a non-resident endpoint) are never dropped: each cut edge is
-/// duplicated on both endpoint owners and the ghost-parent protocol relies
-/// on both copies surviving — certification is rank-local (the DSU sees
-/// only this holding), so the two holders could disagree on a drop, and
-/// the rank that kept its copy would never hear about the other side's
-/// renames. Fully-resident edges exist on exactly one rank, so shedding
-/// them is safe; sampled cut edges still feed the certification forest.
-pub fn filter_holding(cg: &mut CGraph, prob: f64, seed: u64) -> FilterStats {
-    let internal: Vec<bool> = cg
-        .iter_edges()
-        .map(|e| cg.is_resident(e.a) && cg.is_resident(e.b))
-        .collect();
-    let (mask, stats) = keep_mask_where(cg.orig_col(), prob, seed, |i| internal[i]);
-    cg.retain_edge_rows(&mask);
-    stats
-}
-
-/// Filters a whole edge list (the single-node / oracle-side hook),
-/// preserving the relative order of surviving edges.
-pub fn filter_edge_list(el: &EdgeList, prob: f64, seed: u64) -> (EdgeList, FilterStats) {
-    let (mask, stats) = keep_mask(el.edges(), prob, seed);
-    let kept: Vec<WEdge> = el
-        .edges()
-        .iter()
-        .zip(&mask)
-        .filter_map(|(e, &k)| k.then_some(*e))
-        .collect();
-    (EdgeList::from_raw(el.num_vertices(), kept), stats)
+    keep
 }
 
 #[cfg(test)]
@@ -143,6 +222,9 @@ mod tests {
     use super::*;
     use crate::oracle::kruskal_msf;
     use mnd_graph::gen;
+    use mnd_graph::partition::{partition_1d, VertexRange};
+    use mnd_graph::{CsrGraph, EdgeList};
+    use proptest::prelude::*;
 
     fn families() -> Vec<EdgeList> {
         vec![
@@ -152,73 +234,93 @@ mod tests {
             gen::gnm(2000, 12_000, 4),
             gen::web_crawl(3000, 20_000, gen::CrawlParams::default(), 5),
             gen::disconnected_union(&[gen::gnm(500, 3000, 1), gen::path(20, 2)]),
+            gen::road_grid(30, 30, 0.02, 0.38, 6),
         ]
     }
 
+    /// Every family cut into 1, 2, 3 and 5 level-0 holdings.
+    fn holdings() -> Vec<(EdgeList, Vec<CGraph>)> {
+        families()
+            .into_iter()
+            .flat_map(|el| {
+                let csr = CsrGraph::from_edge_list(&el);
+                [1, 2, 3, 5].map(|p| {
+                    let ranges = partition_1d(&csr, p, 0.0);
+                    (el.clone(), CGraph::level0(&el, &ranges, 0..p))
+                })
+            })
+            .collect()
+    }
+
+    fn is_cut(cg: &CGraph, i: usize) -> bool {
+        let e = cg.edge(i);
+        !cg.is_resident(e.a) || !cg.is_resident(e.b)
+    }
+
+    /// The radix sweep's mask is the comparison-sorted reference's, row for
+    /// row, on every holding (whatever the rule would say).
     #[test]
-    fn filtered_msf_matches_oracle_at_every_probability() {
-        for el in families() {
-            let oracle = kruskal_msf(&el);
-            for prob in [0.0, 0.1, 0.25, 0.5, 1.0] {
-                let (kept, stats) = filter_edge_list(&el, prob, 0xF11);
-                assert_eq!(
-                    kruskal_msf(&kept),
-                    oracle,
-                    "prob {prob} changed the MSF (dropped {})",
-                    stats.dropped_edges
-                );
+    fn certification_equals_the_comparison_sorted_reference() {
+        for (_, held) in holdings() {
+            for cg in held {
+                let expect = reference_keep_mask(cg.orig_col(), |i| !is_cut(&cg, i));
+                let mut got = cg.clone();
+                let (mut table, mut keep) = (Vec::new(), Vec::new());
+                let dropped = certify(&got, &mut table, &mut keep);
+                assert_eq!(keep, expect);
+                assert_eq!(dropped, expect.iter().filter(|&&k| !k).count());
+                // Filtering the holding applies exactly that mask.
+                let before = got.clone();
+                if let Some(stats) = filter_holding(&mut got) {
+                    assert_eq!(stats.dropped_edges, dropped);
+                    let kept: Vec<WEdge> = (0..before.num_edges())
+                        .filter(|&i| expect[i])
+                        .map(|i| before.orig_col()[i])
+                        .collect();
+                    assert_eq!(got.orig_col(), &kept[..]);
+                }
             }
         }
     }
 
+    /// Cut into holdings, the survivors of all of them still carry the MSF.
     #[test]
-    fn prob_zero_drops_nothing() {
-        for el in families() {
-            let (kept, stats) = filter_edge_list(&el, 0.0, 9);
-            assert_eq!(kept.edges(), el.edges());
-            assert_eq!(stats.sampled_edges, 0);
-            assert_eq!(stats.dropped_edges, 0);
+    fn filtered_holdings_keep_the_msf() {
+        for (el, held) in holdings() {
+            let mut survivors: Vec<WEdge> = Vec::new();
+            for mut cg in held {
+                filter_holding(&mut cg);
+                survivors.extend_from_slice(cg.orig_col());
+            }
+            survivors.sort_unstable();
+            survivors.dedup();
+            let filtered = EdgeList::from_raw(el.num_vertices(), survivors);
+            assert_eq!(kruskal_msf(&filtered), kruskal_msf(&el));
         }
     }
 
+    /// A whole-graph holding has no cut rows, so a filtered one keeps
+    /// exactly its MSF.
     #[test]
-    fn prob_one_degenerates_to_kruskal() {
-        // Every edge sampled: survivors are exactly the local MSF edges.
+    fn whole_graph_filter_keeps_exactly_the_msf() {
+        let mut filtered = 0;
         for el in families() {
-            let oracle = kruskal_msf(&el);
-            let (kept, stats) = filter_edge_list(&el, 1.0, 9);
-            assert_eq!(stats.sampled_edges, el.len());
-            assert_eq!(stats.kept_edges(), oracle.edges.len());
-            let mut kept_edges = kept.edges().to_vec();
-            kept_edges.sort_unstable();
-            let mut msf_edges = oracle.edges.clone();
-            msf_edges.sort_unstable();
-            assert_eq!(kept_edges, msf_edges);
+            let range = VertexRange {
+                start: 0,
+                end: el.num_vertices(),
+            };
+            let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
+            if filter_holding(&mut cg).is_none() {
+                continue;
+            }
+            filtered += 1;
+            let mut kept = cg.orig_col().to_vec();
+            kept.sort_unstable();
+            let mut msf = kruskal_msf(&el).edges;
+            msf.sort_unstable();
+            assert_eq!(kept, msf);
         }
-    }
-
-    #[test]
-    fn sampling_actually_prunes_dense_graphs() {
-        // A complete graph is almost all non-MST edges: even a 25% sample's
-        // forest should certify a large fraction of them away.
-        let el = gen::complete(64, 7);
-        let (_, stats) = filter_edge_list(&el, 0.25, 7);
-        assert!(
-            stats.dropped_edges > el.len() / 2,
-            "dropped only {} of {}",
-            stats.dropped_edges,
-            el.len()
-        );
-    }
-
-    #[test]
-    fn mask_is_deterministic_and_seed_sensitive() {
-        let el = gen::gnm(800, 6000, 11);
-        let (a, _) = keep_mask(el.edges(), 0.3, 42);
-        let (b, _) = keep_mask(el.edges(), 0.3, 42);
-        assert_eq!(a, b);
-        let (c, _) = keep_mask(el.edges(), 0.3, 43);
-        assert_ne!(a, c, "different seeds should sample differently");
+        assert!(filtered >= 4, "only {filtered} dense families");
     }
 
     #[test]
@@ -227,42 +329,77 @@ mod tests {
         // survive on the rank that filters, however redundant, because its
         // duplicate on the other rank would be certified differently.
         let el = gen::complete(60, 17);
-        let range = mnd_graph::partition::VertexRange { start: 0, end: 30 };
+        let range = VertexRange { start: 0, end: 30 };
         let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
-        let cut_before: Vec<WEdge> = cg
-            .iter_edges()
-            .filter(|e| !cg.is_resident(e.a) || !cg.is_resident(e.b))
-            .map(|e| e.orig)
-            .collect();
+        let cut = |cg: &CGraph| -> Vec<WEdge> {
+            cg.cut_rows()
+                .iter()
+                .map(|&i| cg.orig_col()[i as usize])
+                .collect()
+        };
+        let cut_before = cut(&cg);
         assert!(!cut_before.is_empty(), "fixture must have cut edges");
-        let stats = filter_holding(&mut cg, 0.5, 23);
+        let stats = filter_holding(&mut cg).expect("a complete graph is dense");
         assert!(stats.dropped_edges > 0, "internal edges should shed");
-        let cut_after: Vec<WEdge> = cg
-            .iter_edges()
-            .filter(|e| !cg.is_resident(e.a) || !cg.is_resident(e.b))
-            .map(|e| e.orig)
+        assert_eq!(cut_before, cut(&cg), "cut edges must all survive");
+        // The cut-row list the filter carried over is the one a fresh
+        // sweep finds.
+        let rows = cg.cut_rows().to_vec();
+        let fresh: Vec<u32> = (0..cg.num_edges())
+            .filter(|&i| is_cut(&cg, i))
+            .map(|i| i as u32)
             .collect();
-        assert_eq!(cut_before, cut_after, "cut edges must all survive");
+        assert_eq!(rows, fresh);
     }
 
+    /// The rule reads the counts: a road grid's holdings (≈ 1.3 rows per
+    /// resident) are left alone, a web crawl's are filtered.
     #[test]
-    fn holding_filter_matches_edge_list_filter() {
-        let el = gen::web_crawl(1500, 9000, gen::CrawlParams::default(), 13);
-        let range = mnd_graph::partition::VertexRange {
-            start: 0,
-            end: el.num_vertices(),
+    fn rule_skips_road_grids_and_filters_crawls() {
+        let cut = |el: &EdgeList| {
+            let ranges = partition_1d(&CsrGraph::from_edge_list(el), 4, 0.0);
+            CGraph::level0(el, &ranges, 0..4)
         };
-        let mut cg = CGraph::level0(&el, &[range], 0..1).remove(0);
-        let before = cg.num_edges();
-        let stats = filter_holding(&mut cg, 0.5, 21);
-        assert_eq!(stats.input_edges, before);
-        assert_eq!(cg.num_edges(), stats.kept_edges());
-        // The survivors are exactly the edges the list-level filter keeps.
-        let (kept_el, _) = filter_edge_list(&el, 0.5, 21);
-        let mut held: Vec<WEdge> = cg.orig_col().to_vec();
-        held.sort_unstable();
-        let mut expect: Vec<WEdge> = kept_el.edges().to_vec();
-        expect.sort_unstable();
-        assert_eq!(held, expect);
+        for mut cg in cut(&gen::road_grid(60, 60, 0.02, 0.38, 3)) {
+            let before = cg.clone();
+            assert!(cg.num_edges() < 2 * cg.num_resident());
+            assert_eq!(filter_holding(&mut cg), None);
+            assert_eq!(cg, before);
+        }
+        let crawl = gen::web_crawl(2000, 30_000, gen::CrawlParams::default(), 5);
+        for mut cg in cut(&crawl) {
+            let stats = filter_holding(&mut cg).expect("a crawl holding is dense");
+            assert!(stats.dropped_edges > 0, "{stats:?}");
+            assert_eq!(cg.num_edges(), stats.kept_edges());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The radix order is the comparison order, on lists with heavy
+        /// weight ties (few weights, repeated pairs) and with weights that
+        /// need both 16-bit digits.
+        #[test]
+        fn weight_order_equals_the_comparison_sort(
+            raw in proptest::collection::vec((0u32..40, 0u32..40, 0u32..6), 0..300),
+            high in 0u32..3,
+        ) {
+            let edges: Vec<WEdge> = raw
+                .iter()
+                .map(|&(u, v, w)| WEdge::new(u, v, w * [1, 40_503, 1 << 28][high as usize]))
+                .collect();
+            let got = weight_order(&edges);
+            let mut expect: Vec<u32> = (0..edges.len() as u32).collect();
+            expect.sort_unstable_by_key(|&i| edges[i as usize].key());
+            let keys = |order: &[u32]| -> Vec<_> {
+                order.iter().map(|&i| edges[i as usize].key()).collect()
+            };
+            prop_assert_eq!(keys(&got), keys(&expect));
+            // Identical edges keep row order: the order is total.
+            let mut stable: Vec<u32> = (0..edges.len() as u32).collect();
+            stable.sort_by_key(|&i| edges[i as usize].key());
+            prop_assert_eq!(got, stable);
+        }
     }
 }

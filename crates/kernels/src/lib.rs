@@ -3,8 +3,9 @@
 //! Everything algorithmic that runs *inside one device* lives here:
 //!
 //! * [`dsu`] — sequential union-find (the oracle's and the checkers'),
-//! * [`filter`] — filter-Boruvka sampling: exact, deterministic pruning of
-//!   provably-non-MST edges before the distributed pipeline,
+//! * [`filter`] — filter-Boruvka: exact, deterministic pruning of
+//!   provably-non-MST rows from a dense level-0 holding before the
+//!   distributed pipeline,
 //! * [`oracle`] — Kruskal, the correctness oracle every distributed test
 //!   compares against,
 //! * [`cgraph`] — the *contracted graph* representation all merging levels
@@ -43,7 +44,7 @@ pub mod scan;
 pub use boruvka::{boruvka_msf, local_boruvka, LocalOutput};
 pub use cgraph::{CEdge, CGraph, CompId};
 pub use dsu::DisjointSets;
-pub use filter::{filter_edge_list, filter_holding, FilterStats};
+pub use filter::{filter_holding, FilterStats};
 pub use msf::{verify_msf, MsfResult};
 pub use oracle::kruskal_msf;
 pub use policy::{ExcpCond, KernelPolicy, StopPolicy};

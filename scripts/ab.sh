@@ -19,10 +19,14 @@
 # `setup_raw_s`), the median of the per-pair ratios CHANGE / BASE, the
 # pairs CHANGE won (lower is better for all three), the exact two-sided
 # sign-test p over the pairs that are not ties, and whether `sim_time_s`
-# and `sim_latency_p90_s` are bit-equal across every run. A run whose
-# output failed its oracle is reported, and makes the script exit 1. Every
-# run's output stays in the runs/ directory beside the builds. Nothing
-# under benchmark/ is changed.
+# and `sim_latency_p90_s` are bit-equal across every run. A last table
+# shows the simulated clock itself: per workload, each side's
+# `sim_time_s` and `sim_latency_p90_s` and the change, so a deliberate
+# clock move reads base → change. Each side must repeat its own
+# simulated values bit for bit across its runs; a side that does not,
+# or a run whose output failed its oracle, is reported and makes the
+# script exit 1. Every run's output stays in the runs/ directory beside
+# the builds. Nothing under benchmark/ is changed.
 #
 # Needs git, cargo and python3 (the statistics).
 
@@ -37,7 +41,7 @@ while getopts "n:S:w:h" opt; do
     S) seed=$OPTARG ;;
     w) workloads+=("$OPTARG") ;;
     h)
-      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) exit 2 ;;
@@ -158,7 +162,28 @@ for name, raw in METRICS:
             f"| {measured} | {med(ratios):.3f} ({100 * (med(ratios) - 1):+.1f} %) | {won} / {pairs} "
             f"| {sign_p(won, lost):.3g} | {'yes' if len(sims) == 1 else 'NO'} |"
         )
+# The simulated clock: each side's own values, which must repeat exactly.
+print("\n`sim_time_s`, `sim_latency_p90_s` (simulated; each side's runs agree bit for bit)\n")
+print("| workload | base `sim_time_s` | change `sim_time_s` | change | base p90 | change p90 | change |")
+print("|---|---|---|---|---|---|---|")
+unrepeatable = []
+for w in workloads:
+    sides = [{pair[k][1] for pair in runs_of[w]} for k in (0, 1)]
+    for name, seen in zip(("base", "change"), sides):
+        if len(seen) > 1:
+            unrepeatable.append(f"{w} ({name}: {sorted(seen)})")
+    (b_time, b_p90), (c_time, c_p90) = (min(seen) for seen in sides)
+    move = lambda b, c: "bit-equal" if b == c else f"{100 * (c / b - 1):+.2f} %"
+    print(
+        f"| {w} | {b_time!r} | {c_time!r} | {move(b_time, c_time)} "
+        f"| {b_p90!r} | {c_p90!r} | {move(b_p90, c_p90)} |"
+    )
+status = 0
+if unrepeatable:
+    print("ab.sh: a side did not repeat its simulated values: " + "; ".join(unrepeatable), file=sys.stderr)
+    status = 1
 if failed:
     print("ab.sh: a run's output failed its oracle", file=sys.stderr)
-    sys.exit(1)
+    status = 1
+sys.exit(status)
 PY

@@ -106,9 +106,10 @@ for threads in 1 2; do
   # thread: builder == CSR walk, cached cut rows == a fresh sweep, cut-row
   # walks == the full sweeps they replaced, in a release build. The run
   # merge of `absorb_all` (== the append-and-dedup reference) is in
-  # cgraph::tests as well.
+  # cgraph::tests as well, and the filter's radix order and ghost numbering
+  # (== the comparison-sorted reference) in filter::tests.
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib -- \
-    cgraph::tests reduce::tests
+    cgraph::tests reduce::tests filter::tests
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-mst --lib -- \
     ghost::tests phases::partition::tests
   # The driver's invariants, the lent kernel threads among them (that test

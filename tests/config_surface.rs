@@ -24,11 +24,11 @@ fn every_configuration_field_names_what_sets_it() {
         group_edge_threshold: _,       // `repro traffic`
         sim_scale: _,                  // `ExpContext::hypar`, `EngineParams::with_sim_scale`
         max_exchange_rounds: _,        // fixtures: `runner::tests`, `runtime::tests`
-        seed: _,                       // nothing yet: the one sampling seed of a run
+        seed: _,                       // nothing yet: the hybrid calibration's sampling seed
         observer: _,                   // `repro --trace`, the benchmark's layer ledger
         chaos: _,                      // `repro chaos`, `repro traffic`, `repro comm-sweep`
         sparse_exchange: _,            // `repro comm-sweep` (`dense+pack`)
-        filter_sample_prob: _,         // `repro comm-sweep`
+        level0_filter: _,              // `ExpContext::hypar` (off), `repro comm-sweep` (on)
         checkpoint_interval: _,        // `repro checkpoint-sweep`
     } = HyParConfig::default();
 

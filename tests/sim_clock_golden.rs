@@ -73,9 +73,9 @@ fn crawl_on_four_cpu_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 9.852512158476186,
-            comm_time: 2.2127061909841204,
-            bytes_sent: &[61079, 174860, 193192, 154284],
+            total_time: 6.599858918349202,
+            comm_time: 1.6625272365714234,
+            bytes_sent: &[61118, 116510, 140161, 106443],
             messages_sent: &[35, 24, 37, 24],
         },
     );
@@ -95,10 +95,10 @@ fn scrambled_crawl_on_eight_hybrid_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 23.69274574473364,
-            comm_time: 15.199705721185945,
+            total_time: 19.783204313651982,
+            comm_time: 12.497752843085456,
             bytes_sent: &[
-                51527, 133027, 150776, 129852, 300717, 136540, 151642, 133224,
+                51527, 114027, 129176, 110812, 259637, 113960, 129542, 113684,
             ],
             messages_sent: &[78, 37, 58, 37, 81, 37, 58, 37],
         },
@@ -570,20 +570,20 @@ road eager-stop | total 0.23120099022222249 comm 0.205525169777778 | bytes [2328
 road recursing | total 0.24020920914285762 comm 0.21138030476190522 | bytes [23546, 16405, 27227, 15162] | msgs [29, 20, 34, 18] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
 road ring x8 | total 0.38854125384126853 comm 0.3591728779682526 | bytes [46450, 17579, 32471, 17303, 47703, 17368, 31520, 15876] | msgs [41, 21, 32, 21, 45, 22, 33, 17] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
 road pairs x8 | total 0.3786756599365065 comm 0.3615654977777763 | bytes [41937, 15718, 30073, 15643, 43457, 15802, 28950, 14986] | msgs [55, 23, 42, 23, 60, 23, 41, 21] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
-scramble border-vertex | total 0.9279898810158727 comm 0.5122868349206344 | bytes [43579, 69572, 90773, 69719] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 519864320 steps 1
-scramble recheck | total 0.8651534516825394 comm 0.46582939631745973 | bytes [40060, 62612, 81555, 62891] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
-scramble exhaustive | total 0.904349899174603 comm 0.46608958984126925 | bytes [40060, 62612, 81555, 62895] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
-scramble eager-stop | total 0.8651534516825394 comm 0.46582939631745973 | bytes [40060, 62612, 81555, 62891] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 1
-scramble recursing | total 0.9379591634285709 comm 0.4694827271111102 | bytes [40348, 62756, 81843, 63039] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 421134336 steps 2
-scramble ring x8 | total 1.1120297954285712 comm 0.7223988763174599 | bytes [102612, 60624, 89684, 60534, 118591, 60951, 89776, 59876] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 519864320 steps 2
-scramble pairs x8 | total 1.6273111972063496 comm 1.3627397092063491 | bytes [81792, 41919, 90336, 42098, 137078, 41874, 90766, 42222] | msgs [69, 33, 53, 33, 71, 33, 53, 33] | levels 3 exchange_rounds 0 max_holding_bytes 328089600 steps 3
-islands border-vertex | total 0.20140854184126997 comm 0.14607105536507947 | bytes [12596, 15132, 21142, 10759] | msgs [17, 15, 21, 12] | levels 1 exchange_rounds 0 max_holding_bytes 78118912 steps 1
-islands recheck | total 0.1957158198095239 comm 0.14272358590476203 | bytes [12260, 14916, 20455, 10692] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 71778304 steps 1
-islands exhaustive | total 0.2011601250793652 comm 0.14272345587301596 | bytes [12244, 14916, 20447, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 71680000 steps 1
-islands eager-stop | total 0.19476675555555573 comm 0.14656489726984143 | bytes [12436, 14916, 20543, 10912] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 72859648 steps 1
-islands recursing | total 0.22688319796825435 comm 0.1629364335238099 | bytes [12820, 15204, 21023, 10960] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 71680000 steps 3
-islands ring x8 | total 0.2731275075555561 comm 0.23203631771428648 | bytes [29378, 14242, 23129, 14325, 31786, 13729, 19396, 10526] | msgs [43, 21, 33, 21, 45, 21, 36, 17] | levels 1 exchange_rounds 1 max_holding_bytes 78315520 steps 2
-islands pairs x8 | total 0.40329534019047625 comm 0.37231509079365077 | bytes [27632, 11986, 25619, 11925, 36448, 12039, 20040, 8102] | msgs [67, 31, 51, 31, 69, 31, 50, 21] | levels 3 exchange_rounds 0 max_holding_bytes 61227008 steps 3
+scramble border-vertex | total 0.8706361286349202 comm 0.48727847936507857 | bytes [43579, 63172, 84093, 63419] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
+scramble recheck | total 0.8241323367619044 comm 0.44654633853968206 | bytes [40060, 57752, 76375, 58011] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble exhaustive | total 0.8584200858412696 comm 0.4470178336507932 | bytes [40060, 57752, 76375, 58015] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble eager-stop | total 0.8241323367619044 comm 0.44654633853968206 | bytes [40060, 57752, 76375, 58011] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble recursing | total 0.8890061119999995 comm 0.4503947169523801 | bytes [40348, 57896, 76663, 58159] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
+scramble ring x8 | total 1.0648102989206345 comm 0.7013857607619042 | bytes [100676, 56136, 84432, 55686, 113383, 55943, 85004, 55824] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
+scramble pairs x8 | total 1.5680446778412704 comm 1.3060237003174604 | bytes [81792, 40459, 87196, 40358, 132918, 40194, 87926, 40582] | msgs [69, 33, 53, 33, 71, 33, 53, 33] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
+islands border-vertex | total 0.19938134692063506 comm 0.14942392393650805 | bytes [12596, 14272, 20222, 10759] | msgs [17, 15, 21, 12] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
+islands recheck | total 0.19611882869841282 comm 0.14840913447619059 | bytes [12260, 14076, 19555, 10692] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
+islands exhaustive | total 0.19918234222222234 comm 0.1460282126984128 | bytes [12244, 14076, 19547, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
+islands eager-stop | total 0.19140738539682556 comm 0.14848806679365095 | bytes [12436, 14076, 19643, 10912] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
+islands recursing | total 0.2207931611428576 comm 0.16212893638095283 | bytes [12820, 14364, 20123, 10960] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
+islands ring x8 | total 0.4059347282539681 comm 0.34609509701587293 | bytes [50194, 23714, 36661, 23165, 47506, 18997, 31116, 20202] | msgs [95, 39, 66, 39, 93, 39, 69, 35] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
+islands pairs x8 | total 0.3993213417142858 comm 0.37001525104761906 | bytes [27632, 11886, 25259, 11785, 36168, 11899, 20000, 8102] | msgs [67, 31, 51, 31, 69, 31, 50, 21] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
 ";
 
 const BSP_GOLDEN: &str = "
@@ -631,12 +631,12 @@ spmsf crash r2 e3 op11 | total 1.016845366603201 comm 1.01472312533336 | bytes [
 
 const SERVE_GOLDEN: &str = "
 Incremental job 0 Backend | start 0.0 finish 0.026484729269841294
-Incremental job 18 Backend | start 0.026484729269841294 finish 0.06788608152380957
-Incremental job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
-Incremental job 19 Backend | start 0.07277693866666671 finish 0.11390300787301592
-Incremental job 2 Backend | start 0.11390300787301592 finish 0.12683889422222228
-Incremental job 20 Backend | start 0.12683889422222228 finish 0.16772412838095246
-Incremental job 24 Incremental | start 0.3 finish 0.38940308215873015
+Incremental job 18 Backend | start 0.026484729269841294 finish 0.06837872990476195
+Incremental job 1 Cache | start 0.06837872990476195 finish 0.07326958704761909
+Incremental job 19 Backend | start 0.07326958704761909 finish 0.11423067847619053
+Incremental job 2 Backend | start 0.11423067847619053 finish 0.12716656482539687
+Incremental job 20 Backend | start 0.12716656482539687 finish 0.16820344939682547
+Incremental job 24 Incremental | start 0.3 finish 0.3578825742222222
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
 Incremental job 5 Cache | start 0.6 finish 0.6001
@@ -662,42 +662,42 @@ Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
 Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
 Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.3571207870476193
-Incremental tenant interactive | p50 0.00010000000000021103 p95 0.026484729269841294 p99 0.02683889422222227
-Incremental tenant batch | p50 0.11390300787301592 p95 0.16772412838095246 p99 0.16772412838095246
-Incremental tenant updates | p50 0.0005526349206348424 p95 0.08940308215873016 p99 0.08940308215873016
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.026484729269841294 p99 0.027166564825396866
+Incremental tenant batch | p50 0.11423067847619053 p95 0.16820344939682547 p99 0.16820344939682547
+Incremental tenant updates | p50 0.0005526349206348424 p95 0.057882574222222205 p99 0.057882574222222205
 Recompute job 0 Backend | start 0.0 finish 0.026484729269841294
-Recompute job 18 Backend | start 0.026484729269841294 finish 0.06788608152380957
-Recompute job 1 Cache | start 0.06788608152380957 finish 0.07277693866666671
-Recompute job 19 Backend | start 0.07277693866666671 finish 0.11390300787301592
-Recompute job 2 Backend | start 0.11390300787301592 finish 0.12683889422222228
-Recompute job 20 Backend | start 0.12683889422222228 finish 0.16772412838095246
-Recompute job 24 Recompute | start 0.3 finish 0.5825881429841271
-Recompute job 3 Cache | start 0.5825881429841271 finish 0.5826881429841271
-Recompute job 4 Cache | start 0.5826881429841271 finish 0.5875790001269843
+Recompute job 18 Backend | start 0.026484729269841294 finish 0.06837872990476195
+Recompute job 1 Cache | start 0.06837872990476195 finish 0.07326958704761909
+Recompute job 19 Backend | start 0.07326958704761909 finish 0.11423067847619053
+Recompute job 2 Backend | start 0.11423067847619053 finish 0.12716656482539687
+Recompute job 20 Backend | start 0.12716656482539687 finish 0.16820344939682547
+Recompute job 24 Recompute | start 0.3 finish 0.5593348472380952
+Recompute job 3 Cache | start 0.5593348472380952 finish 0.5594348472380952
+Recompute job 4 Cache | start 0.5594348472380952 finish 0.5643257043809524
 Recompute job 5 Cache | start 0.6 finish 0.6001
-Recompute job 25 Recompute | start 0.7 finish 0.8413734721269841
+Recompute job 25 Recompute | start 0.7 finish 0.8297488559999999
 Recompute job 6 Cache | start 1.0 finish 1.0001
 Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
 Recompute job 8 Cache | start 1.1 finish 1.1001
-Recompute job 26 Recompute | start 1.1001 finish 1.2415549045079366
+Recompute job 26 Recompute | start 1.1001 finish 1.229909970920635
 Recompute job 9 Cache | start 1.5 finish 1.5001
-Recompute job 27 Recompute | start 1.5001 finish 1.6415588054603174
-Recompute job 10 Cache | start 1.6415588054603174 finish 1.6464496626031746
-Recompute job 11 Cache | start 1.6464496626031746 finish 1.6465496626031746
+Recompute job 27 Recompute | start 1.5001 finish 1.6299343518730158
+Recompute job 10 Cache | start 1.6299343518730158 finish 1.634825209015873
+Recompute job 11 Cache | start 1.634825209015873 finish 1.634925209015873
 Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Recompute job 29 Recompute | start 1.9000000000000001 finish 2.041511630857143
-Recompute job 12 Cache | start 2.041511630857143 finish 2.041611630857143
+Recompute job 29 Recompute | start 1.9000000000000001 finish 2.0298912407619047
+Recompute job 12 Cache | start 2.0298912407619047 finish 2.029991240761905
 Recompute job 13 Cache | start 2.05 finish 2.054890857142857
 Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
-Recompute job 30 Recompute | start 2.3 finish 2.4414425514920635
+Recompute job 30 Recompute | start 2.3 finish 2.4298094238730155
 Recompute job 15 Cache | start 2.5 finish 2.5001
 Recompute job 16 Cache | start 2.55 finish 2.554890857142857
 Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
-Recompute job 31 Recompute | start 2.7 finish 2.8416996892698414
-Recompute job 32 Recompute | start 3.1 finish 3.2416462787301588
+Recompute job 31 Recompute | start 2.7 finish 2.830058434666667
+Recompute job 32 Recompute | start 3.1 finish 3.230066139047619
 Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6391165379047622
-Recompute tenant interactive | p50 0.004890857142857197 p95 0.08268814298412708 p99 0.09644966260317456
-Recompute tenant batch | p50 0.11390300787301592 p95 0.16772412838095246 p99 0.16772412838095246
-Recompute tenant updates | p50 0.1415549045079365 p95 0.2825881429841271 p99 0.2825881429841271
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6159119446349208
+Recompute tenant interactive | p50 0.004890857142857197 p95 0.05943484723809522 p99 0.08482520901587298
+Recompute tenant batch | p50 0.11423067847619053 p95 0.16820344939682547 p99 0.16820344939682547
+Recompute tenant updates | p50 0.12990997092063483 p95 0.25933484723809525 p99 0.25933484723809525
 ";
