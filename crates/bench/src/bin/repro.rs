@@ -703,7 +703,7 @@ fn main() {
                 "gpu speedup",
                 "cpu frac",
                 "paper |E|",
-                "rec. thresh",
+                "rec. thresh (scaled)",
                 "recurses",
             ],
             &sweep
@@ -752,7 +752,7 @@ fn main() {
         emit(
             "comm_sweep",
             &format!(
-                "Comm sweep: dense vs sparse exchange, filter-Boruvka ({nranks} nodes, oracle-verified)"
+                "Comm sweep: packed dense exchanges, filter-Boruvka ({nranks} nodes, oracle-verified)"
             ),
             &[
                 "preset",
@@ -760,7 +760,6 @@ fn main() {
                 "messages",
                 "wire MB",
                 "alltoall msgs",
-                "header msgs",
                 "exe",
             ],
             &rows
@@ -772,33 +771,7 @@ fn main() {
                         r.messages.to_string(),
                         format!("{:.3}", r.wire_mb),
                         r.payload_msgs.to_string(),
-                        r.header_msgs.to_string(),
                         secs(r.exe),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let cal = comm_calibration(&ctx);
-        emit(
-            "comm_calibration",
-            "Comm calibration: assumed vs measured per-round exchange messages",
-            &[
-                "nodes",
-                "rounds",
-                "assumed msgs",
-                "measured msgs",
-                "assumed thresh",
-                "measured thresh",
-            ],
-            &cal.iter()
-                .map(|r| {
-                    vec![
-                        r.nranks.to_string(),
-                        r.exchange_rounds.to_string(),
-                        format!("{:.1}", r.assumed_msgs),
-                        format!("{:.1}", r.measured_msgs),
-                        r.assumed_threshold.to_string(),
-                        r.measured_threshold.to_string(),
                     ]
                 })
                 .collect::<Vec<_>>(),

@@ -13,9 +13,10 @@ use mnd_graph::presets::Preset;
 use mnd_graph::stats::graph_stats;
 use mnd_graph::types::{VertexId, WEdge, Weight};
 use mnd_graph::{CsrGraph, EdgeList};
-use mnd_hypar::api::{CALIBRATION_FRAC, CALIBRATION_SAMPLES};
+use mnd_hypar::api::{CALIBRATION_FRAC, CALIBRATION_SAMPLES, CALIBRATION_SEED};
 use mnd_hypar::observe::ObserverHook;
-use mnd_hypar::{HyParConfig, RecursionThresholdSource};
+use mnd_hypar::runtime::should_recurse;
+use mnd_hypar::HyParConfig;
 use mnd_kernels::oracle::kruskal_msf;
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_mst::{MndMstReport, MndMstRunner};
@@ -563,8 +564,6 @@ pub fn ablation_thresh(ctx: &ExpContext, nranks: usize) -> Vec<AblationRow> {
             rounds: r.exchange_rounds,
         });
     }
-    // The calibrated default ignores `recursion_edge_threshold`, so these
-    // rows take the paper's fixed rule for the threshold to vary anything.
     for (name, threshold) in [
         ("recursion=on (100M edges, §4.3.3)", 100_000_000u64),
         ("recursion=off", u64::MAX),
@@ -572,7 +571,6 @@ pub fn ablation_thresh(ctx: &ExpContext, nranks: usize) -> Vec<AblationRow> {
     ] {
         let cfg = HyParConfig {
             recursion_edge_threshold: threshold,
-            recursion_threshold_source: RecursionThresholdSource::Fixed,
             ..ctx.hypar()
         };
         let r = run_mnd(ctx, &el, nranks, NodePlatform::amd_cluster(), cfg);
@@ -727,7 +725,7 @@ pub fn calibration(ctx: &ExpContext) -> Vec<CalibrationRow> {
                 &plat.gpu.clone().expect("cray gpu").scaled(cfg.sim_scale),
                 CALIBRATION_SAMPLES,
                 CALIBRATION_FRAC,
-                cfg.seed,
+                CALIBRATION_SEED,
             );
             CalibrationRow {
                 graph: p.name(),
@@ -757,8 +755,7 @@ pub fn run_mnd_chaos(
 }
 
 /// [`run_mnd_chaos`] with an explicit base config, so sweeps can combine a
-/// fault plan with non-default communication knobs (sparse/dense exchange,
-/// the level-0 filter).
+/// fault plan with a non-default communication knob (the level-0 filter).
 pub fn run_mnd_chaos_cfg(
     ctx: &ExpContext,
     el: &EdgeList,
@@ -1558,7 +1555,7 @@ pub fn traffic(ctx: &ExpContext, nranks: usize) -> Vec<TrafficRow> {
 }
 
 // --------------------------------------------------------------------- //
-// Comm-sweep: sparse exchanges and filter-Boruvka (DESIGN.md §8)
+// Comm-sweep: packed exchanges and filter-Boruvka (DESIGN.md §8)
 // --------------------------------------------------------------------- //
 
 /// One comm-sweep row: the whole-run traffic of one verified configuration.
@@ -1574,8 +1571,6 @@ pub struct CommSweepRow {
     pub wire_mb: f64,
     /// Messages on the `alltoall` payload tag.
     pub payload_msgs: u64,
-    /// Messages on the `sparse_hdr` header tag.
-    pub header_msgs: u64,
     /// Execution time (simulated seconds, paper scale).
     pub exe: f64,
 }
@@ -1591,13 +1586,12 @@ fn tag_messages(r: &MndMstReport, name: &str) -> u64 {
 }
 
 /// The communication-engineering sweep: the same skewed web-crawl runs
-/// under dense exchanges (the always-send schedule), the sparse schedule,
-/// and the sparse schedule with the level-0 filter (the library default the
-/// paper-algorithm context turns off) — plus that stack
-/// under a hostile fault plan (drops and a mid-phase crash replayed from
-/// checkpoint). Every run ships packed relabels and is verified against
-/// the Kruskal oracle, so the table demonstrates the bytes/messages shed at
-/// **unchanged** output.
+/// without and with the level-0 filter (the library default the
+/// paper-algorithm context turns off) — plus the filtered stack under a
+/// hostile fault plan (drops and a mid-phase crash replayed from
+/// checkpoint). Every run ships packed relabels over the dense exchange
+/// schedule and is verified against the Kruskal oracle, so the table shows
+/// the bytes/messages the filter sheds at **unchanged** output.
 pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
     let platform = NodePlatform::amd_cluster();
     let filtered = || HyParConfig {
@@ -1605,9 +1599,8 @@ pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
         ..ctx.hypar()
     };
     let variants: Vec<(&str, HyParConfig)> = vec![
-        ("dense+pack", ctx.hypar().with_sparse_exchange(false)),
-        ("sparse+pack", ctx.hypar()),
-        ("sparse+pack+filter", filtered()),
+        ("dense+pack", ctx.hypar()),
+        ("dense+pack+filter", filtered()),
     ];
     let mut rows = Vec::new();
     for preset in [Preset::Gsh2015Tpd, Preset::Sk2005] {
@@ -1619,7 +1612,6 @@ pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
                 messages: r.rank_stats.iter().map(|s| s.messages_sent).sum(),
                 wire_mb: r.rank_stats.iter().map(|s| s.bytes_sent).sum::<u64>() as f64 / 1e6,
                 payload_msgs: tag_messages(r, "alltoall"),
-                header_msgs: tag_messages(r, "sparse_hdr"),
                 exe: r.total_time,
             });
         };
@@ -1628,7 +1620,7 @@ pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
             push((*name).to_string(), &r);
         }
         // The full stack must survive chaos with the oracle MSF intact:
-        // drops force retries over the sparse schedule and a mid-phase
+        // drops force retries over the exchange schedule and a mid-phase
         // crash replays an exchange from the checkpointed replay log.
         let plan = Arc::new(
             FaultPlan::new(ctx.seed)
@@ -1636,75 +1628,7 @@ pub fn comm_sweep(ctx: &ExpContext, nranks: usize) -> Vec<CommSweepRow> {
                 .with_mid_phase_crash(1 % nranks, 1, 3),
         );
         let r = run_mnd_chaos_cfg(ctx, &el, nranks, platform.clone(), filtered(), plan);
-        push("sparse+pack+filter chaos".to_string(), &r);
-    }
-    rows
-}
-
-/// One row of the recursion-threshold validation (the retired
-/// alltoall-sweep item): assumed vs measured per-round exchange messages
-/// and the recursion thresholds each implies.
-#[derive(Clone, Debug)]
-pub struct CommCalibrationRow {
-    /// Cluster size.
-    pub nranks: usize,
-    /// Exchange rounds observed on rank 0 (partition + mergeParts phases).
-    pub exchange_rounds: u64,
-    /// The calibration model's per-rank per-round message assumption:
-    /// `(p − 1) + 2⌈log₂ p⌉`.
-    pub assumed_msgs: f64,
-    /// Measured per-rank per-round exchange messages (alltoall +
-    /// sparse_hdr + phased tags) under the sparse schedule.
-    pub measured_msgs: f64,
-    /// Recursion threshold from the assumption (paper-scale edges).
-    pub assumed_threshold: u64,
-    /// Recursion threshold re-derived from the measurement.
-    pub measured_threshold: u64,
-}
-
-/// Validates `mnd_device::calibrated_recursion_threshold` against the
-/// *measured* sparse exchange: an observer counts the exchange rounds
-/// (partition + mergeParts samples on rank 0) of a skewed-crawl run, the
-/// per-tag tables give the actual exchange messages, and the threshold is
-/// re-derived from the measured per-round count. The assumed dense count
-/// must be an upper bound once empty buckets stop shipping — confirming
-/// the calibrated threshold errs toward recursing *less*, never more.
-pub fn comm_calibration(ctx: &ExpContext) -> Vec<CommCalibrationRow> {
-    use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[derive(Default)]
-    struct RoundCounter(AtomicU64);
-    impl PhaseObserver for RoundCounter {
-        fn on_phase(&self, kind: PhaseKind, sample: &PhaseSample) {
-            if sample.rank == 0 && matches!(kind, PhaseKind::Partition | PhaseKind::MergeParts) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    let platform = NodePlatform::amd_cluster();
-    let el = ctx.graph(Preset::Gsh2015Tpd);
-    let mut rows = Vec::new();
-    for nranks in [4usize, 8, 16] {
-        let counter = Arc::new(RoundCounter::default());
-        let cfg = ctx.hypar().with_observer(counter.clone());
-        let r = run_mnd(ctx, &el, nranks, platform.clone(), cfg);
-        let rounds = counter.0.load(Ordering::Relaxed).max(1);
-        let exchange_msgs: u64 = ["alltoall", "sparse_hdr", "phased"]
-            .iter()
-            .map(|t| tag_messages(&r, t))
-            .sum();
-        let measured = exchange_msgs as f64 / nranks as f64 / rounds as f64;
-        let assumed = mnd_device::assumed_round_msgs(nranks);
-        rows.push(CommCalibrationRow {
-            nranks,
-            exchange_rounds: rounds,
-            assumed_msgs: assumed,
-            measured_msgs: measured,
-            assumed_threshold: mnd_device::calibrated_recursion_threshold(&platform, nranks),
-            measured_threshold: mnd_device::recursion_threshold_for_round_msgs(&platform, measured),
-        });
+        push("dense+pack+filter chaos".to_string(), &r);
     }
     rows
 }
@@ -1738,7 +1662,7 @@ pub struct EmstSweepRow {
 }
 
 /// One device-calibration row of the emst sweep: where the occupancy
-/// model, the §4.3.1 split, and the calibrated recursion threshold land
+/// model, the §4.3.1 split, and the paper's recursion threshold land
 /// on a bounded-degree geometric input (crawl reference rows included
 /// for contrast).
 #[derive(Clone, Debug)]
@@ -1758,10 +1682,11 @@ pub struct EmstDeviceRow {
     pub cpu_fraction: f64,
     /// Paper-scale edge count (`edges × scale`).
     pub paper_edges: u64,
-    /// Calibrated recursion threshold for the platform at this rank
-    /// count (paper-scale edges).
+    /// The paper's recursion threshold (§4.3.3) in this run's scaled
+    /// edges ([`HyParConfig::scaled_recursion_threshold`]).
     pub recursion_threshold: u64,
-    /// Whether the D&C driver would recurse on the paper-scale instance.
+    /// Whether the D&C driver would recurse on a holding of the whole
+    /// graph ([`mnd_hypar::runtime::should_recurse`]).
     pub recurses: bool,
 }
 
@@ -1844,7 +1769,7 @@ fn emst_oracle_check(ctx: &ExpContext, preset: GeoPreset, n: u32) -> usize {
 /// brute-force EMST equality on small instances (when `ctx.verify`),
 /// Kruskal + cross-engine forest equality on the large ones — plus the
 /// device-calibration table answering the motivating question: where do
-/// the occupancy model, the §4.3.1 split, and the calibrated recursion
+/// the occupancy model, the §4.3.1 split, and the paper's recursion
 /// threshold land on bounded-degree inputs vs the crawls?
 pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
     // Small-n oracle arm: cheap (complete graphs on ORACLE_N points), so
@@ -1857,8 +1782,7 @@ pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
         }
     }
 
-    let platform = NodePlatform::amd_cluster();
-    let threshold = mnd_device::calibrated_recursion_threshold(&platform, nranks);
+    let hypar = ctx.hypar();
     let cpu = mnd_device::DeviceModel::cpu_xeon_ivybridge();
     let (gpu, gpu_unbinned) = (
         mnd_device::DeviceModel::gpu_k40(),
@@ -1879,8 +1803,8 @@ pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
             gpu_speedup: split.gpu_speedup,
             cpu_fraction: split.cpu_fraction,
             paper_edges,
-            recursion_threshold: threshold,
-            recurses: paper_edges > threshold,
+            recursion_threshold: hypar.scaled_recursion_threshold(),
+            recurses: should_recurse(&hypar, el.len() as u64),
         });
     };
 
@@ -1929,7 +1853,7 @@ pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
         }
         device_row(p.name().to_string(), &el);
     }
-    // Crawl reference rows: the regime the thresholds were calibrated on.
+    // Crawl reference rows: the skewed regime the paper measured.
     for p in [Preset::Arabic2005, Preset::Gsh2015Tpd] {
         let el = ctx.graph(p);
         device_row(p.name().to_string(), &el);
@@ -2265,10 +2189,10 @@ mod tests {
     #[test]
     fn comm_sweep_sheds_messages_and_bytes_on_skewed_presets() {
         // Every run inside is oracle-verified (tiny() keeps verify on),
-        // including the chaos arm over the full sparse+pack+filter stack.
+        // including the chaos arm over the full dense+pack+filter stack.
         let rows = comm_sweep(&tiny(), 8);
-        // 2 presets x (3 variants + chaos arm).
-        assert_eq!(rows.len(), 8);
+        // 2 presets x (2 variants + chaos arm).
+        assert_eq!(rows.len(), 6);
         let mut filter_won_somewhere = false;
         for preset in ["gsh-2015-tpd", "sk-2005"] {
             let get = |v: &str| {
@@ -2276,32 +2200,23 @@ mod tests {
                     .find(|r| r.preset == preset && r.variant == v)
                     .unwrap()
             };
-            let dense = get("dense+pack");
-            let sparse = get("sparse+pack");
-            let filtered = get("sparse+pack+filter");
-            // The bugfix: empty buckets stop becoming messages.
-            assert!(
-                sparse.messages < dense.messages,
-                "{preset}: sparse {} !< dense {}",
-                sparse.messages,
-                dense.messages
-            );
-            assert!(sparse.payload_msgs < dense.payload_msgs, "{preset}");
-            assert_eq!(dense.header_msgs, 0, "{preset}: dense pays no header");
-            assert!(sparse.header_msgs > 0, "{preset}");
+            let unfiltered = get("dense+pack");
+            let filtered = get("dense+pack+filter");
+            // The dense schedule ships every bucket and nothing else.
+            assert!(unfiltered.payload_msgs > 0, "{preset}");
             // Filtering carries fewer edges, but fewer edges also shift the
             // ring-exchange monitor's decisions, so the total can wobble on
             // a given preset; it must win on at least one (checked below)
             // and never cost more than a small factor on any.
-            filter_won_somewhere |= filtered.wire_mb < sparse.wire_mb;
+            filter_won_somewhere |= filtered.wire_mb < unfiltered.wire_mb;
             assert!(
-                filtered.wire_mb < sparse.wire_mb * 1.10,
+                filtered.wire_mb < unfiltered.wire_mb * 1.10,
                 "{preset}: filtered {} !<~ unfiltered {}",
                 filtered.wire_mb,
-                sparse.wire_mb
+                unfiltered.wire_mb
             );
             // The chaos arm completed (it is oracle-verified inside).
-            assert!(get("sparse+pack+filter chaos").exe > 0.0);
+            assert!(get("dense+pack+filter chaos").exe > 0.0);
         }
         assert!(
             filter_won_somewhere,
@@ -2386,25 +2301,5 @@ mod tests {
         heavier.edges[0] = heavy;
         assert!(mnd_kernels::msf::verify_msf(&el, &heavier).is_err());
         assert_ne!(heavier, good);
-    }
-
-    #[test]
-    fn comm_calibration_validates_the_threshold_assumption() {
-        let rows = comm_calibration(&tiny());
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.exchange_rounds > 0, "{r:?}");
-            assert!(r.measured_msgs > 0.0, "{r:?}");
-            // The dense assumption upper-bounds the measured sparse
-            // exchange, so the calibrated threshold errs toward recursing
-            // less — never toward paying more rounds than budgeted.
-            assert!(
-                r.measured_msgs <= r.assumed_msgs,
-                "measured {} > assumed {}",
-                r.measured_msgs,
-                r.assumed_msgs
-            );
-            assert!(r.measured_threshold <= r.assumed_threshold, "{r:?}");
-        }
     }
 }

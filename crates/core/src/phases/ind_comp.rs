@@ -3,6 +3,7 @@
 
 use mnd_hypar::api::ind_comp;
 use mnd_hypar::observe::PhaseKind;
+use mnd_hypar::runtime::should_recurse;
 
 use crate::phases::{MergeParts, Phase, RankCtx, RankRecovery};
 
@@ -33,11 +34,6 @@ impl Phase for IndComp {
     }
 
     fn run(&mut self, cx: &mut RankCtx<'_>, rec: &mut RankRecovery<'_>) {
-        // Resolved once per step: the paper's fixed constant or the
-        // platform-calibrated break-even point (§4.3.3), already in scaled
-        // edges. Identical on every rank, so the lockstep break below is a
-        // global decision.
-        let threshold = cx.runner.recursion_threshold_edges();
         for _round in 0..MAX_RECURSION_ROUNDS {
             // Independent computations on the node's device(s).
             let unions = cx.observed(PhaseKind::IndComp, |cx| {
@@ -56,8 +52,9 @@ impl Phase for IndComp {
             rec.step(cx);
 
             // Global recursion decision (§4.3.3): recurse while any rank's
-            // reduced holding is still over the threshold AND any rank made
-            // progress (otherwise another round cannot contract more).
+            // reduced holding is still over the paper's threshold AND any
+            // rank made progress (otherwise another round cannot contract
+            // more). Both inputs are allreduced, so every rank decides alike.
             let (max_edges, total_unions) = cx.observed(PhaseKind::IndComp, |cx| {
                 cx.step(PhaseKind::IndComp, "recursion_vote", |cx| {
                     (
@@ -66,7 +63,7 @@ impl Phase for IndComp {
                     )
                 })
             });
-            if total_unions == 0 || max_edges <= threshold {
+            if total_unions == 0 || !should_recurse(&cx.runner.config, max_edges) {
                 break;
             }
         }

@@ -9,7 +9,7 @@ use mnd_kernels::reduce::{
 use mnd_wire::PackedPairs;
 
 use crate::ghost::relabel_buckets;
-use crate::phases::{exchange_mode, Phase, RankCtx, RankRecovery};
+use crate::phases::{Phase, RankCtx, RankRecovery};
 
 /// Consumes the relabels of the preceding `indComp` (stored in
 /// [`MergeParts::relabel`] by the caller), exchanges ghost parents, and
@@ -34,7 +34,6 @@ impl Phase for MergeParts {
             // device results may repeat pairs; §3.3 sends each once).
             ghost_parent_message(&mut relabel);
 
-            let cfg = cx.cfg();
             let buckets = cx.step(PhaseKind::MergeParts, "relabel_buckets", |cx| {
                 relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size())
             });
@@ -45,7 +44,6 @@ impl Phase for MergeParts {
                 comm.alltoallv_phased(
                     buckets,
                     cx.runner.ghost_phase_size,
-                    exchange_mode(cfg),
                     PackedPairs::encode,
                     PackedPairs::into_pairs,
                 )

@@ -45,7 +45,7 @@ use mnd_hypar::HyParConfig;
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
 use mnd_kernels::policy::with_kernel_threads;
-use mnd_net::{Comm, ExchangeMode};
+use mnd_net::Comm;
 
 use crate::checkpoint::RankCheckpoint;
 use crate::ghost::GhostDirectory;
@@ -58,16 +58,6 @@ use crate::runner::{MndMstRunner, RankResult};
 /// pass); everything else — stalls, checkpoint cost, replay-log epochs,
 /// mid-phase crash arming, fast-forward resume — lives in [`mnd_engine`].
 pub type RankRecovery<'a> = Recovery<'a, RankCheckpoint>;
-
-/// The exchange schedule a config asks for (DESIGN.md §8): sparse by
-/// default, the dense oracle when `sparse_exchange` is off.
-pub fn exchange_mode(cfg: &HyParConfig) -> ExchangeMode {
-    if cfg.sparse_exchange {
-        ExchangeMode::Sparse
-    } else {
-        ExchangeMode::Dense
-    }
-}
 
 /// One stage of the per-rank pipeline. Phases mutate the shared [`RankCtx`]
 /// and report their cost through [`RankCtx::observed`].

@@ -13,7 +13,7 @@ use mnd_kernels::filter::filter_holding;
 use mnd_wire::PackedIds;
 
 use crate::ghost::GhostDirectory;
-use crate::phases::{exchange_mode, Phase, RankCtx, RankRecovery};
+use crate::phases::{Phase, RankCtx, RankRecovery};
 
 /// The level-0 holdings of one run, built straight from the edge list a
 /// *block* of contiguous ranks at a time ([`CGraph::level0`]): the first
@@ -175,7 +175,6 @@ impl Phase for Partition {
             let received = comm.alltoallv_phased(
                 buckets,
                 runner.ghost_phase_size,
-                exchange_mode(cfg),
                 PackedIds::encode,
                 PackedIds::into_ids,
             );

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use mnd_device::NodePlatform;
 use mnd_engine::run_recoverable;
 use mnd_graph::EdgeList;
-use mnd_hypar::{HyParConfig, RecursionThresholdSource};
+use mnd_hypar::HyParConfig;
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
 use mnd_kernels::policy::{kernel_threads, with_kernel_threads};
@@ -191,27 +191,6 @@ impl MndMstRunner {
         )
     }
 
-    /// The recursion-stop threshold for independent computations, in
-    /// *simulated* edges: below it a holding is small enough that another
-    /// distributed recursion round costs more than finishing locally.
-    ///
-    /// With [`RecursionThresholdSource::Fixed`] this is the configured
-    /// paper constant scaled by `sim_scale`; with the default
-    /// [`RecursionThresholdSource::Calibrated`] it is derived from the
-    /// platform model — the edge volume whose local processing time equals
-    /// a recursion round's collective latency (see
-    /// [`mnd_device::calibrated_recursion_threshold`]).
-    pub(crate) fn recursion_threshold_edges(&self) -> u64 {
-        match self.config.recursion_threshold_source {
-            RecursionThresholdSource::Fixed => self.config.scaled_recursion_threshold(),
-            RecursionThresholdSource::Calibrated => {
-                let paper_edges =
-                    mnd_device::calibrated_recursion_threshold(&self.platform, self.nranks);
-                ((paper_edges as f64 / self.config.sim_scale).ceil() as u64).max(1)
-            }
-        }
-    }
-
     /// Seconds a single linear sweep over `items` costs on this node's CPU
     /// (used to charge partitioning/reduction work).
     pub(crate) fn sweep_seconds(&self, items: u64) -> f64 {
@@ -311,6 +290,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// §4.3.3's rule is the one recursion rule. On a clustered 3-D k-NN
+    /// graph the paper's 100 M-edge threshold stops after one kernel →
+    /// mergeParts round: two `IndComp` samples per rank, the kernel and
+    /// the recursion vote. A threshold of one edge recurses. Both give
+    /// Kruskal's forest.
+    #[test]
+    fn paper_threshold_runs_one_ind_comp_round_on_knn_graphs() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        #[derive(Default)]
+        struct IndCompSamples(AtomicU64);
+        impl PhaseObserver for IndCompSamples {
+            fn on_phase(&self, kind: PhaseKind, sample: &PhaseSample) {
+                if matches!(kind, PhaseKind::IndComp) && sample.rank == 0 {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let el = mnd_graph::gen::GeoPreset::Cluster3d.generate(1 << 13, 42);
+        let oracle = kruskal_msf(&el);
+        let samples = |recursion_edge_threshold: u64| {
+            let counter = Arc::new(IndCompSamples::default());
+            let cfg = HyParConfig {
+                recursion_edge_threshold,
+                ..Default::default()
+            }
+            .with_observer(counter.clone());
+            let r = MndMstRunner::new(4).with_config(cfg).run(&el);
+            assert_eq!(r.msf, oracle, "threshold {recursion_edge_threshold}");
+            counter.0.load(Ordering::Relaxed)
+        };
+        assert_eq!(samples(HyParConfig::default().recursion_edge_threshold), 2);
+        assert!(samples(1) > 2);
     }
 
     #[test]

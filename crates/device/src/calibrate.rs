@@ -13,7 +13,6 @@ use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
 use crate::exec::ExecDevice;
 use crate::model::DeviceModel;
-use crate::platform::NodePlatform;
 
 /// The calibrated intra-node split.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -110,51 +109,6 @@ pub fn calibrate_split(
         gpu_speedup,
         memory_limited,
     }
-}
-
-/// How many rounds of local work a recursion round's fixed cost must be
-/// amortised over before recursing pays (empirically, a distributed round
-/// removes only a fraction of the edges, so the collective overheads are
-/// paid many times before the holding is gone).
-const RECURSION_AMORTIZATION_ROUNDS: f64 = 128.0;
-
-/// The recursion-stop threshold in **paper-scale** edges, derived from the
-/// platform model instead of the paper's static 100M constant (§4.3.3).
-///
-/// One more recursion round costs at least an alltoallv (ghost exchange:
-/// `p - 1` sequential peer messages under LogGP `o`) plus two tree
-/// allreduces (`2⌈log₂ p⌉` hops) of fixed per-message cost
-/// `latency + overhead`. The threshold is the edge volume the node's CPU
-/// chews through in that collective time, scaled by
-/// `RECURSION_AMORTIZATION_ROUNDS` (128) because the fixed cost recurs every
-/// round of the recursion it triggers. On the AMD cluster at 16 ranks this
-/// lands at ~4×10⁷ edges — the paper's order of magnitude — and shrinks on
-/// the low-latency Cray Aries fabric, where recursing is cheaper.
-pub fn calibrated_recursion_threshold(platform: &NodePlatform, nranks: usize) -> u64 {
-    recursion_threshold_for_round_msgs(platform, assumed_round_msgs(nranks))
-}
-
-/// The per-rank fixed-cost message count one recursion round is assumed to
-/// pay: a dense alltoallv (`p − 1` peer messages) plus two tree allreduces
-/// (`2⌈log₂ p⌉` hops). `repro comm-sweep`'s calibration arm validates this
-/// against the *measured* per-round message count of the sparse exchange —
-/// see `mnd_bench::comm_calibration`, which retired the standing
-/// alltoall-sweep item by confirming the assumption is an upper bound once
-/// empty buckets stop shipping.
-pub fn assumed_round_msgs(nranks: usize) -> f64 {
-    let p = nranks.max(2) as f64;
-    (p - 1.0) + 2.0 * p.log2().ceil()
-}
-
-/// [`calibrated_recursion_threshold`] with an explicit per-round message
-/// count, so the threshold can be re-derived from *measured* exchange
-/// traffic (the sparse schedule ships fewer messages per round than the
-/// dense assumption, lowering the break-even edge volume).
-pub fn recursion_threshold_for_round_msgs(platform: &NodePlatform, round_msgs: f64) -> u64 {
-    let round_seconds = round_msgs * (platform.network.latency + platform.network.overhead);
-    let edges_per_second = platform.cpu.edge_throughput * platform.cpu.efficiency;
-    let threshold = round_seconds * edges_per_second * RECURSION_AMORTIZATION_ROUNDS;
-    (threshold.ceil() as u64).max(1)
 }
 
 /// Deterministic pseudo-random sorted sample of `k` distinct vertices.
@@ -273,25 +227,6 @@ mod tests {
             "cpu_fraction {}",
             split.cpu_fraction
         );
-    }
-
-    #[test]
-    fn calibrated_threshold_tracks_network_latency() {
-        let amd = calibrated_recursion_threshold(&NodePlatform::amd_cluster(), 16);
-        let cray = calibrated_recursion_threshold(&NodePlatform::cray_xc40(false), 16);
-        // Same order of magnitude as the paper's 100M constant on the
-        // commodity cluster ...
-        assert!(
-            (1_000_000..1_000_000_000).contains(&amd),
-            "amd threshold {amd}"
-        );
-        // ... and smaller on the low-latency Aries fabric (recursing is
-        // cheaper there, even with the faster Xeon raising the local rate).
-        assert!(cray < amd, "cray {cray} >= amd {amd}");
-        // More ranks -> more collective cost -> higher break-even.
-        let amd4 = calibrated_recursion_threshold(&NodePlatform::amd_cluster(), 4);
-        assert!(amd4 < amd, "amd4 {amd4} >= amd16 {amd}");
-        assert!(calibrated_recursion_threshold(&NodePlatform::amd_cluster(), 0) >= 1);
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub mod exec;
 pub mod model;
 pub mod platform;
 
-pub use calibrate::{
-    assumed_round_msgs, calibrate_split, calibrated_recursion_threshold,
-    recursion_threshold_for_round_msgs, DeviceSplit,
-};
+pub use calibrate::{calibrate_split, DeviceSplit};
 pub use exec::{ExecDevice, IndCompRun};
 pub use model::{DeviceKind, DeviceModel};
 pub use platform::NodePlatform;

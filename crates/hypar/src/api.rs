@@ -33,6 +33,8 @@ pub const CALIBRATION_SAMPLES: u32 = 6;
 /// Size of one calibration sample as a fraction of the vertices (§4.3.1:
 /// 5 %).
 pub const CALIBRATION_FRAC: f64 = 0.05;
+/// Deterministic seed of the calibration samples' vertex choice.
+pub const CALIBRATION_SEED: u64 = 0x4D4E_442D;
 
 /// `partGraph` (§4.1.1): 1D degree-balanced partitioning across `nranks`
 /// nodes, plus the §4.3.1-calibrated CPU/GPU ratio for the node's devices.
@@ -54,7 +56,7 @@ pub fn part_graph(
                 &gpu,
                 CALIBRATION_SAMPLES,
                 CALIBRATION_FRAC,
-                cfg.seed,
+                CALIBRATION_SEED,
             )
         }
     };

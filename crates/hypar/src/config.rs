@@ -5,21 +5,6 @@ use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use crate::chaos::ChaosHook;
 use crate::observe::ObserverHook;
 
-/// Where the recursion-stop threshold (§4.3.3) comes from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecursionThresholdSource {
-    /// Use [`HyParConfig::recursion_edge_threshold`] verbatim (the paper's
-    /// static 100M-edge constant).
-    Fixed,
-    /// Derive the threshold from the platform model: the edge volume whose
-    /// local processing time matches a recursion round's collective
-    /// latency (`mnd_device::calibrated_recursion_threshold`), so the
-    /// recursion stops exactly when another distributed round would cost
-    /// more than it saves on *this* hardware.
-    #[default]
-    Calibrated,
-}
-
 /// All tunables of the HyPar runtime, with the paper's defaults.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HyParConfig {
@@ -33,13 +18,9 @@ pub struct HyParConfig {
     pub stop: StopPolicy,
     /// Recursion threshold in **paper-scale** edges (§4.3.3: re-enter
     /// partition→indComp→merge while the reduced graph exceeds this; the
-    /// paper uses 100M edges). Only consulted when
-    /// [`HyParConfig::recursion_threshold_source`] is
-    /// [`RecursionThresholdSource::Fixed`].
+    /// paper uses 100M edges). [`crate::runtime::should_recurse`] applies
+    /// it.
     pub recursion_edge_threshold: u64,
-    /// How the recursion threshold is chosen: the paper's fixed constant
-    /// or a platform-calibrated break-even point (the default).
-    pub recursion_threshold_source: RecursionThresholdSource,
     /// Hierarchical-merge convergence (§4.3.4): stop ring exchanges and
     /// merge to the leader once an exchange round shrinks the group's data
     /// by less than this fraction.
@@ -58,8 +39,6 @@ pub struct HyParConfig {
     /// Maximum ring-exchange rounds per level (a safety valve; the
     /// convergence test normally fires first).
     pub max_exchange_rounds: usize,
-    /// Deterministic seed for calibration sampling.
-    pub seed: u64,
     /// Optional phase observer: fired by the driver at every phase boundary
     /// with the phase's time/traffic sample (see [`crate::observe`]).
     pub observer: ObserverHook,
@@ -68,11 +47,6 @@ pub struct HyParConfig {
     /// [`crate::chaos`]). When unset the driver skips all checkpointing, so
     /// fault-free runs are byte-identical to pre-chaos builds.
     pub chaos: ChaosHook,
-    /// Use the sparse all-to-all schedule (bitmap count header, only
-    /// non-empty buckets ship) for the boundary exchanges. `false` restores
-    /// the dense oracle path that pays for empty buckets; results are
-    /// byte-identical either way, only traffic changes (DESIGN.md §8).
-    pub sparse_exchange: bool,
     /// Filter-Boruvka on the level-0 holdings (DESIGN.md §8): right after
     /// partitioning, a rank whose holding has at least two rows per
     /// resident vertex drops every internal row it can certify as non-MSF
@@ -100,15 +74,12 @@ impl Default for HyParConfig {
                 min_improvement: 0.05,
             },
             recursion_edge_threshold: 100_000_000,
-            recursion_threshold_source: RecursionThresholdSource::default(),
             merge_min_shrink: 0.10,
             group_edge_threshold: 1_000_000_000,
             sim_scale: 1.0,
             max_exchange_rounds: 8,
-            seed: 0x4D4E_442D,
             observer: ObserverHook::none(),
             chaos: ChaosHook::none(),
-            sparse_exchange: true,
             level0_filter: true,
             checkpoint_interval: 1,
         }
@@ -131,13 +102,6 @@ impl HyParConfig {
     /// The group-merge threshold in scaled-down edges.
     pub fn scaled_group_threshold(&self) -> u64 {
         ((self.group_edge_threshold as f64 / self.sim_scale).ceil() as u64).max(1)
-    }
-
-    /// Sets where the recursion threshold comes from (fixed paper constant
-    /// vs. platform-calibrated break-even).
-    pub fn with_recursion_threshold_source(mut self, source: RecursionThresholdSource) -> Self {
-        self.recursion_threshold_source = source;
-        self
     }
 
     /// Attaches a phase observer (see [`crate::observe::PhaseObserver`]).
@@ -163,13 +127,6 @@ impl HyParConfig {
         self.checkpoint_interval = interval.max(1);
         self
     }
-
-    /// Chooses between the sparse exchange schedule and the dense oracle
-    /// (see [`HyParConfig::sparse_exchange`]).
-    pub fn with_sparse_exchange(mut self, sparse: bool) -> Self {
-        self.sparse_exchange = sparse;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -180,23 +137,12 @@ mod tests {
     fn default_filters_level0_holdings() {
         let c = HyParConfig::default();
         assert_eq!(c.group_size, 4);
+        // §4.3.3: recurse while the reduced graph exceeds 100M edges.
         assert_eq!(c.recursion_edge_threshold, 100_000_000);
-        assert_eq!(
-            c.recursion_threshold_source,
-            RecursionThresholdSource::Calibrated
-        );
         assert_eq!(c.excp, ExcpCond::BorderEdge);
-        // Communication engineering (DESIGN.md §8): sparse exchanges and
-        // the level-0 filter are on by default; `repro`'s `ExpContext`
-        // turns the filter off to run the paper's algorithm.
-        assert!(c.sparse_exchange);
+        // The level-0 filter (DESIGN.md §8) is on by default; `repro`'s
+        // `ExpContext` turns it off to run the paper's algorithm.
         assert!(c.level0_filter);
-    }
-
-    #[test]
-    fn comm_knob_builders() {
-        let c = HyParConfig::default().with_sparse_exchange(false);
-        assert!(!c.sparse_exchange);
     }
 
     #[test]

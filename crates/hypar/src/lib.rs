@@ -23,5 +23,5 @@ pub mod runtime;
 
 pub use api::{ind_comp, merge_devices, part_graph, post_process, NodeIndComp, NodePartition};
 pub use chaos::{ChaosControl, ChaosEvent, ChaosEventKind, ChaosHook};
-pub use config::{HyParConfig, RecursionThresholdSource};
+pub use config::HyParConfig;
 pub use observe::{ObserverHook, PhaseKind, PhaseObserver, PhaseSample, StepSample};

@@ -60,7 +60,6 @@ impl Tag {
                 4 => "alltoall".to_string(),
                 5 => "reduce_vec".to_string(),
                 6 => "phased".to_string(),
-                7 => "sparse_hdr".to_string(),
                 other => format!("collective({other})"),
             }
         } else {

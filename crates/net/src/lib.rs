@@ -49,7 +49,6 @@ pub mod replay;
 pub mod stats;
 
 pub use cluster::{Cluster, RankOutcome};
-pub use collectives::ExchangeMode;
 pub use comm::{Comm, Tag};
 pub use cost::CostModel;
 pub use fault::{FaultInjector, InjectorHook, SendFate};

@@ -4,31 +4,54 @@
 use std::sync::Arc;
 
 use mnd_net::fault::{FaultInjector, SendFate};
-use mnd_net::{Cluster, CostModel, ExchangeMode, Group, Tag, Wire};
+use mnd_net::{Cluster, CostModel, Group, RankStats, Tag, Wire};
 use proptest::prelude::*;
 
-/// Arbitrary bucket shapes for the all-to-all equivalence property:
-/// `lens[me][d]` items from rank `me` to rank `d`, with degenerate shapes
-/// (all-empty, single hot destination) forced in by the generator knobs.
-fn shaped_buckets(me: usize, p: usize, lens: &[Vec<usize>], hot: Option<usize>) -> Vec<Vec<u32>> {
+/// Bucket shapes for the all-to-all properties: `lens[me][d]` items from
+/// rank `me` to rank `d`, or one of the degenerate shapes the generator
+/// forces in — every bucket empty, a single non-empty bucket (`pick`'s
+/// source and destination), or a single hot destination that every rank
+/// ships to and nowhere else.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Arbitrary,
+    AllEmpty,
+    SingleBucket,
+    HotDestination,
+}
+
+fn shaped_buckets(
+    me: usize,
+    p: usize,
+    lens: &[Vec<usize>],
+    shape: Shape,
+    pick: (usize, usize),
+) -> Vec<Vec<u32>> {
     (0..p)
         .map(|d| {
-            let len = match hot {
-                // One hot destination: everyone ships there, nowhere else.
-                Some(h) => {
-                    if d == h % p {
-                        lens[me][d]
-                    } else {
-                        0
-                    }
-                }
-                None => lens[me][d],
+            let len = match shape {
+                Shape::Arbitrary => lens[me][d],
+                Shape::AllEmpty => 0,
+                Shape::SingleBucket if (me, d) == (pick.0 % p, pick.1 % p) => lens[me][d].max(1),
+                Shape::SingleBucket => 0,
+                Shape::HotDestination if d == pick.1 % p => lens[me][d],
+                Shape::HotDestination => 0,
             };
             (0..len as u32)
                 .map(|i| (me * 1000 + d * 100) as u32 + i)
                 .collect()
         })
         .collect()
+}
+
+/// Messages a rank sent on the all-to-all payload tag.
+fn payload_messages(stats: &RankStats) -> u64 {
+    stats
+        .by_tag
+        .iter()
+        .filter(|(tag, _)| tag.name() == "alltoall")
+        .map(|(_, t)| t.messages_sent)
+        .sum()
 }
 
 /// Drops the first copy of every stream's first and fourth transmissions
@@ -48,66 +71,73 @@ impl FaultInjector for DropAndDupe {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sparse, dense, and every phased schedule (with and without a codec)
-    /// route byte-identical buckets for arbitrary shapes — including
-    /// all-empty exchanges and a single hot destination — and the sparse
-    /// path delivers the same bytes under a fault injector as fault-free.
+    /// The one-shot and every phased exchange (phase sizes 1–5, with and
+    /// without a codec) deliver exactly the transpose of the sent buckets
+    /// for p = 1–8 — including all-empty exchanges, a single non-empty
+    /// bucket and a single hot destination. Every phase ships exactly
+    /// p(p−1) payload messages, empty buckets included, and a fault
+    /// injector changes neither what arrives nor the logical count.
     #[test]
     fn every_exchange_schedule_routes_identically(
-        p in 2usize..6,
-        lens in proptest::collection::vec(proptest::collection::vec(0usize..6, 6..7), 6..7),
-        hot_sel in 0usize..12,
-        all_empty in proptest::bool::ANY,
+        p in 1usize..9,
+        lens in proptest::collection::vec(proptest::collection::vec(0usize..6, 8..9), 8..9),
+        shape_sel in 0usize..4,
+        pick in (0usize..8, 0usize..8),
     ) {
-        // hot_sel < 6 selects a single hot destination; >= 6 disables it.
-        let hot = (hot_sel < 6).then_some(hot_sel);
-        let lens = if all_empty {
-            vec![vec![0usize; 6]; 6]
-        } else {
-            lens
-        };
+        let shape = [Shape::Arbitrary, Shape::AllEmpty, Shape::SingleBucket, Shape::HotDestination]
+            [shape_sel];
         let mk = {
             let lens = lens.clone();
-            move |me: usize| shaped_buckets(me, p, &lens, hot)
+            move |me: usize| shaped_buckets(me, p, &lens, shape, pick)
         };
-        let oracle = {
-            let mk = mk.clone();
-            Cluster::new(p, CostModel::free())
-                .run(move |c| c.alltoallv_dense(mk(c.rank())))
-        };
-        let sparse = {
-            let mk = mk.clone();
-            Cluster::new(p, CostModel::free()).run(move |c| c.alltoallv(mk(c.rank())))
-        };
-        for (d, s) in oracle.iter().zip(&sparse) {
-            prop_assert_eq!(&d.result, &s.result);
+        // result[me][src] must be what `src` addressed to `me`.
+        let transpose: Vec<Vec<Vec<u32>>> = (0..p)
+            .map(|me| (0..p).map(|src| mk(src)[me].clone()).collect())
+            .collect();
+        let pairs = (p * (p - 1)) as u64;
+
+        let mk2 = mk.clone();
+        let once = Cluster::new(p, CostModel::free())
+            .run(move |c| (c.alltoallv(mk2(c.rank())), payload_messages(&c.stats())));
+        for (me, o) in once.iter().enumerate() {
+            prop_assert_eq!(&o.result.0, &transpose[me]);
         }
-        for phase_size in [1usize, 3, 64] {
-            for mode in [ExchangeMode::Dense, ExchangeMode::Sparse] {
-                let mk2 = mk.clone();
-                let phased = Cluster::new(p, CostModel::free()).run(move |c| {
-                    c.alltoallv_phased(mk2(c.rank()), phase_size, mode, |b| b, |b| b)
-                });
-                for (d, s) in oracle.iter().zip(&phased) {
-                    prop_assert_eq!(&d.result, &s.result, "phase {} mode {:?}", phase_size, mode);
-                }
+        prop_assert_eq!(once.iter().map(|o| o.result.1).sum::<u64>(), pairs);
+
+        let longest = (0..p)
+            .flat_map(|me| mk(me).into_iter().map(|b| b.len()))
+            .max()
+            .unwrap_or(0);
+        for phase_size in 1usize..=5 {
+            let mk2 = mk.clone();
+            let phased = Cluster::new(p, CostModel::free()).run(move |c| {
+                let got = c.alltoallv_phased(mk2(c.rank()), phase_size, |b| b, |b| b);
+                (got, payload_messages(&c.stats()))
+            });
+            for (me, o) in phased.iter().enumerate() {
+                prop_assert_eq!(&o.result.0, &transpose[me], "phase {}", phase_size);
             }
+            let phases = longest.div_ceil(phase_size) as u64;
+            prop_assert_eq!(
+                phased.iter().map(|o| o.result.1).sum::<u64>(),
+                phases * pairs,
+                "phase {}", phase_size
+            );
             let mk2 = mk.clone();
             let enc = Cluster::new(p, CostModel::free()).run(move |c| {
                 c.alltoallv_phased(
                     mk2(c.rank()),
                     phase_size,
-                    ExchangeMode::Sparse,
                     mnd_wire::PackedIds::encode,
                     mnd_wire::PackedIds::into_ids,
                 )
             });
-            for (d, s) in oracle.iter().zip(&enc) {
-                prop_assert_eq!(&d.result, &s.result, "enc phase {}", phase_size);
+            for (me, o) in enc.iter().enumerate() {
+                prop_assert_eq!(&o.result, &transpose[me], "enc phase {}", phase_size);
             }
         }
         // Chaos: drops + duplicates on the fabric must not change what the
-        // sparse schedule delivers, only the retry/redelivery counters.
+        // exchange delivers, only the retry/redelivery counters.
         let mk2 = mk.clone();
         let chaotic = Cluster::new(p, CostModel::default_cluster())
             .with_fault_injector(Arc::new(DropAndDupe))

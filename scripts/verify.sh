@@ -7,15 +7,18 @@
 # one and on two threads, and the repo benchmark's own self-tests + smoke
 # walk (benchmark/ is a package of its own that builds against the crates'
 # public API: an API break must fail here, not in the acceptance pipeline),
-# and — in full mode — the chaos/resilience recovery grids, the
-# checkpoint/serve/comm/emst sweeps, and the benchmark gate: a fresh
-# `benchmark run --seed 42` compared against results/benchmark_baseline.json.
+# and — in full mode — the Figure 8 shape check, the chaos/resilience
+# recovery grids, the checkpoint/serve/comm/emst sweeps, the benchmark gate
+# (a fresh `benchmark run --seed 42` compared against
+# results/benchmark_baseline.json) and `scripts/repin.sh --check` (the
+# goldens and the baseline's simulated rows are what the code computes).
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick  lints + rustdoc + debug tests + the release-mode engine, serve-plane and
 #            kernel-plane tests + benchmark self-tests only: skips the
-#            release build, the chaos and resilience sweeps, the repro
-#            sweeps (checkpoint, serve, comm, emst) and the benchmark gate.
+#            release build, the Figure 8 check, the chaos and resilience
+#            sweeps, the repro sweeps (checkpoint, serve, comm, emst), the
+#            benchmark gate and the re-pin check.
 #            This is the PR gate in CI; the full run gates pushes to main.
 #
 # Shellcheck-clean: CI lints this file (and every script here) with
@@ -55,7 +58,7 @@ for arg in "$@"; do
       QUICK=1
       ;;
     -h | --help)
-      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -122,9 +125,22 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 "${BENCH[@]}" smoke
 
 if [[ "$QUICK" -eq 1 ]]; then
-  echo "verify: OK (quick: skipped release build, chaos/resilience sweeps, repro sweeps, benchmark gate)"
+  echo "verify: OK (quick: skipped release build, fig8 check, chaos/resilience sweeps, repro sweeps, benchmark gate, re-pin check)"
   exit 0
 fi
+
+# The paper's Figure 8 claim as a shape: a GPU helps on every graph at up
+# to 8 nodes (§5.5; parity at 16 nodes is allowed). ≈ 8 s in release.
+echo "==> Figure 8 shape (GPU benefit > 0 at <= 8 nodes on every graph)"
+mkdir -p target/fig8
+cargo run --release -q -p mnd-bench --bin repro -- --csv target/fig8 fig8 >/dev/null
+awk -F, '
+  NR > 1 && $2 <= 8 {
+    if (!($1 in seen)) { seen[$1]; graphs++ }
+    if ($5 + 0 <= 0) { print "fig8: no GPU benefit on " $1 " at " $2 " nodes (" $5 ")"; bad = 1 }
+  }
+  END { if (graphs != 3) { print "fig8: expected 3 graphs, found " graphs; bad = 1 }; exit bad }
+' target/fig8/fig8.csv
 
 echo "==> chaos recovery smoke (oracle-verified crash/replay grid)"
 cargo run --release -q -p mnd-bench --bin repro -- \
@@ -142,7 +158,7 @@ echo "==> serve sweep smoke (multi-tenant serving plane, oracle-verified)"
 cargo run --release -q -p mnd-bench --bin repro -- \
   --scale 65536 --nodes 4 serve-sweep
 
-echo "==> comm sweep smoke (sparse exchange vs dense oracle, oracle-verified)"
+echo "==> comm sweep smoke (packed dense exchanges, filter on and off, oracle-verified)"
 cargo run --release -q -p mnd-bench --bin repro -- \
   --scale 65536 --nodes 8 comm-sweep
 
@@ -153,5 +169,8 @@ cargo run --release -q -p mnd-bench --bin repro -- \
 echo "==> benchmark gate (run --seed 42 against results/benchmark_baseline.json)"
 "${BENCH[@]}" run --seed 42
 bench_gate results/benchmark_baseline.json benchmark/out/result.json
+
+echo "==> re-pin check (goldens and the baseline's simulated rows are current)"
+scripts/repin.sh --check
 
 echo "verify: OK"

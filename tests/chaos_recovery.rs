@@ -335,17 +335,16 @@ fn mid_phase_recovery_path_is_deterministic() {
     assert_eq!(log_a.events_sorted(), log_b.events_sorted());
 }
 
-/// The full communication-engineering stack (sparse exchange, compressed
-/// relabels, the level-0 filter) recovers from a mid-phase crash with
-/// the forest *and* the fabric counters byte-identical to its own
-/// fault-free run: replayed sparse headers and packed payloads come out of
-/// the replay log, never re-charged.
+/// The default communication-engineering stack (compressed relabels, the
+/// level-0 filter) recovers from a mid-phase crash with the forest *and*
+/// the fabric counters byte-identical to its own fault-free run: replayed
+/// packed payloads come out of the replay log, never re-charged.
 #[test]
 fn sparse_packed_filtered_recovery_matches_fault_free_counters() {
     let el = gen::web_crawl(1500, 11_000, gen::CrawlParams::default(), 37);
     let oracle = kruskal_msf(&el);
     let cfg = HyParConfig::default();
-    assert!(cfg.sparse_exchange && cfg.level0_filter);
+    assert!(cfg.level0_filter);
 
     let clean = run_with_plan_cfg(&el, 4, cfg.clone(), Arc::new(FaultPlan::new(5)), None);
     let log = Arc::new(ChaosLog::new());

@@ -14,22 +14,19 @@ use mnd::spmsf::SpmsfConfig;
 #[test]
 fn every_configuration_field_names_what_sets_it() {
     let HyParConfig {
-        group_size: _,                 // `repro ablation-group`, `mnd-cli run --group`
-        excp: _,                       // `repro ablation-excp`
-        freeze: _,                     // `repro ablation-excp`
-        stop: _,                       // `repro ablation-thresh`
-        recursion_edge_threshold: _,   // `repro ablation-thresh`
-        recursion_threshold_source: _, // `repro ablation-thresh`
-        merge_min_shrink: _,           // fixtures: `runner::tests`, `runtime::tests`
-        group_edge_threshold: _,       // `repro traffic`
-        sim_scale: _,                  // `ExpContext::hypar`, `EngineParams::with_sim_scale`
-        max_exchange_rounds: _,        // fixtures: `runner::tests`, `runtime::tests`
-        seed: _,                       // nothing yet: the hybrid calibration's sampling seed
-        observer: _,                   // `repro --trace`, the benchmark's layer ledger
-        chaos: _,                      // `repro chaos`, `repro traffic`, `repro comm-sweep`
-        sparse_exchange: _,            // `repro comm-sweep` (`dense+pack`)
-        level0_filter: _,              // `ExpContext::hypar` (off), `repro comm-sweep` (on)
-        checkpoint_interval: _,        // `repro checkpoint-sweep`
+        group_size: _,               // `repro ablation-group`, `mnd-cli run --group`
+        excp: _,                     // `repro ablation-excp`
+        freeze: _,                   // `repro ablation-excp`
+        stop: _,                     // `repro ablation-thresh`
+        recursion_edge_threshold: _, // `repro ablation-thresh`
+        merge_min_shrink: _,         // fixtures: `runner::tests`, `runtime::tests`
+        group_edge_threshold: _,     // `repro traffic`
+        sim_scale: _,                // `ExpContext::hypar`, `EngineParams::with_sim_scale`
+        max_exchange_rounds: _,      // fixtures: `runner::tests`, `runtime::tests`
+        observer: _,                 // `repro --trace`, the benchmark's layer ledger
+        chaos: _,                    // `repro chaos`, `repro traffic`, `repro comm-sweep`
+        level0_filter: _,            // `ExpContext::hypar` (off), `repro comm-sweep` (on)
+        checkpoint_interval: _,      // `repro checkpoint-sweep`
     } = HyParConfig::default();
 
     let MndMstRunner {

@@ -25,7 +25,7 @@ use mnd::graph::edgelist::splitmix64;
 use mnd::graph::presets::{scramble_ids, Preset};
 use mnd::graph::{gen, EdgeList, WEdge};
 use mnd::hypar::observe::{PhaseKind, PhaseObserver, PhaseSample};
-use mnd::hypar::{HyParConfig, RecursionThresholdSource};
+use mnd::hypar::HyParConfig;
 use mnd::kernels::kruskal_msf;
 use mnd::kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd::mst::MndMstRunner;
@@ -73,10 +73,10 @@ fn crawl_on_four_cpu_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 6.599858918349202,
-            comm_time: 1.6625272365714234,
-            bytes_sent: &[61118, 116510, 140161, 106443],
-            messages_sent: &[35, 24, 37, 24],
+            total_time: 5.999905491682536,
+            comm_time: 1.5968066441904711,
+            bytes_sent: &[60105, 116734, 141199, 108391],
+            messages_sent: &[20, 15, 22, 15],
         },
     );
 }
@@ -95,12 +95,12 @@ fn scrambled_crawl_on_eight_hybrid_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 19.783204313651982,
-            comm_time: 12.497752843085456,
+            total_time: 19.728600696173743,
+            comm_time: 12.443149225607211,
             bytes_sent: &[
-                51527, 114027, 129176, 110812, 259637, 113960, 129542, 113684,
+                42468, 111017, 123142, 107802, 250577, 110950, 123508, 110674,
             ],
-            messages_sent: &[78, 37, 58, 37, 81, 37, 58, 37],
+            messages_sent: &[91, 51, 72, 51, 93, 51, 72, 51],
         },
     );
 }
@@ -118,10 +118,10 @@ fn road_grid_with_tiny_ghost_phases() {
         runner,
         &el,
         &Golden {
-            total_time: 0.0036709457301587114,
-            comm_time: 0.0035177368095237905,
-            bytes_sent: &[112731, 86630, 85315],
-            messages_sent: &[79, 76, 75],
+            total_time: 0.0051676407301587185,
+            comm_time: 0.005014431809523798,
+            bytes_sent: &[112542, 86567, 85253],
+            messages_sent: &[146, 141, 141],
         },
     );
 }
@@ -202,7 +202,6 @@ fn mnd_mst_kernel_and_hierarchy_goldens() {
             HyParConfig {
                 stop: eager,
                 recursion_edge_threshold: 1,
-                recursion_threshold_source: RecursionThresholdSource::Fixed,
                 ..base()
             },
         ),
@@ -563,79 +562,79 @@ fn serve_plane_goldens() {
 }
 
 const MND_MST_GOLDEN: &str = "
-road border-vertex | total 0.2383616398730162 comm 0.21041090793650824 | bytes [23611, 16749, 27656, 16122] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recheck | total 0.23205114044444475 comm 0.2047743630476193 | bytes [23014, 16186, 26975, 15810] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road exhaustive | total 0.23205114044444475 comm 0.2047743630476193 | bytes [23014, 16186, 26975, 15810] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road eager-stop | total 0.23120099022222249 comm 0.205525169777778 | bytes [23284, 16150, 27168, 14940] | msgs [16, 13, 20, 11] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recursing | total 0.24020920914285762 comm 0.21138030476190522 | bytes [23546, 16405, 27227, 15162] | msgs [29, 20, 34, 18] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
-road ring x8 | total 0.38854125384126853 comm 0.3591728779682526 | bytes [46450, 17579, 32471, 17303, 47703, 17368, 31520, 15876] | msgs [41, 21, 32, 21, 45, 22, 33, 17] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
-road pairs x8 | total 0.3786756599365065 comm 0.3615654977777763 | bytes [41937, 15718, 30073, 15643, 43457, 15802, 28950, 14986] | msgs [55, 23, 42, 23, 60, 23, 41, 21] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
-scramble border-vertex | total 0.8706361286349202 comm 0.48727847936507857 | bytes [43579, 63172, 84093, 63419] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
-scramble recheck | total 0.8241323367619044 comm 0.44654633853968206 | bytes [40060, 57752, 76375, 58011] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble exhaustive | total 0.8584200858412696 comm 0.4470178336507932 | bytes [40060, 57752, 76375, 58015] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble eager-stop | total 0.8241323367619044 comm 0.44654633853968206 | bytes [40060, 57752, 76375, 58011] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble recursing | total 0.8890061119999995 comm 0.4503947169523801 | bytes [40348, 57896, 76663, 58159] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
-scramble ring x8 | total 1.0648102989206345 comm 0.7013857607619042 | bytes [100676, 56136, 84432, 55686, 113383, 55943, 85004, 55824] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
-scramble pairs x8 | total 1.5680446778412704 comm 1.3060237003174604 | bytes [81792, 40459, 87196, 40358, 132918, 40194, 87926, 40582] | msgs [69, 33, 53, 33, 71, 33, 53, 33] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
-islands border-vertex | total 0.19938134692063506 comm 0.14942392393650805 | bytes [12596, 14272, 20222, 10759] | msgs [17, 15, 21, 12] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
-islands recheck | total 0.19611882869841282 comm 0.14840913447619059 | bytes [12260, 14076, 19555, 10692] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
-islands exhaustive | total 0.19918234222222234 comm 0.1460282126984128 | bytes [12244, 14076, 19547, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
-islands eager-stop | total 0.19140738539682556 comm 0.14848806679365095 | bytes [12436, 14076, 19643, 10912] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
-islands recursing | total 0.2207931611428576 comm 0.16212893638095283 | bytes [12820, 14364, 20123, 10960] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
-islands ring x8 | total 0.4059347282539681 comm 0.34609509701587293 | bytes [50194, 23714, 36661, 23165, 47506, 18997, 31116, 20202] | msgs [95, 39, 66, 39, 93, 39, 69, 35] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
-islands pairs x8 | total 0.3993213417142858 comm 0.37001525104761906 | bytes [27632, 11886, 25259, 11785, 36168, 11899, 20000, 8102] | msgs [67, 31, 51, 31, 69, 31, 50, 21] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
+road border-vertex | total 0.23508058336507964 comm 0.20712985142857168 | bytes [23135, 16511, 27178, 15886] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recheck | total 0.2287700839365082 comm 0.20149330653968275 | bytes [22538, 15948, 26497, 15574] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road exhaustive | total 0.2287700839365082 comm 0.20149330653968275 | bytes [22538, 15948, 26497, 15574] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road eager-stop | total 0.2284259646984129 comm 0.2027501442539684 | bytes [22808, 15912, 26690, 14704] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recursing | total 0.23449915961904808 comm 0.20567025523809568 | bytes [22592, 15929, 26270, 14688] | msgs [35, 24, 37, 24] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
+road ring x8 | total 0.35515258565079244 comm 0.3257842097777765 | bytes [41931, 16082, 29463, 15806, 43182, 15870, 28511, 14383] | msgs [58, 36, 48, 36, 60, 36, 48, 36] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
+road pairs x8 | total 0.3390149561904744 comm 0.32190479403174427 | bytes [35913, 13726, 26063, 13651, 37430, 13810, 24941, 12996] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
+scramble border-vertex | total 0.8667039686349205 comm 0.48334631936507894 | bytes [43099, 62932, 83613, 63179] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
+scramble recheck | total 0.8202001767619047 comm 0.4426141785396823 | bytes [39580, 57512, 75895, 57771] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble exhaustive | total 0.8544879258412699 comm 0.44308567365079343 | bytes [39580, 57512, 75895, 57775] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble eager-stop | total 0.8202001767619047 comm 0.4426141785396823 | bytes [39580, 57512, 75895, 57771] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble recursing | total 0.8831078719999998 comm 0.4444964769523806 | bytes [39628, 57536, 75943, 57799] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
+scramble ring x8 | total 1.0276513869206343 comm 0.6642268487619039 | bytes [96140, 54624, 81408, 54174, 108847, 54431, 81980, 54312] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
+scramble pairs x8 | total 1.5248248458412716 comm 1.2628038683174605 | bytes [75754, 38457, 83175, 38356, 126880, 38192, 83905, 38580] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
+islands border-vertex | total 0.19603549447619056 comm 0.14607807149206353 | bytes [12119, 14032, 19743, 10522] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
+islands recheck | total 0.19326449625396835 comm 0.14555480203174612 | bytes [11780, 13836, 19075, 10452] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
+islands exhaustive | total 0.19583648977777787 comm 0.1426823602539683 | bytes [11764, 13836, 19067, 10432] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
+islands eager-stop | total 0.18894479225396835 comm 0.14602547365079374 | bytes [11956, 13836, 19163, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
+islands recursing | total 0.21538144800000028 comm 0.1567172232380955 | bytes [11860, 13884, 19163, 10480] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
+islands ring x8 | total 0.34161773168254 comm 0.2817781004444449 | bytes [41140, 20712, 30635, 20163, 38456, 15995, 25087, 17204] | msgs [113, 61, 88, 61, 115, 61, 88, 61] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
+islands pairs x8 | total 0.36474565282539667 comm 0.33543956215872994 | bytes [21596, 9886, 21240, 9785, 30132, 9899, 15982, 6112] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
 ";
 
 const BSP_GOLDEN: &str = "
-road p3 Hash combine=true mirror=None | total 0.014023951682539611 comm 0.013932717555555483 | bytes [105176, 106104, 96680] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45494
-road p3 Hash combine=true mirror=Some(4) | total 0.014014849714285644 comm 0.013923913206349137 | bytes [104576, 105592, 96112] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45284
-road p3 Hash combine=false mirror=None | total 0.014047613904761839 comm 0.013955617873015807 | bytes [107076, 107904, 99100] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 46006
-road p3 Hash combine=false mirror=Some(4) | total 0.014038511936507871 comm 0.013946813523809458 | bytes [106476, 107392, 98532] | msgs [246, 173, 174] | supersteps 51 rounds 5 messages 45796
-road p4 Hash combine=true mirror=None | total 0.019633653365079433 comm 0.01957108987301595 | bytes [69036, 73924, 64332, 76832] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45432
-road p4 Hash combine=true mirror=Some(4) | total 0.019629578444444514 comm 0.019567122095238174 | bytes [69004, 73892, 64324, 76792] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45323
-road p4 Hash combine=false mirror=None | total 0.019652613841269914 comm 0.01958945907936516 | bytes [70716, 74864, 65672, 78912] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 46006
-road p4 Hash combine=false mirror=Some(4) | total 0.019648538920634992 comm 0.019585491301587384 | bytes [70684, 74832, 65664, 78872] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45897
-scramble p3 Hash combine=true mirror=None | total 0.015589483206349126 comm 0.015346753047618964 | bytes [138508, 144104, 141400] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 77836
-scramble p3 Hash combine=true mirror=Some(4) | total 0.015048666063491983 comm 0.01482172161904754 | bytes [121196, 126176, 124504] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 65767
-scramble p3 Hash combine=false mirror=None | total 0.015746001301587226 comm 0.015498612412698337 | bytes [150948, 156324, 155360] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 81116
-scramble p3 Hash combine=false mirror=Some(4) | total 0.015205184158730078 comm 0.014973580984126902 | bytes [133636, 138396, 138464] | msgs [247, 172, 172] | supersteps 51 rounds 5 messages 69047
-scramble p4 Hash combine=true mirror=None | total 0.021081120222222315 comm 0.020897953555555647 | bytes [122488, 119044, 146908, 115372] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 78086
-scramble p4 Hash combine=true mirror=Some(4) | total 0.020747771174603257 comm 0.020574560857142942 | bytes [108120, 104780, 132724, 100252] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 68034
-scramble p4 Hash combine=false mirror=None | total 0.021177245746031827 comm 0.020990904476190553 | bytes [132068, 130584, 154668, 126972] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 81116
-scramble p4 Hash combine=false mirror=Some(4) | total 0.020843896698412773 comm 0.02066751177777785 | bytes [117700, 116320, 140484, 111852] | msgs [288, 213, 291, 214] | supersteps 51 rounds 5 messages 71064
-islands p3 Hash combine=true mirror=None | total 0.011287853206349147 comm 0.011248579396825345 | bytes [34688, 42420, 37180] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 18236
-islands p3 Hash combine=true mirror=Some(4) | total 0.011228151968253912 comm 0.01119064799999995 | bytes [32256, 40004, 34732] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 16894
-islands p3 Hash combine=false mirror=None | total 0.011315388603174542 comm 0.01127588463492058 | bytes [36808, 43080, 38980] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 18644
-islands p3 Hash combine=false mirror=Some(4) | total 0.011255687365079307 comm 0.011217953238095185 | bytes [34376, 40664, 36532] | msgs [212, 147, 147] | supersteps 45 rounds 5 messages 17302
-islands p4 Hash combine=true mirror=None | total 0.016386772412698432 comm 0.01635572082539684 | bytes [31048, 40732, 30676, 28752] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 18276
-islands p4 Hash combine=true mirror=Some(4) | total 0.01635328441269843 comm 0.016323395523809535 | bytes [29272, 39116, 28988, 27224] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 17147
-islands p4 Hash combine=false mirror=None | total 0.016397422571428587 comm 0.016365843206349213 | bytes [32028, 41612, 32076, 30112] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 18644
-islands p4 Hash combine=false mirror=Some(4) | total 0.016363934571428592 comm 0.016333517904761917 | bytes [30252, 39996, 30388, 28584] | msgs [245, 180, 244, 171] | supersteps 45 rounds 5 messages 17515
+road p3 Hash combine=true mirror=None | total 0.008325577873015851 comm 0.008234343746031722 | bytes [102728, 104880, 95456] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 45494
+road p3 Hash combine=true mirror=Some(4) | total 0.008316055904761883 comm 0.008225119396825374 | bytes [102128, 104368, 94888] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 45284
+road p3 Hash combine=false mirror=None | total 0.008349259777777757 comm 0.008257263746031722 | bytes [104628, 106680, 97876] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 46006
+road p3 Hash combine=false mirror=Some(4) | total 0.008339737809523788 comm 0.008248039396825373 | bytes [104028, 106168, 97308] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 45796
+road p4 Hash combine=true mirror=None | total 0.010180412222222185 comm 0.010117848730158693 | bytes [65772, 72292, 61068, 75200] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45432
+road p4 Hash combine=true mirror=Some(4) | total 0.010176337301587264 comm 0.010113880952380914 | bytes [65740, 72260, 61060, 75160] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45323
+road p4 Hash combine=false mirror=None | total 0.010204054126984089 comm 0.010140899365079325 | bytes [67452, 73232, 62408, 77280] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 46006
+road p4 Hash combine=false mirror=Some(4) | total 0.010199979206349168 comm 0.010136931587301546 | bytes [67420, 73200, 62400, 77240] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45897
+scramble p3 Hash combine=true mirror=None | total 0.0097965116190476 comm 0.009553781460317441 | bytes [136060, 142880, 140176] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 77836
+scramble p3 Hash combine=true mirror=Some(4) | total 0.00927629339682537 comm 0.009049348952380925 | bytes [118748, 124952, 123280] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 65767
+scramble p3 Hash combine=false mirror=None | total 0.009948810507936492 comm 0.0097014216190476 | bytes [148500, 155100, 154136] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 81116
+scramble p3 Hash combine=false mirror=Some(4) | total 0.009428592285714263 comm 0.009196989111111087 | bytes [131188, 137172, 137240] | msgs [150, 127, 127] | supersteps 51 rounds 5 messages 69047
+scramble p4 Hash combine=true mirror=None | total 0.01181349549206347 comm 0.011630328825396798 | bytes [119224, 117412, 143644, 113740] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 78086
+scramble p4 Hash combine=true mirror=Some(4) | total 0.011480146444444422 comm 0.0113069361269841 | bytes [104856, 103148, 129460, 98620] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 68034
+scramble p4 Hash combine=false mirror=None | total 0.011942975492063473 comm 0.0117566342222222 | bytes [128804, 128952, 151404, 125340] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 81116
+scramble p4 Hash combine=false mirror=Some(4) | total 0.011609626444444429 comm 0.011433241523809501 | bytes [114436, 114688, 137220, 110220] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 71064
+islands p3 Hash combine=true mirror=None | total 0.006201899047619019 comm 0.006162625238095207 | bytes [32528, 41340, 36100] | msgs [132, 112, 112] | supersteps 45 rounds 5 messages 18236
+islands p3 Hash combine=true mirror=Some(4) | total 0.006144777809523782 comm 0.0061072738412698115 | bytes [30096, 38924, 33652] | msgs [132, 112, 112] | supersteps 45 rounds 5 messages 16894
+islands p3 Hash combine=false mirror=None | total 0.006222115238095213 comm 0.006182611269841242 | bytes [34648, 42000, 37900] | msgs [132, 112, 112] | supersteps 45 rounds 5 messages 18644
+islands p3 Hash combine=false mirror=Some(4) | total 0.006164993999999976 comm 0.006127259873015847 | bytes [32216, 39584, 35452] | msgs [132, 112, 112] | supersteps 45 rounds 5 messages 17302
+islands p4 Hash combine=true mirror=None | total 0.008320044539682495 comm 0.00828899295238091 | bytes [28168, 39292, 27796, 27312] | msgs [177, 157, 178, 157] | supersteps 45 rounds 5 messages 18276
+islands p4 Hash combine=true mirror=Some(4) | total 0.008286556539682495 comm 0.008256667650793609 | bytes [26392, 37676, 26108, 25784] | msgs [177, 157, 178, 157] | supersteps 45 rounds 5 messages 17147
+islands p4 Hash combine=false mirror=None | total 0.008335748190476146 comm 0.008304168825396783 | bytes [29148, 40172, 29196, 28672] | msgs [177, 157, 178, 157] | supersteps 45 rounds 5 messages 18644
+islands p4 Hash combine=false mirror=Some(4) | total 0.008302260190476146 comm 0.008271843523809481 | bytes [27372, 38556, 27508, 27144] | msgs [177, 157, 178, 157] | supersteps 45 rounds 5 messages 17515
 ";
 
 const SPMSF_GOLDEN: &str = "
-road p3 | total 0.009862509365079337 comm 0.009811624444444412 | bytes [22432, 12176, 10612] | msgs [166, 131, 105] | rounds 5 steps 45
-road p4 | total 0.0146656986031746 comm 0.014621357333333328 | bytes [23256, 10564, 21228, 8952] | msgs [174, 132, 200, 97] | rounds 5 steps 45
-scramble p3 | total 0.01044932669841264 comm 0.010304731460317408 | bytes [52480, 37424, 34024] | msgs [203, 125, 124] | rounds 5 steps 51
-scramble p4 | total 0.017131148285714323 comm 0.017014251460317497 | bytes [51192, 32600, 44984, 28240] | msgs [237, 156, 226, 145] | rounds 5 steps 51
-islands p3 | total 0.008086951238095209 comm 0.008058300444444416 | bytes [14288, 8748, 8692] | msgs [156, 94, 86] | rounds 5 steps 41
-islands p4 | total 0.013232323873015876 comm 0.013208383396825401 | bytes [15040, 8024, 12188, 7056] | msgs [163, 104, 159, 84] | rounds 5 steps 41
+road p3 | total 0.00566091806349204 comm 0.00561003314285712 | bytes [20512, 11216, 9652] | msgs [132, 107, 107] | rounds 5 steps 45
+road p4 | total 0.008171366126984082 comm 0.008127024857142812 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45
+scramble p3 | total 0.00650797885714282 comm 0.0063633836190475825 | bytes [50272, 36320, 32920] | msgs [150, 122, 122] | rounds 5 steps 51
+scramble p4 | total 0.009325619269841228 comm 0.009208722444444406 | bytes [48248, 31128, 42040, 26768] | msgs [196, 168, 197, 168] | rounds 5 steps 51
+islands p3 | total 0.005145115555555529 comm 0.005116464761904736 | bytes [12560, 7884, 7828] | msgs [120, 97, 97] | rounds 5 steps 41
+islands p4 | total 0.007439500412698372 comm 0.007415559936507896 | bytes [12736, 6872, 9884, 5904] | msgs [156, 133, 157, 133] | rounds 5 steps 41
 ";
 
 const CHAOS_GOLDEN: &str = "
-bsp armed-clean | total 0.02079090536507945 comm 0.019570825873015976 | bytes [69036, 73924, 64332, 76832] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 0
-spmsf armed-clean | total 0.01673976460317463 comm 0.014617523333333361 | bytes [23256, 10564, 21228, 8952] | msgs [174, 132, 200, 97] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 0
-bsp crash r2 e3 op11 | total 1.0209471902539966 comm 1.0197271107619332 | bytes [69036, 73924, 64332, 76832] | msgs [283, 211, 276, 210] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 2
-spmsf crash r2 e3 op11 | total 1.016845366603201 comm 1.01472312533336 | bytes [23256, 10564, 21228, 8952] | msgs [174, 132, 200, 97] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 2
+bsp armed-clean | total 0.011337306222222197 comm 0.010117226730158694 | bytes [65772, 72292, 61068, 75200] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 0
+spmsf armed-clean | total 0.010246347333333305 comm 0.00812410606349202 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 0
+bsp crash r2 e3 op11 | total 1.0114431831111221 comm 1.0102231036190588 | bytes [65772, 72292, 61068, 75200] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 2
+spmsf crash r2 e3 op11 | total 1.0103018697777932 comm 1.008179628507952 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 2
 ";
 
 const SERVE_GOLDEN: &str = "
-Incremental job 0 Backend | start 0.0 finish 0.026484729269841294
-Incremental job 18 Backend | start 0.026484729269841294 finish 0.06837872990476195
-Incremental job 1 Cache | start 0.06837872990476195 finish 0.07326958704761909
-Incremental job 19 Backend | start 0.07326958704761909 finish 0.11423067847619053
-Incremental job 2 Backend | start 0.11423067847619053 finish 0.12716656482539687
-Incremental job 20 Backend | start 0.12716656482539687 finish 0.16820344939682547
+Incremental job 0 Backend | start 0.0 finish 0.026096817269841286
+Incremental job 18 Backend | start 0.026096817269841286 finish 0.06704587161904764
+Incremental job 1 Cache | start 0.06704587161904764 finish 0.07193672876190478
+Incremental job 19 Backend | start 0.07193672876190478 finish 0.11191478019047621
+Incremental job 2 Backend | start 0.11191478019047621 finish 0.12365414653968256
+Incremental job 20 Backend | start 0.12365414653968256 finish 0.16395375111111113
 Incremental job 24 Incremental | start 0.3 finish 0.3578825742222222
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
@@ -661,43 +660,43 @@ Incremental job 17 Cache | start 2.6 finish 2.6001000000000003
 Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
 Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.3571207870476193
-Incremental tenant interactive | p50 0.00010000000000021103 p95 0.026484729269841294 p99 0.027166564825396866
-Incremental tenant batch | p50 0.11423067847619053 p95 0.16820344939682547 p99 0.16820344939682547
+Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.34687115504761934
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.02365414653968255 p99 0.026096817269841286
+Incremental tenant batch | p50 0.11191478019047621 p95 0.16395375111111113 p99 0.16395375111111113
 Incremental tenant updates | p50 0.0005526349206348424 p95 0.057882574222222205 p99 0.057882574222222205
-Recompute job 0 Backend | start 0.0 finish 0.026484729269841294
-Recompute job 18 Backend | start 0.026484729269841294 finish 0.06837872990476195
-Recompute job 1 Cache | start 0.06837872990476195 finish 0.07326958704761909
-Recompute job 19 Backend | start 0.07326958704761909 finish 0.11423067847619053
-Recompute job 2 Backend | start 0.11423067847619053 finish 0.12716656482539687
-Recompute job 20 Backend | start 0.12716656482539687 finish 0.16820344939682547
-Recompute job 24 Recompute | start 0.3 finish 0.5593348472380952
-Recompute job 3 Cache | start 0.5593348472380952 finish 0.5594348472380952
-Recompute job 4 Cache | start 0.5594348472380952 finish 0.5643257043809524
+Recompute job 0 Backend | start 0.0 finish 0.026096817269841286
+Recompute job 18 Backend | start 0.026096817269841286 finish 0.06704587161904764
+Recompute job 1 Cache | start 0.06704587161904764 finish 0.07193672876190478
+Recompute job 19 Backend | start 0.07193672876190478 finish 0.11191478019047621
+Recompute job 2 Backend | start 0.11191478019047621 finish 0.12365414653968256
+Recompute job 20 Backend | start 0.12365414653968256 finish 0.16395375111111113
+Recompute job 24 Recompute | start 0.3 finish 0.5578602872380952
+Recompute job 3 Cache | start 0.5578602872380952 finish 0.5579602872380952
+Recompute job 4 Cache | start 0.5579602872380952 finish 0.5628511443809524
 Recompute job 5 Cache | start 0.6 finish 0.6001
-Recompute job 25 Recompute | start 0.7 finish 0.8297488559999999
+Recompute job 25 Recompute | start 0.7 finish 0.829011576
 Recompute job 6 Cache | start 1.0 finish 1.0001
 Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
 Recompute job 8 Cache | start 1.1 finish 1.1001
-Recompute job 26 Recompute | start 1.1001 finish 1.229909970920635
+Recompute job 26 Recompute | start 1.1001 finish 1.229172690920635
 Recompute job 9 Cache | start 1.5 finish 1.5001
-Recompute job 27 Recompute | start 1.5001 finish 1.6299343518730158
-Recompute job 10 Cache | start 1.6299343518730158 finish 1.634825209015873
-Recompute job 11 Cache | start 1.634825209015873 finish 1.634925209015873
+Recompute job 27 Recompute | start 1.5001 finish 1.6291970718730158
+Recompute job 10 Cache | start 1.6291970718730158 finish 1.634087929015873
+Recompute job 11 Cache | start 1.634087929015873 finish 1.634187929015873
 Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Recompute job 29 Recompute | start 1.9000000000000001 finish 2.0298912407619047
-Recompute job 12 Cache | start 2.0298912407619047 finish 2.029991240761905
+Recompute job 29 Recompute | start 1.9000000000000001 finish 2.0291539607619047
+Recompute job 12 Cache | start 2.0291539607619047 finish 2.029253960761905
 Recompute job 13 Cache | start 2.05 finish 2.054890857142857
 Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
-Recompute job 30 Recompute | start 2.3 finish 2.4298094238730155
+Recompute job 30 Recompute | start 2.3 finish 2.4290686274285713
 Recompute job 15 Cache | start 2.5 finish 2.5001
 Recompute job 16 Cache | start 2.55 finish 2.554890857142857
 Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
-Recompute job 31 Recompute | start 2.7 finish 2.830058434666667
-Recompute job 32 Recompute | start 3.1 finish 3.230066139047619
+Recompute job 31 Recompute | start 2.7 finish 2.8293176382222223
+Recompute job 32 Recompute | start 3.1 finish 3.229317215619048
 Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6159119446349208
-Recompute tenant interactive | p50 0.004890857142857197 p95 0.05943484723809522 p99 0.08482520901587298
-Recompute tenant batch | p50 0.11423067847619053 p95 0.16820344939682547 p99 0.16820344939682547
-Recompute tenant updates | p50 0.12990997092063483 p95 0.25933484723809525 p99 0.25933484723809525
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6041761092063496
+Recompute tenant interactive | p50 0.004890857142857197 p95 0.05796028723809521 p99 0.08408792901587292
+Recompute tenant batch | p50 0.11191478019047621 p95 0.16395375111111113 p99 0.16395375111111113
+Recompute tenant updates | p50 0.129172690920635 p95 0.25786028723809523 p99 0.25786028723809523
 ";
