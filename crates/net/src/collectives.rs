@@ -7,7 +7,7 @@
 //! collective space and matching is FIFO per `(source, tag)`, so back-to-
 //! back collectives of the same kind cannot cross-talk.
 
-use mnd_wire::Wire;
+use mnd_wire::{PackedCounts, Wire};
 
 use crate::comm::{Comm, Tag};
 
@@ -18,6 +18,13 @@ const TAG_GATHER: Tag = tag(3);
 const TAG_ALLTOALL: Tag = tag(4);
 const TAG_REDUCE_VEC: Tag = tag(5);
 const TAG_PHASED: Tag = tag(6);
+const TAG_ALLGATHER: Tag = tag(7);
+
+/// The largest power of two `q ≤ p`: the ranks a vector collective runs
+/// its butterfly on, after ranks `q..p` folded into ranks `0..p − q`.
+fn fold_width(p: usize) -> usize {
+    1 << p.ilog2()
+}
 
 /// Builds a tag in the reserved collective space (upper half of the tag
 /// range, which [`Tag::user`] rejects).
@@ -51,28 +58,62 @@ impl Comm {
     }
 
     /// Element-wise vector allreduce (e.g. the Gemini-style global degree
-    /// computation of §3.1). All ranks must pass equal-length vectors.
+    /// computation of §3.1). All ranks must pass equal-length vectors, and
+    /// `op` must be commutative and associative (sums, maxima): the
+    /// partials are combined in no fixed order.
+    ///
+    /// Rabenseifner's algorithm over the largest power of two `q ≤ p`: a
+    /// rank `r ≥ q` first folds its vector into rank `r − q`; the `q`
+    /// ranks then run a recursive-halving reduce-scatter, after which rank
+    /// `i` holds block `[i·n/q, (i+1)·n/q)` fully reduced, and a
+    /// recursive-doubling allgather of those blocks; rank `r − q` finally
+    /// hands the result back. That is 2⌈log₂ p⌉ sequential hops: as many
+    /// as a binomial reduce plus broadcast (2⌊log₂ p⌋) when p is a power
+    /// of two, two more (the fold and the hand-back) otherwise. But a rank
+    /// below `q` sends 2(q−1)/q · n entries where the tree ships whole
+    /// vectors at every hop. Every partial ships as a [`PackedCounts`].
     pub fn allreduce_vec_u64(&self, mut value: Vec<u64>, op: impl Fn(u64, u64) -> u64) -> Vec<u64> {
-        let p = self.size();
         let me = self.rank();
-        // Binomial tree reduce to 0.
-        let mut k = 1usize;
-        while k < p {
-            if me & k != 0 {
-                self.send(me - k, TAG_REDUCE_VEC, value);
-                value = Vec::new();
-                break;
-            } else if me + k < p {
-                let other: Vec<u64> = self.recv(me + k, TAG_REDUCE_VEC);
-                assert_eq!(other.len(), value.len(), "allreduce_vec length mismatch");
-                for (a, b) in value.iter_mut().zip(other) {
-                    *a = op(*a, b);
-                }
+        let q = fold_width(self.size());
+        let recv = |src: usize| -> Vec<u64> {
+            self.recv::<PackedCounts>(src, TAG_REDUCE_VEC).into_counts()
+        };
+        let combine = |mine: &mut [u64], theirs: Vec<u64>| {
+            assert_eq!(mine.len(), theirs.len(), "allreduce_vec length mismatch");
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a = op(*a, b);
             }
-            k <<= 1;
+        };
+        if me >= q {
+            self.send(me - q, TAG_REDUCE_VEC, PackedCounts::encode(value));
+            return recv(me - q);
         }
-        // Broadcast the result.
-        self.broadcast_from(0, (me == 0).then_some(value), TAG_BCAST)
+        let folded = me + q < self.size();
+        if folded {
+            combine(&mut value, recv(me + q));
+        }
+        let n = value.len();
+        // The entries of the `d` blocks that rank `r` holds at step `d`:
+        // the aligned run of blocks containing block `r`.
+        let span = |r: usize, d: usize| {
+            let lo = r & !(d - 1);
+            lo * n / q..(lo + d) * n / q
+        };
+        let steps = q.ilog2();
+        for d in (0..steps).rev().map(|k| 1 << k) {
+            let out = PackedCounts::encode(value[span(me ^ d, d)].to_vec());
+            self.send(me ^ d, TAG_REDUCE_VEC, out);
+            combine(&mut value[span(me, d)], recv(me ^ d));
+        }
+        for d in (0..steps).map(|k| 1 << k) {
+            let out = PackedCounts::encode(value[span(me, d)].to_vec());
+            self.send(me ^ d, TAG_REDUCE_VEC, out);
+            value[span(me ^ d, d)].copy_from_slice(&recv(me ^ d));
+        }
+        if folded {
+            self.send(me + q, TAG_REDUCE_VEC, PackedCounts::encode(value.clone()));
+        }
+        value
     }
 
     fn reduce_u64_with_tag(
@@ -165,9 +206,53 @@ impl Comm {
     }
 
     /// Allgather: every rank receives every rank's vector, in rank order.
+    ///
+    /// Recursive doubling over the largest power of two `q ≤ p`, with the
+    /// fold of [`Comm::allreduce_vec_u64`]: a rank `r ≥ q` hands its
+    /// vector to rank `r − q` first and gets the whole result back at the
+    /// end. At step `d` a rank swaps everything it holds with rank
+    /// `r ⊕ d`: log₂ q sequential hops, plus at most the fold and the
+    /// hand-back when p is not a power of two. A gather to rank 0 plus a
+    /// binomial broadcast takes ⌊log₂ p⌋ + 1, with p − 1 receives queued
+    /// at rank 0.
     pub fn allgather_vec<T: Wire + Clone>(&self, value: Vec<T>) -> Vec<Vec<T>> {
-        let gathered = self.gather_vec(0, value);
-        self.broadcast_from(0, gathered, TAG_BCAST)
+        let p = self.size();
+        let me = self.rank();
+        let q = fold_width(p);
+        if me >= q {
+            self.send(me - q, TAG_ALLGATHER, value);
+            return self.recv(me - q, TAG_ALLGATHER);
+        }
+        let mut slots: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
+        if me + q < p {
+            slots[me + q] = Some(self.recv(me + q, TAG_ALLGATHER));
+        }
+        slots[me] = Some(value);
+        // The vectors rank `r` holds before step `d`: those of the aligned
+        // run of `d` ranks containing `r` and of the ranks folded into
+        // them, in an order both sides of a swap agree on.
+        let ranks = |r: usize, d: usize| {
+            let lo = r & !(d - 1);
+            (lo..lo + d).flat_map(move |r| std::iter::once(r).chain((r + q < p).then_some(r + q)))
+        };
+        for d in (0..q.ilog2()).map(|k| 1 << k) {
+            let out: Vec<Vec<T>> = ranks(me, d)
+                .map(|r| slots[r].clone().expect("held since an earlier step"))
+                .collect();
+            let got: Vec<Vec<T>> =
+                self.send_recv(me ^ d, TAG_ALLGATHER, out, me ^ d, TAG_ALLGATHER);
+            for (r, block) in ranks(me ^ d, d).zip(got) {
+                slots[r] = Some(block);
+            }
+        }
+        let all: Vec<Vec<T>> = slots
+            .into_iter()
+            .map(|s| s.expect("every rank's vector arrived"))
+            .collect();
+        if me + q < p {
+            self.send(me + q, TAG_ALLGATHER, all.clone());
+        }
+        all
     }
 
     /// All-to-all personalised exchange in bounded phases: every rank

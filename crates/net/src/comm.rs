@@ -60,6 +60,7 @@ impl Tag {
                 4 => "alltoall".to_string(),
                 5 => "reduce_vec".to_string(),
                 6 => "phased".to_string(),
+                7 => "allgather".to_string(),
                 other => format!("collective({other})"),
             }
         } else {

@@ -191,22 +191,35 @@ proptest! {
         }
     }
 
+    /// Every rank gets each rank's ragged or empty vector, in rank order,
+    /// for p = 1–8. With q the largest power of two ≤ p, that takes the
+    /// log₂ q swaps' hops on powers of two and at most two more (the fold
+    /// and the hand-back) otherwise; no rank sends more than ⌈log₂ p⌉
+    /// messages.
     #[test]
     fn allgather_returns_everything_in_order(
-        lens in proptest::collection::vec(0usize..6, 1..7),
+        lens in proptest::collection::vec(0usize..6, 1..9),
     ) {
         let p = lens.len();
         let lens2 = lens.clone();
-        let out = Cluster::new(p, CostModel::free()).run(move |c| {
+        let out = Cluster::new(p, hops_only()).run(move |c| {
             let mine: Vec<u32> = (0..lens2[c.rank()] as u32).map(|i| c.rank() as u32 * 100 + i).collect();
-            c.allgather_vec(mine)
+            (c.allgather_vec(mine), c.now(), sent_on(&c.stats(), "allgather").1)
         });
         for o in &out {
-            prop_assert_eq!(o.result.len(), p);
-            for (src, bucket) in o.result.iter().enumerate() {
+            prop_assert_eq!(o.result.0.len(), p);
+            for (src, bucket) in o.result.0.iter().enumerate() {
                 let expect: Vec<u32> = (0..lens[src] as u32).map(|i| src as u32 * 100 + i).collect();
                 prop_assert_eq!(bucket, &expect);
             }
+            prop_assert!(o.result.2 <= ceil_log2(p), "{} messages", o.result.2);
+        }
+        let swaps = u64::from(p.ilog2());
+        let hops = swaps + if p.is_power_of_two() { 0 } else { 2 };
+        let makespan = out.iter().map(|o| o.result.1).fold(0.0, f64::max);
+        prop_assert!(makespan <= hops as f64, "{} hops", makespan);
+        if p.is_power_of_two() {
+            prop_assert_eq!(makespan, hops as f64);
         }
     }
 
@@ -316,6 +329,98 @@ proptest! {
                 cur = g.right_of(cur);
             }
             prop_assert_eq!(cur, g.leader());
+        }
+    }
+}
+
+/// Entry `i` of rank `me`'s partial vector (`i < 24`, `me < 8`), from a
+/// flat table of `(kind, raw)` draws: mostly small counts (a degree
+/// vector's shape), some wide values, and `u64::MAX`, whose ten varint
+/// bytes force the raw fallback.
+fn entry(table: &[(usize, u64)], me: usize, i: usize) -> u64 {
+    let (kind, raw) = table[me * 24 + i];
+    match kind {
+        0 | 1 => raw % 128,
+        2 => raw,
+        _ => u64::MAX,
+    }
+}
+
+/// A cost model in which every message costs one second of latency and
+/// nothing else, so the makespan counts the sequential hops.
+fn hops_only() -> CostModel {
+    CostModel {
+        latency: 1.0,
+        ..CostModel::free()
+    }
+}
+
+fn ceil_log2(p: usize) -> u64 {
+    u64::from(p.next_power_of_two().ilog2())
+}
+
+/// Bytes and messages a rank sent under the named collective tag.
+fn sent_on(stats: &RankStats, name: &str) -> (u64, u64) {
+    stats
+        .by_tag
+        .iter()
+        .filter(|(tag, _)| tag.name() == name)
+        .fold((0, 0), |(b, m), (_, t)| {
+            (b + t.bytes_sent, m + t.messages_sent)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `allreduce_vec_u64` for p = 1–8: under a wrapping sum and under max
+    /// every rank gets the sequential fold of all partials, for lengths 0
+    /// to 3p (so also fewer entries than ranks). It takes exactly
+    /// 2⌈log₂ p⌉ sequential hops and no rank sends more messages than
+    /// that. On raw-sized values at power-of-two p no rank sends more than
+    /// 2(p−1)/p · 8n bytes plus O(p) format flags and rounding.
+    #[test]
+    fn vector_allreduce_matches_sequential_folds(
+        p in 1usize..9,
+        len_sel in 0usize..25,
+        table in proptest::collection::vec((0usize..4, 0u64..(1 << 62)), 192..193),
+    ) {
+        let n = len_sel % (3 * p + 1);
+        let mk = {
+            let table = table.clone();
+            move |me: usize| (0..n).map(|i| entry(&table, me, i)).collect::<Vec<u64>>()
+        };
+        let sum: Vec<u64> = (0..n)
+            .map(|i| (0..p).fold(0u64, |a, me| a.wrapping_add(entry(&table, me, i))))
+            .collect();
+        let max: Vec<u64> = (0..n)
+            .map(|i| (0..p).map(|me| entry(&table, me, i)).max().unwrap_or(0))
+            .collect();
+        let out = Cluster::new(p, hops_only()).run(move |c| {
+            let s = c.allreduce_vec_u64(mk(c.rank()), u64::wrapping_add);
+            let (after_sum, msgs) = (c.now(), sent_on(&c.stats(), "reduce_vec").1);
+            let m = c.allreduce_vec_u64(mk(c.rank()), u64::max);
+            (s, m, after_sum, msgs)
+        });
+        let hops = 2 * ceil_log2(p);
+        for (me, o) in out.iter().enumerate() {
+            prop_assert_eq!(&o.result.0, &sum, "sum, rank {}", me);
+            prop_assert_eq!(&o.result.1, &max, "max, rank {}", me);
+            prop_assert!(o.result.3 <= hops, "rank {} sent {} messages", me, o.result.3);
+        }
+        let sum_hops = out.iter().map(|o| o.result.2).fold(0.0, f64::max);
+        prop_assert_eq!(sum_hops, hops as f64);
+
+        if p.is_power_of_two() {
+            let out = Cluster::new(p, CostModel::free()).run(move |c| {
+                c.allreduce_vec_u64(vec![u64::MAX; n], u64::max);
+                sent_on(&c.stats(), "reduce_vec").0
+            });
+            let flags = 2.0 * f64::from(p.ilog2());
+            let bound = 16.0 * (p - 1) as f64 * n as f64 / p as f64 + 16.0 + flags;
+            for (me, o) in out.iter().enumerate() {
+                prop_assert!(o.result as f64 <= bound, "rank {} sent {} > {} bytes", me, o.result, bound);
+            }
         }
     }
 }

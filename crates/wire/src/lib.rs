@@ -19,7 +19,7 @@
 
 pub mod pack;
 
-pub use pack::{PackedIds, PackedPairs};
+pub use pack::{PackedCounts, PackedIds, PackedPairs};
 
 /// A type that can travel across the simulated fabric.
 ///

@@ -10,6 +10,10 @@
 //! * [`PackedIds`] — a **sorted** id sequence is delta-encoded and each
 //!   gap shipped as a LEB128 varint (boundary buckets are sorted and
 //!   deduplicated, so gaps are small where the partition has locality).
+//! * [`PackedCounts`] — a vector of counts (the partial sums of the degree
+//!   allreduce and the hierarchical merge's votes) ships one LEB128 varint
+//!   per entry: degrees and edge counts are small, so most entries fit
+//!   one byte where the raw layout spends eight.
 //! * [`PackedPairs`] — rename pairs are **densified**: the distinct ids of
 //!   the message form a sorted dictionary (itself delta-varint encoded),
 //!   and every pair ships as two dictionary indexes of minimal byte width
@@ -28,16 +32,13 @@
 
 use crate::Wire;
 
-/// Serialized size of `v` as a LEB128 varint (7 bits per byte).
+/// Serialized size of `v` as a LEB128 varint (7 bits per byte): 1 byte
+/// for 0–127, 5 for `u32::MAX`, 10 for `u64::MAX`.
 #[inline]
-pub fn varint_bytes(v: u32) -> u64 {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
-    }
+pub fn varint_bytes(v: u64) -> u64 {
+    // Significant bits rounded up to whole 7-bit groups; `| 1` makes 0
+    // one group.
+    (70 - u64::from((v | 1).leading_zeros())) / 7
 }
 
 /// Delta-varint cost of a sorted ascending slice (first id absolute).
@@ -49,7 +50,7 @@ fn delta_cost(ids: &[u32]) -> Option<u64> {
         if i > 0 && id < prev {
             return None;
         }
-        total += varint_bytes(if i == 0 { id } else { id - prev });
+        total += varint_bytes(u64::from(if i == 0 { id } else { id - prev }));
         prev = id;
     }
     Some(total)
@@ -82,7 +83,7 @@ impl PackedIds {
     /// vertices). Unsorted input is legal and charged at the raw rate.
     pub fn encode(ids: Vec<u32>) -> Self {
         let raw = 4 * ids.len() as u64;
-        let packed = delta_cost(&ids).map(|d| varint_bytes(ids.len() as u32) + d);
+        let packed = delta_cost(&ids).map(|d| varint_bytes(ids.len() as u64) + d);
         let wire = 1 + packed.map_or(raw, |p| p.min(raw));
         PackedIds { ids, wire }
     }
@@ -99,6 +100,41 @@ impl PackedIds {
 }
 
 impl Wire for PackedIds {
+    #[inline]
+    fn wire_bytes(&self) -> u64 {
+        self.wire
+    }
+}
+
+/// A vector of `u64` counts, one LEB128 varint per entry.
+///
+/// Wire layout (modelled): 1 flag byte, then either the raw 8-byte counts
+/// or `varint(len)` + one varint per count. Counts of 2⁵⁶ or more take
+/// nine or ten varint bytes, so a vector of such values takes the raw
+/// fallback.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedCounts {
+    counts: Vec<u64>,
+    wire: u64,
+}
+
+impl PackedCounts {
+    /// Encodes a vector of counts.
+    pub fn encode(counts: Vec<u64>) -> Self {
+        let raw = 8 * counts.len() as u64;
+        let packed = varint_bytes(counts.len() as u64)
+            + counts.iter().map(|&c| varint_bytes(c)).sum::<u64>();
+        let wire = 1 + packed.min(raw);
+        PackedCounts { counts, wire }
+    }
+
+    /// Inverts the encoding (a move — the simulation keeps the data).
+    pub fn into_counts(self) -> Vec<u64> {
+        self.counts
+    }
+}
+
+impl Wire for PackedCounts {
     #[inline]
     fn wire_bytes(&self) -> u64 {
         self.wire
@@ -128,7 +164,7 @@ impl PackedPairs {
             dict.dedup();
             let dict_bytes =
                 delta_cost(&dict).expect("sorted dictionary is ascending by construction");
-            let packed = varint_bytes(dict.len() as u32)
+            let packed = varint_bytes(dict.len() as u64)
                 + dict_bytes
                 + 2 * pairs.len() as u64 * index_width(dict.len());
             1 + packed.min(raw)
@@ -165,7 +201,85 @@ mod tests {
         assert_eq!(varint_bytes(128), 2);
         assert_eq!(varint_bytes(16383), 2);
         assert_eq!(varint_bytes(16384), 3);
-        assert_eq!(varint_bytes(u32::MAX), 5);
+        assert_eq!(varint_bytes(u64::from(u32::MAX)), 5);
+        assert_eq!(varint_bytes(1 << 56), 9);
+        assert_eq!(varint_bytes(u64::MAX), 10);
+    }
+
+    /// LEB128 as a real serializer would emit it.
+    fn leb128(mut v: u64, out: &mut Vec<u8>) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// The reference encoder: flag byte, then the smaller of the raw
+    /// little-endian counts and `varint(len)` + one varint per count.
+    fn reference_counts_bytes(counts: &[u64]) -> u64 {
+        let raw: Vec<u8> = counts.iter().flat_map(|c| c.to_le_bytes()).collect();
+        let mut packed = Vec::new();
+        leb128(counts.len() as u64, &mut packed);
+        for &c in counts {
+            leb128(c, &mut packed);
+        }
+        1 + raw.len().min(packed.len()) as u64
+    }
+
+    #[test]
+    fn varint_sizes_match_a_leb128_encoder() {
+        let mut probes = vec![0u64, u64::MAX];
+        for shift in 0..64 {
+            let v = 1u64 << shift;
+            probes.extend([v - 1, v, v + 1]);
+        }
+        for v in probes {
+            let mut bytes = Vec::new();
+            leb128(v, &mut bytes);
+            assert_eq!(varint_bytes(v), bytes.len() as u64, "{v}");
+        }
+    }
+
+    #[test]
+    fn counts_round_trip_at_the_reference_size() {
+        let shapes: [Vec<u64>; 5] = [
+            Vec::new(),
+            vec![0; 7],
+            (0..300).map(|i| i * i).collect(),
+            vec![3, 1 << 20, 0, 127, 128, 1 << 35, 42],
+            (0..40).map(|i| u64::MAX - i).collect(),
+        ];
+        for counts in shapes {
+            let p = PackedCounts::encode(counts.clone());
+            assert_eq!(
+                p.wire_bytes(),
+                reference_counts_bytes(&counts),
+                "{counts:?}"
+            );
+            assert_eq!(p.into_counts(), counts);
+        }
+    }
+
+    #[test]
+    fn small_counts_ship_one_byte_each() {
+        // 1000 degrees below 128: raw 8000 bytes, packed the flag, a
+        // 2-byte length and one byte per count.
+        let p = PackedCounts::encode(vec![5; 1000]);
+        assert_eq!(p.wire_bytes(), 1 + 2 + 1000);
+    }
+
+    #[test]
+    fn huge_counts_fall_back_to_raw_plus_flag() {
+        // Every count needs ten varint bytes: the raw layout wins.
+        let counts = vec![u64::MAX; 16];
+        let p = PackedCounts::encode(counts.clone());
+        assert_eq!(p.wire_bytes(), 8 * 16 + 1);
+        assert_eq!(p.into_counts(), counts);
     }
 
     #[test]
@@ -189,6 +303,7 @@ mod tests {
     fn empty_payloads_cost_only_the_flag() {
         assert_eq!(PackedIds::encode(Vec::new()).wire_bytes(), 1);
         assert_eq!(PackedPairs::encode(Vec::new()).wire_bytes(), 1);
+        assert_eq!(PackedCounts::encode(Vec::new()).wire_bytes(), 1);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 # one and on two threads, and the repo benchmark's own self-tests + smoke
 # walk (benchmark/ is a package of its own that builds against the crates'
 # public API: an API break must fail here, not in the acceptance pipeline),
-# and — in full mode — the Figure 8 shape check, the chaos/resilience
-# recovery grids, the checkpoint/serve/comm/emst sweeps, the benchmark gate
-# (a fresh `benchmark run --seed 42` compared against
+# and — in full mode — the Figure 8 and Figure 5 shape checks, the
+# chaos/resilience recovery grids, the checkpoint/serve/comm/emst sweeps,
+# the benchmark gate (a fresh `benchmark run --seed 42` compared against
 # results/benchmark_baseline.json) and `scripts/repin.sh --check` (the
 # goldens and the baseline's simulated rows are what the code computes).
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick  lints + rustdoc + debug tests + the release-mode engine, serve-plane and
 #            kernel-plane tests + benchmark self-tests only: skips the
-#            release build, the Figure 8 check, the chaos and resilience
+#            release build, the Figure 8 and 5 checks, the chaos and resilience
 #            sweeps, the repro sweeps (checkpoint, serve, comm, emst), the
 #            benchmark gate and the re-pin check.
 #            This is the PR gate in CI; the full run gates pushes to main.
@@ -125,7 +125,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 "${BENCH[@]}" smoke
 
 if [[ "$QUICK" -eq 1 ]]; then
-  echo "verify: OK (quick: skipped release build, fig8 check, chaos/resilience sweeps, repro sweeps, benchmark gate, re-pin check)"
+  echo "verify: OK (quick: skipped release build, fig8 and fig5 checks, chaos/resilience sweeps, repro sweeps, benchmark gate, re-pin check)"
   exit 0
 fi
 
@@ -141,6 +141,22 @@ awk -F, '
   }
   END { if (graphs != 3) { print "fig8: expected 3 graphs, found " graphs; bad = 1 }; exit bad }
 ' target/fig8/fig8.csv
+
+# The paper's Figure 5 claim as a shape: Pregel+ spends most of its time
+# communicating and MND-MST most of its time computing, at every node
+# count (2 graphs × 3 node counts × 2 systems). ≈ 2.4 s in release.
+echo "==> Figure 5 shape (comm share: Pregel+ > 50 %, MND-MST < 50 % at every node count)"
+mkdir -p target/fig5
+cargo run --release -q -p mnd-bench --bin repro -- --csv target/fig5 fig5 >/dev/null
+awk -F, '
+  NR > 1 {
+    rows++
+    share = $5 / ($4 + $5)
+    if ($3 == "pregel+" && share <= 0.5) { print "fig5: pregel+ comm share " share " on " $1 " at " $2 " nodes"; bad = 1 }
+    if ($3 == "mnd-mst" && share >= 0.5) { print "fig5: mnd-mst comm share " share " on " $1 " at " $2 " nodes"; bad = 1 }
+  }
+  END { if (rows != 12) { print "fig5: expected 12 rows, found " rows; bad = 1 }; exit bad }
+' target/fig5/fig5.csv
 
 echo "==> chaos recovery smoke (oracle-verified crash/replay grid)"
 cargo run --release -q -p mnd-bench --bin repro -- \

@@ -23,6 +23,7 @@ use mnd::hypar::{
 use mnd::kernels::kruskal_msf;
 use mnd::kernels::policy::{kernel_threads, with_kernel_threads};
 use mnd::mst::{MndMstReport, MndMstRunner};
+use mnd::net::{Cluster, CostModel};
 
 fn run_with_plan(
     el: &EdgeList,
@@ -165,6 +166,23 @@ fn epoch_zero_crashes_off_the_block_leader_rebuild_the_holding() {
     };
     let clean = run(FaultPlan::new(3), None);
     assert_eq!(clean.msf, oracle);
+    // The bytes the degree allreduce delivers to each rank: the collective
+    // run alone on the partition phase's partial degree vectors (rank `r`
+    // counts edges `[r·m/4, (r+1)·m/4)`).
+    let degree_allreduce_in: Vec<u64> = Cluster::new(4, CostModel::free())
+        .run(|c| {
+            let (m, me) = (el.len(), c.rank());
+            let mut partial = vec![0u64; el.num_vertices() as usize];
+            for e in &el.edges()[me * m / 4..(me + 1) * m / 4] {
+                partial[e.u as usize] += 1;
+                partial[e.v as usize] += 1;
+            }
+            c.allreduce_vec_u64(partial, |a, b| a + b);
+            c.stats().bytes_received
+        })
+        .into_iter()
+        .map(|o| o.result)
+        .collect();
     for rank in [1, 3] {
         // The run, if the crash scheduled at `op` of epoch 0 fired.
         let crashed_at = |op: u64| {
@@ -194,10 +212,11 @@ fn epoch_zero_crashes_off_the_block_leader_rebuild_the_holding() {
             }
         }
         // Op 0 is the allreduce's first: nothing had arrived yet. By the
-        // last op the whole degree vector had, and came back out of the log.
+        // last op every partial of the degree allreduce had, and came back
+        // out of the log.
         assert_eq!(in_allreduce.rank_stats[rank].replayed_in_bytes, 0);
         assert!(
-            in_exchange.rank_stats[rank].replayed_in_bytes >= 8 * el.num_vertices() as u64,
+            in_exchange.rank_stats[rank].replayed_in_bytes >= degree_allreduce_in[rank],
             "rank {rank}: the crash fell before the boundary exchange"
         );
     }

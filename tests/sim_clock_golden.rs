@@ -73,10 +73,10 @@ fn crawl_on_four_cpu_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 5.999905491682536,
-            comm_time: 1.5968066441904711,
-            bytes_sent: &[60105, 116734, 141199, 108391],
-            messages_sent: &[20, 15, 22, 15],
+            total_time: 5.267745639746027,
+            comm_time: 0.8646417922539649,
+            bytes_sent: &[15057, 99789, 99992, 92320],
+            messages_sent: &[24, 22, 26, 22],
         },
     );
 }
@@ -95,12 +95,10 @@ fn scrambled_crawl_on_eight_hybrid_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 19.728600696173743,
-            comm_time: 12.443149225607211,
-            bytes_sent: &[
-                42468, 111017, 123142, 107802, 250577, 110950, 123508, 110674,
-            ],
-            messages_sent: &[91, 51, 72, 51, 93, 51, 72, 51],
+            total_time: 19.505148704173738,
+            comm_time: 12.219695233607203,
+            bytes_sent: &[6937, 107860, 107365, 105330, 224210, 111189, 109509, 109980],
+            messages_sent: &[100, 70, 86, 70, 102, 70, 86, 70],
         },
     );
 }
@@ -118,10 +116,10 @@ fn road_grid_with_tiny_ghost_phases() {
         runner,
         &el,
         &Golden {
-            total_time: 0.0051676407301587185,
-            comm_time: 0.005014431809523798,
-            bytes_sent: &[112542, 86567, 85253],
-            messages_sent: &[146, 141, 141],
+            total_time: 0.005211712555555548,
+            comm_time: 0.005068201857142849,
+            bytes_sent: &[21936, 41770, 40451],
+            messages_sent: &[148, 143, 141],
         },
     );
 }
@@ -562,27 +560,27 @@ fn serve_plane_goldens() {
 }
 
 const MND_MST_GOLDEN: &str = "
-road border-vertex | total 0.23508058336507964 comm 0.20712985142857168 | bytes [23135, 16511, 27178, 15886] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recheck | total 0.2287700839365082 comm 0.20149330653968275 | bytes [22538, 15948, 26497, 15574] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road exhaustive | total 0.2287700839365082 comm 0.20149330653968275 | bytes [22538, 15948, 26497, 15574] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road eager-stop | total 0.2284259646984129 comm 0.2027501442539684 | bytes [22808, 15912, 26690, 14704] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recursing | total 0.23449915961904808 comm 0.20567025523809568 | bytes [22592, 15929, 26270, 14688] | msgs [35, 24, 37, 24] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
-road ring x8 | total 0.35515258565079244 comm 0.3257842097777765 | bytes [41931, 16082, 29463, 15806, 43182, 15870, 28511, 14383] | msgs [58, 36, 48, 36, 60, 36, 48, 36] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
-road pairs x8 | total 0.3390149561904744 comm 0.32190479403174427 | bytes [35913, 13726, 26063, 13651, 37430, 13810, 24941, 12996] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
-scramble border-vertex | total 0.8667039686349205 comm 0.48334631936507894 | bytes [43099, 62932, 83613, 63179] | msgs [17, 12, 19, 12] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
-scramble recheck | total 0.8202001767619047 comm 0.4426141785396823 | bytes [39580, 57512, 75895, 57771] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble exhaustive | total 0.8544879258412699 comm 0.44308567365079343 | bytes [39580, 57512, 75895, 57775] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble eager-stop | total 0.8202001767619047 comm 0.4426141785396823 | bytes [39580, 57512, 75895, 57771] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble recursing | total 0.8831078719999998 comm 0.4444964769523806 | bytes [39628, 57536, 75943, 57799] | msgs [26, 18, 28, 18] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
-scramble ring x8 | total 1.0276513869206343 comm 0.6642268487619039 | bytes [96140, 54624, 81408, 54174, 108847, 54431, 81980, 54312] | msgs [44, 22, 34, 22, 46, 22, 34, 22] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
-scramble pairs x8 | total 1.5248248458412716 comm 1.2628038683174605 | bytes [75754, 38457, 83175, 38356, 126880, 38192, 83905, 38580] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
-islands border-vertex | total 0.19603549447619056 comm 0.14607807149206353 | bytes [12119, 14032, 19743, 10522] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
-islands recheck | total 0.19326449625396835 comm 0.14555480203174612 | bytes [11780, 13836, 19075, 10452] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
-islands exhaustive | total 0.19583648977777787 comm 0.1426823602539683 | bytes [11764, 13836, 19067, 10432] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
-islands eager-stop | total 0.18894479225396835 comm 0.14602547365079374 | bytes [11956, 13836, 19163, 10672] | msgs [20, 15, 22, 15] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
-islands recursing | total 0.21538144800000028 comm 0.1567172232380955 | bytes [11860, 13884, 19163, 10480] | msgs [32, 21, 34, 21] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
-islands ring x8 | total 0.34161773168254 comm 0.2817781004444449 | bytes [41140, 20712, 30635, 20163, 38456, 15995, 25087, 17204] | msgs [113, 61, 88, 61, 115, 61, 88, 61] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
-islands pairs x8 | total 0.36474565282539667 comm 0.33543956215872994 | bytes [21596, 9886, 21240, 9785, 30132, 9899, 15982, 6112] | msgs [79, 47, 64, 47, 81, 47, 64, 47] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
+road border-vertex | total 0.07718212736507933 comm 0.0492313954285714 | bytes [3713, 9241, 9264, 8852] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recheck | total 0.07330145993650788 comm 0.046024682539682484 | bytes [3612, 8534, 8727, 8364] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road exhaustive | total 0.07330145993650788 comm 0.046024682539682484 | bytes [3612, 8534, 8727, 8364] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road eager-stop | total 0.07226921269841265 comm 0.04659339225396819 | bytes [3570, 8506, 8912, 7646] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recursing | total 0.07903053561904749 comm 0.0502016312380951 | bytes [3666, 8515, 8500, 7478] | msgs [39, 31, 41, 31] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
+road ring x8 | total 0.09206204165079362 comm 0.06258866577777769 | bytes [6257, 11232, 11517, 11380, 11812, 11540, 10403, 9795] | msgs [67, 55, 62, 55, 69, 55, 62, 55] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
+road pairs x8 | total 0.09471782019047627 comm 0.07759765803174608 | bytes [4366, 7539, 8559, 7820, 8254, 7979, 7184, 6911] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
+scramble border-vertex | total 0.6300083606349209 comm 0.24655571136507967 | bytes [6360, 56217, 58845, 59427] | msgs [21, 19, 23, 19] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
+scramble recheck | total 0.596611768761905 comm 0.21893077053968274 | bytes [6793, 49981, 51943, 52451] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble exhaustive | total 0.6308995178412699 comm 0.21940226565079352 | bytes [6793, 49981, 51943, 52455] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble eager-stop | total 0.596611768761905 comm 0.21893077053968274 | bytes [6793, 49981, 51943, 52451] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble recursing | total 0.6595194640000002 comm 0.22081306895238095 | bytes [6841, 50005, 51991, 52479] | msgs [30, 25, 32, 25] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
+scramble ring x8 | total 0.6076303646984134 comm 0.24410582653968294 | bytes [27297, 54885, 55941, 55939, 57514, 57562, 57837, 57401] | msgs [53, 41, 48, 41, 55, 41, 48, 41] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
+scramble pairs x8 | total 1.14692714984127 comm 0.8848061723174602 | bytes [11130, 34783, 57457, 36974, 80899, 40881, 61314, 40325] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
+islands border-vertex | total 0.12158329447619047 comm 0.07152587149206344 | bytes [1769, 11514, 11732, 8439] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
+islands recheck | total 0.11994598425396824 comm 0.07213629003174601 | bytes [1902, 11230, 11152, 8177] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
+islands exhaustive | total 0.12258351377777776 comm 0.06932938425396822 | bytes [1902, 11230, 11144, 8149] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
+islands eager-stop | total 0.11490538425396825 comm 0.07188606565079365 | bytes [1902, 11230, 11240, 8485] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
+islands recursing | total 0.142128472 comm 0.08336424723809525 | bytes [1998, 11278, 11240, 8197] | msgs [36, 28, 38, 28] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
+islands ring x8 | total 0.19348999149206392 comm 0.13354536025396874 | bytes [17253, 22129, 22549, 22037, 19624, 17083, 16031, 18108] | msgs [131, 101, 117, 101, 133, 101, 117, 101] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
+islands pairs x8 | total 0.24899148863492102 comm 0.21958039796825432 | bytes [3333, 8285, 13428, 8885, 15872, 9461, 8001, 5043] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
 ";
 
 const BSP_GOLDEN: &str = "
@@ -613,28 +611,28 @@ islands p4 Hash combine=false mirror=Some(4) | total 0.008302260190476146 comm 0
 ";
 
 const SPMSF_GOLDEN: &str = "
-road p3 | total 0.00566091806349204 comm 0.00561003314285712 | bytes [20512, 11216, 9652] | msgs [132, 107, 107] | rounds 5 steps 45
-road p4 | total 0.008171366126984082 comm 0.008127024857142812 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45
-scramble p3 | total 0.00650797885714282 comm 0.0063633836190475825 | bytes [50272, 36320, 32920] | msgs [150, 122, 122] | rounds 5 steps 51
-scramble p4 | total 0.009325619269841228 comm 0.009208722444444406 | bytes [48248, 31128, 42040, 26768] | msgs [196, 168, 197, 168] | rounds 5 steps 51
-islands p3 | total 0.005145115555555529 comm 0.005116464761904736 | bytes [12560, 7884, 7828] | msgs [120, 97, 97] | rounds 5 steps 41
-islands p4 | total 0.007439500412698372 comm 0.007415559936507896 | bytes [12736, 6872, 9884, 5904] | msgs [156, 133, 157, 133] | rounds 5 steps 41
+road p3 | total 0.005607588063492042 comm 0.0055567031428571225 | bytes [17416, 11216, 9652] | msgs [132, 107, 107] | rounds 5 steps 45
+road p4 | total 0.007432398126984083 comm 0.007388056857142813 | bytes [9120, 13956, 13996, 12296] | msgs [172, 152, 173, 152] | rounds 5 steps 45
+scramble p3 | total 0.006452526031745996 comm 0.006307930793650759 | bytes [46272, 36320, 32920] | msgs [150, 122, 122] | rounds 5 steps 51
+scramble p4 | total 0.008582619269841227 comm 0.008465722444444402 | bytes [33256, 37136, 36032, 32752] | msgs [196, 173, 197, 173] | rounds 5 steps 51
+islands p3 | total 0.005092353396825372 comm 0.005063702603174579 | bytes [11592, 7884, 7828] | msgs [120, 97, 97] | rounds 5 steps 41
+islands p4 | total 0.006709268412698375 comm 0.0066853279365078995 | bytes [7192, 8288, 8468, 8304] | msgs [156, 138, 157, 138] | rounds 5 steps 41
 ";
 
 const CHAOS_GOLDEN: &str = "
 bsp armed-clean | total 0.011337306222222197 comm 0.010117226730158694 | bytes [65772, 72292, 61068, 75200] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 0
-spmsf armed-clean | total 0.010246347333333305 comm 0.00812410606349202 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 0
+spmsf armed-clean | total 0.009507379333333302 comm 0.0073851380634920175 | bytes [9120, 13956, 13996, 12296] | msgs [172, 152, 173, 152] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 0
 bsp crash r2 e3 op11 | total 1.0114431831111221 comm 1.0102231036190588 | bytes [65772, 72292, 61068, 75200] | msgs [201, 178, 202, 178] | supersteps 51 rounds 5 messages 45432 | ckpt_writes [11, 11, 11, 11] ckpt_bytes [115032, 112272, 113372, 114504] recovered 2
-spmsf crash r2 e3 op11 | total 1.0103018697777932 comm 1.008179628507952 | bytes [20696, 9284, 18668, 7672] | msgs [172, 147, 173, 147] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 2
+spmsf crash r2 e3 op11 | total 1.0095629017777925 comm 1.0074406605079513 | bytes [9120, 13956, 13996, 12296] | msgs [172, 152, 173, 152] | rounds 5 steps 45 | ckpt_writes [20, 20, 20, 20] ckpt_bytes [155800, 148696, 151732, 148132] recovered 2
 ";
 
 const SERVE_GOLDEN: &str = "
-Incremental job 0 Backend | start 0.0 finish 0.026096817269841286
-Incremental job 18 Backend | start 0.026096817269841286 finish 0.06704587161904764
-Incremental job 1 Cache | start 0.06704587161904764 finish 0.07193672876190478
-Incremental job 19 Backend | start 0.07193672876190478 finish 0.11191478019047621
-Incremental job 2 Backend | start 0.11191478019047621 finish 0.12365414653968256
-Incremental job 20 Backend | start 0.12365414653968256 finish 0.16395375111111113
+Incremental job 0 Backend | start 0.0 finish 0.013205230349206346
+Incremental job 18 Backend | start 0.013205230349206346 finish 0.042915708698412706
+Incremental job 19 Backend | start 0.042915708698412706 finish 0.07161741612698415
+Incremental job 1 Cache | start 0.07161741612698415 finish 0.07650827326984129
+Incremental job 20 Backend | start 0.07650827326984129 finish 0.10544865384126986
+Incremental job 2 Backend | start 0.10544865384126986 finish 0.11718802019047621
 Incremental job 24 Incremental | start 0.3 finish 0.3578825742222222
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
@@ -660,43 +658,43 @@ Incremental job 17 Cache | start 2.6 finish 2.6001000000000003
 Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
 Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.34687115504761934
-Incremental tenant interactive | p50 0.00010000000000021103 p95 0.02365414653968255 p99 0.026096817269841286
-Incremental tenant batch | p50 0.11191478019047621 p95 0.16395375111111113 p99 0.16395375111111113
+Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.20506369892063486
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.017188020190476203 p99 0.026508273269841287
+Incremental tenant batch | p50 0.07161741612698415 p95 0.10544865384126986 p99 0.10544865384126986
 Incremental tenant updates | p50 0.0005526349206348424 p95 0.057882574222222205 p99 0.057882574222222205
-Recompute job 0 Backend | start 0.0 finish 0.026096817269841286
-Recompute job 18 Backend | start 0.026096817269841286 finish 0.06704587161904764
-Recompute job 1 Cache | start 0.06704587161904764 finish 0.07193672876190478
-Recompute job 19 Backend | start 0.07193672876190478 finish 0.11191478019047621
-Recompute job 2 Backend | start 0.11191478019047621 finish 0.12365414653968256
-Recompute job 20 Backend | start 0.12365414653968256 finish 0.16395375111111113
-Recompute job 24 Recompute | start 0.3 finish 0.5578602872380952
-Recompute job 3 Cache | start 0.5578602872380952 finish 0.5579602872380952
-Recompute job 4 Cache | start 0.5579602872380952 finish 0.5628511443809524
+Recompute job 0 Backend | start 0.0 finish 0.013205230349206346
+Recompute job 18 Backend | start 0.013205230349206346 finish 0.042915708698412706
+Recompute job 19 Backend | start 0.042915708698412706 finish 0.07161741612698415
+Recompute job 1 Cache | start 0.07161741612698415 finish 0.07650827326984129
+Recompute job 20 Backend | start 0.07650827326984129 finish 0.10544865384126986
+Recompute job 2 Backend | start 0.10544865384126986 finish 0.11718802019047621
+Recompute job 24 Recompute | start 0.3 finish 0.5342447197460317
+Recompute job 3 Cache | start 0.5342447197460317 finish 0.5343447197460317
+Recompute job 4 Cache | start 0.55 finish 0.5548908571428572
 Recompute job 5 Cache | start 0.6 finish 0.6001
-Recompute job 25 Recompute | start 0.7 finish 0.829011576
+Recompute job 25 Recompute | start 0.7 finish 0.8172017605079365
 Recompute job 6 Cache | start 1.0 finish 1.0001
 Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
 Recompute job 8 Cache | start 1.1 finish 1.1001
-Recompute job 26 Recompute | start 1.1001 finish 1.229172690920635
+Recompute job 26 Recompute | start 1.1001 finish 1.217366938920635
 Recompute job 9 Cache | start 1.5 finish 1.5001
-Recompute job 27 Recompute | start 1.5001 finish 1.6291970718730158
-Recompute job 10 Cache | start 1.6291970718730158 finish 1.634087929015873
-Recompute job 11 Cache | start 1.634087929015873 finish 1.634187929015873
+Recompute job 27 Recompute | start 1.5001 finish 1.6173913198730159
+Recompute job 10 Cache | start 1.6173913198730159 finish 1.622282177015873
+Recompute job 11 Cache | start 1.622282177015873 finish 1.622382177015873
 Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Recompute job 29 Recompute | start 1.9000000000000001 finish 2.0291539607619047
-Recompute job 12 Cache | start 2.0291539607619047 finish 2.029253960761905
+Recompute job 29 Recompute | start 1.9000000000000001 finish 2.017348208761905
+Recompute job 12 Cache | start 2.017348208761905 finish 2.017448208761905
 Recompute job 13 Cache | start 2.05 finish 2.054890857142857
 Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
-Recompute job 30 Recompute | start 2.3 finish 2.4290686274285713
+Recompute job 30 Recompute | start 2.3 finish 2.4172628754285714
 Recompute job 15 Cache | start 2.5 finish 2.5001
 Recompute job 16 Cache | start 2.55 finish 2.554890857142857
 Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
-Recompute job 31 Recompute | start 2.7 finish 2.8293176382222223
-Recompute job 32 Recompute | start 3.1 finish 3.229317215619048
+Recompute job 31 Recompute | start 2.7 finish 2.8175036942222222
+Recompute job 32 Recompute | start 3.1 finish 3.2175074001269843
 Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.6041761092063496
-Recompute tenant interactive | p50 0.004890857142857197 p95 0.05796028723809521 p99 0.08408792901587292
-Recompute tenant batch | p50 0.11191478019047621 p95 0.16395375111111113 p99 0.16395375111111113
-Recompute tenant updates | p50 0.129172690920635 p95 0.25786028723809523 p99 0.25786028723809523
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.43875308558730153
+Recompute tenant interactive | p50 0.004890857142857197 p95 0.034344719746031704 p99 0.07228217701587303
+Recompute tenant batch | p50 0.07161741612698415 p95 0.10544865384126986 p99 0.10544865384126986
+Recompute tenant updates | p50 0.11736693892063488 p95 0.23424471974603173 p99 0.23424471974603173
 ";
