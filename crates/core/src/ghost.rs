@@ -7,9 +7,15 @@
 //!
 //! * At level 0 the owner of component `c` (= vertex `c`) follows from the
 //!   1D partition, so the directory is seeded from the vertex ranges.
-//! * When segments of components move between ranks, every move is
-//!   announced (the driver allgathers `(component, new owner)` deltas) and
-//!   applied with [`GhostDirectory::apply_moves`].
+//! * When a ring shift moves a segment of components between ranks, every
+//!   move is announced (the driver allgathers `(component, new owner)`
+//!   deltas) and applied with [`GhostDirectory::apply_moves`].
+//! * A group merge moves whole holdings: every member's components go to
+//!   the group's elected leader, which every rank knows from the
+//!   replicated groups and election. Nothing is announced; each rank
+//!   composes a rank → rank redirect ([`GhostDirectory::merge_groups`]),
+//!   and [`GhostDirectory::owner`] resolves the range-derived or moved
+//!   owner through it.
 //! * Relabels shrink the id space: when `old` merges into `new`, `old`
 //!   disappears; [`GhostDirectory::apply_relabels`] drops the stale entry.
 //!
@@ -24,6 +30,7 @@ use std::collections::HashMap;
 use mnd_graph::partition::{owner_of, VertexRange};
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::idset::IdSet;
+use mnd_net::Group;
 
 /// Component → resident rank map.
 #[derive(Clone, Debug, Default)]
@@ -31,6 +38,10 @@ pub struct GhostDirectory {
     ranges: Vec<VertexRange>,
     /// Overrides of the range-derived owner (components that moved).
     moved: HashMap<CompId, u32>,
+    /// Where each rank's holding lives after the group merges so far
+    /// (indexed by rank); empty before the first merge, which is the
+    /// identity.
+    redirect: Vec<u32>,
 }
 
 impl GhostDirectory {
@@ -39,28 +50,57 @@ impl GhostDirectory {
         GhostDirectory {
             ranges,
             moved: HashMap::new(),
+            redirect: Vec::new(),
         }
     }
 
-    /// Current owner of component `c`.
+    /// Current owner of component `c`: the last ring move's target, or
+    /// the range owner, resolved through the group merges.
     pub fn owner(&self, c: CompId) -> u32 {
-        if let Some(&r) = self.moved.get(&c) {
-            return r;
+        match self.moved.get(&c) {
+            Some(&r) => self.resolve(r),
+            None => self.resolve(owner_of(&self.ranges, c) as u32),
         }
-        owner_of(&self.ranges, c) as u32
+    }
+
+    /// The rank now holding what rank `r` held.
+    #[inline]
+    fn resolve(&self, r: u32) -> u32 {
+        self.redirect.get(r as usize).copied().unwrap_or(r)
     }
 
     /// Applies announced moves (`component -> new owner`).
     pub fn apply_moves(&mut self, moves: &[(CompId, u32)]) {
         for &(c, r) in moves {
-            // Keep the map small: an override equal to the range owner can
-            // be dropped.
-            if owner_of(&self.ranges, c) as u32 == r {
+            // Keep the map small: an override equal to the (resolved)
+            // range owner can be dropped.
+            if self.resolve(owner_of(&self.ranges, c) as u32) == r {
                 self.moved.remove(&c);
             } else {
                 self.moved.insert(c, r);
             }
         }
+    }
+
+    /// Records a group merge: every member of `groups[i]` handed its whole
+    /// holding to `leaders[i]`. Composes the redirect (ranks in no group
+    /// keep their target) and drops the overrides it makes redundant.
+    pub fn merge_groups(&mut self, groups: &[Group], leaders: &[usize]) {
+        let ranks = self.ranges.len();
+        let mut to: Vec<u32> = (0..ranks as u32).collect();
+        for (g, &leader) in groups.iter().zip(leaders) {
+            for &m in g.members() {
+                to[m] = leader as u32;
+            }
+        }
+        self.redirect = if self.redirect.is_empty() {
+            to
+        } else {
+            self.redirect.iter().map(|&r| to[r as usize]).collect()
+        };
+        let (ranges, redirect) = (&self.ranges, &self.redirect);
+        self.moved
+            .retain(|&c, r| redirect[*r as usize] != redirect[owner_of(ranges, c)]);
     }
 
     /// Forgets ids that were merged away (`(old, new)` relabels: `old`
@@ -71,12 +111,14 @@ impl GhostDirectory {
         }
     }
 
-    /// Approximate serialized size: the ranges table plus one
-    /// `(component, owner)` pair per override. Used to cost checkpoint
+    /// Approximate serialized size: the ranges table, one `(component,
+    /// owner)` pair per override and the redirect. Used to cost checkpoint
     /// writes (the directory has no exact wire format — it never travels
     /// over the fabric).
     pub fn approx_wire_bytes(&self) -> u64 {
-        8 + self.ranges.len() as u64 * 8 + self.moved.len() as u64 * 8
+        8 + self.ranges.len() as u64 * 8
+            + self.moved.len() as u64 * 8
+            + self.redirect.len() as u64 * 4
     }
 
     /// Number of move overrides currently tracked (diagnostics).
@@ -167,6 +209,8 @@ pub fn relabel_buckets(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use mnd_graph::types::WEdge;
     use mnd_kernels::cgraph::CEdge;
@@ -198,6 +242,120 @@ mod tests {
         d.apply_moves(&[(15, 1)]);
         assert_eq!(d.owner(15), 1);
         assert_eq!(d.num_overrides(), 0);
+    }
+
+    /// A redirect resolves range owners and moved owners alike, and an
+    /// override the redirect makes redundant is dropped.
+    #[test]
+    fn merges_redirect_range_and_moved_owners() {
+        let mut d = GhostDirectory::from_ranges(ranges4());
+        d.apply_moves(&[(5, 1), (15, 3)]);
+        let groups = Group::partition(&[0, 1, 2, 3], 2);
+        d.merge_groups(&groups, &[0, 2]);
+        assert_eq!(
+            [d.owner(5), d.owner(15), d.owner(25), d.owner(35)],
+            [0, 2, 2, 2]
+        );
+        // 5 → 1 → 0 is its range owner again; 15 → 3 → 2 is not rank 1's 0.
+        assert_eq!(d.num_overrides(), 1);
+        // A ring move at the next level names an active rank.
+        d.apply_moves(&[(25, 0)]);
+        d.merge_groups(&Group::partition(&[0, 2], 2), &[2]);
+        assert!((0..40).all(|c| d.owner(c) == 2));
+        assert_eq!(d.num_overrides(), 0);
+    }
+
+    /// A small deterministic generator for the hierarchy replays.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    proptest::proptest! {
+        /// Replays whole hierarchies — ring moves between merges, ids
+        /// merged away, elected leaders other than the first member — on a
+        /// directory and on a per-component map that applies every merge
+        /// the way the merge's `(component, leader)` announcements did: at
+        /// every step, every live component has the map's owner, and the
+        /// directory keeps exactly the overrides the redirect cannot derive.
+        #[test]
+        fn redirect_owners_equal_announced_moves(
+            wide in proptest::bool::ANY,
+            pairs in proptest::bool::ANY,
+            failover in proptest::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = if wide { 16 } else { 8 };
+            let group_size = if pairs { 2 } else { 4 };
+            let ranges: Vec<VertexRange> = (0..p)
+                .map(|i| VertexRange { start: i * 10, end: (i + 1) * 10 })
+                .collect();
+            let mut dir = GhostDirectory::from_ranges(ranges.clone());
+            let mut announced: BTreeMap<CompId, u32> =
+                (0..10 * p).map(|c| (c, owner_of(&ranges, c) as u32)).collect();
+            let mut rng = SplitMix(seed);
+            let check = |dir: &GhostDirectory, announced: &BTreeMap<CompId, u32>| {
+                let mut derived = 0;
+                for (&c, &owner) in announced {
+                    proptest::prop_assert_eq!(dir.owner(c), owner, "component {}", c);
+                    derived += usize::from(dir.resolve(owner_of(&ranges, c) as u32) != owner);
+                }
+                proptest::prop_assert_eq!(dir.num_overrides(), derived);
+            };
+            let mut active: Vec<usize> = (0..p as usize).collect();
+            while active.len() > 1 {
+                let groups = Group::partition(&active, group_size);
+                // Ring rounds: components move to another member of their
+                // owner's group, announced.
+                for _ in 0..rng.below(3) {
+                    let mut moves = Vec::new();
+                    for (&c, &owner) in &announced {
+                        let g = Group::find(&groups, owner as usize).expect("owner is active");
+                        if !g.is_singleton() && rng.below(4) == 0 {
+                            let to = g.members()[rng.below(g.members().len())] as u32;
+                            moves.push((c, to));
+                        }
+                    }
+                    moves.sort_unstable();
+                    dir.apply_moves(&moves);
+                    announced.extend(moves.iter().copied());
+                    check(&dir, &announced);
+                }
+                // Some components merge into others and disappear.
+                let mut gone: Vec<CompId> =
+                    announced.keys().copied().filter(|_| rng.below(8) == 0).collect();
+                gone.sort_unstable();
+                let relabels: Vec<(CompId, CompId)> = gone.iter().map(|&c| (c, u32::MAX)).collect();
+                dir.apply_relabels(&relabels);
+                gone.iter().for_each(|c| {
+                    announced.remove(c);
+                });
+                // The merge: a healthy member leads (under a failover, not
+                // necessarily the first), every member's components go there.
+                let leaders: Vec<usize> = groups
+                    .iter()
+                    .map(|g| {
+                        let k = if failover { rng.below(g.members().len()) } else { 0 };
+                        g.members()[k]
+                    })
+                    .collect();
+                for owner in announced.values_mut() {
+                    let gi = groups.iter().position(|g| g.position(*owner as usize).is_some());
+                    *owner = leaders[gi.expect("owner is active")] as u32;
+                }
+                dir.merge_groups(&groups, &leaders);
+                check(&dir, &announced);
+                active = leaders;
+            }
+            proptest::prop_assert!(announced.values().all(|&r| r as usize == active[0]));
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn varint_bytes(v: u64) -> u64 {
 
 /// Delta-varint cost of a sorted ascending slice (first id absolute).
 /// Returns `None` if the slice is not ascending (raw fallback applies).
-fn delta_cost(ids: &[u32]) -> Option<u64> {
+pub fn delta_cost(ids: &[u32]) -> Option<u64> {
     let mut total = 0u64;
     let mut prev = 0u32;
     for (i, &id) in ids.iter().enumerate() {

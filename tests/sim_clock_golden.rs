@@ -73,10 +73,10 @@ fn crawl_on_four_cpu_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 5.267745639746027,
-            comm_time: 0.8646417922539649,
-            bytes_sent: &[15057, 99789, 99992, 92320],
-            messages_sent: &[24, 22, 26, 22],
+            total_time: 4.750251999746027,
+            comm_time: 0.3470481522539642,
+            bytes_sent: &[14009, 24174, 37076, 35026],
+            messages_sent: &[22, 20, 24, 20],
         },
     );
 }
@@ -95,10 +95,10 @@ fn scrambled_crawl_on_eight_hybrid_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 19.505148704173738,
-            comm_time: 12.219695233607203,
-            bytes_sent: &[6937, 107860, 107365, 105330, 224210, 111189, 109509, 109980],
-            messages_sent: &[100, 70, 86, 70, 102, 70, 86, 70],
+            total_time: 18.424498716173733,
+            comm_time: 11.023575005607197,
+            bytes_sent: &[4241, 25330, 28296, 31600, 34704, 24634, 27635, 31154],
+            messages_sent: &[94, 64, 80, 64, 96, 64, 80, 64],
         },
     );
 }
@@ -116,10 +116,10 @@ fn road_grid_with_tiny_ghost_phases() {
         runner,
         &el,
         &Golden {
-            total_time: 0.005211712555555548,
-            comm_time: 0.005068201857142849,
-            bytes_sent: &[21936, 41770, 40451],
-            messages_sent: &[148, 143, 141],
+            total_time: 0.005117613412698405,
+            comm_time: 0.004964404492063484,
+            bytes_sent: &[19312, 37731, 38407],
+            messages_sent: &[146, 142, 140],
         },
     );
 }
@@ -560,27 +560,27 @@ fn serve_plane_goldens() {
 }
 
 const MND_MST_GOLDEN: &str = "
-road border-vertex | total 0.07718212736507933 comm 0.0492313954285714 | bytes [3713, 9241, 9264, 8852] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recheck | total 0.07330145993650788 comm 0.046024682539682484 | bytes [3612, 8534, 8727, 8364] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road exhaustive | total 0.07330145993650788 comm 0.046024682539682484 | bytes [3612, 8534, 8727, 8364] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road eager-stop | total 0.07226921269841265 comm 0.04659339225396819 | bytes [3570, 8506, 8912, 7646] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
-road recursing | total 0.07903053561904749 comm 0.0502016312380951 | bytes [3666, 8515, 8500, 7478] | msgs [39, 31, 41, 31] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
-road ring x8 | total 0.09206204165079362 comm 0.06258866577777769 | bytes [6257, 11232, 11517, 11380, 11812, 11540, 10403, 9795] | msgs [67, 55, 62, 55, 69, 55, 62, 55] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
-road pairs x8 | total 0.09471782019047627 comm 0.07759765803174608 | bytes [4366, 7539, 8559, 7820, 8254, 7979, 7184, 6911] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
-scramble border-vertex | total 0.6300083606349209 comm 0.24655571136507967 | bytes [6360, 56217, 58845, 59427] | msgs [21, 19, 23, 19] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
-scramble recheck | total 0.596611768761905 comm 0.21893077053968274 | bytes [6793, 49981, 51943, 52451] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble exhaustive | total 0.6308995178412699 comm 0.21940226565079352 | bytes [6793, 49981, 51943, 52455] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble eager-stop | total 0.596611768761905 comm 0.21893077053968274 | bytes [6793, 49981, 51943, 52451] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble recursing | total 0.6595194640000002 comm 0.22081306895238095 | bytes [6841, 50005, 51991, 52479] | msgs [30, 25, 32, 25] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
-scramble ring x8 | total 0.6076303646984134 comm 0.24410582653968294 | bytes [27297, 54885, 55941, 55939, 57514, 57562, 57837, 57401] | msgs [53, 41, 48, 41, 55, 41, 48, 41] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
-scramble pairs x8 | total 1.14692714984127 comm 0.8848061723174602 | bytes [11130, 34783, 57457, 36974, 80899, 40881, 61314, 40325] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
-islands border-vertex | total 0.12158329447619047 comm 0.07152587149206344 | bytes [1769, 11514, 11732, 8439] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
-islands recheck | total 0.11994598425396824 comm 0.07213629003174601 | bytes [1902, 11230, 11152, 8177] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
-islands exhaustive | total 0.12258351377777776 comm 0.06932938425396822 | bytes [1902, 11230, 11144, 8149] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
-islands eager-stop | total 0.11490538425396825 comm 0.07188606565079365 | bytes [1902, 11230, 11240, 8485] | msgs [24, 22, 26, 22] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
-islands recursing | total 0.142128472 comm 0.08336424723809525 | bytes [1998, 11278, 11240, 8197] | msgs [36, 28, 38, 28] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
-islands ring x8 | total 0.19348999149206392 comm 0.13354536025396874 | bytes [17253, 22129, 22549, 22037, 19624, 17083, 16031, 18108] | msgs [131, 101, 117, 101, 133, 101, 117, 101] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
-islands pairs x8 | total 0.24899148863492102 comm 0.21958039796825432 | bytes [3333, 8285, 13428, 8885, 15872, 9461, 8001, 5043] | msgs [91, 73, 83, 73, 93, 73, 83, 73] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
+road border-vertex | total 0.06332174336507931 comm 0.03537101142857138 | bytes [3193, 6079, 6200, 7009] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recheck | total 0.06229598793650787 comm 0.03501921053968247 | bytes [3236, 6179, 6329, 7054] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road exhaustive | total 0.06229598793650787 comm 0.03501921053968247 | bytes [3236, 6179, 6329, 7054] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road eager-stop | total 0.05825318069841264 comm 0.032577360253968186 | bytes [3186, 6100, 5938, 6105] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
+road recursing | total 0.06802506361904748 comm 0.03919615923809508 | bytes [3290, 6160, 6102, 6168] | msgs [37, 29, 39, 29] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
+road ring x8 | total 0.06925684165079359 comm 0.03824071377777766 | bytes [4079, 5865, 6190, 6260, 6152, 6301, 5892, 5800] | msgs [64, 52, 59, 52, 66, 52, 59, 52] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
+road pairs x8 | total 0.06485344876190466 comm 0.04667151860317448 | bytes [3054, 4575, 5123, 4742, 5384, 4584, 4834, 4533] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
+scramble border-vertex | total 0.4268082006349208 comm 0.04334555136507963 | bytes [3336, 9691, 9860, 9726] | msgs [19, 17, 21, 17] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
+scramble recheck | total 0.4286249207619049 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble exhaustive | total 0.46289628584126963 comm 0.05138903365079355 | bytes [4585, 11433, 11419, 11382] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble eager-stop | total 0.4286249207619049 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble recursing | total 0.4915162319999999 comm 0.052799836952381 | bytes [4633, 11457, 11467, 11406] | msgs [28, 23, 30, 23] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
+scramble ring x8 | total 0.437499444698413 comm 0.07335386933333389 | bytes [11802, 16321, 15932, 15970, 16413, 15941, 16507, 16270] | msgs [50, 38, 45, 38, 52, 38, 45, 38] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
+scramble pairs x8 | total 0.6595715098412696 comm 0.37050933231745975 | bytes [5434, 12799, 16645, 12194, 14466, 12407, 16683, 12432] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
+islands border-vertex | total 0.08312823847619044 comm 0.02970619149206344 | bytes [1033, 1802, 2346, 3478] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
+islands recheck | total 0.08410098425396823 comm 0.03326663403174599 | bytes [1254, 1987, 2732, 3557] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
+islands exhaustive | total 0.08673851377777775 comm 0.030422864253968198 | bytes [1254, 1987, 2732, 3560] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
+islands eager-stop | total 0.07906038425396822 comm 0.0334178176507936 | bytes [1254, 1987, 2732, 3523] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
+islands recursing | total 0.10628347200000002 comm 0.04445772723809525 | bytes [1350, 2035, 2828, 3608] | msgs [34, 26, 36, 26] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
+islands ring x8 | total 0.13619581942857173 comm 0.07604186819047648 | bytes [8166, 8525, 8689, 8734, 8095, 7210, 6729, 7749] | msgs [128, 98, 114, 98, 130, 98, 114, 98] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
+islands pairs x8 | total 0.14138420063492077 comm 0.10896483796825406 | bytes [1797, 2595, 3189, 2697, 2836, 2690, 2760, 2895] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
 ";
 
 const BSP_GOLDEN: &str = "
@@ -627,12 +627,12 @@ spmsf crash r2 e3 op11 | total 1.0095629017777925 comm 1.0074406605079513 | byte
 ";
 
 const SERVE_GOLDEN: &str = "
-Incremental job 0 Backend | start 0.0 finish 0.013205230349206346
-Incremental job 18 Backend | start 0.013205230349206346 finish 0.042915708698412706
-Incremental job 19 Backend | start 0.042915708698412706 finish 0.07161741612698415
-Incremental job 1 Cache | start 0.07161741612698415 finish 0.07650827326984129
-Incremental job 20 Backend | start 0.07650827326984129 finish 0.10544865384126986
-Incremental job 2 Backend | start 0.10544865384126986 finish 0.11718802019047621
+Incremental job 0 Backend | start 0.0 finish 0.011591646349206347
+Incremental job 18 Backend | start 0.011591646349206347 finish 0.0332865566984127
+Incremental job 19 Backend | start 0.0332865566984127 finish 0.053560136126984126
+Incremental job 1 Cache | start 0.053560136126984126 finish 0.05845099326984127
+Incremental job 20 Backend | start 0.05845099326984127 finish 0.07940151784126985
+Incremental job 2 Backend | start 0.1 finish 0.11173936634920635
 Incremental job 24 Incremental | start 0.3 finish 0.3578825742222222
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
@@ -658,43 +658,43 @@ Incremental job 17 Cache | start 2.6 finish 2.6001000000000003
 Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
 Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.20506369892063486
-Incremental tenant interactive | p50 0.00010000000000021103 p95 0.017188020190476203 p99 0.026508273269841287
-Incremental tenant batch | p50 0.07161741612698415 p95 0.10544865384126986 p99 0.10544865384126986
+Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.18731427492063488
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.011591646349206347 p99 0.011739366349206345
+Incremental tenant batch | p50 0.053560136126984126 p95 0.07940151784126985 p99 0.07940151784126985
 Incremental tenant updates | p50 0.0005526349206348424 p95 0.057882574222222205 p99 0.057882574222222205
-Recompute job 0 Backend | start 0.0 finish 0.013205230349206346
-Recompute job 18 Backend | start 0.013205230349206346 finish 0.042915708698412706
-Recompute job 19 Backend | start 0.042915708698412706 finish 0.07161741612698415
-Recompute job 1 Cache | start 0.07161741612698415 finish 0.07650827326984129
-Recompute job 20 Backend | start 0.07650827326984129 finish 0.10544865384126986
-Recompute job 2 Backend | start 0.10544865384126986 finish 0.11718802019047621
-Recompute job 24 Recompute | start 0.3 finish 0.5342447197460317
-Recompute job 3 Cache | start 0.5342447197460317 finish 0.5343447197460317
+Recompute job 0 Backend | start 0.0 finish 0.011591646349206347
+Recompute job 18 Backend | start 0.011591646349206347 finish 0.0332865566984127
+Recompute job 19 Backend | start 0.0332865566984127 finish 0.053560136126984126
+Recompute job 1 Cache | start 0.053560136126984126 finish 0.05845099326984127
+Recompute job 20 Backend | start 0.05845099326984127 finish 0.07940151784126985
+Recompute job 2 Backend | start 0.1 finish 0.11173936634920635
+Recompute job 24 Recompute | start 0.3 finish 0.4704907197460317
+Recompute job 3 Cache | start 0.5 finish 0.5001
 Recompute job 4 Cache | start 0.55 finish 0.5548908571428572
 Recompute job 5 Cache | start 0.6 finish 0.6001
-Recompute job 25 Recompute | start 0.7 finish 0.8172017605079365
+Recompute job 25 Recompute | start 0.7 finish 0.7853114485079364
 Recompute job 6 Cache | start 1.0 finish 1.0001
 Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
 Recompute job 8 Cache | start 1.1 finish 1.1001
-Recompute job 26 Recompute | start 1.1001 finish 1.217366938920635
+Recompute job 26 Recompute | start 1.1001 finish 1.185462290920635
 Recompute job 9 Cache | start 1.5 finish 1.5001
-Recompute job 27 Recompute | start 1.5001 finish 1.6173913198730159
-Recompute job 10 Cache | start 1.6173913198730159 finish 1.622282177015873
-Recompute job 11 Cache | start 1.622282177015873 finish 1.622382177015873
+Recompute job 27 Recompute | start 1.5001 finish 1.5854805278730157
+Recompute job 10 Cache | start 1.5854805278730157 finish 1.590371385015873
+Recompute job 11 Cache | start 1.6 finish 1.6001
 Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Recompute job 29 Recompute | start 1.9000000000000001 finish 2.017348208761905
-Recompute job 12 Cache | start 2.017348208761905 finish 2.017448208761905
+Recompute job 29 Recompute | start 1.9000000000000001 finish 1.9854374167619049
+Recompute job 12 Cache | start 2.0 finish 2.0001
 Recompute job 13 Cache | start 2.05 finish 2.054890857142857
 Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
-Recompute job 30 Recompute | start 2.3 finish 2.4172628754285714
+Recompute job 30 Recompute | start 2.3 finish 2.3853520834285713
 Recompute job 15 Cache | start 2.5 finish 2.5001
 Recompute job 16 Cache | start 2.55 finish 2.554890857142857
 Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
-Recompute job 31 Recompute | start 2.7 finish 2.8175036942222222
-Recompute job 32 Recompute | start 3.1 finish 3.2175074001269843
+Recompute job 31 Recompute | start 2.7 finish 2.785443398222222
+Recompute job 32 Recompute | start 3.1 finish 3.1854849921269843
 Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.43875308558730153
-Recompute tenant interactive | p50 0.004890857142857197 p95 0.034344719746031704 p99 0.07228217701587303
-Recompute tenant batch | p50 0.07161741612698415 p95 0.10544865384126986 p99 0.10544865384126986
-Recompute tenant updates | p50 0.11736693892063488 p95 0.23424471974603173 p99 0.23424471974603173
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.3570704615873015
+Recompute tenant interactive | p50 0.00010000000000021103 p95 0.011739366349206345 p99 0.040371385015872896
+Recompute tenant batch | p50 0.053560136126984126 p95 0.07940151784126985 p99 0.07940151784126985
+Recompute tenant updates | p50 0.08544339822222202 p95 0.1704907197460317 p99 0.1704907197460317
 ";
