@@ -12,10 +12,15 @@
 #     and rewrites the `sim_time_s` and `sim_latency_p90_s` rows of the
 #     baseline: median, q1, q3 and every round sample. The host-clock rows
 #     (wall_s, setup_s, peak_rss_mb) stay as they are.
+#  3. Runs `repro --csv DIR all` once (release, ≈ 40 s) and makes
+#     results/*.csv exactly its tables: a changed table is overwritten, a
+#     new one added, one repro no longer writes removed. Each changed
+#     table's moved lines are printed as a zero-context diff.
 #
 # Usage: scripts/repin.sh [--check]
-#   --check  change nothing; exit 1 if a golden or a baseline row would
-#            change (the diff is printed all the same).
+#   --check  change nothing; exit 1 if a golden, a baseline row or any
+#            byte of a table would change (the diff is printed all the
+#            same).
 #
 # Needs cargo and python3, like scripts/ab.sh.
 
@@ -29,7 +34,7 @@ for arg in "$@"; do
       CHECK=1
       ;;
     -h | --help)
-      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -206,7 +211,41 @@ if [[ "$status" -ne 0 && "$status" -ne 10 ]]; then
   exit 1
 fi
 
-if [[ "$CHECK" -eq 1 && ("$moved" -eq 1 || "$status" -eq 10) ]]; then
+# --- 3. the paper tables ----------------------------------------------------
+
+echo "==> results/*.csv (repro all)" >&2
+mkdir "$work/csv"
+cargo run --release -q --offline -p mnd-bench --bin repro -- --csv "$work/csv" all \
+  >"$work/repro.log" 2>&1 || {
+  cat "$work/repro.log" >&2
+  echo "repin.sh: repro all failed" >&2
+  exit 1
+}
+tables=0
+for new in "$work"/csv/*.csv; do
+  old="results/$(basename "$new")"
+  if [[ ! -f "$old" ]]; then
+    tables=1
+    echo "$old: new table"
+  elif ! cmp -s "$old" "$new"; then
+    tables=1
+    echo "$old:"
+    diff -U0 "$old" "$new" | tail -n +3 || true
+  else
+    continue
+  fi
+  [[ "$CHECK" -eq 1 ]] || cp "$new" "$old"
+done
+for old in results/*.csv; do
+  if [[ ! -f "$work/csv/$(basename "$old")" ]]; then
+    tables=1
+    echo "$old: repro no longer writes it"
+    [[ "$CHECK" -eq 1 ]] || rm "$old"
+  fi
+done
+[[ "$tables" -eq 1 ]] || echo "tables: unchanged"
+
+if [[ "$CHECK" -eq 1 && ("$moved" -eq 1 || "$status" -eq 10 || "$tables" -eq 1) ]]; then
   echo "repin.sh --check: the simulated clock moved (diff above); run scripts/repin.sh" >&2
   exit 1
 fi
