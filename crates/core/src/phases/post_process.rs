@@ -4,6 +4,7 @@
 use mnd_graph::types::WEdge;
 use mnd_hypar::api::post_process;
 use mnd_hypar::observe::PhaseKind;
+use mnd_kernels::filter::certified_forest;
 use mnd_kernels::msf::MsfResult;
 
 use crate::phases::{Phase, RankCtx, RankRecovery};
@@ -11,6 +12,12 @@ use crate::phases::{Phase, RankCtx, RankRecovery};
 /// Finishes the forest on the final rank — rank 0 unless chaos leader
 /// failovers re-routed the merge hierarchy ([`RankCtx::final_rank`]) —
 /// and gathers the MSF there, setting [`RankCtx::msf`].
+///
+/// With the level-0 filter on, the final holding — whose rows have no
+/// ghost ends — is certified by the filter's one sweep instead of
+/// contracted by Boruvka rounds: its survivors are its forest (DESIGN.md
+/// §8). With the filter off (the paper's configuration) `postProcess`
+/// runs Boruvka on the device the model picks.
 #[derive(Debug, Default)]
 pub struct PostProcess;
 
@@ -34,7 +41,13 @@ impl Phase for PostProcess {
                 let (edges, t) = cx.alone(1, |cx| {
                     cx.step(PhaseKind::PostProcess, "post_process_kernel", |cx| {
                         let runner = cx.runner;
-                        post_process(&mut cx.cg, &runner.platform, &runner.config)
+                        if runner.config.level0_filter {
+                            let rows = cx.cg.num_edges() as u64;
+                            let forest = certified_forest(std::mem::take(&mut cx.cg));
+                            (forest, runner.sweep_seconds(rows))
+                        } else {
+                            post_process(&mut cx.cg, &runner.platform, &runner.config)
+                        }
                     })
                 });
                 comm.compute(t);

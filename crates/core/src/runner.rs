@@ -484,6 +484,57 @@ mod tests {
         }
     }
 
+    /// §4.3.3's recursion stops after a round that did not pay: on a union
+    /// of islands with a threshold every holding is over, the second round
+    /// shrinks each holding by less than §4.3.4's significant fraction, so
+    /// no third runs. With `merge_min_shrink` at 0 any union is progress,
+    /// and the step recurses to its cap.
+    #[test]
+    fn recursion_stops_after_a_round_that_barely_shrank_the_holdings() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        use mnd_hypar::observe::StepSample;
+        use mnd_kernels::policy::StopPolicy;
+
+        struct KernelSteps(AtomicU64);
+        impl PhaseObserver for KernelSteps {
+            fn on_phase(&self, _: PhaseKind, _: &PhaseSample) {}
+            fn on_step(&self, s: &StepSample) {
+                if s.rank == 0 && s.phase == PhaseKind::IndComp && s.name == "kernel" {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let el = gen::disconnected_union(&[
+            gen::gnm(300, 900, 5),
+            EdgeList::new(17),
+            gen::path(120, 6),
+            gen::star(60, 8),
+            EdgeList::new(5),
+        ]);
+        let kernel_steps = |merge_min_shrink: f64| {
+            let steps = Arc::new(KernelSteps(AtomicU64::new(0)));
+            let cfg = HyParConfig {
+                stop: StopPolicy::DiminishingBenefit {
+                    min_improvement: 0.5,
+                },
+                recursion_edge_threshold: 1,
+                merge_min_shrink,
+                ..HyParConfig::default()
+            };
+            let cfg = cfg.with_sim_scale(4096.0).with_observer(steps.clone());
+            let r = MndMstRunner::new(4).with_config(cfg).run(&el);
+            assert_eq!(
+                r.msf,
+                kruskal_msf(&el),
+                "merge_min_shrink {merge_min_shrink}"
+            );
+            steps.0.load(Ordering::Relaxed)
+        };
+        assert_eq!(kernel_steps(HyParConfig::default().merge_min_shrink), 2);
+        assert_eq!(kernel_steps(0.0), 3);
+    }
+
     /// Observer attached or not, results and simulated times are identical.
     #[test]
     fn observer_does_not_perturb_simulation() {

@@ -229,7 +229,10 @@ pub fn merge_devices(
 
 /// `postProcess` (§4.1.4): runs the final whole-holding Boruvka (no
 /// exception condition) on whichever device the model predicts faster for
-/// this holding, returning the MSF edges and the simulated time.
+/// this holding, returning the MSF edges and the simulated time. The
+/// `mnd-mst` driver calls it with the level-0 filter off; with the filter
+/// on, one certification sweep is the final holding's forest
+/// (`mnd_kernels::filter::certified_forest`).
 pub fn post_process(
     cg: &mut CGraph,
     platform: &NodePlatform,

@@ -44,7 +44,7 @@ pub mod scan;
 pub use boruvka::{boruvka_msf, local_boruvka, LocalOutput};
 pub use cgraph::{CEdge, CGraph, CompId};
 pub use dsu::DisjointSets;
-pub use filter::{filter_holding, FilterStats};
+pub use filter::{certified_forest, filter_holding, FilterStats};
 pub use msf::{verify_msf, MsfResult};
 pub use oracle::kruskal_msf;
 pub use policy::{ExcpCond, KernelPolicy, StopPolicy};

@@ -73,7 +73,7 @@ fn crawl_on_four_cpu_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 4.750251999746027,
+            total_time: 4.12481943796825,
             comm_time: 0.3470481522539642,
             bytes_sent: &[14009, 24174, 37076, 35026],
             messages_sent: &[22, 20, 24, 20],
@@ -95,10 +95,10 @@ fn scrambled_crawl_on_eight_hybrid_ranks() {
         runner,
         &el,
         &Golden {
-            total_time: 18.424498716173733,
-            comm_time: 11.023575005607197,
-            bytes_sent: &[4241, 25330, 28296, 31600, 34704, 24634, 27635, 31154],
-            messages_sent: &[94, 64, 80, 64, 96, 64, 80, 64],
+            total_time: 12.433357841326812,
+            comm_time: 8.49329961490257,
+            bytes_sent: &[4097, 25282, 28200, 31552, 34560, 24586, 27539, 31106],
+            messages_sent: &[76, 58, 68, 58, 78, 58, 68, 58],
         },
     );
 }
@@ -116,8 +116,8 @@ fn road_grid_with_tiny_ghost_phases() {
         runner,
         &el,
         &Golden {
-            total_time: 0.005117613412698405,
-            comm_time: 0.004964404492063484,
+            total_time: 0.005087044555555548,
+            comm_time: 0.00498307185714285,
             bytes_sent: &[19312, 37731, 38407],
             messages_sent: &[146, 142, 140],
         },
@@ -565,22 +565,22 @@ road recheck | total 0.06229598793650787 comm 0.03501921053968247 | bytes [3236,
 road exhaustive | total 0.06229598793650787 comm 0.03501921053968247 | bytes [3236, 6179, 6329, 7054] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
 road eager-stop | total 0.05825318069841264 comm 0.032577360253968186 | bytes [3186, 6100, 5938, 6105] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 1
 road recursing | total 0.06802506361904748 comm 0.03919615923809508 | bytes [3290, 6160, 6102, 6168] | msgs [37, 29, 39, 29] | levels 1 exchange_rounds 0 max_holding_bytes 37306368 steps 3
-road ring x8 | total 0.06925684165079359 comm 0.03824071377777766 | bytes [4079, 5865, 6190, 6260, 6152, 6301, 5892, 5800] | msgs [64, 52, 59, 52, 66, 52, 59, 52] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
+road ring x8 | total 0.06018268799999989 comm 0.03824071377777766 | bytes [4079, 5865, 6190, 6260, 6152, 6301, 5892, 5800] | msgs [64, 52, 59, 52, 66, 52, 59, 52] | levels 1 exchange_rounds 1 max_holding_bytes 46825472 steps 2
 road pairs x8 | total 0.06485344876190466 comm 0.04667151860317448 | bytes [3054, 4575, 5123, 4742, 5384, 4584, 4834, 4533] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 19922944 steps 3
-scramble border-vertex | total 0.4268082006349208 comm 0.04334555136507963 | bytes [3336, 9691, 9860, 9726] | msgs [19, 17, 21, 17] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
-scramble recheck | total 0.4286249207619049 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble exhaustive | total 0.46289628584126963 comm 0.05138903365079355 | bytes [4585, 11433, 11419, 11382] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble eager-stop | total 0.4286249207619049 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
-scramble recursing | total 0.4915162319999999 comm 0.052799836952381 | bytes [4633, 11457, 11467, 11406] | msgs [28, 23, 30, 23] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
-scramble ring x8 | total 0.437499444698413 comm 0.07335386933333389 | bytes [11802, 16321, 15932, 15970, 16413, 15941, 16507, 16270] | msgs [50, 38, 45, 38, 52, 38, 45, 38] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
-scramble pairs x8 | total 0.6595715098412696 comm 0.37050933231745975 | bytes [5434, 12799, 16645, 12194, 14466, 12407, 16683, 12432] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
-islands border-vertex | total 0.08312823847619044 comm 0.02970619149206344 | bytes [1033, 1802, 2346, 3478] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
-islands recheck | total 0.08410098425396823 comm 0.03326663403174599 | bytes [1254, 1987, 2732, 3557] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
-islands exhaustive | total 0.08673851377777775 comm 0.030422864253968198 | bytes [1254, 1987, 2732, 3560] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
-islands eager-stop | total 0.07906038425396822 comm 0.0334178176507936 | bytes [1254, 1987, 2732, 3523] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
-islands recursing | total 0.10628347200000002 comm 0.04445772723809525 | bytes [1350, 2035, 2828, 3608] | msgs [34, 26, 36, 26] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 3
-islands ring x8 | total 0.13619581942857173 comm 0.07604186819047648 | bytes [8166, 8525, 8689, 8734, 8095, 7210, 6729, 7749] | msgs [128, 98, 114, 98, 130, 98, 114, 98] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
-islands pairs x8 | total 0.14138420063492077 comm 0.10896483796825406 | bytes [1797, 2595, 3189, 2697, 2836, 2690, 2760, 2895] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
+scramble border-vertex | total 0.29798820215873034 comm 0.04334555136507963 | bytes [3336, 9691, 9860, 9726] | msgs [19, 17, 21, 17] | levels 1 exchange_rounds 0 max_holding_bytes 415744000 steps 1
+scramble recheck | total 0.3205148184126985 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble exhaustive | total 0.35478618349206326 comm 0.05138903365079355 | bytes [4585, 11433, 11419, 11382] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble eager-stop | total 0.3205148184126985 comm 0.05093392253968281 | bytes [4585, 11433, 11419, 11381] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 1
+scramble recursing | total 0.3834061296507935 comm 0.052799836952381 | bytes [4633, 11457, 11467, 11406] | msgs [28, 23, 30, 23] | levels 1 exchange_rounds 0 max_holding_bytes 341344256 steps 2
+scramble ring x8 | total 0.2926692874920638 comm 0.07335386933333389 | bytes [11802, 16321, 15932, 15970, 16413, 15941, 16507, 16270] | msgs [50, 38, 45, 38, 52, 38, 45, 38] | levels 1 exchange_rounds 1 max_holding_bytes 452689920 steps 2
+scramble pairs x8 | total 0.5637854262857139 comm 0.37050933231745975 | bytes [5434, 12799, 16645, 12194, 14466, 12407, 16683, 12432] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 294502400 steps 3
+islands border-vertex | total 0.06607521295238092 comm 0.02970619149206344 | bytes [1033, 1802, 2346, 3478] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 68042752 steps 1
+islands recheck | total 0.06793750590476189 comm 0.03326663403174599 | bytes [1254, 1987, 2732, 3557] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 1
+islands exhaustive | total 0.0705832274285714 comm 0.030422864253968198 | bytes [1254, 1987, 2732, 3560] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 61767680 steps 1
+islands eager-stop | total 0.06272552406349204 comm 0.0334178176507936 | bytes [1254, 1987, 2732, 3523] | msgs [22, 20, 24, 20] | levels 1 exchange_rounds 0 max_holding_bytes 62947328 steps 1
+islands recursing | total 0.07634558501587296 comm 0.038830268698412614 | bytes [1302, 2011, 2780, 3581] | msgs [28, 23, 30, 23] | levels 1 exchange_rounds 0 max_holding_bytes 61865984 steps 2
+islands ring x8 | total 0.11691600025396855 comm 0.07604186819047648 | bytes [8166, 8525, 8689, 8734, 8095, 7210, 6729, 7749] | msgs [128, 98, 114, 98, 130, 98, 114, 98] | levels 1 exchange_rounds 4 max_holding_bytes 74432512 steps 5
+islands pairs x8 | total 0.12468135060317473 comm 0.10896483796825406 | bytes [1797, 2595, 3189, 2697, 2836, 2690, 2760, 2895] | msgs [82, 64, 74, 64, 84, 64, 74, 64] | levels 3 exchange_rounds 0 max_holding_bytes 58032128 steps 3
 ";
 
 const BSP_GOLDEN: &str = "
@@ -628,12 +628,12 @@ spmsf crash r2 e3 op11 | total 1.0095629017777925 comm 1.0074406605079513 | byte
 
 const SERVE_GOLDEN: &str = "
 Incremental job 0 Backend | start 0.0 finish 0.011591646349206347
-Incremental job 18 Backend | start 0.011591646349206347 finish 0.0332865566984127
-Incremental job 19 Backend | start 0.0332865566984127 finish 0.053560136126984126
-Incremental job 1 Cache | start 0.053560136126984126 finish 0.05845099326984127
-Incremental job 20 Backend | start 0.05845099326984127 finish 0.07940151784126985
+Incremental job 18 Backend | start 0.011591646349206347 finish 0.027555944888888892
+Incremental job 19 Backend | start 0.027555944888888892 finish 0.04272865625396825
+Incremental job 20 Backend | start 0.04272865625396825 finish 0.05847883847619048
+Incremental job 1 Cache | start 0.05847883847619048 finish 0.06336969561904762
 Incremental job 2 Backend | start 0.1 finish 0.11173936634920635
-Incremental job 24 Incremental | start 0.3 finish 0.3578825742222222
+Incremental job 24 Incremental | start 0.3 finish 0.35787457422222224
 Incremental job 3 Cache | start 0.5 finish 0.5001
 Incremental job 4 Cache | start 0.55 finish 0.5548908571428572
 Incremental job 5 Cache | start 0.6 finish 0.6001
@@ -659,42 +659,42 @@ Incremental job 31 Incremental | start 2.7 finish 2.7010118095238096
 Incremental job 32 Incremental | start 3.1 finish 3.1006379682539684
 Incremental job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
 Incremental plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.18731427492063488
-Incremental tenant interactive | p50 0.00010000000000021103 p95 0.011591646349206347 p99 0.011739366349206345
-Incremental tenant batch | p50 0.053560136126984126 p95 0.07940151784126985 p99 0.07940151784126985
-Incremental tenant updates | p50 0.0005526349206348424 p95 0.057882574222222205 p99 0.057882574222222205
+Incremental tenant interactive | p50 0.00010000000000021103 p95 0.011739366349206345 p99 0.01336969561904762
+Incremental tenant batch | p50 0.04272865625396825 p95 0.05847883847619048 p99 0.05847883847619048
+Incremental tenant updates | p50 0.0005526349206348424 p95 0.05787457422222225 p99 0.05787457422222225
 Recompute job 0 Backend | start 0.0 finish 0.011591646349206347
-Recompute job 18 Backend | start 0.011591646349206347 finish 0.0332865566984127
-Recompute job 19 Backend | start 0.0332865566984127 finish 0.053560136126984126
-Recompute job 1 Cache | start 0.053560136126984126 finish 0.05845099326984127
-Recompute job 20 Backend | start 0.05845099326984127 finish 0.07940151784126985
+Recompute job 18 Backend | start 0.011591646349206347 finish 0.027555944888888892
+Recompute job 19 Backend | start 0.027555944888888892 finish 0.04272865625396825
+Recompute job 20 Backend | start 0.04272865625396825 finish 0.05847883847619048
+Recompute job 1 Cache | start 0.05847883847619048 finish 0.06336969561904762
 Recompute job 2 Backend | start 0.1 finish 0.11173936634920635
-Recompute job 24 Recompute | start 0.3 finish 0.4704907197460317
+Recompute job 24 Recompute | start 0.3 finish 0.4229653274920634
 Recompute job 3 Cache | start 0.5 finish 0.5001
 Recompute job 4 Cache | start 0.55 finish 0.5548908571428572
 Recompute job 5 Cache | start 0.6 finish 0.6001
-Recompute job 25 Recompute | start 0.7 finish 0.7853114485079364
+Recompute job 25 Recompute | start 0.7 finish 0.7615121809523808
 Recompute job 6 Cache | start 1.0 finish 1.0001
 Recompute job 7 Cache | start 1.05 finish 1.0548908571428572
 Recompute job 8 Cache | start 1.1 finish 1.1001
-Recompute job 26 Recompute | start 1.1001 finish 1.185462290920635
+Recompute job 26 Recompute | start 1.1001 finish 1.1616508328888888
 Recompute job 9 Cache | start 1.5 finish 1.5001
-Recompute job 27 Recompute | start 1.5001 finish 1.5854805278730157
-Recompute job 10 Cache | start 1.5854805278730157 finish 1.590371385015873
+Recompute job 27 Recompute | start 1.5001 finish 1.5616650063492064
+Recompute job 10 Cache | start 1.5616650063492064 finish 1.5665558634920635
 Recompute job 11 Cache | start 1.6 finish 1.6001
 Recompute job 28 Cache | start 1.7000000000000002 finish 1.7001000000000002
-Recompute job 29 Recompute | start 1.9000000000000001 finish 1.9854374167619049
+Recompute job 29 Recompute | start 1.9000000000000001 finish 1.9616015777777778
 Recompute job 12 Cache | start 2.0 finish 2.0001
 Recompute job 13 Cache | start 2.05 finish 2.054890857142857
 Recompute job 14 Cache | start 2.1 finish 2.1001000000000003
-Recompute job 30 Recompute | start 2.3 finish 2.3853520834285713
+Recompute job 30 Recompute | start 2.3 finish 2.3615934507936505
 Recompute job 15 Cache | start 2.5 finish 2.5001
 Recompute job 16 Cache | start 2.55 finish 2.554890857142857
 Recompute job 17 Cache | start 2.6 finish 2.6001000000000003
-Recompute job 31 Recompute | start 2.7 finish 2.785443398222222
-Recompute job 32 Recompute | start 3.1 finish 3.1854849921269843
+Recompute job 31 Recompute | start 2.7 finish 2.761642082666667
+Recompute job 32 Recompute | start 3.1 finish 3.1616532166349205
 Recompute job 33 Cache | start 3.3000000000000003 finish 3.3001000000000005
-Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.3570704615873015
-Recompute tenant interactive | p50 0.00010000000000021103 p95 0.011739366349206345 p99 0.040371385015872896
-Recompute tenant batch | p50 0.053560136126984126 p95 0.07940151784126985 p99 0.07940151784126985
-Recompute tenant updates | p50 0.08544339822222202 p95 0.1704907197460317 p99 0.1704907197460317
+Recompute plane | makespan 3.3001000000000005 rejected 3 | hits 18 misses 6 saved 0.30942316457142843
+Recompute tenant interactive | p50 0.00010000000000021103 p95 0.01336969561904762 p99 0.016555863492063505
+Recompute tenant batch | p50 0.04272865625396825 p95 0.05847883847619048 p99 0.05847883847619048
+Recompute tenant updates | p50 0.06164208266666682 p95 0.1229653274920634 p99 0.1229653274920634
 ";
