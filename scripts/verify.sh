@@ -11,7 +11,8 @@
 # chaos/resilience recovery grids, the checkpoint/serve/comm/emst sweeps,
 # the benchmark gate (a fresh `benchmark run --seed 42` compared against
 # results/benchmark_baseline.json) and `scripts/repin.sh --check` (the
-# goldens and the baseline's simulated rows are what the code computes).
+# goldens, the baseline's simulated rows and results/*.csv are what the
+# code computes).
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick  lints + rustdoc + debug tests + the release-mode engine, serve-plane and
@@ -186,7 +187,7 @@ echo "==> benchmark gate (run --seed 42 against results/benchmark_baseline.json)
 "${BENCH[@]}" run --seed 42
 bench_gate results/benchmark_baseline.json benchmark/out/result.json
 
-echo "==> re-pin check (goldens and the baseline's simulated rows are current)"
+echo "==> re-pin check (goldens, the baseline's simulated rows and the tables are current)"
 scripts/repin.sh --check
 
 echo "verify: OK"
