@@ -49,7 +49,7 @@ fn main() {
     } else {
         NodePlatform::amd_cluster()
     };
-    let r = run_mnd(&ctx, &el, nodes, platform, ctx.hypar());
+    let r = ctx.run_mnd(&ctx.mnd(nodes).with_platform(platform), &el, None);
     println!(
         "total={:.3}s comm(max)={:.3}s levels={} ring-rounds={} max-holding={}MB",
         r.total_time,

@@ -1,7 +1,8 @@
 //! # mnd-bench — the reproduction harness
 //!
 //! One function per table/figure of the paper's evaluation (§5), each
-//! returning structured rows that the `repro` binary prints. See
+//! returning its finished [`fmt::Table`]s, which the `repro` binary prints
+//! and writes as CSV. See
 //! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured outcomes.
 //!

@@ -14,7 +14,7 @@
 //! The sink also keeps a per-phase [`PhaseLedger`] and a per-step
 //! [`StepLedger`] of what the samples say the host paid — wall and CPU
 //! time, holding rows — which `repro --trace` prints when the experiments
-//! are done.
+//! are done ([`JsonlTrace::tables`]; host clock, so no CSV).
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -22,6 +22,8 @@ use std::sync::Mutex;
 
 use mnd_hypar::chaos::ChaosEvent;
 use mnd_hypar::observe::{PhaseKind, PhaseObserver, PhaseSample, StepSample};
+
+use crate::fmt::{cells, Table};
 
 /// What the samples of one [`PhaseKind`] add up to on the host's side.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -95,6 +97,68 @@ impl JsonlTrace {
             .iter()
             .map(|(&(phase, name), &l)| (PhaseKind::ALL[phase], name, l))
             .collect()
+    }
+
+    /// The two ledgers as host-clock tables: per phase, then per step.
+    pub fn tables(&self) -> Vec<Table> {
+        let ms = |ns: u64| ns as f64 * 1e-6;
+        let mean = |sum: u64, samples: u64| format!("{:.0}", sum as f64 / samples.max(1) as f64);
+        let phases = self.ledger().into_iter().map(|(kind, l)| {
+            cells![
+                kind.name(),
+                l.samples,
+                format!("{:.1}", ms(l.wall_ns)),
+                format!("{:.2}", ms(l.wall_ns) / l.samples.max(1) as f64),
+                mean(l.rows_in, l.samples),
+                mean(l.rows_out, l.samples),
+                mean(l.cut_rows, l.samples),
+            ]
+        });
+        let steps = self.step_ledger().into_iter().map(|(phase, name, l)| {
+            cells![
+                phase.name(),
+                name,
+                l.samples,
+                format!("{:.1}", ms(l.wall_ns)),
+                format!("{:.1}", ms(l.cpu_ns)),
+                mean(l.rows_in, l.samples),
+                mean(l.rows_out, l.samples),
+            ]
+        });
+        let mut tables = vec![
+            Table::new(
+                "trace_phases",
+                "Trace: host wall time and holding rows per mnd-mst phase (means are per sample = per rank per execution)",
+                &[
+                    "phase",
+                    "samples",
+                    "wall ms (sum)",
+                    "wall ms (mean)",
+                    "rows in (mean)",
+                    "rows out (mean)",
+                    "cut rows (mean)",
+                ],
+                phases.collect(),
+            ),
+            Table::new(
+                "trace_steps",
+                "Trace: the steps inside the mnd-mst phases (wall includes waits for other ranks; CPU is the rank thread's own, kernel threads it opens excluded)",
+                &[
+                    "phase",
+                    "step",
+                    "samples",
+                    "wall ms (sum)",
+                    "cpu ms (sum)",
+                    "rows in (mean)",
+                    "rows out (mean)",
+                ],
+                steps.collect(),
+            ),
+        ];
+        for t in &mut tables {
+            t.host_clock = true;
+        }
+        tables
     }
 
     fn write_line(&self, line: String) {

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is built once, wrapped in an `Arc`, and handed to both
 //! fault layers: `Cluster::with_fault_injector(plan.clone())` for the
-//! message plane and `HyParConfig::with_chaos(plan)` for the phase plane.
+//! message plane and the phase plane's `ChaosControl` hook — both at once
+//! through `EngineChaos::from_plan(plan)`.
 //! The plan itself is immutable; all randomness is hash-derived from the
 //! seed and the decision's identity (see [`crate::rng`]).
 

@@ -1,6 +1,6 @@
 //! Phase-boundary checkpoints for crash recovery.
 //!
-//! When a chaos schedule is armed ([`mnd_hypar::HyParConfig::chaos`]),
+//! When a chaos schedule is armed ([`crate::MndMstRunner::run_armed`]),
 //! every rank serializes its recoverable state at each *recovery point* —
 //! the Partition → IndComp boundary and the boundary after every
 //! mergeParts pass — through the shared recovery driver

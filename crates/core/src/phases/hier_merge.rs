@@ -193,9 +193,9 @@ impl Phase for HierMerge {
             // each group elects its first *healthy* member. Every rank
             // evaluates every group from the same replicated data, so the
             // election needs no extra coordination. ---
-            let leaders: Vec<usize> = if cx.cfg().chaos.is_set() {
+            let leaders: Vec<usize> = if cx.chaos.is_set() {
                 cx.observed(PhaseKind::HierMerge, |cx| {
-                    let chaos = &cx.cfg().chaos;
+                    let chaos = cx.chaos;
                     let level = cx.levels as u32;
                     let mut down = vec![0u64; p];
                     if chaos.leader_down(me, level) {

@@ -39,7 +39,7 @@ use mnd_device::DeviceSplit;
 use mnd_engine::{Recoverable, Recovery};
 use mnd_graph::types::WEdge;
 use mnd_graph::EdgeList;
-use mnd_hypar::chaos::{ChaosEvent, ChaosEventKind};
+use mnd_hypar::chaos::{ChaosEvent, ChaosEventKind, ChaosHook};
 use mnd_hypar::observe::{thread_cpu_ns, PhaseKind, PhaseObserver, PhaseSample, StepSample};
 use mnd_hypar::HyParConfig;
 use mnd_kernels::cgraph::CGraph;
@@ -115,6 +115,8 @@ pub struct RankCtx<'a> {
     pub el: &'a EdgeList,
     /// The run's level-0 holdings ([`Partition`] takes this rank's).
     pub level0: &'a Level0,
+    /// The run's phase-level chaos schedule (unset on fault-free runs).
+    pub chaos: &'a ChaosHook,
     /// The rank's current holding.
     pub cg: CGraph,
     /// Component → owner directory.
@@ -149,6 +151,7 @@ impl<'a> RankCtx<'a> {
         comm: &'a Comm,
         el: &'a EdgeList,
         level0: &'a Level0,
+        chaos: &'a ChaosHook,
         recorder: Arc<PhaseTimesRecorder>,
     ) -> Self {
         RankCtx {
@@ -157,6 +160,7 @@ impl<'a> RankCtx<'a> {
             comm,
             el,
             level0,
+            chaos,
             cg: CGraph::new(),
             dir: GhostDirectory::default(),
             split: DeviceSplit::cpu_only(),

@@ -19,13 +19,13 @@
 use std::sync::Arc;
 
 use mnd_device::NodePlatform;
-use mnd_engine::run_recoverable;
+use mnd_engine::{run_recoverable, EngineChaos};
 use mnd_graph::EdgeList;
-use mnd_hypar::HyParConfig;
+use mnd_hypar::{ChaosHook, HyParConfig};
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::msf::MsfResult;
 use mnd_kernels::policy::{kernel_threads, with_kernel_threads};
-use mnd_net::{Cluster, Comm, FaultInjector, InjectorHook};
+use mnd_net::{Cluster, Comm};
 
 use crate::checkpoint::RankCheckpoint;
 use crate::phases::{
@@ -45,9 +45,6 @@ pub struct MndMstRunner {
     /// Maximum ghost pairs per exchange phase (§3.1/§3.3: boundary
     /// communication happens "in multiple phases" to bound message sizes).
     pub ghost_phase_size: usize,
-    /// Optional message-fault injector armed on the simulated fabric
-    /// (drops/delays/duplicates/reorders — see [`mnd_net::fault`]).
-    pub faults: InjectorHook,
 }
 
 impl MndMstRunner {
@@ -58,17 +55,7 @@ impl MndMstRunner {
             platform: NodePlatform::amd_cluster(),
             config: HyParConfig::default(),
             ghost_phase_size: 1 << 16,
-            faults: InjectorHook::none(),
         }
-    }
-
-    /// Arms a message-fault injector on the simulated fabric. Pair with
-    /// [`HyParConfig::with_chaos`] (via [`MndMstRunner::with_config`]) to
-    /// also schedule phase-level stalls/crashes — an
-    /// `Arc<mnd_chaos::FaultPlan>` implements both interfaces.
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.faults = InjectorHook::new(injector);
-        self
     }
 
     /// Replaces the platform (e.g. `NodePlatform::cray_xc40(true)`).
@@ -93,9 +80,29 @@ impl MndMstRunner {
     /// If `nranks == 0`, or on internal invariant violations (a rank
     /// thread panicking is re-raised with its rank id).
     pub fn run(&self, el: &EdgeList) -> MndMstReport {
+        self.run_armed(el, &EngineChaos::none())
+    }
+
+    /// [`MndMstRunner::run`] with the chaos plane armed: `chaos.faults` on
+    /// the simulated fabric (drops/delays/duplicates/reorders) and
+    /// `chaos.control`'s phase-level schedule (stalls, crashes, dead
+    /// leaders) at the recovery boundaries. An observer set on `chaos`
+    /// replaces the configured one for this run. With
+    /// [`EngineChaos::none`] this is exactly the fault-free run.
+    pub fn run_armed(&self, el: &EdgeList, chaos: &EngineChaos) -> MndMstReport {
+        if !chaos.observer.is_set() {
+            return self.execute(el, chaos);
+        }
+        let mut runner = self.clone();
+        runner.config.observer = chaos.observer.clone();
+        runner.execute(el, chaos)
+    }
+
+    /// The run itself; `chaos.observer` is [`MndMstRunner::run_armed`]'s.
+    fn execute(&self, el: &EdgeList, chaos: &EngineChaos) -> MndMstReport {
         assert!(self.nranks >= 1);
         let network = self.platform.network.scaled(self.config.sim_scale);
-        let cluster = Cluster::new(self.nranks, network).with_fault_hook(self.faults.clone());
+        let cluster = Cluster::new(self.nranks, network).with_fault_hook(chaos.faults.clone());
 
         // Ranks × kernel threads ≤ cores: the ranks are threads of this
         // process, so each gets its share of the kernel threads, and a rank
@@ -109,8 +116,11 @@ impl MndMstRunner {
         // The ranks read the edge list themselves (§3.1), one block of
         // them per kernel thread.
         let level0 = Level0::new(self.nranks, host);
-        let outcomes = cluster
-            .run(|comm| with_kernel_threads(threads, || self.rank_main(host, comm, el, &level0)));
+        let outcomes = cluster.run(|comm| {
+            with_kernel_threads(threads, || {
+                self.rank_main(host, comm, el, &level0, &chaos.control)
+            })
+        });
 
         let total_time = Cluster::makespan(&outcomes);
         let mut msf: Option<MsfResult> = None;
@@ -166,17 +176,25 @@ impl MndMstRunner {
         comm: &Comm,
         el: &EdgeList,
         level0: &Level0,
+        chaos: &ChaosHook,
     ) -> RankResult {
         let recorder = Arc::new(PhaseTimesRecorder::new());
         run_recoverable::<RankCheckpoint, _>(
             comm,
-            &self.config.chaos,
+            chaos,
             &self.config.observer,
             self.config.checkpoint_interval,
             self.config.sim_scale,
             |rec| {
-                let mut cx =
-                    RankCtx::new(self, host_threads, comm, el, level0, Arc::clone(&recorder));
+                let mut cx = RankCtx::new(
+                    self,
+                    host_threads,
+                    comm,
+                    el,
+                    level0,
+                    chaos,
+                    Arc::clone(&recorder),
+                );
                 let mut pipeline: [Box<dyn Phase>; 4] = [
                     Box::new(Partition),
                     Box::new(IndComp::new()),

@@ -2,7 +2,6 @@
 
 use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
-use crate::chaos::ChaosHook;
 use crate::observe::ObserverHook;
 
 /// All tunables of the HyPar runtime, with the paper's defaults.
@@ -42,11 +41,6 @@ pub struct HyParConfig {
     /// Optional phase observer: fired by the driver at every phase boundary
     /// with the phase's time/traffic sample (see [`crate::observe`]).
     pub observer: ObserverHook,
-    /// Optional phase-level chaos control: stalls/crashes at checkpoint
-    /// boundaries and leader failures at merge levels (see
-    /// [`crate::chaos`]). When unset the driver skips all checkpointing, so
-    /// fault-free runs are byte-identical to pre-chaos builds.
-    pub chaos: ChaosHook,
     /// Filter-Boruvka on the level-0 holdings (DESIGN.md §8): right after
     /// partitioning, a rank whose holding has at least two rows per
     /// resident vertex drops every internal row it can certify as non-MSF
@@ -79,7 +73,6 @@ impl Default for HyParConfig {
             sim_scale: 1.0,
             max_exchange_rounds: 8,
             observer: ObserverHook::none(),
-            chaos: ChaosHook::none(),
             level0_filter: true,
             checkpoint_interval: 1,
         }
@@ -110,14 +103,6 @@ impl HyParConfig {
         observer: std::sync::Arc<dyn crate::observe::PhaseObserver>,
     ) -> Self {
         self.observer = ObserverHook::new(observer);
-        self
-    }
-
-    /// Attaches a phase-level chaos control (see
-    /// [`crate::chaos::ChaosControl`]); this also enables checkpointing at
-    /// phase boundaries.
-    pub fn with_chaos(mut self, control: std::sync::Arc<dyn crate::chaos::ChaosControl>) -> Self {
-        self.chaos = ChaosHook::new(control);
         self
     }
 

@@ -2,7 +2,7 @@
 //! algorithms are checked against it edge for edge (`boruvka_msf` in the
 //! property suites).
 
-use mnd_graph::types::{total_weight, WEdge};
+use mnd_graph::types::WEdge;
 use mnd_graph::EdgeList;
 
 use crate::dsu::DisjointSets;
@@ -28,15 +28,11 @@ pub fn kruskal_msf(el: &EdgeList) -> MsfResult {
     MsfResult::from_edges(el.num_vertices(), out)
 }
 
-/// Convenience: total MSF weight by Kruskal.
-pub fn msf_weight(el: &EdgeList) -> u128 {
-    total_weight(&kruskal_msf(el).edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mnd_graph::gen;
+    use mnd_graph::types::total_weight;
 
     #[test]
     fn kruskal_on_path_takes_all_edges() {

@@ -11,9 +11,8 @@ use mnd_graph::types::VertexId;
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_net::{Cluster, Comm, RankStats, Wire};
 
-use mnd_engine::{run_recoverable, Recoverable, Recovery};
+use mnd_engine::{run_recoverable, EngineChaos, Recoverable, Recovery};
 
-use crate::chaos::BspChaos;
 use crate::framework::{superstep_exchange, BspConfig, BspStats};
 
 /// Result of a BSP BFS run.
@@ -32,7 +31,7 @@ pub struct BspBfsReport {
 }
 
 /// The mutable per-worker BFS state — the checkpoint unit for rollback
-/// recovery under a chaos plan (see [`crate::chaos`]).
+/// recovery under a chaos plan (see [`mnd_engine::run_recoverable`]).
 #[derive(Clone)]
 struct BfsState {
     /// Hop distance of each owned vertex (`u64::MAX` = unreached).
@@ -67,12 +66,12 @@ pub fn pregel_bfs(
     platform: &NodePlatform,
     cfg: &BspConfig,
 ) -> BspBfsReport {
-    pregel_bfs_chaos(el, source, nranks, platform, cfg, &BspChaos::none())
+    pregel_bfs_chaos(el, source, nranks, platform, cfg, &EngineChaos::none())
 }
 
 /// [`pregel_bfs`] with the chaos plane armed: fabric faults plus
 /// superstep-boundary checkpoints and mid-superstep crash rollback (see
-/// [`crate::chaos`]). With [`BspChaos::none`] this is exactly the
+/// [`mnd_engine::run_recoverable`]). With [`EngineChaos::none`] this is exactly the
 /// fault-free run.
 pub fn pregel_bfs_chaos(
     el: &EdgeList,
@@ -80,7 +79,7 @@ pub fn pregel_bfs_chaos(
     nranks: usize,
     platform: &NodePlatform,
     cfg: &BspConfig,
-    chaos: &BspChaos,
+    chaos: &EngineChaos,
 ) -> BspBfsReport {
     assert!(source < el.num_vertices());
     let csr = Arc::new(CsrGraph::from_edge_list(el));

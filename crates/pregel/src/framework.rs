@@ -30,7 +30,7 @@ pub struct BspConfig {
     /// and message bytes.
     pub sim_scale: f64,
     /// Supersteps between recovery points when a chaos plan is armed
-    /// (`crate::chaos`): every `checkpoint_interval` supersteps the worker
+    /// (`mnd_engine::run_recoverable`): every `checkpoint_interval` supersteps the worker
     /// writes a state checkpoint it can roll back to after an injected
     /// mid-superstep crash. Ignored (no checkpoints at all) on fault-free
     /// runs, so the baseline's clean numbers are unchanged.
@@ -70,7 +70,7 @@ pub struct BspStats {
     pub messages: u64,
     /// Supersteps re-executed at recovery cost after a mid-superstep
     /// crash: the stretch between the restored checkpoint and the crash
-    /// point replays with compute charged (see `crate::chaos`). 0 on
+    /// point replays with compute charged (see `mnd_engine::run_recoverable`). 0 on
     /// fault-free runs.
     pub recovered_supersteps: u64,
 }

@@ -34,17 +34,15 @@
 //! Chaos-armed entry points ([`pregel_msf_chaos`], [`pregel_bfs_chaos`])
 //! run the same algorithms under an injected fault schedule with
 //! superstep-boundary checkpoints and mid-superstep crash rollback — the
-//! BSP half of the resilience comparison (see [`chaos`] and
-//! DESIGN.md §5g).
+//! BSP half of the resilience comparison, armed with an
+//! [`mnd_engine::EngineChaos`] (DESIGN.md §5g).
 
 pub mod bfs;
-pub mod chaos;
 pub mod engine;
 pub mod framework;
 pub mod msf;
 
 pub use bfs::{pregel_bfs, pregel_bfs_chaos, BspBfsReport};
-pub use chaos::BspChaos;
 pub use engine::BspEngine;
 pub use framework::{BspConfig, BspStats};
 pub use msf::{pregel_msf, pregel_msf_chaos, PregelReport};

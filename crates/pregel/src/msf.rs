@@ -7,7 +7,7 @@
 //! The worker's mutable state lives in `MsfState` so that a chaos-armed
 //! run ([`pregel_msf_chaos`]) can checkpoint it at superstep boundaries
 //! and roll back after an injected mid-superstep crash (see
-//! [`crate::chaos`]). Everything else in the worker (partition maps,
+//! [`mnd_engine::run_recoverable`]). Everything else in the worker (partition maps,
 //! the CSR graph) is immutable and rebuilt deterministically on
 //! re-execution.
 //!
@@ -27,13 +27,12 @@ use std::sync::Arc;
 
 use mnd_device::NodePlatform;
 use mnd_engine::election::{Election, NONE};
-use mnd_engine::{run_recoverable, Recoverable, Recovery};
+use mnd_engine::{run_recoverable, EngineChaos, Recoverable, Recovery};
 use mnd_graph::types::{VertexId, WEdge};
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_kernels::msf::MsfResult;
 use mnd_net::{Cluster, Comm, RankStats, Wire};
 
-use crate::chaos::BspChaos;
 use crate::framework::{superstep_exchange, BspConfig, BspStats};
 
 /// Outcome of a BSP MSF run — mirrors `MndMstReport` so benches can print
@@ -136,19 +135,19 @@ pub fn pregel_msf(
     platform: &NodePlatform,
     cfg: &BspConfig,
 ) -> PregelReport {
-    pregel_msf_chaos(el, nranks, platform, cfg, &BspChaos::none())
+    pregel_msf_chaos(el, nranks, platform, cfg, &EngineChaos::none())
 }
 
 /// [`pregel_msf`] with the chaos plane armed: fabric faults from
 /// `chaos.faults`, and superstep-boundary checkpoints with mid-superstep
-/// crash rollback from `chaos.control` (see [`crate::chaos`]). With
-/// [`BspChaos::none`] this is exactly the fault-free run.
+/// crash rollback from `chaos.control` (see [`mnd_engine::run_recoverable`]). With
+/// [`EngineChaos::none`] this is exactly the fault-free run.
 pub fn pregel_msf_chaos(
     el: &EdgeList,
     nranks: usize,
     platform: &NodePlatform,
     cfg: &BspConfig,
-    chaos: &BspChaos,
+    chaos: &EngineChaos,
 ) -> PregelReport {
     assert!(nranks >= 1);
     let n = el.num_vertices();

@@ -16,13 +16,14 @@ use std::sync::Arc;
 
 use mnd::chaos::{ChaosLog, CrashPoint, FaultPlan};
 use mnd::device::NodePlatform;
+use mnd::engine::EngineChaos;
 use mnd::graph::components::bfs_distances;
 use mnd::graph::{gen, CsrGraph, EdgeList};
 use mnd::hypar::{ChaosControl, ChaosEventKind, ObserverHook};
 use mnd::kernels::kruskal_msf;
 use mnd::net::{FaultInjector, SendFate, Tag};
 use mnd::pregel::{
-    pregel_bfs, pregel_bfs_chaos, pregel_msf, pregel_msf_chaos, BspChaos, BspConfig, PregelReport,
+    pregel_bfs, pregel_bfs_chaos, pregel_msf, pregel_msf_chaos, BspConfig, PregelReport,
 };
 
 fn cfg() -> BspConfig {
@@ -35,7 +36,7 @@ fn run_with_plan(
     plan: Arc<FaultPlan>,
     log: Option<Arc<ChaosLog>>,
 ) -> PregelReport {
-    let mut chaos = BspChaos::from_plan(plan);
+    let mut chaos = EngineChaos::from_plan(plan);
     if let Some(log) = log {
         chaos = chaos.with_observer(ObserverHook::new(log));
     }
@@ -202,7 +203,7 @@ fn checkpoint_interval_scales_write_count() {
     let oracle = kruskal_msf(&el);
     let writes_at = |interval: u64| {
         let plan = Arc::new(FaultPlan::new(5).with_mid_phase_crash(1, 1, 5));
-        let chaos = BspChaos::from_plan(plan);
+        let chaos = EngineChaos::from_plan(plan);
         let c = BspConfig {
             checkpoint_interval: interval,
             ..cfg()
@@ -258,7 +259,7 @@ fn replay_log_gc_is_transparent() {
             .with_mid_phase_crash(2, 1, 8),
     );
     let gc = run_with_plan(&el, 4, plan.clone(), None);
-    let chaos = BspChaos::from_plan(Arc::new(NoHorizon(plan)));
+    let chaos = EngineChaos::from_plan(Arc::new(NoHorizon(plan)));
     let kept = pregel_msf_chaos(&el, 4, &NodePlatform::amd_cluster(), &cfg(), &chaos);
 
     assert_eq!(gc.msf, kept.msf);
@@ -289,7 +290,7 @@ fn bfs_mid_superstep_crash_recovers() {
         CrashPoint::Boundary(1),
     ] {
         let plan = Arc::new(FaultPlan::new(15).with_crash_point(1, point));
-        let chaos = BspChaos::from_plan(plan);
+        let chaos = EngineChaos::from_plan(plan);
         let r = pregel_bfs_chaos(&el, 0, 4, &plat, &cfg(), &chaos);
         assert_eq!(r.dist, oracle, "point={point:?}");
         for (rank, (s, c)) in r.rank_stats.iter().zip(&clean.rank_stats).enumerate() {

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use mnd::chaos::{ChaosLog, FaultPlan, FaultRule};
+use mnd::engine::EngineChaos;
 use mnd::graph::{gen, EdgeList};
 use mnd::hypar::{ChaosEventKind, HyParConfig};
 use mnd::kernels::kruskal_msf;
@@ -28,14 +29,13 @@ fn run_with_plan(
     plan: Arc<FaultPlan>,
     log: Option<Arc<ChaosLog>>,
 ) -> MndMstReport {
-    let mut cfg = HyParConfig::default().with_chaos(plan.clone());
+    let mut cfg = HyParConfig::default();
     if let Some(log) = log {
         cfg = cfg.with_observer(log);
     }
     MndMstRunner::new(nranks)
         .with_config(cfg)
-        .with_fault_injector(plan)
-        .run(el)
+        .run_armed(el, &EngineChaos::from_plan(plan))
 }
 
 /// The grid's fault plans, from mild to hostile. Includes at least one

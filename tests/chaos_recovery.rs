@@ -16,6 +16,7 @@
 use std::sync::{Arc, Mutex};
 
 use mnd::chaos::{ChaosLog, CrashPoint, FaultPlan};
+use mnd::engine::EngineChaos;
 use mnd::graph::{gen, EdgeList};
 use mnd::hypar::{
     ChaosEvent, ChaosEventKind, HyParConfig, PhaseKind, PhaseObserver, PhaseSample, StepSample,
@@ -37,18 +38,16 @@ fn run_with_plan(
 fn run_with_plan_cfg(
     el: &EdgeList,
     nranks: usize,
-    cfg: HyParConfig,
+    mut cfg: HyParConfig,
     plan: Arc<FaultPlan>,
     log: Option<Arc<ChaosLog>>,
 ) -> MndMstReport {
-    let mut cfg = cfg.with_chaos(plan.clone());
     if let Some(log) = log {
         cfg = cfg.with_observer(log);
     }
     MndMstRunner::new(nranks)
         .with_config(cfg)
-        .with_fault_injector(plan)
-        .run(el)
+        .run_armed(el, &EngineChaos::from_plan(plan))
 }
 
 /// The acceptance scenario: rank 2 dies at fabric op 5 of epoch 1 (inside
@@ -270,13 +269,11 @@ fn lent_threads_survive_a_failover_and_a_crash_inside_the_stretch() {
     let run = |plan: FaultPlan| {
         let log = Arc::new(ThreadLog::default());
         let plan = Arc::new(plan.with_dead_leader(0, 1));
-        let cfg = HyParConfig::default()
-            .with_chaos(plan.clone())
-            .with_observer(log.clone());
-        let runner = MndMstRunner::new(4)
-            .with_config(cfg)
-            .with_fault_injector(plan);
-        (with_kernel_threads(8, || runner.run(&el)), log.of_rank(1))
+        let cfg = HyParConfig::default().with_observer(log.clone());
+        let runner = MndMstRunner::new(4).with_config(cfg);
+        let chaos = EngineChaos::from_plan(plan);
+        let report = with_kernel_threads(8, || runner.run_armed(&el, &chaos));
+        (report, log.of_rank(1))
     };
     let threads_of = |log: &[(String, usize)], what: &str| -> Vec<usize> {
         let hits = log.iter().filter(|(w, _)| w == what);

@@ -24,7 +24,6 @@ fn every_configuration_field_names_what_sets_it() {
         sim_scale: _,                // `ExpContext::hypar`, `EngineParams::with_sim_scale`
         max_exchange_rounds: _,      // fixtures: `runner::tests`, `runtime::tests`
         observer: _,                 // `repro --trace`, the benchmark's layer ledger
-        chaos: _,                    // `repro chaos`, `repro traffic`, `repro comm-sweep`
         level0_filter: _,            // `ExpContext::hypar` (off), `repro comm-sweep` (on)
         checkpoint_interval: _,      // `repro checkpoint-sweep`
     } = HyParConfig::default();
@@ -34,7 +33,6 @@ fn every_configuration_field_names_what_sets_it() {
         platform: _,         // `repro fig8`, `mnd-cli run --gpu`
         config: _,           // every caller
         ghost_phase_size: _, // `sim_clock_golden.rs`, `adversarial_inputs.rs`
-        faults: _,           // `repro chaos`, `repro traffic`
     } = MndMstRunner::new(1);
 
     let BspConfig {
