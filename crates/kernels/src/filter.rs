@@ -2,14 +2,15 @@
 //! non-MST rows from a rank's level-0 holding before any exchange, kernel
 //! sweep or segment shipment pays for them.
 //!
-//! **Certification.** One sweep visits every row in ascending `(w, u, v)`
+//! **Certification.** One sweep decides every row in ascending `(w, u, v)`
 //! order while a union-find joins the ends of every row that closes no
 //! cycle. A row whose ends are already joined closes a cycle of strictly
 //! lighter rows: by the cycle property it is that cycle's unique maximum,
 //! so it is not in the (unique) MSF and dropping it is exact. Every row is
-//! certified — sampling only changes which non-cycle rows feed the
-//! union-find, and the sweep visits every row either way, so a sample
-//! drops a subset of what the full sweep drops at the same cost.
+//! certified — sampling rows into the union-find (as Sanders & Schimek do)
+//! only changes which non-cycle rows feed it, and every row is decided
+//! either way, so a sample drops a subset of what the full sweep drops at
+//! the same cost.
 //!
 //! **Cut rows are never dropped.** A cut row is held by the owners of both
 //! ends, and the ghost-parent protocol relies on both copies: each holder
@@ -22,9 +23,14 @@
 //! counts alone (DESIGN.md §8 derives it). A holding with no cut rows — the
 //! final rank's — is certified whatever the rule says: nothing is exempt,
 //! so its survivors are its minimum spanning forest (`certified_forest`).
-//! **Order.** `weight_order` orders the rows in O(rows) passes.
+//! **Order.** Only the rows that can still join are ordered, as in
+//! Filter-Kruskal: `certify` orders a light slice of the undecided rows
+//! (every row up to a sampled weight, a few times the joins still open)
+//! with `weight_order`'s O(rows) passes and sweeps it, then settles every
+//! heavier row whose ends are already joined with one `find`, and repeats
+//! on the rest. The mask is the full ordered sweep's, bit for bit.
 
-use mnd_graph::WEdge;
+use mnd_graph::{WEdge, Weight};
 
 use crate::cgraph::{CGraph, CompId};
 #[cfg(test)]
@@ -100,8 +106,17 @@ pub fn certified_forest(mut cg: CGraph) -> Vec<WEdge> {
 /// appearance; `table` (the holding's index-table scratch) maps every id in
 /// the span of those ends to its node, so a row is internal iff both its
 /// nodes are slots. It links the larger root under the smaller and halves
-/// paths, in one column. Once every node is joined, every row left closes
-/// a cycle.
+/// paths, in one column.
+///
+/// The rows are swept in `(w, u, v, row)` order, but only those that can
+/// still join are ordered (Filter-Kruskal): each round orders the light
+/// slice — every undecided row up to a weight threshold, sampled to hold a
+/// few times the joins still open — and sweeps it, then decides every
+/// heavier row whose ends are already joined with one `find` (an internal
+/// one is dropped, a cut one kept). Rows of one weight share a slice, so
+/// every row meets the union-find in the state the full ordered sweep
+/// would show it, and the mask is that sweep's. Once every node is joined,
+/// every row left closes a cycle.
 fn certify(cg: &CGraph, table: &mut Vec<u32>, keep: &mut Vec<bool>) -> usize {
     let (ca, cb) = cg.endpoint_cols();
     let (resident, cut) = (cg.resident(), cg.cut_rows());
@@ -124,7 +139,10 @@ fn certify(cg: &CGraph, table: &mut Vec<u32>, keep: &mut Vec<bool>) -> usize {
             (*at, nodes) = (nodes, nodes + 1);
         }
     }
-    let node = |c: CompId| table[(c - lo) as usize];
+    let ends = |i: u32| {
+        let i = i as usize;
+        (table[(ca[i] - lo) as usize], table[(cb[i] - lo) as usize])
+    };
 
     let mut parent: Vec<u32> = (0..nodes).collect();
     let find = |parent: &mut [u32], mut x: u32| {
@@ -135,31 +153,74 @@ fn certify(cg: &CGraph, table: &mut Vec<u32>, keep: &mut Vec<bool>) -> usize {
         }
         x
     };
+    let edges = cg.orig_col();
+    let w = |i: u32| edges[i as usize].w;
     keep.clear();
-    keep.resize(cg.num_edges(), true);
-    let order = weight_order(cg.orig_col());
-    let (mut joins_left, mut dropped, mut next) = (parent.len().saturating_sub(1), 0, 0);
-    while joins_left > 0 && next < order.len() {
-        let i = order[next] as usize;
-        next += 1;
-        let (x, y) = (node(ca[i]), node(cb[i]));
-        let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
-        if rx != ry {
-            parent[rx.max(ry) as usize] = rx.min(ry);
-            joins_left -= 1;
-        } else if x < slots && y < slots {
-            keep[i] = false;
-            dropped += 1;
+    keep.resize(edges.len(), true);
+    let rows = u32::try_from(edges.len()).expect("row indexes are 32 bits");
+    let (mut joins_left, mut dropped) = (parent.len().saturating_sub(1), 0);
+    let (mut live, mut order_all): (Vec<u32>, bool) = ((0..rows).collect(), false);
+    while joins_left > 0 && !live.is_empty() {
+        // The light slice: every live row up to weight `t`. The heavier
+        // ones stay in `live`, in row order.
+        let (mut t, mut heavier) = (Weight::MAX, 0);
+        let slice = SLICE_PER_JOIN * (joins_left + 1);
+        let light = if !order_all && live.len() >= 2 * slice {
+            t = slice_threshold(edges, &live, slice);
+            let light: Vec<u32> = live.iter().copied().filter(|&i| w(i) <= t).collect();
+            heavier = live.len() - light.len();
+            light
+        } else {
+            std::mem::take(&mut live)
+        };
+        let order = weight_order(edges, light);
+        let mut next = 0;
+        while joins_left > 0 && next < order.len() {
+            let i = order[next];
+            next += 1;
+            let (x, y) = ends(i);
+            let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
+            if rx != ry {
+                parent[rx.max(ry) as usize] = rx.min(ry);
+                joins_left -= 1;
+            } else if x < slots && y < slots {
+                keep[i as usize] = false;
+                dropped += 1;
+            }
         }
+        if joins_left == 0 {
+            // Every node joined: the rows left are the heavier rows and
+            // the slice's rest.
+            live.retain(|&i| w(i) > t);
+            live.extend_from_slice(&order[next..]);
+            break;
+        }
+        // One `find` per heavier row: joined ends decide it.
+        live.retain(|&i| {
+            if w(i) <= t {
+                return false;
+            }
+            let (x, y) = ends(i);
+            if find(&mut parent, x) != find(&mut parent, y) {
+                return true;
+            }
+            if x < slots && y < slots {
+                keep[i as usize] = false;
+                dropped += 1;
+            }
+            false
+        });
+        // A pass that decided under half of what it scanned did not pay:
+        // order the rest at once.
+        order_all = 2 * live.len() > heavier;
     }
-    // Every node joined: drop the rows left, then give back the cut rows
+    // Drop the rows left (all close cycles), then give back the cut rows
     // among them (the only cut rows a flag is down for).
-    let rest = &order[next..];
-    for &i in rest {
+    for &i in &live {
         keep[i as usize] = false;
     }
-    dropped += rest.len();
-    if !rest.is_empty() {
+    dropped += live.len();
+    if !live.is_empty() {
         for &c in cut {
             if !keep[c as usize] {
                 keep[c as usize] = true;
@@ -170,43 +231,67 @@ fn certify(cg: &CGraph, table: &mut Vec<u32>, keep: &mut Vec<bool>) -> usize {
     dropped
 }
 
-/// The row indexes of `edges` in ascending `(w, u, v)` order, identical
-/// edges in row order, in O(rows): stable LSD counting passes on the
-/// weight's 16-bit digits — none above the largest weight's top digit —
-/// then each run of one weight ordered by `(u, v)`. Under the generators'
-/// 2²⁰ weights that is two passes and runs of a few rows.
-fn weight_order(edges: &[WEdge]) -> Vec<u32> {
-    const DIGIT: u32 = 16;
-    let top = edges.iter().map(|e| e.w).max().unwrap_or(0);
-    let rows = u32::try_from(edges.len()).expect("row indexes are 32 bits");
-    let mut order: Vec<u32> = (0..rows).collect();
-    let mut spare = vec![0u32; order.len()];
-    let mut count = vec![0u32; 1 << DIGIT];
-    let mut shift = 0;
-    while shift < u32::BITS && top >> shift != 0 {
-        let digit = |i: u32| ((edges[i as usize].w >> shift) & ((1 << DIGIT) - 1)) as usize;
-        count.fill(0);
-        for &i in &order {
-            count[digit(i)] += 1;
+/// Light-slice rows per join still open (plus one): enough that a slice
+/// usually closes most of the joins, few enough that ordering it is cheap
+/// next to ordering the holding.
+const SLICE_PER_JOIN: usize = 4;
+
+/// Rows of `live` the threshold is sampled from, evenly spaced.
+const SLICE_SAMPLE: usize = 256;
+
+/// A weight `t` such that about `slice` rows of `live` weigh at most `t`:
+/// the matching quantile of an evenly spaced sample. The sampled row of
+/// weight `t` is among them, so the slice is never empty.
+fn slice_threshold(edges: &[WEdge], live: &[u32], slice: usize) -> Weight {
+    let mut sample: Vec<Weight> = (0..SLICE_SAMPLE)
+        .map(|k| edges[live[k * live.len() / SLICE_SAMPLE] as usize].w)
+        .collect();
+    let q = (slice * SLICE_SAMPLE / live.len()).min(SLICE_SAMPLE - 1);
+    *sample.select_nth_unstable(q).1
+}
+
+/// `rows` of `edges` in ascending `(w, u, v)` order, identical edges in row
+/// order, in O(rows): stable LSD counting passes on the weight above the
+/// lightest one — as few as its span needs at up to 16 bits each, the
+/// bits split evenly between them — then each run of one weight ordered by
+/// `(u, v, row)`. Under the generators' 2²⁰ weights that is at most two
+/// passes of ten bits and runs of a few rows.
+fn weight_order(edges: &[WEdge], mut rows: Vec<u32>) -> Vec<u32> {
+    let w = |i: u32| edges[i as usize].w;
+    let (min, max) = rows
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &i| (lo.min(w(i)), hi.max(w(i))));
+    let bits = u32::BITS - max.saturating_sub(min).leading_zeros();
+    let passes = bits.div_ceil(16);
+    if passes > 0 {
+        let digit = bits.div_ceil(passes);
+        let mut spare = vec![0u32; rows.len()];
+        let mut count = vec![0u32; 1 << digit];
+        for pass in 0..passes {
+            let shift = pass * digit;
+            let bucket = |i: u32| (((w(i) - min) >> shift) & ((1 << digit) - 1)) as usize;
+            count.fill(0);
+            for &i in &rows {
+                count[bucket(i)] += 1;
+            }
+            let mut at = 0;
+            for c in &mut count {
+                (*c, at) = (at, at + *c);
+            }
+            for &i in &rows {
+                let d = bucket(i);
+                spare[count[d] as usize] = i;
+                count[d] += 1;
+            }
+            std::mem::swap(&mut rows, &mut spare);
         }
-        let mut at = 0;
-        for c in &mut count {
-            (*c, at) = (at, at + *c);
-        }
-        for &i in &order {
-            let d = digit(i);
-            spare[count[d] as usize] = i;
-            count[d] += 1;
-        }
-        std::mem::swap(&mut order, &mut spare);
-        shift += DIGIT;
     }
-    for run in order.chunk_by_mut(|&i, &j| edges[i as usize].w == edges[j as usize].w) {
+    for run in rows.chunk_by_mut(|&i, &j| w(i) == w(j)) {
         if run.len() > 1 {
             run.sort_unstable_by_key(|&i| (edges[i as usize].u, edges[i as usize].v, i));
         }
     }
-    order
+    rows
 }
 
 /// The comparison-sorted certification the radix sweep replaced, kept as
@@ -237,10 +322,12 @@ mod tests {
     use crate::boruvka::local_boruvka;
     use crate::oracle::kruskal_msf;
     use crate::policy::{ExcpCond, FreezePolicy, StopPolicy};
-    use mnd_graph::gen;
+    use mnd_graph::gen::{self, GeoPreset};
     use mnd_graph::partition::{partition_1d, VertexRange};
+    use mnd_graph::presets::Preset;
     use mnd_graph::{CsrGraph, EdgeList};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn families() -> Vec<EdgeList> {
         vec![
@@ -295,6 +382,44 @@ mod tests {
                         .collect();
                     assert_eq!(got.orig_col(), &kept[..]);
                 }
+            }
+        }
+    }
+
+    /// The 4-rank level-0 holdings of the benchmark's filtered engine
+    /// workloads at a quarter of their size (the presets keep the density;
+    /// the benchmark divides by 256, 2048 and 128): every mask is the
+    /// comparison-sorted reference's. The crawls' holdings are dense enough
+    /// for light slices (rows ≥ twice the first slice), geo-knn's are
+    /// ordered whole.
+    #[test]
+    fn benchmark_density_holdings_equal_the_reference() {
+        let workloads = [
+            ("crawl-dnc", Preset::Arabic2005.generate(4 * 256, 42), true),
+            (
+                "scramble-dnc",
+                Preset::Gsh2015Tpd.generate(4 * 2048, 42),
+                true,
+            ),
+            ("geo-knn", GeoPreset::Cluster3d.generate(4 * 128, 42), false),
+        ];
+        for (name, el, sliced) in workloads {
+            let ranges = partition_1d(&CsrGraph::from_edge_list(&el), 4, 0.0);
+            for cg in CGraph::level0(&el, &ranges, 0..4) {
+                let (rows, resident) = (cg.num_edges(), cg.num_resident());
+                let (ca, cb) = cg.endpoint_cols();
+                let ghosts: BTreeSet<CompId> = (cg.cut_rows().iter())
+                    .flat_map(|&r| [ca[r as usize], cb[r as usize]])
+                    .filter(|&c| !cg.is_resident(c))
+                    .collect();
+                let first_slice = SLICE_PER_JOIN * (resident + ghosts.len());
+                assert!(filter_pays(rows, resident), "{name}: {rows} rows");
+                assert_eq!(rows >= 2 * first_slice, sliced, "{name}: {rows} rows");
+                let expect = reference_keep_mask(cg.orig_col(), |i| !is_cut(&cg, i));
+                let (mut table, mut keep) = (Vec::new(), Vec::new());
+                let dropped = certify(&cg, &mut table, &mut keep);
+                assert!(keep == expect, "{name}: the mask moved");
+                assert_eq!(dropped, expect.iter().filter(|&&k| !k).count());
             }
         }
     }
@@ -404,6 +529,32 @@ mod tests {
         }
     }
 
+    /// `el` reweighted from 1..=4 (seeded), so each weight is shared by
+    /// about a quarter of the rows and ties straddle every threshold a
+    /// slice can pick; with `heavy: Some((h, g))`, every row from below
+    /// `h` to `g` or above weighs 4. Cut at `h`, the lower holding then has
+    /// ghost ends that only the heaviest rows reach, so it stays open after
+    /// its light slices, and ghost ends in `h..g` that light rows join
+    /// first, so the heavier pass meets joined cut rows.
+    fn tied(el: &EdgeList, seed: u64, heavy: Option<(u32, u32)>) -> EdgeList {
+        let mut el = el.clone();
+        el.assign_random_weights(seed, 4);
+        let Some((h, g)) = heavy else {
+            return el;
+        };
+        let edges = el.edges().iter().map(|e| {
+            let w = if e.u < h && e.v >= g { 4 } else { e.w };
+            WEdge::new(e.u, e.v, w)
+        });
+        EdgeList::from_raw(el.num_vertices(), edges.collect())
+    }
+
+    /// The complete bipartite graph between `0..a` and `a..a + b`.
+    fn bipartite(a: u32, b: u32) -> EdgeList {
+        let edges = (0..a).flat_map(|u| (a..a + b).map(move |v| WEdge::new(u, v, 0)));
+        EdgeList::from_raw(a + b, edges.collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -435,27 +586,83 @@ mod tests {
             prop_assert_eq!(forest, msf);
         }
 
-        /// The radix order is the comparison order, on lists with heavy
-        /// weight ties (few weights, repeated pairs) and with weights that
-        /// need both 16-bit digits.
+        /// Dense holdings with weights 1..=4 take the sliced path, with
+        /// ties straddling every threshold: holdings that connect inside
+        /// the first slice (complete graphs, gnm with m ≥ 8n), holdings
+        /// that never connect (a disconnected union cut inside one of its
+        /// parts, so joined cut rows are never given back wholesale) or
+        /// only through their heaviest rows (see [`tied`]), and all-cut
+        /// holdings (a bipartite graph cut between its sides). Every mask
+        /// is the comparison-sorted reference's, and the whole graph's
+        /// survivors are Kruskal's.
+        #[test]
+        fn sliced_certification_equals_the_reference_on_tied_weights(
+            case in 0usize..5,
+            n in 16u32..64,
+            seed in 0u64..1_000,
+            parts in 1usize..4,
+        ) {
+            let (h, m) = (n / 2, 10 * u64::from(n));
+            let (el, cut_at) = match case {
+                0 => (gen::complete(n, seed), None),
+                1 => (gen::gnm(n, m, seed), None),
+                2 => {
+                    let union = [gen::complete(n, seed), gen::complete(h, seed)];
+                    (gen::disconnected_union(&union), Some(h))
+                }
+                3 => (gen::complete(n, seed), Some(h)),
+                _ => (bipartite(h, n - h), Some(h)),
+            };
+            let el = tied(&el, seed, (case == 3).then_some((h, h + h / 2)));
+            let ranges = match cut_at {
+                Some(h) => {
+                    let cut = |start, end| VertexRange { start, end };
+                    vec![cut(0, h), cut(h, el.num_vertices())]
+                }
+                None => partition_1d(&CsrGraph::from_edge_list(&el), parts, 0.0),
+            };
+            for cg in CGraph::level0(&el, &ranges, 0..ranges.len()) {
+                let expect = reference_keep_mask(cg.orig_col(), |i| !is_cut(&cg, i));
+                let (mut table, mut keep) = (Vec::new(), Vec::new());
+                let dropped = certify(&cg, &mut table, &mut keep);
+                prop_assert_eq!(&keep, &expect);
+                prop_assert_eq!(dropped, expect.iter().filter(|&&k| !k).count());
+            }
+            let whole = VertexRange { start: 0, end: el.num_vertices() };
+            let mut forest = certified_forest(CGraph::level0(&el, &[whole], 0..1).remove(0));
+            forest.sort_unstable();
+            let mut msf = kruskal_msf(&el).edges;
+            msf.sort_unstable();
+            prop_assert_eq!(forest, msf);
+        }
+
+        /// The radix order of a row subset is the comparison order, on
+        /// lists with heavy weight ties (few weights, repeated pairs), with
+        /// weights that need both 16-bit digits and with weights far above
+        /// zero.
         #[test]
         fn weight_order_equals_the_comparison_sort(
             raw in proptest::collection::vec((0u32..40, 0u32..40, 0u32..6), 0..300),
             high in 0u32..3,
+            base in 0u32..2,
+            stride in 1usize..4,
         ) {
             let edges: Vec<WEdge> = raw
                 .iter()
-                .map(|&(u, v, w)| WEdge::new(u, v, w * [1, 40_503, 1 << 28][high as usize]))
+                .map(|&(u, v, w)| {
+                    WEdge::new(u, v, (base << 31) + w * [1, 40_503, 1 << 28][high as usize])
+                })
                 .collect();
-            let got = weight_order(&edges);
-            let mut expect: Vec<u32> = (0..edges.len() as u32).collect();
+            let rows: Vec<u32> = (0..edges.len() as u32).step_by(stride).collect();
+            let got = weight_order(&edges, rows.clone());
+            let mut expect = rows.clone();
             expect.sort_unstable_by_key(|&i| edges[i as usize].key());
             let keys = |order: &[u32]| -> Vec<_> {
                 order.iter().map(|&i| edges[i as usize].key()).collect()
             };
             prop_assert_eq!(keys(&got), keys(&expect));
             // Identical edges keep row order: the order is total.
-            let mut stable: Vec<u32> = (0..edges.len() as u32).collect();
+            let mut stable = rows;
             stable.sort_by_key(|&i| edges[i as usize].key());
             prop_assert_eq!(got, stable);
         }

@@ -112,8 +112,11 @@ for threads in 1 2; do
   # thread: builder == CSR walk, cached cut rows == a fresh sweep, cut-row
   # walks == the full sweeps they replaced, in a release build. The run
   # merge of `absorb_all` (== the append-and-dedup reference) is in
-  # cgraph::tests as well, and the filter's radix order and ghost numbering
-  # (== the comparison-sorted reference) in filter::tests.
+  # cgraph::tests as well, and in filter::tests the filter's sliced
+  # certification and ghost numbering (== the comparison-sorted reference):
+  # on tied weights, and on the 4-rank holdings of crawl-dnc, scramble-dnc
+  # and geo-knn at a quarter of the benchmark's size
+  # (benchmark_density_holdings_equal_the_reference).
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-kernels --lib -- \
     cgraph::tests reduce::tests filter::tests
   RAYON_NUM_THREADS="$threads" cargo test --release -q -p mnd-mst --lib -- \
